@@ -218,15 +218,13 @@ def test_supervisor_overhead_on_healthy_claims(tmp_path):
 
 
 def test_pull_worker_sharded_matches_serial(tmp_path):
-    """Distributed variant: pull workers + sharded store vs the serial path.
+    """Distributed variant: pull workers + a shared store vs the serial path.
 
     The acceptance bar of the distributed campaign service: the same grid
-    through 2 pull workers against one shared sharded store yields exactly
+    through 2 pull workers against one shared store yields exactly
     the serial fingerprint set.  Wall clocks are reported, not asserted
     (worker startup dominates at benchmark-smoke budgets).
     """
-    from repro.campaign import ShardedRunStore
-
     spec = SPEC if not FAST_MODE else CampaignSpec(
         scenarios=("wifi-3mbps/jetson-tx2-gpu", "lte-3mbps/jetson-tx2-gpu"),
         strategies=("random",),
@@ -239,7 +237,7 @@ def test_pull_worker_sharded_matches_serial(tmp_path):
     serial = RunStore(tmp_path / "serial")
     serial_result = run_campaign(spec, serial, workers=1)
 
-    sharded = ShardedRunStore(tmp_path / "sharded")
+    sharded = RunStore(tmp_path / "sharded")
     pull_result = run_campaign(
         spec,
         sharded,
@@ -253,7 +251,7 @@ def test_pull_worker_sharded_matches_serial(tmp_path):
     text = (
         f"Distributed campaign — {spec.num_cells} cells\n"
         f"serial: {serial_result.wall_time_s:.2f}s, "
-        f"pull-worker x2 (sharded store): {pull_result.wall_time_s:.2f}s, "
+        f"pull-worker x2 (shared store): {pull_result.wall_time_s:.2f}s, "
         f"shards: {len(sharded.shard_keys())}, fingerprints match: yes"
     )
     print("\n" + text)

@@ -5,12 +5,10 @@ built from (scenarios x strategies x seeds) as one restartable unit:
 
 * :mod:`repro.campaign.gridspec` — :class:`CampaignSpec`, the declarative
   grid (axes + shared budgets, JSON round-trip);
-* :mod:`repro.campaign.store` — :class:`RunStore`, an append-only JSONL
-  store of outcomes keyed by request fingerprint, with a derived index;
-* :mod:`repro.campaign.sharded` — :class:`ShardedRunStore`, the same
-  interface over per-(scenario x space) shard files safe for concurrent
-  writers, plus :func:`open_store` / :func:`merge_stores` /
-  :func:`export_metrics`;
+* :mod:`repro.campaign.store` — :class:`RunStore`, append-only JSONL
+  shards of outcomes keyed by request fingerprint, one per (scenario x
+  space), safe for concurrent writers, plus :func:`open_store` /
+  :func:`fsck_store` / :func:`merge_stores` / :func:`export_metrics`;
 * :mod:`repro.campaign.executors` — the :data:`EXECUTORS` registry of
   execution back-ends (``serial`` / ``process-pool`` / ``asyncio`` /
   ``pull-worker``);
@@ -40,10 +38,7 @@ Quickstart::
 
 Distributed::
 
-    from repro.campaign import ShardedRunStore, run_campaign
-
-    store = ShardedRunStore("runs/shared")       # multi-writer safe
-    run_campaign(spec, store, executor="pull-worker", workers=4)
+    run_campaign(spec, RunStore("runs/shared"), executor="pull-worker", workers=4)
     # ... or point extra `repro worker --store runs/shared` processes at
     # the same directory from other machines.
 
@@ -58,14 +53,14 @@ from repro.campaign.gridspec import CampaignSpec, expand_requests
 from repro.campaign.leases import Lease, LeaseBoard
 from repro.campaign.manifest import CampaignManifest
 from repro.campaign.runner import CampaignResult, CellFailure, run_campaign
-from repro.campaign.sharded import (
-    ShardedRunStore,
+from repro.campaign.store import (
+    RunStore,
+    StoreError,
     export_metrics,
     fsck_store,
     merge_stores,
     open_store,
 )
-from repro.campaign.store import RunStore, StoreError
 from repro.campaign.supervisor import (
     CampaignPolicy,
     CampaignSupervisor,
@@ -93,7 +88,6 @@ __all__ = [
     "run_campaign",
     "RunStore",
     "StoreError",
-    "ShardedRunStore",
     "open_store",
     "merge_stores",
     "export_metrics",

@@ -22,7 +22,7 @@ Built-in executors
     isolation from parent state at spawn cost.
 ``pull-worker``
     Publishes a :class:`~repro.campaign.manifest.CampaignManifest` into a
-    shared :class:`~repro.campaign.sharded.ShardedRunStore` directory and
+    shared :class:`~repro.campaign.store.RunStore` directory and
     launches N ``repro worker`` processes that *pull* cells through the
     lease protocol (:mod:`repro.campaign.leases`).  The only executor that
     survives worker crashes mid-campaign, and the same protocol additional
@@ -53,8 +53,7 @@ from repro.api.registry import Registry
 from repro.api.session import run_search
 from repro.campaign.errors import ErrorEnvelope
 from repro.campaign.manifest import CampaignManifest
-from repro.campaign.sharded import ShardedRunStore
-from repro.campaign.store import StoreError
+from repro.campaign.store import RunStore
 from repro.campaign.supervisor import (
     CIRCUIT_OPEN,
     CampaignPolicy,
@@ -415,14 +414,13 @@ class AsyncioSubprocessExecutor(CampaignExecutor):
 class PullWorkerExecutor(CampaignExecutor):
     """Launch N ``repro worker`` processes pulling from a shared store.
 
-    Requires a :class:`~repro.campaign.sharded.ShardedRunStore` destination
-    (the only store format safe for concurrent writers).  The executor
-    publishes the manifest, spawns the workers, then *observes*: it polls
-    the store, reporting newly appeared outcomes (``persisted=True`` — the
-    workers already wrote them) and finally-failed audit records, until
-    every pending cell is resolved.  Workers crashing is survivable — peers
-    reclaim their leases; the campaign only fails if **all** workers exit
-    with cells still unresolved.
+    The executor publishes the manifest, spawns the workers, then
+    *observes*: it polls the store, reporting newly appeared outcomes
+    (``persisted=True`` — the workers already wrote them) and
+    finally-failed audit records, until every pending cell is resolved.
+    Workers crashing is survivable — peers reclaim their leases; the
+    campaign only fails if **all** workers exit with cells still
+    unresolved.
 
     Options (via ``executor_options`` / ``repro campaign``) are the flat
     :class:`~repro.campaign.supervisor.CampaignPolicy` fields: ``ttl_s``
@@ -440,12 +438,6 @@ class PullWorkerExecutor(CampaignExecutor):
 
     def run(self, context: ExecutionContext) -> None:
         store = context.store
-        if not isinstance(store, ShardedRunStore):
-            raise StoreError(
-                "the pull-worker executor needs a sharded store "
-                "(run with sharded=True / --sharded); "
-                f"got {type(store).__name__}"
-            )
         if not context.pending:
             return
         manifest = CampaignManifest.from_requests(
@@ -497,7 +489,7 @@ class PullWorkerExecutor(CampaignExecutor):
     def _observe(
         self,
         context: ExecutionContext,
-        store: ShardedRunStore,
+        store: RunStore,
         manifest: CampaignManifest,
         workers: List[subprocess.Popen],
     ) -> None:

@@ -24,7 +24,7 @@ Protocol
 Idempotence lives one level up: a worker that wins a reclaimed lease first
 re-checks the store and treats an already-stored fingerprint as a no-op, so
 the worst case of every race is a duplicate *check*, never a duplicate
-*record* (and the sharded store resolves even a true double-append
+*record* (and the run store resolves even a true double-append
 latest-wins).  Leases are best-effort mutual exclusion for efficiency; the
 store's append discipline is what guarantees integrity.
 """

@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Union
 
 from repro.api.envelopes import SearchRequest, request_fingerprint
-from repro.campaign.store import atomic_write_text
 from repro.campaign.supervisor import CampaignPolicy
+from repro.utils.serialization import atomic_write_text
 
 #: Name of the manifest file inside a shared store directory.
 MANIFEST_FILENAME = "manifest.json"

@@ -11,7 +11,7 @@ through :data:`~repro.campaign.executors.EXECUTORS`:
   fan-out (default for ``workers > 1``);
 * ``asyncio`` — one fresh subprocess per cell under a concurrency limit;
 * ``pull-worker`` — N independent ``repro worker`` processes pulling from a
-  shared :class:`~repro.campaign.sharded.ShardedRunStore` through the
+  shared :class:`~repro.campaign.store.RunStore` directory through the
   crash-safe lease protocol (see :doc:`docs/distributed`).
 
 Each finished :class:`~repro.api.envelopes.SearchOutcome` is appended to
@@ -58,8 +58,7 @@ from repro.campaign.executors import (
     resolve_executor,
 )
 from repro.campaign.gridspec import CampaignSpec, expand_requests
-from repro.campaign.sharded import AnyRunStore, open_store
-from repro.campaign.store import RunStore, StoreError
+from repro.campaign.store import RunStore, StoreError, open_store
 from repro.campaign.supervisor import (
     CIRCUIT_OPEN,
     CampaignPolicy,
@@ -110,7 +109,7 @@ class CampaignResult:
         unsupervised campaign's summary keys are stable.
     """
 
-    store: AnyRunStore
+    store: RunStore
     executed: Tuple[str, ...] = ()
     skipped: Tuple[str, ...] = ()
     failed: Tuple[CellFailure, ...] = ()
@@ -150,7 +149,7 @@ class CampaignResult:
 
 def _plan(
     spec: Union[CampaignSpec, Sequence[SearchRequest]],
-    store: AnyRunStore,
+    store: RunStore,
     resume: bool,
 ) -> Tuple[List[Tuple[str, SearchRequest]], List[str]]:
     """Split the grid into (pending fingerprint/request pairs, skipped)."""
@@ -177,7 +176,7 @@ def _plan(
 
 def run_campaign(
     spec: Union[CampaignSpec, Sequence[SearchRequest]],
-    store: Union[AnyRunStore, str, Path],
+    store: Union[RunStore, str, Path],
     *,
     workers: int = 1,
     resume: bool = True,
@@ -196,9 +195,8 @@ def run_campaign(
     spec:
         A :class:`CampaignSpec` or an explicit request sequence.
     store:
-        Target store — a :class:`~repro.campaign.store.RunStore`, a
-        :class:`~repro.campaign.sharded.ShardedRunStore`, or a directory
-        path (auto-detected via :func:`~repro.campaign.sharded.open_store`).
+        Target store — a :class:`~repro.campaign.store.RunStore` or its
+        directory path.
     workers:
         Parallelism degree.  With ``executor=None``, ``<= 1`` runs the
         ``serial`` executor and larger values the ``process-pool`` one.
@@ -325,8 +323,7 @@ def run_campaign(
                 )
             )
     finally:
-        if hasattr(store, "flush"):
-            store.flush()
+        store.flush()
     if failures and on_error == "fail":
         first = failures[0]
         raise RuntimeError(

@@ -4,8 +4,8 @@ A worker is an independent process (``repro worker --store DIR``) that
 needs nothing but a shared store directory to join a campaign.  Its loop:
 
 1. load the :class:`~repro.campaign.manifest.CampaignManifest` and open the
-   :class:`~repro.campaign.sharded.ShardedRunStore`;
-2. each cycle, :meth:`~repro.campaign.sharded.ShardedRunStore.refresh` and
+   :class:`~repro.campaign.store.RunStore`;
+2. each cycle, :meth:`~repro.campaign.store.RunStore.refresh` and
    walk the manifest's unresolved cells — not stored, not permanently
    failed, not inside a retry-backoff window;
 3. claim each via the :class:`~repro.campaign.leases.LeaseBoard` (expired
@@ -48,8 +48,7 @@ from repro.api.session import run_search
 from repro.campaign.errors import ErrorEnvelope
 from repro.campaign.leases import LEASES_DIRNAME, LeaseBoard, heartbeat
 from repro.campaign.manifest import CampaignManifest, resolve_backoff
-from repro.campaign.sharded import ShardedRunStore
-from repro.campaign.store import StoreError
+from repro.campaign.store import RunStore, StoreError
 from repro.campaign.supervisor import (
     CampaignSupervisor,
     CellTimeout,
@@ -107,7 +106,7 @@ def default_worker_id() -> str:
 
 
 def _resolved(
-    store: ShardedRunStore,
+    store: RunStore,
     fingerprint: str,
     request: SearchRequest,
     dead_letters: Optional[DeadLetterQueue] = None,
@@ -151,7 +150,7 @@ def run_worker(
     Parameters
     ----------
     store_dir:
-        Directory holding the sharded store, manifest and lease board.
+        Directory holding the run store, manifest and lease board.
     worker_id:
         Identity for leases/audit records (default ``<host>-<pid>``).
     manifest:
@@ -170,7 +169,7 @@ def run_worker(
     if manifest is None:
         manifest = CampaignManifest.load(store_dir)
     policy = manifest.policy
-    store = ShardedRunStore(store_dir)
+    store = RunStore(store_dir)
     board = LeaseBoard(
         store_dir / LEASES_DIRNAME, worker, ttl_s=manifest.ttl_s
     )

@@ -12,7 +12,7 @@ The subcommands mirror the library's layers (also reachable as
   out through a pluggable executor (``--executor serial | process-pool |
   asyncio | pull-worker``) into a resumable run store;
 * ``repro worker`` — join a distributed campaign by pulling cells from a
-  shared sharded store directory (the ``pull-worker`` protocol; start any
+  shared store directory (the ``pull-worker`` protocol; start any
   number, on any machine sharing the filesystem);
 * ``repro store`` — maintenance: ``compact`` (drop torn tails and
   superseded records), ``export`` (columnar per-candidate metrics),
@@ -60,6 +60,7 @@ from repro.campaign import (
     ErrorEnvelope,
     RunStore,
     StoreError,
+    export_metrics,
     fsck_store,
     merge_stores,
     open_store,
@@ -67,7 +68,6 @@ from repro.campaign import (
     run_worker,
     summarize_audit,
 )
-from repro.campaign.sharded import ShardedRunStore, export_metrics
 from repro.core.results import SearchResult
 from repro.core.runtime import ThresholdAnalysis
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
@@ -213,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help=f"execution back-end {EXECUTORS.names()} "
                                       "(default: serial for --workers 1, "
                                       "process-pool otherwise)")
-    campaign_parser.add_argument("--sharded", action="store_true",
-                                 help="use a sharded (multi-writer) store; "
-                                      "required by --executor pull-worker")
     campaign_parser.add_argument("--on-error", choices=("fail", "continue"),
                                  default="fail",
                                  help="stop on the first failed cell (fail, "
@@ -287,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pull and execute campaign cells from a shared store directory",
         description="Join a distributed campaign: claim unresolved cells from "
                     "the manifest published in --store via crash-safe lease "
-                    "files, execute them, and append outcomes to the sharded "
+                    "files, execute them, and append outcomes to the "
                     "store. Start any number of workers (on any machine "
                     "sharing the filesystem); each exits once every cell is "
                     "stored or permanently failed.",
@@ -306,15 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     store_parser = commands.add_parser(
         "store",
         help="run-store maintenance: compact, export metrics, merge",
-        description="Operate on run stores (single-file or sharded; the "
-                    "format is auto-detected).",
+        description="Operate on run stores.",
     )
     store_commands = store_parser.add_subparsers(dest="store_command",
                                                  metavar="operation")
     compact_parser = store_commands.add_parser(
         "compact",
         help="rewrite shards dropping torn tails and superseded records",
-        description="Rewrite every shard of a sharded store keeping only the "
+        description="Rewrite every shard of a store keeping only the "
                     "latest intact record per fingerprint. Run only while no "
                     "workers are active.",
     )
@@ -355,9 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="source store directories")
     merge_parser.add_argument("--into", required=True, metavar="DIR",
                               help="destination store directory")
-    merge_parser.add_argument("--sharded", action="store_true",
-                              help="create the destination sharded when it "
-                                   "does not exist yet")
 
     run_cell_parser = commands.add_parser(
         "run-cell",
@@ -441,6 +434,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------- commands
 
+def _warn_skipped_lines(command: str, store: RunStore) -> None:
+    """One stderr line when the store scan skipped damaged records."""
+    skipped = store.skipped_lines()
+    if any(skipped.values()):
+        print(f"repro {command}: {store.directory} has "
+              f"{skipped['corrupt_lines']} corrupt line(s) and "
+              f"{skipped['crc_mismatches']} checksum mismatch(es), skipped "
+              f"and never served; run 'repro store fsck --store "
+              f"{store.directory} --repair' to quarantine them",
+              file=sys.stderr)
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     print(f"scenarios ({len(SCENARIOS)}):")
     for scenario in SCENARIOS.scenarios():
@@ -454,11 +459,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print(f"acquisitions: {', '.join(ACQUISITIONS.names())}")
     if args.store:
         store = open_store(args.store)
+        _warn_skipped_lines("list", store)
         overview = store.summary()
-        extra = (f" in {overview['num_shards']} shards"
-                 if overview.get("num_shards") is not None else "")
-        print(f"\nstore {overview['directory']}: {overview['num_runs']} runs"
-              f"{extra}, {overview['total_wall_time_s']:.1f}s total search time")
+        print(f"\nstore {overview['directory']}: {overview['num_runs']} runs "
+              f"in {overview['num_shards']} shards, "
+              f"{overview['total_wall_time_s']:.1f}s total search time")
         rows = [
             [fp, r["scenario"], r["search_space"], r["strategy"],
              "-" if r["seed"] is None else r["seed"], r["num_candidates"]]
@@ -540,7 +545,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         path = dump_json(outcome.to_dict(), args.out)
         print(f"outcome written to {path}")
     if args.store:
-        store = RunStore(args.store)
+        store = open_store(args.store)
         fingerprint = request.fingerprint()
         if fingerprint in store:
             print(f"store {store.directory}: fingerprint already present, not appended")
@@ -582,9 +587,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if not args.spec and not args.scenario:
             return 0  # re-admit only; a later campaign/worker picks them up
     spec = _spec_from_args(args)
-    if args.executor == "pull-worker" and not args.sharded:
-        args.sharded = True  # pull workers need the multi-writer format
-    store = open_store(args.store, sharded=True if args.sharded else None)
+    store = open_store(args.store)
     stored = store.records()  # one snapshot for labelling every skipped cell
 
     def progress(done: int, total: int, fingerprint: str, outcome) -> None:
@@ -648,6 +651,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     store = open_store(args.store)
+    _warn_skipped_lines("report", store)
     if len(store) == 0:
         print(f"store {store.directory} holds no runs", file=sys.stderr)
         return 1
@@ -888,13 +892,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             return 1
         return 0
     if args.store_command == "compact":
-        store = open_store(args.store)
-        if not isinstance(store, ShardedRunStore):
-            print(f"repro store compact: {store.directory} is a single-file "
-                  f"store; compaction applies to sharded stores",
-                  file=sys.stderr)
-            return 2
-        stats = store.compact()
+        stats = open_store(args.store).compact()
         print(f"compacted {stats['shards']} shard(s): {stats['kept']} records "
               f"kept, {stats['dropped_superseded']} superseded and "
               f"{stats['dropped_corrupt_lines']} corrupt line(s) dropped, "
@@ -911,7 +909,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     # merge
-    dest = open_store(args.into, sharded=True if args.sharded else None)
+    dest = open_store(args.into)
     sources = [open_store(source) for source in args.sources]
     stats = merge_stores(sources, dest)
     print(f"merged {stats['merged']} record(s) into {dest.directory} "

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Mapping, Union
+from typing import Any, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -102,25 +102,31 @@ def _maybe_inject_append_fault(fd: int, path: Path, line: bytes) -> None:
         raise faults.KilledByFault(f"injected torn append to {path}")
 
 
-def append_jsonl_atomic(path: Path, payload: Mapping[str, Any]) -> int:
+def append_jsonl_atomic(path: Path, payload: Mapping[str, Any]) -> Tuple[int, int]:
     """Append one JSON line to ``path`` safely under concurrent writers.
 
     The whole line goes down in a single ``os.write`` on a descriptor opened
     with ``O_APPEND`` (atomic with respect to the file offset on POSIX),
     wrapped in an advisory ``flock`` where available so concurrent appends
-    from workers on one machine never interleave.  Returns the byte offset
-    the line was written at.  Used by the campaign audit log, the sharded
-    run stores and the resilience health log.
+    from workers on one machine never interleave.  If the file does not end
+    in a newline — a writer died mid-append — a ``\\n`` is written first, so
+    the fragment becomes one unparseable line of its own instead of
+    swallowing this record; no byte is ever truncated.  Returns the byte
+    range ``(start, end)`` of the new line.  Used by the campaign audit
+    log, the run store shards and the resilience health log.
     """
     path = Path(path)
     line = (json.dumps(payload, sort_keys=False) + "\n").encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(str(path), os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644)
+    fd = os.open(str(path), os.O_APPEND | os.O_CREAT | os.O_RDWR, 0o644)
     try:
         if fcntl is not None:
             fcntl.flock(fd, fcntl.LOCK_EX)
         try:
             offset = os.lseek(fd, 0, os.SEEK_END)
+            if offset and os.pread(fd, 1, offset - 1) != b"\n":
+                os.write(fd, b"\n")
+                offset += 1
             _maybe_inject_append_fault(fd, path, line)
             os.write(fd, line)
         finally:
@@ -128,7 +134,7 @@ def append_jsonl_atomic(path: Path, payload: Mapping[str, Any]) -> int:
                 fcntl.flock(fd, fcntl.LOCK_UN)
     finally:
         os.close(fd)
-    return offset
+    return offset, offset + len(line)
 
 
 def format_table(rows: list, headers: list, precision: int = 3) -> str:

@@ -1,21 +1,21 @@
-"""Distributed campaign service: sharded stores, leases, workers, executors."""
+"""Distributed campaign service: store shards, leases, workers, executors."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import threading
 import time
 
 import pytest
 
-from repro.api.envelopes import SearchRequest, request_fingerprint
+from repro.api.envelopes import SearchOutcome, SearchRequest, request_fingerprint
 from repro.api.registry import RegistryError
 from repro.api.scenario import Scenario
 from repro.api.session import run_search
 from repro.campaign import (
     CampaignSpec,
     RunStore,
-    ShardedRunStore,
     StoreError,
     merge_stores,
     open_store,
@@ -32,7 +32,7 @@ from repro.campaign.errors import (
 from repro.campaign.executors import EXECUTORS, resolve_executor
 from repro.campaign.leases import LeaseBoard
 from repro.campaign.manifest import CampaignManifest, resolve_backoff
-from repro.campaign.sharded import export_metrics, shard_key
+from repro.campaign.store import export_metrics, shard_key
 
 #: Budgets small enough that one run is milliseconds.
 FAST = dict(
@@ -63,6 +63,16 @@ def _request(**overrides) -> SearchRequest:
     return SearchRequest(**fields)
 
 
+def _append_many(directory, outcome_dict, worker, count):
+    """Writer-process body: append ``count`` records, each visible at once."""
+    store = RunStore(directory)
+    outcome = SearchOutcome.from_dict(outcome_dict)
+    for index in range(count):
+        fingerprint = store.append(outcome, fingerprint=f"{worker}-{index}")
+        if fingerprint not in store:
+            raise SystemExit(f"{fingerprint} lost by the writer that appended it")
+
+
 def _metric_rows(store):
     """Per-candidate metric triples rounded past the engine-cache ULP drift."""
     rows = {}
@@ -80,12 +90,12 @@ def _metric_rows(store):
 
 class TestShardedStore:
     def test_routing_is_deterministic_across_reopen(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         fingerprints = [
             store.append(run_search(_request(seed=seed))) for seed in (0, 1, 2)
         ]
         keys = store.shard_keys()
-        reopened = ShardedRunStore(tmp_path / "store")
+        reopened = RunStore(tmp_path / "store")
         assert reopened.fingerprints() == store.fingerprints()
         assert reopened.shard_keys() == keys
         for fingerprint in fingerprints:
@@ -95,22 +105,22 @@ class TestShardedStore:
         assert shard_key("a/b", "s") != shard_key("a/b", "t")
 
     def test_cells_route_to_per_context_shards(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         store.append(run_search(_request(scenario="wifi-3mbps/jetson-tx2-gpu")))
         store.append(run_search(_request(scenario="lte-3mbps/jetson-tx2-gpu")))
         assert len(store.shard_keys()) == 2
         assert len(store) == 2
 
     def test_duplicate_append_raises(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         outcome = run_search(_request())
         store.append(outcome)
         with pytest.raises(StoreError, match="already stored"):
             store.append(outcome)
 
     def test_refresh_sees_other_writers(self, tmp_path):
-        writer = ShardedRunStore(tmp_path / "store")
-        reader = ShardedRunStore(tmp_path / "store")
+        writer = RunStore(tmp_path / "store")
+        reader = RunStore(tmp_path / "store")
         fingerprint = writer.append(run_search(_request()))
         assert fingerprint not in reader
         reader.refresh()
@@ -118,13 +128,13 @@ class TestShardedStore:
         assert reader.get(fingerprint).request.fingerprint() == fingerprint
 
     def test_torn_tail_in_shard_is_ignored_then_compacted(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         fingerprint = store.append(run_search(_request()))
         shard_path = next((tmp_path / "store" / "shards").glob("*.jsonl"))
         with shard_path.open("ab") as handle:
             handle.write(b'{"fingerprint": "torn')  # crash mid-append
 
-        reopened = ShardedRunStore(tmp_path / "store")
+        reopened = RunStore(tmp_path / "store")
         assert reopened.fingerprints() == [fingerprint]
         stats = reopened.compact()
         assert stats["dropped_torn_bytes"] > 0
@@ -133,8 +143,49 @@ class TestShardedStore:
         for raw in shard_path.open("rb"):
             json.loads(raw)
 
+    def test_append_after_a_torn_tail_is_kept(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        first = store.append(run_search(_request(seed=0)))
+        shard_path = next((tmp_path / "store" / "shards").glob("*.jsonl"))
+        with shard_path.open("ab") as handle:
+            handle.write(b'{"fingerprint": "torn')  # a writer died mid-append
+        second = store.append(run_search(_request(seed=1)))
+        assert store.fingerprints() == [first, second]
+        reopened = RunStore(tmp_path / "store")
+        assert reopened.fingerprints() == [first, second]
+        # the fragment is now a terminated corrupt line, never truncated
+        assert reopened.summary()["corrupt_lines"] == 1
+        assert b'{"fingerprint": "torn\n' in shard_path.read_bytes()
+
+    def test_concurrent_writers_after_a_torn_tail_lose_nothing(self, tmp_path):
+        """More writer processes than cores race appends into one shard
+        that starts with a dead writer's fragment: every record lands."""
+        store = RunStore(tmp_path / "store")
+        outcome = run_search(_request())
+        store.append(outcome, fingerprint="seed-record")
+        shard_path = next((tmp_path / "store" / "shards").glob("*.jsonl"))
+        with shard_path.open("ab") as handle:
+            handle.write(b'{"fingerprint": "torn')
+        context = multiprocessing.get_context("spawn")
+        writers = [
+            context.Process(
+                target=_append_many,
+                args=(str(tmp_path / "store"), outcome.to_dict(), f"w{index}", 10),
+            )
+            for index in range(4)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [writer.exitcode for writer in writers] == [0, 0, 0, 0]
+        reopened = RunStore(tmp_path / "store")
+        assert len(reopened) == 1 + 4 * 10
+        assert reopened.summary()["corrupt_lines"] == 1
+        assert len(shard_path.read_bytes().splitlines()) == 1 + 1 + 4 * 10
+
     def test_corrupt_middle_line_skipped_and_counted(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         first = store.append(run_search(_request(seed=0)))
         shard_path = next((tmp_path / "store" / "shards").glob("*.jsonl"))
         with shard_path.open("ab") as handle:
@@ -142,15 +193,15 @@ class TestShardedStore:
         store.refresh()
         second = store.append(run_search(_request(seed=1)))
 
-        reopened = ShardedRunStore(tmp_path / "store")
+        reopened = RunStore(tmp_path / "store")
         assert reopened.fingerprints() == [first, second]
         assert reopened.summary()["corrupt_lines"] == 1
         stats = reopened.compact()
         assert stats["dropped_corrupt_lines"] == 1
-        assert ShardedRunStore(tmp_path / "store").summary()["corrupt_lines"] == 0
+        assert RunStore(tmp_path / "store").summary()["corrupt_lines"] == 0
 
     def test_superseded_duplicate_resolves_latest_wins(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         outcome = run_search(_request())
         fingerprint = store.append(outcome)
         shard_path = next((tmp_path / "store" / "shards").glob("*.jsonl"))
@@ -159,7 +210,7 @@ class TestShardedStore:
         with shard_path.open("ab") as handle:
             handle.write(line)
 
-        reopened = ShardedRunStore(tmp_path / "store")
+        reopened = RunStore(tmp_path / "store")
         assert reopened.fingerprints() == [fingerprint]
         assert reopened.summary()["superseded"] == 1
         stats = reopened.compact()
@@ -167,7 +218,7 @@ class TestShardedStore:
         assert len(shard_path.read_bytes().splitlines()) == 1
 
     def test_paginated_outcomes(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         for seed in range(4):
             store.append(run_search(_request(seed=seed)))
         everything = [o.request.fingerprint() for o in store.outcomes()]
@@ -176,37 +227,39 @@ class TestShardedStore:
         page2 = [o.request.fingerprint() for o in store.outcomes(offset=3, limit=3)]
         assert page1 + page2 == everything
         # pagination windows are stable across reopen
-        reopened = ShardedRunStore(tmp_path / "store")
+        reopened = RunStore(tmp_path / "store")
         assert [
             o.request.fingerprint() for o in reopened.outcomes(offset=1, limit=2)
         ] == everything[1:3]
         with pytest.raises(ValueError, match="non-negative"):
             list(store.outcomes(offset=-1))
 
-    def test_open_store_detects_format(self, tmp_path):
-        single = RunStore(tmp_path / "single")
-        single.append(run_search(_request()))
-        sharded = ShardedRunStore(tmp_path / "sharded")
-        sharded.append(run_search(_request()))
-        assert isinstance(open_store(tmp_path / "single"), RunStore)
-        assert isinstance(open_store(tmp_path / "sharded"), ShardedRunStore)
-        assert isinstance(open_store(tmp_path / "new", sharded=True), ShardedRunStore)
-        with pytest.raises(StoreError, match="sharded"):
-            open_store(tmp_path / "sharded", sharded=False)
-        with pytest.raises(StoreError, match="single-file"):
-            open_store(tmp_path / "single", sharded=True)
+    def test_legacy_record_is_superseded_by_a_shard_record(self, tmp_path):
+        """One cell both in a legacy ``runs.jsonl`` and in a shard (an old
+        ``repro run`` into a sharded store): the store opens and serves the
+        shard's record."""
+        store = open_store(tmp_path / "store")
+        fingerprint = store.append(run_search(_request()))
+        shard_path = next((tmp_path / "store" / "shards").glob("*.jsonl"))
+        (tmp_path / "store" / "runs.jsonl").write_bytes(shard_path.read_bytes())
+
+        reopened = open_store(tmp_path / "store")
+        assert reopened.fingerprints() == [fingerprint]
+        assert reopened.shard_keys() == [shard_path.stem]
+        assert reopened.summary()["superseded"] == 1
+        assert reopened.get(fingerprint).request.fingerprint() == fingerprint
 
     def test_merge_stores_is_idempotent(self, tmp_path):
         source = RunStore(tmp_path / "source")
         for seed in (0, 1):
             source.append(run_search(_request(seed=seed)))
-        dest = ShardedRunStore(tmp_path / "dest")
+        dest = RunStore(tmp_path / "dest")
         assert merge_stores([source], dest) == {"merged": 2, "skipped": 0}
         assert merge_stores([source], dest) == {"merged": 0, "skipped": 2}
         assert sorted(dest.fingerprints()) == sorted(source.fingerprints())
 
     def test_export_metrics_columnar(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "store")
+        store = RunStore(tmp_path / "store")
         for seed in (0, 1):
             store.append(run_search(_request(seed=seed)))
         payload = export_metrics(store)
@@ -278,6 +331,20 @@ class TestErrorEnvelopes:
         assert summary["retries"] == 1
         assert summary["workers"] == ["w0"]
 
+    def test_audit_append_after_a_torn_tail_is_counted(self, tmp_path):
+        """A dead writer's fragment must not swallow the next attempt, or a
+        poison cell gets one retry more than its budget allows."""
+        log = AuditLog(tmp_path / "audit.jsonl")
+        first = ErrorEnvelope.from_exception(
+            TimeoutError("slow"), attempt=1, fingerprint="abc", max_attempts=2
+        )
+        log.append(first)
+        with log.path.open("ab") as handle:
+            handle.write(b'{"code": "torn')
+        log.append(first.replace(attempt=2, final=True))
+        assert log.attempts("abc") == 2
+        assert log.last("abc").final
+
     def test_backoff_is_exponential(self):
         base = resolve_backoff(100.0, 1, 0.5)
         assert base == pytest.approx(100.5)
@@ -346,7 +413,7 @@ class TestLeases:
 class TestPullWorkers:
     def test_two_concurrent_workers_store_each_cell_exactly_once(self, tmp_path):
         store_dir = tmp_path / "shared"
-        ShardedRunStore(store_dir)
+        RunStore(store_dir)
         manifest = CampaignManifest.from_requests(
             SPEC.requests(), ttl_s=10.0, poll_s=0.05
         )
@@ -365,7 +432,7 @@ class TestPullWorkers:
         for thread in threads:
             thread.join(timeout=120)
 
-        store = ShardedRunStore(store_dir)
+        store = RunStore(store_dir)
         assert set(store.fingerprints()) == set(manifest.cells)
         # exactly-once at the raw-line level: no duplicate appends at all
         total_lines = sum(
@@ -380,7 +447,7 @@ class TestPullWorkers:
     def test_dead_workers_stored_cell_is_not_reexecuted(self, tmp_path):
         """A worker stored a cell but died before releasing its lease."""
         store_dir = tmp_path / "shared"
-        store = ShardedRunStore(store_dir)
+        store = RunStore(store_dir)
         requests = SMALL_SPEC.requests()
         manifest = CampaignManifest.from_requests(
             requests, ttl_s=0.2, poll_s=0.05
@@ -394,7 +461,7 @@ class TestPullWorkers:
         time.sleep(0.3)
 
         report = run_worker(store_dir, worker_id="survivor")
-        final = ShardedRunStore(store_dir)
+        final = RunStore(store_dir)
         assert set(final.fingerprints()) == set(manifest.cells)
         assert report.executed == len(requests) - 1  # stored cell untouched
         # still exactly one record for the dead worker's cell
@@ -410,7 +477,7 @@ class TestPullWorkers:
         import repro.campaign.worker as worker_mod
 
         store_dir = tmp_path / "shared"
-        ShardedRunStore(store_dir)
+        RunStore(store_dir)
         request = SMALL_SPEC.requests()[0]
         fingerprint = request_fingerprint(request)
         manifest = CampaignManifest.from_requests(
@@ -424,7 +491,7 @@ class TestPullWorkers:
         def racing_claim(self, fp):
             lease = real_claim(self, fp)
             if lease is not None:
-                peer = ShardedRunStore(store_dir)
+                peer = RunStore(store_dir)
                 if fp not in peer:  # the racing peer lands its append first
                     peer.append(outcome, fingerprint=fp)
             return lease
@@ -438,11 +505,11 @@ class TestPullWorkers:
             for path in (store_dir / "shards").glob("*.jsonl")
         )
         assert shard_lines == 1
-        assert ShardedRunStore(store_dir).fingerprints() == [fingerprint]
+        assert RunStore(store_dir).fingerprints() == [fingerprint]
 
     def test_failed_cell_is_audited_and_final(self, tmp_path):
         store_dir = tmp_path / "shared"
-        ShardedRunStore(store_dir)
+        RunStore(store_dir)
         bad = _request().replace(
             scenario=Scenario(name="ghost/nowhere", device="ghost-device"),
         )
@@ -453,7 +520,7 @@ class TestPullWorkers:
         report = run_worker(store_dir, worker_id="w0")
         assert report.failed >= 1
         assert report.executed == 0
-        store = ShardedRunStore(store_dir)
+        store = RunStore(store_dir)
         records = store.audit_records()
         assert records, "failure must be audited"
         assert records[-1].final
@@ -477,15 +544,6 @@ class TestExecutors:
         with pytest.raises(TypeError, match="executor"):
             resolve_executor(42, 1)
 
-    def test_pull_worker_requires_sharded_store(self, tmp_path):
-        with pytest.raises(StoreError, match="sharded"):
-            run_campaign(
-                SMALL_SPEC,
-                RunStore(tmp_path / "single"),
-                executor="pull-worker",
-                workers=2,
-            )
-
     def test_asyncio_executor_matches_serial(self, tmp_path):
         serial = RunStore(tmp_path / "serial")
         run_campaign(SMALL_SPEC, serial)
@@ -498,7 +556,7 @@ class TestExecutors:
     def test_pull_worker_executor_matches_serial(self, tmp_path):
         serial = RunStore(tmp_path / "serial")
         run_campaign(SMALL_SPEC, serial)
-        store = ShardedRunStore(tmp_path / "pull")
+        store = RunStore(tmp_path / "pull")
         result = run_campaign(
             SMALL_SPEC,
             store,

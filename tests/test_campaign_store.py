@@ -1,14 +1,18 @@
-"""Run-store persistence: fingerprints, round-trips, torn-tail repair."""
+"""Run-store persistence: fingerprints, round-trips, torn tails, legacy stores."""
 
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.api.envelopes import SearchRequest, request_fingerprint
 from repro.api.session import run_search
+from repro.campaign import fsck_store, run_campaign
 from repro.campaign.store import INDEX_FILENAME, RUNS_FILENAME, RunStore, StoreError
+from repro.utils.serialization import to_jsonable
 
 #: Budgets small enough that one run is milliseconds.
 FAST = dict(
@@ -17,6 +21,16 @@ FAST = dict(
     candidate_pool_size=16,
     predictor_samples_per_type=40,
 )
+
+#: A single-file store (``runs.jsonl`` + ``audit.jsonl``) written by
+#: ``tools/gen_legacy_store.py``: one pre-checksum record, two checksummed
+#: records and one failure envelope.
+LEGACY_STORE = Path(__file__).parent / "data" / "legacy_store"
+
+
+def _legacy_lines():
+    """The fixture's three ``runs.jsonl`` lines (seeds 0, 1, 2)."""
+    return (LEGACY_STORE / RUNS_FILENAME).read_bytes().splitlines(keepends=True)
 
 
 def _request(**overrides) -> SearchRequest:
@@ -91,57 +105,51 @@ class TestRunStore:
         with pytest.raises(StoreError, match="already stored"):
             store.append(outcome)
 
-    def test_torn_tail_is_ignored_on_open_and_truncated_by_append(self, tmp_path):
+    def test_torn_tail_is_ignored_and_never_truncated(self, tmp_path):
         directory = tmp_path / "store"
-        store = RunStore(directory)
-        store.append(run_search(_request(seed=0)))
-        kept = store.append(run_search(_request(seed=1)))
+        directory.mkdir()
         runs_path = directory / RUNS_FILENAME
-        intact = runs_path.read_bytes()
-        # simulate a process killed mid-append: half a record, no newline
-        runs_path.write_bytes(intact + b'{"fingerprint": "dead", "outco')
+        # a legacy file whose writer was killed mid-append: half a record
+        damaged = b"".join(_legacy_lines()) + b'{"fingerprint": "dead", "outco'
+        runs_path.write_bytes(damaged)
 
         reopened = RunStore(directory)
-        assert len(reopened) == 2
-        assert list(o.request.seed for o in reopened.outcomes()) == [0, 1]
-        # opening read-only leaves the file alone (a concurrent writer may
-        # still be flushing that tail); the next append repairs it
-        assert runs_path.read_bytes() != intact
-        appended = reopened.append(run_search(_request(seed=2)))
-        assert reopened.fingerprints() == [*RunStore(directory).fingerprints()]
+        assert len(reopened) == 3
+        assert [o.request.seed for o in reopened.outcomes()] == [0, 1, 2]
+        appended = reopened.append(run_search(_request(seed=3)))
+        assert reopened.fingerprints() == RunStore(directory).fingerprints()
         assert reopened.fingerprints()[-1] == appended
-        assert kept in reopened
-        assert b"dead" not in runs_path.read_bytes()
-        assert runs_path.read_bytes().startswith(intact)
+        # appends go to the shards: the legacy file keeps every byte
+        assert runs_path.read_bytes() == damaged
 
     def test_parseable_tail_without_newline_is_still_torn(self, tmp_path):
         """Durability requires the newline: a flushed prefix that happens to
-        parse as complete JSON must not be indexed, or the next append would
-        concatenate onto the same line and corrupt the store."""
+        parse as complete JSON is not indexed."""
         directory = tmp_path / "store"
-        store = RunStore(directory)
-        store.append(run_search(_request(seed=0)))
-        last = store.append(run_search(_request(seed=1)))
-        runs_path = directory / RUNS_FILENAME
-        runs_path.write_bytes(runs_path.read_bytes().rstrip(b"\n"))  # kill ate \n
+        directory.mkdir()
+        lines = _legacy_lines()
+        last = json.loads(lines[-1])["fingerprint"]
+        # the kill ate the final newline
+        (directory / RUNS_FILENAME).write_bytes(b"".join(lines).rstrip(b"\n"))
 
         reopened = RunStore(directory)
-        assert len(reopened) == 1  # the newline-less record is torn, not stored
+        assert len(reopened) == 2  # the newline-less record is torn, not stored
         assert last not in reopened
-        readded = reopened.append(run_search(_request(seed=1)))
+        outcome = RunStore(LEGACY_STORE).get(last)
+        readded = reopened.append(outcome, fingerprint=last)
         assert readded == last
         assert RunStore(directory).fingerprints() == reopened.fingerprints()
 
-    def test_corrupt_middle_record_raises(self, tmp_path):
+    def test_corrupt_middle_record_is_skipped_and_counted(self, tmp_path):
         directory = tmp_path / "store"
+        directory.mkdir()
+        lines = _legacy_lines()
+        (directory / RUNS_FILENAME).write_bytes(lines[0] + b"not json\n" + lines[2])
         store = RunStore(directory)
-        store.append(run_search(_request(seed=0)))
-        store.append(run_search(_request(seed=1)))
-        runs_path = directory / RUNS_FILENAME
-        lines = runs_path.read_bytes().splitlines(keepends=True)
-        runs_path.write_bytes(b"not json\n" + lines[1])
-        with pytest.raises(StoreError, match="corrupt record"):
-            RunStore(directory)
+        assert store.fingerprints() == [
+            json.loads(lines[0])["fingerprint"], json.loads(lines[2])["fingerprint"]
+        ]
+        assert store.summary()["corrupt_lines"] == 1
 
     def test_outcomes_stream_in_append_order(self, tmp_path):
         store = RunStore(tmp_path / "store")
@@ -221,3 +229,48 @@ class TestRunStore:
         with RunStore(directory) as store:
             store.append(run_search(_request(seed=0)))
         json.loads((directory / INDEX_FILENAME).read_text(encoding="utf-8"))
+
+
+
+class TestLegacyStore:
+    @pytest.fixture
+    def legacy(self, tmp_path):
+        directory = tmp_path / "legacy"
+        shutil.copytree(LEGACY_STORE, directory)
+        return directory
+
+    def test_fixture_records_are_served_unchanged(self, legacy):
+        records = [
+            json.loads(line)
+            for line in (legacy / RUNS_FILENAME).read_bytes().splitlines()
+        ]
+        assert ["crc32" in record for record in records] == [False, True, True]
+        store = RunStore(legacy)
+        assert store.fingerprints() == [record["fingerprint"] for record in records]
+        for record in records:
+            served = store.get(record["fingerprint"])
+            assert to_jsonable(served.to_dict()) == record["outcome"]
+        assert [to_jsonable(o.to_dict()) for o in store.outcomes()] == [
+            record["outcome"] for record in records
+        ]
+        envelope = json.loads((legacy / "audit.jsonl").read_bytes())
+        assert [e.to_dict() for e in store.iter_audit_records()] == [envelope]
+
+    def test_fixture_is_clean_and_resumes(self, legacy):
+        report = fsck_store(legacy)
+        assert report["clean"]
+        assert (report["legacy"], report["intact"]) == (1, 2)
+        requests = [outcome.request for outcome in RunStore(legacy).outcomes()]
+        result = run_campaign(requests, legacy)
+        assert len(result.skipped) == 3
+        assert result.executed == ()
+
+    def test_appends_land_in_shards_and_leave_the_legacy_file_alone(self, legacy):
+        before = (legacy / RUNS_FILENAME).read_bytes()
+        store = RunStore(legacy)
+        fingerprint = store.append(run_search(_request(seed=7)))
+        assert (legacy / RUNS_FILENAME).read_bytes() == before
+        assert len(list((legacy / "shards").glob("*.jsonl"))) == 1
+        reopened = RunStore(legacy)
+        assert len(reopened) == 4
+        assert reopened.fingerprints()[-1] == fingerprint

@@ -19,7 +19,6 @@ from repro.campaign import (
     CircuitOpenError,
     DeadLetterQueue,
     RunStore,
-    ShardedRunStore,
     StoreError,
     deadline,
     fsck_store,
@@ -416,7 +415,7 @@ class TestWorkerSupervision:
         assert report.executed == 0
         assert report.summary()["timeout_kills"] == 2
 
-        store = ShardedRunStore(store_dir)
+        store = RunStore(store_dir)
         assert fingerprint not in store
         records = list(store.iter_audit_records())
         assert [r.code for r in records] == ["E_TIMEOUT", "E_TIMEOUT"]
@@ -432,14 +431,14 @@ class TestWorkerSupervision:
         # a scavenger never claims the buried cell
         scavenger = run_worker(store_dir, worker_id="scavenger", manifest=manifest)
         assert scavenger.executed == 0
-        assert fingerprint not in ShardedRunStore(store_dir)
+        assert fingerprint not in RunStore(store_dir)
 
         # re-admission grants a fresh budget; a healthy worker finishes it
         assert queue.readmit(fingerprint) is True
         finisher = run_worker(store_dir, worker_id="finisher", manifest=manifest)
         assert finisher.executed == 1
         assert finisher.timeout_kills == 0
-        assert fingerprint in ShardedRunStore(store_dir)
+        assert fingerprint in RunStore(store_dir)
 
     def test_supervision_summary_rides_on_the_store(self, tmp_path):
         store_dir = tmp_path / "store"
@@ -453,7 +452,7 @@ class TestWorkerSupervision:
         assert summary["dead_lettered"] == 1
         assert summary["circuit_state"] == "disabled"
 
-        audit = summarize_audit(ShardedRunStore(store_dir).iter_audit_records())
+        audit = summarize_audit(RunStore(store_dir).iter_audit_records())
         assert audit["by_code"] == {"E_TIMEOUT": 2}
         assert audit["dead_lettered"] == [request_fingerprint(request)]
 
@@ -494,13 +493,13 @@ class TestStoreIntegrity:
     def test_new_records_carry_a_verifying_crc(self, tmp_path):
         store = RunStore(tmp_path / "flat")
         store.append(run_search(_request()))
-        raw = (tmp_path / "flat" / "runs.jsonl").read_bytes()
+        raw = next((tmp_path / "flat" / "shards").glob("*.jsonl")).read_bytes()
         record = json.loads(raw.decode("utf-8"))
         assert verify_record_crc(record)
         assert record["crc32"] == record_crc(record)
 
     def test_sharded_records_carry_a_verifying_crc(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "sharded")
+        store = RunStore(tmp_path / "sharded")
         store.append(run_search(_request()))
         shard = next(iter((tmp_path / "sharded" / "shards").glob("*.jsonl")))
         record = json.loads(shard.read_bytes().decode("utf-8"))
@@ -531,15 +530,16 @@ class TestStoreIntegrity:
         runs.write_bytes(_synthetic_line("f1") + _synthetic_line("f2"))
         assert len(RunStore(directory)) == 2
         runs.write_bytes(_flip_crc_digit(runs.read_bytes()))
-        with pytest.raises(StoreError, match="CRC mismatch.*fsck"):
-            RunStore(directory)
+        reopened = RunStore(directory)
+        assert reopened.fingerprints() == ["f2"]
+        assert reopened.summary()["crc_mismatches"] == 1
 
     def test_sharded_store_skips_and_counts_rotten_records(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "sharded")
+        store = RunStore(tmp_path / "sharded")
         fingerprint = store.append(run_search(_request()))
         shard = next(iter((tmp_path / "sharded" / "shards").glob("*.jsonl")))
         shard.write_bytes(_flip_crc_digit(shard.read_bytes()))
-        reopened = ShardedRunStore(tmp_path / "sharded")
+        reopened = RunStore(tmp_path / "sharded")
         assert fingerprint not in reopened
         assert reopened.summary()["crc_mismatches"] == 1
 
@@ -613,7 +613,7 @@ class TestAuditStreaming:
         assert [r.attempt for r in log.records()] == [1, 2, 3]
 
     def test_store_audit_streaming_matches_the_list_path(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "sharded")
+        store = RunStore(tmp_path / "sharded")
         log = store.audit_log("s/d", "sp")
         log.append(_envelope())
         log.append(_envelope(code="E_TIMEOUT", attempt=2))
@@ -673,7 +673,7 @@ class TestAuditStreaming:
         assert summary["dead_lettered"] == ["cell-2"]
 
     def test_report_renders_dead_letter_count_not_the_list(self, tmp_path):
-        store = ShardedRunStore(tmp_path / "sharded")
+        store = RunStore(tmp_path / "sharded")
         store.audit_log("s/d", "sp").append(
             _envelope(
                 code="E_POISON", final=True, context={"dead_letter": True}

@@ -21,7 +21,7 @@ from repro.campaign.manifest import (
     backoff_jitter_factor,
     resolve_backoff,
 )
-from repro.campaign.sharded import ShardedRunStore
+from repro.campaign.store import RunStore
 from repro.campaign.worker import run_worker
 from repro.resilience import faults
 from repro.resilience.checkpoint import (
@@ -347,7 +347,7 @@ class TestKillAndResume:
 class TestWorkerCheckpointing:
     def test_checkpointed_cell_stored_and_checkpoint_discarded(self, tmp_path):
         request = SearchRequest(search_space="resnet-v1", **FAST)
-        ShardedRunStore(tmp_path)
+        RunStore(tmp_path)
         manifest = CampaignManifest.from_requests(
             [request], ttl_s=5.0, poll_s=0.05, checkpoint_every=2
         )
@@ -356,7 +356,7 @@ class TestWorkerCheckpointing:
             tmp_path, worker_id="t", engine=EvaluationEngine(), max_cycles=5
         )
         assert report.executed == 1
-        store = ShardedRunStore(tmp_path)
+        store = RunStore(tmp_path)
         assert len(store) == 1
         outcome = store.get(request.fingerprint())
         assert outcome.health.get("H_CHECKPOINT_SAVED", 0) >= 1

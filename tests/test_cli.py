@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.api.envelopes import load_outcome
+from repro.api.envelopes import SearchRequest, load_outcome
 from repro.campaign import RunStore
 from repro.cli import main
 
@@ -250,7 +252,7 @@ def test_list_shows_executors(capsys):
 def test_campaign_sharded_store_and_list(tmp_path, capsys):
     store_dir = tmp_path / "sharded"
     assert main(["campaign", *SMALL_GRID, *FAST_FLAGS,
-                 "--store", str(store_dir), "--sharded", "--quiet"]) == 0
+                 "--store", str(store_dir), "--quiet"]) == 0
     out = capsys.readouterr().out
     assert "campaign done: 2 executed" in out
     assert (store_dir / "shards").is_dir()
@@ -266,18 +268,83 @@ def test_campaign_pull_worker_executor(tmp_path, capsys):
                  "--ttl", "10", "--poll", "0.2", "--quiet"]) == 0
     out = capsys.readouterr().out
     assert "campaign done: 2 executed" in out
-    # pull-worker implies a sharded store even without --sharded
     assert (store_dir / "shards").is_dir()
     assert (store_dir / "manifest.json").exists()
     assert main(["report", "--store", str(store_dir)]) == 0
 
 
+def test_run_and_pull_worker_campaign_share_one_store(tmp_path, capsys):
+    """``repro run`` and a pull-worker campaign write one store, in either
+    order, and every reader sees both outcomes."""
+    run_args = ["run", "--scenario", "lte-3mbps/jetson-tx2-gpu",
+                "--strategy", "random", "--seed", "5", *FAST_FLAGS]
+    campaign_args = ["campaign", "--scenario", "wifi-3mbps/jetson-tx2-gpu",
+                     "--strategy", "random", "--seed", "0", *FAST_FLAGS,
+                     "--executor", "pull-worker", "--workers", "1",
+                     "--ttl", "10", "--poll", "0.2", "--quiet"]
+    fast = dict(num_initial=4, num_iterations=2, candidate_pool_size=16,
+                predictor_samples_per_type=40, strategy="random")
+    expected = {
+        SearchRequest(scenario="lte-3mbps/jetson-tx2-gpu", seed=5,
+                      **fast).fingerprint(): ("lte-3mbps/jetson-tx2-gpu", [5]),
+        SearchRequest(scenario="wifi-3mbps/jetson-tx2-gpu", seed=0,
+                      **fast).fingerprint(): ("wifi-3mbps/jetson-tx2-gpu", [0]),
+    }
+    for name, order in (("campaign-first", (campaign_args, run_args)),
+                        ("run-first", (run_args, campaign_args))):
+        store_dir = str(tmp_path / name)
+        for args in order:
+            assert main([*args, "--store", store_dir]) == 0
+        capsys.readouterr()
+        assert main(["list", "--store", store_dir]) == 0
+        listed = capsys.readouterr().out
+        for fingerprint in expected:
+            assert fingerprint in listed
+        assert main(["report", "--store", store_dir, "--format", "json"]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert sorted((c["scenario"], c["seeds"]) for c in cells) == sorted(
+            expected.values()
+        )
+
+
+def test_skipped_records_are_reported_on_stderr(tmp_path, capsys):
+    """A record the scan skips is never served and never silent: one stderr
+    line points at fsck, and stdout is what the repaired store prints."""
+    store_dir = tmp_path / "store"
+    assert main(["campaign", *SMALL_GRID, *FAST_FLAGS,
+                 "--store", str(store_dir), "--quiet"]) == 0
+    shard = next((store_dir / "shards").glob("*.jsonl"))
+    data = shard.read_bytes()
+    digit = re.search(rb'"crc32": (\d+)', data).end(1) - 1
+    flipped = b"1" if data[digit:digit + 1] != b"1" else b"2"
+    shard.write_bytes(data[:digit] + flipped + data[digit + 1:])
+    capsys.readouterr()
+
+    damaged = {}
+    for command in ("report", "list"):
+        assert main([command, "--store", str(store_dir)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "0 corrupt line(s)" in captured.err
+        assert "1 checksum mismatch(es)" in captured.err
+        assert f"repro store fsck --store {store_dir} --repair" in captured.err
+        damaged[command] = captured.out
+
+    assert main(["store", "fsck", "--store", str(store_dir), "--repair"]) == 0
+    capsys.readouterr()
+    for command in ("report", "list"):
+        assert main([command, "--store", str(store_dir)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == damaged[command]
+
+
 def test_worker_command_drains_a_manifest(tmp_path, capsys):
-    from repro.campaign import CampaignSpec, ShardedRunStore
+    from repro.campaign import CampaignSpec
     from repro.campaign.manifest import CampaignManifest
 
     store_dir = tmp_path / "shared"
-    ShardedRunStore(store_dir)
+    RunStore(store_dir)
     spec = CampaignSpec(
         scenarios=("wifi-3mbps/jetson-tx2-gpu",),
         strategies=("random",),
@@ -291,7 +358,7 @@ def test_worker_command_drains_a_manifest(tmp_path, capsys):
     assert main(["worker", "--store", str(store_dir), "--worker-id", "w0"]) == 0
     captured = capsys.readouterr()
     assert "worker w0 done: 1 executed" in captured.out
-    assert len(ShardedRunStore(store_dir)) == 1
+    assert len(RunStore(store_dir)) == 1
 
 
 def test_worker_without_manifest_fails(tmp_path, capsys):
@@ -302,7 +369,7 @@ def test_worker_without_manifest_fails(tmp_path, capsys):
 def test_store_compact_export_merge(tmp_path, capsys):
     store_dir = tmp_path / "sharded"
     assert main(["campaign", *SMALL_GRID, *FAST_FLAGS,
-                 "--store", str(store_dir), "--sharded", "--quiet"]) == 0
+                 "--store", str(store_dir), "--quiet"]) == 0
     capsys.readouterr()
 
     assert main(["store", "compact", "--store", str(store_dir)]) == 0
@@ -325,13 +392,16 @@ def test_store_compact_export_merge(tmp_path, capsys):
     assert "merged 0 record(s)" in capsys.readouterr().out
 
 
-def test_store_compact_rejects_single_file_store(tmp_path, capsys):
-    store_dir = tmp_path / "single"
-    assert main(["campaign", *SMALL_GRID, *FAST_FLAGS,
-                 "--store", str(store_dir), "--quiet"]) == 0
-    capsys.readouterr()
-    assert main(["store", "compact", "--store", str(store_dir)]) == 2
-    assert "single-file" in capsys.readouterr().err
+def test_store_compact_rewrites_a_legacy_store(tmp_path, capsys):
+    store_dir = tmp_path / "legacy"
+    store_dir.mkdir()
+    runs = store_dir / "runs.jsonl"
+    record = (Path(__file__).parent / "data" / "legacy_store"
+              / "runs.jsonl").read_bytes().splitlines(keepends=True)[0]
+    runs.write_bytes(record + record + b'{"fingerprint": "torn')
+    assert main(["store", "compact", "--store", str(store_dir)]) == 0
+    assert "1 records kept, 1 superseded" in capsys.readouterr().out
+    assert runs.read_bytes() == record
 
 
 def test_store_without_operation_is_a_usage_error(capsys):

@@ -47,7 +47,7 @@ from repro.campaign import (  # noqa: E402
     CampaignSpec,
     CircuitOpenError,
     DeadLetterQueue,
-    ShardedRunStore,
+    RunStore,
     fsck_store,
     run_campaign,
 )
@@ -110,7 +110,7 @@ def _shard_records(store_dir: Path) -> dict:
 def drill_deadline_and_dead_letter(base: Path) -> int:
     print("[1/4] deadline + dead-letter drill...")
     store_dir = base / "deadline"
-    ShardedRunStore(store_dir)
+    RunStore(store_dir)
     request = CampaignSpec(
         scenarios=(SCENARIO,), strategies=("random",), seeds=(0,), **FAST
     ).requests()[0]
@@ -135,7 +135,7 @@ def drill_deadline_and_dead_letter(base: Path) -> int:
         return _fail(f"hung worker exited {hung.returncode}, expected 0 "
                      "(bury the cell and finish)")
 
-    store = ShardedRunStore(store_dir)
+    store = RunStore(store_dir)
     if len(store) != 0:
         return _fail("a wedged cell still produced a stored outcome")
     timeouts = [e for e in store.audit_records() if e.code == "E_TIMEOUT"]
@@ -182,7 +182,7 @@ def drill_deadline_and_dead_letter(base: Path) -> int:
 def drill_store_integrity(base: Path) -> int:
     print("[2/4] store-integrity drill (ENOSPC, torn write, bit-flip, fsck)...")
     store_dir = base / "integrity"
-    store = ShardedRunStore(store_dir)
+    store = RunStore(store_dir)
     spec = CampaignSpec(
         scenarios=(SCENARIO,), strategies=("random",), seeds=(0, 1), **FAST
     )
@@ -191,7 +191,7 @@ def drill_store_integrity(base: Path) -> int:
     pristine = shard_path.read_bytes()
     original_lines = pristine.splitlines(keepends=True)
     if any(b'"crc32"' not in line for line in original_lines):
-        return _fail("new sharded records do not carry a crc32 field")
+        return _fail("new records do not carry a crc32 field")
     donor = store.get(sorted(store.fingerprints())[0])
 
     # ENOSPC: the append fails before a byte lands; the store is untouched
@@ -230,7 +230,7 @@ def drill_store_integrity(base: Path) -> int:
     shard_path.write_bytes(bytes(flipped) + b"".join(original_lines[1:])
                            + shard_path.read_bytes()[len(pristine):])
 
-    reopened = ShardedRunStore(store_dir)
+    reopened = RunStore(store_dir)
     if len(reopened) != 1:
         return _fail(f"store served {len(reopened)} records; the rotten one "
                      "must be skipped")
@@ -256,7 +256,7 @@ def drill_store_integrity(base: Path) -> int:
     after = fsck_store(store_dir)
     if not after["clean"]:
         return _fail(f"store still unclean after repair: {after}")
-    repaired = ShardedRunStore(store_dir)
+    repaired = RunStore(store_dir)
     if len(repaired) != 1 or repaired.summary()["crc_mismatches"] != 0:
         return _fail("repaired store does not scan clean")
     print(f"      repair quarantined 2 line(s) into "
@@ -284,7 +284,7 @@ def drill_circuit_breaker(base: Path) -> int:
     policy = CampaignPolicy(circuit_window=2, circuit_threshold=1.0,
                             circuit_cooldown_s=60.0, on_error="continue")
     try:
-        run_campaign(ghosts, ShardedRunStore(store_dir / "serial"),
+        run_campaign(ghosts, RunStore(store_dir / "serial"),
                      on_error="continue", policy=policy)
         return _fail("serial campaign over failing cells did not trip the "
                      "breaker")
@@ -303,7 +303,7 @@ def drill_circuit_breaker(base: Path) -> int:
         [sys.executable, "-m", "repro", "campaign",
          "--store", str(cli_dir), "--scenario", SCENARIO,
          "--strategy", "random", "--seed", "0", "--seed", "1",
-         "--executor", "pull-worker", "--workers", "2", "--sharded",
+         "--executor", "pull-worker", "--workers", "2",
          "--cell-timeout", "3", "--circuit-threshold", "1.0",
          "--circuit-window", "2", "--circuit-cooldown", "60",
          "--max-attempts", "3", "--on-error", "continue",
@@ -332,11 +332,11 @@ def drill_healthy_parity(base: Path) -> int:
         scenarios=(SCENARIO,), strategies=("random",), seeds=(0, 1), **FAST
     )
     plain_dir, supervised_dir = base / "plain", base / "supervised"
-    plain = run_campaign(spec, ShardedRunStore(plain_dir))
+    plain = run_campaign(spec, RunStore(plain_dir))
     policy = CampaignPolicy(cell_timeout_s=120.0, circuit_window=4,
                             circuit_threshold=1.0)
     supervised = run_campaign(
-        spec, ShardedRunStore(supervised_dir), policy=policy
+        spec, RunStore(supervised_dir), policy=policy
     )
     if supervised.summary()["failed"] or plain.summary()["failed"]:
         return _fail("healthy campaign reported failures")
@@ -344,10 +344,10 @@ def drill_healthy_parity(base: Path) -> int:
         return _fail("supervised store contents diverge from unsupervised "
                      "(beyond wall time)")
     volatile = {"total_wall_time_s", "directory"}
-    plain_summary = {k: v for k, v in ShardedRunStore(plain_dir).summary().items()
+    plain_summary = {k: v for k, v in RunStore(plain_dir).summary().items()
                      if k not in volatile}
     supervised_summary = {
-        k: v for k, v in ShardedRunStore(supervised_dir).summary().items()
+        k: v for k, v in RunStore(supervised_dir).summary().items()
         if k not in volatile
     }
     if plain_summary != supervised_summary:

@@ -6,15 +6,15 @@ CI::
 
     PYTHONPATH=src python tools/distributed_smoke.py
 
-1. Run a small grid **serially** into a single-file store (the reference).
-2. Publish the same grid as a manifest in a **sharded** store directory and
+1. Run a small grid **serially** into a store (the reference).
+2. Publish the same grid as a manifest in a second store directory and
    start two ``repro worker`` subprocesses against it.
 3. As soon as the first outcome lands, **SIGKILL one worker** — whatever
    lease it holds goes stale and must be reclaimed by the survivor after
    the TTL.
 4. Wait for the survivor to drain the manifest, then start one more worker
    (**resume**): it must find nothing to do.
-5. Assert the sharded store holds exactly the serial fingerprint set, every
+5. Assert the shared store holds exactly the serial fingerprint set, every
    record exactly once at the raw-line level, and per-cell candidate
    metrics matching the serial run (to 6 decimals — executors may differ in
    last-ulp float noise from engine-cache warm-up order).
@@ -42,7 +42,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.campaign import (  # noqa: E402
     CampaignSpec,
     RunStore,
-    ShardedRunStore,
     run_campaign,
 )
 from repro.campaign.manifest import CampaignManifest  # noqa: E402
@@ -101,7 +100,7 @@ def main() -> int:
 
     print("[2/6] publishing manifest, starting 2 pull workers...")
     store_dir = base / "shared"
-    ShardedRunStore(store_dir)
+    RunStore(store_dir)
     CampaignManifest.from_requests(
         SPEC.requests(), ttl_s=TTL_S, poll_s=0.2, max_attempts=3,
     ).write(store_dir)
@@ -109,7 +108,7 @@ def main() -> int:
     survivor = _spawn_worker(store_dir, "survivor")
 
     print("[3/6] waiting for first stored cell, then killing one worker...")
-    observer = ShardedRunStore(store_dir)
+    observer = RunStore(store_dir)
     deadline = time.time() + TIMEOUT_S
     while len(observer) == 0:
         if time.time() > deadline:
@@ -132,7 +131,7 @@ def main() -> int:
     resume.wait(timeout=60.0)
 
     print("[5/6] verifying parity with the serial run...")
-    final = ShardedRunStore(store_dir)
+    final = RunStore(store_dir)
     failures = []
     if set(final.fingerprints()) != set(serial.fingerprints()):
         failures.append(
@@ -172,7 +171,7 @@ def main() -> int:
     print("[6/6] mid-search resume drill (kill inside a search, resume from "
           "checkpoint)...")
     chaos_dir = base / "chaos"
-    ShardedRunStore(chaos_dir)
+    RunStore(chaos_dir)
     chaos_spec = CampaignSpec(
         scenarios=("wifi-3mbps/jetson-tx2-gpu",),
         strategies=("lens",),
@@ -207,7 +206,7 @@ def main() -> int:
         print("FAIL: finishing worker did not drain the chaos manifest",
               file=sys.stderr)
         return 1
-    chaos_store = ShardedRunStore(chaos_dir)
+    chaos_store = RunStore(chaos_dir)
     if len(chaos_store) != 1:
         print(f"FAIL: chaos store holds {len(chaos_store)} cells, expected 1",
               file=sys.stderr)
