@@ -84,13 +84,11 @@ def test_parallel_campaign_matches_serial(tmp_path):
     )
 
 
-def test_index_persistence_scales_past_5k_records(tmp_path):
-    """Deferred index flushing: 5k appends write the index O(log n) times.
+def test_store_append_throughput_at_5k_records(tmp_path):
+    """Append throughput of one store growing to 5k records.
 
-    Before the fix every append rewrote the full ``index.json`` — O(n^2)
-    index bytes over a campaign.  Appends past :data:`INDEX_FLUSH_SMALL`
-    now flush only at geometrically spaced store sizes (plus on
-    ``flush()``/``close()``), so the total index cost is O(n).
+    Every append is one flock'd ``O_APPEND`` write of a CRC'd record into
+    its shard.  Timings are reported, not asserted.
     """
     import time as _time
 
@@ -112,30 +110,21 @@ def test_index_persistence_scales_past_5k_records(tmp_path):
     start = _time.perf_counter()
     for i in range(records):
         store.append(outcome, fingerprint=f"{i:016x}")
-    store.flush()
     elapsed = _time.perf_counter() - start
 
     assert len(store) == records
-    # the O(n^2) behaviour wrote the index `records` times; geometric
-    # flushing stays within the small-store threshold plus ~log2(n) flushes
-    assert store.index_writes < records / 4, (
-        f"{store.index_writes} index writes for {records} appends"
-    )
-    writes_per_append = store.index_writes / records
+    assert len(RunStore(tmp_path / "big")) == records
     text = (
-        f"Index persistence at {records} records\n"
-        f"appends: {records}, index writes: {store.index_writes} "
-        f"({writes_per_append:.4f}/append), elapsed: {elapsed:.2f}s "
+        f"Store appends at {records} records\n"
+        f"appends: {records}, elapsed: {elapsed:.2f}s "
         f"({records / elapsed:,.0f} appends/s)"
     )
     print("\n" + text)
     save_table(
-        "campaign_store_index",
+        "campaign_store_append",
         text,
         {
             "records": records,
-            "index_writes": store.index_writes,
-            "index_writes_per_append": writes_per_append,
             "elapsed_s": elapsed,
             "appends_per_s": records / elapsed,
         },

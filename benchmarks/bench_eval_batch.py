@@ -15,8 +15,9 @@ This benchmark replays the evaluation phase of a search — the stream of
 candidate pools a 300-evaluation run would cost — two ways:
 
 * ``scalar`` — the per-candidate reference path: a ``predict_layer`` loop
-  per candidate plus ``PartitionAnalyzer.evaluate`` per channel (per-layer
-  predictions shared across channels, as the engine's scalar path does);
+  per candidate plus the scalar Algorithm 1 oracle
+  (``tests/oracles/partition.py``) per channel, with the per-layer
+  predictions shared across channels;
 * ``batched`` — ``EvaluationEngine.evaluate_batch`` over each pool with the
   same channels (cold caches, so every candidate is genuinely computed).
 
@@ -33,6 +34,7 @@ import time
 
 import numpy as np
 from conftest import FAST_MODE, PREDICTOR_SAMPLES, SEED, save_table
+from oracles import partition as oracle
 
 from repro.api.engine import EvaluationEngine
 from repro.partition.partitioner import PartitionAnalyzer
@@ -100,7 +102,7 @@ def _scalar_replay(pools, predictor, channels):
             )
             results.append(
                 [
-                    analyzer.evaluate(architecture, predictions=predictions)
+                    oracle.evaluate(analyzer, architecture, predictions=predictions)
                     for analyzer in analyzers
                 ]
             )
@@ -261,7 +263,7 @@ def test_batched_evaluation_graph_aware_parity(trained_gpu_predictor):
     )
     scalar = [
         [
-            analyzer.with_channel(channel).evaluate(architecture, graph=graph)
+            oracle.evaluate(analyzer.with_channel(channel), architecture, graph=graph)
             for channel in channels
         ]
         for architecture, graph in zip(architectures, graphs)

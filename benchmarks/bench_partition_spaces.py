@@ -11,6 +11,10 @@ registered search space, and asserts two things:
   over the raw linear rule (no regression on the paper's space);
 * on ``resnet-v1`` the enumeration respects every residual edge while
   remaining in the same throughput class.
+
+``identify_partition_points`` is the scalar oracle's
+(``tests/oracles/partition.py``); the library enumerates cuts as a mask
+inside ``PartitionAnalyzer.evaluate_batch``.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from __future__ import annotations
 import time
 
 from conftest import save_table
+from oracles.partition import identify_partition_points
 
 from repro.api.registry import SEARCH_SPACES
-from repro.partition.partitioner import PartitionAnalyzer, identify_partition_points
+from repro.partition.partitioner import PartitionAnalyzer
 from repro.utils.rng import ensure_rng
 from repro.utils.serialization import format_table
 from repro.wireless.channel import WirelessChannel

@@ -17,6 +17,7 @@ Environment knobs
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,13 @@ from repro.utils.serialization import dump_json
 
 #: Directory where benchmark tables are written (text + JSON).
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+
+# The scalar reference implementations the parity gates compare against
+# live with the tests (``tests/oracles/``); appended, so ``conftest`` and
+# the benchmark modules still resolve here first.
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 FAST_MODE = os.environ.get("REPRO_BENCH_FAST", "0") == "1"
 

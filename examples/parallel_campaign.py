@@ -77,7 +77,7 @@ def main() -> None:
         print(f"  {winner.scenario:<28} {winner.winner:<12} "
               f"({100 * share:.0f}% of a {winner.front_size}-point front)")
     print(f"\nstore persisted at {store.directory} "
-          f"(shards/ + index.json, {len(store)} runs)")
+          f"(one shard per scenario x space, {len(store)} runs)")
 
 
 if __name__ == "__main__":

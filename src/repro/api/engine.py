@@ -26,7 +26,7 @@ re-run the predictors thirty times.
   and the sweeps: it dedups a whole candidate pool against the caches,
   evaluates only the misses through the vectorised
   ``predict_batch`` / ``PartitionAnalyzer.evaluate_batch`` path, and
-  backfills the caches so scalar callers keep hitting.
+  backfills the caches; ``evaluate_partitions`` is its pool-of-one call.
 
 One engine can (and should) back many runs: pass the same instance to
 :func:`repro.api.session.run_search`, the deployment sweeps and the
@@ -116,9 +116,14 @@ class EngineStats:
 class EvaluationEngine:
     """Caching, batching back-end for partition-aware evaluation.
 
-    The engine is deliberately *stateful but deterministic*: every cached
-    value is a pure function of its key (predictor training is seeded), so
-    runs backed by a warm engine produce bit-identical results to cold runs.
+    The engine is *stateful but deterministic*: predictor training is
+    seeded, and each cached layer prediction or partition evaluation is the
+    value the first pool holding its key computed.  Costing runs on whole
+    pools, and a pool's results depend in the last bits on which candidates
+    share it (prefix sums run along one pool-wide axis, and BLAS blocks the
+    rows of ``predict_pool``), so a run backed by a warm engine agrees with
+    a cold run within 1e-9, not bit for bit.  One-candidate pools are
+    bitwise identical to the scalar oracle.
 
     Cached :class:`PartitionEvaluation` records are shared between callers
     and must be treated as read-only.
@@ -223,10 +228,11 @@ class EvaluationEngine:
     ) -> PartitionEvaluation:
         """Cost every deployment option, reusing cached layer predictions.
 
-        Equivalent to ``analyzer.evaluate(architecture)`` but both the layer
-        predictions and the resulting evaluation are memoised.  ``graph``
-        optionally overrides the architecture's own cut-legality graph (the
-        hook behind :meth:`repro.nn.spaces.SearchSpace.partition_graph`).
+        A pool-of-one call of :meth:`evaluate_batch`: equivalent to
+        ``analyzer.evaluate(architecture)``, but both the layer predictions
+        and the resulting evaluation are memoised.  ``graph`` optionally
+        overrides the architecture's own cut-legality graph (the hook behind
+        :meth:`repro.nn.spaces.SearchSpace.partition_graph`).
 
         The cache is keyed per search space *by value*: the architecture
         (which hashes over its structure, including skip edges) and the
@@ -239,31 +245,7 @@ class EvaluationEngine:
         predictor are passed through uncached (their costing depends on
         state the cache key does not capture).
         """
-        if graph is None:
-            graph = architecture.partition_graph()
-        if analyzer.cloud_predictor is not None:
-            return analyzer.evaluate(
-                architecture,
-                predictions=self.layer_predictions(analyzer.predictor, architecture),
-                graph=graph,
-            )
-        per_predictor = self._partition_cache.setdefault(analyzer.predictor, {})
-        per_channel = per_predictor.setdefault(
-            (_channel_key(analyzer.channel), analyzer.require_shrinkage), {}
-        )
-        key = (architecture, graph)
-        cached = per_channel.get(key)
-        if cached is not None:
-            self.stats.partition_hits += 1
-            return cached
-        self.stats.partition_misses += 1
-        evaluation = analyzer.evaluate(
-            architecture,
-            predictions=self.layer_predictions(analyzer.predictor, architecture),
-            graph=graph,
-        )
-        per_channel[key] = evaluation
-        return evaluation
+        return self.evaluate_batch([architecture], analyzer, graphs=[graph])[0][0]
 
     def evaluate_batch(
         self,
@@ -280,19 +262,20 @@ class EvaluationEngine:
         layer and partition caches; only genuine misses run through the
         vectorised :meth:`~repro.hardware.predictors.BaseLayerPredictor.predict_batch`
         /:meth:`~repro.partition.partitioner.PartitionAnalyzer.evaluate_batch`
-        path, and their results backfill the caches so later scalar or
-        batched calls hit.  Stats mirror the work actually saved: every
+        path, and their results backfill the caches so later calls hit.
+        Stats mirror the work actually saved: every
         pool position counts one partition hit or miss per channel
         (duplicates and cached ``(architecture, channel, graph)`` cells are
         hits), and each distinct architecture that needs costing counts one
         layer hit or miss — fully cached pools touch the layer cache not at
-        all, exactly like the scalar path.
+        all.
 
         ``results[i][j]`` is the evaluation of ``architectures[i]`` under
         ``channels[j]`` (``channels`` defaults to the analyzer's own
         channel).  Results are cache-shared records — treat them as
         read-only.  Analyzers with a cloud predictor bypass the partition
-        cache, exactly like :meth:`evaluate_partitions`.
+        cache (their costing depends on state the cache key does not
+        capture).
         """
         architectures = list(architectures)
         channels = (
@@ -395,8 +378,7 @@ class EvaluationEngine:
         ]
         if analyzer.cloud_predictor is not None:
             # Cloud-predictor costing depends on state the cache key does
-            # not capture — batch it, but never cache (same contract as the
-            # scalar path).
+            # not capture — batch it, but never cache.
             predictions, pairs = resolve_predictions(range(len(unique_archs)))
             results = analyzer.evaluate_batch(
                 unique_archs,

@@ -434,8 +434,8 @@ def run_search(
             # re-run into a cache hit, so the strategy regenerates the
             # identical search at cache speed.  The replay must reproduce
             # the original run's evaluation *grouping* (init batch vs
-            # per-step evaluations): the vectorised and scalar costing
-            # paths agree only to float roundoff, so warming with a
+            # per-step evaluations): costing pools of different
+            # composition agree only to float roundoff, so warming with a
             # different grouping would seed the cache with last-ulp
             # different values and break bitwise parity.  Records past the
             # last complete group boundary are simply re-evaluated live.

@@ -10,8 +10,7 @@ built from (scenarios x strategies x seeds) as one restartable unit:
   space), safe for concurrent writers, plus :func:`open_store` /
   :func:`fsck_store` / :func:`merge_stores` / :func:`export_metrics`;
 * :mod:`repro.campaign.executors` — the :data:`EXECUTORS` registry of
-  execution back-ends (``serial`` / ``process-pool`` / ``asyncio`` /
-  ``pull-worker``);
+  execution back-ends (``serial`` / ``process-pool`` / ``pull-worker``);
 * :mod:`repro.campaign.leases` / :mod:`repro.campaign.manifest` /
   :mod:`repro.campaign.worker` — the crash-safe pull protocol behind the
   ``pull-worker`` executor (``repro worker`` on the CLI);

@@ -45,10 +45,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
-# Re-exported for backwards compatibility: the atomic multi-writer append
-# now lives with the other serialization primitives (and is shared by the
-# resilience health log), see :mod:`repro.utils.serialization`.
-from repro.utils.serialization import append_jsonl_atomic  # noqa: F401
+from repro.utils.serialization import append_jsonl_atomic
 
 #: ``code -> (description, retryable)`` — the uniform error-code scheme of
 #: the campaign service (documented in ``docs/distributed.md``).

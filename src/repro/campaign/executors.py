@@ -15,11 +15,6 @@ Built-in executors
     A :class:`concurrent.futures.ProcessPoolExecutor` fan-out (the
     pre-existing parallel path, refactored behind the interface).  Default
     for ``workers > 1``.
-``asyncio``
-    Subprocess-per-cell under an :class:`asyncio.Semaphore` concurrency
-    limit.  Cells run via ``repro run-cell`` (request JSON on stdin,
-    outcome JSON on stdout), so each gets a fresh interpreter — full
-    isolation from parent state at spawn cost.
 ``pull-worker``
     Publishes a :class:`~repro.campaign.manifest.CampaignManifest` into a
     shared :class:`~repro.campaign.store.RunStore` directory and
@@ -37,8 +32,6 @@ append twice).
 
 from __future__ import annotations
 
-import asyncio
-import json
 import os
 import subprocess
 import sys
@@ -210,8 +203,8 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
     cancelled while in-flight ones drain.
 
     ``cell_timeout_s`` is **not** enforced here (a pool worker cannot be
-    killed per-cell without losing its warm engine); use the ``asyncio``
-    or ``pull-worker`` executor when deadlines matter.
+    killed per-cell without losing its warm engine); use the
+    ``pull-worker`` executor when deadlines matter.
     """
 
     name = "process-pool"
@@ -253,7 +246,7 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
                     context.record(fingerprint, outcome)
 
 
-# ---------------------------------------------------------------------- asyncio
+# ---------------------------------------------------------------------- pull worker
 
 
 def _subprocess_env() -> Dict[str, str]:
@@ -266,149 +259,6 @@ def _subprocess_env() -> Dict[str, str]:
             f"{package_root}{os.pathsep}{existing}" if existing else package_root
         )
     return env
-
-
-class AsyncioSubprocessExecutor(CampaignExecutor):
-    """One fresh ``repro run-cell`` subprocess per cell, concurrency-limited.
-
-    The asyncio event loop multiplexes N concurrent subprocesses through a
-    semaphore; each child reads its request JSON from stdin and writes the
-    outcome JSON to stdout (or an error envelope to stderr, exit code 3).
-    Spawning an interpreter per cell costs startup time but gives complete
-    isolation — a cell that corrupts interpreter state (or segfaults)
-    cannot poison its successors.
-    """
-
-    name = "asyncio"
-
-    def run(self, context: ExecutionContext) -> None:
-        asyncio.run(self._run(context))
-
-    async def _run(self, context: ExecutionContext) -> None:
-        semaphore = asyncio.Semaphore(max(1, context.workers))
-        stop = asyncio.Event()
-        env = _subprocess_env()
-        cell_timeout_s = _policy_from_options(context).cell_timeout_s
-
-        async def run_cell(fingerprint: str, request: SearchRequest) -> None:
-            async with semaphore:
-                if stop.is_set():
-                    return
-                process = await asyncio.create_subprocess_exec(
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "run-cell",
-                    stdin=asyncio.subprocess.PIPE,
-                    stdout=asyncio.subprocess.PIPE,
-                    stderr=asyncio.subprocess.PIPE,
-                    env=env,
-                )
-                try:
-                    stdout, stderr = await asyncio.wait_for(
-                        process.communicate(
-                            json.dumps(request.to_dict()).encode("utf-8")
-                        ),
-                        timeout=cell_timeout_s if cell_timeout_s > 0 else None,
-                    )
-                except asyncio.TimeoutError:
-                    # deadline enforcement: kill the overrunning subprocess
-                    # and audit a real E_TIMEOUT
-                    process.kill()
-                    await process.wait()
-                    self._failure(
-                        context,
-                        fingerprint,
-                        request,
-                        stop,
-                        ErrorEnvelope(
-                            code="E_TIMEOUT",
-                            message=(
-                                f"cell exceeded its {cell_timeout_s:g}s "
-                                f"deadline; subprocess killed"
-                            ),
-                            retryable=True,
-                            final=True,
-                            fingerprint=fingerprint,
-                            worker=self.name,
-                            time_s=time.time(),
-                            context=_request_context(request),
-                        ),
-                    )
-                    return
-            if process.returncode == 0:
-                try:
-                    outcome = SearchOutcome.from_dict(
-                        json.loads(stdout.decode("utf-8"))
-                    )
-                except ValueError as error:
-                    self._failure(
-                        context,
-                        fingerprint,
-                        request,
-                        stop,
-                        ErrorEnvelope.from_exception(
-                            error,
-                            fingerprint=fingerprint,
-                            worker=self.name,
-                            context=_request_context(request),
-                        ),
-                    )
-                    return
-                context.record(fingerprint, outcome)
-                return
-            envelope = self._decode_envelope(
-                fingerprint, request, process.returncode, stderr
-            )
-            self._failure(context, fingerprint, request, stop, envelope)
-
-        await asyncio.gather(
-            *(run_cell(fp, request) for fp, request in context.pending)
-        )
-
-    def _decode_envelope(
-        self,
-        fingerprint: str,
-        request: SearchRequest,
-        returncode: Optional[int],
-        stderr: bytes,
-    ) -> ErrorEnvelope:
-        text = stderr.decode("utf-8", errors="replace").strip()
-        if returncode == 3 and text:  # structured envelope from run-cell
-            try:
-                envelope = ErrorEnvelope.from_dict(json.loads(text.splitlines()[-1]))
-                return envelope.replace(
-                    fingerprint=fingerprint, context=_request_context(request)
-                )
-            except (ValueError, KeyError):
-                pass
-        return ErrorEnvelope(
-            code="E_WORKER_LOST",
-            message=(
-                f"run-cell subprocess exited with code {returncode}: "
-                f"{text[-500:] or '(no stderr)'}"
-            ),
-            retryable=True,
-            fingerprint=fingerprint,
-            worker=self.name,
-            time_s=time.time(),
-            context=_request_context(request),
-        )
-
-    def _failure(
-        self,
-        context: ExecutionContext,
-        fingerprint: str,
-        request: SearchRequest,
-        stop: asyncio.Event,
-        envelope: ErrorEnvelope,
-    ) -> None:
-        if context.stop_on_error:
-            stop.set()
-        context.fail(fingerprint, envelope)
-
-
-# ---------------------------------------------------------------------- pull worker
 
 
 class PullWorkerExecutor(CampaignExecutor):
@@ -554,7 +404,6 @@ EXECUTORS = Registry(
     {
         SerialExecutor.name: SerialExecutor,
         ProcessPoolCampaignExecutor.name: ProcessPoolCampaignExecutor,
-        AsyncioSubprocessExecutor.name: AsyncioSubprocessExecutor,
         PullWorkerExecutor.name: PullWorkerExecutor,
     },
 )

@@ -10,12 +10,12 @@ itself, so a worker needs nothing but the store directory path to join a
 campaign (from any machine sharing the filesystem).
 
 The policy travels as a :class:`~repro.campaign.supervisor.CampaignPolicy`
-(schema v2 nests it under ``"policy"``; the legacy flat v1 keys are still
-written *and* read, so old workers and old manifests interoperate both
-ways).  The file is written atomically (temp + ``os.replace``), so workers
-always read a complete manifest, and re-writing the same campaign is
-idempotent — cells are keyed by fingerprint, and fingerprints of
-already-stored cells are simply skipped by every worker.
+(schema v2 nests it under ``"policy"``; v1 manifests, which carry the
+policy as flat top-level keys, are still read).  The file is written
+atomically (temp + ``os.replace``), so workers always read a complete
+manifest, and re-writing the same campaign is idempotent — cells are keyed
+by fingerprint, and fingerprints of already-stored cells are simply
+skipped by every worker.
 """
 
 from __future__ import annotations
@@ -126,24 +126,12 @@ class CampaignManifest:
 
     # ------------------------------------------------------------------ serialization
     def to_dict(self) -> Dict[str, Any]:
-        # schema v2: the policy is nested, but the v1 flat keys are written
-        # too so a pre-supervision worker can still join this campaign
-        payload = {
+        return {
             "schema_version": 2,
             "cells": dict(self.cells),
             "policy": self.policy.to_dict(),
             "created_at": self.created_at,
         }
-        for legacy_key in (
-            "ttl_s",
-            "poll_s",
-            "max_attempts",
-            "backoff_base_s",
-            "on_error",
-            "checkpoint_every",
-        ):
-            payload[legacy_key] = payload["policy"][legacy_key]
-        return payload
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignManifest":

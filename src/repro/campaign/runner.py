@@ -9,7 +9,6 @@ through :data:`~repro.campaign.executors.EXECUTORS`:
 * ``serial`` — in-process, one shared engine (default for ``workers <= 1``);
 * ``process-pool`` — a :class:`concurrent.futures.ProcessPoolExecutor`
   fan-out (default for ``workers > 1``);
-* ``asyncio`` — one fresh subprocess per cell under a concurrency limit;
 * ``pull-worker`` — N independent ``repro worker`` processes pulling from a
   shared :class:`~repro.campaign.store.RunStore` directory through the
   crash-safe lease protocol (see :doc:`docs/distributed`).
@@ -35,8 +34,12 @@ there but raises in every worker, so register custom spaces from a module
 workers import (e.g. via :func:`repro.api.registry.register_search_space`
 at module level) or run with the ``serial`` executor.
 
-Results are identical across executors: every run is seeded through its
-request, and the engine caches are bit-transparent.
+Results agree across executors within 1e-9, not bit for bit: every run is
+seeded through its request, but a warm evaluation engine (shared across
+the cells one process runs) serves values that another cell's candidate
+pools computed, and a pool's last bits depend on which candidates share it
+(see :class:`~repro.api.engine.EvaluationEngine`).  One-candidate pools are
+bitwise identical to the scalar oracle.
 """
 
 from __future__ import annotations
@@ -206,8 +209,8 @@ def run_campaign(
         is already stored, rather than silently duplicating records.
     executor:
         Executor name from :data:`~repro.campaign.executors.EXECUTORS`
-        (``"serial"``, ``"process-pool"``, ``"asyncio"``,
-        ``"pull-worker"``) or an instance; ``None`` picks by ``workers``.
+        (``"serial"``, ``"process-pool"``, ``"pull-worker"``) or an
+        instance; ``None`` picks by ``workers``.
     executor_options:
         Executor-specific settings (e.g. ``ttl_s`` / ``poll_s`` /
         ``max_attempts`` / ``backoff_base_s`` for ``pull-worker``).
@@ -307,23 +310,20 @@ def run_campaign(
 
     options = dict(policy.to_dict()) if policy is not None else {}
     options.update(executor_options or {})
-    try:
-        if pending:
-            resolved.run(
-                ExecutionContext(
-                    pending=pending,
-                    store=store,
-                    workers=max(1, int(workers)),
-                    on_error=on_error,
-                    scenarios=scenarios,
-                    engine=engine,
-                    record=_record,
-                    fail=_fail,
-                    options=options,
-                )
+    if pending:
+        resolved.run(
+            ExecutionContext(
+                pending=pending,
+                store=store,
+                workers=max(1, int(workers)),
+                on_error=on_error,
+                scenarios=scenarios,
+                engine=engine,
+                record=_record,
+                fail=_fail,
+                options=options,
             )
-    finally:
-        store.flush()
+        )
     if failures and on_error == "fail":
         first = failures[0]
         raise RuntimeError(

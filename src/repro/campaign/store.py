@@ -8,10 +8,11 @@ fingerprint:
   shard of the (scenario x search space) context its request declares
   (:func:`shard_key`);
 * ``audit/<key>.jsonl`` — per-shard logs of structured
-  :class:`~repro.campaign.errors.ErrorEnvelope` failure records;
-* ``index.json`` — a derived, advisory map of every fingerprint to its shard
-  and byte offset.  Opening a store always rescans the shards, so an index
-  lost or staled by an interrupted run is rebuilt rather than trusted.
+  :class:`~repro.campaign.errors.ErrorEnvelope` failure records.
+
+Opening a store scans the shards into an in-memory fingerprint -> (shard,
+byte offset) index, which is never written to disk; an ``index.json`` left
+by older versions is ignored.
 
 Legacy stores
 -------------
@@ -62,20 +63,13 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.api.envelopes import SearchOutcome, request_fingerprint
 from repro.campaign.errors import AuditLog, ErrorEnvelope, summarize_audit
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
-from repro.utils.serialization import (
-    append_jsonl_atomic,
-    atomic_write_text,
-    to_jsonable,
-)
+from repro.utils.serialization import append_jsonl_atomic, to_jsonable
 
 #: Name of the legacy single-file record file, read as a read-only shard.
 RUNS_FILENAME = "runs.jsonl"
 
 #: Name of the legacy root audit log, read before the per-shard logs.
 AUDIT_FILENAME = "audit.jsonl"
-
-#: Name of the derived fingerprint index inside a store directory.
-INDEX_FILENAME = "index.json"
 
 #: Subdirectory holding the per-(scenario x space) shard JSONL files.
 SHARDS_DIRNAME = "shards"
@@ -89,12 +83,6 @@ QUARANTINE_DIRNAME = "quarantine"
 #: Shard key of the legacy ``runs.jsonl`` (never a :func:`shard_key` value,
 #: which always ends in ``-<hex digest>``).
 LEGACY_SHARD = "_legacy"
-
-#: Stores at or below this many records rewrite ``index.json`` on every
-#: append (cheap, and keeps small stores browsable at all times); larger
-#: stores flush at geometrically spaced sizes plus on :meth:`RunStore.flush`,
-#: so a long campaign writes O(n) index bytes instead of O(n^2).
-INDEX_FLUSH_SMALL = 256
 
 #: Hex digits of the shard-key hash suffix (collision guard for slugs).
 _SHARD_HASH_LENGTH = 8
@@ -205,18 +193,10 @@ class RunStore:
         self.directory = Path(directory)
         self.shards_dir = self.directory / SHARDS_DIRNAME
         self.audit_dir = self.directory / AUDIT_DIRNAME
-        self.index_path = self.directory / INDEX_FILENAME
         self._shards: Dict[str, _Shard] = {}
         #: fingerprint -> shard key (offsets live in the shard entries).
         self._routing: Dict[str, str] = {}
-        #: Index-persistence state: the shards are the rebuildable source
-        #: of truth, so ``index.json`` may lag behind; it is flushed on every
-        #: append while the store is small, at geometrically spaced sizes
-        #: after that, and always by :meth:`flush` / :meth:`close`.
-        self._index_dirty = False
-        self._index_writes = 0
         self.refresh(full=True)
-        self._next_index_flush = max(INDEX_FLUSH_SMALL, len(self)) * 2
 
     # ------------------------------------------------------------------ scanning
     def refresh(self, full: bool = False) -> None:
@@ -329,76 +309,7 @@ class RunStore:
             # another writer appended, or a torn tail was terminated, since
             # our last scan: rescan the gap so the in-memory view stays whole
             self._scan_shard(shard)
-        self._maybe_write_index()
         return fingerprint
-
-    # ------------------------------------------------------------------ index
-    def _write_index(self) -> None:
-        payload = {
-            "schema_version": 1,
-            "format": "sharded",
-            "shards": {
-                shard.key: {
-                    "path": shard.path.relative_to(self.directory).as_posix(),
-                    "records": len(shard.entries),
-                    "corrupt_lines": shard.corrupt_lines,
-                    "crc_mismatches": shard.crc_mismatches,
-                    "superseded": shard.superseded,
-                }
-                for shard in self._shards.values()
-            },
-            "records": {
-                fingerprint: dict(
-                    self._shards[key].entries[fingerprint][1],
-                    shard=key,
-                    offset=self._shards[key].entries[fingerprint][0],
-                )
-                for fingerprint, key in self._routing.items()
-            },
-        }
-        atomic_write_text(
-            self.index_path,
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
-        self._index_writes += 1
-        self._index_dirty = False
-
-    def _maybe_write_index(self) -> None:
-        """Flush the index now or defer it, depending on store size.
-
-        Every append persists the index while the store holds at most
-        :data:`INDEX_FLUSH_SMALL` records; past that, flushes happen when
-        the store doubles in size (plus on :meth:`flush`/:meth:`close`),
-        keeping total index-write cost linear in campaign length instead of
-        quadratic.  A stale index is harmless: opening a store always
-        rescans the shards.
-        """
-        count = len(self)
-        if count <= INDEX_FLUSH_SMALL or count >= self._next_index_flush:
-            self._write_index()
-            self._next_index_flush = max(INDEX_FLUSH_SMALL, count) * 2
-        else:
-            self._index_dirty = True
-
-    def flush(self) -> None:
-        """Persist the index if any appends deferred it."""
-        if self._index_dirty:
-            self._write_index()
-
-    def close(self) -> None:
-        """Flush deferred state; the store stays usable afterwards."""
-        self.flush()
-
-    def __enter__(self) -> "RunStore":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    @property
-    def index_writes(self) -> int:
-        """How many times ``index.json`` was written by this instance."""
-        return self._index_writes
 
     # ------------------------------------------------------------------ reading
     def _ordered_shards(self) -> List[_Shard]:
@@ -574,7 +485,6 @@ class RunStore:
             os.replace(tmp, shard.path)
             kept += len(lines)
         self.refresh(full=True)
-        self._write_index()
         return {
             "shards": len(self._shards),
             "kept": kept,
@@ -682,7 +592,7 @@ def fsck_store(
     ``quarantine/`` (named after its source file, so nothing is ever
     destroyed), each damaged file is atomically rewritten keeping the
     **original raw bytes** of its intact and legacy lines — byte-identical
-    preservation — and the index is rebuilt from the repaired files.
+    preservation.
     **Single-writer only**: repair while no workers are appending.
 
     Returns a report with per-file and total counts, ``clean`` (no issues
@@ -739,7 +649,6 @@ def fsck_store(
         os.replace(tmp, path)
     report["repaired"] = True
     report["quarantine_dir"] = str(quarantine_dir)
-    RunStore(directory)._write_index()
     return report
 
 
@@ -759,7 +668,6 @@ def merge_stores(sources: Sequence[RunStore], dest: RunStore) -> Dict[str, int]:
                 continue
             dest.append(source.get(fingerprint), fingerprint=fingerprint)
             merged += 1
-    dest.flush()
     return {"merged": merged, "skipped": skipped}
 
 

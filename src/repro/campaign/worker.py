@@ -368,6 +368,5 @@ def run_worker(
             # everything unresolved is leased by peers or backing off
             note("waiting", "")
             time.sleep(manifest.poll_s)
-    store.flush()
     report.wall_time_s = time.perf_counter() - started
     return report

@@ -10,7 +10,7 @@ The subcommands mirror the library's layers (also reachable as
   by scenario/strategy name, print its summary, optionally persist it;
 * ``repro campaign`` — fan a scenario x search-space x strategy x seed grid
   out through a pluggable executor (``--executor serial | process-pool |
-  asyncio | pull-worker``) into a resumable run store;
+  pull-worker``) into a resumable run store;
 * ``repro worker`` — join a distributed campaign by pulling cells from a
   shared store directory (the ``pull-worker`` protocol; start any
   number, on any machine sharing the filesystem);
@@ -57,7 +57,6 @@ from repro.campaign import (
     CampaignSpec,
     CircuitOpenError,
     DeadLetterQueue,
-    ErrorEnvelope,
     RunStore,
     StoreError,
     export_metrics,
@@ -351,16 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="source store directories")
     merge_parser.add_argument("--into", required=True, metavar="DIR",
                               help="destination store directory")
-
-    run_cell_parser = commands.add_parser(
-        "run-cell",
-        help=argparse.SUPPRESS,
-        description="Internal: read one SearchRequest JSON from stdin, run "
-                    "it, write the outcome JSON to stdout (or an error "
-                    "envelope to stderr, exit 3). Used by the asyncio "
-                    "executor.",
-    )
-    del run_cell_parser  # no arguments; declared for the help machinery
 
     report_parser = commands.add_parser(
         "report",
@@ -917,26 +906,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run_cell(args: argparse.Namespace) -> int:
-    """Internal executor plumbing: one cell over stdin/stdout pipes."""
-    try:
-        request = SearchRequest.from_dict(json.loads(sys.stdin.read()))
-        outcome = run_search(request)
-    except Exception as error:  # noqa: BLE001 - enveloped for the parent
-        envelope = ErrorEnvelope.from_exception(error)
-        print(json.dumps(envelope.to_dict()), file=sys.stderr)
-        return 3
-    print(json.dumps(to_jsonable(outcome.to_dict())))
-    return 0
-
-
 _COMMANDS = {
     "list": _cmd_list,
     "run": _cmd_run,
     "campaign": _cmd_campaign,
     "worker": _cmd_worker,
     "store": _cmd_store,
-    "run-cell": _cmd_run_cell,
     "report": _cmd_report,
     "serve": _cmd_serve,
 }

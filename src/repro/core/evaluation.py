@@ -94,32 +94,21 @@ class PartitionAwareEvaluator:
     def evaluate_genotype(
         self, genotype: Sequence[int]
     ) -> Tuple[np.ndarray, Dict]:
-        """Evaluate one genotype.
+        """Evaluate one genotype: a pool-of-one call of :meth:`evaluate_pool`.
 
         Returns the objective vector ``[error %, latency s, energy J]``
         (all minimised) and a metadata dictionary containing the full
         :class:`CandidateEvaluation` under the key ``"evaluation"``.
         """
-        accuracy_arch = self.search_space.decode_for_accuracy(genotype)
-        performance_arch = self.search_space.decode_for_performance(genotype)
-
-        graph = space_partition_graph(self.search_space, performance_arch)
-        if self.engine is not None:
-            partition_eval = self.engine.evaluate_partitions(
-                performance_arch, self.analyzer, graph=graph
-            )
-        else:
-            partition_eval = self.analyzer.evaluate(performance_arch, graph=graph)
-        return self._package(genotype, accuracy_arch, performance_arch, partition_eval)
+        return self.evaluate_pool([genotype])[0]
 
     def evaluate_pool(
         self, genotypes: Sequence[Sequence[int]]
     ) -> List[Tuple[np.ndarray, Dict]]:
         """Evaluate a whole candidate pool through the batched hot path.
 
-        Equivalent to ``[self.evaluate_genotype(g) for g in genotypes]``
-        (same records, same float packaging) but the per-layer predictions
-        and deployment costing run as one array-level batch:
+        One record per genotype, in order; the per-layer predictions and
+        deployment costing run as one array-level batch:
         :meth:`~repro.api.engine.EvaluationEngine.evaluate_batch` dedups the
         pool against the engine caches and backfills them, or — without an
         engine — :meth:`~repro.partition.partitioner.PartitionAnalyzer.evaluate_batch`
@@ -156,7 +145,7 @@ class PartitionAwareEvaluator:
         performance_arch: Architecture,
         partition_eval,
     ) -> Tuple[np.ndarray, Dict]:
-        """Shared record/objective packaging of the scalar and pool paths."""
+        """Objective vector and metadata record of one costed candidate."""
         error = float(self.accuracy_model.error_percent(accuracy_arch))
         all_edge = partition_eval.all_edge
         best_latency = partition_eval.best_latency

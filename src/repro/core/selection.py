@@ -10,6 +10,9 @@ provides that last mile:
   bounds on error / energy / latency;
 * :func:`select_knee_point` — pick the candidate closest to the (normalised)
   ideal point, a standard "knee" heuristic when no constraints are given;
+* :func:`select_runtime_options` — a model's best deployment plus the
+  companion options worth tracking at runtime (also behind the Fig. 8
+  runtime study and ``repro serve``);
 * :class:`DeploymentPackage` / :func:`build_deployment_package` — bundle the
   selected architecture with its deployment options, dominance intervals and
   switching thresholds, ready to drive the runtime controller on the device.
@@ -159,6 +162,38 @@ class DeploymentPackage:
         }
 
 
+def select_runtime_options(
+    architecture: Architecture,
+    predictor: BaseLayerPredictor,
+    channel: WirelessChannel,
+    metric: str,
+    include_all_cloud: bool = False,
+    include_all_edge: bool = True,
+) -> List[DeploymentMetrics]:
+    """Deployment options worth tracking at runtime for one model.
+
+    The paper considers each model's best partitioning option together with
+    All-Edge (model A) or All-Cloud (model B); the flags select which
+    companions to include.
+    """
+    analyzer = PartitionAnalyzer(predictor, channel)
+    evaluation = analyzer.evaluate(architecture)
+    best = evaluation.best_for(metric)
+    options: List[DeploymentMetrics] = [best]
+    if include_all_edge and evaluation.all_edge.option != best.option:
+        options.append(evaluation.all_edge)
+    if include_all_cloud and evaluation.all_cloud.option != best.option:
+        options.append(evaluation.all_cloud)
+    if len(options) < 2:
+        # Ensure at least two options so there is something to switch between.
+        options.append(
+            evaluation.all_cloud
+            if evaluation.all_edge.option == best.option
+            else evaluation.all_edge
+        )
+    return options
+
+
 def build_deployment_package(
     candidate: CandidateEvaluation,
     search_space: LensSearchSpace,
@@ -176,20 +211,14 @@ def build_deployment_package(
     what the paper's §IV-E precomputes before deployment.
     """
     architecture = search_space.decode_for_performance(candidate.genotype)
-    analyzer = PartitionAnalyzer(predictor, channel)
-    evaluation = analyzer.evaluate(architecture)
-    best = evaluation.best_for(metric)
-    options: List[DeploymentMetrics] = [best]
-    if include_all_edge and evaluation.all_edge.option != best.option:
-        options.append(evaluation.all_edge)
-    if include_all_cloud and evaluation.all_cloud.option != best.option:
-        options.append(evaluation.all_cloud)
-    if len(options) < 2:
-        options.append(
-            evaluation.all_cloud
-            if best.option == evaluation.all_edge.option
-            else evaluation.all_edge
-        )
+    options = select_runtime_options(
+        architecture,
+        predictor,
+        channel,
+        metric,
+        include_all_cloud=include_all_cloud,
+        include_all_edge=include_all_edge,
+    )
     analysis = ThresholdAnalysis(
         options=options,
         power_model=channel.power_model,

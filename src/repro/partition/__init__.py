@@ -9,11 +9,7 @@ from repro.partition.deployment import (
     DeploymentMetrics,
     DeploymentOption,
 )
-from repro.partition.partitioner import (
-    PartitionAnalyzer,
-    PartitionEvaluation,
-    identify_partition_points,
-)
+from repro.partition.partitioner import PartitionAnalyzer, PartitionEvaluation
 
 __all__ = [
     "ALL_CLOUD",
@@ -25,5 +21,4 @@ __all__ = [
     "PartitionAnalyzer",
     "PartitionEvaluation",
     "PartitionGraph",
-    "identify_partition_points",
 ]

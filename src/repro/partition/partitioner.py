@@ -21,6 +21,12 @@ same candidates as before.
 
 The cloud's own compute cost is neglected by default, as in the paper; an
 optional cloud predictor can be supplied for sensitivity studies.
+
+:meth:`PartitionAnalyzer.evaluate_batch` is the one implementation of the
+costing, on arrays over a whole candidate pool, and
+:meth:`PartitionAnalyzer.evaluate` is its pool-of-one call.  The
+per-candidate loop it replaced is kept as the test oracle
+``tests/oracles/partition.py``.
 """
 
 from __future__ import annotations
@@ -31,46 +37,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.hardware.predictors import BaseLayerPredictor, LayerPrediction
-from repro.nn.architecture import Architecture, LayerSummary
+from repro.nn.architecture import Architecture
 from repro.nn.graph import PartitionGraph
 from repro.partition.deployment import DeploymentMetrics, DeploymentOption
 from repro.utils.units import mbps_to_bytes_per_second
 from repro.wireless.channel import WirelessChannel
-
-
-def identify_partition_points(
-    summaries: Sequence[LayerSummary],
-    input_bytes: float,
-    require_shrinkage: bool = True,
-    graph: Optional[PartitionGraph] = None,
-) -> List[int]:
-    """Indices of layers whose output may be transmitted to the cloud.
-
-    A layer qualifies when it produces an activation tensor (structural layers
-    such as ``flatten`` are skipped), when — with ``require_shrinkage`` true,
-    the paper's rule — its output is strictly smaller than the raw network
-    input, and when the optional :class:`~repro.nn.graph.PartitionGraph`
-    allows a cut at its boundary (no skip edge spans it).  ``graph=None``
-    keeps the original linear-chain behaviour: every boundary is legal.  The
-    final layer is excluded: splitting after it is the All-Edge deployment.
-    """
-    candidates: List[int] = []
-    last_index = len(summaries) - 1
-    # Linear graphs allow every boundary — skip the per-boundary check so
-    # chain architectures (the lens-vgg hot path) cost exactly what they
-    # did under the original linear enumeration.
-    check_graph = graph is not None and not graph.is_linear
-    for summary in summaries:
-        if summary.index >= last_index:
-            continue
-        if not summary.is_partition_candidate:
-            continue
-        if require_shrinkage and summary.output_bytes >= input_bytes:
-            continue
-        if check_graph and not graph.allows_cut_after(summary.index):
-            continue
-        candidates.append(summary.index)
-    return candidates
 
 
 class PartitionEvaluation(NamedTuple):
@@ -87,7 +58,8 @@ class PartitionEvaluation(NamedTuple):
         Per-layer predictions the costing was derived from, exposed for the
         per-layer analyses (Fig. 1) and the runtime threshold study.
     partition_point_indices:
-        Indices returned by :func:`identify_partition_points`.
+        Indices of the layers after which a split option cuts, in the order
+        of the split options.
     """
 
     architecture_name: str
@@ -179,26 +151,6 @@ class PartitionAnalyzer:
         self.cloud_predictor = cloud_predictor
         self.require_shrinkage = bool(require_shrinkage)
 
-    # ------------------------------------------------------------------ helpers
-    def _cloud_suffix_latencies(
-        self, architecture: Architecture
-    ) -> Optional[np.ndarray]:
-        """Cloud compute latency of every layer suffix, or ``None``.
-
-        ``suffix[i]`` is the summed cloud latency of layers ``i..end``
-        (``suffix[num_layers] == 0``), computed as a single reversed
-        cumulative sum of the cloud predictor's per-layer latencies instead
-        of a ``summarize()[first:]`` re-walk per cut point.  Shared by the
-        scalar and batched costing paths.
-        """
-        if self.cloud_predictor is None:
-            return None
-        predictions = self.cloud_predictor.predict_architecture(architecture)
-        latencies = np.array([p.latency_s for p in predictions])
-        suffix = np.zeros(latencies.shape[0] + 1)
-        suffix[:-1] = latencies[::-1].cumsum()[::-1]
-        return suffix
-
     # ------------------------------------------------------------------ evaluation
     def evaluate(
         self,
@@ -208,108 +160,28 @@ class PartitionAnalyzer:
     ) -> PartitionEvaluation:
         """Cost every deployment option of ``architecture``.
 
+        A pool-of-one call of :meth:`evaluate_batch`, so every caller runs
+        the costing the searches run.
+
         Parameters
         ----------
         architecture:
             The candidate model, decoded with the *performance* input shape.
         predictions:
-            Optional pre-computed per-layer predictions (used by the NAS loop
-            to avoid re-running the predictors when evaluating the same
-            architecture under several channels).
+            Optional pre-computed per-layer predictions (used to avoid
+            re-running the predictors when evaluating the same architecture
+            under several channels).
         graph:
             Optional cut-legality graph overriding the architecture's own
             (used by search spaces that constrain cuts beyond what the
             decoded skip edges express, via
             :meth:`repro.nn.spaces.SearchSpace.partition_graph`).
         """
-        summaries = architecture.summarize()
-        if predictions is None:
-            predictions = self.predictor.predict_architecture(architecture)
-        if len(predictions) != len(summaries):
-            raise ValueError(
-                f"expected {len(summaries)} layer predictions, got {len(predictions)}"
-            )
-
-        latencies = np.array([p.latency_s for p in predictions])
-        energies = np.array([p.energy_j for p in predictions])
-        output_bytes = np.array([s.output_bytes for s in summaries])
-        cumulative_latency = np.cumsum(latencies)
-        cumulative_energy = np.cumsum(energies)
-        input_bytes = architecture.input_bytes
-        cloud_suffix = self._cloud_suffix_latencies(architecture)
-
-        options: List[DeploymentMetrics] = []
-
-        # --- All-Cloud: upload the raw input, no edge compute.
-        cloud_cost = self.channel.cost(input_bytes)
-        options.append(
-            DeploymentMetrics(
-                option=DeploymentOption.all_cloud(),
-                latency_s=cloud_cost.latency_s
-                + (float(cloud_suffix[0]) if cloud_suffix is not None else 0.0),
-                energy_j=cloud_cost.energy_j,
-                edge_latency_s=0.0,
-                edge_energy_j=0.0,
-                comm_latency_s=cloud_cost.latency_s,
-                comm_energy_j=cloud_cost.energy_j,
-                transferred_bytes=float(input_bytes),
-            )
-        )
-
-        # --- All-Edge: run everything locally, no transmission.
-        options.append(
-            DeploymentMetrics(
-                option=DeploymentOption.all_edge(),
-                latency_s=float(cumulative_latency[-1]),
-                energy_j=float(cumulative_energy[-1]),
-                edge_latency_s=float(cumulative_latency[-1]),
-                edge_energy_j=float(cumulative_energy[-1]),
-                comm_latency_s=0.0,
-                comm_energy_j=0.0,
-                transferred_bytes=0.0,
-            )
-        )
-
-        # --- Splits at every candidate partition point (graph-aware: cuts
-        # that would split a skip connection are never proposed).
-        partition_points = identify_partition_points(
-            summaries,
-            input_bytes,
-            require_shrinkage=self.require_shrinkage,
-            graph=graph if graph is not None else architecture.partition_graph(),
-        )
-        for index in partition_points:
-            transfer_bytes = float(output_bytes[index])
-            comm_cost = self.channel.cost(transfer_bytes)
-            edge_latency = float(cumulative_latency[index])
-            edge_energy = float(cumulative_energy[index])
-            options.append(
-                DeploymentMetrics(
-                    option=DeploymentOption.split_after(index, summaries[index].name),
-                    latency_s=edge_latency
-                    + comm_cost.latency_s
-                    + (
-                        float(cloud_suffix[index + 1])
-                        if cloud_suffix is not None
-                        else 0.0
-                    ),
-                    energy_j=edge_energy + comm_cost.energy_j,
-                    edge_latency_s=edge_latency,
-                    edge_energy_j=edge_energy,
-                    comm_latency_s=comm_cost.latency_s,
-                    comm_energy_j=comm_cost.energy_j,
-                    transferred_bytes=transfer_bytes,
-                )
-            )
-
-        return PartitionEvaluation(
-            architecture_name=architecture.name,
-            options=tuple(options),
-            layer_latencies_s=tuple(float(v) for v in latencies),
-            layer_energies_j=tuple(float(v) for v in energies),
-            layer_output_bytes=tuple(int(v) for v in output_bytes),
-            partition_point_indices=tuple(partition_points),
-        )
+        return self.evaluate_batch(
+            [architecture],
+            predictions_list=None if predictions is None else [predictions],
+            graphs=[graph],
+        )[0][0]
 
     def evaluate_batch(
         self,
@@ -321,18 +193,20 @@ class PartitionAnalyzer:
     ) -> List[List[PartitionEvaluation]]:
         """Array-based costing of a candidate pool under many channels.
 
-        Semantically equivalent to calling :meth:`evaluate` (the scalar
-        reference implementation) for every ``(architecture, channel)`` pair,
-        but computed end to end on arrays: per-candidate latency/energy/
-        output-byte vectors concatenate into one flat pool-wide axis, split
-        costing (prefix sums, the shrinkage rule, the
-        :class:`~repro.nn.graph.PartitionGraph` legal-cut mask and the
+        Costs every ``(architecture, channel)`` pair end to end on arrays:
+        per-candidate latency/energy/output-byte vectors concatenate into one
+        flat pool-wide axis, split costing (prefix sums, the shrinkage rule,
+        the :class:`~repro.nn.graph.PartitionGraph` legal-cut mask and the
         channel cost model) is broadcast across every cut point of every
         candidate at once, and cloud-suffix latencies come from one reversed
-        cumulative sum per candidate instead of a ``summarize()`` re-walk
-        per cut.  Results match the scalar path to floating-point roundoff
-        (<= 1e-9, asserted by ``benchmarks/bench_eval_batch.py`` and the
-        hypothesis parity suite).
+        cumulative sum per candidate.
+
+        Results match the scalar oracle (``tests/oracles/partition.py``)
+        to floating-point roundoff, <= 1e-9, and bit for bit for a
+        one-candidate pool (asserted by the hypothesis parity suite and
+        ``benchmarks/bench_eval_batch.py``).  The prefix sums run along the
+        pool-wide axis, so a candidate's last bits can depend on which other
+        candidates share its pool.
 
         Parameters
         ----------

@@ -533,25 +533,16 @@ class TestPullWorkers:
 
 class TestExecutors:
     def test_registry_and_resolution(self):
-        assert set(EXECUTORS.names()) >= {
-            "serial", "process-pool", "asyncio", "pull-worker",
-        }
+        assert EXECUTORS.names() == ["process-pool", "pull-worker", "serial"]
         assert resolve_executor(None, 1).name == "serial"
         assert resolve_executor(None, 4).name == "process-pool"
-        assert resolve_executor("asyncio", 2).name == "asyncio"
+        assert resolve_executor("pull-worker", 2).name == "pull-worker"
         with pytest.raises(RegistryError, match="serial"):
             resolve_executor("serail", 1)
+        with pytest.raises(RegistryError):
+            resolve_executor("asyncio", 2)
         with pytest.raises(TypeError, match="executor"):
             resolve_executor(42, 1)
-
-    def test_asyncio_executor_matches_serial(self, tmp_path):
-        serial = RunStore(tmp_path / "serial")
-        run_campaign(SMALL_SPEC, serial)
-        store = RunStore(tmp_path / "async")
-        result = run_campaign(SMALL_SPEC, store, executor="asyncio", workers=2)
-        assert result.executor == "asyncio"
-        assert sorted(store.fingerprints()) == sorted(serial.fingerprints())
-        assert _metric_rows(store) == _metric_rows(serial)
 
     def test_pull_worker_executor_matches_serial(self, tmp_path):
         serial = RunStore(tmp_path / "serial")

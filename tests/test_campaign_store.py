@@ -11,7 +11,7 @@ import pytest
 from repro.api.envelopes import SearchRequest, request_fingerprint
 from repro.api.session import run_search
 from repro.campaign import fsck_store, run_campaign
-from repro.campaign.store import INDEX_FILENAME, RUNS_FILENAME, RunStore, StoreError
+from repro.campaign.store import RUNS_FILENAME, RunStore, StoreError
 from repro.utils.serialization import to_jsonable
 
 #: Budgets small enough that one run is milliseconds.
@@ -75,21 +75,23 @@ class TestRunStore:
         assert restored.to_dict() == outcome.to_dict()
 
     def test_reopen_recovers_index(self, tmp_path):
+        """The fingerprint index is rebuilt from the shards on every open;
+        a stale ``index.json`` that older versions wrote is ignored."""
         directory = tmp_path / "store"
         store = RunStore(directory)
         fingerprints = [
             store.append(run_search(_request(seed=seed))) for seed in (0, 1, 2)
         ]
-        (directory / INDEX_FILENAME).unlink()  # the JSONL is the source of truth
+        stale_index = directory / "index.json"
+        stale_index.write_text('{"records": {}}\n', encoding="utf-8")
 
         reopened = RunStore(directory)
         assert reopened.fingerprints() == fingerprints
-        # opening for reading never writes; the next append refreshes the index
-        assert not (directory / INDEX_FILENAME).exists()
         for fingerprint in fingerprints:
             assert reopened.get(fingerprint).request.fingerprint() == fingerprint
         reopened.append(run_search(_request(seed=3)))
-        assert (directory / INDEX_FILENAME).exists()
+        assert stale_index.read_text(encoding="utf-8") == '{"records": {}}\n'
+        assert len(RunStore(directory)) == 4
 
     def test_open_for_reading_creates_nothing(self, tmp_path):
         directory = tmp_path / "absent"
@@ -182,54 +184,6 @@ class TestRunStore:
             list(store.outcomes(offset=-1))
         with pytest.raises(ValueError, match="non-negative"):
             list(store.outcomes(limit=-1))
-
-    def test_index_write_is_atomic(self, tmp_path):
-        """No temp droppings, and never a torn index file on disk."""
-        directory = tmp_path / "store"
-        store = RunStore(directory)
-        store.append(run_search(_request(seed=0)))
-        leftovers = [
-            p.name for p in directory.iterdir()
-            if ".tmp." in p.name
-        ]
-        assert leftovers == []
-        json.loads((directory / INDEX_FILENAME).read_text(encoding="utf-8"))
-
-    def test_index_flush_is_deferred_past_small_threshold(self, tmp_path):
-        """Large stores write O(n) index bytes, not O(n^2): flushes happen
-        at geometric sizes, with flush()/close() persisting the rest."""
-        from repro.campaign.store import INDEX_FLUSH_SMALL
-
-        directory = tmp_path / "store"
-        directory.mkdir(parents=True)
-        outcome = run_search(_request(seed=0))
-        record = json.dumps(
-            {"fingerprint": "f", "outcome": outcome.to_dict()}
-        )
-        # simulate a long campaign cheaply: append raw records, then reopen
-        with (directory / RUNS_FILENAME).open("a", encoding="utf-8") as handle:
-            for i in range(INDEX_FLUSH_SMALL + 100):
-                handle.write(record.replace('"f"', f'"f{i:08d}"', 1) + "\n")
-        big = RunStore(directory)
-        assert len(big) == INDEX_FLUSH_SMALL + 100
-        writes_before = big.index_writes
-        for i in range(40):
-            big.append(run_search(_request(seed=100 + i)))
-        # 40 appends past the threshold trigger at most a couple of flushes
-        assert big.index_writes - writes_before <= 2
-        big.flush()
-        reopened = RunStore(directory)
-        assert len(reopened) == len(big)
-        # the persisted index is current after flush()
-        index = json.loads((directory / INDEX_FILENAME).read_text("utf-8"))
-        assert len(index["records"]) == len(big)
-
-    def test_context_manager_flushes_on_close(self, tmp_path):
-        directory = tmp_path / "store"
-        with RunStore(directory) as store:
-            store.append(run_search(_request(seed=0)))
-        json.loads((directory / INDEX_FILENAME).read_text(encoding="utf-8"))
-
 
 
 class TestLegacyStore:

@@ -121,15 +121,17 @@ class TestManifestPolicy:
         assert loaded.max_backoff_s == 60.0
 
     def test_v2_payload_mirrors_legacy_flat_keys(self):
+        """v2 payloads carry the policy nested only, without the v1 flat
+        keys (v1 manifests still load, see the next test)."""
         manifest = CampaignManifest.from_requests(
             [_request()], policy=CampaignPolicy(ttl_s=11.0, max_attempts=4)
         )
         payload = manifest.to_dict()
         assert payload["schema_version"] == 2
         assert payload["policy"]["ttl_s"] == 11.0
-        # a pre-supervision worker reads the flat keys
-        assert payload["ttl_s"] == 11.0
-        assert payload["max_attempts"] == 4
+        assert payload["policy"]["max_attempts"] == 4
+        assert set(payload) == {"schema_version", "cells", "policy", "created_at"}
+        assert CampaignManifest.from_dict(payload) == manifest
 
     def test_v1_flat_manifest_still_loads(self):
         request = _request()

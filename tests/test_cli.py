@@ -243,10 +243,20 @@ SMALL_GRID = [
 ]
 
 
-def test_list_shows_executors(capsys):
+def test_list_shows_executors(tmp_path, capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "campaign executors: asyncio, process-pool, pull-worker, serial" in out
+    assert "campaign executors: process-pool, pull-worker, serial" in out
+    # there is no asyncio executor and no run-cell command
+    for argv in (
+        ["campaign", *SMALL_GRID, "--store", str(tmp_path / "store"),
+         "--executor", "asyncio"],
+        ["run-cell"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+    assert not (tmp_path / "store").exists()
 
 
 def test_campaign_sharded_store_and_list(tmp_path, capsys):

@@ -2,17 +2,20 @@
 
 The batched engine (`predict_batch` / `PartitionAnalyzer.evaluate_batch` /
 `EvaluationEngine.evaluate_batch` / `PartitionAwareEvaluator.evaluate_pool`)
-must reproduce the scalar reference path to <= 1e-9 for any architecture of
-any registered search space under any channel mix, and the engine's
+must reproduce the scalar Algorithm 1 oracle (`tests/oracles/partition.py`)
+to <= 1e-9 for any architecture of any registered search space under any
+channel mix, bit for bit for a one-candidate pool, and the engine's
 hit/miss counters must account for every pool position.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import partition as oracle
 
 from repro.api.engine import EvaluationEngine
 from repro.api.registry import SEARCH_SPACES
@@ -83,9 +86,28 @@ def _assert_evaluations_match(scalar_eval, batched_eval, tolerance=PARITY):
 
 # ---------------------------------------------------------------------- property tests
 
+def _one_candidate_pools(test):
+    """Pin every space x predictor x cloud-predictor case as a pool of one."""
+    for space_name, trained, with_cloud in itertools.product(
+        SPACE_NAMES, (False, True), (False, True)
+    ):
+        test = example(
+            space_name=space_name,
+            trained=trained,
+            with_cloud=with_cloud,
+            seed=2021,
+            pool_size=1,
+            uplinks=[3.0, 0.5],
+            round_trip=0.01,
+        )(test)
+    return test
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     space_name=st.sampled_from(SPACE_NAMES),
+    trained=st.booleans(),
+    with_cloud=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
     pool_size=st.integers(1, 5),
     uplinks=st.lists(
@@ -93,12 +115,13 @@ def _assert_evaluations_match(scalar_eval, batched_eval, tolerance=PARITY):
     ),
     round_trip=st.floats(0.0, 0.2, allow_nan=False),
 )
+@_one_candidate_pools
 def test_analyzer_batch_matches_scalar_across_spaces(
-    space_name, seed, pool_size, uplinks, round_trip
+    space_name, trained, with_cloud, seed, pool_size, uplinks, round_trip
 ):
-    """analyzer.evaluate_batch == analyzer.evaluate for random candidates."""
+    """analyzer.evaluate_batch == the scalar oracle; bitwise for one candidate."""
     space = _space(space_name)
-    predictor = _oracle()
+    predictor = _trained() if trained else _oracle()
     rng = np.random.default_rng(seed)
     genotypes = [space.sample(rng) for _ in range(pool_size)]
     architectures = [space.decode_for_performance(g) for g in genotypes]
@@ -107,17 +130,17 @@ def test_analyzer_batch_matches_scalar_across_spaces(
         WirelessChannel.create("wifi", uplink_mbps=u, round_trip_s=round_trip)
         for u in uplinks
     ]
-    analyzer = PartitionAnalyzer(predictor, channels[0])
+    analyzer = PartitionAnalyzer(
+        predictor, channels[0], cloud_predictor=predictor if with_cloud else None
+    )
     batched = analyzer.evaluate_batch(architectures, channels=channels, graphs=graphs)
+    tolerance = 0.0 if pool_size == 1 else PARITY
     for i, architecture in enumerate(architectures):
-        predictions = tuple(
-            predictor.predict_layer(s) for s in architecture.summarize()
-        )
         for ci, channel in enumerate(channels):
-            scalar = analyzer.with_channel(channel).evaluate(
-                architecture, predictions=predictions, graph=graphs[i]
+            scalar = oracle.evaluate(
+                analyzer.with_channel(channel), architecture, graph=graphs[i]
             )
-            _assert_evaluations_match(scalar, batched[i][ci])
+            _assert_evaluations_match(scalar, batched[i][ci], tolerance)
 
 
 @settings(max_examples=15, deadline=None)
@@ -190,7 +213,7 @@ def test_cloud_suffix_reversed_cumsum_matches_per_cut_resum():
     channel = WirelessChannel.create("wifi", uplink_mbps=3.0)
     analyzer = PartitionAnalyzer(edge, channel, cloud_predictor=cloud)
 
-    suffix = analyzer._cloud_suffix_latencies(architecture)
+    suffix = oracle.cloud_suffix_latencies(analyzer, architecture)
     summaries = architecture.summarize()
     assert suffix is not None and len(suffix) == len(summaries) + 1
     for first in range(len(summaries) + 1):
@@ -199,7 +222,7 @@ def test_cloud_suffix_reversed_cumsum_matches_per_cut_resum():
         )
         assert abs(suffix[first] - reference) <= PARITY
     # All-Cloud / split latencies pick up the suffix in both paths.
-    scalar = analyzer.evaluate(architecture)
+    scalar = oracle.evaluate(analyzer, architecture)
     batched = analyzer.evaluate_batch([architecture])[0][0]
     _assert_evaluations_match(scalar, batched)
     assert scalar.all_cloud.latency_s > channel.cost(architecture.input_bytes).latency_s
@@ -306,7 +329,7 @@ class TestEngineBatchStats:
         assert delta["partition_misses"] == 2
         for architecture, row in ((a, rows[0]), (b, rows[1])):
             for channel, evaluation in zip(channels, row):
-                scalar = analyzer.with_channel(channel).evaluate(architecture)
+                scalar = oracle.evaluate(analyzer.with_channel(channel), architecture)
                 _assert_evaluations_match(scalar, evaluation)
 
     def test_duplicate_channels_are_computed_once(self, engine, pool, channels):
@@ -335,7 +358,7 @@ class TestEngineBatchStats:
         batched = analyzer.evaluate_batch(architectures, channels=channels)
         for i, architecture in enumerate(architectures):
             for ci, channel in enumerate(channels):
-                scalar = analyzer.with_channel(channel).evaluate(architecture)
+                scalar = oracle.evaluate(analyzer.with_channel(channel), architecture)
                 _assert_evaluations_match(scalar, batched[i][ci])
 
     def test_graph_override_isolated_in_batch_cache(self, engine, channels):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles.partition import identify_partition_points
 
 from repro.hardware.device import jetson_tx2_gpu
 from repro.hardware.predictors import OracleLayerPredictor
@@ -11,7 +12,7 @@ from repro.nn.graph import PartitionGraph, normalize_skip_edges
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D
 from repro.nn.resnet_space import ResNetSearchSpace
 from repro.nn.search_space import LensSearchSpace
-from repro.partition.partitioner import PartitionAnalyzer, identify_partition_points
+from repro.partition.partitioner import PartitionAnalyzer
 from repro.utils.rng import ensure_rng
 from repro.wireless.channel import WirelessChannel
 
@@ -159,6 +160,15 @@ class TestGraphAwarePartitioner:
         assert 2 in naive  # shrinkage alone admits the interior boundary
         assert 2 not in graph_aware
         assert set(graph_aware) == set(naive) - {2}
+        # The analyzer enumerates the same cuts: naive under a linear-chain
+        # override, graph-aware under the architecture's own graph.
+        linear = PartitionGraph(num_layers=len(architecture.layers))
+        assert analyzer.evaluate(
+            architecture, graph=linear
+        ).partition_point_indices == tuple(naive)
+        assert analyzer.evaluate(architecture).partition_point_indices == tuple(
+            graph_aware
+        )
 
     def test_evaluate_never_splits_a_skip_edge(self, analyzer):
         evaluation = analyzer.evaluate(residual_architecture())

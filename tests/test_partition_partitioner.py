@@ -3,34 +3,45 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.partition import identify_partition_points
 
 from repro.hardware.predictors import OracleLayerPredictor
 from repro.hardware.device import cloud_server
 from repro.nn.search_space import LensSearchSpace
 from repro.partition.deployment import DeploymentOption
-from repro.partition.partitioner import PartitionAnalyzer, identify_partition_points
+from repro.partition.partitioner import PartitionAnalyzer
 from repro.wireless.channel import WirelessChannel
 
 
 class TestPartitionPoints:
-    def test_alexnet_viable_points_match_paper(self, alexnet):
+    """Cut enumeration, in the oracle and in the analyzer's evaluations."""
+
+    def test_alexnet_viable_points_match_paper(self, gpu_wifi_analyzer, alexnet):
         """The paper: Pool5 (and the FC layers) are the viable partition points."""
         indices = identify_partition_points(alexnet.summarize(), alexnet.input_bytes)
         names = [alexnet.layers[i].name for i in indices]
         assert names == ["pool5", "fc6", "fc7"]
+        evaluation = gpu_wifi_analyzer.evaluate(alexnet)
+        assert evaluation.partition_point_indices == tuple(indices)
 
-    def test_without_shrinkage_requirement_all_activation_layers_qualify(self, alexnet):
+    def test_without_shrinkage_requirement_all_activation_layers_qualify(
+        self, gpu_oracle, wifi_channel, alexnet
+    ):
         indices = identify_partition_points(
             alexnet.summarize(), alexnet.input_bytes, require_shrinkage=False
         )
         # Every layer except flatten (structural) and the final classifier.
         assert len(indices) == len(alexnet) - 2
+        analyzer = PartitionAnalyzer(gpu_oracle, wifi_channel, require_shrinkage=False)
+        assert analyzer.evaluate(alexnet).partition_point_indices == tuple(indices)
 
-    def test_final_layer_never_a_split_point(self, alexnet):
+    def test_final_layer_never_a_split_point(self, gpu_oracle, wifi_channel, alexnet):
         indices = identify_partition_points(
             alexnet.summarize(), alexnet.input_bytes, require_shrinkage=False
         )
         assert (len(alexnet) - 1) not in indices
+        analyzer = PartitionAnalyzer(gpu_oracle, wifi_channel, require_shrinkage=False)
+        assert (len(alexnet) - 1) not in analyzer.evaluate(alexnet).partition_point_indices
 
 
 class TestPartitionAnalyzer:
