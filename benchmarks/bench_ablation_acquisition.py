@@ -15,7 +15,7 @@ import os
 
 from conftest import save_table
 
-from repro.core.lens import LensConfig, LensSearch
+from repro.api import run_search
 from repro.optim.pareto import hypervolume_2d
 from repro.utils.serialization import format_table
 
@@ -29,19 +29,16 @@ ACQUISITIONS = ("ts", "ucb", "random")
 def run_ablation(search_space, predictor):
     runs = {}
     for acquisition in ACQUISITIONS:
-        config = LensConfig(
-            wireless_technology="wifi",
-            expected_uplink_mbps=3.0,
+        runs[acquisition] = run_search(
+            scenario="wifi-3mbps/jetson-tx2-gpu",
             num_initial=NUM_INITIAL,
             num_iterations=NUM_ITERATIONS,
             candidate_pool_size=64,
             acquisition=acquisition,
             seed=13,
-        )
-        search = LensSearch(
-            search_space=search_space, config=config, predictor=predictor
-        )
-        runs[acquisition] = search.run()
+            search_space=search_space,
+            predictor=predictor,
+        ).result
     return runs
 
 

@@ -46,8 +46,8 @@ def _trace_mean(study_threshold, fallback_mbps):
     return study_threshold
 
 
-def run_studies(lens_run, search_space):
-    search = lens_run["search"]
+def run_studies(lens_run, search_space, predictor):
+    channel = lens_run["outcome"].scenario.build_channel()
     model_a, model_b = pick_models(lens_run)
     arch_a = search_space.decode_for_performance(model_a.genotype)
     arch_b = search_space.decode_for_performance(model_b.genotype)
@@ -56,8 +56,8 @@ def run_studies(lens_run, search_space):
         probe = run_runtime_study(
             label,
             architecture,
-            search.predictor,
-            search.channel,
+            predictor,
+            channel,
             generate_lte_trace(num_samples=4, mean_mbps=fallback, seed=seed),
             metric=metric,
             include_all_edge=include_all_edge,
@@ -70,8 +70,8 @@ def run_studies(lens_run, search_space):
         return run_runtime_study(
             label,
             architecture,
-            search.predictor,
-            search.channel,
+            predictor,
+            channel,
             trace,
             metric=metric,
             include_all_edge=include_all_edge,
@@ -89,10 +89,13 @@ def run_studies(lens_run, search_space):
     return study_a, study_b
 
 
-def test_fig8_runtime_adaptation(benchmark, lens_run, search_space):
+def test_fig8_runtime_adaptation(benchmark, lens_run, search_space, trained_gpu_predictor):
     """Regenerate the Fig. 8 cumulative-cost comparison for models A and B."""
     study_a, study_b = benchmark.pedantic(
-        run_studies, args=(lens_run, search_space), rounds=1, iterations=1
+        run_studies,
+        args=(lens_run, search_space, trained_gpu_predictor),
+        rounds=1,
+        iterations=1,
     )
 
     rows = []

@@ -12,9 +12,9 @@ This benchmark replays the surrogate phase of a search (the per-iteration
 
 * ``legacy-cold`` — the pre-bank behaviour: k separate ``GaussianProcess.fit``
   calls per iteration;
-* ``bank-cold`` — the bank in ``"exact-refit"`` mode (shared factorisation,
-  still cold every iteration);
-* ``incremental`` — the bank's rank-1 fast path (the default).
+* ``bank-cold`` — a cold ``GPBank.fit`` every iteration (shared
+  factorisation, still from scratch; the bank's ``H_EXACT_REFIT`` fallback);
+* ``incremental`` — the bank's rank-1 ``GPBank.update`` (what searches run).
 
 It asserts posterior-parity between the incremental and cold paths (<= 1e-6,
 the correctness gate — this is what the CI smoke job enforces) and records
@@ -76,14 +76,19 @@ def _surrogate_stream(total: int, seed: int = 0):
     return X, Y, probe
 
 
-def _replay_bank(X: np.ndarray, Y: np.ndarray, mode: str, health=None) -> tuple:
-    """Replay the per-iteration conditioning with a GPBank; returns (seconds, bank)."""
-    bank = GPBank(NUM_OBJECTIVES, kernel=_kernel(), update_mode=mode, health=health)
+def _replay_bank(X: np.ndarray, Y: np.ndarray, cold: bool = False, health=None) -> tuple:
+    """Replay the per-iteration conditioning with a GPBank; returns (seconds, bank).
+
+    Each step conditions on the whole prefix with ``GPBank.update`` (the
+    incremental path) or, with ``cold=True``, refits it with ``GPBank.fit``.
+    """
+    bank = GPBank(NUM_OBJECTIVES, kernel=_kernel(), health=health)
+    condition = bank.fit if cold else bank.update
     elapsed = 0.0
     for n in range(NUM_INITIAL, X.shape[0] + 1):
         Y_norm, _, _ = normalize_objectives(Y[:n])
         start = time.perf_counter()
-        bank.update(X[:n], Y_norm)
+        condition(X[:n], Y_norm)
         elapsed += time.perf_counter() - start
     return elapsed, bank
 
@@ -120,8 +125,8 @@ def test_incremental_surrogate_phase_speedup_and_parity():
     search_speedup = None
     for total in sizes:
         X, Y, probe = _surrogate_stream(total)
-        t_inc, bank = _replay_bank(X, Y, "incremental")
-        t_cold, _ = _replay_bank(X, Y, "exact-refit")
+        t_inc, bank = _replay_bank(X, Y)
+        t_cold, _ = _replay_bank(X, Y, cold=True)
         t_legacy, models = _replay_legacy(X, Y)
         divergence = _max_posterior_divergence(bank, models, probe)
         speedup_legacy = t_legacy / t_inc if t_inc > 0 else float("inf")
@@ -222,7 +227,7 @@ def test_health_instrumentation_overhead():
         # min-of-N: instrumentation overhead is a floor effect, so compare
         # best-case timings to keep scheduler noise out of the ratio
         return min(
-            _replay_bank(X, Y, "incremental", health=health)[0]
+            _replay_bank(X, Y, health=health)[0]
             for _ in range(repeats)
         )
 

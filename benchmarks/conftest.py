@@ -22,8 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.lens import LensConfig, LensSearch
-from repro.core.traditional import TraditionalSearch
+from repro.api import SearchRequest, run_search
 from repro.hardware.device import jetson_tx2_cpu, jetson_tx2_gpu
 from repro.hardware.predictors import LayerPerformancePredictor, OracleLayerPredictor
 from repro.nn.alexnet import build_alexnet
@@ -90,13 +89,10 @@ def search_space():
 
 
 @pytest.fixture(scope="session")
-def lens_config():
+def paper_request():
     """The paper's main experimental configuration: GPU/WiFi, tu = 3 Mbps."""
-    return LensConfig(
-        wireless_technology="wifi",
-        expected_uplink_mbps=3.0,
-        round_trip_s=0.01,
-        device="jetson-tx2-gpu",
+    return SearchRequest(
+        scenario="wifi-3mbps/jetson-tx2-gpu",
         num_initial=NUM_INITIAL,
         num_iterations=NUM_ITERATIONS,
         candidate_pool_size=POOL_SIZE,
@@ -106,27 +102,25 @@ def lens_config():
 
 
 @pytest.fixture(scope="session")
-def lens_run(search_space, lens_config, trained_gpu_predictor):
-    """One full LENS search run (search object + result)."""
-    search = LensSearch(
-        search_space=search_space, config=lens_config, predictor=trained_gpu_predictor
+def lens_run(search_space, paper_request, trained_gpu_predictor):
+    """One full LENS search run (outcome + result)."""
+    outcome = run_search(
+        paper_request, search_space=search_space, predictor=trained_gpu_predictor
     )
-    result = search.run()
-    return {"search": search, "result": result}
+    return {"outcome": outcome, "result": outcome.result}
 
 
 @pytest.fixture(scope="session")
-def traditional_run(search_space, lens_config, trained_gpu_predictor):
+def traditional_run(search_space, paper_request, trained_gpu_predictor):
     """One full Traditional (edge-only NAS) run plus its post-hoc partitioning."""
-    search = TraditionalSearch(
-        search_space=search_space, config=lens_config, predictor=trained_gpu_predictor
-    )
-    result = search.run()
-    partitioned_front = search.partition_result(result, pareto_only=True)
-    partitioned_all = search.partition_result(result, pareto_only=False)
+    result = run_search(
+        paper_request,
+        strategy="traditional",
+        search_space=search_space,
+        predictor=trained_gpu_predictor,
+    ).result
     return {
-        "search": search,
         "result": result,
-        "partitioned_front": partitioned_front,
-        "partitioned_all": partitioned_all,
+        "partitioned_front": result.partitioned(pareto_only=True),
+        "partitioned_all": result.partitioned(pareto_only=False),
     }

@@ -18,11 +18,11 @@ Run with:  python examples/custom_search_space_and_device.py
 from __future__ import annotations
 
 from repro import (
-    LensConfig,
-    LensSearch,
     LensSearchSpace,
+    Scenario,
     SearchRequest,
     register_search_space,
+    run_search,
 )
 from repro.hardware.device import DeviceProfile
 from repro.hardware.predictors import LayerPerformancePredictor
@@ -92,21 +92,25 @@ def main() -> None:
         print(f"  {family}: latency R^2 = {scores['latency_r2']:.3f} "
               f"({int(scores['samples'])} profiled configurations)")
 
-    config = LensConfig(
-        wireless_technology="lte",
-        expected_uplink_mbps=2.0,
-        round_trip_s=0.03,
+    scenario = Scenario(
+        name=f"lte-2mbps/{device.name}",
         device=device,
+        wireless_technology="lte",
+        uplink_mbps=2.0,
+        round_trip_s=0.03,
+    )
+    print(f"\nRunning LENS for {device.name} over LTE @ {scenario.uplink_mbps} Mbps...")
+    outcome = run_search(
+        scenario=scenario,
         num_initial=12,
         num_iterations=28,
         seed=11,
+        search_space=space,
+        predictor=predictor,
     )
-    search = LensSearch(search_space=space, config=config, predictor=predictor)
-    print(f"\nRunning LENS for {device.name} over LTE @ {config.expected_uplink_mbps} Mbps...")
-    result = search.run()
 
     front = sorted(
-        result.pareto_candidates(("error_percent", "energy_j")),
+        outcome.pareto_candidates(("error_percent", "energy_j")),
         key=lambda c: c.error_percent,
     )
     rows = [
@@ -119,7 +123,7 @@ def main() -> None:
         ]
         for candidate in front
     ]
-    print(f"\nPareto-optimal designs ({len(front)} of {len(result)} explored):\n")
+    print(f"\nPareto-optimal designs ({len(front)} of {len(outcome)} explored):\n")
     print(format_table(rows, ["model", "error %", "energy mJ", "latency ms", "deployment"]))
 
 

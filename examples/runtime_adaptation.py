@@ -15,27 +15,25 @@ Run with:  python examples/runtime_adaptation.py
 
 from __future__ import annotations
 
-from repro import LensConfig, LensSearch
 from repro.analysis.runtime_eval import run_runtime_study
+from repro.api import Scenario, SearchRequest, build_context, run_search
 from repro.utils.serialization import format_table
 from repro.wireless.traces import generate_lte_trace
 
 
 def main() -> None:
-    config = LensConfig(
-        wireless_technology="lte",
-        expected_uplink_mbps=7.0,
-        num_initial=12,
-        num_iterations=28,
-        seed=3,
+    scenario = Scenario(
+        name="lte-7mbps/jetson-tx2-gpu", wireless_technology="lte", uplink_mbps=7.0
     )
-    search = LensSearch(config=config)
+    request = SearchRequest(scenario=scenario, num_initial=12, num_iterations=28, seed=3)
     print("Searching for candidate models (reduced budget)...")
-    result = search.run()
+    outcome = run_search(request)
+    # The run's resolved components: search space, predictor, expected channel.
+    context = build_context(request)
 
-    front = result.pareto_candidates(("error_percent", "energy_j"))
+    front = outcome.pareto_candidates(("error_percent", "energy_j"))
     model = min(front, key=lambda c: c.energy_j)
-    architecture = search.search_space.decode_for_performance(model.genotype)
+    architecture = context.search_space.decode_for_performance(model.genotype)
     print(
         f"Selected model {model.architecture_name}: "
         f"{model.error_percent:.1f}% error, {model.energy_mj:.1f} mJ via "
@@ -51,8 +49,8 @@ def main() -> None:
     study = run_runtime_study(
         model.architecture_name,
         architecture,
-        search.predictor,
-        search.channel,
+        context.predictor,
+        context.channel,
         trace,
         metric="energy",
         include_all_edge=True,

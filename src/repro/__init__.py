@@ -28,14 +28,17 @@ Quickstart::
               candidate.energy_mj, candidate.best_energy_option.label)
     payload = outcome.to_dict()                   # JSON-ready round trip
 
-The legacy constructor-wired entry point keeps working unchanged and
-produces identical results for identical seeds::
+``run_search`` is the only way to run a search.  The paper's Traditional
+baseline partitions its Pareto set only after the search, which is a pure
+function of the stored candidates::
 
-    from repro import LensConfig, LensSearch
+    traditional = run_search(strategy="traditional", seed=0)
+    partitioned = traditional.result.partitioned(("error_percent", "energy_j"))
 
-    config = LensConfig(wireless_technology="wifi", expected_uplink_mbps=3.0,
-                        num_initial=8, num_iterations=20, seed=0)
-    result = LensSearch(config=config).run()
+Callers that need the resolved components (device, channel, predictor,
+evaluator) or the raw optimizer result use
+:func:`~repro.api.session.build_context` and
+:func:`~repro.api.session.execute_strategy`.
 
 Underneath, the library is organised by substrate:
 
@@ -52,7 +55,8 @@ Underneath, the library is organised by substrate:
 * :mod:`repro.optim` — Gaussian processes, acquisitions, Pareto tools and the
   MOBO loop;
 * :mod:`repro.accuracy` — numpy CNN training and the accuracy surrogate;
-* :mod:`repro.core` — the LENS search, the Traditional baseline, and runtime
+* :mod:`repro.core` — partition-aware evaluation, search results (with the
+  Traditional baseline's post-hoc partitioning), selection and runtime
   adaptation;
 * :mod:`repro.analysis` — figure/table-level analyses built on the above;
 * :mod:`repro.campaign` — parallel, resumable campaign runs of the
@@ -65,10 +69,8 @@ from repro.api.envelopes import SearchOutcome, SearchRequest
 from repro.api.scenario import SCENARIOS, Scenario, ScenarioRegistry, scenario_by_name
 from repro.api.session import run_search
 from repro.campaign import CampaignSpec, RunStore, run_campaign
-from repro.core.lens import LensConfig, LensSearch
 from repro.core.results import CandidateEvaluation, SearchResult
 from repro.core.runtime import ThresholdAnalysis, simulate_runtime
-from repro.core.traditional import TraditionalSearch
 from repro.hardware.device import jetson_tx2_cpu, jetson_tx2_gpu
 from repro.hardware.predictors import LayerPerformancePredictor, OracleLayerPredictor
 from repro.nn.alexnet import build_alexnet
@@ -96,13 +98,10 @@ __all__ = [
     "ScenarioRegistry",
     "scenario_by_name",
     "run_search",
-    "LensConfig",
-    "LensSearch",
     "CandidateEvaluation",
     "SearchResult",
     "ThresholdAnalysis",
     "simulate_runtime",
-    "TraditionalSearch",
     "jetson_tx2_cpu",
     "jetson_tx2_gpu",
     "LayerPerformancePredictor",

@@ -16,10 +16,13 @@ A strategy is a callable ``strategy(context) -> (SearchResult,
 OptimizationResult | None)``; registering a new one makes it addressable
 from request envelopes immediately.
 
-The legacy entry points (:class:`repro.core.lens.LensSearch`,
-:class:`repro.core.traditional.TraditionalSearch`) are thin wrappers over
-:func:`build_context` and :func:`execute_strategy`, so both API generations
-share one code path and produce identical results for identical seeds.
+:func:`run_search` is the one way to run a search.  Callers that need the
+resolved components (device, channel, predictor, evaluator) or the raw
+optimizer result use its two halves, :func:`build_context` and
+:func:`execute_strategy`, directly.  The Traditional baseline's post-hoc
+partitioning of its Pareto set is
+:meth:`~repro.core.results.SearchResult.partitioned`, a pure function of
+the stored candidates (``outcome.result.partitioned()``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.api.envelopes import SearchOutcome, SearchRequest
 from repro.api.registry import ACQUISITIONS, SEARCH_SPACES, Registry
 from repro.api.scenario import Scenario, ScenarioRegistry
 from repro.core.evaluation import PartitionAwareEvaluator
-from repro.core.results import CandidateEvaluation, SearchResult
+from repro.core.results import METRIC_NAMES, CandidateEvaluation, SearchResult
 from repro.hardware.device import DeviceProfile
 from repro.hardware.predictors import BaseLayerPredictor
 from repro.nn.spaces import SearchSpace
@@ -56,7 +59,7 @@ from repro.utils.rng import ensure_rng
 from repro.wireless.channel import WirelessChannel
 
 #: The three objectives every strategy minimises, in order.
-OBJECTIVES = ("error_percent", "latency_s", "energy_j")
+OBJECTIVES = METRIC_NAMES
 
 #: Optional ``callback(evaluation_index, candidate_evaluation)``.
 ProgressCallback = Callable[[int, CandidateEvaluation], None]

@@ -1,7 +1,6 @@
-"""LENS core: partition-aware NAS, Traditional baseline, runtime adaptation."""
+"""LENS core: partition-aware evaluation, search results, selection, runtime adaptation."""
 
 from repro.core.evaluation import PartitionAwareEvaluator
-from repro.core.lens import LENS_OBJECTIVES, LensConfig, LensSearch
 from repro.core.related_work import (
     FEATURES,
     RELATED_WORKS,
@@ -27,7 +26,6 @@ from repro.core.runtime import (
     pairwise_threshold,
     simulate_runtime,
 )
-from repro.core.traditional import TraditionalSearch
 
 __all__ = [
     "PartitionAwareEvaluator",
@@ -35,9 +33,6 @@ __all__ = [
     "build_deployment_package",
     "select_by_constraints",
     "select_knee_point",
-    "LENS_OBJECTIVES",
-    "LensConfig",
-    "LensSearch",
     "FEATURES",
     "RELATED_WORKS",
     "RelatedWork",
@@ -55,5 +50,4 @@ __all__ = [
     "deployment_metric_value",
     "pairwise_threshold",
     "simulate_runtime",
-    "TraditionalSearch",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -10,7 +10,8 @@ import numpy as np
 from repro.optim.pareto import pareto_front_mask
 from repro.partition.deployment import DeploymentOption
 
-#: Metric names understood by :meth:`SearchResult.objective_matrix`.
+#: The three objectives every search minimises, in order; also the metric
+#: names understood by :meth:`SearchResult.objective_matrix`.
 METRIC_NAMES = ("error_percent", "latency_s", "energy_j")
 
 
@@ -151,6 +152,38 @@ class SearchResult:
         if matrix.size == 0:
             return matrix
         return matrix[self.pareto_mask(metrics)]
+
+    def partitioned(
+        self,
+        metrics: Sequence[str] = ("error_percent", "energy_j"),
+        pareto_only: bool = True,
+    ) -> "SearchResult":
+        """Partition the candidates after the search (the Traditional flow's step 2).
+
+        The paper's baseline runs platform-aware NAS for the edge device and
+        only afterwards applies the optimal layer distribution to its Pareto
+        set.  Every candidate already carries its best deployment
+        (``extras["best_latency_s"]`` / ``extras["best_energy_j"]`` and the
+        ``best_*_option`` fields), so this is a pure function of the stored
+        candidates: latency and energy become those best-deployment values,
+        the architecture and its error are unchanged, and
+        ``extras["partitioned_after_search"]`` is set.  ``pareto_only``
+        partitions the front of ``metrics`` (the paper's procedure);
+        otherwise every explored candidate.
+        """
+        source = self.pareto_candidates(metrics) if pareto_only else self.candidates
+        return SearchResult(
+            [
+                replace(
+                    candidate,
+                    latency_s=float(candidate.extras["best_latency_s"]),
+                    energy_j=float(candidate.extras["best_energy_j"]),
+                    extras={**candidate.extras, "partitioned_after_search": True},
+                )
+                for candidate in source
+            ],
+            label=f"{self.label}+partitioned",
+        )
 
     # ------------------------------------------------------------------ selection helpers
     def best_by(self, metric: str) -> CandidateEvaluation:

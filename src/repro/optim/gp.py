@@ -15,8 +15,7 @@ Two conditioning paths are provided:
 * :meth:`GaussianProcess.extend` — the incremental path: append new
   observations to an already-conditioned model with a rank-1/block Cholesky
   update (O(n^2 m) for ``m`` new rows) and recompute only the target
-  normalisation and ``alpha``.  ``update_mode="exact-refit"`` turns every
-  ``extend`` into a full refit, as a numerical fallback.
+  normalisation and ``alpha``.
 
 The incremental path is what makes long searches affordable: refitting after
 every evaluation costs O(N^4) over an N-evaluation run on the cold path but
@@ -125,9 +124,6 @@ except ImportError:  # pragma: no cover - scipy is a declared dependency
         """Generic-solver fallback when scipy is unavailable (O(n^3))."""
         return np.linalg.solve(L.T if trans else L, b)
 
-#: Accepted values for the ``update_mode`` flag of :class:`GaussianProcess`.
-UPDATE_MODES = ("incremental", "exact-refit")
-
 #: Initial capacity of the growing observation buffers.
 _MIN_CAPACITY = 16
 
@@ -144,11 +140,6 @@ class GaussianProcess:
     normalize_y:
         Whether to standardise targets before fitting (recommended; the
         objective scales in this library span micro-seconds to joules).
-    update_mode:
-        ``"incremental"`` (default) makes :meth:`extend` perform a rank-1
-        block Cholesky append; ``"exact-refit"`` makes it fall back to a full
-        :meth:`fit` on the accumulated data (numerically identical to never
-        having used the incremental path).
     health:
         Optional :class:`~repro.resilience.health.HealthLog` receiving an
         ``H_JITTER_ESCALATED`` event whenever a factorisation only succeeds
@@ -161,18 +152,12 @@ class GaussianProcess:
         kernel: Optional[Kernel] = None,
         noise_variance: float = 1e-4,
         normalize_y: bool = True,
-        update_mode: str = "incremental",
         health: Optional[HealthLog] = None,
     ):
         require_positive(noise_variance, "noise_variance")
-        if update_mode not in UPDATE_MODES:
-            raise ValueError(
-                f"update_mode must be one of {UPDATE_MODES}, got {update_mode!r}"
-            )
         self.kernel = kernel if kernel is not None else Matern52Kernel()
         self.noise_variance = float(noise_variance)
         self.normalize_y = bool(normalize_y)
-        self.update_mode = update_mode
         self.health = health
         self._X: Optional[np.ndarray] = None
         self._y_raw: Optional[np.ndarray] = None
@@ -259,19 +244,18 @@ class GaussianProcess:
     ) -> "GaussianProcess":
         """Append observations to an already-fitted GP.
 
-        On the ``"incremental"`` path the existing Cholesky factor is grown
-        with a block append — ``L21 = solve(L11, K12).T`` and
+        The existing Cholesky factor is grown with a block append —
+        ``L21 = solve(L11, K12).T`` and
         ``L22 = chol(K22 + noise I - L21 L21.T)`` — which costs O(n^2 m) for
         ``m`` new rows instead of the O(n^3) full refactorisation, and the
         target normalisation is refreshed by recomputing only ``alpha`` (two
         O(n^2) triangular solves).  Posterior mean/std agree with a full
         refit to floating-point roundoff (see the parity tests).
 
-        On ``update_mode="exact-refit"`` this is literally ``fit`` on the
-        stacked data.  Calling ``extend`` on an unfitted model is equivalent
-        to ``fit``.  ``retarget=False`` grows the factor but leaves ``alpha``
-        and the normalisation stale — for callers (the model bank) that
-        immediately follow up with :meth:`set_targets`.
+        Calling ``extend`` on an unfitted model is equivalent to ``fit``.
+        ``retarget=False`` grows the factor but leaves ``alpha`` and the
+        normalisation stale — for callers (the model bank) that immediately
+        follow up with :meth:`set_targets`.
         """
         x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
         y_new = np.asarray(y_new, dtype=float).ravel()
@@ -287,11 +271,6 @@ class GaussianProcess:
             raise ValueError(
                 f"x_new has {x_new.shape[1]} features, expected {self._X.shape[1]}"
             )
-        if self.update_mode == "exact-refit":
-            return self.fit(
-                np.vstack([self._X, x_new]), np.concatenate([self._y_raw, y_new])
-            )
-
         n, m = self._X.shape[0], x_new.shape[0]
         self._ensure_capacity(n + m)
         X_old = self._X_buf[:n]

@@ -61,11 +61,6 @@ class GPBank:
         same hyperparameters until :meth:`refresh_lengthscales` diverges them.
     noise_variance / normalize_y:
         Forwarded to every member :class:`GaussianProcess`.
-    update_mode:
-        ``"incremental"`` (default) grows the shared factor with rank-1
-        appends on :meth:`update`; ``"exact-refit"`` refactorises from
-        scratch every time (the numerical fallback — still sharing the one
-        factorisation across objectives).
     health:
         Optional :class:`~repro.resilience.health.HealthLog` (shared with
         every member model) recording degradation-ladder events:
@@ -82,21 +77,18 @@ class GPBank:
         kernel: Optional[Kernel] = None,
         noise_variance: float = 1e-4,
         normalize_y: bool = True,
-        update_mode: str = "incremental",
         health: Optional[HealthLog] = None,
     ):
         if num_objectives < 1:
             raise ValueError(f"num_objectives must be >= 1, got {num_objectives}")
         self.num_objectives = int(num_objectives)
         self.base_kernel = kernel if kernel is not None else Matern52Kernel()
-        self.update_mode = update_mode
         self.health = health
         self.models: List[GaussianProcess] = [
             GaussianProcess(
                 kernel=self.base_kernel,
                 noise_variance=noise_variance,
                 normalize_y=normalize_y,
-                update_mode=update_mode,
                 health=health,
             )
             for _ in range(self.num_objectives)
@@ -190,7 +182,7 @@ class GPBank:
             Y_old = np.column_stack([m._y_raw for m in self.models])
             return X, np.vstack([Y_old, Y_new])
 
-        if not self._homogeneous or self.update_mode == "exact-refit":
+        if not self._homogeneous:
             return self._fit_resilient(*stacked())
         leader = self.models[0]
         try:
@@ -235,8 +227,8 @@ class GPBank:
         ``X``/``Y`` must extend the previously-seen rows (the MOBO loop only
         ever appends evaluations).  New rows are absorbed with the shared
         block append; already-seen rows get their (re-normalised) targets
-        refreshed via :meth:`set_targets`.  After a lengthscale refresh — or
-        in ``exact-refit`` mode — the bank re-homogenises with a cold fit.
+        refreshed via :meth:`set_targets`.  After a lengthscale refresh the
+        bank re-homogenises with a cold fit.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = self._validate_targets(Y, X.shape[0])
@@ -246,7 +238,6 @@ class GPBank:
         X_seen = self.models[0]._X
         if (
             not self._homogeneous
-            or self.update_mode == "exact-refit"
             or X.shape[0] < n_seen
             or X.shape[1] != X_seen.shape[1]
             # Spot-check the "X extends the seen rows" contract (O(d)): a

@@ -18,8 +18,7 @@ The surrogates live in a persistent shared-Cholesky
 rank-1 Cholesky append and the per-iteration objective re-normalisation only
 recomputes the ``alpha`` vectors, so the surrogate phase costs O(n^2) per
 iteration instead of the O(k n^3) of refitting every model from scratch (see
-``benchmarks/bench_gp_hotpath.py``; ``gp_update="exact-refit"`` restores the
-cold-refit behaviour).
+``benchmarks/bench_gp_hotpath.py``).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 
 from repro.optim.acquisition import ACQUISITION_STRATEGIES, acquisition_scores
 from repro.optim.epdc import select_batch
-from repro.optim.gp import UPDATE_MODES
 from repro.optim.gp_bank import GPBank
 from repro.optim.kernels import kernel_by_name
 from repro.optim.pareto import ParetoArchive, pareto_front_mask
@@ -44,12 +42,6 @@ from repro.optim.scalarization import (
 from repro.resilience import faults
 from repro.resilience.health import HealthLog
 from repro.utils.rng import SeedLike, ensure_rng
-
-#: Default surrogate update mode for new optimizers (see ``gp_update``).
-#: Module-level so profiling/benchmark harnesses can flip every search in a
-#: process onto the ``"exact-refit"`` fallback without threading a parameter
-#: through the request envelopes.
-DEFAULT_GP_UPDATE = "incremental"
 
 #: Callable turning a candidate into its GP feature vector.
 FeatureFn = Callable[[Any], np.ndarray]
@@ -213,14 +205,6 @@ class MultiObjectiveBayesianOptimizer:
     optimize_lengthscale_every:
         Period (in iterations) of the marginal-likelihood lengthscale refresh;
         0 disables it.
-    gp_update:
-        Surrogate conditioning mode: ``"incremental"`` (the default, via
-        :data:`DEFAULT_GP_UPDATE`) maintains a persistent shared-Cholesky
-        :class:`~repro.optim.gp_bank.GPBank` grown with rank-1 appends —
-        O(n^2) surrogate work per iteration instead of O(k n^3);
-        ``"exact-refit"`` refactorises from scratch every iteration (the
-        numerically-exact fallback).  Both modes select the same candidates
-        for the same seed (up to floating-point roundoff of the factor).
     neighbor_fn:
         Optional ``neighbor_fn(candidate, count, rng) -> candidates`` used to
         add neighbours of current Pareto-optimal candidates to the pool
@@ -268,7 +252,6 @@ class MultiObjectiveBayesianOptimizer:
         gp_noise: float = 1e-4,
         ucb_beta: float = 2.0,
         optimize_lengthscale_every: int = 0,
-        gp_update: Optional[str] = None,
         neighbor_fn: Optional[NeighborFn] = None,
         key_fn: Callable[[Any], Any] = _default_key,
         seed: SeedLike = None,
@@ -294,11 +277,6 @@ class MultiObjectiveBayesianOptimizer:
             )
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        gp_update = DEFAULT_GP_UPDATE if gp_update is None else gp_update
-        if gp_update not in UPDATE_MODES:
-            raise ValueError(
-                f"gp_update must be one of {UPDATE_MODES}, got {gp_update!r}"
-            )
         self.sample_fn = sample_fn
         self.feature_fn = feature_fn
         self.objective_fn = objective_fn
@@ -314,7 +292,6 @@ class MultiObjectiveBayesianOptimizer:
         self.gp_noise = float(gp_noise)
         self.ucb_beta = float(ucb_beta)
         self.optimize_lengthscale_every = int(optimize_lengthscale_every)
-        self.gp_update = gp_update
         if objective_retries < 0:
             raise ValueError(
                 f"objective_retries must be >= 0, got {objective_retries}"
@@ -546,8 +523,7 @@ class MultiObjectiveBayesianOptimizer:
 
         The bank persists across iterations: new evaluations arrive as rank-1
         Cholesky appends and the per-iteration objective re-normalisation only
-        recomputes each model's ``alpha`` (``gp_update="exact-refit"`` instead
-        refits from scratch every call).  Returns the bank — iterable as the
+        recomputes each model's ``alpha``.  Returns the bank — iterable as the
         per-objective model sequence — plus the normalisation bounds.
         """
         X = self._feature_matrix()
@@ -565,7 +541,6 @@ class MultiObjectiveBayesianOptimizer:
                 kernel=kernel_by_name(self.kernel_name, lengthscale=lengthscale),
                 noise_variance=self.gp_noise,
                 normalize_y=True,
-                update_mode=self.gp_update,
                 health=self.health,
             )
         self._bank.update(X, Y_norm)

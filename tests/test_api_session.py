@@ -1,4 +1,4 @@
-"""Tests for repro.api.session: strategies, run_search, legacy equivalence."""
+"""Tests for repro.api.session: strategies, run_search and its two halves."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.api.engine import EvaluationEngine
 from repro.api.envelopes import SearchOutcome, SearchRequest
 from repro.api.session import STRATEGIES, build_context, execute_strategy, run_search
-from repro.core.lens import LensConfig, LensSearch
-from repro.core.traditional import TraditionalSearch
 
 FAST = dict(
     num_initial=5,
@@ -131,27 +129,24 @@ class TestRunSearch:
                 outcome.result.objective_matrix(("error_percent", "energy_j")),
             )
 
-    def test_by_name_run_reproduces_legacy_lens_search(
+    def test_by_name_run_reproduces_component_path(
         self, small_search_space, engine, outcome
     ):
-        config = LensConfig(
-            wireless_technology="wifi",
-            expected_uplink_mbps=3.0,
-            device="jetson-tx2-gpu",
-            **FAST,
+        context = build_context(
+            SearchRequest(strategy="lens", scenario="wifi-3mbps/jetson-tx2-gpu", **FAST),
+            search_space=small_search_space,
+            engine=EvaluationEngine(),
         )
-        legacy = LensSearch(
-            search_space=small_search_space, config=config, engine=EvaluationEngine()
-        ).run()
-        legacy_front = {
+        result, _raw = execute_strategy(context)
+        component_front = {
             (c.architecture_name, round(c.error_percent, 9), round(c.energy_j, 12))
-            for c in legacy.pareto_candidates(("error_percent", "energy_j"))
+            for c in result.pareto_candidates(("error_percent", "energy_j"))
         }
         api_front = {
             (c.architecture_name, round(c.error_percent, 9), round(c.energy_j, 12))
             for c in outcome.pareto_candidates(("error_percent", "energy_j"))
         }
-        assert legacy_front == api_front
+        assert component_front == api_front
 
 
 class TestOtherStrategies:
@@ -183,33 +178,3 @@ class TestOtherStrategies:
             c.genotype for c in second.candidates
         ]
 
-
-class TestLegacyWrappers:
-    def test_lens_search_exposes_components(self, small_search_space):
-        config = LensConfig(**FAST)
-        search = LensSearch(
-            search_space=small_search_space, config=config, engine=EvaluationEngine()
-        )
-        assert search.device.name == "jetson-tx2-gpu"
-        assert search.channel.technology == "wifi"
-        assert search.evaluator.partition_within is True
-        assert search.search_space is small_search_space
-        assert search.engine is search.context.engine
-
-    def test_traditional_search_still_forces_partition_off(self, small_search_space):
-        search = TraditionalSearch(
-            search_space=small_search_space,
-            config=LensConfig(**FAST),
-            engine=EvaluationEngine(),
-        )
-        assert search.config.partition_within is False
-        assert search.evaluator.partition_within is False
-
-    def test_config_to_request_round_trips_strategy(self):
-        assert LensConfig(partition_within=True).to_request().strategy == "lens"
-        assert (
-            LensConfig(partition_within=False).to_request().strategy == "traditional"
-        )
-        scenario = LensConfig(expected_uplink_mbps=7.5).to_scenario()
-        assert scenario.uplink_mbps == 7.5
-        assert scenario.name == "wifi-7.5mbps/jetson-tx2-gpu"

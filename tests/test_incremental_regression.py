@@ -2,9 +2,9 @@
 
 ``tests/data/golden_incremental_sequences.json`` was generated with the
 pre-incremental code (cold per-model GP refits every iteration).  These tests
-assert that the shared-Cholesky bank — in both its ``"incremental"`` fast
-mode and its ``"exact-refit"`` fallback — drives seeded searches through the
-*identical* candidate sequences, i.e. the perf rework changed no decisions.
+assert that the shared-Cholesky bank's rank-1 updates drive seeded searches
+through the *identical* candidate sequences, i.e. the perf rework changed no
+decisions.
 """
 
 import json
@@ -39,7 +39,7 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
-def _synthetic_run(acquisition, seed, iterations, pool, refresh=0, gp_update=None):
+def _synthetic_run(acquisition, seed, iterations, pool, refresh=0):
     return MultiObjectiveBayesianOptimizer(
         sample_fn=_sample,
         feature_fn=_features,
@@ -50,15 +50,13 @@ def _synthetic_run(acquisition, seed, iterations, pool, refresh=0, gp_update=Non
         candidate_pool_size=pool,
         acquisition=acquisition,
         optimize_lengthscale_every=refresh,
-        gp_update=gp_update,
         seed=seed,
     ).run()
 
 
 @pytest.mark.parametrize("acquisition", ["ts", "ucb", "mean"])
-@pytest.mark.parametrize("gp_update", ["incremental", "exact-refit"])
-def test_synthetic_sequences_match_pre_incremental_seed(golden, acquisition, gp_update):
-    result = _synthetic_run(acquisition, seed=7, iterations=12, pool=40, gp_update=gp_update)
+def test_synthetic_sequences_match_pre_incremental_seed(golden, acquisition):
+    result = _synthetic_run(acquisition, seed=7, iterations=12, pool=40)
     expected = golden["synthetic"][acquisition]
     assert [list(map(int, p.candidate)) for p in result.points] == expected["candidates"]
     assert np.allclose(

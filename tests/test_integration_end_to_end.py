@@ -12,8 +12,7 @@ import pytest
 from repro.analysis.criteria import compare_criteria, paper_criteria
 from repro.analysis.pareto_metrics import compare_fronts
 from repro.analysis.runtime_eval import run_runtime_study
-from repro.core.lens import LensConfig, LensSearch
-from repro.core.traditional import TraditionalSearch
+from repro.api import EvaluationEngine, SearchRequest, build_context, run_search
 from repro.nn.search_space import LensSearchSpace
 from repro.utils.serialization import dump_json, load_json, to_jsonable
 from repro.wireless.traces import generate_lte_trace
@@ -30,30 +29,27 @@ def pipeline():
         fc_units=(256, 2048),
         min_pool_layers=3,
     )
-    config = LensConfig(
-        wireless_technology="wifi",
-        expected_uplink_mbps=3.0,
+    request = SearchRequest(
+        scenario="wifi-3mbps/jetson-tx2-gpu",
         num_initial=8,
         num_iterations=16,
         candidate_pool_size=48,
         predictor_samples_per_type=80,
         seed=7,
     )
-    lens = LensSearch(search_space=space, config=config)
-    lens_result = lens.run()
-    traditional = TraditionalSearch(
-        search_space=space, config=config, predictor=lens.predictor
-    )
-    traditional_result = traditional.run()
-    partitioned = traditional.partition_result(traditional_result)
+    engine = EvaluationEngine()
+    lens_result = run_search(request, search_space=space, engine=engine).result
+    traditional_result = run_search(
+        request, strategy="traditional", search_space=space, engine=engine
+    ).result
     return {
         "space": space,
-        "config": config,
-        "lens": lens,
+        "request": request,
+        # the resolved components (predictor, channel, analyzer) of the runs
+        "context": build_context(request, search_space=space, engine=engine),
         "lens_result": lens_result,
-        "traditional": traditional,
         "traditional_result": traditional_result,
-        "partitioned": partitioned,
+        "partitioned": traditional_result.partitioned(),
     }
 
 
@@ -84,7 +80,7 @@ def test_offloading_and_splits_shape_the_full_search_space(pipeline):
     form of offloading for energy, and architectures with a cheap convolutional
     prefix followed by heavy fully-connected layers prefer a genuine split."""
     full_space = LensSearchSpace()
-    analyzer = pipeline["lens"].analyzer
+    analyzer = pipeline["context"].analyzer
 
     offload_count = 0
     for seed in range(20):
@@ -124,9 +120,7 @@ def test_partitioned_traditional_still_leaves_room_for_lens(pipeline):
 
 
 def test_criteria_comparison_runs_over_paper_thresholds(pipeline):
-    full_partitioned = pipeline["traditional"].partition_result(
-        pipeline["traditional_result"], pareto_only=False
-    )
+    full_partitioned = pipeline["traditional_result"].partitioned(pareto_only=False)
     comparisons = compare_criteria(
         pipeline["lens_result"], full_partitioned, paper_criteria()
     )
@@ -135,13 +129,13 @@ def test_criteria_comparison_runs_over_paper_thresholds(pipeline):
 
 
 def test_runtime_study_on_a_frontier_model(pipeline):
-    lens = pipeline["lens"]
+    context = pipeline["context"]
     front = pipeline["lens_result"].pareto_candidates(("error_percent", "energy_j"))
     model = front[0]
     architecture = pipeline["space"].decode_for_performance(model.genotype)
     trace = generate_lte_trace(num_samples=20, mean_mbps=8.0, seed=1)
     study = run_runtime_study(
-        "model A", architecture, lens.predictor, lens.channel, trace, metric="energy"
+        "model A", architecture, context.predictor, context.channel, trace, metric="energy"
     )
     dynamic = study.comparison.cumulative["dynamic"]
     assert all(dynamic <= value + 1e-12 for value in study.comparison.cumulative.values())
@@ -158,10 +152,12 @@ def test_results_serialise_to_json(pipeline, tmp_path):
 
 
 def test_search_is_fully_reproducible_end_to_end(pipeline):
-    config = pipeline["config"]
-    rerun = LensSearch(
-        search_space=pipeline["space"], config=config, predictor=pipeline["lens"].predictor
-    ).run()
+    rerun = run_search(
+        pipeline["request"],
+        search_space=pipeline["space"],
+        predictor=pipeline["context"].predictor,
+        engine=EvaluationEngine(),
+    ).result
     original = pipeline["lens_result"].objective_matrix(("error_percent", "energy_j"))
     repeated = rerun.objective_matrix(("error_percent", "energy_j"))
     assert np.allclose(original, repeated)

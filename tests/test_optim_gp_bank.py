@@ -67,19 +67,6 @@ class TestGaussianProcessExtend:
         gp = GaussianProcess().extend(X, y)
         assert gp.is_fitted and gp.num_observations == 8
 
-    def test_exact_refit_mode(self, rng):
-        X, y = _stream(rng, 20)
-        probe = rng.uniform(size=(7, 3))
-        fallback = GaussianProcess(update_mode="exact-refit")
-        fallback.fit(X[:10], y[:10]).extend(X[10:], y[10:])
-        exact = GaussianProcess().fit(X, y)
-        for a, b in zip(fallback.predict(probe), exact.predict(probe)):
-            assert np.array_equal(a, b)  # literally the same code path
-
-    def test_update_mode_validated(self):
-        with pytest.raises(ValueError):
-            GaussianProcess(update_mode="sometimes")
-
     def test_extend_validates_shapes(self, rng):
         X, y = _stream(rng, 10)
         gp = GaussianProcess().fit(X, y)
@@ -112,13 +99,13 @@ class TestGaussianProcessExtend:
 
 
 class TestGPBank:
-    def _bank_and_models(self, rng, n=25, k=3, mode="incremental"):
+    def _bank_and_models(self, rng, n=25, k=3):
         d = 4
         X = rng.uniform(size=(n, d))
         Y = np.column_stack(
             [np.sin((j + 1) * X[:, 0]) + X[:, min(j, d - 1)] for j in range(k)]
         )
-        bank = GPBank(k, kernel=Matern52Kernel(lengthscale=0.5), update_mode=mode)
+        bank = GPBank(k, kernel=Matern52Kernel(lengthscale=0.5))
         bank.fit(X, Y)
         reference = [
             GaussianProcess(kernel=Matern52Kernel(lengthscale=0.5)).fit(X, Y[:, j])
@@ -162,12 +149,11 @@ class TestGPBank:
         Y = rng.uniform(size=(30, k))
         probe = rng.uniform(size=(10, d))
         inc = GPBank(k, kernel=Matern52Kernel(lengthscale=0.5))
-        cold = GPBank(k, kernel=Matern52Kernel(lengthscale=0.5), update_mode="exact-refit")
         for n in range(5, 31):
             # Rescale targets every step, like the MOBO loop's re-normalisation.
             target = Y[:n] / Y[:n].max(axis=0)
             inc.update(X[:n], target)
-            cold.update(X[:n], target)
+            cold = GPBank(k, kernel=Matern52Kernel(lengthscale=0.5)).fit(X[:n], target)
             for a, b in zip(inc.predict(probe), cold.predict(probe)):
                 assert np.allclose(a, b, atol=1e-8)
 

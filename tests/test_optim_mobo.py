@@ -1,11 +1,10 @@
-"""Tests for the MOBO loop and the random-search baseline on synthetic problems."""
+"""Tests for the MOBO loop on synthetic problems."""
 
 import numpy as np
 import pytest
 
 from repro.optim.mobo import MultiObjectiveBayesianOptimizer, OptimizationResult
-from repro.optim.pareto import coverage, hypervolume_2d, pareto_front_mask
-from repro.optim.random_search import RandomSearch
+from repro.optim.pareto import coverage, hypervolume_2d
 
 # A small bi-objective problem over a discrete grid (a ZDT1-like trade-off).
 GRID = 21
@@ -75,13 +74,8 @@ class TestMOBO:
 
     def test_bo_beats_random_search_on_hypervolume(self):
         bo = _make_optimizer(num_initial=8, num_iterations=25, seed=1).run()
-        rs = RandomSearch(
-            sample_fn=_sample,
-            feature_fn=_features,
-            objective_fn=_objectives,
-            num_objectives=2,
-            num_evaluations=33,
-            seed=1,
+        rs = _make_optimizer(
+            num_initial=8, num_iterations=25, acquisition="random", seed=1
         ).run()
         reference = [1.2, 1.2]
         hv_bo = hypervolume_2d(bo.pareto_objectives(), reference)
@@ -160,34 +154,3 @@ class TestMOBO:
         assert data["num_objectives"] == 2
         assert len(data["points"]) == 8
 
-
-class TestRandomSearch:
-    def test_runs_requested_budget(self):
-        result = RandomSearch(
-            sample_fn=_sample,
-            feature_fn=_features,
-            objective_fn=_objectives,
-            num_objectives=2,
-            num_evaluations=15,
-            seed=0,
-        ).run()
-        assert len(result) == 15
-        assert all(p.phase == "random" for p in result.points)
-
-    def test_front_is_non_dominated(self):
-        result = RandomSearch(
-            sample_fn=_sample,
-            feature_fn=_features,
-            objective_fn=_objectives,
-            num_objectives=2,
-            num_evaluations=30,
-            seed=2,
-        ).run()
-        front = result.pareto_objectives()
-        assert np.all(pareto_front_mask(front))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomSearch(_sample, _features, _objectives, num_objectives=0)
-        with pytest.raises(ValueError):
-            RandomSearch(_sample, _features, _objectives, num_objectives=2, num_evaluations=0)

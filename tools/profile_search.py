@@ -1,21 +1,18 @@
 #!/usr/bin/env python
-"""cProfile harness for one search run, split by surrogate vs evaluation work.
+"""cProfile harness for one search run, split by subsystem.
 
 Runs :func:`repro.api.run_search` under cProfile and prints the hottest
 functions plus an aggregate split of where the time went: the surrogate
 engine (``repro.optim.gp`` / ``gp_bank`` / ``kernels``), acquisition
-scoring, Pareto bookkeeping, and candidate evaluation (predictors +
-Algorithm 1).  Use ``--gp-update exact-refit`` to profile the pre-bank
-cold-refit behaviour and quantify the incremental fast path on a real
-search::
+scoring, Pareto bookkeeping, genotype sampling, repair and decoding
+(``repro.nn``), and candidate evaluation (predictors, Algorithm 1, the
+channel model, the engine caches).  Time no bucket claims — numpy builtins
+called from all of them, the MOBO loop, the profiler itself — is printed as
+the unattributed remainder, so the rows sum to wall time.  ``--phase eval``
+breaks the candidate-evaluation row down further::
 
     PYTHONPATH=src python tools/profile_search.py --evaluations 300
-    PYTHONPATH=src python tools/profile_search.py --evaluations 300 \
-        --gp-update exact-refit
-
-The harness only flips :data:`repro.optim.mobo.DEFAULT_GP_UPDATE`; request
-envelopes and fingerprints are untouched, so profiled runs select exactly
-the candidates a normal run would.
+    PYTHONPATH=src python tools/profile_search.py --evaluations 100 --phase eval
 """
 
 from __future__ import annotations
@@ -29,30 +26,31 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import repro.optim.mobo as mobo  # noqa: E402
 from repro.api import run_search  # noqa: E402
-from repro.optim.gp import UPDATE_MODES  # noqa: E402
 
-#: Module substrings used to attribute cumulative time to subsystems.
-BUCKETS = {
-    "surrogate (gp/bank/kernels)": ("optim/gp.py", "optim/gp_bank.py", "optim/kernels.py"),
-    "acquisition + scalarisation": ("optim/acquisition.py", "optim/scalarization.py"),
-    "pareto bookkeeping": ("optim/pareto.py",),
-    "candidate evaluation": ("core/evaluation.py", "partition/", "hardware/", "accuracy/"),
-}
-
-#: Finer attribution inside the evaluation phase (``--phase eval``): which
+#: Finer attribution inside candidate evaluation (``--phase eval``): which
 #: share goes to the per-layer predictors, the partition costing, the channel
-#: cost model, decoding/shape inference, the accuracy surrogate and the
-#: engine's caching layer.  Order matters — first match wins.
+#: cost model, the accuracy surrogate, the engine's caching layer and the
+#: one-off predictor training.  Order matters — first match wins.
 EVAL_BUCKETS = {
     "layer predictors + features": ("hardware/predictors.py", "hardware/features.py"),
     "partition costing": ("partition/",),
     "channel cost model": ("wireless/",),
-    "nn: decode/sampling/shapes": ("nn/",),
     "accuracy surrogate": ("accuracy/",),
     "engine caching": ("api/engine.py",),
     "evaluator glue": ("core/evaluation.py",),
+    "predictor training (simulator)": ("hardware/",),
+}
+
+#: Module substrings used to attribute internal time to subsystems.
+BUCKETS = {
+    "surrogate (gp/bank/kernels)": ("optim/gp.py", "optim/gp_bank.py", "optim/kernels.py"),
+    "acquisition + scalarisation": ("optim/acquisition.py", "optim/scalarization.py"),
+    "pareto bookkeeping": ("optim/pareto.py",),
+    "nn: sample/repair/decode": ("nn/",),
+    "candidate evaluation": tuple(
+        fragment for fragments in EVAL_BUCKETS.values() for fragment in fragments
+    ),
 }
 
 
@@ -70,14 +68,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--predictor-samples", type=int, default=80)
     parser.add_argument("--seed", type=int, default=2021)
     parser.add_argument(
-        "--gp-update", choices=UPDATE_MODES, default="incremental",
-        help="surrogate conditioning mode to profile",
-    )
-    parser.add_argument(
         "--phase", choices=("all", "eval"), default="all",
         help=(
-            "'eval' adds an evaluation-phase breakdown (predictor vs "
-            "partition vs channel vs decode time)"
+            "'eval' adds a breakdown of the candidate-evaluation row "
+            "(predictor vs partition vs channel vs accuracy time)"
         ),
     )
     parser.add_argument(
@@ -103,7 +97,6 @@ def bucket_times(stats: pstats.Stats, buckets: dict = BUCKETS) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    mobo.DEFAULT_GP_UPDATE = args.gp_update
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
@@ -127,11 +120,12 @@ def main(argv=None) -> int:
     totals = bucket_times(stats)
     print(
         f"run: {args.strategy} / {args.scenario} / {args.search_space}, "
-        f"{len(outcome.candidates)} evaluations, gp_update={args.gp_update}, "
-        f"{elapsed:.2f}s wall"
+        f"{len(outcome.candidates)} evaluations, {elapsed:.2f}s wall"
     )
     print("time by subsystem (internal time, seconds):")
-    for name, seconds in sorted(totals.items(), key=lambda item: -item[1]):
+    rows = sorted(totals.items(), key=lambda item: -item[1])
+    rows.append(("unattributed (builtins, glue)", elapsed - sum(totals.values())))
+    for name, seconds in rows:
         share = 100.0 * seconds / elapsed if elapsed > 0 else 0.0
         print(f"  {name:<30} {seconds:8.3f}s  ({share:5.1f}% of wall)")
 
@@ -139,12 +133,12 @@ def main(argv=None) -> int:
         eval_totals = bucket_times(stats, EVAL_BUCKETS)
         phase_total = sum(eval_totals.values())
         print(
-            "evaluation-phase breakdown "
+            "candidate-evaluation breakdown "
             f"(internal time, {phase_total:.3f}s total):"
         )
         for name, seconds in sorted(eval_totals.items(), key=lambda item: -item[1]):
             share = 100.0 * seconds / phase_total if phase_total > 0 else 0.0
-            print(f"  {name:<30} {seconds:8.3f}s  ({share:5.1f}% of phase)")
+            print(f"  {name:<30} {seconds:8.3f}s  ({share:5.1f}% of row)")
     return 0
 
 
