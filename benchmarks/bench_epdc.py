@@ -90,7 +90,7 @@ def _golden_parity():
         result = MultiObjectiveBayesianOptimizer(
             sample_fn=_sample,
             feature_fn=_features,
-            objective_fn=_objectives,
+            batch_objective_fn=lambda cs: [_objectives(c) for c in cs],
             num_objectives=2,
             num_initial=6,
             num_iterations=12,

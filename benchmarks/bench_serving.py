@@ -7,7 +7,7 @@ plus one :class:`~repro.core.runtime.DynamicDeploymentController` per client
 — a Python loop over every client on every tick.  The serving layer
 (:mod:`repro.serving`) advances the whole fleet per tick with array ops:
 one EWMA update (:class:`~repro.serving.fleet.FleetTracker`) and one
-``searchsorted`` against precomputed dominance thresholds
+``argmin`` over the option costs
 (:class:`~repro.serving.fleet.FleetController`).
 
 This benchmark replays the same synthetic multi-region workload (including
@@ -277,12 +277,11 @@ def test_fleet_serving_speedup_and_parity(search_space, trained_gpu_predictor):
 def test_decision_methods_agree_at_exact_thresholds(
     search_space, trained_gpu_predictor
 ):
-    """intervals/values/scalar selection agree exactly *at* every threshold."""
+    """Fleet decisions, the costs argmin and the scalar choice agree *at* every threshold."""
     analysis = _build_analysis(search_space, trained_gpu_predictor)
-    controller = FleetController(analysis, 1)
-    thresholds = [
-        t for t in controller.table.thresholds.tolist() if t and t > 0.0
-    ]
+    thresholds = sorted(
+        {t for t in analysis.thresholds().values() if t and t > 0.0}
+    )
     if not thresholds:
         return  # no crossovers in range: nothing to probe
     probes = np.array(
@@ -291,7 +290,7 @@ def test_decision_methods_agree_at_exact_thresholds(
     scalar = [
         analysis.options.index(analysis.best_option(float(p))) for p in probes
     ]
-    for method in ("intervals", "values"):
-        fleet = FleetController(analysis, probes.size, method=method)
-        choice = fleet.decide(probes)
-        assert choice.tolist() == scalar, f"method {method!r} broke tie parity"
+    fleet = FleetController(analysis, probes.size)
+    assert fleet.decide(probes).tolist() == scalar, "fleet decisions broke tie parity"
+    argmin = np.argmin(analysis.costs(probes), axis=0)
+    assert argmin.tolist() == scalar, "the costs argmin broke tie parity"

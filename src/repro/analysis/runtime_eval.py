@@ -18,7 +18,6 @@ from repro.hardware.predictors import BaseLayerPredictor
 from repro.nn.architecture import Architecture
 from repro.partition.deployment import DeploymentMetrics
 from repro.wireless.channel import WirelessChannel
-from repro.wireless.tracker import ThroughputTracker
 from repro.wireless.traces import ThroughputTrace
 
 
@@ -66,7 +65,6 @@ def run_runtime_study(
     metric: str = "energy",
     include_all_cloud: bool = False,
     include_all_edge: bool = True,
-    tracker: Optional[ThroughputTracker] = None,
 ) -> RuntimeStudy:
     """Run the Fig. 8 analysis for one model over one throughput trace."""
     options = select_runtime_options(
@@ -83,7 +81,7 @@ def run_runtime_study(
         round_trip_s=channel.round_trip_s,
         metric=metric,
     )
-    comparison = simulate_runtime(analysis, trace, tracker=tracker)
+    comparison = simulate_runtime(analysis, trace)
     return RuntimeStudy(
         model_label=model_label,
         metric=metric,

@@ -197,7 +197,6 @@ def _run_mobo(context: SearchContext, label: str) -> Tuple[SearchResult, Optimiz
     optimizer = MultiObjectiveBayesianOptimizer(
         sample_fn=context.evaluator.sample_fn,
         feature_fn=context.evaluator.feature_fn,
-        objective_fn=context.evaluator.objective_fn,
         batch_objective_fn=context.evaluator.evaluate_pool,
         num_objectives=len(OBJECTIVES),
         num_initial=request.num_initial,

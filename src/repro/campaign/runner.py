@@ -57,7 +57,6 @@ from repro.campaign.executors import (
     EXECUTORS,
     CampaignExecutor,
     ExecutionContext,
-    _execute_request,  # noqa: F401  (re-exported; pickled by older callers)
     resolve_executor,
 )
 from repro.campaign.gridspec import CampaignSpec, expand_requests

@@ -71,7 +71,6 @@ from repro.core.results import SearchResult
 from repro.core.runtime import ThresholdAnalysis
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
 from repro.serving import FleetWorkload, ServingSession
-from repro.serving.fleet import DECISION_METHODS
 from repro.utils.serialization import dump_json, format_table, to_jsonable
 
 
@@ -408,9 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="P",
                               help="probability a client skips reporting on a "
                                    "tick (default: 0)")
-    serve_parser.add_argument("--method", choices=DECISION_METHODS,
-                              default="auto",
-                              help="fleet decision method (default: auto)")
     serve_parser.add_argument("--seed", type=int, default=0,
                               help="workload synthesis seed (default: 0)")
     serve_parser.add_argument("--format", choices=("table", "markdown", "json"),
@@ -791,7 +787,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         analysis, workload,
         smoothing=args.smoothing,
         latency_sla_s=None if args.sla_ms is None else args.sla_ms / 1e3,
-        method=args.method,
     ).run()
 
     context = {

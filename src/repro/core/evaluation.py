@@ -182,10 +182,6 @@ class PartitionAwareEvaluator:
         return objectives, {"evaluation": evaluation}
 
     # ------------------------------------------------------------------ adapters for the MOBO loop
-    def objective_fn(self, genotype: Sequence[int]) -> Tuple[np.ndarray, Dict]:
-        """Adapter matching the optimizer's ``objective_fn`` signature."""
-        return self.evaluate_genotype(genotype)
-
     def feature_fn(self, genotype: Sequence[int]) -> np.ndarray:
         """Adapter returning the genotype's unit-cube features."""
         return self.search_space.to_features(genotype)

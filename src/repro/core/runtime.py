@@ -13,9 +13,11 @@ dominant option in O(1).  This module provides:
   only the communication terms depend on ``tu``);
 * :class:`ThresholdAnalysis` — pairwise crossover thresholds and dominance
   intervals (the 6.77 Mbps / 22.77 Mbps numbers of §V-C are instances of
-  these);
-* :class:`DynamicDeploymentController` — the runtime switcher driven by a
-  :class:`~repro.wireless.tracker.ThroughputTracker`;
+  these), plus :meth:`ThresholdAnalysis.costs`, the vectorized option costs
+  whose ``argmin`` is the one definition of a runtime decision;
+* :class:`DynamicDeploymentController` — the scalar single-device switcher
+  driven by a :class:`~repro.wireless.tracker.ThroughputTracker` (the
+  reference the array paths are held bitwise equal to);
 * :func:`simulate_runtime` — trace-driven comparison of fixed deployments
   against dynamic switching (the Fig. 8 experiment).
 """
@@ -159,10 +161,17 @@ class ThresholdAnalysis:
             raise ValueError("at least two deployment options are required")
         if metric not in RUNTIME_METRICS:
             raise ValueError(f"metric must be one of {RUNTIME_METRICS}, got {metric!r}")
+        # Thresholds and trace replays are keyed by option label.
+        if len({m.option.label for m in options}) != len(options):
+            raise ValueError("deployment options must have distinct labels")
         self.options = tuple(options)
         self.power_model = power_model
         self.round_trip_s = float(round_trip_s)
         self.metric = metric
+        self._transferred_bytes, self._edge_latency_s, self._edge_energy_j = np.array(
+            [[m.transferred_bytes, m.edge_latency_s, m.edge_energy_j] for m in self.options],
+            dtype=np.float64,
+        ).T
 
     # ------------------------------------------------------------------ evaluation
     def value(self, metrics: DeploymentMetrics, uplink_mbps: float) -> float:
@@ -174,6 +183,44 @@ class ThresholdAnalysis:
     def best_option(self, uplink_mbps: float) -> DeploymentMetrics:
         """Option with the lowest metric value at the given throughput."""
         return min(self.options, key=lambda m: self.value(m, uplink_mbps))
+
+    def costs(
+        self,
+        uplinks_mbps: np.ndarray,
+        option_indices: Optional[np.ndarray] = None,
+        metric: Optional[str] = None,
+    ) -> np.ndarray:
+        """Metric values of options at throughputs, in one array expression.
+
+        With ``option_indices=None`` this is the ``(num_options, n)`` matrix
+        whose element ``[i, j]`` is ``value(options[i], uplinks_mbps[j])``;
+        otherwise the indices broadcast against the throughputs, one value per
+        ``(index, throughput)`` pair.  The arithmetic replicates
+        :func:`deployment_latency` / :func:`deployment_energy` operation for
+        operation (IEEE-754 makes the element-wise numpy ops identical to the
+        scalar float ops), so values match :meth:`value` bit for bit and an
+        ``argmin`` over axis 0 picks the :meth:`best_option` index, ties
+        included.  That ``argmin`` is the runtime decision.  ``metric``
+        overrides the analysis metric (SLA accounting is always latency).
+        """
+        metric = self.metric if metric is None else metric
+        uplinks = np.asarray(uplinks_mbps, dtype=np.float64)
+        if option_indices is None:
+            option_indices = np.arange(len(self.options))[:, None]
+        transferred = self._transferred_bytes[option_indices]
+        # mbps_to_bytes_per_second, element-wise in scalar evaluation order.
+        transmission = transferred / (uplinks * 1e6 / 8.0)
+        if metric == "latency":
+            edge = self._edge_latency_s[option_indices]
+            values = (edge + transmission) + self.round_trip_s
+        elif metric == "energy":
+            edge = self._edge_energy_j[option_indices]
+            power = self.power_model
+            power_w = power.alpha_w_per_mbps * uplinks + power.beta_w
+            values = edge + power_w * transmission
+        else:
+            raise ValueError(f"metric must be one of {RUNTIME_METRICS}, got {metric!r}")
+        return np.where(transferred <= 0.0, edge, values)
 
     def thresholds(self) -> Dict[Tuple[str, str], Optional[float]]:
         """Pairwise crossover thresholds keyed by option labels."""
@@ -199,24 +246,21 @@ class ThresholdAnalysis:
     ) -> List[DominanceInterval]:
         """Throughput intervals over which each option is the best choice.
 
-        The interval boundaries are located on a fine logarithmic grid and
-        refined against the exact pairwise thresholds where available.
+        The interval boundaries are located on a fine logarithmic grid, whose
+        winners are the :meth:`costs` ``argmin`` at every grid point.
         """
         grid = np.geomspace(min_mbps, max_mbps, resolution)
-        winners = [self.best_option(tu).option for tu in grid]
-        intervals: List[DominanceInterval] = []
-        start = 0
-        for i in range(1, len(grid) + 1):
-            if i == len(grid) or winners[i] != winners[start]:
-                intervals.append(
-                    DominanceInterval(
-                        option=winners[start],
-                        low_mbps=float(grid[start]),
-                        high_mbps=float(grid[i - 1]),
-                    )
-                )
-                start = i
-        return intervals
+        winners = np.argmin(self.costs(grid), axis=0)
+        starts = np.flatnonzero(np.diff(winners, prepend=-1))
+        ends = np.append(starts[1:], grid.size) - 1
+        return [
+            DominanceInterval(
+                option=self.options[winners[start]].option,
+                low_mbps=float(grid[start]),
+                high_mbps=float(grid[end]),
+            )
+            for start, end in zip(starts, ends)
+        ]
 
     def switching_threshold(self) -> Optional[float]:
         """The single threshold separating the two dominant options, if any.
@@ -318,33 +362,31 @@ class RuntimeComparison:
 
 
 def simulate_runtime(
-    analysis: ThresholdAnalysis,
-    trace: ThroughputTrace,
-    tracker: Optional[ThroughputTracker] = None,
+    analysis: ThresholdAnalysis, trace: ThroughputTrace
 ) -> RuntimeComparison:
     """Replay a throughput trace against fixed and dynamic deployments.
 
     For every trace sample one inference is issued.  Fixed strategies always
-    use their designated deployment option; the dynamic strategy consults the
-    throughput tracker and uses the currently dominant option.  All strategies
-    are charged using the *actual* throughput of the sample.
+    use their designated deployment option; the dynamic strategy trusts the
+    latest measurement (the paper's memoryless O(1) switcher) and uses the
+    option that costs least at it.  All strategies are charged using the
+    *actual* throughput of the sample.  The whole replay is one
+    :meth:`ThresholdAnalysis.costs` matrix: its rows are the fixed
+    strategies and its column ``argmin`` is the dynamic choice.
     """
-    controller = DynamicDeploymentController(analysis, tracker=tracker)
+    uplinks = trace.uplinks_mbps
+    require_positive(float(uplinks.min()), "uplink_mbps")
+    costs = analysis.costs(uplinks)
+    chosen = np.argmin(costs, axis=0)
     per_sample: Dict[str, List[float]] = {
-        metrics.option.label: [] for metrics in analysis.options
+        metrics.option.label: row.tolist()
+        for metrics, row in zip(analysis.options, costs)
     }
-    per_sample["dynamic"] = []
-    for sample in trace:
-        for metrics in analysis.options:
-            per_sample[metrics.option.label].append(
-                analysis.value(metrics, sample.uplink_mbps)
-            )
-        chosen = controller.observe_and_select(sample.uplink_mbps)
-        per_sample["dynamic"].append(analysis.value(chosen, sample.uplink_mbps))
+    per_sample["dynamic"] = costs[chosen, np.arange(uplinks.size)].tolist()
     cumulative = {label: float(np.sum(values)) for label, values in per_sample.items()}
     return RuntimeComparison(
         metric=analysis.metric,
         cumulative=cumulative,
         per_sample=per_sample,
-        num_switches=controller.num_switches,
+        num_switches=int(np.count_nonzero(chosen[1:] != chosen[:-1])),
     )

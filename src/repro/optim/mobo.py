@@ -47,9 +47,8 @@ from repro.utils.rng import SeedLike, ensure_rng
 FeatureFn = Callable[[Any], np.ndarray]
 #: Callable sampling a random candidate.
 SampleFn = Callable[[np.random.Generator], Any]
-#: Callable evaluating a candidate; returns objectives or (objectives, metadata).
-ObjectiveFn = Callable[[Any], Any]
-#: Callable evaluating a candidate pool; returns one objective output per candidate.
+#: Callable evaluating a candidate pool; returns one output per candidate,
+#: each objectives or (objectives, metadata).
 BatchObjectiveFn = Callable[[Sequence[Any]], Sequence[Any]]
 #: Optional callable proposing neighbours of a candidate.
 NeighborFn = Callable[[Any, int, np.random.Generator], Sequence[Any]]
@@ -164,20 +163,18 @@ class MultiObjectiveBayesianOptimizer:
         ``sample_fn(rng) -> candidate`` — draws a random valid candidate.
     feature_fn:
         ``feature_fn(candidate) -> 1-D array`` — unit-cube features for the GPs.
-    objective_fn:
-        ``objective_fn(candidate) -> objectives`` (all minimised) or
-        ``(objectives, metadata)``.
     batch_objective_fn:
-        Optional ``batch_objective_fn(candidates) -> outputs`` evaluating a
-        whole candidate pool at once (one ``objective_fn``-style output per
-        candidate, in order).  When supplied, the random-initialisation pool
-        and each iteration's selected candidate are costed through it —
-        e.g. :meth:`repro.core.evaluation.PartitionAwareEvaluator.evaluate_pool`,
+        ``batch_objective_fn(candidates) -> outputs`` evaluating a whole
+        candidate pool at once: one output per candidate, in order, each
+        ``objectives`` (all minimised) or ``(objectives, metadata)``.  The
+        random-initialisation pool and each iteration's selected candidates
+        are costed through it — e.g.
+        :meth:`repro.core.evaluation.PartitionAwareEvaluator.evaluate_pool`,
         which batches the per-layer predictors and the partition costing
-        across the pool.  Results, bookkeeping order and callbacks are
-        identical to the scalar path.
+        across the pool.  A per-candidate objective ``f`` plugs in as
+        ``lambda candidates: [f(c) for c in candidates]``.
     num_objectives:
-        Number of objectives returned by ``objective_fn``.
+        Number of objectives per candidate.
     num_initial / num_iterations:
         Random-initialisation budget and Bayesian-optimization budget
         (``C_init`` and ``N_iter`` in Algorithm 2).
@@ -225,7 +222,7 @@ class MultiObjectiveBayesianOptimizer:
         fail-fast :class:`ValueError`.
     objective_retries / retry_backoff_s:
         Retry budget for flaky objective functions: a raising
-        ``objective_fn`` / ``batch_objective_fn`` call is retried up to
+        ``batch_objective_fn`` call (one whole pool) is retried up to
         ``objective_retries`` times (default 0 — off), sleeping
         ``retry_backoff_s * 2**(attempt-1)`` between attempts and recording
         each retry as an ``H_OBJECTIVE_RETRY`` health event.
@@ -239,9 +236,9 @@ class MultiObjectiveBayesianOptimizer:
         self,
         sample_fn: SampleFn,
         feature_fn: FeatureFn,
-        objective_fn: ObjectiveFn,
+        *,
+        batch_objective_fn: BatchObjectiveFn,
         num_objectives: int,
-        batch_objective_fn: Optional[BatchObjectiveFn] = None,
         num_initial: int = 10,
         num_iterations: int = 50,
         candidate_pool_size: int = 128,
@@ -279,7 +276,6 @@ class MultiObjectiveBayesianOptimizer:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.sample_fn = sample_fn
         self.feature_fn = feature_fn
-        self.objective_fn = objective_fn
         self.batch_objective_fn = batch_objective_fn
         self.num_objectives = int(num_objectives)
         self.num_initial = int(num_initial)
@@ -328,7 +324,7 @@ class MultiObjectiveBayesianOptimizer:
     def _record(
         self, candidate: Any, output: Any, iteration: int, phase: str
     ) -> ObservedPoint:
-        """Book-keep one evaluated candidate (shared by both evaluation paths)."""
+        """Book-keep one evaluated candidate."""
         objectives, metadata = _normalize_objective_output(output)
         ordinal = self._evaluation_count
         self._evaluation_count += 1
@@ -401,15 +397,15 @@ class MultiObjectiveBayesianOptimizer:
             )
         return point
 
-    def _call_objective(self, fn: Callable[[Any], Any], argument: Any) -> Any:
-        """Call an objective function with optional retry-with-backoff."""
+    def _call_objective(self, candidates: Sequence[Any]) -> Sequence[Any]:
+        """Call the pool objective with optional retry-with-backoff."""
         attempt = 0
         while True:
             try:
                 injector = faults.active()
                 if injector is not None and injector.take_objective_fault():
                     raise RuntimeError("injected objective failure")
-                return fn(argument)
+                return self.batch_objective_fn(candidates)
             except Exception as error:
                 attempt += 1
                 if attempt > self.objective_retries:
@@ -424,15 +420,11 @@ class MultiObjectiveBayesianOptimizer:
                 if self.retry_backoff_s > 0:
                     time.sleep(self.retry_backoff_s * 2 ** (attempt - 1))
 
-    def _evaluate(self, candidate: Any, iteration: int, phase: str) -> ObservedPoint:
-        output = self._call_objective(self.objective_fn, candidate)
-        return self._record(candidate, output, iteration, phase)
-
     def _evaluate_batch(
         self, candidates: Sequence[Any], first_iteration: int, phase: str
     ) -> List[ObservedPoint]:
         """Evaluate a pool through ``batch_objective_fn``, book-keeping in order."""
-        outputs = self._call_objective(self.batch_objective_fn, candidates)
+        outputs = self._call_objective(candidates)
         if len(outputs) != len(candidates):
             raise ValueError(
                 f"batch objective function returned {len(outputs)} outputs "
@@ -474,10 +466,10 @@ class MultiObjectiveBayesianOptimizer:
     ) -> Any:
         """Sample a candidate not yet evaluated (nor in ``pending``).
 
-        ``pending`` lets the pool-evaluation path pre-sample a whole batch
-        with exactly the rejection behaviour of interleaved
-        sample-then-evaluate: sampling consumes the generator, evaluation
-        never does, so the draw sequence is identical either way.
+        ``pending`` lets the initial pool be pre-sampled with exactly the
+        rejection behaviour of interleaved sample-then-evaluate: sampling
+        consumes the generator, evaluation never does, so the draw sequence
+        is identical either way.
         """
         for _ in range(max_attempts):
             candidate = self.sample_fn(self._rng)
@@ -485,6 +477,11 @@ class MultiObjectiveBayesianOptimizer:
             if key not in self._seen and (pending is None or key not in pending):
                 return candidate
         # The space may be nearly exhausted; accept a duplicate rather than stall.
+        if self.health is not None:
+            self.health.record(
+                "H_DUPLICATE_ACCEPTED",
+                f"no unseen candidate in {max_attempts} draws; accepting a possible duplicate",
+            )
         return self.sample_fn(self._rng)
 
     # ------------------------------------------------------------------ pool construction
@@ -551,22 +548,17 @@ class MultiObjectiveBayesianOptimizer:
     # ------------------------------------------------------------------ main loop
     def run(self) -> OptimizationResult:
         """Execute the full optimization and return every observation."""
-        # Random initialisation (Algorithm 2, lines 2-6).  With a batch
-        # objective the whole initial pool is sampled up front (the draw
-        # sequence is identical — evaluation never consumes the generator)
+        # Random initialisation (Algorithm 2, lines 2-6): the whole initial
+        # pool is sampled up front (the draw sequence is that of interleaved
+        # sample-then-evaluate — evaluation never consumes the generator)
         # and costed in one batched evaluation.
-        if self.batch_objective_fn is not None:
-            initial: List[Any] = []
-            pending: set = set()
-            for _ in range(self.num_initial):
-                candidate = self._sample_unseen(pending=pending)
-                pending.add(self.key_fn(candidate))
-                initial.append(candidate)
-            self._evaluate_batch(initial, first_iteration=0, phase="init")
-        else:
-            for i in range(self.num_initial):
-                candidate = self._sample_unseen()
-                self._evaluate(candidate, iteration=i, phase="init")
+        initial: List[Any] = []
+        pending: set = set()
+        for _ in range(self.num_initial):
+            candidate = self._sample_unseen(pending=pending)
+            pending.add(self.key_fn(candidate))
+            initial.append(candidate)
+        self._evaluate_batch(initial, first_iteration=0, phase="init")
 
         # MOBO iterations (Algorithm 2, lines 7-14).  The BO budget is
         # num_iterations *evaluations*; each step proposes min(batch_size,
@@ -634,19 +626,9 @@ class MultiObjectiveBayesianOptimizer:
             else:
                 indices = select_batch(scalar, pool_features, q)
                 chosen = [pool[index] for index in indices]
-            if self.batch_objective_fn is not None:
-                self._evaluate_batch(
-                    chosen,
-                    first_iteration=self.num_initial + consumed,
-                    phase="bo",
-                )
-            else:
-                for offset, candidate in enumerate(chosen):
-                    self._evaluate(
-                        candidate,
-                        iteration=self.num_initial + consumed + offset,
-                        phase="bo",
-                    )
+            self._evaluate_batch(
+                chosen, first_iteration=self.num_initial + consumed, phase="bo"
+            )
             consumed += len(chosen)
             step += 1
 

@@ -59,6 +59,7 @@ HEALTH_CODES: Dict[str, str] = {
     "H_RANDOM_ACQUISITION": "surrogate stage failed; iteration fell back to random sampling",
     "H_OBJECTIVE_QUARANTINED": "non-finite objectives recorded but excluded from archive/GP",
     "H_OBJECTIVE_RETRY": "flaky objective function raised and was retried",
+    "H_DUPLICATE_ACCEPTED": "no unseen candidate could be sampled; a possible duplicate was accepted",
     "H_CHECKPOINT_SAVED": "in-search checkpoint flushed to disk",
     "H_CHECKPOINT_CORRUPT": "unreadable checkpoint ignored; search started fresh",
     "H_RESUMED": "search resumed from checkpoint via engine-cache replay",

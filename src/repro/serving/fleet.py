@@ -1,59 +1,39 @@
 """Vectorized multi-client throughput tracking and deployment switching.
 
-The scalar runtime machinery (:class:`~repro.wireless.tracker.ThroughputTracker`
-driving a :class:`~repro.core.runtime.DynamicDeploymentController`) simulates
-*one* edge device.  Serving a campaign-produced deployment decision to a fleet
-of clients needs the same semantics at array scale:
+A runtime decision is the ``argmin`` over
+:meth:`~repro.core.runtime.ThresholdAnalysis.costs`: the deployment option
+that costs least at the client's throughput estimate.  Serving that decision
+to a fleet of clients needs the scalar single-device machinery
+(:class:`~repro.wireless.tracker.ThroughputTracker` driving a
+:class:`~repro.core.runtime.DynamicDeploymentController`) at array scale:
 
 * :class:`FleetTracker` advances N clients' EWMA throughput estimates in one
   array operation per tick — heterogeneous smoothing coefficients and priors,
   NaN-masked idle clients, and anomaly counting for measurements a scalar
   tracker would reject;
-* :class:`DecisionTable` precomputes the dominance structure of a
-  :class:`~repro.core.runtime.ThresholdAnalysis` — the exact pairwise
-  crossover thresholds and the winning option between consecutive
-  thresholds — so a fleet of estimates maps onto options via
-  :func:`numpy.searchsorted`;
-* :class:`FleetController` applies the table to the whole fleet's estimates
-  per tick, counting per-client switches exactly as the scalar controller
-  does.
+* :class:`FleetController` takes the ``argmin`` of the costs for the whole
+  fleet's estimates per tick, counting per-client switches exactly as the
+  scalar controller does.
 
 Parity contract
 ---------------
 Both classes are bit-exact sequels of their scalar references: feeding the
 same measurements produces byte-identical estimates and identical decisions,
-*including tie-breaking at exact threshold crossings*.  The vectorized cost
-expressions replicate the scalar evaluation order operation-for-operation,
-and the interval fast path falls back to an exact vectorized ``argmin`` of
-the option costs inside a narrow guard band around every threshold (where
-float rounding — not interval membership — decides the winner).  The
+*including tie-breaking at exact threshold crossings*, because ``costs``
+repeats the scalar cost expressions operation for operation.  The
 ``tests/test_serving_parity.py`` property suite holds this contract under
 random fleets, coefficients and traces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from repro.core.runtime import ThresholdAnalysis, pairwise_threshold
+from repro.core.runtime import ThresholdAnalysis
 
-__all__ = ["FleetTracker", "DecisionTable", "FleetController"]
-
-#: Relative half-width of the band around each threshold inside which
-#: decisions are recomputed by exact cost comparison instead of interval
-#: membership (float rounding decides ties there, as in the scalar path).
-GUARD_BAND_REL = 1e-9
-
-#: Relative cost difference below which two options are considered
-#: numerically indistinguishable over the probed throughput range; such
-#: analyses force the exact ``values`` decision method.
-DEGENERACY_REL = 1e-9
-
-#: Decision methods accepted by :class:`FleetController`.
-DECISION_METHODS = ("auto", "intervals", "values")
+__all__ = ["FleetTracker", "FleetController"]
 
 
 def _as_client_array(
@@ -173,194 +153,23 @@ class FleetTracker:
             self._estimates = np.where(active, updated, estimates)
         return self._estimates.copy()
 
-    def reset(self) -> None:
-        """Forget all estimates and counters (priors are not restored)."""
-        self._estimates = np.full(self.num_clients, np.nan, dtype=np.float64)
-        self._num_observations[:] = 0
-        self._anomalies[:] = 0
-
-
-# ---------------------------------------------------------------------- costing
-
-def _option_constants(analysis: ThresholdAnalysis) -> Tuple[np.ndarray, ...]:
-    """Per-option constants of the cost curves, in analysis option order."""
-    options = analysis.options
-    transferred = np.array([m.transferred_bytes for m in options], dtype=np.float64)
-    edge_latency = np.array([m.edge_latency_s for m in options], dtype=np.float64)
-    edge_energy = np.array([m.edge_energy_j for m in options], dtype=np.float64)
-    return transferred, edge_latency, edge_energy
-
-
-def _option_cost_matrix(
-    analysis: ThresholdAnalysis, uplinks_mbps: np.ndarray
-) -> np.ndarray:
-    """``(num_options, n)`` matrix of option costs at the given throughputs.
-
-    Element ``[i, j]`` equals ``analysis.value(analysis.options[i],
-    uplinks_mbps[j])`` bit-for-bit: the arithmetic replicates
-    :func:`repro.core.runtime.deployment_latency` /
-    :func:`~repro.core.runtime.deployment_energy` operation-for-operation
-    (IEEE-754 makes the element-wise numpy ops identical to the scalar
-    Python float ops), so an ``argmin`` over axis 0 reproduces the scalar
-    ``best_option`` selection including ties.
-    """
-    transferred, edge_latency, edge_energy = _option_constants(analysis)
-    uplinks = np.asarray(uplinks_mbps, dtype=np.float64)
-    # mbps_to_bytes_per_second, element-wise in scalar evaluation order.
-    bytes_per_second = uplinks * 1e6 / 8.0
-    transmission = transferred[:, None] / bytes_per_second[None, :]
-    if analysis.metric == "latency":
-        values = (edge_latency[:, None] + transmission) + analysis.round_trip_s
-        no_comm_values = np.broadcast_to(
-            edge_latency[:, None], values.shape
-        )
-    else:
-        power = analysis.power_model
-        power_w = power.alpha_w_per_mbps * uplinks + power.beta_w
-        values = edge_energy[:, None] + power_w[None, :] * transmission
-        no_comm_values = np.broadcast_to(edge_energy[:, None], values.shape)
-    return np.where((transferred <= 0.0)[:, None], no_comm_values, values)
-
-
-@dataclass(frozen=True)
-class DecisionTable:
-    """Precomputed dominance structure of a :class:`ThresholdAnalysis`.
-
-    ``thresholds`` are the exact pairwise crossover throughputs (sorted);
-    ``winners[k]`` is the index (into ``analysis.options``) of the dominant
-    option over the open interval between ``thresholds[k-1]`` and
-    ``thresholds[k]``.  ``degenerate`` flags analyses whose options are
-    numerically indistinguishable somewhere in range — interval membership
-    cannot reproduce the scalar rounding-decided winner there, so
-    controllers fall back to exact cost comparison.
-    """
-
-    analysis: ThresholdAnalysis
-    thresholds: np.ndarray
-    winners: np.ndarray
-    degenerate: bool
-
-    @classmethod
-    def from_analysis(cls, analysis: ThresholdAnalysis) -> "DecisionTable":
-        options = analysis.options
-        crossings = []
-        for i, option_a in enumerate(options):
-            for option_b in options[i + 1 :]:
-                threshold = pairwise_threshold(
-                    option_a,
-                    option_b,
-                    analysis.metric,
-                    analysis.power_model,
-                    analysis.round_trip_s,
-                )
-                if threshold is not None:
-                    crossings.append(threshold)
-        thresholds = np.unique(np.asarray(crossings, dtype=np.float64))
-
-        # Probe one point inside every interval: geometric midpoints between
-        # thresholds, plus one point below the first and above the last.
-        if thresholds.size:
-            probes = np.concatenate(
-                (
-                    [thresholds[0] * 0.5],
-                    np.sqrt(thresholds[:-1] * thresholds[1:]),
-                    [thresholds[-1] * 2.0],
-                )
-            )
-        else:
-            probes = np.array([1.0])
-        costs = _option_cost_matrix(analysis, probes)
-        winners = np.argmin(costs, axis=0).astype(np.intp)
-
-        # Degeneracy: a pair of options whose cost curves stay within
-        # DEGENERACY_REL of each other over the whole probed range has no
-        # meaningful interval structure — rounding picks the winner.
-        degenerate = False
-        grid = np.geomspace(1e-3, 1e4, 25)
-        grid_costs = _option_cost_matrix(analysis, grid)
-        scale = np.maximum(np.abs(grid_costs).max(axis=0), 1e-300)
-        for i in range(len(options)):
-            for j in range(i + 1, len(options)):
-                gap = np.abs(grid_costs[i] - grid_costs[j]) / scale
-                if float(gap.max()) < DEGENERACY_REL:
-                    degenerate = True
-        return cls(
-            analysis=analysis,
-            thresholds=thresholds,
-            winners=winners,
-            degenerate=degenerate,
-        )
-
-    def lookup(self, uplinks_mbps: np.ndarray) -> np.ndarray:
-        """Winning option index per throughput via interval membership.
-
-        Estimates inside the guard band of a threshold (including exact
-        hits) are re-decided by exact cost comparison, reproducing the
-        scalar tie-breaking behaviour.
-        """
-        uplinks = np.asarray(uplinks_mbps, dtype=np.float64)
-        if not self.thresholds.size:
-            return np.full(uplinks.shape, self.winners[0], dtype=np.intp)
-        segment = np.searchsorted(self.thresholds, uplinks, side="right")
-        choice = self.winners[segment]
-        below = np.clip(segment - 1, 0, self.thresholds.size - 1)
-        lower = self.thresholds[below]
-        upper = self.thresholds[np.clip(segment, 0, self.thresholds.size - 1)]
-        near = (segment > 0) & (np.abs(uplinks - lower) <= GUARD_BAND_REL * lower)
-        near |= (segment < self.thresholds.size) & (
-            np.abs(upper - uplinks) <= GUARD_BAND_REL * upper
-        )
-        if near.any():
-            costs = _option_cost_matrix(self.analysis, uplinks[near])
-            choice[near] = np.argmin(costs, axis=0)
-        return choice
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.analysis.metric,
-            "thresholds_mbps": self.thresholds.tolist(),
-            "winners": [
-                self.analysis.options[int(w)].option.label for w in self.winners
-            ],
-            "degenerate": self.degenerate,
-        }
-
 
 class FleetController:
     """Vectorized sequel of :class:`DynamicDeploymentController` for N clients.
 
     Maps the whole fleet's throughput estimates onto deployment options in
-    one pass per tick: ``np.searchsorted`` against the precomputed
-    :class:`DecisionTable` thresholds (``method="intervals"``), an exact
-    per-option cost ``argmin`` (``method="values"``), or — the default —
-    intervals with the exact path as the guard-band/degeneracy fallback
-    (``method="auto"``).  All three produce identical decisions; they only
-    trade table lookups against cost evaluations.
+    one ``argmin`` over :meth:`ThresholdAnalysis.costs` per tick.
 
     Clients without an estimate yet (NaN) hold their previous decision
     (``-1`` before any decision) and are never counted as switches; held
     ticks are tallied in :attr:`holds`.
     """
 
-    def __init__(
-        self,
-        analysis: ThresholdAnalysis,
-        num_clients: int,
-        method: str = "auto",
-        table: Optional[DecisionTable] = None,
-    ):
+    def __init__(self, analysis: ThresholdAnalysis, num_clients: int):
         if num_clients < 1:
             raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-        if method not in DECISION_METHODS:
-            raise ValueError(
-                f"method must be one of {DECISION_METHODS}, got {method!r}"
-            )
         self.analysis = analysis
         self.num_clients = int(num_clients)
-        self.table = table or DecisionTable.from_analysis(analysis)
-        if method == "auto":
-            method = "values" if self.table.degenerate else "intervals"
-        self.method = method
         self._last = np.full(self.num_clients, -1, dtype=np.intp)
         self._switches = np.zeros(self.num_clients, dtype=np.int64)
         self._holds = np.zeros(self.num_clients, dtype=np.int64)
@@ -404,21 +213,9 @@ class FleetController:
         known = ~np.isnan(estimates)
         choice = self._last.copy()
         if known.any():
-            values = estimates[known]
-            if self.method == "values":
-                costs = _option_cost_matrix(self.analysis, values)
-                choice[known] = np.argmin(costs, axis=0)
-            else:
-                choice[known] = self.table.lookup(values)
+            choice[known] = np.argmin(self.analysis.costs(estimates[known]), axis=0)
         switched = known & (self._last >= 0) & (choice != self._last)
         self._switches += switched
         self._holds += ~known
         self._last = choice
         return choice.copy()
-
-    def options_for(self, indices: np.ndarray) -> list:
-        """Map decision indices back to :class:`DeploymentMetrics` (-1 -> None)."""
-        return [
-            None if index < 0 else self.analysis.options[int(index)]
-            for index in np.asarray(indices).ravel()
-        ]

@@ -29,34 +29,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.runtime import ThresholdAnalysis
-from repro.serving.fleet import (
-    DECISION_METHODS,
-    FleetController,
-    FleetTracker,
-    _option_constants,
-)
+from repro.serving.fleet import FleetController, FleetTracker
 from repro.serving.workload import FleetWorkload
 
 __all__ = ["ServingSession", "ServingReport"]
-
-
-def _achieved_latency(
-    analysis: ThresholdAnalysis,
-    option_indices: np.ndarray,
-    uplinks_mbps: np.ndarray,
-) -> np.ndarray:
-    """End-to-end latency of the chosen options under actual throughputs.
-
-    Vectorized :func:`repro.core.runtime.deployment_latency` over
-    ``(option index, throughput)`` pairs; used for SLA accounting, which is
-    latency-based regardless of the metric the controller optimises.
-    """
-    transferred, edge_latency, _ = _option_constants(analysis)
-    chosen_bytes = transferred[option_indices]
-    chosen_edge = edge_latency[option_indices]
-    transmission = chosen_bytes / (uplinks_mbps * 1e6 / 8.0)
-    with_comm = (chosen_edge + transmission) + analysis.round_trip_s
-    return np.where(chosen_bytes <= 0.0, chosen_edge, with_comm)
 
 
 @dataclass(frozen=True)
@@ -191,9 +167,6 @@ class ServingSession:
     latency_sla_s:
         Optional end-to-end latency target; when set, every served
         inference is checked against it under the tick's actual throughput.
-    method:
-        Decision method forwarded to
-        :class:`~repro.serving.fleet.FleetController`.
     record_decisions:
         Keep the full ``(ticks, clients)`` decision matrix on the report
         (memory scales with the replay; meant for tests and goldens).
@@ -206,14 +179,9 @@ class ServingSession:
         smoothing: Union[float, Sequence[float], np.ndarray] = 1.0,
         initial_mbps: Union[float, Sequence[float], np.ndarray, None] = None,
         latency_sla_s: Optional[float] = None,
-        method: str = "auto",
         record_decisions: bool = False,
         name: Optional[str] = None,
     ):
-        if method not in DECISION_METHODS:
-            raise ValueError(
-                f"method must be one of {DECISION_METHODS}, got {method!r}"
-            )
         if latency_sla_s is not None and latency_sla_s <= 0:
             raise ValueError(f"latency_sla_s must be positive, got {latency_sla_s}")
         self.analysis = analysis
@@ -221,7 +189,6 @@ class ServingSession:
         self.smoothing = smoothing
         self.initial_mbps = initial_mbps
         self.latency_sla_s = latency_sla_s
-        self.method = method
         self.record_decisions = bool(record_decisions)
         self.name = name or workload.name
 
@@ -232,9 +199,7 @@ class ServingSession:
         tracker = FleetTracker(
             num_clients, smoothing=self.smoothing, initial_mbps=self.initial_mbps
         )
-        controller = FleetController(
-            self.analysis, num_clients, method=self.method
-        )
+        controller = FleetController(self.analysis, num_clients)
         uplinks = workload.uplinks_mbps
         tick_times = np.empty(workload.ticks, dtype=np.float64)
         decisions = 0
@@ -269,8 +234,8 @@ class ServingSession:
                 served += int(issued.sum())
                 served_by_client += issued
                 if self.latency_sla_s is not None:
-                    latency = _achieved_latency(
-                        self.analysis, choice[issued], measurements[issued]
+                    latency = self.analysis.costs(
+                        measurements[issued], choice[issued], metric="latency"
                     )
                     violated = latency > self.latency_sla_s
                     violations += int(violated.sum())

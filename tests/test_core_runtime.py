@@ -154,6 +154,8 @@ class TestThresholdAnalysis:
             ThresholdAnalysis([edge_option()], WIFI, RTT)
         with pytest.raises(ValueError):
             ThresholdAnalysis([edge_option(), split_option()], WIFI, RTT, metric="power")
+        with pytest.raises(ValueError, match="distinct labels"):
+            ThresholdAnalysis([edge_option(), split_option(), split_option()], WIFI, RTT)
 
     def test_three_option_analysis(self):
         analysis = ThresholdAnalysis(

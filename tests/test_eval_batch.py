@@ -26,7 +26,6 @@ from repro.hardware.predictors import (
     LayerPerformancePredictor,
     OracleLayerPredictor,
 )
-from repro.optim.mobo import MultiObjectiveBayesianOptimizer
 from repro.partition.partitioner import PartitionAnalyzer
 from repro.wireless.channel import WirelessChannel
 
@@ -420,63 +419,3 @@ def test_prediction_error_report_engine_routing_matches_direct():
     # Second engine-routed report is pure layer-cache hits (both predictors).
     assert delta["layer_misses"] == 0
     assert delta["layer_hits"] == 6
-
-
-# ---------------------------------------------------------------------- MOBO pool path
-
-def _toy_problem():
-    grid = 17
-
-    def sample(rng):
-        return np.array([rng.integers(0, grid), rng.integers(0, grid)])
-
-    def features(candidate):
-        return np.asarray(candidate, dtype=float) / (grid - 1)
-
-    def objectives(candidate):
-        x = np.asarray(candidate, dtype=float) / (grid - 1)
-        return np.array([x[0], (1 - x[0]) * (1 + x[1])]), {"tag": int(x.sum() * 10)}
-
-    return sample, features, objectives
-
-
-def test_mobo_batch_objective_fn_is_sequence_identical():
-    """Pool-level evaluation changes neither candidates nor bookkeeping."""
-    sample, features, objectives = _toy_problem()
-
-    def run(batch):
-        calls = {"batched": 0}
-
-        def batch_objective(candidates):
-            calls["batched"] += 1
-            return [objectives(c) for c in candidates]
-
-        optimizer = MultiObjectiveBayesianOptimizer(
-            sample_fn=sample,
-            feature_fn=features,
-            objective_fn=objectives,
-            batch_objective_fn=batch_objective if batch else None,
-            num_objectives=2,
-            num_initial=6,
-            num_iterations=8,
-            candidate_pool_size=24,
-            seed=42,
-        )
-        return optimizer.run(), calls["batched"]
-
-    scalar_result, _ = run(batch=False)
-    batched_result, batched_calls = run(batch=True)
-    # One batched call for the init pool, one per BO iteration.
-    assert batched_calls == 1 + 8
-    assert [list(map(int, p.candidate)) for p in batched_result.points] == [
-        list(map(int, p.candidate)) for p in scalar_result.points
-    ]
-    assert [p.iteration for p in batched_result.points] == [
-        p.iteration for p in scalar_result.points
-    ]
-    assert [p.phase for p in batched_result.points] == [
-        p.phase for p in scalar_result.points
-    ]
-    np.testing.assert_allclose(
-        batched_result.objective_matrix(), scalar_result.objective_matrix()
-    )

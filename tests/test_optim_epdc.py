@@ -188,14 +188,14 @@ def _toy_optimizer(**overrides):
     def sample_fn(rng):
         return rng.uniform(size=3)
 
-    def objective_fn(x):
+    def objective(x):
         x = np.asarray(x, dtype=float)
         return np.array([float(np.sum(x**2)), float(np.sum((1.0 - x) ** 2))])
 
     settings = dict(
         sample_fn=sample_fn,
         feature_fn=lambda x: np.asarray(x, dtype=float),
-        objective_fn=objective_fn,
+        batch_objective_fn=lambda xs: [objective(x) for x in xs],
         num_objectives=2,
         num_initial=4,
         num_iterations=6,

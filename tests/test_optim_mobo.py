@@ -25,11 +25,16 @@ def _objectives(candidate):
     return np.array([f1, f2]), {"x": x.tolist()}
 
 
+def _pool(objective):
+    """Lift a per-candidate objective to the optimizer's pool objective."""
+    return lambda candidates: [objective(c) for c in candidates]
+
+
 def _make_optimizer(**overrides):
     kwargs = dict(
         sample_fn=_sample,
         feature_fn=_features,
-        objective_fn=_objectives,
+        batch_objective_fn=_pool(_objectives),
         num_objectives=2,
         num_initial=6,
         num_iterations=12,
@@ -128,13 +133,15 @@ class TestMOBO:
             _make_optimizer(candidate_pool_size=1)
 
     def test_objective_shape_mismatch_detected(self):
-        bad = _make_optimizer(objective_fn=lambda c: np.array([1.0, 2.0, 3.0]))
+        bad = _make_optimizer(
+            batch_objective_fn=_pool(lambda c: np.array([1.0, 2.0, 3.0]))
+        )
         with pytest.raises(ValueError):
             bad.run()
 
     def test_non_finite_objectives_rejected_when_strict(self):
         bad = _make_optimizer(
-            objective_fn=lambda c: np.array([np.nan, 1.0]), strict=True
+            batch_objective_fn=_pool(lambda c: np.array([np.nan, 1.0])), strict=True
         )
         with pytest.raises(ValueError):
             bad.run()
@@ -142,7 +149,9 @@ class TestMOBO:
     def test_non_finite_objectives_quarantined_by_default(self):
         # Every evaluation returns NaN: the search must still complete its
         # budget, with nothing in the archive and everything quarantined.
-        bad = _make_optimizer(objective_fn=lambda c: np.array([np.nan, 1.0]))
+        bad = _make_optimizer(
+            batch_objective_fn=_pool(lambda c: np.array([np.nan, 1.0]))
+        )
         result = bad.run()
         assert len(result) == 0
         assert len(bad.quarantined) == 18

@@ -46,11 +46,16 @@ def _objectives(candidate):
     return np.array([f1, f2]), {"x": x.tolist()}
 
 
+def _pool(objective):
+    """Lift a per-candidate objective to the optimizer's pool objective."""
+    return lambda candidates: [objective(c) for c in candidates]
+
+
 def _make_optimizer(**overrides):
     kwargs = dict(
         sample_fn=_sample,
         feature_fn=_features,
-        objective_fn=_objectives,
+        batch_objective_fn=_pool(_objectives),
         num_objectives=2,
         num_initial=6,
         num_iterations=12,
@@ -240,7 +245,8 @@ class TestQuarantine:
     def test_nan_objectives_quarantined_by_default(self):
         health = HealthLog()
         bad = _make_optimizer(
-            objective_fn=lambda c: np.array([np.nan, 1.0]), health=health
+            batch_objective_fn=_pool(lambda c: np.array([np.nan, 1.0])),
+            health=health,
         )
         result = bad.run()
         assert len(result) == 0
@@ -252,7 +258,7 @@ class TestQuarantine:
     def test_inf_objectives_quarantined(self):
         health = HealthLog()
         bad = _make_optimizer(
-            objective_fn=lambda c: np.array([np.inf, 1.0]),
+            batch_objective_fn=_pool(lambda c: np.array([np.inf, 1.0])),
             num_iterations=2,
             health=health,
         )
@@ -262,7 +268,9 @@ class TestQuarantine:
     def test_empty_objectives_quarantined(self):
         health = HealthLog()
         bad = _make_optimizer(
-            objective_fn=lambda c: np.array([]), num_iterations=2, health=health
+            batch_objective_fn=_pool(lambda c: np.array([])),
+            num_iterations=2,
+            health=health,
         )
         result = bad.run()
         assert len(result) == 0
@@ -270,7 +278,8 @@ class TestQuarantine:
 
     def test_strict_mode_raises_instead(self):
         bad = _make_optimizer(
-            objective_fn=lambda c: np.array([np.nan, 1.0]), strict=True
+            batch_objective_fn=_pool(lambda c: np.array([np.nan, 1.0])),
+            strict=True,
         )
         with pytest.raises(ValueError):
             bad.run()
@@ -306,30 +315,32 @@ class TestObjectiveRetry:
     def test_flaky_objective_retried(self):
         calls = {"n": 0}
 
-        def flaky(candidate):
+        def flaky(candidates):
             calls["n"] += 1
-            if calls["n"] % 3 == 1:  # every third call fails first
+            if calls["n"] % 3 == 1:  # every third pool call fails first
                 raise RuntimeError("transient")
-            return _objectives(candidate)
+            return [_objectives(c) for c in candidates]
 
         health = HealthLog()
         optimizer = _make_optimizer(
-            objective_fn=flaky,
-            batch_objective_fn=None,
+            batch_objective_fn=flaky,
             num_iterations=4,
             objective_retries=2,
             health=health,
         )
         result = optimizer.run()
         assert len(result) == 10
-        assert health.count("H_OBJECTIVE_RETRY") >= 1
+        # A retry re-costs a whole pool: the initial pool (call 1) and the
+        # BO pools of calls 4 and 7 each fail once, then succeed.
+        assert calls["n"] == 8
+        assert health.count("H_OBJECTIVE_RETRY") == 3
 
     def test_retry_budget_exhausted_raises(self):
-        def always_fails(candidate):
+        def always_fails(candidates):
             raise RuntimeError("permanent")
 
         optimizer = _make_optimizer(
-            objective_fn=always_fails, objective_retries=1, num_iterations=2
+            batch_objective_fn=always_fails, objective_retries=1, num_iterations=2
         )
         with pytest.raises(RuntimeError, match="permanent"):
             optimizer.run()
@@ -347,6 +358,31 @@ class TestObjectiveRetry:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             _make_optimizer(objective_retries=-1)
+
+
+# ---------------------------------------------------------------------- exhausted space
+
+
+class TestExhaustedSpace:
+    def test_accepted_duplicates_are_recorded(self):
+        # Three candidates, 2 + 4 evaluations: once all three are seen the
+        # sampler gives up looking for an unseen one, accepts a duplicate
+        # rather than stall, and says so in the health log.
+        health = HealthLog()
+        optimizer = MultiObjectiveBayesianOptimizer(
+            sample_fn=lambda rng: np.array([rng.integers(0, 3)]),
+            feature_fn=lambda c: np.asarray(c, dtype=float) / 2.0,
+            batch_objective_fn=_pool(lambda c: np.array([c[0], 2.0 - c[0]])),
+            num_objectives=2,
+            num_initial=2,
+            num_iterations=4,
+            candidate_pool_size=4,
+            seed=0,
+            health=health,
+        )
+        result = optimizer.run()
+        assert len(result) == 6
+        assert health.count("H_DUPLICATE_ACCEPTED") >= 1
 
 
 # ---------------------------------------------------------------------- fault injector

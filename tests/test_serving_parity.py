@@ -1,12 +1,17 @@
-"""Property tests: the vectorized serving layer vs its scalar references.
+"""Property tests: the array decision path vs its scalar references.
 
-The contract under test (see :mod:`repro.serving.fleet`): feeding the same
-measurements to a :class:`FleetTracker`/:class:`FleetController` and to one
-:class:`ThroughputTracker` + ``analysis.best_option`` loop per client must
-produce *bitwise identical* EWMA estimates and *element-wise identical*
-decisions and switch counts — including rounding-decided tie-breaks at exact
-threshold crossings, where interval membership alone would disagree with the
-scalar float comparison.
+A runtime decision is the ``argmin`` over ``ThresholdAnalysis.costs``.  The
+contracts under test:
+
+* ``costs`` equals the scalar ``deployment_latency`` / ``analysis.value``
+  bit for bit, and its ``argmin`` picks the ``best_option`` index;
+* feeding the same measurements to a :class:`FleetTracker` /
+  :class:`FleetController` and to one :class:`ThroughputTracker` +
+  ``analysis.best_option`` loop per client produces *bitwise identical*
+  EWMA estimates and *element-wise identical* decisions and switch counts —
+  including rounding-decided tie-breaks at exact threshold crossings;
+* ``simulate_runtime`` replays a trace exactly as the scalar
+  :class:`DynamicDeploymentController` loop charged by ``analysis.value``.
 """
 
 from __future__ import annotations
@@ -16,12 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.runtime import ThresholdAnalysis
+from repro.core.runtime import (
+    DynamicDeploymentController,
+    ThresholdAnalysis,
+    deployment_latency,
+    simulate_runtime,
+)
 from repro.partition.deployment import DeploymentMetrics, DeploymentOption
 from repro.serving import FleetController, FleetTracker
-from repro.serving.fleet import DecisionTable
 from repro.wireless.power_models import RadioPowerModel
 from repro.wireless.tracker import ThroughputTracker
+from repro.wireless.traces import ThroughputTrace
 
 WIFI = RadioPowerModel.for_technology("wifi")
 RTT = 0.01
@@ -79,6 +89,58 @@ def make_analysis(metric="energy"):
 ANALYSES = {metric: make_analysis(metric) for metric in ("energy", "latency")}
 
 
+def degenerate_analysis():
+    """Two options whose cost curves coincide: rounding picks the winner."""
+    twin_b = DeploymentMetrics(
+        option=DeploymentOption.split_after(3, "conv3"),
+        latency_s=0.04,
+        energy_j=0.28,
+        edge_latency_s=0.04,
+        edge_energy_j=0.28,
+        comm_latency_s=0.0,
+        comm_energy_j=0.0,
+        transferred_bytes=0.0,
+    )
+    return ThresholdAnalysis(
+        options=[edge_option(latency_s=0.04, energy_j=0.28), twin_b],
+        power_model=WIFI,
+        round_trip_s=RTT,
+        metric="energy",
+    )
+
+
+RUNTIME_ANALYSES = {**ANALYSES, "degenerate": degenerate_analysis()}
+
+
+def option_index(analysis, metrics):
+    """Position of one of ``analysis.options`` (by identity)."""
+    return next(i for i, m in enumerate(analysis.options) if m is metrics)
+
+
+def threshold_probes(analysis):
+    """Every crossing threshold and its two neighbouring floats."""
+    return [
+        value
+        for t in analysis.thresholds().values()
+        if t is not None
+        for value in (np.nextafter(t, 0.0), t, np.nextafter(t, np.inf))
+    ]
+
+
+uplink = st.floats(min_value=0.01, max_value=500.0,
+                   allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def analysis_uplinks(draw, max_size=20):
+    """A named analysis plus throughputs mixing random and threshold values."""
+    name = draw(st.sampled_from(sorted(RUNTIME_ANALYSES)))
+    analysis = RUNTIME_ANALYSES[name]
+    probes = threshold_probes(analysis)
+    sample = st.one_of(uplink, st.sampled_from(probes)) if probes else uplink
+    return analysis, draw(st.lists(sample, min_size=1, max_size=max_size))
+
+
 def scalar_replay(analysis, uplinks, smoothing):
     """Per-client reference loop: one tracker + ``best_option`` per client.
 
@@ -89,7 +151,6 @@ def scalar_replay(analysis, uplinks, smoothing):
     smoothing = np.broadcast_to(np.asarray(smoothing, dtype=np.float64),
                                 (num_clients,))
     trackers = [ThroughputTracker(smoothing=float(s)) for s in smoothing]
-    options = list(analysis.options)
     decisions = np.full((ticks, num_clients), -1, dtype=np.intp)
     last = [-1] * num_clients
     switches = [0] * num_clients
@@ -100,8 +161,7 @@ def scalar_replay(analysis, uplinks, smoothing):
                 decisions[tick, client] = last[client]
                 continue
             estimate = trackers[client].observe(float(value))
-            best = analysis.best_option(estimate)
-            index = next(i for i, m in enumerate(options) if m is best)
+            index = option_index(analysis, analysis.best_option(estimate))
             if last[client] >= 0 and index != last[client]:
                 switches[client] += 1
             last[client] = index
@@ -114,30 +174,26 @@ def scalar_replay(analysis, uplinks, smoothing):
     return estimates, decisions, np.array(switches, dtype=np.int64)
 
 
-def vector_replay(analysis, uplinks, smoothing, method="auto"):
+def vector_replay(analysis, uplinks, smoothing):
     ticks, num_clients = uplinks.shape
     tracker = FleetTracker(num_clients, smoothing=smoothing)
-    controller = FleetController(analysis, num_clients, method=method)
+    controller = FleetController(analysis, num_clients)
     decisions = np.empty((ticks, num_clients), dtype=np.intp)
     for tick in range(ticks):
         decisions[tick] = controller.decide(tracker.observe(uplinks[tick]))
     return tracker.estimates_mbps, decisions, controller.switches
 
 
-def assert_replays_match(analysis, uplinks, smoothing, method="auto"):
+def assert_replays_match(analysis, uplinks, smoothing):
     scalar = scalar_replay(analysis, uplinks, smoothing)
-    vector = vector_replay(analysis, uplinks, smoothing, method=method)
+    vector = vector_replay(analysis, uplinks, smoothing)
     # Estimates: bitwise identical (same float expression, same order).
     np.testing.assert_array_equal(scalar[0], vector[0])
     np.testing.assert_array_equal(scalar[1], vector[1])
     np.testing.assert_array_equal(scalar[2], vector[2])
 
 
-measurement = st.one_of(
-    st.just(float("nan")),  # idle tick
-    st.floats(min_value=0.01, max_value=500.0,
-              allow_nan=False, allow_infinity=False),
-)
+measurement = st.one_of(st.just(float("nan")), uplink)  # NaN: idle tick
 
 
 @st.composite
@@ -175,70 +231,42 @@ class TestElementwiseParity:
         uplinks, smoothing, metric = fleet
         assert_replays_match(ANALYSES[metric], uplinks, smoothing)
 
-    @given(fleet=fleets(),
-           method=st.sampled_from(("intervals", "values")))
-    @settings(max_examples=30, deadline=None)
-    def test_every_decision_method_matches(self, fleet, method):
-        uplinks, smoothing, metric = fleet
-        assert_replays_match(ANALYSES[metric], uplinks, smoothing,
-                             method=method)
+    @given(case=analysis_uplinks())
+    @settings(max_examples=60, deadline=None)
+    def test_every_decision_method_matches(self, case):
+        """The ``argmin`` of the costs picks the ``best_option`` index."""
+        analysis, values = case
+        uplinks = np.array(values, dtype=np.float64)
+        expected = [option_index(analysis, analysis.best_option(v)) for v in values]
+        assert np.argmin(analysis.costs(uplinks), axis=0).tolist() == expected
 
 
 class TestExactThresholdTieBreaking:
     @pytest.mark.parametrize("metric", ["energy", "latency"])
-    @pytest.mark.parametrize("method", ["auto", "intervals", "values"])
-    def test_decisions_at_exact_crossings(self, metric, method):
+    def test_decisions_at_exact_crossings(self, metric):
         """Measurements *at* (and one ulp around) every threshold agree."""
         analysis = ANALYSES[metric]
-        table = DecisionTable.from_analysis(analysis)
-        assert table.thresholds.size, "fixture options must cross somewhere"
-        probes = []
-        for threshold in table.thresholds:
-            probes.extend([
-                np.nextafter(threshold, 0.0),
-                threshold,
-                np.nextafter(threshold, np.inf),
-            ])
+        probes = threshold_probes(analysis)
+        assert probes, "fixture options must cross somewhere"
         uplinks = np.array([probes], dtype=np.float64)  # one tick, N clients
-        assert_replays_match(analysis, uplinks, 1.0, method=method)
+        assert_replays_match(analysis, uplinks, 1.0)
 
-    @pytest.mark.parametrize("method", ["auto", "intervals", "values"])
-    def test_ewma_landing_on_threshold(self, method):
+    def test_ewma_landing_on_threshold(self):
         """Estimates (not raw measurements) hitting a threshold still agree."""
         analysis = ANALYSES["energy"]
-        table = DecisionTable.from_analysis(analysis)
-        threshold = float(table.thresholds[0])
+        threshold = min(t for t in analysis.thresholds().values() if t is not None)
         # With s = 0.5 and prior == threshold, feeding the threshold twice
         # keeps the EWMA exactly on the crossing for several ticks.
         uplinks = np.full((4, 3), threshold, dtype=np.float64)
         uplinks[1, 1] = np.nextafter(threshold, 0.0)
         uplinks[2, 2] = np.nextafter(threshold, np.inf)
-        assert_replays_match(analysis, uplinks, 0.5, method=method)
+        assert_replays_match(analysis, uplinks, 0.5)
 
 
 class TestDegenerateAnalyses:
-    def test_indistinguishable_options_force_exact_method(self):
-        """Near-identical cost curves: auto falls back to exact comparison."""
-        twin_a = edge_option(latency_s=0.04, energy_j=0.28)
-        twin_b = DeploymentMetrics(
-            option=DeploymentOption.split_after(3, "conv3"),
-            latency_s=0.04,
-            energy_j=0.28,
-            edge_latency_s=0.04,
-            edge_energy_j=0.28,
-            comm_latency_s=0.0,
-            comm_energy_j=0.0,
-            transferred_bytes=0.0,
-        )
-        analysis = ThresholdAnalysis(
-            options=[twin_a, twin_b],
-            power_model=WIFI,
-            round_trip_s=RTT,
-            metric="energy",
-        )
-        controller = FleetController(analysis, 4)
-        assert controller.table.degenerate
-        assert controller.method == "values"
+    def test_indistinguishable_options_match_scalar(self):
+        """Coinciding cost curves: rounding picks the winner, as in the scalar path."""
+        analysis = degenerate_analysis()
         uplinks = np.array([[0.5, 1.0, 5.0, 50.0]], dtype=np.float64)
         assert_replays_match(analysis, uplinks, 1.0)
 
@@ -270,3 +298,52 @@ class TestTrackerStateParity:
         got = fleet.observe(np.array([6.0, 6.0]))
         assert got[0] == expected
         assert got[1] == 6.0  # no prior: first observation wins
+
+
+def scalar_runtime(analysis, values):
+    """Per-sample reference replay: the scalar controller plus ``analysis.value``."""
+    controller = DynamicDeploymentController(analysis)
+    per_sample = {m.option.label: [] for m in analysis.options}
+    per_sample["dynamic"] = []
+    for value in values:
+        for metrics in analysis.options:
+            per_sample[metrics.option.label].append(analysis.value(metrics, value))
+        chosen = controller.observe_and_select(value)
+        per_sample["dynamic"].append(analysis.value(chosen, value))
+    cumulative = {label: float(np.sum(v)) for label, v in per_sample.items()}
+    return per_sample, cumulative, controller.num_switches
+
+
+class TestRuntimeReplayParity:
+    @given(case=analysis_uplinks(max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_simulate_runtime_matches_scalar_replay(self, case):
+        analysis, values = case
+        comparison = simulate_runtime(analysis, ThroughputTrace.from_values(values))
+        per_sample, cumulative, switches = scalar_runtime(analysis, values)
+        # == on lists and dicts of floats: bitwise for finite values.
+        assert comparison.per_sample == per_sample
+        assert comparison.cumulative == cumulative
+        assert comparison.num_switches == switches
+
+    @given(values=st.lists(uplink, min_size=1, max_size=20), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_latency_costs_equal_deployment_latency(self, values, data):
+        # An energy analysis: ``metric="latency"`` must override it.
+        analysis = ANALYSES["energy"]
+        indices = data.draw(st.lists(
+            st.integers(0, len(analysis.options) - 1),
+            min_size=len(values), max_size=len(values),
+        ))
+        got = analysis.costs(np.array(values), np.array(indices), metric="latency")
+        expected = [
+            deployment_latency(analysis.options[i], v, analysis.round_trip_s)
+            for i, v in zip(indices, values)
+        ]
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("bad", [0.0, -2.5])
+    def test_non_positive_sample_raises(self, bad):
+        trace = ThroughputTrace.from_values([3.0, bad, 4.0])
+        with pytest.raises(ValueError):
+            simulate_runtime(ANALYSES["latency"], trace)

@@ -219,16 +219,15 @@ class TestValidation:
 
     def test_session_rejects_bad_method_and_sla(self):
         workload = FleetWorkload(np.full((1, 1), 3.0), regions=("a",))
-        with pytest.raises(ValueError):
-            ServingSession(ANALYSIS, workload, method="magic")
+        # There is one decision path: no decision-method option is taken.
+        with pytest.raises(TypeError):
+            ServingSession(ANALYSIS, workload, method="values")
         with pytest.raises(ValueError):
             ServingSession(ANALYSIS, workload, latency_sla_s=0.0)
 
     def test_controller_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             FleetController(ANALYSIS, 0)
-        with pytest.raises(ValueError):
-            FleetController(ANALYSIS, 2, method="nearest")
         controller = FleetController(ANALYSIS, 2)
         with pytest.raises(ValueError):
             controller.decide(np.array([1.0]))
