@@ -4,7 +4,7 @@ With the surrogate phase off the critical path (``bench_gp_hotpath.py``), a
 search iteration's dominant cost is candidate evaluation: running the
 per-layer performance predictors and costing every deployment option under
 the scenario's wireless channels.  The seed behaviour evaluated one model at
-a time — ``predict_layer`` once per layer per candidate, then a Python loop
+a time — one regression call per layer per candidate, then a Python loop
 over cut points per channel.  The batched engine
 (:meth:`repro.api.engine.EvaluationEngine.evaluate_batch`) instead costs a
 whole candidate pool as matrices: per-family feature matrices and two
@@ -14,10 +14,11 @@ arithmetic across all cut points and channels for the partitioner.
 This benchmark replays the evaluation phase of a search — the stream of
 candidate pools a 300-evaluation run would cost — two ways:
 
-* ``scalar`` — the per-candidate reference path: a ``predict_layer`` loop
-  per candidate plus the scalar Algorithm 1 oracle
-  (``tests/oracles/partition.py``) per channel, with the per-layer
-  predictions shared across channels;
+* ``scalar`` — the per-candidate reference path: each candidate's
+  ``(latency, power)`` array built layer by layer with the per-layer
+  predictor oracle (``tests/oracles/predictor.py``), then the scalar
+  Algorithm 1 oracle (``tests/oracles/partition.py``) per channel, with
+  the per-layer predictions shared across channels;
 * ``batched`` — ``EvaluationEngine.evaluate_batch`` over each pool with the
   same channels (cold caches, so every candidate is genuinely computed).
 
@@ -35,6 +36,7 @@ import time
 import numpy as np
 from conftest import FAST_MODE, PREDICTOR_SAMPLES, SEED, save_table
 from oracles import partition as oracle
+from oracles import predictor as predictor_oracle
 
 from repro.api.engine import EvaluationEngine
 from repro.partition.partitioner import PartitionAnalyzer
@@ -96,10 +98,7 @@ def _scalar_replay(pools, predictor, channels):
     start = time.perf_counter()
     for pool in pools:
         for architecture in pool:
-            predictions = tuple(
-                predictor.predict_layer(summary)
-                for summary in architecture.summarize()
-            )
+            predictions = predictor_oracle.predict_architecture(predictor, architecture)
             results.append(
                 [
                     oracle.evaluate(analyzer, architecture, predictions=predictions)

@@ -50,21 +50,19 @@ def per_layer_report(
     transmitting it can beat uploading the input).
     """
     summaries = architecture.summarize()
-    predictions = predictor.predict_architecture(architecture)
-    total_latency = sum(p.latency_s for p in predictions)
+    latencies = predictor.predict_architecture(architecture)[:, 0].tolist()
+    total_latency = sum(latencies)
     input_bytes = architecture.input_bytes
     rows: List[LayerReportRow] = []
-    for summary, prediction in zip(summaries, predictions):
-        share = (
-            prediction.latency_s / total_latency * 100.0 if total_latency > 0 else 0.0
-        )
+    for summary, latency in zip(summaries, latencies):
+        share = latency / total_latency * 100.0 if total_latency > 0 else 0.0
         rows.append(
             LayerReportRow(
                 index=summary.index,
                 name=summary.name,
                 layer_type=summary.layer_type,
                 output_kilobytes=bytes_to_kilobytes(summary.output_bytes),
-                latency_s=prediction.latency_s,
+                latency_s=latency,
                 latency_share_percent=share,
                 smaller_than_input=summary.output_bytes < input_bytes,
             )

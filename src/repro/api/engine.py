@@ -15,7 +15,9 @@ re-run the predictors thirty times.
   deterministic for integer seeds, so sharing is safe;
 * ``layer_predictions`` caches per-layer predictions per
   ``(predictor, architecture)`` — architectures hash by structure, so
-  genotype duplicates across strategies and scenarios hit the cache;
+  genotype duplicates across strategies and scenarios hit the cache.  The
+  cached values are the predictor's read-only ``(num_layers, 2)``
+  ``(latency, power)`` arrays, shared by every caller;
 * ``evaluate_partitions`` / ``sweep_channels`` cost deployment options on
   top of the cached predictions, caching full
   :class:`~repro.partition.partitioner.PartitionEvaluation` records per
@@ -25,7 +27,7 @@ re-run the predictors thirty times.
 * ``evaluate_batch`` is the pool-level entry point behind the search loop
   and the sweeps: it dedups a whole candidate pool against the caches,
   evaluates only the misses through the vectorised
-  ``predict_batch`` / ``PartitionAnalyzer.evaluate_batch`` path, and
+  ``predict_pool`` / ``PartitionAnalyzer.evaluate_batch`` path, and
   backfills the caches; ``evaluate_partitions`` is its pool-of-one call.
 
 One engine can (and should) back many runs: pass the same instance to
@@ -45,7 +47,6 @@ from repro.hardware.device import DeviceProfile
 from repro.hardware.predictors import (
     BaseLayerPredictor,
     LayerPerformancePredictor,
-    LayerPrediction,
     OracleLayerPredictor,
 )
 from repro.nn.architecture import Architecture
@@ -126,14 +127,15 @@ class EvaluationEngine:
     bitwise identical to the scalar oracle.
 
     Cached :class:`PartitionEvaluation` records are shared between callers
-    and must be treated as read-only.
+    and must be treated as read-only; cached layer predictions are
+    read-only arrays.
     """
 
     def __init__(self):
         self._predictors: Dict[tuple, BaseLayerPredictor] = {}
         # predictor -> {architecture: per-layer predictions}; weak keys so
         # discarding a predictor releases its cached predictions too.
-        self._layer_cache: "weakref.WeakKeyDictionary[BaseLayerPredictor, Dict[Architecture, Tuple[LayerPrediction, ...]]]" = (
+        self._layer_cache: "weakref.WeakKeyDictionary[BaseLayerPredictor, Dict[Architecture, np.ndarray]]" = (
             weakref.WeakKeyDictionary()
         )
         # predictor -> {(channel key, require_shrinkage):
@@ -194,15 +196,16 @@ class EvaluationEngine:
     # ------------------------------------------------------------------ layer costs
     def layer_predictions(
         self, predictor: BaseLayerPredictor, architecture: Architecture
-    ) -> Tuple[LayerPrediction, ...]:
-        """Per-layer predictions, cached per ``(predictor, architecture)``."""
+    ) -> np.ndarray:
+        """Read-only ``(num_layers, 2)`` ``(latency, power)`` array, cached
+        per ``(predictor, architecture)``."""
         per_predictor = self._layer_cache.setdefault(predictor, {})
         cached = per_predictor.get(architecture)
         if cached is not None:
             self.stats.layer_hits += 1
             return cached
         self.stats.layer_misses += 1
-        predictions = tuple(predictor.predict_architecture(architecture))
+        predictions = predictor.predict_architecture(architecture)
         per_predictor[architecture] = predictions
         return predictions
 
@@ -211,10 +214,8 @@ class EvaluationEngine:
     ) -> Tuple[float, float]:
         """``(total latency, total energy)`` through the layer cache.
 
-        One cached prediction pass yields both totals — the engine-aware
-        replacement for calling ``predictor.total_latency`` and
-        ``predictor.total_energy`` back to back (which would run the
-        predictor twice when uncached).
+        One cached prediction pass yields both totals (see
+        :meth:`~repro.hardware.predictors.BaseLayerPredictor.totals`).
         """
         predictions = self.layer_predictions(predictor, architecture)
         return predictor.totals(architecture, predictions)
@@ -260,7 +261,7 @@ class EvaluationEngine:
         The candidate pool is first deduplicated (architectures hash by
         structure, so genotype duplicates collapse) and checked against the
         layer and partition caches; only genuine misses run through the
-        vectorised :meth:`~repro.hardware.predictors.BaseLayerPredictor.predict_batch`
+        vectorised :meth:`~repro.hardware.predictors.BaseLayerPredictor.predict_pool`
         /:meth:`~repro.partition.partitioner.PartitionAnalyzer.evaluate_batch`
         path, and their results backfill the caches so later calls hit.
         Stats mirror the work actually saved: every
@@ -328,23 +329,16 @@ class EvaluationEngine:
 
         predictor = analyzer.predictor
 
-        def resolve_predictions(
-            indices: Sequence[int],
-        ) -> Tuple[List[Tuple[LayerPrediction, ...]], Optional[np.ndarray]]:
+        def resolve_predictions(indices: Sequence[int]) -> List[np.ndarray]:
             """Layer predictions for the given unique-arch indices.
 
             Cached entries are re-used (one layer hit per distinct
             architecture), the rest run through one
-            :meth:`~repro.hardware.predictors.BaseLayerPredictor.predict_batch`
-            call and backfill the layer cache.  When the whole request is a
-            cold stream of distinct architectures the predictor's raw pool
-            array rides along (second return) so the partition costing can
-            skip re-converting the prediction tuples.
+            :meth:`~repro.hardware.predictors.BaseLayerPredictor.predict_pool`
+            call and backfill the layer cache.
             """
             per_predictor = self._layer_cache.setdefault(predictor, {})
-            resolved: Dict[
-                Architecture, Optional[Tuple[LayerPrediction, ...]]
-            ] = {}
+            resolved: Dict[Architecture, Optional[np.ndarray]] = {}
             for index in indices:
                 architecture = unique_archs[index]
                 if architecture in resolved:
@@ -356,21 +350,13 @@ class EvaluationEngine:
                 else:
                     self.stats.layer_misses += 1
             missing = [a for a, value in resolved.items() if value is None]
-            pairs: Optional[np.ndarray] = None
             if missing:
-                predict_pool = getattr(predictor, "predict_pool", None)
-                if predict_pool is not None:
-                    batch, batch_pairs = predict_pool(missing)
-                else:
-                    batch, batch_pairs = predictor.predict_batch(missing), None
-                for architecture, predicted in zip(missing, batch):
+                for architecture, predicted in zip(
+                    missing, predictor.predict_pool(missing)
+                ):
                     per_predictor[architecture] = predicted
                     resolved[architecture] = predicted
-                if batch_pairs is not None and len(missing) == len(indices):
-                    # All-miss, all-distinct request: the pool array's layer
-                    # stream lines up with `indices` exactly.
-                    pairs = batch_pairs
-            return [resolved[unique_archs[index]] for index in indices], pairs
+            return [resolved[unique_archs[index]] for index in indices]
 
         # ---- partition costing: cached cells re-used, misses batched ----
         results: List[List[Optional[PartitionEvaluation]]] = [
@@ -379,13 +365,11 @@ class EvaluationEngine:
         if analyzer.cloud_predictor is not None:
             # Cloud-predictor costing depends on state the cache key does
             # not capture — batch it, but never cache.
-            predictions, pairs = resolve_predictions(range(len(unique_archs)))
             results = analyzer.evaluate_batch(
                 unique_archs,
                 channels=channels,
-                predictions_list=predictions,
+                predictions=resolve_predictions(range(len(unique_archs))),
                 graphs=unique_graphs,
-                predictions_array=pairs,
             )
         else:
             per_predictor_partitions = self._partition_cache.setdefault(predictor, {})
@@ -428,13 +412,11 @@ class EvaluationEngine:
                     )
                     by_signature.setdefault(signature, []).append(i)
                 for signature, arch_indices in by_signature.items():
-                    predictions, pairs = resolve_predictions(arch_indices)
                     fresh = analyzer.evaluate_batch(
                         [unique_archs[i] for i in arch_indices],
                         channels=[channels[ci] for ci in signature],
-                        predictions_list=predictions,
+                        predictions=resolve_predictions(arch_indices),
                         graphs=[unique_graphs[i] for i in arch_indices],
-                        predictions_array=pairs,
                     )
                     for row_index, i in enumerate(arch_indices):
                         key = unique_keys[i]

@@ -8,16 +8,10 @@ from repro.hardware.device import (
     jetson_tx2_cpu,
     jetson_tx2_gpu,
 )
-from repro.hardware.features import (
-    family_feature_matrix,
-    feature_dimension,
-    layer_features,
-    stack_features,
-)
+from repro.hardware.features import family_feature_matrix
 from repro.hardware.predictors import (
     BaseLayerPredictor,
     LayerPerformancePredictor,
-    LayerPrediction,
     OracleLayerPredictor,
     RidgeRegression,
     prediction_error_report,
@@ -33,12 +27,8 @@ __all__ = [
     "jetson_tx2_cpu",
     "jetson_tx2_gpu",
     "family_feature_matrix",
-    "feature_dimension",
-    "layer_features",
-    "stack_features",
     "BaseLayerPredictor",
     "LayerPerformancePredictor",
-    "LayerPrediction",
     "OracleLayerPredictor",
     "RidgeRegression",
     "prediction_error_report",

@@ -6,11 +6,16 @@ input features constructed as in [3]"), each layer family has its own small
 feature vector built from the layer's configuration and its input/output
 feature-map sizes.  Features are expressed in "mega" units (1e6 elements /
 operations / bytes) so the regression design matrices are well conditioned.
+
+:func:`family_feature_matrix` builds the design matrix of a whole family
+group in one pass and is the only feature definition; the per-layer
+extractors it replaced are kept as the test oracle
+``tests/oracles/predictor.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -35,85 +40,15 @@ def prediction_family(layer_type: str) -> str:
     return FAMILY_ALIASES.get(layer_type, layer_type)
 
 
-def conv_features(summary: LayerSummary) -> np.ndarray:
-    """Features for convolutional layers.
-
-    ``[input elements, output elements, MACs, parameters, weight bytes,
-    total activation+weight traffic]`` in mega-units.
-    """
-    traffic = summary.weight_bytes + summary.output_bytes + 4 * summary.input_elements
-    return np.array(
-        [
-            summary.input_elements / MEGA,
-            summary.output_elements / MEGA,
-            summary.macs / MEGA,
-            summary.params / MEGA,
-            summary.weight_bytes / MEGA,
-            traffic / MEGA,
-        ]
-    )
-
-
-def fc_features(summary: LayerSummary) -> np.ndarray:
-    """Features for fully-connected layers.
-
-    ``[input features, output features, MACs, weight bytes]`` in mega-units.
-    """
-    return np.array(
-        [
-            summary.input_elements / MEGA,
-            summary.output_elements / MEGA,
-            summary.macs / MEGA,
-            summary.weight_bytes / MEGA,
-        ]
-    )
-
-
-def pool_features(summary: LayerSummary) -> np.ndarray:
-    """Features for pooling layers: ``[input elements, output elements, ops]``."""
-    return np.array(
-        [
-            summary.input_elements / MEGA,
-            summary.output_elements / MEGA,
-            summary.macs / MEGA,
-        ]
-    )
-
-
-def generic_features(summary: LayerSummary) -> np.ndarray:
-    """Fallback features for structural layers (flatten, dropout)."""
-    return np.array(
-        [
-            summary.input_elements / MEGA,
-            summary.output_elements / MEGA,
-        ]
-    )
-
-
-_FEATURE_EXTRACTORS = {
-    "conv": conv_features,
-    "fc": fc_features,
-    "pool": pool_features,
-}
-
-
-def layer_features(summary: LayerSummary) -> np.ndarray:
-    """Dispatch feature extraction based on the layer's prediction family."""
-    extractor = _FEATURE_EXTRACTORS.get(
-        prediction_family(summary.layer_type), generic_features
-    )
-    return extractor(summary)
-
-
-# ---------------------------------------------------------------------- batched
-# Column builders mirroring the per-layer extractors above.  Each gathers the
-# *raw* counts of a whole family group column-by-column (plain list
-# comprehensions, no per-layer array or tuple allocation), converts them in
-# one ``np.array`` call and applies one matrix-wide ``/ MEGA``; integer counts
-# convert to float64 exactly and the scalar division is the same IEEE
-# operation the per-layer extractors apply, so the values are identical.
+# One column function per prediction family.  Each gathers the *raw*
+# counts of a whole family group column by column (plain list
+# comprehensions, no per-layer array or tuple allocation), and
+# :func:`family_feature_matrix` converts them in one ``np.array`` call and
+# applies one matrix-wide ``/ MEGA``.
 
 def _conv_columns(summaries: List[LayerSummary]) -> tuple:
+    """Convolutions: input elements, output elements, MACs, parameters,
+    weight bytes and total activation+weight traffic."""
     return (
         [s.input_elements for s in summaries],
         [s.output_elements for s in summaries],
@@ -128,6 +63,8 @@ def _conv_columns(summaries: List[LayerSummary]) -> tuple:
 
 
 def _fc_columns(summaries: List[LayerSummary]) -> tuple:
+    """Fully-connected layers: input features, output features, MACs and
+    weight bytes."""
     return (
         [s.input_elements for s in summaries],
         [s.output_elements for s in summaries],
@@ -137,6 +74,7 @@ def _fc_columns(summaries: List[LayerSummary]) -> tuple:
 
 
 def _pool_columns(summaries: List[LayerSummary]) -> tuple:
+    """Poolings: input elements, output elements and operations."""
     return (
         [s.input_elements for s in summaries],
         [s.output_elements for s in summaries],
@@ -145,6 +83,7 @@ def _pool_columns(summaries: List[LayerSummary]) -> tuple:
 
 
 def _generic_columns(summaries: List[LayerSummary]) -> tuple:
+    """Structural layers (flatten, dropout): input and output elements."""
     return (
         [s.input_elements for s in summaries],
         [s.output_elements for s in summaries],
@@ -161,28 +100,14 @@ _COLUMN_BUILDERS = {
 def family_feature_matrix(family: str, summaries: List[LayerSummary]) -> np.ndarray:
     """``(len(summaries), d)`` design matrix for one prediction family.
 
-    Rows equal :func:`layer_features` of the corresponding summary (the
-    family must be the summaries' shared :func:`prediction_family`); building
-    the matrix in one pass is the featurization half of the batched
-    predictor hot path.
+    The one feature definition of the library: the profiler builds its
+    training rows with it and the predictors featurize candidate pools
+    with it.  ``family`` must be the summaries' shared
+    :func:`prediction_family`; families without columns of their own get
+    the generic two columns.  The matrix is the transpose of the
+    column stack, so it is Fortran-ordered.
     """
     builder = _COLUMN_BUILDERS.get(family, _generic_columns)
     matrix = np.array(builder(summaries), dtype=float).T
     matrix /= MEGA
     return matrix
-
-
-def feature_dimension(layer_type: str) -> int:
-    """Dimensionality of the feature vector used for a layer family."""
-    dims: Dict[str, int] = {"conv": 6, "fc": 4, "pool": 3}
-    return dims.get(prediction_family(layer_type), 2)
-
-
-def stack_features(summaries: List[LayerSummary]) -> Dict[str, np.ndarray]:
-    """Group summaries by prediction family and stack their feature vectors."""
-    grouped: Dict[str, List[np.ndarray]] = {}
-    for summary in summaries:
-        grouped.setdefault(
-            prediction_family(summary.layer_type), []
-        ).append(layer_features(summary))
-    return {family: np.vstack(rows) for family, rows in grouped.items()}

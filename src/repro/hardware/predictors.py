@@ -9,24 +9,25 @@ provides:
   L2 regularisation and feature standardisation;
 * :class:`LayerPerformancePredictor` — the per-family latency/power model
   bundle, trainable from :class:`~repro.hardware.profiler.ProfilingDataset`
-  objects and queryable per layer or per architecture;
+  objects and queried a whole candidate pool at a time;
 * :class:`OracleLayerPredictor` — a noiseless pass-through to the simulator,
   useful for tests and for quantifying the regression models' error.
+
+Every predictor has one prediction entry point, ``predict_pool``: one
+read-only ``(num_layers, 2)`` float array of per-layer ``(latency s,
+power W)`` per architecture.  A layer's energy is ``latency * power``.
+The per-layer scalar reference is the test oracle
+``tests/oracles/predictor.py``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hardware.device import DeviceProfile
-from repro.hardware.features import (
-    FAMILY_ALIASES,
-    family_feature_matrix,
-    layer_features,
-    prediction_family,
-)
+from repro.hardware.features import FAMILY_ALIASES, family_feature_matrix
 from repro.hardware.profiler import LayerProfiler, ProfilingDataset
 from repro.hardware.simulator import LayerCostSimulator
 from repro.nn.architecture import Architecture, LayerSummary
@@ -101,21 +102,17 @@ class RidgeRegression:
         return 1.0 - residual / total
 
 
-class LayerPrediction(NamedTuple):
-    """Predicted latency, power and energy for a single layer.
+def _split_pool(
+    pairs: np.ndarray, summary_lists: Sequence[Sequence[LayerSummary]]
+) -> List[np.ndarray]:
+    """Per-architecture row blocks of a pool's ``(total_layers, 2)`` array.
 
-    A named tuple rather than a dataclass: the batched evaluation path
-    materialises one instance per layer per candidate, so construction cost
-    is on the hot path.
+    The blocks are read-only views: callers (the engine's layer cache
+    above all) share them, so nobody may write into another's predictions.
     """
-
-    latency_s: float
-    power_w: float
-
-    @property
-    def energy_j(self) -> float:
-        """Predicted layer energy in joules."""
-        return self.latency_s * self.power_w
+    pairs.flags.writeable = False
+    offsets = np.cumsum([0] + [len(s) for s in summary_lists]).tolist()
+    return [pairs[start:end] for start, end in zip(offsets[:-1], offsets[1:])]
 
 
 class BaseLayerPredictor:
@@ -124,62 +121,36 @@ class BaseLayerPredictor:
     #: Device the predictor was built for.
     device: DeviceProfile
 
-    def predict_layer(self, summary: LayerSummary) -> LayerPrediction:
-        """Predict latency and power for one layer."""
+    def predict_pool(self, architectures: Sequence[Architecture]) -> List[np.ndarray]:
+        """Per-layer ``(latency s, power W)`` of every architecture of a pool.
+
+        One read-only ``(num_layers, 2)`` float array per architecture, in
+        pool order; an empty pool gives an empty list.
+        """
         raise NotImplementedError
 
-    def predict_architecture(
-        self, architecture: Architecture
-    ) -> Tuple[LayerPrediction, ...]:
-        """Predict latency and power for every layer of an architecture."""
-        return tuple(
-            self.predict_layer(summary) for summary in architecture.summarize()
-        )
-
-    def predict_batch(
-        self, architectures: Sequence[Architecture]
-    ) -> List[Tuple[LayerPrediction, ...]]:
-        """Per-layer predictions for a whole candidate pool.
-
-        The base implementation loops :meth:`predict_architecture`, so the
-        oracle and custom predictors work unchanged;
-        :class:`LayerPerformancePredictor` overrides it with a vectorised
-        per-family path.
-        """
-        return [self.predict_architecture(a) for a in architectures]
+    def predict_architecture(self, architecture: Architecture) -> np.ndarray:
+        """:meth:`predict_pool` of a pool of one."""
+        return self.predict_pool([architecture])[0]
 
     def totals(
         self,
         architecture: Architecture,
-        predictions: Optional[Sequence[LayerPrediction]] = None,
+        predictions: Optional[np.ndarray] = None,
     ) -> Tuple[float, float]:
         """``(total latency, total energy)`` from one prediction pass.
 
         Pass cached ``predictions`` (e.g. from
         :meth:`repro.api.engine.EvaluationEngine.layer_predictions`) to skip
-        the predictor entirely.
+        the predictor entirely.  The sums run left to right over Python
+        floats, as the per-layer totals always have.
         """
         if predictions is None:
             predictions = self.predict_architecture(architecture)
-        latency = sum(p.latency_s for p in predictions)
-        energy = sum(p.energy_j for p in predictions)
+        latencies = predictions[:, 0]
+        latency = sum(latencies.tolist())
+        energy = sum((latencies * predictions[:, 1]).tolist())
         return latency, energy
-
-    def total_latency(
-        self,
-        architecture: Architecture,
-        predictions: Optional[Sequence[LayerPrediction]] = None,
-    ) -> float:
-        """Whole-model on-device latency (sum of per-layer latencies)."""
-        return self.totals(architecture, predictions)[0]
-
-    def total_energy(
-        self,
-        architecture: Architecture,
-        predictions: Optional[Sequence[LayerPrediction]] = None,
-    ) -> float:
-        """Whole-model on-device energy (sum of per-layer energies)."""
-        return self.totals(architecture, predictions)[1]
 
 
 class LayerPerformancePredictor(BaseLayerPredictor):
@@ -235,31 +206,7 @@ class LayerPerformancePredictor(BaseLayerPredictor):
         return tuple(sorted(self._latency_models))
 
     # ------------------------------------------------------------------ prediction
-    def predict_layer(self, summary: LayerSummary) -> LayerPrediction:
-        """Scalar reference path: one layer, one feature row per model."""
-        if not self.is_fitted:
-            raise RuntimeError("predictor is not fitted; call fit() or train_for_device()")
-        family = prediction_family(summary.layer_type)
-        if family not in self._latency_models:
-            # Structural layers (flatten/dropout) carry no measurable cost.
-            return LayerPrediction(latency_s=0.0, power_w=self.device.idle_power_w)
-        features = layer_features(summary)
-        latency = float(self._latency_models[family].predict(features)[0])
-        power = float(self._power_models[family].predict(features)[0])
-        return LayerPrediction(
-            latency_s=max(latency, MIN_LATENCY_S),
-            power_w=max(power, MIN_POWER_W),
-        )
-
-    def predict_architecture(
-        self, architecture: Architecture
-    ) -> Tuple[LayerPrediction, ...]:
-        """Thin wrapper over :meth:`predict_batch` (pool of one)."""
-        return self.predict_batch([architecture])[0]
-
-    def predict_batch(
-        self, architectures: Sequence[Architecture]
-    ) -> List[Tuple[LayerPrediction, ...]]:
+    def predict_pool(self, architectures: Sequence[Architecture]) -> List[np.ndarray]:
         """Vectorised per-layer predictions for a whole candidate pool.
 
         All layers of all architectures are grouped by prediction family,
@@ -267,26 +214,16 @@ class LayerPerformancePredictor(BaseLayerPredictor):
         (:func:`~repro.hardware.features.family_feature_matrix`), and each
         :class:`RidgeRegression` runs as a single matrix product — two
         matmuls per family for the entire pool instead of two per layer.
-        Values match :meth:`predict_layer` to floating-point roundoff.
-        """
-        return self.predict_pool(architectures)[0]
-
-    def predict_pool(
-        self, architectures: Sequence[Architecture]
-    ) -> Tuple[List[Tuple[LayerPrediction, ...]], np.ndarray]:
-        """:meth:`predict_batch` plus the raw ``(total_layers, 2)`` array.
-
-        The array holds the pool's per-layer ``(latency, power)`` stream in
-        architecture order — exactly the values inside the returned
-        prediction tuples.  Batched partition costing consumes the array
-        directly, skipping a NamedTuple-to-array round trip.
+        Families without a model (flatten/dropout) are predicted as free at
+        the device's idle power.
         """
         if not self.is_fitted:
             raise RuntimeError("predictor is not fitted; call fit() or train_for_device()")
         summary_lists = [a.summarize() for a in architectures]
         total = sum(len(summaries) for summaries in summary_lists)
-        latencies = np.empty(total)
-        powers = np.empty(total)
+        pairs = np.empty((total, 2))
+        latencies = pairs[:, 0]
+        powers = pairs[:, 1]
         latency_models = self._latency_models
         idle_power = self.device.idle_power_w
         aliases = FAMILY_ALIASES
@@ -316,15 +253,7 @@ class LayerPerformancePredictor(BaseLayerPredictor):
             np.maximum(power, MIN_POWER_W, out=power)
             latencies[positions] = latency
             powers[positions] = power
-        pairs = list(zip(latencies.tolist(), powers.tolist()))
-        make = LayerPrediction._make
-        results: List[Tuple[LayerPrediction, ...]] = []
-        offset = 0
-        for summaries in summary_lists:
-            end = offset + len(summaries)
-            results.append(tuple(map(make, pairs[offset:end])))
-            offset = end
-        return results, np.stack((latencies, powers), axis=1)
+        return _split_pool(pairs, summary_lists)
 
     # ------------------------------------------------------------------ convenience
     @classmethod
@@ -363,11 +292,19 @@ class OracleLayerPredictor(BaseLayerPredictor):
         self.device = device
         self._simulator = LayerCostSimulator(device, noise_std=0.0)
 
-    def predict_layer(self, summary: LayerSummary) -> LayerPrediction:
-        return LayerPrediction(
-            latency_s=self._simulator.latency(summary),
-            power_w=self._simulator.power(summary),
-        )
+    def predict_pool(self, architectures: Sequence[Architecture]) -> List[np.ndarray]:
+        """The simulator's noiseless latency and power of every layer."""
+        summary_lists = [a.summarize() for a in architectures]
+        simulator = self._simulator
+        pairs = np.array(
+            [
+                (simulator.latency(s), simulator.power(s))
+                for summaries in summary_lists
+                for s in summaries
+            ],
+            dtype=float,
+        ).reshape(-1, 2)
+        return _split_pool(pairs, summary_lists)
 
 
 def prediction_error_report(
@@ -385,11 +322,14 @@ def prediction_error_report(
     (:meth:`BaseLayerPredictor.totals`).  Pass an
     :class:`~repro.api.engine.EvaluationEngine` to route those passes
     through its layer cache (and share its cached oracle), so
-    architectures already costed by a search are not re-predicted.
+    architectures already costed by a search are not re-predicted.  An
+    empty pool has no error to report and raises :class:`ValueError`.
     """
     latency_errors: List[float] = []
     energy_errors: List[float] = []
     pool = list(architectures)
+    if not pool:
+        raise ValueError("prediction_error_report needs at least one architecture")
     if engine is not None:
         oracle: BaseLayerPredictor = engine.predictor_for(
             predictor.device, oracle=True
@@ -410,7 +350,7 @@ def prediction_error_report(
                 predictor.totals(architecture, model_preds),
             )
             for architecture, true_preds, model_preds in zip(
-                pool, oracle.predict_batch(pool), predictor.predict_batch(pool)
+                pool, oracle.predict_pool(pool), predictor.predict_pool(pool)
             )
         ]
     for (true_latency, true_energy), (predicted_latency, predicted_energy) in totals:

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.hardware.features import layer_features
+from repro.hardware.features import family_feature_matrix
 from repro.hardware.simulator import LayerCostSimulator
 from repro.nn.architecture import LayerSummary
 from repro.nn.layers import Conv2D, Dense, MaxPool2D, shape_bytes
@@ -164,32 +164,32 @@ class LayerProfiler:
             )
 
     # ------------------------------------------------------------------ dataset construction
-    def _profile(self, configs: Iterable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        feature_rows: List[np.ndarray] = []
+    def _profile(self, family: str, configs: Iterable) -> ProfilingDataset:
+        summaries: List[LayerSummary] = []
         latencies: List[float] = []
         powers: List[float] = []
         for layer, input_shape in configs:
             summary = _summary_for(layer, input_shape)
             measurement = self.simulator.measure(summary)
-            feature_rows.append(layer_features(summary))
+            summaries.append(summary)
             latencies.append(measurement.latency_s)
             powers.append(measurement.power_w)
-        return np.vstack(feature_rows), np.array(latencies), np.array(powers)
+        # C order, as row-stacked feature vectors are: the ridge fit's
+        # reductions then run in the same order, bit for bit.
+        features = np.ascontiguousarray(family_feature_matrix(family, summaries))
+        return ProfilingDataset(family, features, np.array(latencies), np.array(powers))
 
     def profile_conv(self) -> ProfilingDataset:
         """Profile convolutional layer configurations."""
-        features, latencies, powers = self._profile(self._sample_conv_configs())
-        return ProfilingDataset("conv", features, latencies, powers)
+        return self._profile("conv", self._sample_conv_configs())
 
     def profile_fc(self) -> ProfilingDataset:
         """Profile fully-connected layer configurations."""
-        features, latencies, powers = self._profile(self._sample_fc_configs())
-        return ProfilingDataset("fc", features, latencies, powers)
+        return self._profile("fc", self._sample_fc_configs())
 
     def profile_pool(self) -> ProfilingDataset:
         """Profile pooling layer configurations."""
-        features, latencies, powers = self._profile(self._sample_pool_configs())
-        return ProfilingDataset("pool", features, latencies, powers)
+        return self._profile("pool", self._sample_pool_configs())
 
     def profile_all(self) -> Dict[str, ProfilingDataset]:
         """Profile every layer family the predictors need."""

@@ -36,7 +36,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hardware.predictors import BaseLayerPredictor, LayerPrediction
+from repro.hardware.predictors import BaseLayerPredictor
 from repro.nn.architecture import Architecture
 from repro.nn.graph import PartitionGraph
 from repro.partition.deployment import DeploymentMetrics, DeploymentOption
@@ -155,7 +155,7 @@ class PartitionAnalyzer:
     def evaluate(
         self,
         architecture: Architecture,
-        predictions: Optional[Sequence[LayerPrediction]] = None,
+        predictions: Optional[np.ndarray] = None,
         graph: Optional[PartitionGraph] = None,
     ) -> PartitionEvaluation:
         """Cost every deployment option of ``architecture``.
@@ -168,9 +168,9 @@ class PartitionAnalyzer:
         architecture:
             The candidate model, decoded with the *performance* input shape.
         predictions:
-            Optional pre-computed per-layer predictions (used to avoid
-            re-running the predictors when evaluating the same architecture
-            under several channels).
+            Optional pre-computed ``(num_layers, 2)`` ``(latency, power)``
+            array (used to avoid re-running the predictors when evaluating
+            the same architecture under several channels).
         graph:
             Optional cut-legality graph overriding the architecture's own
             (used by search spaces that constrain cuts beyond what the
@@ -179,7 +179,7 @@ class PartitionAnalyzer:
         """
         return self.evaluate_batch(
             [architecture],
-            predictions_list=None if predictions is None else [predictions],
+            predictions=None if predictions is None else [predictions],
             graphs=[graph],
         )[0][0]
 
@@ -187,9 +187,8 @@ class PartitionAnalyzer:
         self,
         architectures: Sequence[Architecture],
         channels: Optional[Sequence[WirelessChannel]] = None,
-        predictions_list: Optional[Sequence[Sequence[LayerPrediction]]] = None,
+        predictions: Optional[Sequence[np.ndarray]] = None,
         graphs: Optional[Sequence[Optional[PartitionGraph]]] = None,
-        predictions_array: Optional[np.ndarray] = None,
     ) -> List[List[PartitionEvaluation]]:
         """Array-based costing of a candidate pool under many channels.
 
@@ -215,18 +214,14 @@ class PartitionAnalyzer:
         channels:
             Wireless channels to cost under; defaults to the analyzer's own
             channel.  The per-candidate arrays are built once and shared.
-        predictions_list:
-            Optional pre-computed per-layer predictions, one sequence per
-            architecture (e.g. from
-            :meth:`~repro.hardware.predictors.BaseLayerPredictor.predict_batch`).
+        predictions:
+            Optional pre-computed per-layer predictions: one
+            ``(num_layers, 2)`` ``(latency, power)`` array per architecture,
+            as :meth:`~repro.hardware.predictors.BaseLayerPredictor.predict_pool`
+            returns them.
         graphs:
             Optional per-architecture cut-legality overrides (``None``
             entries fall back to each architecture's own graph).
-        predictions_array:
-            Optional raw ``(total_layers, 2)`` latency/power array matching
-            ``predictions_list`` (the second return of
-            :meth:`~repro.hardware.predictors.LayerPerformancePredictor.predict_pool`);
-            skips the prediction-tuple-to-array conversion.
 
         Returns
         -------
@@ -238,18 +233,14 @@ class PartitionAnalyzer:
         n = len(architectures)
         if n == 0 or not channels:
             return [[] for _ in range(n)]
-        if predictions_list is None:
-            predict_pool = getattr(self.predictor, "predict_pool", None)
-            if predict_pool is not None:
-                predictions_list, predictions_array = predict_pool(architectures)
-            else:
-                predictions_list = self.predictor.predict_batch(architectures)
+        if predictions is None:
+            predictions = self.predictor.predict_pool(architectures)
         if graphs is None:
             graphs = [None] * n
-        if len(predictions_list) != n or len(graphs) != n:
+        if len(predictions) != n or len(graphs) != n:
             raise ValueError(
-                f"expected {n} prediction sequences and graphs, got "
-                f"{len(predictions_list)} and {len(graphs)}"
+                f"expected {n} prediction arrays and graphs, got "
+                f"{len(predictions)} and {len(graphs)}"
             )
 
         # ---- channel-independent pool arrays (flat layer axis) ----------
@@ -262,39 +253,18 @@ class PartitionAnalyzer:
         offsets = [0]
         for count in lengths:
             offsets.append(offsets[-1] + count)
-        for architecture, predictions, count in zip(
-            architectures, predictions_list, lengths
+        for architecture, layer_predictions, count in zip(
+            architectures, predictions, lengths
         ):
-            if len(predictions) != count:
+            if len(layer_predictions) != count:
                 raise ValueError(
                     f"expected {count} layer predictions for "
-                    f"{architecture.name}, got {len(predictions)}"
+                    f"{architecture.name}, got {len(layer_predictions)}"
                 )
-        # The per-layer (latency, power) stream as a (total_layers, 2)
-        # array: the predictor's raw pool array when supplied, otherwise one
-        # conversion of the prediction tuples (LayerPrediction is a named
-        # tuple; duck-typed prediction objects fall back to attribute access).
-        if predictions_array is not None and predictions_array.shape == (
-            offsets[-1],
-            2,
-        ):
-            pairs = predictions_array
-        else:
-            flat_predictions = [
-                p for predictions in predictions_list for p in predictions
-            ]
-            try:
-                pairs = np.asarray(flat_predictions, dtype=float)
-            except (TypeError, ValueError):
-                pairs = None
-            if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
-                pairs = np.array(
-                    [(p.latency_s, p.power_w) for p in flat_predictions],
-                    dtype=float,
-                )
+        pairs = np.concatenate(predictions)
         flat_latency = pairs[:, 0]
-        # Per-layer energy is latency * power (LayerPrediction.energy_j),
-        # one elementwise product for the whole pool.
+        # Per-layer energy is latency * power, one elementwise product for
+        # the whole pool.
         flat_energy = flat_latency * pairs[:, 1]
 
         # Per-candidate prefix sums: one flat cumsum, then subtract each
@@ -338,8 +308,8 @@ class PartitionAnalyzer:
         # prediction pass, then one reversed cumsum per candidate.
         if self.cloud_predictor is not None:
             cloud_suffixes: List[Optional[List[float]]] = []
-            for cloud_preds in self.cloud_predictor.predict_batch(architectures):
-                cloud_latencies = np.array([p.latency_s for p in cloud_preds])
+            for cloud_preds in self.cloud_predictor.predict_pool(architectures):
+                cloud_latencies = cloud_preds[:, 0]
                 suffix = np.zeros(cloud_latencies.shape[0] + 1)
                 suffix[:-1] = cloud_latencies[::-1].cumsum()[::-1]
                 cloud_suffixes.append(suffix.tolist())

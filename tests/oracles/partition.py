@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.hardware.predictors import LayerPrediction
 from repro.nn.architecture import Architecture, LayerSummary
 from repro.nn.graph import PartitionGraph
 from repro.partition.deployment import DeploymentMetrics, DeploymentOption
@@ -71,8 +70,7 @@ def cloud_suffix_latencies(
     """
     if analyzer.cloud_predictor is None:
         return None
-    predictions = analyzer.cloud_predictor.predict_architecture(architecture)
-    latencies = np.array([p.latency_s for p in predictions])
+    latencies = analyzer.cloud_predictor.predict_architecture(architecture)[:, 0]
     suffix = np.zeros(latencies.shape[0] + 1)
     suffix[:-1] = latencies[::-1].cumsum()[::-1]
     return suffix
@@ -81,14 +79,15 @@ def cloud_suffix_latencies(
 def evaluate(
     analyzer: PartitionAnalyzer,
     architecture: Architecture,
-    predictions: Optional[Sequence[LayerPrediction]] = None,
+    predictions: Optional[np.ndarray] = None,
     graph: Optional[PartitionGraph] = None,
 ) -> PartitionEvaluation:
     """Cost every deployment option of ``architecture`` under ``analyzer``.
 
     Same contract as :meth:`PartitionAnalyzer.evaluate`: ``predictions``
-    optionally supplies the per-layer predictions, ``graph`` optionally
-    overrides the architecture's own cut-legality graph.
+    optionally supplies the ``(num_layers, 2)`` ``(latency, power)`` array,
+    ``graph`` optionally overrides the architecture's own cut-legality
+    graph.
     """
     summaries = architecture.summarize()
     if predictions is None:
@@ -98,8 +97,8 @@ def evaluate(
             f"expected {len(summaries)} layer predictions, got {len(predictions)}"
         )
 
-    latencies = np.array([p.latency_s for p in predictions])
-    energies = np.array([p.energy_j for p in predictions])
+    latencies = predictions[:, 0]
+    energies = latencies * predictions[:, 1]
     output_bytes = np.array([s.output_bytes for s in summaries])
     cumulative_latency = np.cumsum(latencies)
     cumulative_energy = np.cumsum(energies)

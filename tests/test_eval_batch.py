@@ -1,6 +1,6 @@
 """Batched-vs-scalar parity of the candidate-evaluation hot path.
 
-The batched engine (`predict_batch` / `PartitionAnalyzer.evaluate_batch` /
+The batched engine (`predict_pool` / `PartitionAnalyzer.evaluate_batch` /
 `EvaluationEngine.evaluate_batch` / `PartitionAwareEvaluator.evaluate_pool`)
 must reproduce the scalar Algorithm 1 oracle (`tests/oracles/partition.py`)
 to <= 1e-9 for any architecture of any registered search space under any
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import partition as oracle
+from oracles import predictor as predictor_oracle
 
 from repro.api.engine import EvaluationEngine
 from repro.api.registry import SEARCH_SPACES
@@ -149,23 +150,52 @@ def test_analyzer_batch_matches_scalar_across_spaces(
     pool_size=st.integers(1, 4),
 )
 def test_predict_batch_matches_predict_layer(space_name, seed, pool_size):
-    """The vectorised per-family predictor equals the per-layer scalar path."""
+    """predict_pool equals the per-layer scalar oracle, for both predictors."""
     space = _space(space_name)
-    predictor = _trained()
     rng = np.random.default_rng(seed)
     architectures = [
         space.decode_for_performance(space.sample(rng)) for _ in range(pool_size)
     ]
-    batched = predictor.predict_batch(architectures)
-    for architecture, predictions in zip(architectures, batched):
-        reference = [
-            predictor.predict_layer(s) for s in architecture.summarize()
-        ]
-        assert len(predictions) == len(reference)
-        for got, want in zip(predictions, reference):
-            assert abs(got.latency_s - want.latency_s) <= PARITY
-            assert abs(got.power_w - want.power_w) <= PARITY
-            assert abs(got.energy_j - want.energy_j) <= PARITY
+    for predictor in (_trained(), _oracle()):
+        batched = predictor.predict_pool(architectures)
+        assert len(batched) == len(architectures)
+        for architecture, predictions in zip(architectures, batched):
+            reference = predictor_oracle.predict_architecture(predictor, architecture)
+            assert predictions.shape == reference.shape == (len(architecture), 2)
+            np.testing.assert_allclose(predictions, reference, rtol=0, atol=PARITY)
+            np.testing.assert_allclose(
+                predictions[:, 0] * predictions[:, 1],
+                reference[:, 0] * reference[:, 1],
+                rtol=0,
+                atol=PARITY,
+            )
+
+
+_PREDICTORS = pytest.mark.parametrize(
+    "predictor_factory", [_trained, _oracle], ids=["trained", "oracle"]
+)
+
+
+@_PREDICTORS
+def test_predict_pool_arrays_are_read_only(predictor_factory):
+    """Cached predictions are shared, so nobody may write into them."""
+    space = _space("lens-vgg")
+    rng = np.random.default_rng(9)
+    architectures = [space.decode_for_performance(space.sample(rng)) for _ in range(3)]
+    predictor = predictor_factory()
+    engine = EvaluationEngine()
+    arrays = predictor.predict_pool(architectures) + [
+        engine.layer_predictions(predictor, architectures[0])
+    ]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+
+
+@_PREDICTORS
+def test_predict_pool_of_an_empty_pool_is_empty(predictor_factory):
+    assert predictor_factory().predict_pool([]) == []
 
 
 @settings(max_examples=10, deadline=None)
@@ -217,7 +247,7 @@ def test_cloud_suffix_reversed_cumsum_matches_per_cut_resum():
     assert suffix is not None and len(suffix) == len(summaries) + 1
     for first in range(len(summaries) + 1):
         reference = sum(
-            cloud.predict_layer(s).latency_s for s in summaries[first:]
+            predictor_oracle.predict_layer(cloud, s)[0] for s in summaries[first:]
         )
         assert abs(suffix[first] - reference) <= PARITY
     # All-Cloud / split latencies pick up the suffix in both paths.
@@ -380,17 +410,19 @@ class TestEngineBatchStats:
 
 
 def test_totals_single_pass_and_engine_layer_cache():
-    """total_latency/total_energy derive from one prediction pass."""
+    """Both totals derive from one prediction pass, summed left to right."""
     space = _space("lens-vgg")
     rng = np.random.default_rng(1)
     architecture = space.decode_for_performance(space.sample(rng))
     predictor = _oracle()
     predictions = predictor.predict_architecture(architecture)
     latency, energy = predictor.totals(architecture, predictions)
-    assert latency == pytest.approx(sum(p.latency_s for p in predictions))
-    assert energy == pytest.approx(sum(p.energy_j for p in predictions))
-    assert predictor.total_latency(architecture) == pytest.approx(latency)
-    assert predictor.total_energy(architecture, predictions) == pytest.approx(energy)
+    pairs = [
+        predictor_oracle.predict_layer(predictor, s) for s in architecture.summarize()
+    ]
+    assert latency == sum(l for l, _ in pairs)
+    assert energy == sum(l * p for l, p in pairs)
+    assert predictor.totals(architecture) == (latency, energy)
 
     engine = EvaluationEngine()
     first = engine.architecture_totals(predictor, architecture)
@@ -419,3 +451,13 @@ def test_prediction_error_report_engine_routing_matches_direct():
     # Second engine-routed report is pure layer-cache hits (both predictors).
     assert delta["layer_misses"] == 0
     assert delta["layer_hits"] == 6
+
+
+def test_prediction_error_report_rejects_an_empty_pool():
+    """An empty pool has no error to average: ValueError, not a NaN."""
+    from repro.hardware.predictors import prediction_error_report
+
+    with pytest.raises(ValueError):
+        prediction_error_report(_trained(), [])
+    with pytest.raises(ValueError):
+        prediction_error_report(_trained(), [], engine=EvaluationEngine())

@@ -1,37 +1,67 @@
 """Tests for feature extraction and the profiling-dataset generator."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.predictor import layer_features
 
-from repro.hardware.features import (
-    feature_dimension,
-    layer_features,
-    stack_features,
-)
-from repro.hardware.profiler import LayerProfiler, ProfilingDataset
+from repro.api.registry import SEARCH_SPACES
+from repro.hardware.features import family_feature_matrix, prediction_family
+from repro.hardware.predictors import RidgeRegression
+from repro.hardware.profiler import LayerProfiler, ProfilingDataset, _summary_for
 from repro.hardware.simulator import LayerCostSimulator
+
+SPACE_NAMES = ("lens-vgg", "resnet-v1", "seq-conv1d")
+
+
+@functools.lru_cache(maxsize=None)
+def _space(name):
+    return SEARCH_SPACES.create(name)
+
+
+def _by_family(summaries):
+    groups = {}
+    for summary in summaries:
+        groups.setdefault(prediction_family(summary.layer_type), []).append(summary)
+    return groups
 
 
 class TestFeatures:
     def test_feature_dimensions_match_extractors(self, alexnet):
-        for summary in alexnet.summarize():
-            features = layer_features(summary)
-            assert features.shape == (feature_dimension(summary.layer_type),)
-            assert np.all(np.isfinite(features))
-            assert np.all(features >= 0)
+        for family, members in _by_family(alexnet.summarize()).items():
+            matrix = family_feature_matrix(family, members)
+            assert matrix.shape == (len(members), len(layer_features(members[0])))
+            assert np.all(np.isfinite(matrix))
+            assert np.all(matrix >= 0)
 
     def test_conv_features_scale_with_layer_size(self, alexnet):
         by_name = {s.name: s for s in alexnet.summarize()}
-        small = layer_features(by_name["conv1"])
-        large = layer_features(by_name["conv2"])
+        small, large = family_feature_matrix("conv", [by_name["conv1"], by_name["conv2"]])
         # conv2 has more MACs than conv1 (feature index 2).
         assert large[2] > small[2]
 
-    def test_stack_features_groups_by_family(self, alexnet):
-        grouped = stack_features(list(alexnet.summarize()))
-        assert set(grouped) >= {"conv", "fc", "pool"}
-        assert grouped["conv"].shape == (5, feature_dimension("conv"))
-        assert grouped["fc"].shape == (3, feature_dimension("fc"))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        space_name=st.sampled_from(SPACE_NAMES),
+        seed=st.integers(0, 2**31 - 1),
+        pool_size=st.integers(1, 4),
+    )
+    def test_matrix_rows_equal_the_per_layer_oracle(
+        self, alexnet, space_name, seed, pool_size
+    ):
+        """Every matrix row is the per-layer feature vector, bit for bit."""
+        space = _space(space_name)
+        rng = np.random.default_rng(seed)
+        summaries = list(alexnet.summarize())
+        for _ in range(pool_size):
+            summaries.extend(space.decode_for_performance(space.sample(rng)).summarize())
+        for family, members in _by_family(summaries).items():
+            matrix = family_feature_matrix(family, members)
+            for row, summary in zip(matrix, members):
+                assert np.array_equal(row, layer_features(summary))
 
 
 class TestProfilingDataset:
@@ -58,6 +88,36 @@ class TestLayerProfiler:
             assert len(dataset) == 40
             assert np.all(dataset.latencies_s > 0)
             assert np.all(dataset.powers_w > 0)
+
+    def test_datasets_stack_the_oracle_rows_and_fit_identically(self, gpu_device):
+        """Training rows equal the per-layer oracle's, and so do the fits."""
+
+        def profiler():
+            simulator = LayerCostSimulator(gpu_device, noise_std=0.02, rng=5)
+            return LayerProfiler(simulator, samples_per_type=30, rng=5)
+
+        datasets = profiler().profile_all()
+        # Same seed, and the generators draw lazily in profile_all's family
+        # order: the replay yields the same configurations.
+        replay = profiler()
+        configs = {
+            "conv": replay._sample_conv_configs(),
+            "fc": replay._sample_fc_configs(),
+            "pool": replay._sample_pool_configs(),
+        }
+        for family, family_configs in configs.items():
+            rows = np.vstack(
+                [layer_features(_summary_for(*config)) for config in family_configs]
+            )
+            dataset = datasets[family]
+            assert np.array_equal(dataset.features, rows)
+            for targets in (dataset.latencies_s, dataset.powers_w):
+                fitted = RidgeRegression().fit(dataset.features, targets)
+                reference = RidgeRegression().fit(rows, targets)
+                for attribute in ("_weights", "_mean", "_std"):
+                    assert np.array_equal(
+                        getattr(fitted, attribute), getattr(reference, attribute)
+                    )
 
     def test_profiles_cover_a_wide_latency_range(self, profiler):
         conv = profiler.profile_conv()

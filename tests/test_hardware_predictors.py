@@ -53,43 +53,40 @@ class TestLayerPerformancePredictor:
             assert family_scores["samples"] > 0
 
     def test_power_predictions_close_to_oracle(self, gpu_predictor, gpu_oracle, alexnet):
-        for summary in alexnet.summarize():
-            if summary.layer_type not in gpu_predictor.supported_families:
-                continue
-            predicted = gpu_predictor.predict_layer(summary).power_w
-            oracle = gpu_oracle.predict_layer(summary).power_w
-            assert predicted == pytest.approx(oracle, rel=0.25)
+        predicted = gpu_predictor.predict_architecture(alexnet)[:, 1]
+        oracle = gpu_oracle.predict_architecture(alexnet)[:, 1]
+        for summary, power, true_power in zip(alexnet.summarize(), predicted, oracle):
+            if summary.layer_type in gpu_predictor.supported_families:
+                assert power == pytest.approx(true_power, rel=0.25)
 
     def test_predictions_are_positive(self, gpu_predictor, alexnet):
-        for summary, prediction in zip(
-            alexnet.summarize(), gpu_predictor.predict_architecture(alexnet)
-        ):
+        predictions = gpu_predictor.predict_architecture(alexnet)
+        assert predictions.shape == (len(alexnet), 2)
+        for summary, (latency, power) in zip(alexnet.summarize(), predictions):
             if summary.layer_type in gpu_predictor.supported_families:
-                assert prediction.latency_s > 0
+                assert latency > 0
             else:
                 # Structural layers (flatten/dropout) are predicted as free.
-                assert prediction.latency_s == 0.0
-            assert prediction.power_w > 0
-            assert prediction.energy_j == pytest.approx(
-                prediction.latency_s * prediction.power_w
-            )
+                assert latency == 0.0
+            assert power > 0
 
     def test_total_latency_close_to_oracle(self, gpu_predictor, gpu_oracle, alexnet):
-        predicted = gpu_predictor.total_latency(alexnet)
-        oracle = gpu_oracle.total_latency(alexnet)
+        predicted = gpu_predictor.totals(alexnet)[0]
+        oracle = gpu_oracle.totals(alexnet)[0]
         assert predicted == pytest.approx(oracle, rel=0.35)
 
     def test_structural_layers_are_free(self, gpu_predictor, alexnet):
-        flatten_summary = next(
-            s for s in alexnet.summarize() if s.layer_type == "flatten"
+        flatten_index = next(
+            s.index for s in alexnet.summarize() if s.layer_type == "flatten"
         )
-        prediction = gpu_predictor.predict_layer(flatten_summary)
-        assert prediction.latency_s == 0.0
+        latency, power = gpu_predictor.predict_architecture(alexnet)[flatten_index]
+        assert latency == 0.0
+        assert power == gpu_predictor.device.idle_power_w
 
     def test_unfitted_predictor_raises(self, gpu_device, alexnet):
         predictor = LayerPerformancePredictor(gpu_device)
         with pytest.raises(RuntimeError):
-            predictor.predict_layer(alexnet.summarize()[0])
+            predictor.predict_pool([alexnet])
         with pytest.raises(ValueError):
             predictor.fit({})
 
@@ -106,7 +103,7 @@ class TestLayerPerformancePredictor:
 
 class TestOraclePredictor:
     def test_oracle_matches_simulator_ordering(self, gpu_oracle, cpu_oracle, alexnet):
-        assert cpu_oracle.total_latency(alexnet) > gpu_oracle.total_latency(alexnet)
+        assert cpu_oracle.totals(alexnet)[0] > gpu_oracle.totals(alexnet)[0]
 
     def test_oracle_is_deterministic(self, gpu_oracle, alexnet):
-        assert gpu_oracle.total_energy(alexnet) == gpu_oracle.total_energy(alexnet)
+        assert gpu_oracle.totals(alexnet)[1] == gpu_oracle.totals(alexnet)[1]

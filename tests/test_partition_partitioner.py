@@ -55,12 +55,9 @@ class TestPartitionAnalyzer:
 
     def test_all_edge_costs_equal_layer_sums(self, gpu_wifi_analyzer, gpu_oracle, alexnet):
         evaluation = gpu_wifi_analyzer.evaluate(alexnet)
-        assert evaluation.all_edge.latency_s == pytest.approx(
-            gpu_oracle.total_latency(alexnet)
-        )
-        assert evaluation.all_edge.energy_j == pytest.approx(
-            gpu_oracle.total_energy(alexnet)
-        )
+        latency, energy = gpu_oracle.totals(alexnet)
+        assert evaluation.all_edge.latency_s == pytest.approx(latency)
+        assert evaluation.all_edge.energy_j == pytest.approx(energy)
         assert evaluation.all_edge.comm_latency_s == 0.0
         assert evaluation.all_edge.transferred_bytes == 0.0
 
@@ -110,7 +107,7 @@ class TestPartitionAnalyzer:
         predictions = gpu_oracle.predict_architecture(alexnet)
         evaluation = analyzer.evaluate(alexnet, predictions=predictions)
         assert evaluation.all_edge.latency_s == pytest.approx(
-            sum(p.latency_s for p in predictions)
+            sum(predictions[:, 0].tolist())
         )
         with pytest.raises(ValueError):
             analyzer.evaluate(alexnet, predictions=predictions[:-1])
