@@ -55,11 +55,17 @@ from repro.resilience.checkpoint import (
     SearchCheckpoint,
 )
 from repro.resilience.health import HealthLog
+from repro.utils.blas import blas_threads
 from repro.utils.rng import ensure_rng
 from repro.wireless.channel import WirelessChannel
 
 #: The three objectives every strategy minimises, in order.
 OBJECTIVES = METRIC_NAMES
+
+#: OpenBLAS threads a search runs with.  Its BLAS calls are small (factors
+#: and solves of at most a few hundred rows), where a second thread costs
+#: more in hand-offs than it saves (``docs/performance.md``).
+SEARCH_BLAS_THREADS = 1
 
 #: Optional ``callback(evaluation_index, candidate_evaluation)``.
 ProgressCallback = Callable[[int, CandidateEvaluation], None]
@@ -356,6 +362,7 @@ def _replay_group_sizes(request: SearchRequest, num_records: int) -> List[int]:
     return sizes
 
 
+@blas_threads(SEARCH_BLAS_THREADS)
 def run_search(
     request: Union[SearchRequest, Dict, None] = None,
     *,
@@ -396,6 +403,12 @@ def run_search(
     ``docs/robustness.md``).  ``strict_objectives`` / ``objective_retries``
     / ``retry_backoff_s`` set the non-finite-quarantine and flaky-objective
     retry policy of the optimization loop.
+
+    The whole run — predictor training, resume replay, the strategy and the
+    front history — executes with every loaded OpenBLAS set to
+    :data:`SEARCH_BLAS_THREADS` thread, and the previous count is restored
+    afterwards (:func:`repro.utils.blas.blas_threads`).  The count is
+    process-wide while the run lasts, and the outcome does not depend on it.
     """
     if isinstance(search_space, str):
         request_fields["search_space"] = search_space

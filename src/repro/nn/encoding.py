@@ -80,6 +80,14 @@ class EncodingScheme:
             raise ValueError(f"duplicate gene names: {duplicates}")
         self.genes: Tuple[Gene, ...] = tuple(genes)
         self._index_by_name = {gene.name: i for i, gene in enumerate(self.genes)}
+        # Built once and read-only: validation, the unit-cube projection and
+        # mutation read them for every genotype a search draws.
+        cards = np.array([gene.cardinality for gene in self.genes], dtype=int)
+        cards.flags.writeable = False
+        self._cardinalities = cards
+        self._unit_steps = cards - 1.0
+        self._unit_denominator = np.maximum(self._unit_steps, 1.0)
+        self._mutable = [i for i, card in enumerate(cards.tolist()) if card > 1]
 
     # ------------------------------------------------------------------ basic
     def __len__(self) -> int:
@@ -92,8 +100,8 @@ class EncodingScheme:
 
     @property
     def cardinalities(self) -> np.ndarray:
-        """Per-gene number of choices as an integer array."""
-        return np.array([gene.cardinality for gene in self.genes], dtype=int)
+        """Per-gene number of choices as a read-only integer array."""
+        return self._cardinalities
 
     def total_combinations(self) -> int:
         """Size of the unconstrained Cartesian product of all genes."""
@@ -124,8 +132,7 @@ class EncodingScheme:
             raise ValueError(
                 f"expected an index vector of length {self.num_genes}, got shape {arr.shape}"
             )
-        cards = self.cardinalities
-        if np.any(arr < 0) or np.any(arr >= cards):
+        if np.any(arr < 0) or np.any(arr >= self._cardinalities):
             bad = [
                 f"{gene.name}={idx} (cardinality {gene.cardinality})"
                 for gene, idx in zip(self.genes, arr)
@@ -135,11 +142,14 @@ class EncodingScheme:
         return arr
 
     def sample_indices(self, rng: SeedLike = None) -> np.ndarray:
-        """Sample a uniformly random (unconstrained) index vector."""
-        rng = ensure_rng(rng)
-        return np.array(
-            [rng.integers(0, gene.cardinality) for gene in self.genes], dtype=int
-        )
+        """Sample a uniformly random (unconstrained) index vector.
+
+        One ``integers`` call over the cardinality array draws the same
+        numbers, and leaves the generator in the same state, as one call per
+        gene in gene order; ``tests/test_nn_encoding.py`` pins that, because
+        every seeded golden depends on it.
+        """
+        return ensure_rng(rng).integers(0, self._cardinalities)
 
     def values(self, indices: Sequence[int]) -> Dict[str, object]:
         """Map an index vector to a ``{gene name: value}`` dictionary."""
@@ -162,10 +172,8 @@ class EncodingScheme:
         A gene with a single choice maps to 0.5 so it carries no information
         for the Gaussian-process kernel.
         """
-        arr = self.validate_indices(indices).astype(float)
-        cards = self.cardinalities.astype(float)
-        unit = np.where(cards > 1, arr / np.maximum(cards - 1.0, 1.0), 0.5)
-        return unit
+        arr = self.validate_indices(indices)
+        return np.where(self._cardinalities > 1, arr / self._unit_denominator, 0.5)
 
     def from_unit(self, unit: Sequence[float]) -> np.ndarray:
         """Snap a unit-cube point back onto the nearest valid index vector."""
@@ -174,8 +182,7 @@ class EncodingScheme:
             raise ValueError(
                 f"expected a unit vector of length {self.num_genes}, got shape {arr.shape}"
             )
-        cards = self.cardinalities.astype(float)
-        indices = np.rint(arr * np.maximum(cards - 1.0, 0.0)).astype(int)
+        indices = np.rint(arr * self._unit_steps).astype(int)
         return self.validate_indices(indices)
 
     # ------------------------------------------------------------------ neighbourhood
@@ -193,7 +200,7 @@ class EncodingScheme:
         """
         rng = ensure_rng(rng)
         arr = self.validate_indices(indices).copy()
-        mutable = [i for i, gene in enumerate(self.genes) if gene.cardinality > 1]
+        mutable = self._mutable
         if not mutable:
             return arr
         changed = False

@@ -96,6 +96,17 @@ class LensSearchSpace(EncodedSearchSpace):
         self.accuracy_input_shape = tuple(accuracy_input_shape)
         self.performance_input_shape = tuple(performance_input_shape)
         self.encoding = self._build_encoding()
+        # Gene positions the validity rule and repair index the genotype at.
+        self._pool_positions = np.array(
+            [
+                self.encoding.gene_position(f"block{block}_pool")
+                for block in range(1, self.num_blocks + 1)
+            ]
+        )
+        self._fc_present_positions = np.array(
+            [self.encoding.gene_position(f"fc{i}_present") for i in (1, 2)]
+        )
+        self._true_index = self.encoding.gene("fc1_present").index_of(True)
 
     # ------------------------------------------------------------------ encoding
     def _build_encoding(self) -> EncodingScheme:
@@ -114,10 +125,8 @@ class LensSearchSpace(EncodedSearchSpace):
     # ------------------------------------------------------------------ validity
     def pool_count(self, indices: Sequence[int]) -> int:
         """Number of pooling layers encoded by the given genotype."""
-        values = self.encoding.values(indices)
-        return sum(
-            1 for block in range(1, self.num_blocks + 1) if values[f"block{block}_pool"]
-        )
+        arr = self.encoding.validate_indices(indices)
+        return int(np.count_nonzero(arr[self._pool_positions] == self._true_index))
 
     def is_valid(self, indices: Sequence[int]) -> bool:
         """Whether the genotype satisfies the search-space constraints.
@@ -126,15 +135,11 @@ class LensSearchSpace(EncodedSearchSpace):
         pooling layers, and at least one of the two fully-connected layers
         present.
         """
-        values = self.encoding.values(indices)
-        pools = sum(
-            1 for block in range(1, self.num_blocks + 1) if values[f"block{block}_pool"]
-        )
+        arr = self.encoding.validate_indices(indices)
+        pools = np.count_nonzero(arr[self._pool_positions] == self._true_index)
         if pools < self.min_pool_layers:
             return False
-        if not (values["fc1_present"] or values["fc2_present"]):
-            return False
-        return True
+        return bool(np.any(arr[self._fc_present_positions] == self._true_index))
 
     def repair(self, indices: Sequence[int], rng: SeedLike = None) -> np.ndarray:
         """Return a valid genotype obtained by minimally editing ``indices``.
@@ -144,25 +149,12 @@ class LensSearchSpace(EncodedSearchSpace):
         """
         rng = ensure_rng(rng)
         arr = self.encoding.validate_indices(indices).copy()
-        values = self.encoding.values(arr)
-
-        pool_positions = [
-            self.encoding.gene_position(f"block{block}_pool")
-            for block in range(1, self.num_blocks + 1)
-        ]
-        pool_gene = self.encoding.gene("block1_pool")
-        on_index = pool_gene.index_of(True)
-        current_pools = [pos for pos in pool_positions if arr[pos] == on_index]
-        missing = self.min_pool_layers - len(current_pools)
+        off = self._pool_positions[arr[self._pool_positions] != self._true_index]
+        missing = self.min_pool_layers - (len(self._pool_positions) - len(off))
         if missing > 0:
-            off_positions = [pos for pos in pool_positions if arr[pos] != on_index]
-            chosen = rng.choice(len(off_positions), size=missing, replace=False)
-            for choice in np.atleast_1d(chosen):
-                arr[off_positions[int(choice)]] = on_index
-
-        if not (values["fc1_present"] or values["fc2_present"]):
-            fc1_gene = self.encoding.gene("fc1_present")
-            arr[self.encoding.gene_position("fc1_present")] = fc1_gene.index_of(True)
+            arr[off[rng.choice(len(off), size=missing, replace=False)]] = self._true_index
+        if not np.any(arr[self._fc_present_positions] == self._true_index):
+            arr[self._fc_present_positions[0]] = self._true_index
         return arr
 
     # ------------------------------------------------------------------ decoding

@@ -96,6 +96,14 @@ class SeqConv1DSearchSpace(EncodedSearchSpace):
         self.accuracy_input_shape = tuple(accuracy_input_shape)
         self.performance_input_shape = tuple(performance_input_shape)
         self.encoding = self._build_encoding()
+        # Gene positions the validity rule and repair index the genotype at.
+        self._pool_positions = np.array(
+            [
+                self.encoding.gene_position(f"block{block}_pool")
+                for block in range(1, self.num_blocks + 1)
+            ]
+        )
+        self._true_index = self.encoding.gene("block1_pool").index_of(True)
 
     # ------------------------------------------------------------------ encoding
     def _build_encoding(self) -> EncodingScheme:
@@ -112,27 +120,18 @@ class SeqConv1DSearchSpace(EncodedSearchSpace):
     # ------------------------------------------------------------------ validity
     def is_valid(self, indices: Sequence[int]) -> bool:
         """At least ``min_pool_layers`` of the block pools must be enabled."""
-        values = self.encoding.values(indices)
-        pools = sum(
-            1 for block in range(1, self.num_blocks + 1) if values[f"block{block}_pool"]
-        )
-        return pools >= self.min_pool_layers
+        arr = self.encoding.validate_indices(indices)
+        pools = np.count_nonzero(arr[self._pool_positions] == self._true_index)
+        return bool(pools >= self.min_pool_layers)
 
     def repair(self, indices: Sequence[int], rng: SeedLike = None) -> np.ndarray:
         """Switch on pooling at random blocks until the constraint holds."""
         rng = ensure_rng(rng)
         arr = self.encoding.validate_indices(indices).copy()
-        pool_positions = [
-            self.encoding.gene_position(f"block{block}_pool")
-            for block in range(1, self.num_blocks + 1)
-        ]
-        on_index = self.encoding.gene("block1_pool").index_of(True)
-        off_positions = [pos for pos in pool_positions if arr[pos] != on_index]
-        missing = self.min_pool_layers - (len(pool_positions) - len(off_positions))
+        off = self._pool_positions[arr[self._pool_positions] != self._true_index]
+        missing = self.min_pool_layers - (len(self._pool_positions) - len(off))
         if missing > 0:
-            chosen = rng.choice(len(off_positions), size=missing, replace=False)
-            for choice in np.atleast_1d(chosen):
-                arr[off_positions[int(choice)]] = on_index
+            arr[off[rng.choice(len(off), size=missing, replace=False)]] = self._true_index
         return arr
 
     # ------------------------------------------------------------------ decoding

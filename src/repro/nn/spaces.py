@@ -184,6 +184,16 @@ class EncodedSearchSpace(SearchSpace):
         """Unit-cube feature vector for the Gaussian-process surrogates."""
         return self.encoding.to_unit(indices)
 
+    # ------------------------------------------------------------------ validity
+    def is_valid(self, indices: Sequence[int]) -> bool:
+        """Check the genotype's length and ranges (``ValueError`` if wrong).
+
+        Every genotype that passes is valid; spaces with constraints
+        override this and validate the same way.
+        """
+        self.encoding.validate_indices(indices)
+        return True
+
     # ------------------------------------------------------------------ sampling
     def _repair_checked(self, indices: np.ndarray, rng) -> np.ndarray:
         """Repair an invalid genotype, enforcing the repair contract."""
@@ -214,6 +224,8 @@ class EncodedSearchSpace(SearchSpace):
         self, indices: Sequence[int], count: int, rng: SeedLike = None
     ) -> np.ndarray:
         """Sample ``count`` valid neighbours of a genotype (mutation + repair)."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
         rng = ensure_rng(rng)
         result = []
         for _ in range(count):

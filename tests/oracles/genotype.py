@@ -1,0 +1,77 @@
+"""Dict-based reference of the validity rule and repair of two search spaces.
+
+``LensSearchSpace`` (``lens-vgg``) and ``SeqConv1DSearchSpace``
+(``seq-conv1d``) check and repair genotypes by indexing the index array at
+gene positions they compute once.  This module keeps the path that
+indexing replaced — decode the genotype into ``{gene name: value}`` and
+look the pool and fully-connected genes up by name — as the oracle the
+property tests compare them with, draw for draw:
+
+* :func:`lens_is_valid` / :func:`lens_repair` — at least
+  ``min_pool_layers`` pooling layers, and at least one fully-connected
+  layer;
+* :func:`seq_is_valid` / :func:`seq_repair` — at least ``min_pool_layers``
+  pooling layers.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from repro.nn.search_space import LensSearchSpace
+from repro.nn.seq_space import SeqConv1DSearchSpace
+
+
+def _pool_total(space, values) -> int:
+    return sum(
+        1 for block in range(1, space.num_blocks + 1) if values[f"block{block}_pool"]
+    )
+
+
+def _switch_on_pools(space, arr: np.ndarray, rng: np.random.Generator) -> None:
+    """Enable pooling at uniformly random blocks until the minimum holds."""
+    pool_positions = [
+        space.encoding.gene_position(f"block{block}_pool")
+        for block in range(1, space.num_blocks + 1)
+    ]
+    on_index = space.encoding.gene("block1_pool").index_of(True)
+    off_positions = [pos for pos in pool_positions if arr[pos] != on_index]
+    missing = space.min_pool_layers - (len(pool_positions) - len(off_positions))
+    if missing > 0:
+        chosen = rng.choice(len(off_positions), size=missing, replace=False)
+        for choice in np.atleast_1d(chosen):
+            arr[off_positions[int(choice)]] = on_index
+
+
+def lens_is_valid(space: LensSearchSpace, indices: Sequence[int]) -> bool:
+    values = space.encoding.values(indices)
+    if _pool_total(space, values) < space.min_pool_layers:
+        return False
+    return bool(values["fc1_present"] or values["fc2_present"])
+
+
+def lens_repair(
+    space: LensSearchSpace, indices: Sequence[int], rng: np.random.Generator
+) -> np.ndarray:
+    arr = space.encoding.validate_indices(indices).copy()
+    values = space.encoding.values(arr)
+    _switch_on_pools(space, arr, rng)
+    if not (values["fc1_present"] or values["fc2_present"]):
+        fc1_gene = space.encoding.gene("fc1_present")
+        arr[space.encoding.gene_position("fc1_present")] = fc1_gene.index_of(True)
+    return arr
+
+
+def seq_is_valid(space: SeqConv1DSearchSpace, indices: Sequence[int]) -> bool:
+    values = space.encoding.values(indices)
+    return _pool_total(space, values) >= space.min_pool_layers
+
+
+def seq_repair(
+    space: SeqConv1DSearchSpace, indices: Sequence[int], rng: np.random.Generator
+) -> np.ndarray:
+    arr = space.encoding.validate_indices(indices).copy()
+    _switch_on_pools(space, arr, rng)
+    return arr

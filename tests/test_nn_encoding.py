@@ -111,3 +111,36 @@ def test_property_sampled_indices_always_valid_and_unit_round_trips(seed):
     validated = scheme.validate_indices(indices)
     assert np.array_equal(validated, indices)
     assert np.array_equal(scheme.from_unit(scheme.to_unit(indices)), indices)
+
+
+def test_cardinalities_are_read_only():
+    scheme = simple_scheme()
+    with pytest.raises(ValueError):
+        scheme.cardinalities[0] = 9
+    assert scheme.cardinalities.tolist() == [3, 3, 6, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=69), min_size=1, max_size=30),
+    st.integers(min_value=0, max_value=2**63 - 1),
+)
+def test_property_sample_indices_draws_the_per_gene_stream(cardinalities, seed):
+    """One vectorised draw equals one ``integers(0, c)`` call per gene.
+
+    Every seeded golden (search sequences, perfbench digests) depends on
+    this equivalence: ``sample_indices`` makes one call over the
+    cardinality array, while the goldens were recorded with one call per
+    gene.  A numpy upgrade that breaks it must fail here, not as drifting
+    search results.
+    """
+    scheme = EncodingScheme(
+        [Gene(f"g{i}", tuple(range(card))) for i, card in enumerate(cardinalities)]
+    )
+    vectorised = np.random.default_rng(seed)
+    per_gene = np.random.default_rng(seed)
+    for _ in range(3):
+        drawn = scheme.sample_indices(vectorised)
+        expected = [per_gene.integers(0, card) for card in cardinalities]
+        assert drawn.tolist() == expected
+        assert vectorised.random() == per_gene.random()

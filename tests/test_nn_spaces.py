@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import genotype as oracle
 
 from repro.api.registry import SEARCH_SPACES, RegistryError, register_search_space
 from repro.nn.resnet_space import ResNetSearchSpace
@@ -112,6 +114,20 @@ class TestProtocolConformance:
 
     def test_describe_mentions_the_space(self, space):
         assert space.describe()
+
+    def test_is_valid_rejects_malformed_genotypes(self, space):
+        with pytest.raises(ValueError, match="length"):
+            space.is_valid([0, 0, 0])
+        too_large = space.encoding.cardinalities.copy()
+        with pytest.raises(ValueError, match="out of range"):
+            space.is_valid(too_large)
+        with pytest.raises(ValueError, match="out of range"):
+            space.is_valid(np.full(space.num_genes, -1))
+
+    def test_neighbours_rejects_a_count_below_one(self, space):
+        genotype = space.sample(ensure_rng(0))
+        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+            space.neighbours(genotype, 0, ensure_rng(0))
 
 
 class TestResNetSpace:
@@ -322,3 +338,34 @@ class TestSeqConv1DSpace:
         assert clone.to_dict() == space.to_dict()
         genotype = space.sample(ensure_rng(4))
         assert clone.decode(genotype) == space.decode(genotype)
+
+
+#: (space, dict-based validity oracle, dict-based repair oracle).
+ORACLES = {
+    "lens-vgg": (LensSearchSpace(), oracle.lens_is_valid, oracle.lens_repair),
+    "lens-vgg-4-blocks": (
+        LensSearchSpace(num_blocks=4, min_pool_layers=2),
+        oracle.lens_is_valid,
+        oracle.lens_repair,
+    ),
+    "seq-conv1d": (SeqConv1DSearchSpace(), oracle.seq_is_valid, oracle.seq_repair),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_property_validity_and_repair_match_the_dict_oracle(name, seed):
+    """Array validity and repair equal the dict-based path, draw for draw.
+
+    Genotypes are uniform over the unconstrained product, so most are
+    invalid (about 86% for lens-vgg) and exercise repair.
+    """
+    space, is_valid, repair = ORACLES[name]
+    genotype = space.encoding.sample_indices(seed)
+    assert space.is_valid(genotype) == is_valid(space, genotype)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    repaired = space.repair(genotype, ours)
+    assert np.array_equal(repaired, repair(space, genotype, theirs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert space.is_valid(repaired) and is_valid(space, repaired)
