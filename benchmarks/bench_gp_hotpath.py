@@ -23,20 +23,30 @@ timings/speedups as JSON.  Timing floors are only asserted on full-size runs
 >= 5x surrogate-phase speedup over the legacy cold path.
 
 A second test smokes the vectorised ``pareto_front_mask`` on a 50k-point
-cloud and cross-checks it against the O(n^2) reference implementation.
+cloud and cross-checks it against the O(n^2) reference implementation.  A
+third replays a paper-budget (10 + 300) evaluation sequence through the
+incremental ``compute_front_history`` and its per-prefix oracle
+(``tests/oracles/front_history.py``), asserts the two histories are equal
+and records both timings; it never fails on timing.
 """
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
 from conftest import FAST_MODE, save_table
+from oracles import front_history as front_history_oracle
 
 from repro.optim.gp import GaussianProcess
 from repro.optim.gp_bank import GPBank
 from repro.optim.kernels import Matern52Kernel
-from repro.optim.pareto import _pareto_front_mask_reference, pareto_front_mask
+from repro.optim.pareto import (
+    _pareto_front_mask_reference,
+    compute_front_history,
+    pareto_front_mask,
+)
 from repro.optim.scalarization import normalize_objectives
 
 #: Final evaluation counts replayed by the surrogate-phase benchmark.
@@ -60,6 +70,9 @@ PARITY_TOLERANCE = 1e-6
 #: Pareto smoke-cloud size (and the cross-check subsample size).
 PARETO_POINTS = 5_000 if FAST_MODE else 50_000
 PARETO_CHECK_POINTS = 2_000
+
+#: Evaluations in the front-history smoke: a paper-budget search's sequence.
+FRONT_HISTORY_EVALUATIONS = NUM_INITIAL + SEARCH_EVALUATIONS
 
 _LENGTHSCALE = 0.5 * float(np.sqrt(FEATURE_DIM))
 
@@ -310,3 +323,45 @@ def test_pareto_front_mask_vectorized_smoke():
     assert np.array_equal(
         pareto_front_mask(sample), _pareto_front_mask_reference(sample)
     )
+
+
+def test_front_history_incremental_smoke():
+    """A 310-evaluation front history: equal to the per-prefix oracle, timed."""
+    rng = np.random.default_rng(11)
+    # Later evaluations tend to be better, as in a search, so the front keeps
+    # moving; a few replayed rows exercise duplicates.
+    trend = np.linspace(1.0, 0.4, FRONT_HISTORY_EVALUATIONS)[:, None]
+    objectives = rng.uniform(size=(FRONT_HISTORY_EVALUATIONS, NUM_OBJECTIVES)) * trend
+    objectives[-10:] = objectives[100:110]
+    metrics = ("error_percent", "latency_s", "energy_j")
+
+    start = time.perf_counter()
+    history = compute_front_history(objectives, metrics)
+    incremental_s = time.perf_counter() - start
+    start = time.perf_counter()
+    expected = front_history_oracle.compute_front_history(objectives, metrics)
+    oracle_s = time.perf_counter() - start
+
+    joins = len(history.front_advances())
+    text = (
+        f"compute_front_history on {FRONT_HISTORY_EVALUATIONS}x{NUM_OBJECTIVES} "
+        f"evaluations ({joins} joined the front, final size "
+        f"{history.final_front_size}): incremental {incremental_s * 1e3:.1f} ms, "
+        f"per-prefix oracle {oracle_s * 1e3:.1f} ms"
+    )
+    print("\n" + text)
+    save_table(
+        "front_history_smoke",
+        text,
+        {
+            "evaluations": FRONT_HISTORY_EVALUATIONS,
+            "objectives": NUM_OBJECTIVES,
+            "joined_front": joins,
+            "final_front_size": history.final_front_size,
+            "incremental_s": incremental_s,
+            "oracle_s": oracle_s,
+            "fast_mode": FAST_MODE,
+        },
+    )
+
+    assert json.dumps(history.to_dict()) == json.dumps(expected.to_dict())

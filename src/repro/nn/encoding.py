@@ -82,12 +82,15 @@ class EncodingScheme:
         self._index_by_name = {gene.name: i for i, gene in enumerate(self.genes)}
         # Built once and read-only: validation, the unit-cube projection and
         # mutation read them for every genotype a search draws.
-        cards = np.array([gene.cardinality for gene in self.genes], dtype=int)
+        cards = np.array([gene.cardinality for gene in self.genes], dtype=np.int64)
         cards.flags.writeable = False
         self._cardinalities = cards
+        self._unsigned_cardinalities = cards.astype(np.uint64)
         self._unit_steps = cards - 1.0
         self._unit_denominator = np.maximum(self._unit_steps, 1.0)
-        self._mutable = [i for i, card in enumerate(cards.tolist()) if card > 1]
+        self._multi_choice = cards > 1
+        # (position, cardinality) of every gene mutation can change.
+        self._mutable = [(i, card) for i, card in enumerate(cards.tolist()) if card > 1]
 
     # ------------------------------------------------------------------ basic
     def __len__(self) -> int:
@@ -126,13 +129,22 @@ class EncodingScheme:
 
     # ------------------------------------------------------------------ vectors
     def validate_indices(self, indices: Sequence[int]) -> np.ndarray:
-        """Check bounds and return the indices as an integer array."""
-        arr = np.asarray(indices, dtype=int)
+        """Check bounds and return the indices as an ``int64`` array.
+
+        An ``int64`` array is returned as is, other integer dtypes are
+        converted, and anything else must hold integral values only
+        (``ValueError`` otherwise — ``0.9`` is not gene index 0).
+        """
+        arr = np.asarray(indices)
+        if arr.dtype != np.int64:
+            arr = _as_int64(arr)
         if arr.shape != (self.num_genes,):
             raise ValueError(
                 f"expected an index vector of length {self.num_genes}, got shape {arr.shape}"
             )
-        if np.any(arr < 0) or np.any(arr >= self._cardinalities):
+        # Negative entries wrap to huge unsigned values, so one comparison
+        # checks both bounds.
+        if not (arr.view(np.uint64) < self._unsigned_cardinalities).all():
             bad = [
                 f"{gene.name}={idx} (cardinality {gene.cardinality})"
                 for gene, idx in zip(self.genes, arr)
@@ -173,7 +185,7 @@ class EncodingScheme:
         for the Gaussian-process kernel.
         """
         arr = self.validate_indices(indices)
-        return np.where(self._cardinalities > 1, arr / self._unit_denominator, 0.5)
+        return np.where(self._multi_choice, arr / self._unit_denominator, 0.5)
 
     def from_unit(self, unit: Sequence[float]) -> np.ndarray:
         """Snap a unit-cube point back onto the nearest valid index vector."""
@@ -196,7 +208,10 @@ class EncodingScheme:
 
         Each gene is independently resampled with ``mutation_probability``; at
         least one gene is always changed so the result differs from the input
-        whenever any gene has more than one choice.
+        whenever any gene has more than one choice.  A resampled gene takes
+        one of its other choices uniformly: ``k = integers(0, c - 1)``,
+        skipping the current index, which draws what ``rng.choice`` over the
+        list of the other choices draws (``tests/oracles/genotype.py``).
         """
         rng = ensure_rng(rng)
         arr = self.validate_indices(indices).copy()
@@ -204,19 +219,14 @@ class EncodingScheme:
         if not mutable:
             return arr
         changed = False
-        for i in mutable:
+        for i, card in mutable:
             if rng.random() < mutation_probability:
-                arr[i] = self._resample_gene(arr[i], self.genes[i], rng)
+                arr[i] = _other_choice(int(arr[i]), card, rng)
                 changed = True
         if not changed:
-            i = int(rng.choice(mutable))
-            arr[i] = self._resample_gene(arr[i], self.genes[i], rng)
+            i, card = mutable[rng.integers(0, len(mutable))]
+            arr[i] = _other_choice(int(arr[i]), card, rng)
         return arr
-
-    @staticmethod
-    def _resample_gene(current: int, gene: Gene, rng: np.random.Generator) -> int:
-        options = [i for i in range(gene.cardinality) if i != current]
-        return int(rng.choice(options))
 
     def hamming_distance(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Number of genes on which two index vectors differ."""
@@ -230,3 +240,22 @@ class EncodingScheme:
         for gene in self.genes:
             lines.append(f"  {gene.name}: {list(gene.choices)}")
         return "\n".join(lines)
+
+
+def _as_int64(arr: np.ndarray) -> np.ndarray:
+    """Non-``int64`` indices as ``int64``; ``ValueError`` for a non-integral entry."""
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.int64)
+    try:
+        values = arr.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"gene indices must be integers, got {arr!r}") from exc
+    if not (np.isfinite(values) & (values == np.trunc(values))).all():
+        raise ValueError(f"gene indices must be integers, got {arr.tolist()}")
+    return values.astype(np.int64)
+
+
+def _other_choice(current: int, cardinality: int, rng: np.random.Generator) -> int:
+    """A uniform draw over a gene's choices other than ``current``."""
+    k = int(rng.integers(0, cardinality - 1))
+    return k + (k >= current)

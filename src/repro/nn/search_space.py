@@ -26,7 +26,6 @@ from repro.nn.architecture import Architecture
 from repro.nn.encoding import EncodingScheme, Gene
 from repro.nn.layers import Conv2D, Dense, Flatten, LayerSpec, MaxPool2D
 from repro.nn.spaces import EncodedSearchSpace
-from repro.utils.rng import SeedLike, ensure_rng
 
 #: Default choices, exactly as given in the paper's Fig. 4 description.
 DEFAULT_LAYERS_PER_BLOCK = (1, 2, 3)
@@ -128,34 +127,29 @@ class LensSearchSpace(EncodedSearchSpace):
         arr = self.encoding.validate_indices(indices)
         return int(np.count_nonzero(arr[self._pool_positions] == self._true_index))
 
-    def is_valid(self, indices: Sequence[int]) -> bool:
-        """Whether the genotype satisfies the search-space constraints.
+    def _satisfied(self, arr: np.ndarray) -> bool:
+        """The paper's two constraints on a validated genotype.
 
-        The two constraints from the paper are: at least ``min_pool_layers``
-        pooling layers, and at least one of the two fully-connected layers
-        present.
+        At least ``min_pool_layers`` pooling layers, and at least one of the
+        two fully-connected layers present.
         """
-        arr = self.encoding.validate_indices(indices)
         pools = np.count_nonzero(arr[self._pool_positions] == self._true_index)
         if pools < self.min_pool_layers:
             return False
-        return bool(np.any(arr[self._fc_present_positions] == self._true_index))
+        return bool((arr[self._fc_present_positions] == self._true_index).any())
 
-    def repair(self, indices: Sequence[int], rng: SeedLike = None) -> np.ndarray:
-        """Return a valid genotype obtained by minimally editing ``indices``.
+    def _repair_in_place(self, arr: np.ndarray, rng: np.random.Generator) -> None:
+        """Repair a validated genotype in place.
 
         Missing pooling layers are switched on at uniformly random blocks and
         the first fully-connected layer is enabled if neither is present.
         """
-        rng = ensure_rng(rng)
-        arr = self.encoding.validate_indices(indices).copy()
         off = self._pool_positions[arr[self._pool_positions] != self._true_index]
         missing = self.min_pool_layers - (len(self._pool_positions) - len(off))
         if missing > 0:
             arr[off[rng.choice(len(off), size=missing, replace=False)]] = self._true_index
-        if not np.any(arr[self._fc_present_positions] == self._true_index):
+        if not (arr[self._fc_present_positions] == self._true_index).any():
             arr[self._fc_present_positions[0]] = self._true_index
-        return arr
 
     # ------------------------------------------------------------------ decoding
     def decode(

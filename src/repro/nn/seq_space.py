@@ -31,7 +31,6 @@ from repro.nn.architecture import Architecture
 from repro.nn.encoding import EncodingScheme, Gene
 from repro.nn.layers import Conv1D, Dense, Flatten, LayerSpec, MaxPool1D
 from repro.nn.spaces import EncodedSearchSpace
-from repro.utils.rng import SeedLike, ensure_rng
 
 #: Default gene choices of the sequence space.
 DEFAULT_LAYERS_PER_BLOCK = (1, 2)
@@ -118,21 +117,17 @@ class SeqConv1DSearchSpace(EncodedSearchSpace):
         return EncodingScheme(genes)
 
     # ------------------------------------------------------------------ validity
-    def is_valid(self, indices: Sequence[int]) -> bool:
+    def _satisfied(self, arr: np.ndarray) -> bool:
         """At least ``min_pool_layers`` of the block pools must be enabled."""
-        arr = self.encoding.validate_indices(indices)
         pools = np.count_nonzero(arr[self._pool_positions] == self._true_index)
         return bool(pools >= self.min_pool_layers)
 
-    def repair(self, indices: Sequence[int], rng: SeedLike = None) -> np.ndarray:
+    def _repair_in_place(self, arr: np.ndarray, rng: np.random.Generator) -> None:
         """Switch on pooling at random blocks until the constraint holds."""
-        rng = ensure_rng(rng)
-        arr = self.encoding.validate_indices(indices).copy()
         off = self._pool_positions[arr[self._pool_positions] != self._true_index]
         missing = self.min_pool_layers - (len(self._pool_positions) - len(off))
         if missing > 0:
             arr[off[rng.choice(len(off), size=missing, replace=False)]] = self._true_index
-        return arr
 
     # ------------------------------------------------------------------ decoding
     def decode(

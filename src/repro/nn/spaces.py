@@ -99,9 +99,12 @@ class SearchSpace(abc.ABC):
         The default returns the input unchanged, which is only correct for
         spaces whose :meth:`is_valid` never rejects (every genotype valid by
         construction).  A space that overrides :meth:`is_valid` MUST also
-        override :meth:`repair`; the sampling helpers check the repaired
-        genotype and raise if the contract is broken, rather than feeding
-        invalid genotypes into the search.
+        override :meth:`repair`.  :class:`EncodedSearchSpace` spaces inherit
+        both, and the contract is checked where genotypes are drawn:
+        :meth:`EncodedSearchSpace.sample` and
+        :meth:`EncodedSearchSpace.neighbours` test every repaired genotype
+        against the space's rule and raise ``ValueError`` if the repair left
+        it invalid, rather than feeding invalid genotypes into the search.
         """
         return np.asarray(indices, dtype=int)
 
@@ -159,16 +162,32 @@ class EncodedSearchSpace(SearchSpace):
     (the channels-first input shapes :meth:`decode_for_accuracy` /
     :meth:`decode_for_performance` decode with) — and implement
     :meth:`decode`, plus — when the unconstrained genotype space contains
-    invalid points — :meth:`~SearchSpace.is_valid` and
-    :meth:`~SearchSpace.repair`.  Sampling, batch sampling, mutation-based
-    neighbourhoods and the unit-cube projection all come for free and behave
-    identically across every space, which keeps strategies space-agnostic.
+    invalid points — two hooks: :meth:`_satisfied` (the constraint rule)
+    and :meth:`_repair_in_place` (its repair).  Both receive an ``int64``
+    array the encoding has already validated.  The public :meth:`is_valid`
+    and :meth:`repair` validate their input once and call the hooks; every
+    space inherits them, and a subclass overriding either fails with
+    ``TypeError`` when the class is created.  Sampling, batch sampling,
+    mutation-based neighbourhoods and the unit-cube projection all come for
+    free and behave identically across every space, which keeps strategies
+    space-agnostic.
     """
 
     #: Required instance attributes (set them in ``__init__``).
     encoding: EncodingScheme
     accuracy_input_shape: Tuple[int, ...]
     performance_input_shape: Tuple[int, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        overridden = [name for name in ("is_valid", "repair") if name in vars(cls)]
+        if overridden:
+            raise TypeError(
+                f"{cls.__name__} overrides {' and '.join(overridden)}; an "
+                "EncodedSearchSpace implements its constraint as "
+                "_satisfied(arr) and its repair as _repair_in_place(arr, rng), "
+                "and inherits the validating public methods"
+            )
 
     # ------------------------------------------------------------------ encoding
     @property
@@ -185,32 +204,43 @@ class EncodedSearchSpace(SearchSpace):
         return self.encoding.to_unit(indices)
 
     # ------------------------------------------------------------------ validity
-    def is_valid(self, indices: Sequence[int]) -> bool:
-        """Check the genotype's length and ranges (``ValueError`` if wrong).
-
-        Every genotype that passes is valid; spaces with constraints
-        override this and validate the same way.
-        """
-        self.encoding.validate_indices(indices)
+    def _satisfied(self, arr: np.ndarray) -> bool:
+        """Whether a validated genotype meets the space's constraints."""
         return True
 
+    def _repair_in_place(self, arr: np.ndarray, rng: np.random.Generator) -> None:
+        """Minimally edit a validated genotype until :meth:`_satisfied` holds."""
+
+    def is_valid(self, indices: Sequence[int]) -> bool:
+        """Whether the genotype meets the space's constraints.
+
+        Raises ``ValueError`` for a malformed genotype: wrong length, or an
+        out-of-range or non-integral index.
+        """
+        return self._satisfied(self.encoding.validate_indices(indices))
+
+    def repair(self, indices: Sequence[int], rng: SeedLike = None) -> np.ndarray:
+        """Return a valid genotype obtained by minimally editing ``indices``."""
+        arr = self.encoding.validate_indices(indices).copy()
+        self._repair_in_place(arr, ensure_rng(rng))
+        return arr
+
     # ------------------------------------------------------------------ sampling
-    def _repair_checked(self, indices: np.ndarray, rng) -> np.ndarray:
-        """Repair an invalid genotype, enforcing the repair contract."""
-        repaired = self.repair(indices, rng)
-        if not self.is_valid(repaired):
+    def _repair_checked(self, arr: np.ndarray, rng: np.random.Generator) -> None:
+        """Repair a drawn genotype in place, enforcing the repair contract."""
+        self._repair_in_place(arr, rng)
+        if not self._satisfied(arr):
             raise ValueError(
-                f"{type(self).__name__}.repair returned an invalid genotype; "
-                "spaces overriding is_valid must implement a matching repair"
+                f"{type(self).__name__}._repair_in_place left the genotype "
+                "invalid; it must make _satisfied hold"
             )
-        return repaired
 
     def sample(self, rng: SeedLike = None) -> np.ndarray:
         """Sample a uniformly random *valid* genotype."""
         rng = ensure_rng(rng)
         indices = self.encoding.sample_indices(rng)
-        if not self.is_valid(indices):
-            indices = self._repair_checked(indices, rng)
+        if not self._satisfied(indices):
+            self._repair_checked(indices, rng)
         return indices
 
     def sample_batch(self, count: int, rng: SeedLike = None) -> np.ndarray:
@@ -230,8 +260,8 @@ class EncodedSearchSpace(SearchSpace):
         result = []
         for _ in range(count):
             mutated = self.encoding.mutate(indices, rng)
-            if not self.is_valid(mutated):
-                mutated = self._repair_checked(mutated, rng)
+            if not self._satisfied(mutated):
+                self._repair_checked(mutated, rng)
             result.append(mutated)
         return np.stack(result)
 

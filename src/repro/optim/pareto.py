@@ -474,12 +474,25 @@ def compute_front_history(
         :func:`default_reference_point` over all observations, so the whole
         run is scored against one fixed box.
     labels / iterations:
-        Optional per-evaluation candidate labels and iteration numbers.
+        Optional per-evaluation candidate labels and iteration numbers, one
+        per row of ``objectives`` (``ValueError`` otherwise).
+
+    The front is grown one evaluation at a time.  A dominated newcomer
+    leaves it, and so its size and hypervolume, unchanged; one that joins
+    drops the rows it dominates and is appended, and the hypervolume is
+    recomputed from the front's rows in evaluation order — the rows and
+    order :func:`pareto_front_mask` selects from the prefix — so every entry
+    equals the per-prefix recomputation bit for bit
+    (``tests/oracles/front_history.py``).  A row containing NaN neither
+    dominates nor is dominated, as in :func:`pareto_front_mask`.
     """
     Y = np.atleast_2d(np.asarray(objectives, dtype=float))
     n = Y.shape[0]
     if n == 0 or Y.size == 0:
         return FrontHistory(metrics=tuple(metrics), reference=(), entries=())
+    for name, values in (("labels", labels), ("iterations", iterations)):
+        if values is not None and len(values) != n:
+            raise ValueError(f"{name} has {len(values)} entries for {n} evaluations")
     ref = (
         default_reference_point(Y)
         if reference is None
@@ -490,17 +503,23 @@ def compute_front_history(
             f"reference has {ref.shape[0]} objectives but points have {Y.shape[1]}"
         )
     entries: List[FrontHistoryEntry] = []
+    front = np.empty(0, dtype=np.intp)  # rows of the current front, ascending
+    volume = 0.0
     for t in range(n):
-        prefix = Y[: t + 1]
-        mask = pareto_front_mask(prefix)
-        front = prefix[mask]
+        point = Y[t]
+        rows = Y[front]
+        joined = not np.any((rows <= point).all(axis=1) & (rows < point).any(axis=1))
+        if joined:
+            beaten = (point <= rows).all(axis=1) & (point < rows).any(axis=1)
+            front = np.append(front[~beaten], t)
+            volume = hypervolume(Y[front], ref)
         entries.append(
             FrontHistoryEntry(
                 evaluation=t,
                 iteration=int(iterations[t]) if iterations is not None else t,
-                front_size=int(mask.sum()),
-                hypervolume=hypervolume(front, ref),
-                joined_front=bool(mask[t]),
+                front_size=int(front.size),
+                hypervolume=volume,
+                joined_front=joined,
                 candidate=None if labels is None else labels[t],
             )
         )

@@ -1,4 +1,4 @@
-"""Dict-based reference of the validity rule and repair of two search spaces.
+"""Reference genotype operations: validity, repair and mutation.
 
 ``LensSearchSpace`` (``lens-vgg``) and ``SeqConv1DSearchSpace``
 (``seq-conv1d``) check and repair genotypes by indexing the index array at
@@ -12,6 +12,11 @@ property tests compare them with, draw for draw:
   layer;
 * :func:`seq_is_valid` / :func:`seq_repair` — at least ``min_pool_layers``
   pooling layers.
+
+It also keeps the mutation :meth:`repro.nn.encoding.EncodingScheme.mutate`
+replaced, :func:`mutate`: each resampled gene draws with ``rng.choice``
+over a rebuilt list of its other choices, where the library draws one
+integer and skips the current index.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.nn.encoding import EncodingScheme
 from repro.nn.search_space import LensSearchSpace
 from repro.nn.seq_space import SeqConv1DSearchSpace
 
@@ -75,3 +81,29 @@ def seq_repair(
     arr = space.encoding.validate_indices(indices).copy()
     _switch_on_pools(space, arr, rng)
     return arr
+
+
+def mutate(
+    encoding: EncodingScheme,
+    indices: Sequence[int],
+    rng: np.random.Generator,
+    mutation_probability: float = 0.15,
+) -> np.ndarray:
+    arr = encoding.validate_indices(indices).copy()
+    mutable = [i for i, gene in enumerate(encoding.genes) if gene.cardinality > 1]
+    if not mutable:
+        return arr
+    changed = False
+    for i in mutable:
+        if rng.random() < mutation_probability:
+            arr[i] = _resample_gene(arr[i], encoding.genes[i].cardinality, rng)
+            changed = True
+    if not changed:
+        i = int(rng.choice(mutable))
+        arr[i] = _resample_gene(arr[i], encoding.genes[i].cardinality, rng)
+    return arr
+
+
+def _resample_gene(current: int, cardinality: int, rng: np.random.Generator) -> int:
+    options = [i for i in range(cardinality) if i != current]
+    return int(rng.choice(options))

@@ -66,6 +66,23 @@ class TestEncodingScheme:
         with pytest.raises(ValueError):
             scheme.validate_indices([0, 0, 9, 0])
 
+    def test_validate_rejects_non_integral_indices(self):
+        scheme = simple_scheme()
+        for bad in ([0.9, 0, 0, 0], [0, 0, 1.5, 0], [0, np.nan, 0, 0], [0, 0, 0, np.inf]):
+            with pytest.raises(ValueError, match="must be integers"):
+                scheme.validate_indices(bad)
+        with pytest.raises(ValueError, match="must be integers"):
+            scheme.to_unit(np.array([0, 1, 2, 1]) + 0.5)
+
+    def test_validate_converts_integral_values_to_int64(self):
+        scheme = simple_scheme()
+        for ok in ([2.0, 0.0, 5.0, 1.0], np.array([2, 0, 5, 1], dtype=np.int32), [2, 0, 5, True]):
+            arr = scheme.validate_indices(ok)
+            assert arr.dtype == np.int64
+            assert arr.tolist() == [2, 0, 5, 1]
+        native = np.array([2, 0, 5, 1])
+        assert scheme.validate_indices(native) is native
+
     def test_unit_projection_bounds_and_round_trip(self):
         scheme = simple_scheme()
         indices = scheme.sample_indices(0)

@@ -30,6 +30,15 @@ class TestSpaceDefinition:
 
 
 class TestValidityAndSampling:
+    def test_non_integral_genotypes_are_rejected_not_truncated(self, search_space, rng):
+        # 0.9 used to truncate to gene index 0
+        with pytest.raises(ValueError, match="must be integers"):
+            search_space.to_features([0.9] * search_space.num_genes)
+        genotype = search_space.sample(rng)
+        with pytest.raises(ValueError, match="must be integers"):
+            search_space.is_valid(genotype + 0.5)
+        assert search_space.is_valid(genotype.astype(float))
+
     def test_sampled_genotypes_are_valid(self, search_space, rng):
         for _ in range(50):
             genotype = search_space.sample(rng)

@@ -369,3 +369,64 @@ def test_property_validity_and_repair_match_the_dict_oracle(name, seed):
     assert np.array_equal(repaired, repair(space, genotype, theirs))
     assert ours.bit_generator.state == theirs.bit_generator.state
     assert space.is_valid(repaired) and is_valid(space, repaired)
+
+
+#: One instance per built-in space, shared by the stream pins below.
+SPACES = {name: SEARCH_SPACES.create(name) for name in BUILTIN_SPACES}
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPACES)
+@pytest.mark.parametrize("probability", [0.0, 0.15, 1.0])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_property_mutate_draws_the_list_choice_stream(name, probability, seed):
+    """Integer mutation draws equal ``rng.choice`` over the other choices.
+
+    Every seeded golden depends on the mutation stream, so values and the
+    generator state must match the list-based oracle after every step.
+    """
+    encoding = SPACES[name].encoding
+    genotype = encoding.sample_indices(seed)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        mutated = encoding.mutate(genotype, ours, probability)
+        expected = oracle.mutate(encoding, genotype, theirs, probability)
+        assert mutated.dtype == np.int64
+        assert mutated.tolist() == expected.tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        genotype = mutated
+
+
+class TestRepairContract:
+    class BrokenRepairSpace(LensSearchSpace):
+        """A lens-vgg space whose repair forgets to repair."""
+
+        space_name = "broken-repair"
+
+        def _repair_in_place(self, arr, rng):
+            pass
+
+    def test_sample_rejects_a_repair_that_leaves_the_genotype_invalid(self):
+        space = self.BrokenRepairSpace()
+        rng = ensure_rng(0)
+        with pytest.raises(ValueError, match="left the genotype invalid"):
+            for _ in range(50):  # most unconstrained draws are invalid
+                space.sample(rng)
+
+    def test_neighbours_rejects_a_repair_that_leaves_the_genotype_invalid(self):
+        space = self.BrokenRepairSpace()
+        # exactly the minimum of four pools, and only fc1: switching off any
+        # of those genes breaks a constraint
+        genotype = np.zeros(space.num_genes, dtype=int)
+        genotype[space._pool_positions[:4]] = space._true_index
+        genotype[space._fc_present_positions[0]] = space._true_index
+        assert space.is_valid(genotype)
+        with pytest.raises(ValueError, match="left the genotype invalid"):
+            space.neighbours(genotype, 50, ensure_rng(0))
+
+    @pytest.mark.parametrize("method", ["is_valid", "repair"])
+    def test_overriding_the_public_methods_fails_at_class_creation(self, method):
+        with pytest.raises(TypeError, match=r"_satisfied\(arr\).*_repair_in_place\(arr, rng\)"):
+            type("LegacySpace", (LensSearchSpace,), {method: lambda self, *args: True})
+        with pytest.raises(TypeError, match=f"overrides {method}"):
+            type("LegacyEncoded", (EncodedSearchSpace,), {method: lambda self, *args: True})

@@ -1,8 +1,11 @@
 """Tests for Pareto utilities, archives and quality indicators."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import front_history as oracle
 
 from repro.optim.pareto import (
     FrontHistory,
@@ -366,6 +369,71 @@ class TestFrontHistory:
     def test_reference_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             compute_front_history(rng.uniform(size=(4, 3)), reference=[1.0, 1.0])
+
+    @pytest.mark.parametrize("field", ["labels", "iterations"])
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_per_evaluation_fields_must_match_the_evaluations(self, rng, field, length):
+        values = [f"m{i}" for i in range(length)] if field == "labels" else list(range(length))
+        with pytest.raises(ValueError, match=f"{field} has {length} entries for 4 evaluations"):
+            compute_front_history(rng.uniform(size=(4, 2)), **{field: values})
+
+
+#: Coordinates from a coarse grid produce ties and duplicate rows.
+_GRID = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_FINITE = st.one_of(_GRID, st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _evaluation_sequences(draw):
+    k = draw(st.integers(min_value=2, max_value=4))
+    finite_row = st.lists(_FINITE, min_size=k, max_size=k)
+    odd_row = st.lists(st.one_of(_FINITE, _SPECIAL), min_size=k, max_size=k)
+    rows = draw(
+        st.lists(
+            st.one_of(finite_row, finite_row, finite_row, odd_row),
+            min_size=1,
+            max_size=10 if k == 4 else 24,
+        )
+    )
+    if draw(st.booleans()):  # replay earlier rows as exact duplicates
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    reference = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.floats(min_value=-1.0, max_value=4.0), min_size=k, max_size=k),
+        )
+    )
+    return np.array(rows, dtype=float), reference
+
+
+def _history_json(function, objectives, reference):
+    """The history as JSON text (NaN equals NaN there), or the error's name."""
+    n = objectives.shape[0]
+    try:
+        with np.errstate(all="ignore"):
+            history = function(
+                objectives,
+                ("a", "b", "c", "d")[: objectives.shape[1]],
+                reference=reference,
+                labels=[f"c{i}" for i in range(n)],
+                iterations=[i // 2 for i in range(n)],
+            )
+    except OverflowError as exc:
+        # With four objectives the Monte Carlo hypervolume rejects an infinite
+        # or NaN sampling box; the incremental history must fail the same way.
+        return type(exc).__name__
+    return json.dumps(history.to_dict())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_evaluation_sequences())
+def test_property_incremental_front_history_matches_the_per_prefix_oracle(case):
+    """Growing the front equals recomputing every prefix, bit for bit."""
+    objectives, reference = case
+    assert _history_json(compute_front_history, objectives, reference) == _history_json(
+        oracle.compute_front_history, objectives, reference
+    )
 
 
 @settings(max_examples=40, deadline=None)
