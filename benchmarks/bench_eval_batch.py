@@ -27,10 +27,18 @@ Batched-vs-scalar parity (every metric of every deployment option of every
 asserted at <= 1e-9 on every run — the correctness gate the CI smoke job
 enforces.  The >= 5x timing floor is only asserted on full-size runs
 (``REPRO_BENCH_FAST=0``).
+
+``test_evaluate_pool_memo_smoke`` evaluates one pool per built-in space
+through ``PartitionAwareEvaluator.evaluate_pool`` with cold layer memos
+(interned specs, layer summaries, noise keys), then again warm, asserts
+identical objective vectors and records, and writes both timings with the
+memo entry counts and hit ratios to ``results/eval_memo_smoke.json``.  It
+never fails on timing.
 """
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
@@ -38,7 +46,12 @@ from conftest import FAST_MODE, PREDICTOR_SAMPLES, SEED, save_table
 from oracles import partition as oracle
 from oracles import predictor as predictor_oracle
 
+from repro.accuracy.surrogate import AccuracySurrogate, layer_noise_key
 from repro.api.engine import EvaluationEngine
+from repro.api.registry import SEARCH_SPACES
+from repro.core.evaluation import PartitionAwareEvaluator
+from repro.nn.architecture import layer_summary
+from repro.nn.layers import interned
 from repro.partition.partitioner import PartitionAnalyzer
 from repro.wireless.channel import WirelessChannel
 
@@ -56,6 +69,16 @@ SPEEDUP_FLOOR = 5.0
 
 #: Timed repetitions per path; the best run is scored (noise robustness).
 REPEATS = 3
+
+#: Spaces of the memo smoke.
+MEMO_SMOKE_SPACES = ("lens-vgg", "resnet-v1", "seq-conv1d")
+
+#: Layer memos the memo smoke clears and reports, by name.
+LAYER_MEMOS = {
+    "interned": interned,
+    "layer_summary": layer_summary,
+    "layer_noise_key": layer_noise_key,
+}
 
 #: Metric fields compared per deployment option.
 _METRIC_FIELDS = (
@@ -271,3 +294,86 @@ def test_batched_evaluation_graph_aware_parity(trained_gpu_predictor):
     assert divergence <= PARITY_TOLERANCE
     # Residual candidates must actually exercise the skip-edge mask.
     assert any(not graph.is_linear for graph in graphs)
+
+
+def _memo_pass(evaluator, genotypes):
+    """One timed ``evaluate_pool`` call and the memo hits/misses it made."""
+    before = {name: memo.cache_info() for name, memo in LAYER_MEMOS.items()}
+    start = time.perf_counter()
+    records = evaluator.evaluate_pool(genotypes)
+    elapsed = time.perf_counter() - start
+    ratios = {}
+    for name, memo in LAYER_MEMOS.items():
+        info = memo.cache_info()
+        hits = info.hits - before[name].hits
+        misses = info.misses - before[name].misses
+        ratios[name] = hits / (hits + misses) if hits + misses else 0.0
+    return elapsed, records, ratios
+
+
+def _outputs(records):
+    """A pool's objective vectors as bytes and its records as JSON text."""
+    objectives = np.array([objectives for objectives, _ in records]).tobytes()
+    return objectives, [json.dumps(meta["evaluation"].to_dict()) for _, meta in records]
+
+
+def test_evaluate_pool_memo_smoke(trained_gpu_predictor):
+    """Cold-memo and warm-memo pool evaluations agree exactly, per space."""
+    analyzer = PartitionAnalyzer(trained_gpu_predictor, _channels()[0])
+    rows = []
+    mismatched = []
+    payload = {"pool_size": POOL_SIZE, "fast_mode": FAST_MODE, "spaces": {}}
+    for name in MEMO_SMOKE_SPACES:
+        space = SEARCH_SPACES.create(name)
+        rng = np.random.default_rng(SEED)
+        genotypes = [space.sample(rng) for _ in range(POOL_SIZE)]
+        evaluator = PartitionAwareEvaluator(space, AccuracySurrogate(), analyzer)
+        for memo in LAYER_MEMOS.values():
+            memo.cache_clear()
+        cold_s, cold, cold_ratios = _memo_pass(evaluator, genotypes)
+        entries = {n: memo.cache_info().currsize for n, memo in LAYER_MEMOS.items()}
+        warm_s, warm, warm_ratios = _memo_pass(evaluator, genotypes)
+        identical = _outputs(cold) == _outputs(warm)
+        if not identical:
+            mismatched.append(name)
+        payload["spaces"][name] = {
+            "cold_s": cold_s,
+            "warm_s": warm_s,
+            "entries": entries,
+            "cold_hit_ratio": cold_ratios,
+            "warm_hit_ratio": warm_ratios,
+            "identical": identical,
+        }
+        rows.append(
+            [
+                name,
+                round(cold_s * 1e3, 1),
+                round(warm_s * 1e3, 1),
+                entries["interned"],
+                entries["layer_summary"],
+                round(cold_ratios["layer_summary"], 3),
+                round(warm_ratios["layer_summary"], 3),
+            ]
+        )
+
+    from repro.utils.serialization import format_table
+
+    text = (
+        f"evaluate_pool with cold vs warm layer memos ({POOL_SIZE} candidates "
+        f"per space, {'fast' if FAST_MODE else 'full'} mode)\n"
+        + format_table(
+            rows,
+            [
+                "space",
+                "cold ms",
+                "warm ms",
+                "layer specs",
+                "summaries",
+                "cold summary hits",
+                "warm summary hits",
+            ],
+        )
+    )
+    print("\n" + text)
+    save_table("eval_memo_smoke", text, payload)
+    assert not mismatched, f"warm layer memos changed pool results in {mismatched}"

@@ -27,12 +27,29 @@ offers genuine (small-scale) training through the same interface.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import Dict
 
 import numpy as np
 
 from repro.nn.architecture import Architecture
+from repro.nn.layers import LAYER_MEMO_SIZE, LayerSpec
 from repro.utils.validation import require_non_negative
+
+
+@lru_cache(maxsize=LAYER_MEMO_SIZE)
+def layer_noise_key(layer: LayerSpec) -> str:
+    """``repr(layer.to_dict())``, computed once per distinct layer."""
+    return repr(layer.to_dict())
+
+
+def noise_key(architecture: Architecture) -> str:
+    """The architecture part of the noise seed string.
+
+    Equal to ``repr(architecture.to_dict()["layers"])`` (a list's repr joins
+    its items' reprs with ``", "``), built from per-layer memo entries.
+    """
+    return "[" + ", ".join(map(layer_noise_key, architecture.layers)) + "]"
 
 
 class AccuracyModel:
@@ -104,7 +121,7 @@ class AccuracySurrogate(AccuracyModel):
 
     def _noise(self, architecture: Architecture) -> float:
         digest = hashlib.sha256(
-            (self.seed_salt + repr(architecture.to_dict()["layers"])).encode()
+            (self.seed_salt + noise_key(architecture)).encode()
         ).digest()
         seed = int.from_bytes(digest[:8], "little")
         rng = np.random.default_rng(seed)

@@ -18,8 +18,8 @@ import numpy as np
 
 from repro.hardware.features import family_feature_matrix
 from repro.hardware.simulator import LayerCostSimulator
-from repro.nn.architecture import LayerSummary
-from repro.nn.layers import Conv2D, Dense, MaxPool2D, shape_bytes
+from repro.nn.architecture import LayerSummary, summarize_layer
+from repro.nn.layers import Conv2D, Dense, MaxPool2D
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -56,23 +56,6 @@ class ProfilingDataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-
-def _summary_for(layer, input_shape) -> LayerSummary:
-    """Build a standalone LayerSummary for an isolated layer configuration."""
-    output_shape = layer.output_shape(input_shape)
-    return LayerSummary(
-        index=0,
-        name=layer.name,
-        layer_type=layer.layer_type,
-        input_shape=tuple(input_shape),
-        output_shape=output_shape,
-        params=layer.param_count(input_shape),
-        macs=layer.macs(input_shape),
-        output_bytes=shape_bytes(output_shape),
-        weight_bytes=layer.weight_bytes(input_shape),
-        is_partition_candidate=layer.is_partition_candidate,
-    )
 
 
 class LayerProfiler:
@@ -169,7 +152,7 @@ class LayerProfiler:
         latencies: List[float] = []
         powers: List[float] = []
         for layer, input_shape in configs:
-            summary = _summary_for(layer, input_shape)
+            summary = summarize_layer(0, layer, input_shape)
             measurement = self.simulator.measure(summary)
             summaries.append(summary)
             latencies.append(measurement.latency_s)

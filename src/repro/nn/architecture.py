@@ -10,7 +10,7 @@ input/output shapes, parameter counts, MAC counts and activation byte sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.nn.graph import PartitionGraph, SkipEdge
@@ -22,6 +22,10 @@ from repro.nn.layers import (
     layer_from_dict,
     shape_bytes,
 )
+
+#: Bound of the :func:`layer_summary` memo.  One process running a campaign
+#: over the three registered search spaces fills ~17k entries (~600 B each).
+SUMMARY_MEMO_SIZE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,32 @@ class LayerSummary:
             "weight_bytes": self.weight_bytes,
             "is_partition_candidate": self.is_partition_candidate,
         }
+
+
+def summarize_layer(index: int, layer: LayerSpec, input_shape: Shape) -> LayerSummary:
+    """Static analysis of ``layer`` at position ``index`` fed ``input_shape``."""
+    output_shape = layer.output_shape(input_shape)
+    return LayerSummary(
+        index=index,
+        name=layer.name,
+        layer_type=layer.layer_type,
+        input_shape=input_shape,
+        output_shape=output_shape,
+        params=layer.param_count(input_shape),
+        macs=layer.macs(input_shape),
+        output_bytes=shape_bytes(output_shape),
+        weight_bytes=layer.weight_bytes(input_shape),
+        is_partition_candidate=layer.is_partition_candidate,
+    )
+
+
+#: The memo behind :meth:`Architecture.summarize`, keyed by value on
+#: ``(index, layer, input_shape)``: a summary depends on nothing else, and
+#: it is frozen, so every architecture holding that layer at that position
+#: with that input shares one record.  Layer specs whose fields compare
+#: equal (``64`` and ``64.0``) share entries here, as they already make
+#: equal architectures for the engine caches.
+layer_summary = lru_cache(maxsize=SUMMARY_MEMO_SIZE)(summarize_layer)
 
 
 def _projection_stride(src_shape: Shape, dst_shape: Shape) -> Optional[int]:
@@ -223,27 +253,18 @@ class Architecture:
 
     # ------------------------------------------------------------------ analysis
     def summarize(self) -> Tuple[LayerSummary, ...]:
-        """Run shape inference and return per-layer summaries (cached)."""
+        """Run shape inference and return per-layer summaries (cached).
+
+        Each record comes from the :func:`layer_summary` memo; the skip-edge
+        shape check runs per architecture.
+        """
         if self._summaries is None:
             summaries: List[LayerSummary] = []
             current_shape = self.input_shape
             for index, layer in enumerate(self.layers):
-                output_shape = layer.output_shape(current_shape)
-                summaries.append(
-                    LayerSummary(
-                        index=index,
-                        name=layer.name,
-                        layer_type=layer.layer_type,
-                        input_shape=current_shape,
-                        output_shape=output_shape,
-                        params=layer.param_count(current_shape),
-                        macs=layer.macs(current_shape),
-                        output_bytes=shape_bytes(output_shape),
-                        weight_bytes=layer.weight_bytes(current_shape),
-                        is_partition_candidate=layer.is_partition_candidate,
-                    )
-                )
-                current_shape = output_shape
+                summary = layer_summary(index, layer, current_shape)
+                summaries.append(summary)
+                current_shape = summary.output_shape
             for src, dst in self.skip_edges:
                 src_shape = (
                     self.input_shape if src < 0 else summaries[src].output_shape
@@ -292,8 +313,10 @@ class Architecture:
 
     @property
     def depth(self) -> int:
-        """Number of parameterised (conv + fc) layers."""
-        return sum(1 for s in self.summarize() if s.layer_type in ("conv", "fc"))
+        """Number of parameterised (conv, conv1d and fc) layers."""
+        return sum(
+            1 for s in self.summarize() if s.layer_type in ("conv", "conv1d", "fc")
+        )
 
     def count_layers(self, layer_type: str) -> int:
         """Number of layers of the given family."""

@@ -22,7 +22,8 @@ change between them").
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Tuple, Union
+from functools import lru_cache
+from typing import Dict, Tuple, Type, TypeVar, Union
 
 from repro.utils.validation import require_in, require_positive
 
@@ -37,6 +38,10 @@ PADDING_MODES = ("same", "valid")
 
 #: Activation functions the IR records (used by the numpy trainer).
 ACTIVATIONS = ("relu", "softmax", "linear")
+
+#: Bound of the per-layer memos (:func:`interned` and the surrogate's noise
+#: key).  The three registered search spaces hold ~670 distinct layer specs.
+LAYER_MEMO_SIZE = 4096
 
 
 def element_count(shape: Shape) -> int:
@@ -446,6 +451,23 @@ class Dropout(LayerSpec):
 
     def macs(self, input_shape: Shape) -> int:
         return 0
+
+
+LayerT = TypeVar("LayerT", bound=LayerSpec)
+
+
+@lru_cache(maxsize=LAYER_MEMO_SIZE, typed=True)
+def interned(cls: Type[LayerT], /, **kwargs) -> LayerT:
+    """The shared instance of ``cls(**kwargs)``.
+
+    Search spaces build their layers through this constructor, so equal
+    layers of different candidates are one object: construction and
+    validation run once per distinct layer, and the value-keyed layer memos
+    (:func:`repro.nn.architecture.layer_summary`, the accuracy surrogate's
+    noise key) find their entries by identity.  ``typed`` keys keep ``64``
+    and ``64.0`` apart.
+    """
+    return cls(**kwargs)
 
 
 LAYER_CLASSES = {

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.nn.architecture import Architecture
 from repro.nn.encoding import EncodingScheme, Gene
 from repro.nn.graph import SkipEdge
-from repro.nn.layers import Conv2D, Dense, Flatten, LayerSpec, MaxPool2D
+from repro.nn.layers import Conv2D, Dense, Flatten, LayerSpec, MaxPool2D, interned
 from repro.nn.spaces import EncodedSearchSpace
 
 #: Default per-stage gene choices.
@@ -145,7 +145,8 @@ class ResNetSearchSpace(EncodedSearchSpace):
         layers: List[LayerSpec] = []
         skip_edges: List[SkipEdge] = []
         layers.append(
-            Conv2D(
+            interned(
+                Conv2D,
                 name="stem",
                 out_channels=int(values["stage1_width"]),
                 kernel_size=3,
@@ -161,7 +162,8 @@ class ResNetSearchSpace(EncodedSearchSpace):
             if self.downsample == "stride":
                 # one stride-2 convolution downsamples and adapts channels
                 layers.append(
-                    Conv2D(
+                    interned(
+                        Conv2D,
                         name=f"stage{stage}_downsample",
                         out_channels=width,
                         kernel_size=3,
@@ -171,9 +173,12 @@ class ResNetSearchSpace(EncodedSearchSpace):
                     )
                 )
             else:
-                layers.append(MaxPool2D(name=f"stage{stage}_pool", pool_size=2))
                 layers.append(
-                    Conv2D(
+                    interned(MaxPool2D, name=f"stage{stage}_pool", pool_size=2)
+                )
+                layers.append(
+                    interned(
+                        Conv2D,
                         name=f"stage{stage}_transition",
                         out_channels=width,
                         kernel_size=1,
@@ -189,7 +194,8 @@ class ResNetSearchSpace(EncodedSearchSpace):
                     block_input = stage_input
                 for half in ("a", "b"):
                     layers.append(
-                        Conv2D(
+                        interned(
+                            Conv2D,
                             name=f"stage{stage}_block{block}_{half}",
                             out_channels=width,
                             kernel_size=kernel,
@@ -198,10 +204,12 @@ class ResNetSearchSpace(EncodedSearchSpace):
                         )
                     )
                 skip_edges.append((block_input, len(layers) - 1))
-        layers.append(Flatten(name="flatten"))
+        layers.append(interned(Flatten, name="flatten"))
         if values["fc_present"]:
-            layers.append(Dense(name="fc1", units=int(values["fc_units"])))
-        layers.append(Dense(name="classifier", units=num_classes, activation="softmax"))
+            layers.append(interned(Dense, name="fc1", units=int(values["fc_units"])))
+        layers.append(
+            interned(Dense, name="classifier", units=num_classes, activation="softmax")
+        )
         return Architecture(name, input_shape, layers, skip_edges=tuple(skip_edges))
 
     # ------------------------------------------------------------------ misc

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.nn.architecture import Architecture
 from repro.nn.encoding import EncodingScheme, Gene
-from repro.nn.layers import Conv2D, Dense, Flatten, LayerSpec, MaxPool2D
+from repro.nn.layers import Conv2D, Dense, Flatten, LayerSpec, MaxPool2D, interned
 from repro.nn.spaces import EncodedSearchSpace
 
 #: Default choices, exactly as given in the paper's Fig. 4 description.
@@ -188,7 +188,8 @@ class LensSearchSpace(EncodedSearchSpace):
             filters = int(values[f"block{block}_filters"])
             for layer_idx in range(1, depth + 1):
                 layers.append(
-                    Conv2D(
+                    interned(
+                        Conv2D,
                         name=f"conv{block}_{layer_idx}",
                         out_channels=filters,
                         kernel_size=kernel,
@@ -198,16 +199,24 @@ class LensSearchSpace(EncodedSearchSpace):
                     )
                 )
             if values[f"block{block}_pool"]:
-                layers.append(MaxPool2D(name=f"pool{block}", pool_size=2))
-        layers.append(Flatten(name="flatten"))
+                layers.append(
+                    interned(MaxPool2D, name=f"pool{block}", pool_size=2)
+                )
+        layers.append(interned(Flatten, name="flatten"))
         fc_index = 0
         if values["fc1_present"]:
             fc_index += 1
-            layers.append(Dense(name=f"fc{fc_index}", units=int(values["fc1_units"])))
+            layers.append(
+                interned(Dense, name=f"fc{fc_index}", units=int(values["fc1_units"]))
+            )
         if values["fc2_present"]:
             fc_index += 1
-            layers.append(Dense(name=f"fc{fc_index}", units=int(values["fc2_units"])))
-        layers.append(Dense(name="classifier", units=num_classes, activation="softmax"))
+            layers.append(
+                interned(Dense, name=f"fc{fc_index}", units=int(values["fc2_units"]))
+            )
+        layers.append(
+            interned(Dense, name="classifier", units=num_classes, activation="softmax")
+        )
         return Architecture(name, input_shape, layers)
 
     # ------------------------------------------------------------------ misc

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.nn.architecture import Architecture
 from repro.nn.encoding import EncodingScheme, Gene
-from repro.nn.layers import Conv1D, Dense, Flatten, LayerSpec, MaxPool1D
+from repro.nn.layers import Conv1D, Dense, Flatten, LayerSpec, MaxPool1D, interned
 from repro.nn.spaces import EncodedSearchSpace
 
 #: Default gene choices of the sequence space.
@@ -154,7 +154,8 @@ class SeqConv1DSearchSpace(EncodedSearchSpace):
             filters = int(values[f"block{block}_filters"])
             for layer_idx in range(1, depth + 1):
                 layers.append(
-                    Conv1D(
+                    interned(
+                        Conv1D,
                         name=f"conv{block}_{layer_idx}",
                         out_channels=filters,
                         kernel_size=kernel,
@@ -164,12 +165,14 @@ class SeqConv1DSearchSpace(EncodedSearchSpace):
                 )
             if values[f"block{block}_pool"]:
                 layers.append(
-                    MaxPool1D(name=f"pool{block}", pool_size=self.pool_size)
+                    interned(MaxPool1D, name=f"pool{block}", pool_size=self.pool_size)
                 )
-        layers.append(Flatten(name="flatten"))
+        layers.append(interned(Flatten, name="flatten"))
         if values["fc_present"]:
-            layers.append(Dense(name="fc1", units=int(values["fc_units"])))
-        layers.append(Dense(name="classifier", units=num_classes, activation="softmax"))
+            layers.append(interned(Dense, name="fc1", units=int(values["fc_units"])))
+        layers.append(
+            interned(Dense, name="classifier", units=num_classes, activation="softmax")
+        )
         return Architecture(name, input_shape, layers)
 
     # ------------------------------------------------------------------ misc

@@ -239,9 +239,7 @@ class ServingSession:
                     )
                     violated = latency > self.latency_sla_s
                     violations += int(violated.sum())
-                    np.add.at(
-                        violations_by_client, np.flatnonzero(issued), violated
-                    )
+                    violations_by_client[issued] += violated
 
         decision_time_s = float(tick_times.sum())
         valid = ~np.isnan(uplinks)

@@ -11,8 +11,9 @@ from oracles.predictor import layer_features
 from repro.api.registry import SEARCH_SPACES
 from repro.hardware.features import family_feature_matrix, prediction_family
 from repro.hardware.predictors import RidgeRegression
-from repro.hardware.profiler import LayerProfiler, ProfilingDataset, _summary_for
+from repro.hardware.profiler import LayerProfiler, ProfilingDataset
 from repro.hardware.simulator import LayerCostSimulator
+from repro.nn.architecture import summarize_layer
 
 SPACE_NAMES = ("lens-vgg", "resnet-v1", "seq-conv1d")
 
@@ -107,7 +108,7 @@ class TestLayerProfiler:
         }
         for family, family_configs in configs.items():
             rows = np.vstack(
-                [layer_features(_summary_for(*config)) for config in family_configs]
+                [layer_features(summarize_layer(0, *config)) for config in family_configs]
             )
             dataset = datasets[family]
             assert np.array_equal(dataset.features, rows)

@@ -314,6 +314,14 @@ class TestSeqConv1DSpace:
         assert "pool1d" in types
         assert "conv" not in types
 
+    def test_depth_counts_conv1d_layers(self, space):
+        # one conv1d layer and a pool per block, then fc1 and the classifier
+        genotype = [0, 0, 0, 1] * space.num_blocks + [1, 0]
+        architecture = space.decode(genotype)
+        assert architecture.count_layers("conv1d") == 4
+        assert architecture.count_layers("fc") == 2
+        assert architecture.depth == 6
+
     def test_pool_constraint_enforced(self, space):
         rng = ensure_rng(1)
         invalid = np.zeros(space.num_genes, dtype=int)  # every pool gene off

@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis.reporting import ExperimentReport
 from repro.cli import main
-from repro.core.runtime import ThresholdAnalysis
+from repro.core.runtime import ThresholdAnalysis, deployment_latency
 from repro.partition.deployment import DeploymentMetrics, DeploymentOption
 from repro.serving import (
     FleetController,
@@ -179,6 +179,30 @@ class TestServiceMetrics:
         assert sum(
             r["violations"] for r in report.per_region.values()
         ) == report.sla_violations
+
+    def test_per_region_violations_match_a_scalar_replay(self):
+        # at a 0.1 s SLA every region has some served inferences that miss it
+        sla = 0.1
+        workload = FleetWorkload.synthesize(
+            30, 12, stall_probability=0.1, seed=3
+        )
+        report = ServingSession(ANALYSIS, workload, latency_sla_s=sla,
+                                record_decisions=True).run()
+        expected = dict.fromkeys(workload.regions, 0)
+        for tick, row in enumerate(report.decision_log):
+            for client, choice in enumerate(row.tolist()):
+                mbps = float(workload.uplinks_mbps[tick, client])
+                if choice < 0 or not (np.isfinite(mbps) and mbps > 0.0):
+                    continue
+                latency = deployment_latency(
+                    ANALYSIS.options[choice], mbps, ANALYSIS.round_trip_s
+                )
+                expected[workload.regions[client]] += latency > sla
+        assert all(expected.values())
+        assert {
+            label: r["violations"] for label, r in report.per_region.items()
+        } == expected
+        assert sum(expected.values()) == report.sla_violations
 
     def test_throughput_and_latency_metrics_are_sane(self):
         workload = FleetWorkload.synthesize(50, 8, seed=1)
