@@ -15,7 +15,7 @@ from __future__ import annotations
 from conftest import FAST_MODE, save_table
 
 from repro.analysis.reporting import summarize_campaign
-from repro.campaign import CampaignSpec, RunStore, run_campaign
+from repro.campaign import CampaignPolicy, CampaignSpec, RunStore, run_campaign
 from repro.utils.serialization import format_table
 
 SPEC = CampaignSpec(
@@ -146,7 +146,7 @@ def test_supervisor_overhead_on_healthy_claims(tmp_path):
 
     from repro.api.envelopes import SearchRequest
     from repro.api.session import run_search
-    from repro.campaign import CampaignPolicy, CampaignSupervisor
+    from repro.campaign import CampaignSupervisor
 
     claims = 200 if FAST_MODE else 1000
     supervised = CampaignSupervisor(
@@ -232,7 +232,7 @@ def test_pull_worker_sharded_matches_serial(tmp_path):
         sharded,
         executor="pull-worker",
         workers=2,
-        executor_options={"ttl_s": 30.0, "poll_s": 0.2},
+        policy=CampaignPolicy(ttl_s=30.0, poll_s=0.2),
     )
     assert sorted(sharded.fingerprints()) == sorted(serial.fingerprints())
     assert len(pull_result.executed) == spec.num_cells

@@ -78,7 +78,7 @@ from repro.api.registry import SEARCH_SPACES, register_search_space
 from repro.nn.resnet_space import ResNetSearchSpace
 from repro.nn.search_space import LensSearchSpace
 from repro.nn.seq_space import SeqConv1DSearchSpace
-from repro.nn.spaces import SearchSpace
+from repro.nn.spaces import EncodedSearchSpace
 from repro.nn.vgg import build_vgg16
 from repro.partition.partitioner import PartitionAnalyzer
 from repro.wireless.channel import WirelessChannel
@@ -110,7 +110,7 @@ __all__ = [
     "LensSearchSpace",
     "ResNetSearchSpace",
     "SeqConv1DSearchSpace",
-    "SearchSpace",
+    "EncodedSearchSpace",
     "SEARCH_SPACES",
     "register_search_space",
     "build_vgg16",

@@ -337,8 +337,10 @@ class ExperimentReport:
         """Add a campaign's error/audit overview.
 
         ``audit`` is the dict produced by
-        :func:`repro.campaign.errors.summarize_audit` — per-code counts,
-        permanently failed cells, retries and reporting workers.
+        :meth:`repro.campaign.store.RunStore.audit_summary` (or
+        :func:`repro.campaign.errors.summarize_audit`) — per-code counts,
+        permanently failed cells, retries, reporting workers and buried
+        cells.
         """
         if not audit.get("num_records"):
             return self.add_text(heading, "No failure records.")

@@ -138,8 +138,7 @@ class EvaluationEngine:
         self._layer_cache: "weakref.WeakKeyDictionary[BaseLayerPredictor, Dict[Architecture, np.ndarray]]" = (
             weakref.WeakKeyDictionary()
         )
-        # predictor -> {(channel key, require_shrinkage):
-        #                {(architecture, partition graph): evaluation}};
+        # predictor -> {channel key: {(architecture, partition graph): evaluation}};
         # nested so pool-level lookups hash the channel context once.
         self._partition_cache: "weakref.WeakKeyDictionary[BaseLayerPredictor, Dict[tuple, Dict[tuple, PartitionEvaluation]]]" = (
             weakref.WeakKeyDictionary()
@@ -233,7 +232,7 @@ class EvaluationEngine:
         ``analyzer.evaluate(architecture)``, but both the layer predictions
         and the resulting evaluation are memoised.  ``graph`` optionally
         overrides the architecture's own cut-legality graph (the hook behind
-        :meth:`repro.nn.spaces.SearchSpace.partition_graph`).
+        :meth:`repro.nn.spaces.EncodedSearchSpace.partition_graph`).
 
         The cache is keyed per search space *by value*: the architecture
         (which hashes over its structure, including skip edges) and the
@@ -242,9 +241,7 @@ class EvaluationEngine:
         hashing by value) are both in the key, so runs over different
         spaces can never serve each other stale evaluations, while
         space-less callers (the deployment sweeps) still hit entries warmed
-        by a search over the identical computation.  Analyzers with a cloud
-        predictor are passed through uncached (their costing depends on
-        state the cache key does not capture).
+        by a search over the identical computation.
         """
         return self.evaluate_batch([architecture], analyzer, graphs=[graph])[0][0]
 
@@ -274,9 +271,7 @@ class EvaluationEngine:
         ``results[i][j]`` is the evaluation of ``architectures[i]`` under
         ``channels[j]`` (``channels`` defaults to the analyzer's own
         channel).  Results are cache-shared records — treat them as
-        read-only.  Analyzers with a cloud predictor bypass the partition
-        cache (their costing depends on state the cache key does not
-        capture).
+        read-only.
         """
         architectures = list(architectures)
         channels = (
@@ -362,74 +357,63 @@ class EvaluationEngine:
         results: List[List[Optional[PartitionEvaluation]]] = [
             [None] * len(channels) for _ in range(len(unique_archs))
         ]
-        if analyzer.cloud_predictor is not None:
-            # Cloud-predictor costing depends on state the cache key does
-            # not capture — batch it, but never cache.
-            results = analyzer.evaluate_batch(
-                unique_archs,
-                channels=channels,
-                predictions=resolve_predictions(range(len(unique_archs))),
-                graphs=unique_graphs,
-            )
-        else:
-            per_predictor_partitions = self._partition_cache.setdefault(predictor, {})
-            shrinkage = analyzer.require_shrinkage
-            per_channel_dicts = [
-                per_predictor_partitions.setdefault((channel_key, shrinkage), {})
-                for channel_key in unique_channel_keys
-            ]
-            miss_archs: List[int] = []
-            hits = 0
-            misses = 0
-            for i in range(len(unique_archs)):
-                key = unique_keys[i]
-                row_missing = False
-                row = results[i]
-                for ci, per_channel in enumerate(per_channel_dicts):
-                    cached = per_channel.get(key)
-                    if cached is not None:
-                        hits += 1
-                        row[ci] = cached
-                    else:
-                        misses += 1
-                        row_missing = True
-                if row_missing:
-                    miss_archs.append(i)
-            self.stats.partition_hits += hits
-            self.stats.partition_misses += misses
-            if miss_archs:
-                # Group miss rows by their missing-channel signature so only
-                # genuinely uncached (architecture, channel) cells are
-                # computed — a rectangular batch over all miss channels
-                # would redo cached cells on partial overlap.  Signatures
-                # are usually homogeneous (one group).
-                by_signature: Dict[tuple, List[int]] = {}
-                for i in miss_archs:
-                    signature = tuple(
-                        ci
-                        for ci in range(len(channels))
-                        if results[i][ci] is None
-                    )
-                    by_signature.setdefault(signature, []).append(i)
-                for signature, arch_indices in by_signature.items():
-                    fresh = analyzer.evaluate_batch(
-                        [unique_archs[i] for i in arch_indices],
-                        channels=[channels[ci] for ci in signature],
-                        predictions=resolve_predictions(arch_indices),
-                        graphs=[unique_graphs[i] for i in arch_indices],
-                    )
-                    for row_index, i in enumerate(arch_indices):
-                        key = unique_keys[i]
-                        for column, ci in enumerate(signature):
-                            evaluation = fresh[row_index][column]
-                            per_channel_dicts[ci][key] = evaluation
-                            results[i][ci] = evaluation
-            # Duplicate pool positions and repeated channels are cache-level
-            # re-use: every cell beyond the unique (arch, channel) grid is a
-            # hit.
-            self.stats.partition_hits += (
-                n * num_channels - len(unique_archs) * len(channels)
-            )
+        per_predictor_partitions = self._partition_cache.setdefault(predictor, {})
+        per_channel_dicts = [
+            per_predictor_partitions.setdefault(channel_key, {})
+            for channel_key in unique_channel_keys
+        ]
+        miss_archs: List[int] = []
+        hits = 0
+        misses = 0
+        for i in range(len(unique_archs)):
+            key = unique_keys[i]
+            row_missing = False
+            row = results[i]
+            for ci, per_channel in enumerate(per_channel_dicts):
+                cached = per_channel.get(key)
+                if cached is not None:
+                    hits += 1
+                    row[ci] = cached
+                else:
+                    misses += 1
+                    row_missing = True
+            if row_missing:
+                miss_archs.append(i)
+        self.stats.partition_hits += hits
+        self.stats.partition_misses += misses
+        if miss_archs:
+            # Group miss rows by their missing-channel signature so only
+            # genuinely uncached (architecture, channel) cells are
+            # computed — a rectangular batch over all miss channels
+            # would redo cached cells on partial overlap.  Signatures
+            # are usually homogeneous (one group).
+            by_signature: Dict[tuple, List[int]] = {}
+            for i in miss_archs:
+                signature = tuple(
+                    ci
+                    for ci in range(len(channels))
+                    if results[i][ci] is None
+                )
+                by_signature.setdefault(signature, []).append(i)
+            for signature, arch_indices in by_signature.items():
+                fresh = analyzer.evaluate_batch(
+                    [unique_archs[i] for i in arch_indices],
+                    channels=[channels[ci] for ci in signature],
+                    predictions=resolve_predictions(arch_indices),
+                    graphs=[unique_graphs[i] for i in arch_indices],
+                )
+                for row_index, i in enumerate(arch_indices):
+                    key = unique_keys[i]
+                    for column, ci in enumerate(signature):
+                        evaluation = fresh[row_index][column]
+                        per_channel_dicts[ci][key] = evaluation
+                        results[i][ci] = evaluation
+        # Duplicate pool positions and repeated channels are cache-level
+        # re-use: every cell beyond the unique (arch, channel) grid is a
+        # hit.
+        self.stats.partition_hits += (
+            n * num_channels - len(unique_archs) * len(channels)
+        )
 
         return [
             [results[owner][channel_owners[ci]] for ci in range(num_channels)]
@@ -441,7 +425,6 @@ class EvaluationEngine:
         architecture: Architecture,
         predictor: BaseLayerPredictor,
         channels: Sequence[WirelessChannel],
-        require_shrinkage: bool = True,
     ) -> List[PartitionEvaluation]:
         """Batched costing of one architecture under many channels.
 
@@ -452,9 +435,7 @@ class EvaluationEngine:
         channels = list(channels)
         if not channels:
             return []
-        analyzer = PartitionAnalyzer(
-            predictor, channels[0], require_shrinkage=require_shrinkage
-        )
+        analyzer = PartitionAnalyzer(predictor, channels[0])
         return self.evaluate_batch([architecture], analyzer, channels=channels)[0]
 
     # ------------------------------------------------------------------ maintenance

@@ -31,7 +31,7 @@ from repro.hardware.device import BUILTIN_DEVICES, DeviceProfile
 from repro.nn.resnet_space import ResNetSearchSpace
 from repro.nn.search_space import LensSearchSpace
 from repro.nn.seq_space import SeqConv1DSearchSpace
-from repro.nn.spaces import DEFAULT_SEARCH_SPACE, SearchSpace
+from repro.nn.spaces import DEFAULT_SEARCH_SPACE, EncodedSearchSpace
 from repro.optim.acquisition import ACQUISITION_STRATEGIES
 from repro.wireless.power_models import SUPPORTED_TECHNOLOGIES, RadioPowerModel
 
@@ -198,8 +198,9 @@ assert set(ACQUISITIONS.names()) == set(ACQUISITION_STRATEGIES)
 
 #: Named search spaces — the workloads a request can target.  Entries are
 #: zero-argument factories returning a fresh
-#: :class:`~repro.nn.spaces.SearchSpace`; ``SEARCH_SPACES.create(name)`` is
-#: how :func:`repro.api.session.build_context` resolves
+#: :class:`~repro.nn.spaces.EncodedSearchSpace`;
+#: ``SEARCH_SPACES.create(name)`` is how
+#: :func:`repro.api.session.build_context` resolves
 #: ``SearchRequest.search_space``.
 SEARCH_SPACES = Registry(
     "search space",
@@ -224,14 +225,14 @@ def register_device(profile: DeviceProfile, *, overwrite: bool = False) -> Devic
 
 def register_search_space(
     name: str,
-    factory: Callable[[], SearchSpace],
+    factory: Callable[[], EncodedSearchSpace],
     *,
     overwrite: bool = False,
-) -> Callable[[], SearchSpace]:
+) -> Callable[[], EncodedSearchSpace]:
     """Register a custom search-space factory under ``name``.
 
     ``factory`` is called once per run that requests the space (a
-    :class:`~repro.nn.spaces.SearchSpace` subclass works directly).  The
+    :class:`~repro.nn.spaces.EncodedSearchSpace` subclass works directly).  The
     space becomes addressable from request envelopes, campaign grids and the
     CLI immediately; give instances a matching ``space_name`` so decoded
     candidate names carry the registry key.

@@ -43,7 +43,7 @@ from repro.core.evaluation import PartitionAwareEvaluator
 from repro.core.results import METRIC_NAMES, CandidateEvaluation, SearchResult
 from repro.hardware.device import DeviceProfile
 from repro.hardware.predictors import BaseLayerPredictor
-from repro.nn.spaces import SearchSpace
+from repro.nn.spaces import EncodedSearchSpace
 from repro.optim.mobo import MultiObjectiveBayesianOptimizer, OptimizationResult
 from repro.optim.pareto import FrontHistory, compute_front_history
 from repro.partition.partitioner import PartitionAnalyzer
@@ -86,7 +86,7 @@ class SearchContext:
 
     request: SearchRequest
     scenario: Scenario
-    search_space: SearchSpace
+    search_space: EncodedSearchSpace
     accuracy_model: AccuracyModel
     device: DeviceProfile
     channel: WirelessChannel
@@ -106,7 +106,7 @@ def build_context(
     request: Union[SearchRequest, Dict],
     *,
     scenarios: Optional[ScenarioRegistry] = None,
-    search_space: Union[SearchSpace, str, None] = None,
+    search_space: Union[EncodedSearchSpace, str, None] = None,
     accuracy_model: Optional[AccuracyModel] = None,
     predictor: Optional[BaseLayerPredictor] = None,
     engine: Optional[EvaluationEngine] = None,
@@ -118,11 +118,11 @@ def build_context(
     :data:`repro.api.registry.SEARCH_SPACES` (an unknown name raises the
     registry's suggestion-bearing
     :class:`~repro.api.registry.RegistryError`).  Passing ``search_space``
-    overrides the request: a *name* is folded into the request itself, and a
-    :class:`~repro.nn.spaces.SearchSpace` instance bypasses the registry
-    with its ``space_name`` folded in likewise, so the context's request
-    (and therefore the outcome and its fingerprint) records the space that
-    ran.  Note the limit of that guarantee: requests only carry the space
+    overrides the request: a *name* is folded into the request itself, and
+    a :class:`~repro.nn.spaces.EncodedSearchSpace` instance bypasses the
+    registry with its ``space_name`` folded in likewise, so the context's
+    request (and therefore the outcome and its fingerprint) records the
+    space that ran.  Note the limit of that guarantee: requests only carry the space
     *name*, so an instance that keeps a built-in ``space_name`` (e.g. a
     reconfigured ``LensSearchSpace``, which inherits ``"lens-vgg"``) is
     indistinguishable from the built-in in stores and reports — give custom
@@ -367,7 +367,7 @@ def run_search(
     request: Union[SearchRequest, Dict, None] = None,
     *,
     scenarios: Optional[ScenarioRegistry] = None,
-    search_space: Union[SearchSpace, str, None] = None,
+    search_space: Union[EncodedSearchSpace, str, None] = None,
     accuracy_model: Optional[AccuracyModel] = None,
     predictor: Optional[BaseLayerPredictor] = None,
     engine: Optional[EvaluationEngine] = None,
@@ -387,11 +387,11 @@ def run_search(
     :class:`SearchRequest` (or its dict form) may be passed instead, and
     keyword request fields are applied on top of it.  A ``search_space``
     *name* is a request field like any other (recorded in the outcome and
-    the fingerprint); a :class:`~repro.nn.spaces.SearchSpace` *instance* is
-    a component override that bypasses the registry.  The outcome embeds
-    the request, the resolved scenario, every explored candidate, the
-    engine's cache statistics and the run's resilience counters, and
-    round-trips through ``to_dict``/``from_dict``.
+    the fingerprint); a :class:`~repro.nn.spaces.EncodedSearchSpace`
+    *instance* is a component override that bypasses the registry.  The
+    outcome embeds the request, the resolved scenario, every explored
+    candidate, the engine's cache statistics and the run's resilience
+    counters, and round-trips through ``to_dict``/``from_dict``.
 
     Passing ``checkpoint_dir`` makes the run crash-safe: the evaluated
     history is snapshotted every ``checkpoint_every`` evaluations into

@@ -38,14 +38,13 @@ store never under-counts failures; direct construction stays strict.
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
-from repro.utils.serialization import append_jsonl_atomic
+from repro.utils.serialization import append_jsonl_atomic, iter_jsonl
 
 #: ``code -> (description, retryable)`` — the uniform error-code scheme of
 #: the campaign service (documented in ``docs/distributed.md``).
@@ -228,18 +227,15 @@ class AuditLog:
 
         This is the memory-bounded path: a million-record audit log is
         never materialised as a list, so ``repro report`` and
-        :func:`summarize_audit` read it in O(1) memory.
+        :func:`summarize_audit` read it in O(1) memory.  Damaged lines are
+        skipped (see :func:`~repro.utils.serialization.iter_jsonl`), and so
+        are objects that are not envelopes.
         """
-        if not self.path.exists():
-            return
-        with self.path.open("rb") as handle:
-            for raw in handle:
-                if not raw.endswith(b"\n"):
-                    break  # torn tail — a writer is (or was) mid-append
-                try:
-                    yield ErrorEnvelope.from_dict(json.loads(raw))
-                except (ValueError, KeyError):
-                    continue  # interleave casualty; compaction removes it
+        for data in iter_jsonl(self.path):
+            try:
+                yield ErrorEnvelope.from_dict(data)
+            except (ValueError, KeyError, TypeError):
+                continue
 
     def records(self) -> List[ErrorEnvelope]:
         """Every intact record, in append order (see :meth:`iter_records`)."""

@@ -52,30 +52,11 @@ from repro.campaign.supervisor import (
     CampaignPolicy,
     CampaignSupervisor,
     CircuitOpenError,
+    DeadLetterQueue,
     deadline,
 )
+from repro.campaign.worker import final_failure
 from repro.utils.serialization import to_jsonable
-
-
-def _policy_from_options(context: "ExecutionContext") -> CampaignPolicy:
-    """The campaign's :class:`CampaignPolicy`, resolved from the context.
-
-    ``executor_options`` carries the policy fields flat (the runner merges
-    ``policy.to_dict()`` in); unknown extra options are ignored and the
-    context's ``on_error`` always wins.
-    """
-    data = dict(context.options)
-    data["on_error"] = context.on_error
-    return CampaignPolicy.from_dict(data)
-
-
-def _request_context(request: SearchRequest) -> Dict[str, str]:
-    """Audit-routing metadata of one request (shard coordinates)."""
-    scenario = request.scenario
-    return {
-        "scenario": scenario if isinstance(scenario, str) else scenario.name,
-        "search_space": request.search_space,
-    }
 
 
 @dataclass
@@ -91,9 +72,10 @@ class ExecutionContext:
         pull workers — need its directory; others leave writes to ``record``).
     workers:
         Parallelism degree requested by the caller.
-    on_error:
-        ``"fail"`` stops launching new cells after the first failure;
-        ``"continue"`` records the envelope and keeps going.
+    policy:
+        The campaign's :class:`~repro.campaign.supervisor.CampaignPolicy`.
+        Its ``on_error="fail"`` stops launching new cells after the first
+        failure; ``"continue"`` records the envelope and keeps going.
     scenarios / engine:
         Optional registry/engine overrides (in-process executors only).
     record / fail:
@@ -101,23 +83,20 @@ class ExecutionContext:
         outcome, persisted=False)`` stores a finished cell (``persisted=True``
         means the executor already wrote it); ``fail(fingerprint, envelope,
         persisted=False)`` registers a permanent failure likewise.
-    options:
-        Executor-specific settings (lease TTL, poll interval, ...).
     """
 
     pending: List[Tuple[str, SearchRequest]]
     store: Any
     workers: int = 1
-    on_error: str = "fail"
+    policy: CampaignPolicy = field(default_factory=CampaignPolicy)
     scenarios: Optional[Any] = None
     engine: Optional[Any] = None
     record: Callable[..., None] = lambda *a, **k: None
     fail: Callable[..., None] = lambda *a, **k: None
-    options: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def stop_on_error(self) -> bool:
-        return self.on_error == "fail"
+        return self.policy.on_error == "fail"
 
 
 class CampaignExecutor:
@@ -153,7 +132,7 @@ class SerialExecutor(CampaignExecutor):
     name = "serial"
 
     def run(self, context: ExecutionContext) -> None:
-        cell_timeout_s = _policy_from_options(context).cell_timeout_s
+        cell_timeout_s = context.policy.cell_timeout_s
         for fingerprint, request in context.pending:
             try:
                 with deadline(cell_timeout_s):
@@ -169,7 +148,10 @@ class SerialExecutor(CampaignExecutor):
                         error,
                         fingerprint=fingerprint,
                         worker=self.name,
-                        context=_request_context(request),
+                        context={
+                            "scenario": request.scenario_name,
+                            "search_space": request.search_space,
+                        },
                     ),
                 )
                 if context.stop_on_error:
@@ -233,13 +215,17 @@ class ProcessPoolCampaignExecutor(CampaignExecutor):
                             for outstanding in remaining:
                                 outstanding.cancel()
                         failed_once = True
+                        request = requests[fingerprint]
                         context.fail(
                             fingerprint,
                             ErrorEnvelope.from_exception(
                                 error,
                                 fingerprint=fingerprint,
                                 worker=self.name,
-                                context=_request_context(requests[fingerprint]),
+                                context={
+                                    "scenario": request.scenario_name,
+                                    "search_space": request.search_space,
+                                },
                             ),
                         )
                         continue
@@ -272,7 +258,7 @@ class PullWorkerExecutor(CampaignExecutor):
     campaign only fails if **all** workers exit with cells still
     unresolved.
 
-    Options (via ``executor_options`` / ``repro campaign``) are the flat
+    Its settings are the campaign's
     :class:`~repro.campaign.supervisor.CampaignPolicy` fields: ``ttl_s``
     lease expiry window, ``poll_s`` poll interval, ``max_attempts`` /
     ``backoff_base_s`` / ``max_backoff_s`` retry policy, ``cell_timeout_s``
@@ -291,8 +277,7 @@ class PullWorkerExecutor(CampaignExecutor):
         if not context.pending:
             return
         manifest = CampaignManifest.from_requests(
-            [request for _, request in context.pending],
-            policy=_policy_from_options(context),
+            [request for _, request in context.pending], policy=context.policy
         )
         manifest.write(store.directory)
         env = _subprocess_env()
@@ -343,6 +328,8 @@ class PullWorkerExecutor(CampaignExecutor):
         manifest: CampaignManifest,
         workers: List[subprocess.Popen],
     ) -> None:
+        dead_letters = DeadLetterQueue(store.directory)
+
         def sweep(unresolved: Dict[str, SearchRequest]) -> None:
             store.refresh()
             for fingerprint in list(unresolved):
@@ -353,11 +340,11 @@ class PullWorkerExecutor(CampaignExecutor):
                     )
                     del unresolved[fingerprint]
                     continue
-                last = store.audit_log(
-                    **_request_context(request)
-                ).last(fingerprint)
-                if last is not None and last.final:
-                    context.fail(fingerprint, last, persisted=True)
+                # the workers' own rule, so a re-admitted dead-letter cell
+                # is not failed by the records of its previous life
+                failure = final_failure(store, fingerprint, request, dead_letters)
+                if failure is not None:
+                    context.fail(fingerprint, failure, persisted=True)
                     del unresolved[fingerprint]
 
         policy = manifest.policy
@@ -391,7 +378,7 @@ class PullWorkerExecutor(CampaignExecutor):
                         f"{sorted(unresolved)[:5]}"
                     )
                 break
-            time.sleep(min(0.2, manifest.poll_s))
+            time.sleep(min(0.2, policy.poll_s))
 
 
 # ---------------------------------------------------------------------- registry

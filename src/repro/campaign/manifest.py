@@ -47,9 +47,7 @@ class CampaignManifest:
         stored fingerprints, which is what makes re-publishing idempotent).
     policy:
         The campaign's :class:`~repro.campaign.supervisor.CampaignPolicy`
-        (leases, bounded retry, deadlines, circuit breaker).  The policy
-        fields are also readable directly on the manifest (``manifest.ttl_s``
-        etc.) for backward compatibility with the flat v1 layout.
+        (leases, bounded retry, deadlines, circuit breaker).
     created_at:
         Epoch seconds the manifest was published.
     """
@@ -58,64 +56,17 @@ class CampaignManifest:
     policy: CampaignPolicy = field(default_factory=CampaignPolicy)
     created_at: float = field(default_factory=time.time)
 
-    # ------------------------------------------------------------------ policy views
-    @property
-    def ttl_s(self) -> float:
-        return self.policy.ttl_s
-
-    @property
-    def poll_s(self) -> float:
-        return self.policy.poll_s
-
-    @property
-    def max_attempts(self) -> int:
-        return self.policy.max_attempts
-
-    @property
-    def backoff_base_s(self) -> float:
-        return self.policy.backoff_base_s
-
-    @property
-    def max_backoff_s(self) -> float:
-        return self.policy.max_backoff_s
-
-    @property
-    def cell_timeout_s(self) -> float:
-        return self.policy.cell_timeout_s
-
-    @property
-    def on_error(self) -> str:
-        return self.policy.on_error
-
-    @property
-    def checkpoint_every(self) -> int:
-        return self.policy.checkpoint_every
-
     @classmethod
     def from_requests(
         cls,
         requests: Iterable[SearchRequest],
         policy: Optional[CampaignPolicy] = None,
-        **overrides: Any,
     ) -> "CampaignManifest":
-        """Build a manifest from expanded grid requests.
-
-        Policy settings come either as a ready
-        :class:`~repro.campaign.supervisor.CampaignPolicy` or as flat
-        keyword overrides (``ttl_s=10.0, max_attempts=5`` — the historical
-        call shape); both at once applies the overrides on top.
-        """
+        """Build a manifest from expanded grid requests."""
         cells = {
             request_fingerprint(request): request.to_dict() for request in requests
         }
-        created_at = overrides.pop("created_at", None)
-        resolved = policy or CampaignPolicy()
-        if overrides:
-            resolved = resolved.replace(**overrides)
-        kwargs: Dict[str, Any] = {"cells": cells, "policy": resolved}
-        if created_at is not None:
-            kwargs["created_at"] = float(created_at)
-        return cls(**kwargs)
+        return cls(cells=cells, policy=policy or CampaignPolicy())
 
     def requests(self) -> Dict[str, SearchRequest]:
         """Deserialized ``fingerprint -> SearchRequest`` mapping."""

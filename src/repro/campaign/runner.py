@@ -17,9 +17,9 @@ Each finished :class:`~repro.api.envelopes.SearchOutcome` is appended to
 the store as soon as it completes, so an interrupted campaign loses at
 most the cells that were in flight.  Failures become structured
 :class:`~repro.campaign.errors.ErrorEnvelope` audit records; under the
-default ``on_error="fail"`` the first failure stops the campaign (finished
-cells stay stored for resume), while ``on_error="continue"`` records the
-envelope and keeps going, surfacing failed-cell counts in
+policy's default ``on_error="fail"`` the first failure stops the campaign
+(finished cells stay stored for resume), while ``on_error="continue"``
+records the envelope and keeps going, surfacing failed-cell counts in
 :meth:`CampaignResult.summary`.
 
 Out-of-process executors ship requests to workers in their serialized dict
@@ -99,7 +99,7 @@ class CampaignResult:
         Fingerprints that were already stored (resume hits), in grid order.
     failed:
         :class:`CellFailure` records of permanently failed cells (only
-        non-empty under ``on_error="continue"``).
+        non-empty under the policy's ``on_error="continue"``).
     workers / executor / wall_time_s:
         Execution settings and total duration of the call.
     timeout_kills / dead_lettered / circuit_state / circuit_transitions:
@@ -183,9 +183,7 @@ def run_campaign(
     workers: int = 1,
     resume: bool = True,
     executor: Optional[Union[str, CampaignExecutor]] = None,
-    executor_options: Optional[Dict[str, Any]] = None,
     policy: Optional[CampaignPolicy] = None,
-    on_error: str = "fail",
     scenarios: Optional[ScenarioRegistry] = None,
     engine: Optional[EvaluationEngine] = None,
     progress: Optional[CampaignProgress] = None,
@@ -210,25 +208,21 @@ def run_campaign(
         Executor name from :data:`~repro.campaign.executors.EXECUTORS`
         (``"serial"``, ``"process-pool"``, ``"pull-worker"``) or an
         instance; ``None`` picks by ``workers``.
-    executor_options:
-        Executor-specific settings (e.g. ``ttl_s`` / ``poll_s`` /
-        ``max_attempts`` / ``backoff_base_s`` for ``pull-worker``).
     policy:
-        Optional :class:`~repro.campaign.supervisor.CampaignPolicy`
-        carrying the supervision knobs (enforced cell deadline, retry and
-        backoff limits, circuit breaker).  Its fields merge *under* any
-        flat ``executor_options`` (explicit options win).  With the
-        breaker enabled, a campaign whose sliding-window failure rate
-        trips the threshold aborts with
+        The campaign's :class:`~repro.campaign.supervisor.CampaignPolicy`
+        (default: ``CampaignPolicy()``), the one carrier of its settings:
+        lease and retry limits for ``pull-worker``, the enforced cell
+        deadline, the circuit breaker and ``on_error``.  Under
+        ``on_error="fail"`` (default) the first failed cell stops the
+        campaign, which raises after draining in-flight work — finished
+        cells stay stored.  ``"continue"`` records an error envelope in the
+        store's audit log and keeps going; failures are reported in the
+        result.  With the breaker enabled, a campaign whose sliding-window
+        failure rate trips the threshold aborts with
         :class:`~repro.campaign.supervisor.CircuitOpenError` (CLI exit
         code 4); out-of-process supervision (dead-lettering, shared
         breaker state) applies on the ``pull-worker`` executor, while
         in-process executors track the breaker in memory.
-    on_error:
-        ``"fail"`` (default) stops on the first failed cell and raises
-        after draining in-flight work — finished cells stay stored.
-        ``"continue"`` records an error envelope in the store's audit log
-        and keeps going; failures are reported in the result.
     scenarios:
         Registry used for upfront validation and by the serial path
         (defaults to :data:`repro.api.scenario.SCENARIOS`).
@@ -239,10 +233,7 @@ def run_campaign(
     progress:
         Optional :data:`CampaignProgress` callback.
     """
-    if on_error not in ("fail", "continue"):
-        raise ValueError(
-            f"on_error must be 'fail' or 'continue', got {on_error!r}"
-        )
+    policy = policy or CampaignPolicy()
     if isinstance(store, (str, Path)):
         store = open_store(store)
     if isinstance(spec, CampaignSpec):
@@ -264,11 +255,7 @@ def run_campaign(
     # (via the manifest policy); every other executor feeds this in-memory
     # breaker through the record/fail callbacks below
     breaker: Optional[CircuitBreaker] = None
-    if (
-        policy is not None
-        and policy.circuit_enabled
-        and resolved.name != "pull-worker"
-    ):
+    if policy.circuit_enabled and resolved.name != "pull-worker":
         breaker = CircuitBreaker(
             window=policy.circuit_window,
             threshold=policy.circuit_threshold,
@@ -307,23 +294,20 @@ def run_campaign(
         done += 1
         _trip(False)
 
-    options = dict(policy.to_dict()) if policy is not None else {}
-    options.update(executor_options or {})
     if pending:
         resolved.run(
             ExecutionContext(
                 pending=pending,
                 store=store,
                 workers=max(1, int(workers)),
-                on_error=on_error,
+                policy=policy,
                 scenarios=scenarios,
                 engine=engine,
                 record=_record,
                 fail=_fail,
-                options=options,
             )
         )
-    if failures and on_error == "fail":
+    if failures and policy.on_error == "fail":
         first = failures[0]
         raise RuntimeError(
             f"campaign cell {first.fingerprint} failed ({len(executed)} finished "
@@ -334,9 +318,7 @@ def run_campaign(
     # supervision telemetry: the pull-worker path persists it next to the
     # store; in-process paths derive it from the failures and the breaker
     if resolved.name == "pull-worker":
-        supervision = CampaignSupervisor(
-            store.directory, policy or CampaignPolicy()
-        ).summary()
+        supervision = CampaignSupervisor(store.directory, policy).summary()
         timeout_kills = supervision["timeout_kills"]
         dead_lettered = supervision["dead_lettered"]
         circuit_state = supervision["circuit_state"]

@@ -62,6 +62,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api.envelopes import SearchOutcome, request_fingerprint
 from repro.campaign.errors import AuditLog, ErrorEnvelope, summarize_audit
+from repro.campaign.supervisor import DeadLetterQueue
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
 from repro.utils.serialization import append_jsonl_atomic, to_jsonable
 
@@ -236,9 +237,10 @@ class RunStore:
                     record = json.loads(raw.decode("utf-8"))
                     fingerprint = str(record["fingerprint"])
                     summary = _record_summary(record)
-                except (ValueError, KeyError, UnicodeDecodeError):
-                    # a line mangled by a writer killed mid-append; skip it
-                    # but keep scanning — later records are intact
+                except (ValueError, KeyError, TypeError):
+                    # a line mangled by a writer killed mid-append, or one
+                    # that is not a JSON object; skip it but keep scanning
+                    # — later records are intact
                     shard.corrupt_lines += 1
                     continue
                 if not verify_record_crc(record):
@@ -404,8 +406,8 @@ class RunStore:
             "total_wall_time_s": sum(r["wall_time_s"] for r in records.values()),
             "superseded": sum(s.superseded for s in self._shards.values()),
             **self.skipped_lines(),
-            "dead_letter": _dead_letter_count(self.directory),
-            "audit": summarize_audit(self.iter_audit_records()),
+            "dead_letter": len(DeadLetterQueue(self.directory)),
+            "audit": self.audit_summary(),
         }
 
     # ------------------------------------------------------------------ audit
@@ -432,6 +434,22 @@ class RunStore:
         else:
             log = AuditLog(self.audit_dir / "_unrouted.jsonl")
         log.append(envelope)
+
+    def audit_summary(self) -> Dict[str, Any]:
+        """:func:`summarize_audit` of the audit logs, resolved against the store.
+
+        A cell that failed for good, was re-admitted from the dead-letter
+        queue and then stored is not in ``failed_cells``, and
+        ``dead_lettered`` lists the cells the dead-letter queue holds
+        buried now, not every burial the audit records flag.
+        """
+        audit = summarize_audit(self.iter_audit_records())
+        audit["failed_cells"] = [
+            fingerprint for fingerprint in audit["failed_cells"]
+            if fingerprint not in self
+        ]
+        audit["dead_lettered"] = sorted(DeadLetterQueue(self.directory).dead())
+        return audit
 
     def audit_records(self) -> List[ErrorEnvelope]:
         """Every failure envelope (see :meth:`iter_audit_records`)."""
@@ -516,13 +534,6 @@ def _data_files(directory: Path) -> List[Tuple[str, Path]]:
 def open_store(directory: Union[str, Path]) -> RunStore:
     """Open the run store in ``directory`` (created by its first append)."""
     return RunStore(directory)
-
-
-def _dead_letter_count(directory: Union[str, Path]) -> int:
-    """Cells currently buried in the store's dead-letter queue."""
-    from repro.campaign.supervisor import DeadLetterQueue
-
-    return len(DeadLetterQueue(directory))
 
 
 def _fsck_file(path: Path) -> Dict[str, Any]:

@@ -54,7 +54,11 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.campaign.errors import ErrorEnvelope
-from repro.utils.serialization import append_jsonl_atomic, atomic_write_text
+from repro.utils.serialization import (
+    append_jsonl_atomic,
+    atomic_write_text,
+    iter_jsonl,
+)
 
 try:  # pragma: no cover - POSIX only; Windows uses the thread fallback
     import fcntl
@@ -312,18 +316,9 @@ class DeadLetterQueue:
 
     # ------------------------------------------------------------------ events
     def _events(self) -> Iterator[Dict[str, Any]]:
-        if not self.path.exists():
-            return
-        with self.path.open("rb") as handle:
-            for raw in handle:
-                if not raw.endswith(b"\n"):
-                    break  # torn tail — a writer is (or was) mid-append
-                try:
-                    event = json.loads(raw.decode("utf-8"))
-                except ValueError:
-                    continue
-                if isinstance(event, dict) and event.get("fingerprint"):
-                    yield event
+        for event in iter_jsonl(self.path):
+            if event.get("fingerprint"):
+                yield event
 
     def _latest(self) -> Dict[str, Dict[str, Any]]:
         """``fingerprint -> latest event`` (bury or readmit)."""

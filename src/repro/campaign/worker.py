@@ -105,34 +105,32 @@ def default_worker_id() -> str:
     return f"{host}-{os.getpid()}"
 
 
-def _resolved(
+def final_failure(
     store: RunStore,
     fingerprint: str,
     request: SearchRequest,
-    dead_letters: Optional[DeadLetterQueue] = None,
-) -> bool:
-    """Whether a cell needs no further work.
+    dead_letters: DeadLetterQueue,
+) -> Optional[ErrorEnvelope]:
+    """The failure that resolves a cell, or ``None`` while it needs work.
 
-    Resolved means stored, dead-lettered, or finally failed — where the
-    failure baseline restarts at the cell's latest dead-letter re-admission
-    (audit records from a previous life do not keep a re-admitted cell
-    resolved).
+    A cell the store does not hold is finally failed when it is buried in
+    the dead-letter queue, or when its last audit record is final.  That
+    record is looked for after the cell's latest dead-letter re-admission:
+    failures from a previous life do not keep a re-admitted cell failed.
+    Workers stop claiming such a cell, and the ``pull-worker`` executor
+    reports it failed with the returned envelope.
     """
-    if fingerprint in store:
-        return True
-    since = None
-    if dead_letters is not None:
-        if dead_letters.is_dead(fingerprint):
-            return True
-        since = dead_letters.readmitted_at(fingerprint)
-    log = store.audit_log(_scenario_name(request), request.search_space)
-    last = log.last(fingerprint, since=since)
-    return last is not None and last.final
-
-
-def _scenario_name(request: SearchRequest) -> str:
-    scenario = request.scenario
-    return scenario if isinstance(scenario, str) else scenario.name
+    log = store.audit_log(request.scenario_name, request.search_space)
+    if dead_letters.is_dead(fingerprint):
+        # the burial resolves the cell even when no audit record explains it
+        return log.last(fingerprint) or ErrorEnvelope(
+            code="E_POISON",
+            message="buried in the dead-letter queue",
+            final=True,
+            fingerprint=fingerprint,
+        )
+    last = log.last(fingerprint, since=dead_letters.readmitted_at(fingerprint))
+    return last if last is not None and last.final else None
 
 
 def run_worker(
@@ -170,9 +168,7 @@ def run_worker(
         manifest = CampaignManifest.load(store_dir)
     policy = manifest.policy
     store = RunStore(store_dir)
-    board = LeaseBoard(
-        store_dir / LEASES_DIRNAME, worker, ttl_s=manifest.ttl_s
-    )
+    board = LeaseBoard(store_dir / LEASES_DIRNAME, worker, ttl_s=policy.ttl_s)
     supervisor = CampaignSupervisor(store_dir, policy)
     dead_letters = DeadLetterQueue(store_dir)
     requests = manifest.requests()
@@ -191,7 +187,7 @@ def run_worker(
         since: Optional[float],
     ) -> None:
         """Dead-letter one cell with its full failure chain."""
-        log = store.audit_log(_scenario_name(request), request.search_space)
+        log = store.audit_log(request.scenario_name, request.search_space)
         chain = list(log.history(fingerprint, since=since))
         if not chain or chain[-1].time_s != envelope.time_s:
             chain.append(envelope)
@@ -207,17 +203,20 @@ def run_worker(
         progressed = False
         unresolved = 0
         for fingerprint, request in requests.items():
-            if _resolved(store, fingerprint, request, dead_letters):
+            if fingerprint in store or (
+                final_failure(store, fingerprint, request, dead_letters)
+                is not None
+            ):
                 continue
             unresolved += 1
             since = dead_letters.readmitted_at(fingerprint)
-            log = store.audit_log(_scenario_name(request), request.search_space)
+            log = store.audit_log(request.scenario_name, request.search_space)
             last = log.last(fingerprint, since=since)
             if last is not None:
                 ready_at = resolve_backoff(
                     last.time_s,
                     last.attempt,
-                    manifest.backoff_base_s,
+                    policy.backoff_base_s,
                     fingerprint=fingerprint,
                     max_backoff_s=policy.max_backoff_s,
                 )
@@ -246,7 +245,7 @@ def run_worker(
                     note("skipped", fingerprint)
                     continue
                 attempt = log.attempts(fingerprint, since=since) + 1
-                if lease.reclaims >= manifest.max_attempts:
+                if lease.reclaims >= policy.max_attempts:
                     # the cell's lease history shows it repeatedly *killing*
                     # workers (claimed, never reported, lease reclaimed) —
                     # a poison cell.  Bury it instead of feeding it another
@@ -264,7 +263,7 @@ def run_worker(
                         worker=worker,
                         time_s=time.time(),
                         context={
-                            "scenario": _scenario_name(request),
+                            "scenario": request.scenario_name,
                             "search_space": request.search_space,
                             "dead_letter": True,
                             "reclaims": lease.reclaims,
@@ -284,12 +283,12 @@ def run_worker(
                     note("failed", fingerprint)
                     continue
                 resilience_kwargs: Dict[str, Any] = {}
-                if manifest.checkpoint_every > 0:
+                if policy.checkpoint_every > 0:
                     # crash-safe mode: a reclaimed or retried cell resumes
                     # from its last snapshot instead of evaluation zero
                     resilience_kwargs = {
                         "checkpoint_dir": store_dir / CHECKPOINTS_DIRNAME,
-                        "checkpoint_every": manifest.checkpoint_every,
+                        "checkpoint_every": policy.checkpoint_every,
                         "resume": True,
                     }
                 try:
@@ -302,7 +301,7 @@ def run_worker(
                                 **resilience_kwargs,
                             )
                     store.append(outcome, fingerprint=fingerprint)
-                    if manifest.checkpoint_every > 0:
+                    if policy.checkpoint_every > 0:
                         SearchCheckpoint.discard(
                             store_dir / CHECKPOINTS_DIRNAME, fingerprint
                         )
@@ -322,10 +321,10 @@ def run_worker(
                         fingerprint=fingerprint,
                         worker=worker,
                         context={
-                            "scenario": _scenario_name(request),
+                            "scenario": request.scenario_name,
                             "search_space": request.search_space,
                         },
-                        max_attempts=manifest.max_attempts,
+                        max_attempts=policy.max_attempts,
                     )
                     if envelope.final:
                         # permanently failed — dead-letter it so the burial
@@ -340,7 +339,7 @@ def run_worker(
                             envelope,
                             (
                                 f"retry budget exhausted "
-                                f"({attempt}/{manifest.max_attempts})"
+                                f"({attempt}/{policy.max_attempts})"
                                 if envelope.retryable
                                 else f"non-retryable {envelope.code}"
                             ),
@@ -367,6 +366,6 @@ def run_worker(
         if not progressed:
             # everything unresolved is leased by peers or backing off
             note("waiting", "")
-            time.sleep(manifest.poll_s)
+            time.sleep(policy.poll_s)
     report.wall_time_s = time.perf_counter() - started
     return report

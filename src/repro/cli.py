@@ -65,7 +65,6 @@ from repro.campaign import (
     open_store,
     run_campaign,
     run_worker,
-    summarize_audit,
 )
 from repro.core.results import SearchResult
 from repro.core.runtime import ThresholdAnalysis
@@ -608,7 +607,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         resume=not args.no_resume,
         executor=args.executor,
         policy=policy,
-        on_error=args.on_error,
         progress=progress,
     )
     summary = result.summary()
@@ -643,7 +641,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     summary = summarize_campaign(store.outcomes(), metrics=metrics)
     # stream the audit log: one envelope in memory at a time, however many
     # retries a long campaign accumulated
-    audit = summarize_audit(store.iter_audit_records())
+    audit = store.audit_summary()
 
     if args.format == "json":
         payload = summary.to_dict()

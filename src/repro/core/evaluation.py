@@ -28,28 +28,11 @@ import numpy as np
 from repro.accuracy.surrogate import AccuracyModel
 from repro.core.results import CandidateEvaluation
 from repro.nn.architecture import Architecture
-from repro.nn.graph import PartitionGraph
-from repro.nn.spaces import SearchSpace
+from repro.nn.spaces import EncodedSearchSpace
 from repro.partition.partitioner import PartitionAnalyzer
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a core <-> api cycle
     from repro.api.engine import EvaluationEngine
-
-
-def space_partition_graph(
-    search_space: SearchSpace, architecture: Architecture
-) -> PartitionGraph:
-    """The space's cut-legality graph for a decoded architecture.
-
-    The space's :meth:`~repro.nn.spaces.SearchSpace.partition_graph` hook is
-    authoritative — spaces may constrain cuts beyond what the decoded skip
-    edges express.  Legacy duck-typed spaces without the hook fall back to
-    the architecture's own graph.
-    """
-    hook = getattr(search_space, "partition_graph", None)
-    if hook is None:
-        return architecture.partition_graph()
-    return hook(architecture)
 
 
 class PartitionAwareEvaluator:
@@ -58,7 +41,7 @@ class PartitionAwareEvaluator:
     Parameters
     ----------
     search_space:
-        Any :class:`~repro.nn.spaces.SearchSpace` used for decoding
+        Any :class:`~repro.nn.spaces.EncodedSearchSpace` used for decoding
         genotypes (the paper's ``lens-vgg`` space, the residual
         ``resnet-v1`` space, the 1-D ``seq-conv1d`` space, or a custom one).
     accuracy_model:
@@ -78,7 +61,7 @@ class PartitionAwareEvaluator:
 
     def __init__(
         self,
-        search_space: SearchSpace,
+        search_space: EncodedSearchSpace,
         accuracy_model: AccuracyModel,
         analyzer: PartitionAnalyzer,
         partition_within: bool = True,
@@ -121,8 +104,10 @@ class PartitionAwareEvaluator:
         performance_archs = [
             self.search_space.decode_for_performance(g) for g in genotypes
         ]
+        # The space's partition_graph hook is authoritative: spaces may
+        # constrain cuts beyond what the decoded skip edges express.
         graphs = [
-            space_partition_graph(self.search_space, architecture)
+            self.search_space.partition_graph(architecture)
             for architecture in performance_archs
         ]
         if self.engine is not None:

@@ -21,7 +21,7 @@ from repro.nn.layers import (
 from repro.nn.resnet_space import ResNetSearchSpace
 from repro.nn.search_space import LensSearchSpace
 from repro.nn.seq_space import SeqConv1DSearchSpace
-from repro.nn.spaces import DEFAULT_SEARCH_SPACE, EncodedSearchSpace, SearchSpace
+from repro.nn.spaces import DEFAULT_SEARCH_SPACE, EncodedSearchSpace
 from repro.nn.vgg import build_vgg16, build_vgg_like
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "shape_bytes",
     "DEFAULT_SEARCH_SPACE",
     "EncodedSearchSpace",
-    "SearchSpace",
     "LensSearchSpace",
     "ResNetSearchSpace",
     "SeqConv1DSearchSpace",

@@ -1,13 +1,13 @@
-"""The pluggable search-space protocol and its encoding-backed base class.
+"""The encoding-backed base class every search space derives from.
 
 Every workload the library can search over is a *search space*: an object
 that can sample genotypes, project them into the optimizer's unit cube,
 mutate them into neighbours, decode them into concrete
 :class:`~repro.nn.architecture.Architecture` objects, and describe the
-partition legality of what it decodes.  :class:`SearchSpace` pins that
-protocol down; :class:`EncodedSearchSpace` implements the generic half of it
-on top of an :class:`~repro.nn.encoding.EncodingScheme`, so a new workload
-only has to declare its genes, its validity rule and its ``decode``.
+partition legality of what it decodes.  :class:`EncodedSearchSpace`
+implements all of it except decoding on top of an
+:class:`~repro.nn.encoding.EncodingScheme`, so a new workload only has to
+declare its genes, its validity rule and its ``decode``.
 
 Spaces are addressable by name through
 :data:`repro.api.registry.SEARCH_SPACES` (``search_space="resnet-v1"`` on a
@@ -39,8 +39,8 @@ from repro.utils.rng import SeedLike, ensure_rng
 DEFAULT_SEARCH_SPACE = "lens-vgg"
 
 
-class SearchSpace(abc.ABC):
-    """Protocol every searchable workload implements.
+class EncodedSearchSpace(abc.ABC):
+    """Search-space machinery over an :class:`EncodingScheme`.
 
     A space owns four responsibilities:
 
@@ -58,102 +58,6 @@ class SearchSpace(abc.ABC):
 
     ``space_name`` is the registry key the space answers to; decoded
     architectures and candidate names carry it for provenance.
-    """
-
-    #: Registry key and display name of the space.
-    space_name: str = "custom"
-
-    # ------------------------------------------------------------------ sampling
-    @abc.abstractmethod
-    def sample(self, rng: SeedLike = None) -> np.ndarray:
-        """Sample one uniformly random *valid* genotype."""
-
-    @abc.abstractmethod
-    def sample_batch(self, count: int, rng: SeedLike = None) -> np.ndarray:
-        """Sample ``count`` valid genotypes as a ``(count, num_genes)`` array."""
-
-    @abc.abstractmethod
-    def neighbours(
-        self, indices: Sequence[int], count: int, rng: SeedLike = None
-    ) -> np.ndarray:
-        """Propose ``count`` valid neighbours of a genotype (mutate + repair)."""
-
-    # ------------------------------------------------------------------ encoding
-    @property
-    @abc.abstractmethod
-    def num_genes(self) -> int:
-        """Dimensionality of the genotype."""
-
-    @abc.abstractmethod
-    def to_features(self, indices: Sequence[int]) -> np.ndarray:
-        """Unit-cube feature vector for the Gaussian-process surrogates."""
-
-    # ------------------------------------------------------------------ validity
-    def is_valid(self, indices: Sequence[int]) -> bool:
-        """Whether the genotype satisfies the space's constraints."""
-        return True
-
-    def repair(self, indices: Sequence[int], rng: SeedLike = None) -> np.ndarray:
-        """Return a valid genotype obtained by minimally editing ``indices``.
-
-        The default returns the input unchanged, which is only correct for
-        spaces whose :meth:`is_valid` never rejects (every genotype valid by
-        construction).  A space that overrides :meth:`is_valid` MUST also
-        override :meth:`repair`.  :class:`EncodedSearchSpace` spaces inherit
-        both, and the contract is checked where genotypes are drawn:
-        :meth:`EncodedSearchSpace.sample` and
-        :meth:`EncodedSearchSpace.neighbours` test every repaired genotype
-        against the space's rule and raise ``ValueError`` if the repair left
-        it invalid, rather than feeding invalid genotypes into the search.
-        """
-        return np.asarray(indices, dtype=int)
-
-    # ------------------------------------------------------------------ decoding
-    @abc.abstractmethod
-    def decode_for_accuracy(
-        self, indices: Sequence[int], name: Optional[str] = None
-    ) -> Architecture:
-        """Decode with the input shape used for accuracy estimation."""
-
-    @abc.abstractmethod
-    def decode_for_performance(
-        self, indices: Sequence[int], name: Optional[str] = None
-    ) -> Architecture:
-        """Decode with the input shape used for latency/energy estimation."""
-
-    # ------------------------------------------------------------------ partitioning
-    def partition_graph(self, architecture: Architecture) -> PartitionGraph:
-        """Cut-legality graph of a decoded architecture.
-
-        The default trusts the skip edges the space baked into the decoded
-        architecture; spaces with out-of-band constraints may override.
-        """
-        return architecture.partition_graph()
-
-    # ------------------------------------------------------------------ misc
-    @staticmethod
-    def genotype_digest(indices: Sequence[int]) -> str:
-        """Deterministic 8-hex-digit digest of a genotype.
-
-        Shared by every space's :meth:`candidate_name`, so candidate naming
-        can only change for all spaces at once.
-        """
-        digest = 0
-        for value in np.asarray(indices, dtype=int):
-            digest = (digest * 31 + int(value) + 1) % (16 ** 8)
-        return f"{digest:08x}"
-
-    def candidate_name(self, indices: Sequence[int]) -> str:
-        """Deterministic short name for a genotype."""
-        return f"{self.space_name}-{self.genotype_digest(indices)}"
-
-    def describe(self) -> str:
-        """Human-readable description of the space."""
-        return f"{type(self).__name__} ({self.space_name}): {self.num_genes} genes"
-
-
-class EncodedSearchSpace(SearchSpace):
-    """Generic :class:`SearchSpace` machinery over an :class:`EncodingScheme`.
 
     Subclasses must set four instance attributes in ``__init__`` —
     ``self.encoding`` (the gene layout, one
@@ -172,6 +76,9 @@ class EncodedSearchSpace(SearchSpace):
     free and behave identically across every space, which keeps strategies
     space-agnostic.
     """
+
+    #: Registry key and display name of the space.
+    space_name: str = "custom"
 
     #: Required instance attributes (set them in ``__init__``).
     encoding: EncodingScheme
@@ -292,8 +199,33 @@ class EncodedSearchSpace(SearchSpace):
             indices, input_shape=self.performance_input_shape, name=name
         )
 
+    # ------------------------------------------------------------------ partitioning
+    def partition_graph(self, architecture: Architecture) -> PartitionGraph:
+        """Cut-legality graph of a decoded architecture.
+
+        The default trusts the skip edges the space baked into the decoded
+        architecture; spaces with out-of-band constraints may override.
+        """
+        return architecture.partition_graph()
+
     # ------------------------------------------------------------------ misc
+    @staticmethod
+    def genotype_digest(indices: Sequence[int]) -> str:
+        """Deterministic 8-hex-digit digest of a genotype.
+
+        Shared by every space's :meth:`candidate_name`, so candidate naming
+        can only change for all spaces at once.
+        """
+        digest = 0
+        for value in np.asarray(indices, dtype=int):
+            digest = (digest * 31 + int(value) + 1) % (16 ** 8)
+        return f"{digest:08x}"
+
     def candidate_name(self, indices: Sequence[int]) -> str:
         """Deterministic short name for a genotype."""
         arr = self.encoding.validate_indices(indices)
-        return super().candidate_name(arr)
+        return f"{self.space_name}-{self.genotype_digest(arr)}"
+
+    def describe(self) -> str:
+        """Human-readable description of the space."""
+        return f"{type(self).__name__} ({self.space_name}): {self.num_genes} genes"

@@ -22,7 +22,6 @@ from repro.optim.kernels import (
     Kernel,
     Matern52Kernel,
     RBFKernel,
-    kernel_by_name,
     pairwise_distances,
     pairwise_scaled_distances,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "Kernel",
     "Matern52Kernel",
     "RBFKernel",
-    "kernel_by_name",
     "pairwise_distances",
     "pairwise_scaled_distances",
     "MultiObjectiveBayesianOptimizer",

@@ -166,14 +166,3 @@ class Matern52Kernel(Kernel):
 
     def __repr__(self) -> str:
         return f"Matern52Kernel(lengthscale={self.lengthscale}, variance={self.variance})"
-
-
-KERNELS = {"rbf": RBFKernel, "matern52": Matern52Kernel}
-
-
-def kernel_by_name(name: str, **kwargs) -> Kernel:
-    """Instantiate a kernel by name (``"rbf"`` or ``"matern52"``)."""
-    key = name.strip().lower()
-    if key not in KERNELS:
-        raise ValueError(f"unknown kernel {name!r}; available: {sorted(KERNELS)}")
-    return KERNELS[key](**kwargs)

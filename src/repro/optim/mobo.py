@@ -32,7 +32,7 @@ import numpy as np
 from repro.optim.acquisition import ACQUISITION_STRATEGIES, acquisition_scores
 from repro.optim.epdc import select_batch
 from repro.optim.gp_bank import GPBank
-from repro.optim.kernels import kernel_by_name
+from repro.optim.kernels import Matern52Kernel
 from repro.optim.pareto import ParetoArchive, pareto_front_mask
 from repro.optim.scalarization import (
     chebyshev_scalarize,
@@ -54,6 +54,11 @@ BatchObjectiveFn = Callable[[Sequence[Any]], Sequence[Any]]
 NeighborFn = Callable[[Any, int, np.random.Generator], Sequence[Any]]
 #: Optional per-evaluation callback.
 CallbackFn = Callable[[int, "ObservedPoint", ParetoArchive], None]
+
+#: Noise variance of the per-objective GP surrogates.
+GP_NOISE_VARIANCE = 1e-4
+#: Exploration weight of the ``"ucb"`` acquisition.
+UCB_BETA = 2.0
 
 
 @dataclass
@@ -148,7 +153,8 @@ def _normalize_objective_output(output: Any) -> Tuple[np.ndarray, Dict]:
     return objectives, metadata
 
 
-def _default_key(candidate: Any) -> bytes:
+def _candidate_key(candidate: Any) -> bytes:
+    """Hashable key under which a candidate counts as already seen."""
     if isinstance(candidate, np.ndarray):
         return candidate.tobytes()
     return repr(candidate).encode()
@@ -194,20 +200,16 @@ class MultiObjectiveBayesianOptimizer:
         evaluator runs at full width during search.  The total BO budget
         stays ``num_iterations`` *evaluations* either way (the last batch
         shrinks to fit).
-    kernel / lengthscale / gp_noise:
-        Surrogate-model hyperparameters.  ``lengthscale=None`` (the default)
-        scales the lengthscale with the feature dimensionality
-        (``0.5 * sqrt(d)``), which keeps points at typical unit-cube distances
-        meaningfully correlated even for high-dimensional genotypes.
     optimize_lengthscale_every:
-        Period (in iterations) of the marginal-likelihood lengthscale refresh;
-        0 disables it.
+        Period (in iterations) of the marginal-likelihood refresh of the
+        surrogates' lengthscale; 0 disables it.  The surrogates use a
+        Matérn-5/2 kernel whose lengthscale starts at ``0.5 * sqrt(d)`` for
+        ``d`` features, which keeps points at typical unit-cube distances
+        meaningfully correlated even for high-dimensional genotypes.
     neighbor_fn:
         Optional ``neighbor_fn(candidate, count, rng) -> candidates`` used to
         add neighbours of current Pareto-optimal candidates to the pool
         (local exploitation).
-    key_fn:
-        Hashable key extractor used to avoid re-evaluating duplicates.
     seed:
         Seed or generator for all stochastic components.
     callback:
@@ -244,13 +246,8 @@ class MultiObjectiveBayesianOptimizer:
         candidate_pool_size: int = 128,
         acquisition: str = "ts",
         batch_size: int = 1,
-        kernel: str = "matern52",
-        lengthscale: Optional[float] = None,
-        gp_noise: float = 1e-4,
-        ucb_beta: float = 2.0,
         optimize_lengthscale_every: int = 0,
         neighbor_fn: Optional[NeighborFn] = None,
-        key_fn: Callable[[Any], Any] = _default_key,
         seed: SeedLike = None,
         callback: Optional[CallbackFn] = None,
         strict: bool = False,
@@ -283,10 +280,6 @@ class MultiObjectiveBayesianOptimizer:
         self.candidate_pool_size = int(candidate_pool_size)
         self.acquisition = acquisition
         self.batch_size = int(batch_size)
-        self.kernel_name = kernel
-        self.lengthscale = None if lengthscale is None else float(lengthscale)
-        self.gp_noise = float(gp_noise)
-        self.ucb_beta = float(ucb_beta)
         self.optimize_lengthscale_every = int(optimize_lengthscale_every)
         if objective_retries < 0:
             raise ValueError(
@@ -297,7 +290,6 @@ class MultiObjectiveBayesianOptimizer:
                 f"retry_backoff_s must be >= 0, got {retry_backoff_s}"
             )
         self.neighbor_fn = neighbor_fn
-        self.key_fn = key_fn
         self.callback = callback
         self.strict = bool(strict)
         self.objective_retries = int(objective_retries)
@@ -355,7 +347,7 @@ class MultiObjectiveBayesianOptimizer:
         )
         self._points.append(point)
         self._append_row(features, objectives)
-        self._seen.add(self.key_fn(candidate))
+        self._seen.add(_candidate_key(candidate))
         self.archive.add(point, objectives)
         if self.callback is not None:
             self.callback(len(self._points) - 1, point, self.archive)
@@ -387,7 +379,7 @@ class MultiObjectiveBayesianOptimizer:
             metadata={**metadata, "quarantined": True},
         )
         self.quarantined.append(point)
-        self._seen.add(self.key_fn(candidate))
+        self._seen.add(_candidate_key(candidate))
         if self.health is not None:
             self.health.record(
                 "H_OBJECTIVE_QUARANTINED",
@@ -473,7 +465,7 @@ class MultiObjectiveBayesianOptimizer:
         """
         for _ in range(max_attempts):
             candidate = self.sample_fn(self._rng)
-            key = self.key_fn(candidate)
+            key = _candidate_key(candidate)
             if key not in self._seen and (pending is None or key not in pending):
                 return candidate
         # The space may be nearly exhausted; accept a duplicate rather than stall.
@@ -492,7 +484,7 @@ class MultiObjectiveBayesianOptimizer:
         attempts = 0
         while len(pool) < target and attempts < target * 10:
             candidate = self.sample_fn(self._rng)
-            key = self.key_fn(candidate)
+            key = _candidate_key(candidate)
             attempts += 1
             if key in self._seen or key in keys:
                 continue
@@ -505,7 +497,7 @@ class MultiObjectiveBayesianOptimizer:
                     entry.payload.candidate, per_entry, self._rng
                 )
                 for candidate in neighbours:
-                    key = self.key_fn(candidate)
+                    key = _candidate_key(candidate)
                     if key in self._seen or key in keys:
                         continue
                     pool.append(candidate)
@@ -527,16 +519,13 @@ class MultiObjectiveBayesianOptimizer:
         Y = self._objective_matrix()
         Y_norm, lower, upper = normalize_objectives(Y)
         if self._bank is None:
-            if self.lengthscale is not None:
-                lengthscale = self.lengthscale
-            else:
-                # Typical pairwise distance in the unit cube grows like sqrt(d);
-                # scale the lengthscale accordingly so the surrogate carries signal.
-                lengthscale = 0.5 * float(np.sqrt(X.shape[1]))
+            # Typical pairwise distance in the unit cube grows like sqrt(d);
+            # scale the lengthscale accordingly so the surrogate carries signal.
+            lengthscale = 0.5 * float(np.sqrt(X.shape[1]))
             self._bank = GPBank(
                 num_objectives=self.num_objectives,
-                kernel=kernel_by_name(self.kernel_name, lengthscale=lengthscale),
-                noise_variance=self.gp_noise,
+                kernel=Matern52Kernel(lengthscale=lengthscale),
+                noise_variance=GP_NOISE_VARIANCE,
                 normalize_y=True,
                 health=self.health,
             )
@@ -556,7 +545,7 @@ class MultiObjectiveBayesianOptimizer:
         pending: set = set()
         for _ in range(self.num_initial):
             candidate = self._sample_unseen(pending=pending)
-            pending.add(self.key_fn(candidate))
+            pending.add(_candidate_key(candidate))
             initial.append(candidate)
         self._evaluate_batch(initial, first_iteration=0, phase="init")
 
@@ -608,7 +597,7 @@ class MultiObjectiveBayesianOptimizer:
                         models,
                         pool_features,
                         rng=self._rng,
-                        beta=self.ucb_beta,
+                        beta=UCB_BETA,
                         front=front,
                     )
                 except np.linalg.LinAlgError as error:

@@ -19,8 +19,8 @@ search space) never propose a cut that would split a skip connection.
 Linear architectures take exactly the same path and produce exactly the
 same candidates as before.
 
-The cloud's own compute cost is neglected by default, as in the paper; an
-optional cloud predictor can be supplied for sensitivity studies.
+The cloud's own compute cost is neglected, as in the paper: a split costs
+the edge prefix plus the transfer of the cut tensor.
 
 :meth:`PartitionAnalyzer.evaluate_batch` is the one implementation of the
 costing, on arrays over a whole candidate pool, and
@@ -129,27 +129,11 @@ class PartitionAnalyzer:
     channel:
         Wireless channel carrying the expected design-time conditions
         (technology, uplink throughput, round-trip time).
-    cloud_predictor:
-        Optional cloud-side predictor.  When provided, the cloud compute
-        latency of the offloaded suffix is added to split / All-Cloud
-        latencies (cloud *energy* is never charged to the edge device).  The
-        paper neglects cloud compute entirely, which is the default.
-    require_shrinkage:
-        Whether split candidates must shrink the data below the input size
-        (the paper's rule).
     """
 
-    def __init__(
-        self,
-        predictor: BaseLayerPredictor,
-        channel: WirelessChannel,
-        cloud_predictor: Optional[BaseLayerPredictor] = None,
-        require_shrinkage: bool = True,
-    ):
+    def __init__(self, predictor: BaseLayerPredictor, channel: WirelessChannel):
         self.predictor = predictor
         self.channel = channel
-        self.cloud_predictor = cloud_predictor
-        self.require_shrinkage = bool(require_shrinkage)
 
     # ------------------------------------------------------------------ evaluation
     def evaluate(
@@ -175,7 +159,7 @@ class PartitionAnalyzer:
             Optional cut-legality graph overriding the architecture's own
             (used by search spaces that constrain cuts beyond what the
             decoded skip edges express, via
-            :meth:`repro.nn.spaces.SearchSpace.partition_graph`).
+            :meth:`repro.nn.spaces.EncodedSearchSpace.partition_graph`).
         """
         return self.evaluate_batch(
             [architecture],
@@ -197,8 +181,7 @@ class PartitionAnalyzer:
         flat pool-wide axis, split costing (prefix sums, the shrinkage rule,
         the :class:`~repro.nn.graph.PartitionGraph` legal-cut mask and the
         channel cost model) is broadcast across every cut point of every
-        candidate at once, and cloud-suffix latencies come from one reversed
-        cumulative sum per candidate.
+        candidate at once.
 
         Results match the scalar oracle (``tests/oracles/partition.py``)
         to floating-point roundoff, <= 1e-9, and bit for bit for a
@@ -294,8 +277,7 @@ class PartitionAnalyzer:
         # all as pool-wide boolean vector operations.
         mask = np.array(flat_flags, dtype=bool)
         mask[last_positions] = False  # cutting after the last layer is All-Edge
-        if self.require_shrinkage:
-            mask &= bytes_array < np.repeat(input_bytes, lengths)
+        mask &= bytes_array < np.repeat(input_bytes, lengths)
         for i, architecture in enumerate(architectures):
             graph = graphs[i]
             if graph is None:
@@ -303,18 +285,6 @@ class PartitionAnalyzer:
             if not graph.is_linear:
                 mask[offsets[i] : offsets[i + 1] - 1] &= graph.legal_cut_mask()
         flat_cuts = np.flatnonzero(mask).tolist()
-
-        # Cloud-suffix latencies for the whole pool: one batched cloud
-        # prediction pass, then one reversed cumsum per candidate.
-        if self.cloud_predictor is not None:
-            cloud_suffixes: List[Optional[List[float]]] = []
-            for cloud_preds in self.cloud_predictor.predict_pool(architectures):
-                cloud_latencies = cloud_preds[:, 0]
-                suffix = np.zeros(cloud_latencies.shape[0] + 1)
-                suffix[:-1] = cloud_latencies[::-1].cumsum()[::-1]
-                cloud_suffixes.append(suffix.tolist())
-        else:
-            cloud_suffixes = [None] * n
 
         # Per-candidate cut segments: flat positions (for array indexing),
         # relative indices (the split points) and shared DeploymentOptions,
@@ -381,7 +351,6 @@ class PartitionAnalyzer:
             edge_latency_cuts = flat_getter(cum_lat_list)
             edge_energy_cuts = flat_getter(cum_en_list)
         metrics = DeploymentMetrics._make
-        has_cloud_suffix = self.cloud_predictor is not None
 
         # ---- per-channel broadcast costing ------------------------------
         results: List[List[PartitionEvaluation]] = [
@@ -406,24 +375,12 @@ class PartitionAnalyzer:
             # pool-wide per-cut value streams; candidate i's splits are
             # flat_split_metrics[cut_offsets[i]:cut_offsets[i + 1]].
             if flat_getter is not None:
-                split_latency_cuts = flat_getter(split_latency)
-                if has_cloud_suffix:
-                    split_latency_cuts = tuple(
-                        value + cloud_suffixes[i][index + 1]
-                        for i in range(n)
-                        for value, index in zip(
-                            split_latency_cuts[
-                                cut_offsets[i] : cut_offsets[i + 1]
-                            ],
-                            cut_tuples[i],
-                        )
-                    )
                 flat_split_metrics = list(
                     map(
                         metrics,
                         zip(
                             flat_split_options,
-                            split_latency_cuts,
+                            flat_getter(split_latency),
                             flat_getter(split_energy),
                             edge_latency_cuts,
                             edge_energy_cuts,
@@ -437,14 +394,12 @@ class PartitionAnalyzer:
                 flat_split_metrics = []
 
             for i in range(n):
-                suffix = cloud_suffixes[i]
                 results[i][ci] = PartitionEvaluation(
                     names[i],
                     (
                         DeploymentMetrics(
                             all_cloud_option,
-                            cloud_latency[i]
-                            + (suffix[0] if suffix is not None else 0.0),
+                            cloud_latency[i],
                             cloud_energy[i],
                             0.0,
                             0.0,
@@ -473,9 +428,4 @@ class PartitionAnalyzer:
 
     def with_channel(self, channel: WirelessChannel) -> "PartitionAnalyzer":
         """Copy of this analyzer bound to a different wireless channel."""
-        return PartitionAnalyzer(
-            predictor=self.predictor,
-            channel=channel,
-            cloud_predictor=self.cloud_predictor,
-            require_shrinkage=self.require_shrinkage,
-        )
+        return PartitionAnalyzer(self.predictor, channel)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Mapping, Tuple, Union
+from typing import Any, Dict, Iterator, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -135,6 +135,30 @@ def append_jsonl_atomic(path: Path, payload: Mapping[str, Any]) -> Tuple[int, in
     finally:
         os.close(fd)
     return offset, offset + len(line)
+
+
+def iter_jsonl(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
+    """Stream the JSON objects of a file written by :func:`append_jsonl_atomic`.
+
+    Tolerant of what concurrent writers and crashes leave behind: reading
+    stops at an unterminated tail (a writer is, or was, mid-append), and a
+    line that does not parse to a JSON object is skipped.  A missing file
+    yields nothing.  Used by the campaign audit logs and the dead-letter
+    queue.
+    """
+    path = Path(path)
+    if not path.exists():
+        return
+    with path.open("rb") as handle:
+        for raw in handle:
+            if not raw.endswith(b"\n"):
+                break  # torn tail
+            try:
+                record = json.loads(raw)
+            except ValueError:
+                continue  # interleave casualty
+            if isinstance(record, dict):
+                yield record
 
 
 def format_table(rows: list, headers: list, precision: int = 3) -> str:

@@ -9,8 +9,6 @@ with:
 * :func:`identify_partition_points` — the candidate cut enumeration
   (activation-producing layers whose output is smaller than the raw input
   and whose boundary the dataflow graph allows);
-* :func:`cloud_suffix_latencies` — the optional cloud compute cost of each
-  offloaded layer suffix;
 * :func:`evaluate` — every deployment option of one architecture under the
   analyzer's channel, in the library's option order.
 """
@@ -30,15 +28,13 @@ from repro.partition.partitioner import PartitionAnalyzer, PartitionEvaluation
 def identify_partition_points(
     summaries: Sequence[LayerSummary],
     input_bytes: float,
-    require_shrinkage: bool = True,
     graph: Optional[PartitionGraph] = None,
 ) -> List[int]:
     """Indices of layers whose output may be transmitted to the cloud.
 
     A layer qualifies when it produces an activation tensor (structural layers
-    such as ``flatten`` are skipped), when — with ``require_shrinkage`` true,
-    the paper's rule — its output is strictly smaller than the raw network
-    input, and when the optional :class:`~repro.nn.graph.PartitionGraph`
+    such as ``flatten`` are skipped), when — the paper's rule — its output is
+    strictly smaller than the raw network input, and when the optional :class:`~repro.nn.graph.PartitionGraph`
     allows a cut at its boundary (no skip edge spans it).  ``graph=None``
     keeps the linear-chain behaviour: every boundary is legal.  The final
     layer is excluded: splitting after it is the All-Edge deployment.
@@ -51,29 +47,12 @@ def identify_partition_points(
             continue
         if not summary.is_partition_candidate:
             continue
-        if require_shrinkage and summary.output_bytes >= input_bytes:
+        if summary.output_bytes >= input_bytes:
             continue
         if check_graph and not graph.allows_cut_after(summary.index):
             continue
         candidates.append(summary.index)
     return candidates
-
-
-def cloud_suffix_latencies(
-    analyzer: PartitionAnalyzer, architecture: Architecture
-) -> Optional[np.ndarray]:
-    """Cloud compute latency of every layer suffix, or ``None``.
-
-    ``suffix[i]`` is the summed cloud latency of layers ``i..end``
-    (``suffix[num_layers] == 0``), as one reversed cumulative sum of the
-    analyzer's cloud predictor's per-layer latencies.
-    """
-    if analyzer.cloud_predictor is None:
-        return None
-    latencies = analyzer.cloud_predictor.predict_architecture(architecture)[:, 0]
-    suffix = np.zeros(latencies.shape[0] + 1)
-    suffix[:-1] = latencies[::-1].cumsum()[::-1]
-    return suffix
 
 
 def evaluate(
@@ -103,7 +82,6 @@ def evaluate(
     cumulative_latency = np.cumsum(latencies)
     cumulative_energy = np.cumsum(energies)
     input_bytes = architecture.input_bytes
-    cloud_suffix = cloud_suffix_latencies(analyzer, architecture)
     channel = analyzer.channel
 
     options: List[DeploymentMetrics] = []
@@ -113,8 +91,7 @@ def evaluate(
     options.append(
         DeploymentMetrics(
             option=DeploymentOption.all_cloud(),
-            latency_s=cloud_cost.latency_s
-            + (float(cloud_suffix[0]) if cloud_suffix is not None else 0.0),
+            latency_s=cloud_cost.latency_s,
             energy_j=cloud_cost.energy_j,
             edge_latency_s=0.0,
             edge_energy_j=0.0,
@@ -143,7 +120,6 @@ def evaluate(
     partition_points = identify_partition_points(
         summaries,
         input_bytes,
-        require_shrinkage=analyzer.require_shrinkage,
         graph=graph if graph is not None else architecture.partition_graph(),
     )
     for index in partition_points:
@@ -154,13 +130,7 @@ def evaluate(
         options.append(
             DeploymentMetrics(
                 option=DeploymentOption.split_after(index, summaries[index].name),
-                latency_s=edge_latency
-                + comm_cost.latency_s
-                + (
-                    float(cloud_suffix[index + 1])
-                    if cloud_suffix is not None
-                    else 0.0
-                ),
+                latency_s=edge_latency + comm_cost.latency_s,
                 energy_j=edge_energy + comm_cost.energy_j,
                 edge_latency_s=edge_latency,
                 edge_energy_j=edge_energy,

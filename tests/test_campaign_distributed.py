@@ -14,6 +14,7 @@ from repro.api.registry import RegistryError
 from repro.api.scenario import Scenario
 from repro.api.session import run_search
 from repro.campaign import (
+    CampaignPolicy,
     CampaignSpec,
     RunStore,
     StoreError,
@@ -415,7 +416,7 @@ class TestPullWorkers:
         store_dir = tmp_path / "shared"
         RunStore(store_dir)
         manifest = CampaignManifest.from_requests(
-            SPEC.requests(), ttl_s=10.0, poll_s=0.05
+            SPEC.requests(), policy=CampaignPolicy(ttl_s=10.0, poll_s=0.05)
         )
         manifest.write(store_dir)
 
@@ -450,7 +451,7 @@ class TestPullWorkers:
         store = RunStore(store_dir)
         requests = SMALL_SPEC.requests()
         manifest = CampaignManifest.from_requests(
-            requests, ttl_s=0.2, poll_s=0.05
+            requests, policy=CampaignPolicy(ttl_s=0.2, poll_s=0.05)
         )
         manifest.write(store_dir)
 
@@ -481,7 +482,7 @@ class TestPullWorkers:
         request = SMALL_SPEC.requests()[0]
         fingerprint = request_fingerprint(request)
         manifest = CampaignManifest.from_requests(
-            [request], ttl_s=10.0, poll_s=0.05
+            [request], policy=CampaignPolicy(ttl_s=10.0, poll_s=0.05)
         )
         manifest.write(store_dir)
         outcome = run_search(request)
@@ -514,7 +515,10 @@ class TestPullWorkers:
             scenario=Scenario(name="ghost/nowhere", device="ghost-device"),
         )
         manifest = CampaignManifest.from_requests(
-            [bad], ttl_s=10.0, poll_s=0.05, max_attempts=3, backoff_base_s=0.01
+            [bad],
+            policy=CampaignPolicy(
+                ttl_s=10.0, poll_s=0.05, max_attempts=3, backoff_base_s=0.01
+            ),
         )
         manifest.write(store_dir)
         report = run_worker(store_dir, worker_id="w0")
@@ -553,7 +557,7 @@ class TestExecutors:
             store,
             executor="pull-worker",
             workers=2,
-            executor_options={"ttl_s": 10.0, "poll_s": 0.1},
+            policy=CampaignPolicy(ttl_s=10.0, poll_s=0.1),
         )
         assert result.executor == "pull-worker"
         assert len(result.executed) == len(SMALL_SPEC.requests())
@@ -571,7 +575,9 @@ class TestOnError:
             scenario=Scenario(name="ghost/nowhere", device="ghost-device"),
         )
         store = RunStore(tmp_path / "store")
-        result = run_campaign([bad] + good, store, on_error="continue")
+        result = run_campaign(
+            [bad] + good, store, policy=CampaignPolicy(on_error="continue")
+        )
         assert len(result.failed) == 1
         assert result.failed[0].envelope.code == "E_REGISTRY"
         summary = result.summary()
@@ -596,4 +602,8 @@ class TestOnError:
 
     def test_invalid_on_error_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="on_error"):
-            run_campaign(SMALL_SPEC, RunStore(tmp_path / "s"), on_error="retry")
+            run_campaign(
+                SMALL_SPEC,
+                RunStore(tmp_path / "s"),
+                policy=CampaignPolicy(on_error="retry"),
+            )

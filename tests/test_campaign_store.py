@@ -10,7 +10,7 @@ import pytest
 
 from repro.api.envelopes import SearchRequest, request_fingerprint
 from repro.api.session import run_search
-from repro.campaign import fsck_store, run_campaign
+from repro.campaign import fsck_store, open_store, run_campaign
 from repro.campaign.store import RUNS_FILENAME, RunStore, StoreError
 from repro.utils.serialization import to_jsonable
 
@@ -152,6 +152,22 @@ class TestRunStore:
             json.loads(lines[0])["fingerprint"], json.loads(lines[2])["fingerprint"]
         ]
         assert store.summary()["corrupt_lines"] == 1
+
+    def test_non_object_lines_are_counted_corrupt(self, tmp_path):
+        """Lines that parse to an array, a number, a string or null are not
+        records: the scan counts them as fsck does and keeps going."""
+        directory = tmp_path / "store"
+        directory.mkdir()
+        lines = _legacy_lines()
+        (directory / RUNS_FILENAME).write_bytes(
+            lines[0] + b'[1, 2]\n7\n"text"\nnull\n' + lines[2]
+        )
+        store = open_store(directory)
+        assert store.fingerprints() == [
+            json.loads(lines[0])["fingerprint"], json.loads(lines[2])["fingerprint"]
+        ]
+        assert store.skipped_lines()["corrupt_lines"] == 4
+        assert fsck_store(directory)["corrupt"] == 4
 
     def test_outcomes_stream_in_append_order(self, tmp_path):
         store = RunStore(tmp_path / "store")

@@ -22,6 +22,7 @@ from repro.campaign import (
     StoreError,
     deadline,
     fsck_store,
+    run_campaign,
     run_worker,
 )
 from repro.campaign.errors import (
@@ -61,6 +62,32 @@ def _envelope(code="E_EXECUTION", **overrides) -> ErrorEnvelope:
     fields = dict(code=code, message="boom", fingerprint="cell-1", time_s=1.0)
     fields.update(overrides)
     return ErrorEnvelope(**fields)
+
+
+def _bury(store_dir, request) -> str:
+    """Fail a cell for good as a worker does: a final audit record flagged
+    ``dead_letter``, then a burial in the dead-letter queue."""
+    fingerprint = request_fingerprint(request)
+    envelope = ErrorEnvelope(
+        code="E_TIMEOUT",
+        message="cell exceeded its 1s deadline",
+        retryable=True,
+        attempt=2,
+        final=True,
+        fingerprint=fingerprint,
+        worker="w0",
+        time_s=time.time(),
+        context={
+            "scenario": request.scenario_name,
+            "search_space": request.search_space,
+            "dead_letter": True,
+        },
+    )
+    RunStore(store_dir).record_error(envelope)
+    DeadLetterQueue(store_dir).bury(
+        fingerprint, reason="retry budget exhausted (2/2)", envelopes=[envelope]
+    )
+    return fingerprint
 
 
 # ---------------------------------------------------------------------- policy
@@ -117,8 +144,8 @@ class TestManifestPolicy:
         manifest.write(tmp_path)
         loaded = CampaignManifest.load(tmp_path)
         assert loaded.policy == policy
-        assert loaded.cell_timeout_s == 9.0
-        assert loaded.max_backoff_s == 60.0
+        assert loaded.policy.cell_timeout_s == 9.0
+        assert loaded.policy.max_backoff_s == 60.0
 
     def test_v2_payload_mirrors_legacy_flat_keys(self):
         """v2 payloads carry the policy nested only, without the v1 flat
@@ -145,21 +172,12 @@ class TestManifestPolicy:
             "created_at": 123.0,
         }
         manifest = CampaignManifest.from_dict(v1)
-        assert manifest.ttl_s == 17.0
-        assert manifest.max_attempts == 2
-        assert manifest.on_error == "continue"
+        assert manifest.policy.ttl_s == 17.0
+        assert manifest.policy.max_attempts == 2
+        assert manifest.policy.on_error == "continue"
         # supervision fields take their off-by-default values
-        assert manifest.cell_timeout_s == 0.0
+        assert manifest.policy.cell_timeout_s == 0.0
         assert not manifest.policy.circuit_enabled
-
-    def test_flat_overrides_apply_on_top_of_policy(self):
-        manifest = CampaignManifest.from_requests(
-            [_request()],
-            policy=CampaignPolicy(cell_timeout_s=5.0),
-            ttl_s=9.0,
-        )
-        assert manifest.ttl_s == 9.0
-        assert manifest.cell_timeout_s == 5.0
 
 
 class TestResolveBackoff:
@@ -459,6 +477,54 @@ class TestWorkerSupervision:
         assert audit["dead_lettered"] == [request_fingerprint(request)]
 
 
+class TestReadmission:
+    """A re-admitted dead-letter cell starts a new life: the failures of its
+    previous one resolve it for nobody."""
+
+    def test_final_failure_restarts_at_readmission(self, tmp_path):
+        from repro.campaign.worker import final_failure
+
+        request = _request()
+        store = RunStore(tmp_path)
+        queue = DeadLetterQueue(tmp_path)
+        fingerprint = request_fingerprint(request)
+        assert final_failure(store, fingerprint, request, queue) is None
+
+        _bury(tmp_path, request)
+        (buried,) = store.audit_records()
+        assert final_failure(store, fingerprint, request, queue) == buried
+
+        queue.readmit(fingerprint)
+        assert final_failure(store, fingerprint, request, queue) is None
+        retry = buried.replace(attempt=1, final=False, time_s=time.time() + 1.0)
+        store.record_error(retry)
+        assert final_failure(store, fingerprint, request, queue) is None
+        failed = retry.replace(final=True, time_s=retry.time_s + 1.0)
+        store.record_error(failed)
+        assert final_failure(store, fingerprint, request, queue) == failed
+
+        # a burial without an audit record still resolves the cell
+        other = _request(seed=1)
+        queue.bury(request_fingerprint(other), reason="poison")
+        envelope = final_failure(store, request_fingerprint(other), other, queue)
+        assert envelope.code == "E_POISON" and envelope.final
+
+    def test_pull_worker_campaign_stores_a_readmitted_cell(self, tmp_path):
+        store_dir = tmp_path / "store"
+        request = _request()
+        fingerprint = _bury(store_dir, request)
+        assert DeadLetterQueue(store_dir).readmit(fingerprint)
+        result = run_campaign(
+            [request],
+            store_dir,
+            executor="pull-worker",
+            policy=CampaignPolicy(ttl_s=15.0, poll_s=0.05),
+        )
+        assert result.failed == ()
+        assert result.executed == (fingerprint,)
+        assert RunStore(store_dir).fingerprints() == [fingerprint]
+
+
 # ---------------------------------------------------------------------- integrity
 
 
@@ -634,6 +700,29 @@ class TestAuditStreaming:
         assert summary["retries"] == 1
         assert summary["workers"] == ["w1"]
 
+    def test_lines_that_are_not_envelopes_are_skipped(self, tmp_path):
+        log = AuditLog(tmp_path / "audit.jsonl")
+        log.append(_envelope(fingerprint="cell-1"))
+        with log.path.open("ab") as handle:
+            handle.write(b'7\n[1, 2]\nnot json\n{"code": "E_EXECUTION", "context": 5}\n')
+        log.append(_envelope(fingerprint="cell-2"))
+        assert [r.fingerprint for r in log.iter_records()] == ["cell-1", "cell-2"]
+
+    def test_store_audit_summary_resolves_against_store_and_dead_letters(
+        self, tmp_path
+    ):
+        store_dir = tmp_path / "store"
+        request = _request()
+        stored = _bury(store_dir, request)
+        DeadLetterQueue(store_dir).readmit(stored)
+        RunStore(store_dir).append(run_search(request), fingerprint=stored)
+        buried = _bury(store_dir, _request(seed=1))
+        audit = RunStore(store_dir).audit_summary()
+        assert audit["num_records"] == 2
+        assert audit["failed_cells"] == [buried]
+        assert audit["dead_lettered"] == [buried]
+        assert RunStore(store_dir).summary()["audit"] == audit
+
     def test_unknown_future_code_is_preserved_not_dropped(self):
         payload = _envelope().to_dict()
         payload["code"] = "E_QUANTUM_DECAY"
@@ -747,6 +836,27 @@ class TestSupervisionCLI:
         assert code == 0
         assert "1 dead-lettered cell(s) re-admitted" in capsys.readouterr().out
         assert len(DeadLetterQueue(store_dir)) == 0
+
+    @pytest.mark.parametrize("fmt", ["table", "markdown", "json"])
+    def test_report_does_not_count_a_readmitted_stored_cell(
+        self, tmp_path, capsys, fmt
+    ):
+        store_dir = tmp_path / "store"
+        request = _request()
+        fingerprint = _bury(store_dir, request)
+        assert cli_main(["campaign", "--store", str(store_dir), "--retry-dead"]) == 0
+        RunStore(store_dir).append(run_search(request), fingerprint=fingerprint)
+        capsys.readouterr()
+        assert cli_main(["report", "--store", str(store_dir), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            audit = json.loads(out)["audit"]
+            assert audit["num_records"] == 1
+            assert audit["failed_cells"] == [] and audit["dead_lettered"] == []
+        else:
+            assert "cell(s) permanently failed" in out
+            assert not re.search(r"1\W* cell\(s\) permanently failed", out)
+            assert "poison cell(s)" not in out
 
     def test_store_fsck_exit_codes(self, tmp_path, capsys):
         directory = tmp_path / "store"

@@ -22,6 +22,7 @@ from repro.campaign.manifest import (
     resolve_backoff,
 )
 from repro.campaign.store import RunStore
+from repro.campaign.supervisor import CampaignPolicy
 from repro.campaign.worker import run_worker
 from repro.resilience import faults
 from repro.resilience.checkpoint import (
@@ -349,7 +350,8 @@ class TestWorkerCheckpointing:
         request = SearchRequest(search_space="resnet-v1", **FAST)
         RunStore(tmp_path)
         manifest = CampaignManifest.from_requests(
-            [request], ttl_s=5.0, poll_s=0.05, checkpoint_every=2
+            [request],
+            policy=CampaignPolicy(ttl_s=5.0, poll_s=0.05, checkpoint_every=2),
         )
         manifest.write(tmp_path)
         report = run_worker(
@@ -365,11 +367,13 @@ class TestWorkerCheckpointing:
 
     def test_manifest_checkpoint_every_round_trips(self, tmp_path):
         request = SearchRequest(search_space="resnet-v1", **FAST)
-        manifest = CampaignManifest.from_requests([request], checkpoint_every=7)
+        manifest = CampaignManifest.from_requests(
+            [request], policy=CampaignPolicy(checkpoint_every=7)
+        )
         manifest.write(tmp_path)
-        assert CampaignManifest.load(tmp_path).checkpoint_every == 7
+        assert CampaignManifest.load(tmp_path).policy.checkpoint_every == 7
         with pytest.raises(ValueError):
-            CampaignManifest.from_requests([request], checkpoint_every=-1)
+            CampaignPolicy(checkpoint_every=-1)
 
 
 # ---------------------------------------------------------------- backoff jitter

@@ -352,6 +352,7 @@ def test_skipped_records_are_reported_on_stderr(tmp_path, capsys):
 def test_worker_command_drains_a_manifest(tmp_path, capsys):
     from repro.campaign import CampaignSpec
     from repro.campaign.manifest import CampaignManifest
+    from repro.campaign.supervisor import CampaignPolicy
 
     store_dir = tmp_path / "shared"
     RunStore(store_dir)
@@ -363,7 +364,7 @@ def test_worker_command_drains_a_manifest(tmp_path, capsys):
         predictor_samples_per_type=40,
     )
     CampaignManifest.from_requests(
-        spec.requests(), ttl_s=10.0, poll_s=0.1
+        spec.requests(), policy=CampaignPolicy(ttl_s=10.0, poll_s=0.1)
     ).write(store_dir)
     assert main(["worker", "--store", str(store_dir), "--worker-id", "w0"]) == 0
     captured = capsys.readouterr()

@@ -14,7 +14,6 @@ from repro.api import (
     execute_strategy,
     run_search,
 )
-from repro.core.evaluation import space_partition_graph
 from repro.core.results import CandidateEvaluation, SearchResult
 from repro.partition.deployment import DeploymentOption
 
@@ -211,7 +210,7 @@ class TestTraditionalSearch:
         for candidate in partitioned:
             architecture = space.decode_for_performance(candidate.genotype)
             evaluation = context.analyzer.evaluate(
-                architecture, graph=space_partition_graph(space, architecture)
+                architecture, graph=space.partition_graph(architecture)
             )
             assert candidate.latency_s == pytest.approx(
                 evaluation.best_latency.latency_s, rel=1e-9

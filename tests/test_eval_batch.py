@@ -20,7 +20,7 @@ from oracles import predictor as predictor_oracle
 
 from repro.api.engine import EvaluationEngine
 from repro.api.registry import SEARCH_SPACES
-from repro.core.evaluation import PartitionAwareEvaluator, space_partition_graph
+from repro.core.evaluation import PartitionAwareEvaluator
 from repro.accuracy.surrogate import AccuracySurrogate
 from repro.hardware.device import jetson_tx2_gpu
 from repro.hardware.predictors import (
@@ -87,14 +87,11 @@ def _assert_evaluations_match(scalar_eval, batched_eval, tolerance=PARITY):
 # ---------------------------------------------------------------------- property tests
 
 def _one_candidate_pools(test):
-    """Pin every space x predictor x cloud-predictor case as a pool of one."""
-    for space_name, trained, with_cloud in itertools.product(
-        SPACE_NAMES, (False, True), (False, True)
-    ):
+    """Pin every space x predictor case as a pool of one."""
+    for space_name, trained in itertools.product(SPACE_NAMES, (False, True)):
         test = example(
             space_name=space_name,
             trained=trained,
-            with_cloud=with_cloud,
             seed=2021,
             pool_size=1,
             uplinks=[3.0, 0.5],
@@ -107,7 +104,6 @@ def _one_candidate_pools(test):
 @given(
     space_name=st.sampled_from(SPACE_NAMES),
     trained=st.booleans(),
-    with_cloud=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
     pool_size=st.integers(1, 5),
     uplinks=st.lists(
@@ -117,7 +113,7 @@ def _one_candidate_pools(test):
 )
 @_one_candidate_pools
 def test_analyzer_batch_matches_scalar_across_spaces(
-    space_name, trained, with_cloud, seed, pool_size, uplinks, round_trip
+    space_name, trained, seed, pool_size, uplinks, round_trip
 ):
     """analyzer.evaluate_batch == the scalar oracle; bitwise for one candidate."""
     space = _space(space_name)
@@ -125,14 +121,12 @@ def test_analyzer_batch_matches_scalar_across_spaces(
     rng = np.random.default_rng(seed)
     genotypes = [space.sample(rng) for _ in range(pool_size)]
     architectures = [space.decode_for_performance(g) for g in genotypes]
-    graphs = [space_partition_graph(space, a) for a in architectures]
+    graphs = [space.partition_graph(a) for a in architectures]
     channels = [
         WirelessChannel.create("wifi", uplink_mbps=u, round_trip_s=round_trip)
         for u in uplinks
     ]
-    analyzer = PartitionAnalyzer(
-        predictor, channels[0], cloud_predictor=predictor if with_cloud else None
-    )
+    analyzer = PartitionAnalyzer(predictor, channels[0])
     batched = analyzer.evaluate_batch(architectures, channels=channels, graphs=graphs)
     tolerance = 0.0 if pool_size == 1 else PARITY
     for i, architecture in enumerate(architectures):
@@ -228,33 +222,6 @@ def test_evaluate_pool_matches_evaluate_genotype(space_name, seed):
         assert abs(got.energy_j - want.energy_j) <= PARITY
         assert abs(got.all_edge_latency_s - want.all_edge_latency_s) <= PARITY
         assert got.extras["num_partition_points"] == want.extras["num_partition_points"]
-
-
-# ---------------------------------------------------------------------- cloud suffix
-
-def test_cloud_suffix_reversed_cumsum_matches_per_cut_resum():
-    """The reversed-cumsum cloud suffix equals the per-cut re-walk it replaced."""
-    space = _space("lens-vgg")
-    rng = np.random.default_rng(3)
-    architecture = space.decode_for_performance(space.sample(rng))
-    edge = _oracle()
-    cloud = OracleLayerPredictor(jetson_tx2_gpu())
-    channel = WirelessChannel.create("wifi", uplink_mbps=3.0)
-    analyzer = PartitionAnalyzer(edge, channel, cloud_predictor=cloud)
-
-    suffix = oracle.cloud_suffix_latencies(analyzer, architecture)
-    summaries = architecture.summarize()
-    assert suffix is not None and len(suffix) == len(summaries) + 1
-    for first in range(len(summaries) + 1):
-        reference = sum(
-            predictor_oracle.predict_layer(cloud, s)[0] for s in summaries[first:]
-        )
-        assert abs(suffix[first] - reference) <= PARITY
-    # All-Cloud / split latencies pick up the suffix in both paths.
-    scalar = oracle.evaluate(analyzer, architecture)
-    batched = analyzer.evaluate_batch([architecture])[0][0]
-    _assert_evaluations_match(scalar, batched)
-    assert scalar.all_cloud.latency_s > channel.cost(architecture.input_bytes).latency_s
 
 
 # ---------------------------------------------------------------------- engine stats
@@ -373,22 +340,6 @@ class TestEngineBatchStats:
         # 2 unique archs x 2 unique channels computed; the rest are hits.
         assert engine.stats.partition_misses == 4
         assert engine.stats.partition_hits == 9 - 4
-
-    def test_cloud_predictor_batch_matches_scalar(self, channels):
-        """Batched cloud-suffix costing equals the scalar cloud path."""
-        space = _space("lens-vgg")
-        rng = np.random.default_rng(13)
-        architectures = [
-            space.decode_for_performance(space.sample(rng)) for _ in range(3)
-        ]
-        analyzer = PartitionAnalyzer(
-            _oracle(), channels[0], cloud_predictor=_trained()
-        )
-        batched = analyzer.evaluate_batch(architectures, channels=channels)
-        for i, architecture in enumerate(architectures):
-            for ci, channel in enumerate(channels):
-                scalar = oracle.evaluate(analyzer.with_channel(channel), architecture)
-                _assert_evaluations_match(scalar, batched[i][ci])
 
     def test_graph_override_isolated_in_batch_cache(self, engine, channels):
         space = _space("resnet-v1")

@@ -11,7 +11,7 @@ from repro.api.registry import SEARCH_SPACES, RegistryError, register_search_spa
 from repro.nn.resnet_space import ResNetSearchSpace
 from repro.nn.search_space import LensSearchSpace
 from repro.nn.seq_space import SeqConv1DSearchSpace
-from repro.nn.spaces import DEFAULT_SEARCH_SPACE, EncodedSearchSpace, SearchSpace
+from repro.nn.spaces import DEFAULT_SEARCH_SPACE, EncodedSearchSpace
 from repro.utils.rng import ensure_rng
 
 BUILTIN_SPACES = ("lens-vgg", "resnet-v1", "seq-conv1d")
@@ -52,14 +52,13 @@ class TestRegistry:
 
 
 class TestProtocolConformance:
-    """Every built-in space honours the full SearchSpace contract."""
+    """Every built-in space honours the full EncodedSearchSpace contract."""
 
     @pytest.fixture(params=BUILTIN_SPACES)
     def space(self, request):
         return SEARCH_SPACES.create(request.param)
 
     def test_is_search_space(self, space):
-        assert isinstance(space, SearchSpace)
         assert isinstance(space, EncodedSearchSpace)
 
     def test_sample_is_valid_and_deterministic(self, space):

@@ -9,7 +9,6 @@ from repro.optim.kernels import (
     Matern52Kernel,
     RBFKernel,
     is_scalar_lengthscale,
-    kernel_by_name,
     pairwise_distances,
     pairwise_scaled_distances,
     supports_distance_reuse,
@@ -61,12 +60,6 @@ class TestKernels:
         other = kernel.with_params(lengthscale=0.9)
         assert other.lengthscale == 0.9
         assert kernel.lengthscale == 0.3
-
-    def test_kernel_by_name(self):
-        assert isinstance(kernel_by_name("rbf"), RBFKernel)
-        assert isinstance(kernel_by_name("matern52", lengthscale=0.2), Matern52Kernel)
-        with pytest.raises(ValueError):
-            kernel_by_name("linear")
 
     def test_variance_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from oracles.partition import identify_partition_points
 
 from repro.hardware.predictors import OracleLayerPredictor
-from repro.hardware.device import cloud_server
 from repro.nn.search_space import LensSearchSpace
 from repro.partition.deployment import DeploymentOption
 from repro.partition.partitioner import PartitionAnalyzer
@@ -24,24 +23,15 @@ class TestPartitionPoints:
         evaluation = gpu_wifi_analyzer.evaluate(alexnet)
         assert evaluation.partition_point_indices == tuple(indices)
 
-    def test_without_shrinkage_requirement_all_activation_layers_qualify(
-        self, gpu_oracle, wifi_channel, alexnet
-    ):
-        indices = identify_partition_points(
-            alexnet.summarize(), alexnet.input_bytes, require_shrinkage=False
-        )
-        # Every layer except flatten (structural) and the final classifier.
-        assert len(indices) == len(alexnet) - 2
-        analyzer = PartitionAnalyzer(gpu_oracle, wifi_channel, require_shrinkage=False)
-        assert analyzer.evaluate(alexnet).partition_point_indices == tuple(indices)
-
-    def test_final_layer_never_a_split_point(self, gpu_oracle, wifi_channel, alexnet):
-        indices = identify_partition_points(
-            alexnet.summarize(), alexnet.input_bytes, require_shrinkage=False
-        )
-        assert (len(alexnet) - 1) not in indices
-        analyzer = PartitionAnalyzer(gpu_oracle, wifi_channel, require_shrinkage=False)
-        assert (len(alexnet) - 1) not in analyzer.evaluate(alexnet).partition_point_indices
+    def test_final_layer_never_a_split_point(self, gpu_wifi_analyzer, alexnet):
+        summaries = alexnet.summarize()
+        last = len(alexnet) - 1
+        # The classifier output shrinks below the input, so only the
+        # final-boundary rule keeps it out: cutting there is All-Edge.
+        assert summaries[last].output_bytes < alexnet.input_bytes
+        assert last not in identify_partition_points(summaries, alexnet.input_bytes)
+        evaluation = gpu_wifi_analyzer.evaluate(alexnet)
+        assert last not in evaluation.partition_point_indices
 
 
 class TestPartitionAnalyzer:
@@ -111,18 +101,6 @@ class TestPartitionAnalyzer:
         )
         with pytest.raises(ValueError):
             analyzer.evaluate(alexnet, predictions=predictions[:-1])
-
-    def test_cloud_compute_can_be_included(self, gpu_oracle, wifi_channel, alexnet):
-        cloud_predictor = OracleLayerPredictor(cloud_server())
-        with_cloud = PartitionAnalyzer(
-            gpu_oracle, wifi_channel, cloud_predictor=cloud_predictor
-        ).evaluate(alexnet)
-        without_cloud = PartitionAnalyzer(gpu_oracle, wifi_channel).evaluate(alexnet)
-        assert with_cloud.all_cloud.latency_s > without_cloud.all_cloud.latency_s
-        # Energy charged to the edge is unchanged.
-        assert with_cloud.all_cloud.energy_j == pytest.approx(
-            without_cloud.all_cloud.energy_j
-        )
 
     def test_with_channel_rebinds_wireless_conditions(self, gpu_oracle, wifi_channel, alexnet):
         analyzer = PartitionAnalyzer(gpu_oracle, wifi_channel)

@@ -91,7 +91,7 @@ class TestRunSearchAcrossSpaces:
         assert context.search_space.space_name == "seq-conv1d"
 
     def test_instance_override_is_recorded_in_outcome_and_fingerprint(self, engine):
-        """A SearchSpace *instance* override must fold its space_name into
+        """A search-space *instance* override must fold its space_name into
         the request, so the outcome is labelled correctly and never shares
         a fingerprint (store key) with a default-space run."""
         from repro.nn.seq_space import SeqConv1DSearchSpace

@@ -46,6 +46,20 @@ def test_dump_and_load_round_trip(tmp_path):
     assert load_json(path) == payload
 
 
+def test_iter_jsonl_skips_damage_and_stops_at_a_torn_tail(tmp_path):
+    from repro.utils.serialization import append_jsonl_atomic, iter_jsonl
+
+    path = tmp_path / "log.jsonl"
+    assert list(iter_jsonl(path)) == []  # a missing file is an empty log
+    append_jsonl_atomic(path, {"n": 1})
+    with path.open("ab") as handle:
+        handle.write(b'not json\n[1, 2]\n7\n"text"\nnull\n\xc3(\n')
+    append_jsonl_atomic(path, {"n": 2})
+    with path.open("ab") as handle:
+        handle.write(b'{"n": 3}')  # a writer mid-append: no newline yet
+    assert list(iter_jsonl(path)) == [{"n": 1}, {"n": 2}]
+
+
 def test_format_table_alignment_and_precision():
     table = format_table(
         rows=[["alexnet", 39.94321, 1], ["vgg16", 120.5, 22]],

@@ -11,7 +11,9 @@ and in CI::
    deadline, audited as ``E_TIMEOUT``, retried, and — once the retry budget
    is exhausted — buried in ``dead-letter.jsonl``.  A fresh worker must
    refuse to claim the buried cell; ``repro campaign --retry-dead`` must
-   re-admit it, after which a clean worker finishes it.
+   re-admit it, after which ``repro campaign --executor pull-worker`` over
+   the same cell must store it and exit 0 (its observer may not fail the
+   cell on the records of its buried life).
 2. **Store integrity**: an injected ENOSPC append leaves the store
    byte-identical; an injected torn append and a simulated bit-flip are
    detected by the CRC layer (counted, never served), reported by
@@ -74,9 +76,9 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _spawn_worker(
-    store_dir: Path, worker_id: str, extra_env: dict = None
-) -> subprocess.Popen:
+def _child_env(extra_env: dict = None) -> dict:
+    """Environment of a ``repro`` child process: this checkout's ``src`` on
+    the path, and no fault injection unless ``extra_env`` asks for it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     for name in (
@@ -84,12 +86,17 @@ def _spawn_worker(
         faults.ENV_KILL_AT_EVAL,
     ):
         env.pop(name, None)
-    if extra_env:
-        env.update(extra_env)
+    env.update(extra_env or {})
+    return env
+
+
+def _spawn_worker(
+    store_dir: Path, worker_id: str, extra_env: dict = None
+) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "worker",
          "--store", str(store_dir), "--worker-id", worker_id],
-        env=env,
+        env=_child_env(extra_env),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
@@ -160,22 +167,39 @@ def drill_deadline_and_dead_letter(base: Path) -> int:
         return _fail("a fresh worker re-claimed a dead-lettered cell")
     print("      fresh worker refused the buried cell")
 
-    # explicit re-admission, then a clean worker finishes the cell
+    # explicit re-admission, then a pull-worker campaign over the same cell
+    # finishes it; its observer must not fail the cell on the final audit
+    # record of its buried life
     code = cli_main(["campaign", "--store", str(store_dir), "--retry-dead"])
     if code != 0:
         return _fail(f"repro campaign --retry-dead exited {code}")
     if dead_letters.is_dead(fingerprint):
         return _fail("--retry-dead did not re-admit the buried cell")
-    finisher = _spawn_worker(store_dir, "finisher")
     try:
-        finisher.wait(timeout=TIMEOUT_S)
+        campaign = subprocess.run(
+            [sys.executable, "-m", "repro", "campaign",
+             "--store", str(store_dir), "--scenario", SCENARIO,
+             "--strategy", "random", "--seed", "0",
+             "--executor", "pull-worker", "--workers", "1",
+             "--num-initial", str(FAST["num_initial"]),
+             "--num-iterations", str(FAST["num_iterations"]),
+             "--pool-size", str(FAST["candidate_pool_size"]),
+             "--predictor-samples", str(FAST["predictor_samples_per_type"]),
+             "--quiet"],
+            env=_child_env(), capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
     except subprocess.TimeoutExpired:
-        finisher.kill()
-        return _fail("clean worker did not finish the re-admitted cell")
+        return _fail("pull-worker campaign did not finish the re-admitted cell")
+    if campaign.returncode != 0:
+        return _fail(f"pull-worker campaign over the re-admitted cell exited "
+                     f"{campaign.returncode}, expected 0\n"
+                     f"stdout: {campaign.stdout}\nstderr: {campaign.stderr}")
     store.refresh()
     if sorted(store.fingerprints()) != [fingerprint]:
-        return _fail("re-admitted cell was not executed by the clean worker")
-    print("      --retry-dead re-admitted it; clean worker stored the cell")
+        return _fail("re-admitted cell was not executed by the pull-worker "
+                     "campaign")
+    print("      --retry-dead re-admitted it; a pull-worker campaign stored "
+          "the cell and exited 0")
     return 0
 
 
@@ -284,8 +308,7 @@ def drill_circuit_breaker(base: Path) -> int:
     policy = CampaignPolicy(circuit_window=2, circuit_threshold=1.0,
                             circuit_cooldown_s=60.0, on_error="continue")
     try:
-        run_campaign(ghosts, RunStore(store_dir / "serial"),
-                     on_error="continue", policy=policy)
+        run_campaign(ghosts, RunStore(store_dir / "serial"), policy=policy)
         return _fail("serial campaign over failing cells did not trip the "
                      "breaker")
     except CircuitOpenError as error:
@@ -295,10 +318,7 @@ def drill_circuit_breaker(base: Path) -> int:
     # 3s deadline); two failures fill the window, the shared breaker opens,
     # and the campaign CLI must exit with code 4
     cli_dir = store_dir / "pull"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env[faults.ENV_HANG_AT_EVAL] = "1"
-    env[faults.ENV_HANG_SECONDS] = "600"
+    env = _child_env({faults.ENV_HANG_AT_EVAL: "1", faults.ENV_HANG_SECONDS: "600"})
     campaign = subprocess.run(
         [sys.executable, "-m", "repro", "campaign",
          "--store", str(cli_dir), "--scenario", SCENARIO,

@@ -40,6 +40,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.campaign import (  # noqa: E402
+    CampaignPolicy,
     CampaignSpec,
     RunStore,
     run_campaign,
@@ -102,7 +103,8 @@ def main() -> int:
     store_dir = base / "shared"
     RunStore(store_dir)
     CampaignManifest.from_requests(
-        SPEC.requests(), ttl_s=TTL_S, poll_s=0.2, max_attempts=3,
+        SPEC.requests(),
+        policy=CampaignPolicy(ttl_s=TTL_S, poll_s=0.2, max_attempts=3),
     ).write(store_dir)
     victim = _spawn_worker(store_dir, "victim")
     survivor = _spawn_worker(store_dir, "survivor")
@@ -182,8 +184,10 @@ def main() -> int:
         predictor_samples_per_type=40,
     )
     CampaignManifest.from_requests(
-        chaos_spec.requests(), ttl_s=TTL_S, poll_s=0.2, max_attempts=3,
-        checkpoint_every=1,
+        chaos_spec.requests(),
+        policy=CampaignPolicy(
+            ttl_s=TTL_S, poll_s=0.2, max_attempts=3, checkpoint_every=1
+        ),
     ).write(chaos_dir)
     # this worker SIGKILLs itself after 3 of the cell's 6 evaluations
     doomed = _spawn_worker(
