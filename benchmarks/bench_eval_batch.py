@@ -34,6 +34,13 @@ through ``PartitionAwareEvaluator.evaluate_pool`` with cold layer memos
 identical objective vectors and records, and writes both timings with the
 memo entry counts and hit ratios to ``results/eval_memo_smoke.json``.  It
 never fails on timing.
+
+``test_evaluate_pool_oracle_smoke`` evaluates one pool per built-in space,
+of the random strategy's chunk size, through ``evaluate_pool`` and through
+the per-candidate oracle (``tests/oracles/evaluation.py``: two ``decode``
+calls and per-row surrogate statistics per candidate), asserts equal
+objective bytes and record JSON, and writes both timings to
+``results/eval_pool_smoke.json``.  It never fails on timing.
 """
 
 from __future__ import annotations
@@ -43,12 +50,14 @@ import time
 
 import numpy as np
 from conftest import FAST_MODE, PREDICTOR_SAMPLES, SEED, save_table
+from oracles import evaluation as evaluation_oracle
 from oracles import partition as oracle
 from oracles import predictor as predictor_oracle
 
 from repro.accuracy.surrogate import AccuracySurrogate, layer_noise_key
 from repro.api.engine import EvaluationEngine
 from repro.api.registry import SEARCH_SPACES
+from repro.api.session import _RANDOM_EVAL_CHUNK
 from repro.core.evaluation import PartitionAwareEvaluator
 from repro.nn.architecture import layer_summary
 from repro.nn.layers import interned
@@ -377,3 +386,45 @@ def test_evaluate_pool_memo_smoke(trained_gpu_predictor):
     print("\n" + text)
     save_table("eval_memo_smoke", text, payload)
     assert not mismatched, f"warm layer memos changed pool results in {mismatched}"
+
+
+def test_evaluate_pool_oracle_smoke(trained_gpu_predictor):
+    """Pool evaluation and the per-candidate oracle agree exactly, per space."""
+    analyzer = PartitionAnalyzer(trained_gpu_predictor, _channels()[0])
+    rows = []
+    mismatched = []
+    payload = {"pool_size": _RANDOM_EVAL_CHUNK, "spaces": {}}
+    for name in MEMO_SMOKE_SPACES:
+        space = SEARCH_SPACES.create(name)
+        rng = np.random.default_rng(SEED)
+        genotypes = [space.sample(rng) for _ in range(_RANDOM_EVAL_CHUNK)]
+        evaluator = PartitionAwareEvaluator(space, AccuracySurrogate(), analyzer)
+        evaluator.evaluate_pool(genotypes)  # warm the layer memos for both paths
+        start = time.perf_counter()
+        pooled = evaluator.evaluate_pool(genotypes)
+        pool_s = time.perf_counter() - start
+        start = time.perf_counter()
+        reference = evaluation_oracle.evaluate_pool(evaluator, genotypes)
+        oracle_s = time.perf_counter() - start
+        identical = _outputs(pooled) == _outputs(reference)
+        if not identical:
+            mismatched.append(name)
+        payload["spaces"][name] = {
+            "pool_s": pool_s,
+            "oracle_s": oracle_s,
+            "identical": identical,
+        }
+        rows.append(
+            [name, round(pool_s * 1e3, 1), round(oracle_s * 1e3, 1), identical]
+        )
+
+    from repro.utils.serialization import format_table
+
+    text = (
+        f"evaluate_pool vs the per-candidate oracle ({_RANDOM_EVAL_CHUNK} "
+        "candidates per space, warm layer memos)\n"
+        + format_table(rows, ["space", "pool ms", "oracle ms", "identical"])
+    )
+    print("\n" + text)
+    save_table("eval_pool_smoke", text, payload)
+    assert not mismatched, f"evaluate_pool diverged from the oracle in {mismatched}"

@@ -27,8 +27,9 @@ offers genuine (small-scale) training through the same interface.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from functools import lru_cache
-from typing import Dict
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -52,12 +53,53 @@ def noise_key(architecture: Architecture) -> str:
     return "[" + ", ".join(map(layer_noise_key, architecture.layers)) + "]"
 
 
+#: Layer families whose statistics drive the surrogate: 1-D
+#: convolutions/poolings drive the same capacity trends as their 2-D
+#: counterparts.
+_CONV_TYPES = frozenset({"conv", "conv1d"})
+_POOL_TYPES = frozenset({"pool", "pool1d"})
+
+
+def _row_means(
+    rows: Sequence[Sequence[float]],
+    empty: float,
+    transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> np.ndarray:
+    """``np.mean(transform(row))`` of every row, bit for bit; ``empty`` for an empty row.
+
+    Rows of one length are stacked and averaged along axis 1, which sums
+    each row in the order a 1-D ``np.mean`` does (pairwise from eight values
+    on).  One reduction over the rows concatenated would sum them in
+    another order and move the last bits.
+    """
+    means = np.full(len(rows), empty)
+    groups: Dict[int, List[int]] = defaultdict(list)
+    for index, row in enumerate(rows):
+        if row:
+            groups[len(row)].append(index)
+    for members in groups.values():
+        values = np.array([rows[index] for index in members], dtype=float)
+        if transform is not None:
+            values = transform(values)
+        means[members] = values.mean(axis=1)
+    return means
+
+
 class AccuracyModel:
-    """Interface: anything that can estimate a candidate's test error."""
+    """Interface: anything that can estimate a candidate's test error.
+
+    Implement :meth:`error_percent`; :meth:`error_percent_pool` calls it
+    once per architecture, in pool order, unless a model estimates a pool
+    faster as a whole.
+    """
 
     def error_percent(self, architecture: Architecture) -> float:
         """Estimated test error of the architecture, in percent (0-100)."""
         raise NotImplementedError
+
+    def error_percent_pool(self, architectures: Sequence[Architecture]) -> List[float]:
+        """Estimated test errors of a candidate pool, in pool order."""
+        return [self.error_percent(architecture) for architecture in architectures]
 
 
 class AccuracySurrogate(AccuracyModel):
@@ -95,28 +137,35 @@ class AccuracySurrogate(AccuracyModel):
 
     # ------------------------------------------------------------------ feature terms
     @staticmethod
-    def _statistics(architecture: Architecture) -> Dict[str, float]:
-        # 1-D convolutions/poolings drive the same capacity trends as their
-        # 2-D counterparts, so both families feed the structural statistics.
-        summaries = architecture.summarize()
-        conv = [s for s in summaries if s.layer_type in ("conv", "conv1d")]
-        fc = [s for s in summaries if s.layer_type == "fc"]
-        pools = [s for s in summaries if s.layer_type in ("pool", "pool1d")]
-        conv_filters = [s.output_shape[0] for s in conv]
-        # The final classifier is always present; hidden FC widths drive capacity.
-        hidden_fc_units = [s.output_shape[0] for s in fc[:-1]] or [0]
-        kernel_sizes = []
-        for spec in architecture.layers:
-            if spec.layer_type in ("conv", "conv1d"):
-                kernel_sizes.append(spec.kernel_size)
+    def _statistics(architectures: Sequence[Architecture]) -> Dict[str, np.ndarray]:
+        """Structural statistics of a pool, one array entry per architecture."""
+        num_conv, num_pool, params = [], [], []
+        conv_filters, kernel_sizes, hidden_fc_units = [], [], []
+        for architecture in architectures:
+            filters, kernels, fc_units, pools = [], [], [], 0
+            for spec, summary in zip(architecture.layers, architecture.summarize()):
+                layer_type = summary.layer_type
+                if layer_type in _CONV_TYPES:
+                    filters.append(summary.output_shape[0])
+                    kernels.append(spec.kernel_size)
+                elif layer_type == "fc":
+                    fc_units.append(summary.output_shape[0])
+                elif layer_type in _POOL_TYPES:
+                    pools += 1
+            num_conv.append(len(filters))
+            num_pool.append(pools)
+            params.append(max(architecture.total_params, 1))
+            conv_filters.append(filters)
+            kernel_sizes.append(kernels)
+            # The final classifier is always present; hidden FC widths drive capacity.
+            hidden_fc_units.append([max(units, 1) for units in fc_units[:-1]] or [1])
         return {
-            "num_conv": float(len(conv)),
-            "num_fc": float(len(fc)),
-            "num_pool": float(len(pools)),
-            "mean_log2_filters": float(np.mean(np.log2(conv_filters))) if conv_filters else 0.0,
-            "mean_kernel": float(np.mean(kernel_sizes)) if kernel_sizes else 3.0,
-            "mean_log2_fc_units": float(np.mean(np.log2(np.maximum(hidden_fc_units, 1)))),
-            "log10_params": float(np.log10(max(architecture.total_params, 1))),
+            "num_conv": np.array(num_conv, dtype=float),
+            "num_pool": np.array(num_pool, dtype=float),
+            "mean_log2_filters": _row_means(conv_filters, 0.0, np.log2),
+            "mean_kernel": _row_means(kernel_sizes, 3.0),
+            "mean_log2_fc_units": _row_means(hidden_fc_units, 0.0, np.log2),
+            "log10_params": np.log10(np.array(params, dtype=float)),
         }
 
     def _noise(self, architecture: Architecture) -> float:
@@ -129,21 +178,30 @@ class AccuracySurrogate(AccuracyModel):
 
     # ------------------------------------------------------------------ model
     def error_percent(self, architecture: Architecture) -> float:
-        stats = self._statistics(architecture)
+        return self.error_percent_pool([architecture])[0]
+
+    def error_percent_pool(self, architectures: Sequence[Architecture]) -> List[float]:
+        """Estimated test errors of a pool, from pool-wide statistics.
+
+        Every term is an element-wise array operation, so each entry equals
+        the error of its architecture computed on its own.
+        """
+        stats = self._statistics(architectures)
 
         depth_gain = 9.0 * (1.0 - np.exp(-stats["num_conv"] / 6.0))
         width_gain = 7.0 * (
-            1.0 - np.exp(-max(stats["mean_log2_filters"] - 4.5, 0.0) / 1.8)
+            1.0 - np.exp(-np.maximum(stats["mean_log2_filters"] - 4.5, 0.0) / 1.8)
         )
         fc_gain = 4.0 * (
-            1.0 - np.exp(-max(stats["mean_log2_fc_units"] - 8.0, 0.0) / 2.5)
+            1.0 - np.exp(-np.maximum(stats["mean_log2_fc_units"] - 8.0, 0.0) / 2.5)
         )
         # Moderate kernels (around 5) extract the most from 32x32 images.
-        kernel_penalty = 0.8 * abs(stats["mean_kernel"] - 5.0) / 2.0
+        kernel_penalty = 0.8 * np.abs(stats["mean_kernel"] - 5.0) / 2.0
         # Ten epochs with moderate augmentation: very large models overfit slightly.
-        overfit_penalty = 2.5 * max(stats["log10_params"] - 7.6, 0.0)
+        overfit_penalty = 2.5 * np.maximum(stats["log10_params"] - 7.6, 0.0)
         # Losing all spatial resolution before the classifier costs a little.
-        pooling_penalty = 0.6 * max(stats["num_pool"] - 4.0, 0.0)
+        pooling_penalty = 0.6 * np.maximum(stats["num_pool"] - 4.0, 0.0)
+        noise = np.array([self._noise(architecture) for architecture in architectures])
 
         error = (
             self.base_error
@@ -153,6 +211,6 @@ class AccuracySurrogate(AccuracyModel):
             + kernel_penalty
             + overfit_penalty
             + pooling_penalty
-            + self._noise(architecture)
+            + noise
         )
-        return float(np.clip(error, self.floor, self.ceiling))
+        return np.clip(error, self.floor, self.ceiling).tolist()

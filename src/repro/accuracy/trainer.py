@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.accuracy.dataset import SyntheticImageDataset
 from repro.accuracy.network import NumpyCNN
+from repro.accuracy.surrogate import AccuracyModel
 from repro.nn.architecture import Architecture
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_positive
@@ -126,14 +127,16 @@ class SGDTrainer:
         return history
 
 
-class TrainedAccuracyEvaluator:
+class TrainedAccuracyEvaluator(AccuracyModel):
     """Accuracy model that actually trains each candidate on synthetic data.
 
-    Implements the same ``error_percent(architecture)`` interface as the
-    analytic surrogate, so it can be plugged directly into the LENS search for
-    very small studies.  Each call builds a :class:`NumpyCNN` for the
-    candidate (using the dataset's image shape), trains it with
-    :class:`SGDTrainer` and returns the final test error.
+    An :class:`~repro.accuracy.surrogate.AccuracyModel` like the analytic
+    surrogate, so it can be plugged directly into the LENS search for very
+    small studies.  Each call builds a :class:`NumpyCNN` for the candidate
+    (using the dataset's image shape), trains it with :class:`SGDTrainer`
+    and returns the final test error; a pool trains its candidates one by
+    one, in pool order, so the shared random stream advances as it would
+    for single calls.
     """
 
     def __init__(

@@ -31,7 +31,7 @@ from repro.core.results import CandidateEvaluation, SearchResult
 from repro.optim.pareto import FrontHistory
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
 from repro.utils.serialization import load_json
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_non_negative, require_positive
 
 #: Current envelope schema version.
 #:
@@ -165,6 +165,7 @@ class SearchRequest:
             )
         require_positive(self.candidate_pool_size, "candidate_pool_size")
         require_positive(self.batch_size, "batch_size")
+        require_non_negative(self.predictor_noise_std, "predictor_noise_std")
 
     # ------------------------------------------------------------------ helpers
     @property

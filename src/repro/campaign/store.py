@@ -126,6 +126,25 @@ def verify_record_crc(record: Dict[str, Any]) -> bool:
         return False
 
 
+def _parse_record(raw: bytes) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """One store line as ``(record, index summary)``.
+
+    Raises ``ValueError`` or ``TypeError`` unless the line is a record: a
+    JSON object with a ``fingerprint``, an object ``outcome`` and, when the
+    outcome carries one, an object ``request``, from which the index summary
+    derives.  The store scan and :func:`fsck_store` share this check, so a
+    line fsck keeps is one the scan serves, and every other line is corrupt
+    to both.
+    """
+    record = json.loads(raw.decode("utf-8"))
+    if not isinstance(record, dict) or "fingerprint" not in record:
+        raise ValueError("not a store record: no fingerprint")
+    outcome = record.get("outcome")
+    if not isinstance(outcome, dict) or not isinstance(outcome.get("request", {}), dict):
+        raise ValueError("not a store record: its outcome or request is not an object")
+    return record, _record_summary(record)
+
+
 def _record_summary(record: Dict[str, Any]) -> Dict[str, Any]:
     """Compact index entry derived from one serialized outcome record."""
     outcome = record["outcome"]
@@ -234,12 +253,10 @@ class RunStore:
                 offset = shard.good_end
                 shard.good_end += len(raw)
                 try:
-                    record = json.loads(raw.decode("utf-8"))
-                    fingerprint = str(record["fingerprint"])
-                    summary = _record_summary(record)
-                except (ValueError, KeyError, TypeError):
+                    record, summary = _parse_record(raw)
+                except (ValueError, TypeError):
                     # a line mangled by a writer killed mid-append, or one
-                    # that is not a JSON object; skip it but keep scanning
+                    # without the record shape; skip it but keep scanning
                     # — later records are intact
                     shard.corrupt_lines += 1
                     continue
@@ -248,7 +265,7 @@ class RunStore:
                     # record must never be served; fsck quarantines the line.
                     shard.crc_mismatches += 1
                     continue
-                self._index_record(shard, fingerprint, offset, summary)
+                self._index_record(shard, str(record["fingerprint"]), offset, summary)
 
     def _index_record(
         self, shard: _Shard, fingerprint: str, offset: int, summary: Dict[str, Any]
@@ -438,17 +455,36 @@ class RunStore:
     def audit_summary(self) -> Dict[str, Any]:
         """:func:`summarize_audit` of the audit logs, resolved against the store.
 
-        A cell that failed for good, was re-admitted from the dead-letter
-        queue and then stored is not in ``failed_cells``, and
-        ``dead_lettered`` lists the cells the dead-letter queue holds
-        buried now, not every burial the audit records flag.
+        ``failed_cells`` follows the rule of
+        :func:`repro.campaign.worker.final_failure`: a cell the store does
+        not hold is failed when it is buried in the dead-letter queue, or
+        when its last audit record after its latest re-admission is final.
+        A re-admitted cell that has not run again, or ran and was stored,
+        is not failed.  ``dead_lettered`` lists the cells the dead-letter
+        queue holds buried now, not every burial the audit records flag.
         """
+        dead_letters = DeadLetterQueue(self.directory)
+        buried = dead_letters.dead()
         audit = summarize_audit(self.iter_audit_records())
-        audit["failed_cells"] = [
-            fingerprint for fingerprint in audit["failed_cells"]
-            if fingerprint not in self
-        ]
-        audit["dead_lettered"] = sorted(DeadLetterQueue(self.directory).dead())
+        pending = {
+            fingerprint
+            for fingerprint in audit["failed_cells"]
+            if fingerprint not in self and fingerprint not in buried
+        }
+        last_final: Dict[str, bool] = {}
+        if pending:
+            readmitted = dead_letters.readmitted()
+            for record in self.iter_audit_records():
+                fingerprint = record.fingerprint
+                if fingerprint in pending and record.time_s > readmitted.get(
+                    fingerprint, float("-inf")
+                ):
+                    last_final[fingerprint] = record.final
+        audit["failed_cells"] = sorted(
+            {fingerprint for fingerprint in buried if fingerprint not in self}
+            | {fingerprint for fingerprint, final in last_final.items() if final}
+        )
+        audit["dead_lettered"] = sorted(buried)
         return audit
 
     def audit_records(self) -> List[ErrorEnvelope]:
@@ -541,8 +577,9 @@ def _fsck_file(path: Path) -> Dict[str, Any]:
 
     Returns the original raw bytes of each *keepable* line (``intact`` —
     CRC verified — and ``legacy`` — pre-CRC records with nothing to verify)
-    plus the bytes to quarantine (``corrupt`` unparseable lines,
-    ``crc_mismatch`` rotten records, and a torn unterminated tail).
+    plus the bytes to quarantine (``corrupt`` lines that are not records —
+    the store scan's check, :func:`_parse_record` — ``crc_mismatch``
+    rotten records, and a torn unterminated tail).
     Keepable bytes are returned exactly as read, so a repair rewrite is
     byte-identical for every record it preserves.
     """
@@ -570,9 +607,8 @@ def _fsck_file(path: Path) -> Dict[str, Any]:
         raw = data[offset : newline + 1]
         offset = newline + 1
         try:
-            record = json.loads(raw.decode("utf-8"))
-            record["fingerprint"]
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+            record, _ = _parse_record(raw)
+        except (ValueError, TypeError):
             counts["corrupt"] += 1
             quarantine.append(raw)
             continue
@@ -596,8 +632,9 @@ def fsck_store(
     Scans the legacy ``runs.jsonl`` and every ``shards/*.jsonl`` file raw,
     classifying each line as *intact* (CRC verified), *legacy* (pre-CRC,
     nothing to verify), *crc_mismatch* (parses, checksum disagrees — disk
-    rot), *corrupt* (unparseable) or a *torn* unterminated tail.  ``repro
-    store fsck`` is the CLI face of this function.
+    rot), *corrupt* (unparseable, or not shaped like a record) or a *torn*
+    unterminated tail.  ``repro store fsck`` is the CLI face of this
+    function.
 
     With ``repair=True`` every bad line is appended to a sidecar under
     ``quarantine/`` (named after its source file, so nothing is ever

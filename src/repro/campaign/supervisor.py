@@ -386,6 +386,14 @@ class DeadLetterQueue:
         latest = self._latest().get(fingerprint)
         return latest is not None and latest.get("event") == "bury"
 
+    def readmitted(self) -> Dict[str, float]:
+        """``fingerprint -> time of the latest re-admission`` of every re-admitted cell."""
+        return {
+            fingerprint: float(event.get("time_s", 0.0))
+            for fingerprint, event in self._latest().items()
+            if event.get("event") == "readmit"
+        }
+
     def readmitted_at(self, fingerprint: str) -> Optional[float]:
         """Time of the cell's latest re-admission, if it is re-admitted.
 
@@ -393,10 +401,7 @@ class DeadLetterQueue:
         records older than the re-admission belong to the previous life of
         the cell and do not count against the fresh retry budget.
         """
-        latest = self._latest().get(fingerprint)
-        if latest is not None and latest.get("event") == "readmit":
-            return float(latest.get("time_s", 0.0))
-        return None
+        return self.readmitted().get(fingerprint)
 
     def envelopes(self, fingerprint: str) -> List[ErrorEnvelope]:
         """The failure chain recorded with the cell's latest burial."""

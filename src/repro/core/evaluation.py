@@ -1,11 +1,14 @@
 """Partition-aware objective evaluation (paper Algorithm 1).
 
-Given a candidate genotype, the evaluator
+Given a pool of candidate genotypes, the evaluator
 
-1. decodes it twice — once with the accuracy input shape (CIFAR-like) for the
-   error objective, once with the performance input shape (224x224x3) for the
-   latency/energy objectives, exactly as the paper's experimental setup does;
-2. estimates the test error with the configured accuracy model;
+1. validates the pool once and builds each genotype's layer stack once,
+   then reads it under two input shapes — the accuracy input shape
+   (CIFAR-like) for the error objective and the performance input shape
+   (224x224x3) for the latency/energy objectives, exactly as the paper's
+   experimental setup does;
+2. estimates the test errors with the configured accuracy model, for the
+   whole pool at once;
 3. predicts per-layer latency and power on the edge device, identifies the
    candidate partition points, accumulates on-device cost up to each point,
    adds the wireless transfer cost of that point's output, and takes the
@@ -45,7 +48,7 @@ class PartitionAwareEvaluator:
         genotypes (the paper's ``lens-vgg`` space, the residual
         ``resnet-v1`` space, the 1-D ``seq-conv1d`` space, or a custom one).
     accuracy_model:
-        Any object implementing ``error_percent(architecture) -> float``.
+        Any :class:`~repro.accuracy.surrogate.AccuracyModel`.
     analyzer:
         Partition analyzer bound to the edge-device predictor and the
         expected wireless channel.
@@ -67,6 +70,11 @@ class PartitionAwareEvaluator:
         partition_within: bool = True,
         engine: Optional["EvaluationEngine"] = None,
     ):
+        if not isinstance(accuracy_model, AccuracyModel):
+            raise TypeError(
+                "accuracy_model must be an AccuracyModel (implement "
+                f"error_percent on a subclass), got {type(accuracy_model).__name__}"
+            )
         self.search_space = search_space
         self.accuracy_model = accuracy_model
         self.analyzer = analyzer
@@ -90,8 +98,12 @@ class PartitionAwareEvaluator:
     ) -> List[Tuple[np.ndarray, Dict]]:
         """Evaluate a whole candidate pool through the batched hot path.
 
-        One record per genotype, in order; the per-layer predictions and
-        deployment costing run as one array-level batch:
+        One record per genotype, in order.  The pool is decoded as one
+        validated array (:meth:`~repro.nn.spaces.EncodedSearchSpace.decode_pool`),
+        its errors are estimated together
+        (:meth:`~repro.accuracy.surrogate.AccuracyModel.error_percent_pool`),
+        and the per-layer predictions and deployment costing run as one
+        array-level batch:
         :meth:`~repro.api.engine.EvaluationEngine.evaluate_batch` dedups the
         pool against the engine caches and backfills them, or — without an
         engine — :meth:`~repro.partition.partitioner.PartitionAnalyzer.evaluate_batch`
@@ -100,38 +112,37 @@ class PartitionAwareEvaluator:
         genotypes = list(genotypes)
         if not genotypes:
             return []
-        accuracy_archs = [self.search_space.decode_for_accuracy(g) for g in genotypes]
-        performance_archs = [
-            self.search_space.decode_for_performance(g) for g in genotypes
-        ]
+        pool = self.search_space.decode_pool(genotypes)
         # The space's partition_graph hook is authoritative: spaces may
         # constrain cuts beyond what the decoded skip edges express.
         graphs = [
             self.search_space.partition_graph(architecture)
-            for architecture in performance_archs
+            for architecture in pool.performance
         ]
         if self.engine is not None:
             rows = self.engine.evaluate_batch(
-                performance_archs, self.analyzer, graphs=graphs
+                pool.performance, self.analyzer, graphs=graphs
             )
         else:
-            rows = self.analyzer.evaluate_batch(performance_archs, graphs=graphs)
+            rows = self.analyzer.evaluate_batch(pool.performance, graphs=graphs)
+        errors = self.accuracy_model.error_percent_pool(pool.accuracy)
         return [
-            self._package(genotype, accuracy_arch, performance_arch, row[0])
-            for genotype, accuracy_arch, performance_arch, row in zip(
-                genotypes, accuracy_archs, performance_archs, rows
+            self._package(tuple(genotype), accuracy_arch, performance_arch, row[0], error)
+            for genotype, accuracy_arch, performance_arch, row, error in zip(
+                pool.genotypes.tolist(), pool.accuracy, pool.performance, rows, errors
             )
         ]
 
     def _package(
         self,
-        genotype: Sequence[int],
+        genotype: Tuple[int, ...],
         accuracy_arch: Architecture,
         performance_arch: Architecture,
         partition_eval,
+        error: float,
     ) -> Tuple[np.ndarray, Dict]:
         """Objective vector and metadata record of one costed candidate."""
-        error = float(self.accuracy_model.error_percent(accuracy_arch))
+        error = float(error)
         all_edge = partition_eval.all_edge
         best_latency = partition_eval.best_latency
         best_energy = partition_eval.best_energy
@@ -144,7 +155,7 @@ class PartitionAwareEvaluator:
             energy = all_edge.energy_j
 
         evaluation = CandidateEvaluation(
-            genotype=tuple(int(v) for v in np.asarray(genotype, dtype=int)),
+            genotype=genotype,
             architecture_name=performance_arch.name,
             error_percent=error,
             latency_s=float(latency),

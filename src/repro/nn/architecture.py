@@ -211,6 +211,19 @@ class Architecture:
         self._summaries: Optional[Tuple[LayerSummary, ...]] = None
         self._hash: Optional[int] = None
 
+    def with_input_shape(self, input_shape: Shape) -> "Architecture":
+        """The same layer stack fed ``input_shape``.
+
+        Shares this architecture's name, validated layers and partition
+        graph, none of which depend on the input shape.
+        """
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__)
+        other.input_shape = tuple(int(s) for s in input_shape)
+        other._summaries = None
+        other._hash = None
+        return other
+
     # ------------------------------------------------------------------ dunder
     def __len__(self) -> int:
         return len(self.layers)

@@ -153,6 +153,30 @@ class EncodingScheme:
             raise ValueError(f"gene indices out of range: {', '.join(bad)}")
         return arr
 
+    def validate_pool(self, genotypes: Sequence[Sequence[int]]) -> np.ndarray:
+        """Check a pool of index vectors and return it as an ``(m, d)`` ``int64`` array.
+
+        A pool of integer rows is checked in one pass.  Anything else —
+        ragged or non-integer rows, or an out-of-range index — is checked row
+        by row with :meth:`validate_indices`, so the pool accepts exactly the
+        rows it accepts, and the first bad row raises its ``ValueError``.
+        """
+        try:
+            arr = np.asarray(genotypes)
+        except ValueError:  # ragged rows
+            arr = None
+        if (
+            arr is not None
+            and arr.ndim == 2
+            and arr.shape[1] == self.num_genes
+            and arr.dtype.kind in "biu"
+        ):
+            arr = arr.astype(np.int64, copy=False)
+            if (arr.view(np.uint64) < self._unsigned_cardinalities).all():
+                return arr
+        rows = [self.validate_indices(row) for row in genotypes]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self.num_genes)
+
     def sample_indices(self, rng: SeedLike = None) -> np.ndarray:
         """Sample a uniformly random (unconstrained) index vector.
 

@@ -28,9 +28,10 @@ exists), so ``is_valid`` is always true and ``repair`` is the identity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.nn.architecture import Architecture
+import numpy as np
+
 from repro.nn.encoding import EncodingScheme, Gene
 from repro.nn.graph import SkipEdge
 from repro.nn.layers import Conv2D, Dense, Flatten, LayerSpec, MaxPool2D, interned
@@ -111,6 +112,7 @@ class ResNetSearchSpace(EncodedSearchSpace):
         self.accuracy_input_shape = tuple(accuracy_input_shape)
         self.performance_input_shape = tuple(performance_input_shape)
         self.encoding = self._build_encoding()
+        self._true_index = self.encoding.gene("fc_present").index_of(True)
 
     # ------------------------------------------------------------------ encoding
     def _build_encoding(self) -> EncodingScheme:
@@ -124,40 +126,33 @@ class ResNetSearchSpace(EncodedSearchSpace):
         return EncodingScheme(genes)
 
     # ------------------------------------------------------------------ decoding
-    def decode(
-        self,
-        indices: Sequence[int],
-        input_shape: Optional[Tuple[int, ...]] = None,
-        num_classes: Optional[int] = None,
-        name: Optional[str] = None,
-    ) -> Architecture:
-        """Decode a genotype into an :class:`Architecture` with skip edges.
+    def _layer_stack(
+        self, arr: np.ndarray, num_classes: int
+    ) -> Tuple[List[LayerSpec], Tuple[SkipEdge, ...]]:
+        """Stem, residual stages and head, with every block's skip edge.
 
         Layers are emitted in execution order (the residual adds are fused
-        into each block's second convolution); the returned architecture's
-        ``skip_edges`` mark every block's identity shortcut.
+        into each block's second convolution); the skip edges mark every
+        block's identity shortcut.
         """
-        values = self.encoding.values(indices)
-        input_shape = tuple(input_shape or self.accuracy_input_shape)
-        num_classes = int(num_classes if num_classes is not None else self.num_classes)
-        name = name or self.candidate_name(indices)
-
+        genes = arr.tolist()  # per stage (blocks, kernel, width), then the head
         layers: List[LayerSpec] = []
         skip_edges: List[SkipEdge] = []
         layers.append(
             interned(
                 Conv2D,
                 name="stem",
-                out_channels=int(values["stage1_width"]),
+                out_channels=self.stage_widths[genes[2]],
                 kernel_size=3,
                 padding="same",
                 batch_norm=True,
             )
         )
         for stage in range(1, self.num_stages + 1):
-            width = int(values[f"stage{stage}_width"])
-            kernel = int(values[f"stage{stage}_kernel"])
-            blocks = int(values[f"stage{stage}_blocks"])
+            offset = 3 * (stage - 1)
+            blocks = self.blocks_per_stage[genes[offset]]
+            kernel = self.kernel_sizes[genes[offset + 1]]
+            width = self.stage_widths[genes[offset + 2]]
             stage_input = len(layers) - 1
             if self.downsample == "stride":
                 # one stride-2 convolution downsamples and adapts channels
@@ -205,12 +200,15 @@ class ResNetSearchSpace(EncodedSearchSpace):
                     )
                 skip_edges.append((block_input, len(layers) - 1))
         layers.append(interned(Flatten, name="flatten"))
-        if values["fc_present"]:
-            layers.append(interned(Dense, name="fc1", units=int(values["fc_units"])))
+        head = 3 * self.num_stages
+        if genes[head] == self._true_index:
+            layers.append(
+                interned(Dense, name="fc1", units=self.fc_units[genes[head + 1]])
+            )
         layers.append(
             interned(Dense, name="classifier", units=num_classes, activation="softmax")
         )
-        return Architecture(name, input_shape, layers, skip_edges=tuple(skip_edges))
+        return layers, tuple(skip_edges)
 
     # ------------------------------------------------------------------ misc
     def describe(self) -> str:

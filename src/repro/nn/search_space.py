@@ -18,12 +18,12 @@ that can benefit from layer distribution").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.architecture import Architecture
 from repro.nn.encoding import EncodingScheme, Gene
+from repro.nn.graph import SkipEdge
 from repro.nn.layers import Conv2D, Dense, Flatten, LayerSpec, MaxPool2D, interned
 from repro.nn.spaces import EncodedSearchSpace
 
@@ -66,6 +66,9 @@ class LensSearchSpace(EncodedSearchSpace):
     """
 
     space_name = "lens-vgg"
+    #: The historical ``lens-`` prefix (rather than the registry key
+    #: ``lens-vgg``) keeps names in previously stored outcomes stable.
+    name_prefix = "lens"
 
     def __init__(
         self,
@@ -152,40 +155,16 @@ class LensSearchSpace(EncodedSearchSpace):
             arr[self._fc_present_positions[0]] = self._true_index
 
     # ------------------------------------------------------------------ decoding
-    def decode(
-        self,
-        indices: Sequence[int],
-        input_shape: Optional[Tuple[int, int, int]] = None,
-        num_classes: Optional[int] = None,
-        name: Optional[str] = None,
-    ) -> Architecture:
-        """Decode a genotype into a concrete :class:`Architecture`.
-
-        Parameters
-        ----------
-        indices:
-            Valid genotype (use :meth:`repair` beforehand if necessary).
-        input_shape:
-            Channels-first input shape; defaults to the accuracy input shape.
-        num_classes:
-            Classifier width; defaults to the space's ``num_classes``.
-        name:
-            Architecture name; defaults to a hash-like identifier.
-        """
-        if not self.is_valid(indices):
-            raise ValueError(
-                "genotype violates the search-space constraints; call repair() first"
-            )
-        values = self.encoding.values(indices)
-        input_shape = tuple(input_shape or self.accuracy_input_shape)
-        num_classes = int(num_classes if num_classes is not None else self.num_classes)
-        name = name or self.candidate_name(indices)
-
+    def _layer_stack(
+        self, arr: np.ndarray, num_classes: int
+    ) -> Tuple[List[LayerSpec], Tuple[SkipEdge, ...]]:
+        """Conv blocks with optional pools, then the present FC layers and the classifier."""
+        genes = iter(arr.tolist())  # gene values in _build_encoding order
         layers: List[LayerSpec] = []
         for block in range(1, self.num_blocks + 1):
-            depth = int(values[f"block{block}_layers"])
-            kernel = int(values[f"block{block}_kernel"])
-            filters = int(values[f"block{block}_filters"])
+            depth = self.layers_per_block[next(genes)]
+            kernel = self.kernel_sizes[next(genes)]
+            filters = self.filter_counts[next(genes)]
             for layer_idx in range(1, depth + 1):
                 layers.append(
                     interned(
@@ -198,37 +177,24 @@ class LensSearchSpace(EncodedSearchSpace):
                         batch_norm=True,
                     )
                 )
-            if values[f"block{block}_pool"]:
+            if next(genes) == self._true_index:
                 layers.append(
                     interned(MaxPool2D, name=f"pool{block}", pool_size=2)
                 )
         layers.append(interned(Flatten, name="flatten"))
         fc_index = 0
-        if values["fc1_present"]:
-            fc_index += 1
-            layers.append(
-                interned(Dense, name=f"fc{fc_index}", units=int(values["fc1_units"]))
-            )
-        if values["fc2_present"]:
-            fc_index += 1
-            layers.append(
-                interned(Dense, name=f"fc{fc_index}", units=int(values["fc2_units"]))
-            )
+        for _ in (1, 2):
+            present = next(genes) == self._true_index
+            units = self.fc_units[next(genes)]
+            if present:
+                fc_index += 1
+                layers.append(interned(Dense, name=f"fc{fc_index}", units=units))
         layers.append(
             interned(Dense, name="classifier", units=num_classes, activation="softmax")
         )
-        return Architecture(name, input_shape, layers)
+        return layers, ()
 
     # ------------------------------------------------------------------ misc
-    def candidate_name(self, indices: Sequence[int]) -> str:
-        """Deterministic short name for a genotype.
-
-        Keeps the historical ``lens-`` prefix (rather than the registry key
-        ``lens-vgg``) so names in previously stored outcomes stay stable.
-        """
-        arr = self.encoding.validate_indices(indices)
-        return f"lens-{self.genotype_digest(arr)}"
-
     def describe(self) -> str:
         """Human-readable description of the space and its constraints."""
         lines = [

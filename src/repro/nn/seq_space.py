@@ -23,12 +23,12 @@ architectures are plain chains, so every boundary is cut-legal.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.architecture import Architecture
 from repro.nn.encoding import EncodingScheme, Gene
+from repro.nn.graph import SkipEdge
 from repro.nn.layers import Conv1D, Dense, Flatten, LayerSpec, MaxPool1D, interned
 from repro.nn.spaces import EncodedSearchSpace
 
@@ -130,28 +130,16 @@ class SeqConv1DSearchSpace(EncodedSearchSpace):
             arr[off[rng.choice(len(off), size=missing, replace=False)]] = self._true_index
 
     # ------------------------------------------------------------------ decoding
-    def decode(
-        self,
-        indices: Sequence[int],
-        input_shape: Optional[Tuple[int, ...]] = None,
-        num_classes: Optional[int] = None,
-        name: Optional[str] = None,
-    ) -> Architecture:
-        """Decode a genotype into a concrete 1-D :class:`Architecture`."""
-        if not self.is_valid(indices):
-            raise ValueError(
-                "genotype violates the search-space constraints; call repair() first"
-            )
-        values = self.encoding.values(indices)
-        input_shape = tuple(input_shape or self.accuracy_input_shape)
-        num_classes = int(num_classes if num_classes is not None else self.num_classes)
-        name = name or self.candidate_name(indices)
-
+    def _layer_stack(
+        self, arr: np.ndarray, num_classes: int
+    ) -> Tuple[List[LayerSpec], Tuple[SkipEdge, ...]]:
+        """Conv1D blocks with optional pools, then the optional FC layer and the classifier."""
+        genes = iter(arr.tolist())  # gene values in _build_encoding order
         layers: List[LayerSpec] = []
         for block in range(1, self.num_blocks + 1):
-            depth = int(values[f"block{block}_layers"])
-            kernel = int(values[f"block{block}_kernel"])
-            filters = int(values[f"block{block}_filters"])
+            depth = self.layers_per_block[next(genes)]
+            kernel = self.kernel_sizes[next(genes)]
+            filters = self.filter_counts[next(genes)]
             for layer_idx in range(1, depth + 1):
                 layers.append(
                     interned(
@@ -163,17 +151,19 @@ class SeqConv1DSearchSpace(EncodedSearchSpace):
                         batch_norm=True,
                     )
                 )
-            if values[f"block{block}_pool"]:
+            if next(genes) == self._true_index:
                 layers.append(
                     interned(MaxPool1D, name=f"pool{block}", pool_size=self.pool_size)
                 )
         layers.append(interned(Flatten, name="flatten"))
-        if values["fc_present"]:
-            layers.append(interned(Dense, name="fc1", units=int(values["fc_units"])))
+        present = next(genes) == self._true_index
+        units = self.fc_units[next(genes)]
+        if present:
+            layers.append(interned(Dense, name="fc1", units=units))
         layers.append(
             interned(Dense, name="classifier", units=num_classes, activation="softmax")
         )
-        return Architecture(name, input_shape, layers)
+        return layers, ()
 
     # ------------------------------------------------------------------ misc
     def describe(self) -> str:

@@ -5,9 +5,9 @@ that can sample genotypes, project them into the optimizer's unit cube,
 mutate them into neighbours, decode them into concrete
 :class:`~repro.nn.architecture.Architecture` objects, and describe the
 partition legality of what it decodes.  :class:`EncodedSearchSpace`
-implements all of it except decoding on top of an
-:class:`~repro.nn.encoding.EncodingScheme`, so a new workload only has to
-declare its genes, its validity rule and its ``decode``.
+implements all of it on top of an :class:`~repro.nn.encoding.EncodingScheme`,
+so a new workload only has to declare its genes, its validity rule and its
+layer stack (``_layer_stack``).
 
 Spaces are addressable by name through
 :data:`repro.api.registry.SEARCH_SPACES` (``search_space="resnet-v1"`` on a
@@ -24,19 +24,63 @@ Spaces are addressable by name through
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.architecture import Architecture
 from repro.nn.encoding import EncodingScheme
-from repro.nn.graph import PartitionGraph
+from repro.nn.graph import PartitionGraph, SkipEdge
+from repro.nn.layers import LayerSpec
 from repro.utils.rng import SeedLike, ensure_rng
 
 #: Name of the search space every request uses unless it says otherwise —
 #: the paper's own VGG-derived space.  Schema-v1 request envelopes (which
 #: predate the ``search_space`` field) upgrade to this value.
 DEFAULT_SEARCH_SPACE = "lens-vgg"
+
+#: Modulus of :meth:`EncodedSearchSpace.genotype_digest` (eight hex digits).
+_DIGEST_BITS = 32
+
+#: Public methods a space inherits and must not override.
+_SEALED_METHODS = ("is_valid", "repair", "decode", "candidate_name")
+
+
+class DecodedPool(NamedTuple):
+    """A validated candidate pool, decoded in both input shapes.
+
+    ``genotypes`` is the pool as an ``(m, num_genes)`` ``int64`` array;
+    ``accuracy[i]`` and ``performance[i]`` are row ``i`` decoded with the
+    accuracy and the performance input shape.
+    """
+
+    genotypes: np.ndarray
+    accuracy: List[Architecture]
+    performance: List[Architecture]
+
+
+@lru_cache(maxsize=None)
+def _digest_weights(width: int) -> np.ndarray:
+    """``31 ** (width - 1 - i)`` modulo the digest modulus, for every position ``i``."""
+    weights = np.array(
+        [pow(31, width - 1 - i, 1 << _DIGEST_BITS) for i in range(width)],
+        dtype=np.uint64,
+    )
+    weights.flags.writeable = False
+    return weights
+
+
+def _digests(rows: np.ndarray) -> List[int]:
+    """:meth:`EncodedSearchSpace.genotype_digest` of every row, as integers.
+
+    The digest folds ``digest * 31 + value + 1`` over a row modulo
+    ``2**32``, which is the row's ``value + 1`` terms weighted by powers of
+    31.  ``uint64`` arithmetic wraps modulo ``2**64``, a multiple of the
+    modulus, so the weighted sum is exact modulo ``2**32`` for any row.
+    """
+    terms = (rows.astype(np.uint64) + np.uint64(1)) * _digest_weights(rows.shape[1])
+    return (terms.sum(axis=1) % np.uint64(1 << _DIGEST_BITS)).tolist()
 
 
 class EncodedSearchSpace(abc.ABC):
@@ -50,50 +94,60 @@ class EncodedSearchSpace(abc.ABC):
       (:meth:`to_features`);
     * **decode** — turn genotypes into concrete architectures, once with the
       accuracy input shape and once with the performance input shape
-      (:meth:`decode_for_accuracy` / :meth:`decode_for_performance`);
+      (:meth:`decode_for_accuracy` / :meth:`decode_for_performance`, or
+      :meth:`decode_pool` for a whole candidate pool);
     * **partition legality** — describe which layer boundaries of a decoded
       architecture are cut-legal (:meth:`partition_graph`), so the
       partitioner never proposes a split that the workload's dataflow graph
       cannot express as a single-tensor transfer.
 
     ``space_name`` is the registry key the space answers to; decoded
-    architectures and candidate names carry it for provenance.
+    architectures and candidate names carry it for provenance (candidate
+    names start with :attr:`name_prefix` when a space sets one).
 
-    Subclasses must set four instance attributes in ``__init__`` —
+    Subclasses must set five instance attributes in ``__init__`` —
     ``self.encoding`` (the gene layout, one
-    :class:`~repro.nn.encoding.Gene` per decision variable) plus
+    :class:`~repro.nn.encoding.Gene` per decision variable),
+    ``self.num_classes`` (the classifier width) and
     ``self.accuracy_input_shape`` and ``self.performance_input_shape``
     (the channels-first input shapes :meth:`decode_for_accuracy` /
     :meth:`decode_for_performance` decode with) — and implement
-    :meth:`decode`, plus — when the unconstrained genotype space contains
-    invalid points — two hooks: :meth:`_satisfied` (the constraint rule)
-    and :meth:`_repair_in_place` (its repair).  Both receive an ``int64``
-    array the encoding has already validated.  The public :meth:`is_valid`
-    and :meth:`repair` validate their input once and call the hooks; every
-    space inherits them, and a subclass overriding either fails with
+    :meth:`_layer_stack`, plus — when the unconstrained genotype space
+    contains invalid points — two hooks: :meth:`_satisfied` (the constraint
+    rule) and :meth:`_repair_in_place` (its repair).  All three receive an
+    ``int64`` array the encoding has already validated.  The public
+    :meth:`is_valid`, :meth:`repair`, :meth:`decode` and
+    :meth:`candidate_name` validate their input once and call the hooks;
+    every space inherits them, and a subclass overriding one fails with
     ``TypeError`` when the class is created.  Sampling, batch sampling,
-    mutation-based neighbourhoods and the unit-cube projection all come for
-    free and behave identically across every space, which keeps strategies
-    space-agnostic.
+    mutation-based neighbourhoods, decoding and the unit-cube projection
+    all come for free and behave identically across every space, which
+    keeps strategies space-agnostic.
     """
 
     #: Registry key and display name of the space.
     space_name: str = "custom"
 
+    #: Prefix of candidate names; ``None`` uses :attr:`space_name`.
+    name_prefix: Optional[str] = None
+
     #: Required instance attributes (set them in ``__init__``).
     encoding: EncodingScheme
+    num_classes: int
     accuracy_input_shape: Tuple[int, ...]
     performance_input_shape: Tuple[int, ...]
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        overridden = [name for name in ("is_valid", "repair") if name in vars(cls)]
+        overridden = [name for name in _SEALED_METHODS if name in vars(cls)]
         if overridden:
             raise TypeError(
                 f"{cls.__name__} overrides {' and '.join(overridden)}; an "
                 "EncodedSearchSpace implements its constraint as "
-                "_satisfied(arr) and its repair as _repair_in_place(arr, rng), "
-                "and inherits the validating public methods"
+                "_satisfied(arr), its repair as _repair_in_place(arr, rng) and "
+                "its layers as _layer_stack(arr, num_classes), names its "
+                "candidates through name_prefix, and inherits the validating "
+                "public methods"
             )
 
     # ------------------------------------------------------------------ encoding
@@ -174,6 +228,24 @@ class EncodedSearchSpace(abc.ABC):
 
     # ------------------------------------------------------------------ decoding
     @abc.abstractmethod
+    def _layer_stack(
+        self, arr: np.ndarray, num_classes: int
+    ) -> Tuple[List[LayerSpec], Tuple[SkipEdge, ...]]:
+        """The layers and skip edges a validated, valid genotype encodes.
+
+        ``arr`` holds gene indices in encoding order; the stack does not
+        depend on the input shape, so one stack serves both decodes.
+        """
+
+    def _checked(self, indices: Sequence[int]) -> np.ndarray:
+        """A validated genotype that meets the constraints (``ValueError`` otherwise)."""
+        arr = self.encoding.validate_indices(indices)
+        if not self._satisfied(arr):
+            raise ValueError(
+                "genotype violates the search-space constraints; call repair() first"
+            )
+        return arr
+
     def decode(
         self,
         indices: Sequence[int],
@@ -181,7 +253,56 @@ class EncodedSearchSpace(abc.ABC):
         num_classes: Optional[int] = None,
         name: Optional[str] = None,
     ) -> Architecture:
-        """Decode a genotype into a concrete :class:`Architecture`."""
+        """Decode a genotype into a concrete :class:`Architecture`.
+
+        Parameters
+        ----------
+        indices:
+            Valid genotype (use :meth:`repair` beforehand if necessary);
+            ``ValueError`` for a malformed or constraint-violating one.
+        input_shape:
+            Channels-first input shape; defaults to the accuracy input shape.
+        num_classes:
+            Classifier width; defaults to the space's ``num_classes``.
+        name:
+            Architecture name; defaults to :meth:`candidate_name`.
+        """
+        arr = self._checked(indices)
+        num_classes = int(num_classes if num_classes is not None else self.num_classes)
+        layers, skip_edges = self._layer_stack(arr, num_classes)
+        return Architecture(
+            name or self._names(arr[None, :])[0],
+            tuple(input_shape or self.accuracy_input_shape),
+            layers,
+            skip_edges=skip_edges,
+        )
+
+    def decode_pool(self, genotypes: Sequence[Sequence[int]]) -> DecodedPool:
+        """Decode a candidate pool in both input shapes.
+
+        The pool is validated as one array; a bad row raises the
+        ``ValueError`` :meth:`decode` raises for it (the first bad row's,
+        in pool order).  Each genotype's name and layer stack are built
+        once, and its two architectures share them: they differ only in
+        the input shape.  Equal to :meth:`decode_for_accuracy` and
+        :meth:`decode_for_performance` of every row.
+        """
+        rows = self.encoding.validate_pool(genotypes)
+        if not all(map(self._satisfied, rows)):
+            for row in rows:
+                self._checked(row)
+        accuracy: List[Architecture] = []
+        performance: List[Architecture] = []
+        for row, name in zip(rows, self._names(rows)):
+            layers, skip_edges = self._layer_stack(row, self.num_classes)
+            architecture = Architecture(
+                name, self.accuracy_input_shape, layers, skip_edges=skip_edges
+            )
+            accuracy.append(architecture)
+            performance.append(
+                architecture.with_input_shape(self.performance_input_shape)
+            )
+        return DecodedPool(rows, accuracy, performance)
 
     def decode_for_accuracy(
         self, indices: Sequence[int], name: Optional[str] = None
@@ -216,15 +337,18 @@ class EncodedSearchSpace(abc.ABC):
         Shared by every space's :meth:`candidate_name`, so candidate naming
         can only change for all spaces at once.
         """
-        digest = 0
-        for value in np.asarray(indices, dtype=int):
-            digest = (digest * 31 + int(value) + 1) % (16 ** 8)
-        return f"{digest:08x}"
+        row = np.asarray(indices, dtype=np.int64).reshape(1, -1)
+        return f"{_digests(row)[0]:08x}"
+
+    def _names(self, rows: np.ndarray) -> List[str]:
+        """:meth:`candidate_name` of every row of a validated pool."""
+        prefix = self.name_prefix or self.space_name
+        return [f"{prefix}-{digest:08x}" for digest in _digests(rows)]
 
     def candidate_name(self, indices: Sequence[int]) -> str:
-        """Deterministic short name for a genotype."""
+        """Deterministic short name for a genotype: prefix and digest."""
         arr = self.encoding.validate_indices(indices)
-        return f"{self.space_name}-{self.genotype_digest(arr)}"
+        return self._names(arr[None, :])[0]
 
     def describe(self) -> str:
         """Human-readable description of the space."""

@@ -17,8 +17,8 @@ def require_positive(value: float, name: str) -> float:
 
 
 def require_non_negative(value: float, name: str) -> float:
-    """Raise ``ValueError`` unless ``value`` is >= 0."""
-    if value < 0:
+    """Raise ``ValueError`` unless ``value`` is >= 0 (NaN is not)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 

@@ -16,7 +16,9 @@ property tests compare them with, draw for draw:
 It also keeps the mutation :meth:`repro.nn.encoding.EncodingScheme.mutate`
 replaced, :func:`mutate`: each resampled gene draws with ``rng.choice``
 over a rebuilt list of its other choices, where the library draws one
-integer and skips the current index.
+integer and skips the current index; and the genotype digest
+:meth:`repro.nn.spaces.EncodedSearchSpace.genotype_digest` computes for a
+whole pool at once, :func:`digest`: a fold over the genotype's values.
 """
 
 from __future__ import annotations
@@ -107,3 +109,11 @@ def mutate(
 def _resample_gene(current: int, cardinality: int, rng: np.random.Generator) -> int:
     options = [i for i in range(cardinality) if i != current]
     return int(rng.choice(options))
+
+
+def digest(indices: Sequence[int]) -> str:
+    """The 8-hex-digit genotype digest, folded one value at a time."""
+    value = 0
+    for index in indices:
+        value = (value * 31 + int(index) + 1) % (16 ** 8)
+    return f"{value:08x}"

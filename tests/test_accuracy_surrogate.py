@@ -61,6 +61,8 @@ class TestSurrogateTrends:
             AccuracySurrogate(floor=50.0, ceiling=40.0)
         with pytest.raises(ValueError):
             AccuracySurrogate(noise_std=-1.0)
+        with pytest.raises(ValueError, match="noise_std"):
+            AccuracySurrogate(noise_std=float("nan"))
 
     def test_search_space_errors_span_a_useful_range(self, search_space):
         """Errors over the space must straddle the Fig. 7 criteria (20/25 %)."""

@@ -169,6 +169,38 @@ class TestRunStore:
         assert store.skipped_lines()["corrupt_lines"] == 4
         assert fsck_store(directory)["corrupt"] == 4
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"fingerprint": "a", "outcome": [1]}\n',
+            b'{"fingerprint": "a", "outcome": {"request": 5}}\n',
+            b'{"fingerprint": "a"}\n',
+            b'{"outcome": {}}\n',
+        ],
+        ids=["outcome-list", "request-number", "no-outcome", "no-fingerprint"],
+    )
+    def test_objects_without_the_record_shape_are_corrupt_to_scan_and_fsck(
+        self, tmp_path, line
+    ):
+        """The scan and fsck share one check: a record is an object with a
+        fingerprint, an object outcome and, when present, an object request."""
+        directory = tmp_path / "store"
+        lines = _legacy_lines()
+        shard = directory / "shards" / "x.jsonl"
+        shard.parent.mkdir(parents=True)
+        shard.write_bytes(lines[0] + line + lines[2])
+        store = open_store(directory)
+        assert store.fingerprints() == [
+            json.loads(lines[0])["fingerprint"], json.loads(lines[2])["fingerprint"]
+        ]
+        assert store.skipped_lines()["corrupt_lines"] == 1
+        report = fsck_store(directory)
+        assert (report["corrupt"], report["clean"]) == (1, False)
+        repaired = fsck_store(directory, repair=True)
+        assert repaired["quarantined_lines"] == 1
+        assert shard.read_bytes() == lines[0] + lines[2]
+        assert fsck_store(directory)["clean"]
+
     def test_outcomes_stream_in_append_order(self, tmp_path):
         store = RunStore(tmp_path / "store")
         expected = []

@@ -723,6 +723,25 @@ class TestAuditStreaming:
         assert audit["dead_lettered"] == [buried]
         assert RunStore(store_dir).summary()["audit"] == audit
 
+    def test_store_audit_summary_applies_the_final_failure_rule(self, tmp_path):
+        """A re-admitted cell is pending until a record of its new life is
+        final, and a burial fails a cell even without an audit record."""
+        store_dir = tmp_path / "store"
+        fingerprint = _bury(store_dir, _request())
+        DeadLetterQueue(store_dir).readmit(fingerprint)
+        store = RunStore(store_dir)
+        assert store.audit_summary()["failed_cells"] == []
+        (buried,) = store.audit_records()
+        retry = buried.replace(attempt=1, final=False, time_s=time.time() + 1.0)
+        store.record_error(retry)
+        assert store.audit_summary()["failed_cells"] == []
+        store.record_error(retry.replace(final=True, time_s=retry.time_s + 1.0))
+        assert store.audit_summary()["failed_cells"] == [fingerprint]
+        DeadLetterQueue(store_dir).bury("unexplained", reason="operator")
+        audit = store.audit_summary()
+        assert audit["failed_cells"] == sorted([fingerprint, "unexplained"])
+        assert audit["dead_lettered"] == ["unexplained"]
+
     def test_unknown_future_code_is_preserved_not_dropped(self):
         payload = _envelope().to_dict()
         payload["code"] = "E_QUANTUM_DECAY"

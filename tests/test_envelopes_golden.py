@@ -126,3 +126,14 @@ def test_batch_size_round_trips_and_validates():
     assert rewritten.fingerprint() == request.fingerprint()
     with pytest.raises(ValueError):
         request.replace(batch_size=0)
+
+
+@pytest.mark.parametrize("value", [-0.1, float("nan")])
+def test_predictor_noise_std_is_validated_when_built_and_loaded(value):
+    request = SearchRequest.from_dict(golden_entries()[0]["request"])
+    with pytest.raises(ValueError, match="predictor_noise_std"):
+        request.replace(predictor_noise_std=value)
+    payload = request.to_dict()
+    payload["predictor_noise_std"] = value
+    with pytest.raises(ValueError, match="predictor_noise_std"):
+        SearchRequest.from_dict(payload)

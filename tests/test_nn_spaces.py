@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,9 @@ from repro.nn.spaces import DEFAULT_SEARCH_SPACE, EncodedSearchSpace
 from repro.utils.rng import ensure_rng
 
 BUILTIN_SPACES = ("lens-vgg", "resnet-v1", "seq-conv1d")
+
+#: A store written by an earlier version (``tests/test_campaign_store.py``).
+LEGACY_STORE = Path(__file__).parent / "data" / "legacy_store"
 
 
 class TestRegistry:
@@ -404,6 +410,24 @@ def test_property_mutate_draws_the_list_choice_stream(name, probability, seed):
         genotype = mutated
 
 
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.integers(-(2**40), 2**40), max_size=40))
+def test_property_genotype_digest_matches_the_scalar_fold(values):
+    assert EncodedSearchSpace.genotype_digest(values) == oracle.digest(values)
+
+
+@pytest.mark.parametrize("line", range(3))
+def test_candidate_names_match_the_names_stored_in_the_legacy_store(line):
+    """Names are persisted: stored candidates must keep theirs."""
+    record = json.loads((LEGACY_STORE / "runs.jsonl").read_bytes().splitlines()[line])
+    space = SEARCH_SPACES.create(record["outcome"]["request"]["search_space"])
+    candidates = record["outcome"]["candidates"]
+    genotypes = [candidate["genotype"] for candidate in candidates]
+    names = [candidate["architecture_name"] for candidate in candidates]
+    assert [space.candidate_name(g) for g in genotypes] == names
+    assert [a.name for a in space.decode_pool(genotypes).performance] == names
+
+
 class TestRepairContract:
     class BrokenRepairSpace(LensSearchSpace):
         """A lens-vgg space whose repair forgets to repair."""
@@ -431,7 +455,7 @@ class TestRepairContract:
         with pytest.raises(ValueError, match="left the genotype invalid"):
             space.neighbours(genotype, 50, ensure_rng(0))
 
-    @pytest.mark.parametrize("method", ["is_valid", "repair"])
+    @pytest.mark.parametrize("method", ["is_valid", "repair", "decode", "candidate_name"])
     def test_overriding_the_public_methods_fails_at_class_creation(self, method):
         with pytest.raises(TypeError, match=r"_satisfied\(arr\).*_repair_in_place\(arr, rng\)"):
             type("LegacySpace", (LensSearchSpace,), {method: lambda self, *args: True})

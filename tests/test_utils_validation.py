@@ -26,6 +26,8 @@ def test_require_non_negative():
     assert require_non_negative(0, "x") == 0
     with pytest.raises(ValueError):
         require_non_negative(-1e-9, "x")
+    with pytest.raises(ValueError, match="x must be non-negative, got nan"):
+        require_non_negative(float("nan"), "x")
 
 
 def test_require_between():
