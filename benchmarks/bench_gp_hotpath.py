@@ -41,7 +41,6 @@ from oracles import front_history as front_history_oracle
 
 from repro.optim.gp import GaussianProcess
 from repro.optim.gp_bank import GPBank
-from repro.optim.kernels import Matern52Kernel
 from repro.optim.pareto import (
     _pareto_front_mask_reference,
     compute_front_history,
@@ -77,10 +76,6 @@ FRONT_HISTORY_EVALUATIONS = NUM_INITIAL + SEARCH_EVALUATIONS
 _LENGTHSCALE = 0.5 * float(np.sqrt(FEATURE_DIM))
 
 
-def _kernel() -> Matern52Kernel:
-    return Matern52Kernel(lengthscale=_LENGTHSCALE)
-
-
 def _surrogate_stream(total: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(total, FEATURE_DIM))
@@ -95,7 +90,7 @@ def _replay_bank(X: np.ndarray, Y: np.ndarray, cold: bool = False, health=None) 
     Each step conditions on the whole prefix with ``GPBank.update`` (the
     incremental path) or, with ``cold=True``, refits it with ``GPBank.fit``.
     """
-    bank = GPBank(NUM_OBJECTIVES, kernel=_kernel(), health=health)
+    bank = GPBank(NUM_OBJECTIVES, lengthscale=_LENGTHSCALE, health=health)
     condition = bank.fit if cold else bank.update
     elapsed = 0.0
     for n in range(NUM_INITIAL, X.shape[0] + 1):
@@ -114,7 +109,7 @@ def _replay_legacy(X: np.ndarray, Y: np.ndarray) -> tuple:
         Y_norm, _, _ = normalize_objectives(Y[:n])
         start = time.perf_counter()
         models = [
-            GaussianProcess(kernel=_kernel()).fit(X[:n], Y_norm[:, k])
+            GaussianProcess(lengthscale=_LENGTHSCALE).fit(X[:n], Y_norm[:, k])
             for k in range(NUM_OBJECTIVES)
         ]
         elapsed += time.perf_counter() - start

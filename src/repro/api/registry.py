@@ -187,7 +187,7 @@ ACQUISITIONS = Registry(
     "acquisition",
     {
         "ts": "Thompson sampling (one joint posterior draw per objective)",
-        "ucb": "lower-confidence-bound scores (mean - beta * std)",
+        "ucb": "lower-confidence-bound scores (mean - 2 * std)",
         "mean": "posterior-mean exploitation",
         "random": "uniform-random scores (ablation baseline)",
         "epdc": "expected Pareto distance change (front-aware, q-batch capable)",

@@ -474,7 +474,6 @@ def run_search(
         recorder = CheckpointRecorder(
             cell_dir,
             fingerprint=fingerprint,
-            feature_fn=context.evaluator.feature_fn,
             objectives_fn=lambda ev: [ev.metric(m) for m in OBJECTIVES],
             every=checkpoint_every,
             health=health,

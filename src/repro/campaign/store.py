@@ -130,19 +130,32 @@ def _parse_record(raw: bytes) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """One store line as ``(record, index summary)``.
 
     Raises ``ValueError`` or ``TypeError`` unless the line is a record: a
-    JSON object with a ``fingerprint``, an object ``outcome`` and, when the
-    outcome carries one, an object ``request``, from which the index summary
-    derives.  The store scan and :func:`fsck_store` share this check, so a
-    line fsck keeps is one the scan serves, and every other line is corrupt
-    to both.
+    JSON object with a ``fingerprint`` and an object ``outcome`` holding the
+    ``request`` and ``scenario`` objects that
+    :meth:`~repro.api.envelopes.SearchOutcome.from_dict` reads without a
+    default, whose index summary names its scenario, strategy and search
+    space with strings.  The store scan and :func:`fsck_store` share this
+    check, so a line fsck keeps is one the scan serves, and every other line
+    is corrupt to both.
     """
     record = json.loads(raw.decode("utf-8"))
     if not isinstance(record, dict) or "fingerprint" not in record:
         raise ValueError("not a store record: no fingerprint")
     outcome = record.get("outcome")
-    if not isinstance(outcome, dict) or not isinstance(outcome.get("request", {}), dict):
-        raise ValueError("not a store record: its outcome or request is not an object")
-    return record, _record_summary(record)
+    if not isinstance(outcome, dict) or not all(
+        isinstance(outcome.get(key), dict) for key in ("request", "scenario")
+    ):
+        raise ValueError(
+            "not a store record: its outcome lacks a request or scenario object"
+        )
+    summary = _record_summary(record)
+    if not all(
+        isinstance(summary[key], str) for key in ("scenario", "strategy", "search_space")
+    ):
+        raise ValueError(
+            "not a store record: its scenario, strategy or search space is not a string"
+        )
+    return record, summary
 
 
 def _record_summary(record: Dict[str, Any]) -> Dict[str, Any]:

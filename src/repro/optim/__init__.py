@@ -2,11 +2,8 @@
 
 from repro.optim.acquisition import (
     ACQUISITION_STRATEGIES,
+    UCB_BETA,
     acquisition_scores,
-    expected_improvement,
-    lcb_scores,
-    mean_scores,
-    thompson_scores,
 )
 from repro.optim.epdc import (
     DEFAULT_BATCH_PENALTY,
@@ -16,15 +13,13 @@ from repro.optim.epdc import (
     pareto_distance_contributions,
     select_batch,
 )
-from repro.optim.gp import GaussianProcess
-from repro.optim.gp_bank import GPBank
-from repro.optim.kernels import (
-    Kernel,
-    Matern52Kernel,
-    RBFKernel,
+from repro.optim.gp import (
+    LENGTHSCALE_GRID,
+    GaussianProcess,
+    matern52,
     pairwise_distances,
-    pairwise_scaled_distances,
 )
+from repro.optim.gp_bank import GPBank
 from repro.optim.mobo import (
     MultiObjectiveBayesianOptimizer,
     ObservedPoint,
@@ -56,18 +51,13 @@ from repro.optim.scalarization import (
 
 __all__ = [
     "ACQUISITION_STRATEGIES",
+    "UCB_BETA",
     "acquisition_scores",
-    "expected_improvement",
-    "lcb_scores",
-    "mean_scores",
-    "thompson_scores",
+    "LENGTHSCALE_GRID",
     "GaussianProcess",
     "GPBank",
-    "Kernel",
-    "Matern52Kernel",
-    "RBFKernel",
+    "matern52",
     "pairwise_distances",
-    "pairwise_scaled_distances",
     "MultiObjectiveBayesianOptimizer",
     "ObservedPoint",
     "OptimizationResult",

@@ -9,8 +9,7 @@ scalarises the per-objective scores and picks the pool member with the best
 
 All objectives are minimised, so *lower scores are better* for every strategy.
 
-Every strategy accepts either a plain sequence of per-objective
-:class:`~repro.optim.gp.GaussianProcess` models or a
+Every strategy scores the pool through the search's
 :class:`~repro.optim.gp_bank.GPBank`.  With a homogeneous bank the expensive
 shared pieces — the pool cross-covariance, the triangular solve and (for
 Thompson sampling) the posterior covariance factor — are computed once for
@@ -20,115 +19,42 @@ half of the incremental surrogate fast path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.optim.gp import GaussianProcess
+from repro.optim.epdc import epdc_score_matrix
 from repro.optim.gp_bank import GPBank
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.validation import require_non_negative
 
 #: Acquisition strategy names accepted by the optimizers.
 ACQUISITION_STRATEGIES = ("ts", "ucb", "mean", "random", "epdc")
 
-#: Either a bank or a plain per-objective model sequence.
-Models = Union[Sequence[GaussianProcess], GPBank]
-
-
-def thompson_scores(
-    models: Models,
-    pool_features: np.ndarray,
-    rng: SeedLike = None,
-) -> np.ndarray:
-    """Thompson-sampling scores: one joint posterior draw per objective.
-
-    Returns an ``(n_pool, n_objectives)`` matrix of sampled objective values.
-    Minimising a scalarisation of these samples implements multi-objective
-    Thompson sampling, the strategy Dragonfly uses by default.
-    """
-    rng = ensure_rng(rng)
-    pool_features = np.atleast_2d(np.asarray(pool_features, dtype=float))
-    if isinstance(models, GPBank):
-        return models.thompson_matrix(pool_features, rng=rng)
-    columns: List[np.ndarray] = []
-    for model in models:
-        sample = model.sample_posterior(pool_features, rng=rng, num_samples=1)[0]
-        columns.append(sample)
-    return np.column_stack(columns)
-
-
-def lcb_scores(
-    models: Models,
-    pool_features: np.ndarray,
-    beta: float = 2.0,
-) -> np.ndarray:
-    """Lower-confidence-bound scores ``mean - beta * std`` per objective.
-
-    Optimistic under minimisation: points with low predicted mean or high
-    uncertainty receive low (attractive) scores.
-    """
-    require_non_negative(beta, "beta")
-    pool_features = np.atleast_2d(np.asarray(pool_features, dtype=float))
-    if isinstance(models, GPBank):
-        mean, std = models.predict(pool_features, return_std=True)
-        return mean - beta * std
-    columns: List[np.ndarray] = []
-    for model in models:
-        mean, std = model.predict(pool_features, return_std=True)
-        columns.append(mean - beta * std)
-    return np.column_stack(columns)
-
-
-def mean_scores(models: Models, pool_features: np.ndarray) -> np.ndarray:
-    """Pure-exploitation scores: the posterior means."""
-    pool_features = np.atleast_2d(np.asarray(pool_features, dtype=float))
-    if isinstance(models, GPBank):
-        mean, _ = models.predict(pool_features, return_std=False)
-        return mean
-    columns: List[np.ndarray] = []
-    for model in models:
-        mean, _ = model.predict(pool_features, return_std=False)
-        columns.append(mean)
-    return np.column_stack(columns)
-
-
-def expected_improvement(
-    model: GaussianProcess,
-    pool_features: np.ndarray,
-    best_observed: float,
-) -> np.ndarray:
-    """Single-objective expected improvement (for minimisation).
-
-    Provided for the single-objective ablations; returns *negative* EI so the
-    convention "lower score is better" holds for every strategy.
-    """
-    from scipy.stats import norm
-
-    pool_features = np.atleast_2d(np.asarray(pool_features, dtype=float))
-    mean, std = model.predict(pool_features, return_std=True)
-    std = np.maximum(std, 1e-12)
-    improvement = best_observed - mean
-    z = improvement / std
-    ei = improvement * norm.cdf(z) + std * norm.pdf(z)
-    return -np.maximum(ei, 0.0)
+#: Exploration weight of the ``"ucb"`` acquisition.
+UCB_BETA = 2.0
 
 
 def acquisition_scores(
     strategy: str,
-    models: Models,
+    bank: GPBank,
     pool_features: np.ndarray,
     rng: SeedLike = None,
-    beta: float = 2.0,
     front: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Dispatch to the requested acquisition strategy.
+    """Score a candidate pool with the requested acquisition strategy.
 
-    ``"random"`` returns i.i.d. uniform scores, yielding random search with
-    the same bookkeeping as the model-based strategies (useful as a baseline).
-    ``"epdc"`` (see :mod:`repro.optim.epdc`) additionally requires ``front``
-    — the current non-dominated objective vectors, in the *normalised*
-    units the surrogates were fit on.
+    Returns an ``(n_pool, n_objectives)`` matrix, lower is better:
+
+    * ``"ts"`` — Thompson sampling, one joint posterior draw per objective
+      (the strategy Dragonfly uses by default);
+    * ``"ucb"`` — lower confidence bounds ``mean - UCB_BETA * std``,
+      optimistic under minimisation;
+    * ``"mean"`` — the posterior means (pure exploitation);
+    * ``"random"`` — i.i.d. uniform scores, yielding random search with the
+      same bookkeeping as the model-based strategies (a baseline);
+    * ``"epdc"`` (see :mod:`repro.optim.epdc`) — additionally requires
+      ``front``, the current non-dominated objective vectors in the
+      *normalised* units the surrogates were fit on.
     """
     strategy = strategy.strip().lower()
     if strategy not in ACQUISITION_STRATEGIES:
@@ -139,18 +65,18 @@ def acquisition_scores(
     pool_features = np.atleast_2d(np.asarray(pool_features, dtype=float))
     if strategy == "random":
         rng = ensure_rng(rng)
-        return rng.uniform(size=(pool_features.shape[0], len(models)))
+        return rng.uniform(size=(pool_features.shape[0], bank.num_objectives))
     if strategy == "ts":
-        return thompson_scores(models, pool_features, rng=rng)
+        return bank.thompson_matrix(pool_features, rng=rng)
     if strategy == "ucb":
-        return lcb_scores(models, pool_features, beta=beta)
+        mean, std = bank.predict(pool_features, return_std=True)
+        return mean - UCB_BETA * std
     if strategy == "epdc":
-        from repro.optim.epdc import epdc_score_matrix  # local: avoids a cycle
-
         if front is None:
             raise ValueError(
                 "the 'epdc' strategy needs the current Pareto front "
                 "(pass front=...)"
             )
-        return epdc_score_matrix(models, pool_features, front, rng=rng)
-    return mean_scores(models, pool_features)
+        return epdc_score_matrix(bank, pool_features, front, rng=rng)
+    mean, _ = bank.predict(pool_features, return_std=False)
+    return mean

@@ -13,9 +13,8 @@ Two pieces live here:
 
 * :func:`epdc_scores` — the front-aware acquisition value per pool
   candidate, computed from shared posterior draws
-  (:func:`~repro.optim.acquisition.thompson_scores`, so the
-  :class:`~repro.optim.gp_bank.GPBank` fast path is reused and bank-vs-list
-  parity carries over);
+  (:meth:`~repro.optim.gp_bank.GPBank.thompson_matrix`, so the bank's
+  shared-Cholesky fast path is reused);
 * :func:`select_batch` — greedy sequential selection of ``q`` diverse
   candidates per iteration: each pick pays a similar-design penalty against
   the already-selected set (squared-exponential in encoding space), so one
@@ -30,24 +29,24 @@ distances weigh every objective equally regardless of raw units.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.optim.acquisition import Models, thompson_scores
+from repro.optim.gp_bank import GPBank
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_positive
 
 #: Posterior draws per EPDC evaluation.  Each draw is one joint Thompson
-#: sample over the whole pool, so the cost is ``num_samples`` bank draws —
-#: cheap on the shared-Cholesky fast path.
+#: sample over the whole pool, so the cost is ``DEFAULT_EPDC_SAMPLES`` bank
+#: draws — cheap on the shared-Cholesky fast path.
 DEFAULT_EPDC_SAMPLES = 16
 
-#: Default similar-design penalty weight for :func:`select_batch`.  Tuned
-#: (with the lengthscale below) on seeded full-budget lens-vgg searches:
-#: half-weight penalties keep enough acquisition pressure that q-batches
-#: beat one-at-a-time Thompson sampling at equal budget, where a full-unit
-#: penalty over-diversifies (see ``benchmarks/bench_epdc.py``).
+#: Similar-design penalty weight of :func:`select_batch`.  Tuned (with its
+#: lengthscale, half the unit-cube diagonal) on seeded full-budget lens-vgg
+#: searches: half-weight penalties keep enough acquisition pressure that
+#: q-batches beat one-at-a-time Thompson sampling at equal budget, where a
+#: full-unit penalty over-diversifies (see ``benchmarks/bench_epdc.py``).
 DEFAULT_BATCH_PENALTY = 0.5
 
 
@@ -84,38 +83,33 @@ def pareto_distance_contributions(
 
 
 def epdc_scores(
-    models: Models,
+    bank: GPBank,
     pool_features: np.ndarray,
     front: np.ndarray,
     rng: SeedLike = None,
-    num_samples: int = DEFAULT_EPDC_SAMPLES,
 ) -> np.ndarray:
     """Expected Pareto Distance Change per pool candidate (*higher* is better).
 
-    Draws ``num_samples`` joint posterior samples over the pool (one
-    :func:`~repro.optim.acquisition.thompson_scores` call each, so
-    :class:`~repro.optim.gp_bank.GPBank` and per-model sequences give the
-    same decisions) and averages each candidate's
-    :func:`pareto_distance_contributions` against the current front.
-    Returns an ``(n_pool,)`` vector.
+    Draws :data:`DEFAULT_EPDC_SAMPLES` joint posterior samples over the pool
+    (one :meth:`~repro.optim.gp_bank.GPBank.thompson_matrix` call each) and
+    averages each candidate's :func:`pareto_distance_contributions` against
+    the current front.  Returns an ``(n_pool,)`` vector.
     """
-    require_positive(num_samples, "num_samples")
     rng = ensure_rng(rng)
     pool_features = np.atleast_2d(np.asarray(pool_features, dtype=float))
     front = np.atleast_2d(np.asarray(front, dtype=float))
     total = np.zeros(pool_features.shape[0])
-    for _ in range(num_samples):
-        sample = thompson_scores(models, pool_features, rng=rng)
+    for _ in range(DEFAULT_EPDC_SAMPLES):
+        sample = bank.thompson_matrix(pool_features, rng=rng)
         total += pareto_distance_contributions(sample, front)
-    return total / float(num_samples)
+    return total / float(DEFAULT_EPDC_SAMPLES)
 
 
 def epdc_score_matrix(
-    models: Models,
+    bank: GPBank,
     pool_features: np.ndarray,
     front: np.ndarray,
     rng: SeedLike = None,
-    num_samples: int = DEFAULT_EPDC_SAMPLES,
 ) -> np.ndarray:
     """EPDC as an ``(n_pool, k)`` *lower-is-better* score matrix.
 
@@ -125,31 +119,24 @@ def epdc_score_matrix(
     so the MOBO loop's ``argmin`` picks the candidate with the *largest*
     expected front movement without any special-casing downstream.
     """
-    scores = epdc_scores(
-        models, pool_features, front, rng=rng, num_samples=num_samples
-    )
-    front = np.atleast_2d(np.asarray(front, dtype=float))
-    num_objectives = front.shape[1] if front.size else len(models)
-    return np.tile(-scores[:, None], (1, num_objectives))
+    scores = epdc_scores(bank, pool_features, front, rng=rng)
+    return np.tile(-scores[:, None], (1, bank.num_objectives))
 
 
 def select_batch(
-    scores: np.ndarray,
-    features: np.ndarray,
-    batch_size: int,
-    lengthscale: Optional[float] = None,
-    penalty_weight: float = DEFAULT_BATCH_PENALTY,
+    scores: np.ndarray, features: np.ndarray, batch_size: int
 ) -> List[int]:
     """Greedy q-point selection: best scores, penalised for similar designs.
 
     ``scores`` are scalarised acquisition values (*lower* is better, the
-    MOBO loop's convention) and ``features`` the candidates' unit-cube
-    encodings.  Scores are normalised to a ``[0, 1]`` utility; each pick
-    takes the highest remaining utility minus a squared-exponential
+    MOBO loop's convention) and ``features`` the candidates' ``d``-dim
+    unit-cube encodings.  Scores are normalised to a ``[0, 1]`` utility;
+    each pick takes the highest remaining utility minus a squared-exponential
     similarity penalty against everything already selected
-    (``penalty_weight * exp(-d^2 / (2 * lengthscale^2))``), so the returned
-    batch trades pure acquisition value for coverage of the design space —
-    the q points one iteration sends through the batched evaluator.
+    (``DEFAULT_BATCH_PENALTY * exp(-dist^2 / (2 * l^2))`` with
+    ``l = 0.5 * sqrt(d)``), so the returned batch trades pure acquisition
+    value for coverage of the design space — the q points one iteration
+    sends through the batched evaluator.
 
     Returns ``min(batch_size, n)`` distinct indices, deterministically
     (ties break toward the lower index).
@@ -164,11 +151,10 @@ def select_batch(
         )
     if n == 0:
         return []
-    if lengthscale is None:
-        # Half of the typical unit-cube diameter: a broad repulsion field
-        # whose gentle slope (paired with the half-unit default penalty)
-        # nudges batches apart without drowning the acquisition signal.
-        lengthscale = 0.5 * float(np.sqrt(X.shape[1]))
+    # Half of the unit-cube diagonal: a broad repulsion field whose gentle
+    # slope (paired with the half-unit penalty) nudges batches apart without
+    # drowning the acquisition signal.
+    lengthscale = 0.5 * float(np.sqrt(X.shape[1]))
     span = scores.max() - scores.min()
     if span > 1e-12:
         utility = (scores.max() - scores) / span  # 1 = best score, 0 = worst
@@ -183,7 +169,7 @@ def select_batch(
         distances_sq = np.sum((X - last) ** 2, axis=1)
         penalty = np.maximum(
             penalty,
-            penalty_weight * np.exp(-distances_sq / (2.0 * lengthscale**2)),
+            DEFAULT_BATCH_PENALTY * np.exp(-distances_sq / (2.0 * lengthscale**2)),
         )
         adjusted = np.where(available, utility - penalty, -np.inf)
         selected.append(int(np.argmax(adjusted)))

@@ -6,7 +6,11 @@ evaluation, and an acquisition function built from the posteriors selects the
 next query point.  This module provides the exact-GP machinery: Cholesky
 based fitting, posterior mean/variance prediction, posterior function
 sampling (for Thompson-sampling acquisitions) and a light-weight grid search
-over kernel lengthscales driven by the log marginal likelihood.
+over the kernel lengthscale driven by the log marginal likelihood.
+
+The covariance is the unit-variance Matérn-5/2 kernel (Dragonfly's default
+family) over the unit-cube projection of the genotype (see
+:mod:`repro.nn.encoding`), with one scalar lengthscale.
 
 Two conditioning paths are provided:
 
@@ -24,16 +28,10 @@ O(N^3) on the incremental one (see ``benchmarks/bench_gp_hotpath.py``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.optim.kernels import (
-    Kernel,
-    Matern52Kernel,
-    pairwise_distances,
-    supports_distance_reuse,
-)
 from repro.resilience import faults
 from repro.resilience.health import HealthLog
 from repro.utils.rng import SeedLike, ensure_rng
@@ -49,6 +47,45 @@ JITTER_ESCALATION = 10.0
 #: and targets are standardised, so kernel diagonals are O(1): 1e-2 is the
 #: largest diagonal inflation that still leaves a meaningful posterior.
 MAX_JITTER = 1e-2
+
+#: Lengthscales tried by the marginal-likelihood refresh
+#: (:meth:`GaussianProcess.optimize_lengthscale`).  The genotype features
+#: live in the unit cube, so plausible lengthscales span about one order of
+#: magnitude.
+LENGTHSCALE_GRID = (0.1, 0.2, 0.3, 0.5, 0.8, 1.2, 2.0, 3.0)
+
+
+def pairwise_distances(
+    X1: np.ndarray, X2: np.ndarray, lengthscale: float = 1.0
+) -> np.ndarray:
+    """Euclidean distances between the rows of ``X1`` and ``X2`` in lengthscale units.
+
+    Points are divided by ``lengthscale`` before the distances are taken.
+    The lengthscale grid search instead rescales one unscaled matrix
+    (``pairwise_distances(X, X) / l``), so a single O(n^2 d) distance pass
+    serves every grid point and every member of a
+    :class:`~repro.optim.gp_bank.GPBank`.
+    """
+    A = np.atleast_2d(np.asarray(X1, dtype=float))
+    B = np.atleast_2d(np.asarray(X2, dtype=float))
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: X1 has {A.shape[1]} columns, X2 has {B.shape[1]}"
+        )
+    As = A / lengthscale
+    Bs = B / lengthscale
+    sq = (
+        np.sum(As**2, axis=1)[:, None]
+        + np.sum(Bs**2, axis=1)[None, :]
+        - 2.0 * As @ Bs.T
+    )
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def matern52(r: np.ndarray) -> np.ndarray:
+    """Unit-variance Matérn-5/2 covariance of lengthscale-scaled distances ``r``."""
+    sqrt5_r = np.sqrt(5.0) * r
+    return (1.0 + sqrt5_r + (5.0 / 3.0) * r**2) * np.exp(-sqrt5_r)
 
 
 def _checked_cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -129,17 +166,17 @@ _MIN_CAPACITY = 16
 
 
 class GaussianProcess:
-    """Exact GP regression with a fixed kernel and Gaussian observation noise.
+    """Exact GP regression with a Matérn-5/2 kernel and Gaussian observation noise.
+
+    Targets are standardised before fitting (the objective scales in this
+    library span micro-seconds to joules).
 
     Parameters
     ----------
-    kernel:
-        Covariance kernel; defaults to Matérn-5/2 with lengthscale 0.3.
+    lengthscale:
+        Scalar kernel lengthscale.
     noise_variance:
         Variance of the i.i.d. Gaussian observation noise.
-    normalize_y:
-        Whether to standardise targets before fitting (recommended; the
-        objective scales in this library span micro-seconds to joules).
     health:
         Optional :class:`~repro.resilience.health.HealthLog` receiving an
         ``H_JITTER_ESCALATED`` event whenever a factorisation only succeeds
@@ -149,15 +186,14 @@ class GaussianProcess:
 
     def __init__(
         self,
-        kernel: Optional[Kernel] = None,
+        lengthscale: float = 0.3,
         noise_variance: float = 1e-4,
-        normalize_y: bool = True,
         health: Optional[HealthLog] = None,
     ):
+        require_positive(lengthscale, "lengthscale")
         require_positive(noise_variance, "noise_variance")
-        self.kernel = kernel if kernel is not None else Matern52Kernel()
+        self.lengthscale = float(lengthscale)
         self.noise_variance = float(noise_variance)
-        self.normalize_y = bool(normalize_y)
         self.health = health
         self._X: Optional[np.ndarray] = None
         self._y_raw: Optional[np.ndarray] = None
@@ -172,6 +208,10 @@ class GaussianProcess:
         self._X_buf: Optional[np.ndarray] = None
         self._L_buf: Optional[np.ndarray] = None
         self._y_buf: Optional[np.ndarray] = None
+
+    def kernel(self, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+        """Covariance matrix between the rows of ``X1`` and ``X2``."""
+        return matern52(pairwise_distances(X1, X2, self.lengthscale))
 
     # ------------------------------------------------------------------ fitting
     @property
@@ -224,12 +264,9 @@ class GaussianProcess:
     def _refresh_target_normalization(self) -> None:
         """Recompute ``y_mean``/``y_std`` and the standardised targets."""
         y = self._y_raw
-        if self.normalize_y:
-            self._y_mean = float(y.mean())
-            std = float(y.std())
-            self._y_std = std if std > 1e-12 else 1.0
-        else:
-            self._y_mean, self._y_std = 0.0, 1.0
+        self._y_mean = float(y.mean())
+        std = float(y.std())
+        self._y_std = std if std > 1e-12 else 1.0
         self._y = (y - self._y_mean) / self._y_std
 
     def _recompute_alpha(self) -> None:
@@ -303,7 +340,7 @@ class GaussianProcess:
         """Replace the training targets without touching the kernel factor.
 
         The covariance (and its Cholesky factor) depends only on ``X`` and the
-        kernel hyperparameters, so retargeting — e.g. when the MOBO loop
+        lengthscale, so retargeting — e.g. when the MOBO loop
         re-normalises all objectives after each evaluation — only needs the
         normalisation statistics and ``alpha`` recomputed: O(n^2) instead of
         O(n^3).
@@ -368,7 +405,7 @@ class GaussianProcess:
         if not return_std:
             return mean, None
         v = triangular_solve(self._chol, Ks)
-        var = self.kernel.diag(Xs) - np.sum(v**2, axis=0)
+        var = 1.0 - np.sum(v**2, axis=0)
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
         return mean, std
@@ -383,24 +420,21 @@ class GaussianProcess:
         cov[np.diag_indices_from(cov)] = np.maximum(np.diag(cov), 1e-12)
         return cov * self._y_std**2
 
-    def sample_posterior(
-        self, Xs: np.ndarray, rng: SeedLike = None, num_samples: int = 1
-    ) -> np.ndarray:
-        """Draw joint posterior function samples at ``Xs``.
+    def sample_posterior(self, Xs: np.ndarray, rng: SeedLike = None) -> np.ndarray:
+        """Draw one joint posterior function sample at ``Xs``.
 
-        Returns an array of shape ``(num_samples, len(Xs))`` in original target
-        units.  Used by Thompson-sampling acquisitions.
+        Returns a ``(len(Xs),)`` vector in original target units: the
+        per-member Thompson draw of a heterogeneous
+        :class:`~repro.optim.gp_bank.GPBank`.
         """
-        if num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         rng = ensure_rng(rng)
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
         mean, _ = self.predict(Xs, return_std=False)
         cov = self.posterior_covariance(Xs)
         cov[np.diag_indices_from(cov)] += DEFAULT_JITTER * self._y_std**2
         chol = escalating_cholesky(cov, health=self.health, site="sample_posterior")
-        normals = rng.standard_normal((num_samples, Xs.shape[0]))
-        return mean[None, :] + normals @ chol.T
+        normals = rng.standard_normal((1, Xs.shape[0]))
+        return mean + (normals @ chol.T)[0]
 
     # ------------------------------------------------------------------ model selection
     def log_marginal_likelihood(self) -> float:
@@ -412,43 +446,30 @@ class GaussianProcess:
         constant = -0.5 * n * np.log(2.0 * np.pi)
         return data_fit + complexity + constant
 
-    def optimize_lengthscale(
-        self,
-        candidates: Sequence[float] = (0.1, 0.2, 0.3, 0.5, 0.8, 1.2, 2.0, 3.0),
-        _distances: Optional[np.ndarray] = None,
-    ) -> float:
-        """Grid-search the kernel lengthscale by maximising the marginal likelihood.
+    def optimize_lengthscale(self, _distances: Optional[np.ndarray] = None) -> float:
+        """Pick the :data:`LENGTHSCALE_GRID` lengthscale of highest marginal likelihood.
 
-        Leaves the GP fitted with the best lengthscale and returns it.  A
-        simple grid is sufficient here: the genotype features live in the unit
-        cube, so plausible lengthscales span roughly one order of magnitude.
-
-        For scalar lengthscales the unscaled pairwise distance matrix is
-        computed once (or taken from ``_distances``, letting a model bank
-        share it across objectives) and every grid point evaluates the kernel
-        as an elementwise rescale — one O(n^2 d) distance pass for the whole
-        grid instead of one per refit.  The winning grid iteration's factor is
-        kept directly, so no redundant final refit is performed.
+        Leaves the GP fitted with the best lengthscale and returns it.  The
+        unscaled pairwise distance matrix is computed once (or taken from
+        ``_distances``, letting a model bank share it across objectives) and
+        every grid point evaluates the kernel as an elementwise rescale — one
+        O(n^2 d) distance pass for the whole grid instead of one per refit.
+        The winning grid iteration's factor is kept directly, so no redundant
+        final refit is performed.
         """
         self._require_fitted()
         X, y = self._X, self._y_raw
-        r0: Optional[np.ndarray] = None
-        if supports_distance_reuse(self.kernel):
-            r0 = pairwise_distances(X, X) if _distances is None else _distances
+        r0 = pairwise_distances(X, X) if _distances is None else _distances
         best_score = -np.inf
         best_state = None
-        for lengthscale in candidates:
-            self.kernel = self.kernel.with_params(lengthscale=lengthscale)
-            if r0 is not None:
-                K = self.kernel.from_scaled_distances(r0 / float(lengthscale))
-                self._fit_with_kernel_matrix(X, y, K)
-            else:
-                self.fit(X, y)
+        for lengthscale in LENGTHSCALE_GRID:
+            self.lengthscale = lengthscale
+            self._fit_with_kernel_matrix(X, y, matern52(r0 / lengthscale))
             score = self.log_marginal_likelihood()
             if score > best_score:
                 best_score = score
                 best_state = (
-                    float(lengthscale),
+                    lengthscale,
                     self._chol,
                     self._alpha,
                     self._y,
@@ -458,12 +479,12 @@ class GaussianProcess:
         # Restore the winning iteration's factor instead of refitting it: the
         # grid already paid for that factorisation.
         lengthscale, chol, alpha, y_norm, y_mean, y_std = best_state
-        self.kernel = self.kernel.with_params(lengthscale=lengthscale)
+        self.lengthscale = lengthscale
         self._chol = chol
         self._alpha = alpha
         self._y = y_norm
         self._y_mean, self._y_std = y_mean, y_std
-        return float(lengthscale)
+        return lengthscale
 
     def _require_fitted(self) -> None:
         if not self.is_fitted:

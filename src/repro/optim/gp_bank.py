@@ -2,7 +2,7 @@
 
 The MOBO loop (paper Algorithm 2) maintains one GP surrogate per objective.
 All of them condition on the *same* feature matrix with the *same* kernel
-hyperparameters — only the targets differ — so the kernel matrix, its
+lengthscale — only the targets differ — so the kernel matrix, its
 Cholesky factor and the cross-covariance against a candidate pool are
 identical across objectives.  :class:`GPBank` computes those shared pieces
 once and reuses them for fitting, prediction and acquisition scoring:
@@ -10,14 +10,14 @@ once and reuses them for fitting, prediction and acquisition scoring:
 * **fit** — one kernel matrix + one O(n^3) factorisation for all ``k``
   objectives (the factor is *adopted* by every member model); per-objective
   work is only the O(n^2) ``alpha`` solves;
-* **extend** — one rank-1/block Cholesky append per new observation
+* **update** — one rank-1/block Cholesky append per new observation
   (O(n^2)), again shared across objectives;
 * **predict / Thompson sampling** — the candidate cross-covariance ``Ks``,
   the triangular solve ``v = L^-1 Ks`` and (for sampling) the posterior
   covariance factor are computed once; per-objective means/samples are cheap
   mat-vecs against each model's ``alpha`` plus a rescale by its target std.
 
-When per-objective lengthscale refreshes diverge the hyperparameters
+When per-objective lengthscale refreshes diverge the lengthscales
 (:meth:`refresh_lengthscales`), the bank transparently falls back to
 per-model computation for that generation and re-homogenises on the next
 :meth:`update`.
@@ -25,7 +25,7 @@ per-model computation for that generation and re-homogenises on the next
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,13 +33,8 @@ from repro.optim.gp import (
     DEFAULT_JITTER,
     GaussianProcess,
     escalating_cholesky,
-    triangular_solve,
-)
-from repro.optim.kernels import (
-    Kernel,
-    Matern52Kernel,
     pairwise_distances,
-    supports_distance_reuse,
+    triangular_solve,
 )
 from repro.resilience.health import HealthLog
 from repro.utils.rng import SeedLike, ensure_rng
@@ -50,16 +45,16 @@ MAX_FALLBACK_NOISE = 1.0
 
 
 class GPBank:
-    """A bank of ``k`` exact GPs sharing features and kernel hyperparameters.
+    """A bank of ``k`` exact Matérn-5/2 GPs sharing features and lengthscale.
 
     Parameters
     ----------
     num_objectives:
         Number of member models (one per objective).
-    kernel:
-        Shared base kernel; defaults to Matérn-5/2.  Each member holds the
-        same hyperparameters until :meth:`refresh_lengthscales` diverges them.
-    noise_variance / normalize_y:
+    lengthscale:
+        Shared base lengthscale.  Every member holds it until
+        :meth:`refresh_lengthscales` diverges them.
+    noise_variance:
         Forwarded to every member :class:`GaussianProcess`.
     health:
         Optional :class:`~repro.resilience.health.HealthLog` (shared with
@@ -74,35 +69,23 @@ class GPBank:
     def __init__(
         self,
         num_objectives: int,
-        kernel: Optional[Kernel] = None,
+        lengthscale: float = 0.3,
         noise_variance: float = 1e-4,
-        normalize_y: bool = True,
         health: Optional[HealthLog] = None,
     ):
         if num_objectives < 1:
             raise ValueError(f"num_objectives must be >= 1, got {num_objectives}")
         self.num_objectives = int(num_objectives)
-        self.base_kernel = kernel if kernel is not None else Matern52Kernel()
+        self.lengthscale = float(lengthscale)
         self.health = health
         self.models: List[GaussianProcess] = [
-            GaussianProcess(
-                kernel=self.base_kernel,
-                noise_variance=noise_variance,
-                normalize_y=normalize_y,
-                health=health,
-            )
+            GaussianProcess(self.lengthscale, noise_variance, health)
             for _ in range(self.num_objectives)
         ]
-        #: False after a lengthscale refresh diverged the member kernels.
+        #: False after a lengthscale refresh diverged the member lengthscales.
         self._homogeneous = True
 
     # ------------------------------------------------------------------ protocol
-    def __len__(self) -> int:
-        return self.num_objectives
-
-    def __iter__(self) -> Iterator[GaussianProcess]:
-        return iter(self.models)
-
     @property
     def is_fitted(self) -> bool:
         return self.models[0].is_fitted
@@ -113,7 +96,7 @@ class GPBank:
 
     @property
     def homogeneous(self) -> bool:
-        """Whether all member models currently share kernel hyperparameters."""
+        """Whether all member models currently share one lengthscale."""
         return self._homogeneous
 
     def _validate_targets(self, Y: np.ndarray, rows: int) -> np.ndarray:
@@ -133,11 +116,11 @@ class GPBank:
         if X.shape[0] < 1:
             raise ValueError("at least one observation is required")
         for model in self.models:
-            model.kernel = self.base_kernel
+            model.lengthscale = self.lengthscale
         leader = self.models[0]
         # retarget=False: the batched set_targets below computes every
         # member's normalisation and alpha (the leader's included) together.
-        K = self.base_kernel(X, X)
+        K = leader.kernel(X, X)
         leader._fit_with_kernel_matrix(X, Y[:, 0].copy(), K, retarget=False)
         for k, model in enumerate(self.models[1:], start=1):
             self._adopt_factor(model, leader, Y[:, k], retarget=False)
@@ -169,33 +152,6 @@ class GPBank:
         if retarget:
             model._refresh_target_normalization()
             model._recompute_alpha()
-
-    def extend(self, x_new: np.ndarray, Y_new: np.ndarray) -> "GPBank":
-        """Append observations: one shared block-Cholesky append, ``k`` retargets."""
-        if not self.is_fitted:
-            return self.fit(x_new, Y_new)
-        x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-        Y_new = self._validate_targets(Y_new, x_new.shape[0])
-
-        def stacked():
-            X = np.vstack([self.models[0]._X, x_new])
-            Y_old = np.column_stack([m._y_raw for m in self.models])
-            return X, np.vstack([Y_old, Y_new])
-
-        if not self._homogeneous:
-            return self._fit_resilient(*stacked())
-        leader = self.models[0]
-        try:
-            leader.extend(x_new, Y_new[:, 0])
-        except np.linalg.LinAlgError:
-            # The append failed before any buffer write, so the stacked
-            # history is still reconstructible from the members.
-            self._record_exact_refit("extend")
-            return self._fit_resilient(*stacked())
-        for k, model in enumerate(self.models[1:], start=1):
-            y = np.concatenate([model._y_raw, Y_new[:, k]])
-            self._adopt_factor(model, leader, y)
-        return self
 
     def set_targets(self, Y: np.ndarray) -> "GPBank":
         """Retarget every member (e.g. after objective re-normalisation).
@@ -303,7 +259,7 @@ class GPBank:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = self._validate_targets(Y, X.shape[0])
         for k, model in enumerate(self.models):
-            model.kernel = self.base_kernel
+            model.lengthscale = self.lengthscale
             while True:
                 try:
                     model.fit(X, Y[:, k].copy())
@@ -318,30 +274,22 @@ class GPBank:
         return self
 
     # ------------------------------------------------------------------ model selection
-    def refresh_lengthscales(
-        self, candidates: Optional[Sequence[float]] = None
-    ) -> List[float]:
+    def refresh_lengthscales(self) -> List[float]:
         """Per-objective marginal-likelihood lengthscale grid search.
 
-        The unscaled distance matrix is computed once and shared across all
-        ``k`` grid searches (each of which also shares it across its grid
-        points), so the whole refresh performs a single O(n^2 d) distance
-        pass.  Diverges the member kernels: until the next :meth:`update`,
-        shared-path prediction falls back to per-model computation.
+        Each member picks its own :data:`~repro.optim.gp.LENGTHSCALE_GRID`
+        lengthscale.  The unscaled distance matrix is computed once and
+        shared across all ``k`` grid searches (each of which also shares it
+        across its grid points), so the whole refresh performs a single
+        O(n^2 d) distance pass.  Diverges the member lengthscales: until the
+        next :meth:`update`, shared-path prediction falls back to per-model
+        computation.
         """
         if not self.is_fitted:
             raise RuntimeError("GPBank must be fitted before a lengthscale refresh")
-        distances = None
-        if supports_distance_reuse(self.base_kernel):
-            distances = pairwise_distances(self.models[0]._X, self.models[0]._X)
-        best: List[float] = []
-        for model in self.models:
-            if candidates is None:
-                best.append(model.optimize_lengthscale(_distances=distances))
-            else:
-                best.append(
-                    model.optimize_lengthscale(candidates, _distances=distances)
-                )
+        X = self.models[0]._X
+        distances = pairwise_distances(X, X)
+        best = [model.optimize_lengthscale(_distances=distances) for model in self.models]
         self._homogeneous = False
         return best
 
@@ -372,14 +320,13 @@ class GPBank:
             if not return_std:
                 return means, None
             return means, np.column_stack([c[1] for c in columns])
-        leader = self.models[0]
         Ks, v = self._shared_solve(Xs)
         means = np.column_stack(
             [Ks.T @ m._alpha * m._y_std + m._y_mean for m in self.models]
         )
         if not return_std:
             return means, None
-        var = leader.kernel.diag(Xs) - np.sum(v**2, axis=0)
+        var = 1.0 - np.sum(v**2, axis=0)
         std_latent = np.sqrt(np.maximum(var, 1e-12))
         stds = np.column_stack([std_latent * m._y_std for m in self.models])
         return means, stds
@@ -391,8 +338,8 @@ class GPBank:
         once in standardised units and rescaled per objective (the latent
         covariances are proportional: ``cov_k = y_std_k^2 * cov_latent``).
         Random draws happen per objective, in objective order, with the same
-        shapes as the per-model path, so a given RNG stream produces the
-        same candidate decisions either way.
+        shapes as each member's own :meth:`GaussianProcess.sample_posterior`,
+        so a given RNG stream produces the same candidate decisions either way.
         """
         rng = ensure_rng(rng)
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
@@ -400,7 +347,7 @@ class GPBank:
             raise RuntimeError("GPBank must be fitted before sampling")
         if not self._homogeneous:
             return np.column_stack(
-                [m.sample_posterior(Xs, rng=rng, num_samples=1)[0] for m in self.models]
+                [m.sample_posterior(Xs, rng=rng) for m in self.models]
             )
         leader = self.models[0]
         Ks, v = self._shared_solve(Xs)

@@ -32,7 +32,6 @@ import numpy as np
 from repro.optim.acquisition import ACQUISITION_STRATEGIES, acquisition_scores
 from repro.optim.epdc import select_batch
 from repro.optim.gp_bank import GPBank
-from repro.optim.kernels import Matern52Kernel
 from repro.optim.pareto import ParetoArchive, pareto_front_mask
 from repro.optim.scalarization import (
     chebyshev_scalarize,
@@ -57,8 +56,6 @@ CallbackFn = Callable[[int, "ObservedPoint", ParetoArchive], None]
 
 #: Noise variance of the per-objective GP surrogates.
 GP_NOISE_VARIANCE = 1e-4
-#: Exploration weight of the ``"ucb"`` acquisition.
-UCB_BETA = 2.0
 
 
 @dataclass
@@ -507,32 +504,28 @@ class MultiObjectiveBayesianOptimizer:
         return pool
 
     # ------------------------------------------------------------------ surrogate models
-    def _fit_models(self, refresh_lengthscale: bool) -> Tuple[GPBank, np.ndarray, np.ndarray]:
+    def _fit_models(self, refresh_lengthscale: bool) -> GPBank:
         """Condition the per-objective surrogate bank on all evaluations so far.
 
         The bank persists across iterations: new evaluations arrive as rank-1
         Cholesky appends and the per-iteration objective re-normalisation only
-        recomputes each model's ``alpha``.  Returns the bank — iterable as the
-        per-objective model sequence — plus the normalisation bounds.
+        recomputes each model's ``alpha``.
         """
         X = self._feature_matrix()
-        Y = self._objective_matrix()
-        Y_norm, lower, upper = normalize_objectives(Y)
+        Y_norm, _, _ = normalize_objectives(self._objective_matrix())
         if self._bank is None:
             # Typical pairwise distance in the unit cube grows like sqrt(d);
             # scale the lengthscale accordingly so the surrogate carries signal.
-            lengthscale = 0.5 * float(np.sqrt(X.shape[1]))
             self._bank = GPBank(
                 num_objectives=self.num_objectives,
-                kernel=Matern52Kernel(lengthscale=lengthscale),
+                lengthscale=0.5 * float(np.sqrt(X.shape[1])),
                 noise_variance=GP_NOISE_VARIANCE,
-                normalize_y=True,
                 health=self.health,
             )
         self._bank.update(X, Y_norm)
         if refresh_lengthscale:
             self._bank.refresh_lengthscales()
-        return self._bank, lower, upper
+        return self._bank
 
     # ------------------------------------------------------------------ main loop
     def run(self) -> OptimizationResult:
@@ -569,10 +562,10 @@ class MultiObjectiveBayesianOptimizer:
             # the search keeps spending its budget instead of crashing.
             # The healthy path is byte-identical to the pre-ladder loop: the
             # fallback draw only consumes the generator when a rung fired.
-            models = None
+            bank = None
             if self._num_rows > 0:
                 try:
-                    models, _, _ = self._fit_models(refresh_lengthscale=refresh)
+                    bank = self._fit_models(refresh_lengthscale=refresh)
                 except np.linalg.LinAlgError as error:
                     self._record_random_acquisition("surrogate fit failed", error)
             else:
@@ -582,7 +575,7 @@ class MultiObjectiveBayesianOptimizer:
             pool = self._build_pool()
             pool_features = np.vstack([self.feature_fn(c) for c in pool])
             scores = None
-            if models is not None:
+            if bank is not None:
                 front = None
                 if self.acquisition == "epdc":
                     # The surrogates are fit on normalised objectives; hand the
@@ -594,10 +587,9 @@ class MultiObjectiveBayesianOptimizer:
                 try:
                     scores = acquisition_scores(
                         self.acquisition,
-                        models,
+                        bank,
                         pool_features,
                         rng=self._rng,
-                        beta=UCB_BETA,
                         front=front,
                     )
                 except np.linalg.LinAlgError as error:

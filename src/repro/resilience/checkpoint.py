@@ -2,7 +2,7 @@
 
 A :class:`CheckpointRecorder` taps a search's per-evaluation progress
 stream and flushes a :class:`SearchCheckpoint` — the evaluated (candidate,
-features, objectives, metadata, RNG state) history — every K evaluations
+objectives, metadata, RNG state) history — every K evaluations
 via the shared atomic temp-write+rename
 (:func:`repro.utils.serialization.atomic_write_text`), into a
 per-fingerprint directory::
@@ -53,10 +53,13 @@ DEFAULT_CHECKPOINT_EVERY = 10
 
 @dataclass
 class CheckpointRecord:
-    """One evaluated candidate as recorded in a checkpoint."""
+    """One evaluated candidate as recorded in a checkpoint.
+
+    Snapshots written before records dropped their ``features`` key still
+    load: :meth:`from_dict` ignores it.
+    """
 
     genotype: Tuple[int, ...]
-    features: Tuple[float, ...]
     objectives: Tuple[float, ...]
     index: int
     metadata: Dict[str, Any] = field(default_factory=dict)
@@ -64,7 +67,6 @@ class CheckpointRecord:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "genotype": list(self.genotype),
-            "features": list(self.features),
             "objectives": list(self.objectives),
             "index": self.index,
             "metadata": to_jsonable(self.metadata),
@@ -74,7 +76,6 @@ class CheckpointRecord:
     def from_dict(cls, data: Mapping[str, Any]) -> "CheckpointRecord":
         return cls(
             genotype=tuple(int(g) for g in data["genotype"]),
-            features=tuple(float(f) for f in data.get("features", [])),
             objectives=tuple(float(o) for o in data["objectives"]),
             index=int(data.get("index", 0)),
             metadata=dict(data.get("metadata", {})),
@@ -187,9 +188,9 @@ class CheckpointRecorder:
         The per-fingerprint directory snapshots are written into.
     fingerprint:
         The request fingerprint (stored in the snapshot for sanity checks).
-    feature_fn / objectives_fn:
-        Extractors turning a progress event — ``(genotype, evaluation)`` —
-        into the feature and objective vectors recorded for replay.
+    objectives_fn:
+        Extractor turning a progress event's evaluation into the objective
+        vector recorded for the drift guard.
     every:
         Flush period in evaluations (``0`` flushes only on finalize).
     health:
@@ -203,7 +204,6 @@ class CheckpointRecorder:
         self,
         cell_dir: Union[str, Path],
         fingerprint: str,
-        feature_fn: Callable[[Any], Sequence[float]],
         objectives_fn: Callable[[Any], Sequence[float]],
         every: int = DEFAULT_CHECKPOINT_EVERY,
         health: Optional[HealthLog] = None,
@@ -213,7 +213,6 @@ class CheckpointRecorder:
             raise ValueError(f"every must be >= 0, got {every}")
         self.cell_dir = Path(cell_dir)
         self.fingerprint = str(fingerprint)
-        self.feature_fn = feature_fn
         self.objectives_fn = objectives_fn
         self.every = int(every)
         self.health = health
@@ -229,10 +228,8 @@ class CheckpointRecorder:
     # ----------------------------------------------------------------- stream
     def on_evaluation(self, index: int, evaluation: Any) -> None:
         """Record one completed evaluation (and maybe flush)."""
-        genotype = tuple(int(g) for g in evaluation.genotype)
         record = CheckpointRecord(
-            genotype=genotype,
-            features=tuple(float(f) for f in self.feature_fn(genotype)),
+            genotype=tuple(int(g) for g in evaluation.genotype),
             objectives=tuple(float(o) for o in self.objectives_fn(evaluation)),
             index=int(index),
             metadata={"architecture": getattr(evaluation, "architecture_name", "")},

@@ -176,14 +176,24 @@ class TestRunStore:
             b'{"fingerprint": "a", "outcome": {"request": 5}}\n',
             b'{"fingerprint": "a"}\n',
             b'{"outcome": {}}\n',
+            b'{"fingerprint": "a", "outcome": {"request": {"scenario": ["x"]}}}\n',
+            b'{"fingerprint": "b", "outcome": {"request": {"scenario": "wifi"}}}\n',
         ],
-        ids=["outcome-list", "request-number", "no-outcome", "no-fingerprint"],
+        ids=[
+            "outcome-list",
+            "request-number",
+            "no-outcome",
+            "no-fingerprint",
+            "scenario-name-list",
+            "no-outcome-scenario",
+        ],
     )
     def test_objects_without_the_record_shape_are_corrupt_to_scan_and_fsck(
         self, tmp_path, line
     ):
         """The scan and fsck share one check: a record is an object with a
-        fingerprint, an object outcome and, when present, an object request."""
+        fingerprint and an object outcome holding request and scenario
+        objects, and its scenario, strategy and space names are strings."""
         directory = tmp_path / "store"
         lines = _legacy_lines()
         shard = directory / "shards" / "x.jsonl"

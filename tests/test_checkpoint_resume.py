@@ -70,7 +70,6 @@ class TestSearchCheckpoint:
         records = [
             CheckpointRecord(
                 genotype=(1, 2, 3),
-                features=(0.1, 0.2),
                 objectives=(5.0, 0.01, 2.0),
                 index=i,
                 metadata={"architecture": f"arch-{i}"},
@@ -100,6 +99,32 @@ class TestSearchCheckpoint:
         path = checkpoint.save(cell_dir)
         assert path == cell_dir / CHECKPOINT_FILENAME
         assert SearchCheckpoint.load(cell_dir) == checkpoint
+
+    def test_snapshot_with_recorded_features_still_loads(self, tmp_path):
+        """Records once stored each candidate's features; loading ignores them."""
+        legacy = {
+            "schema_version": 1,
+            "fingerprint": "abc123",
+            "complete": False,
+            "num_evaluations": 3,
+            "rng_state": {"state": 7},
+            "records": [
+                {
+                    "genotype": [1, 2, 3],
+                    "features": [0.1, 0.2],
+                    "objectives": [5.0, 0.01, 2.0],
+                    "index": i,
+                    "metadata": {"architecture": f"arch-{i}"},
+                }
+                for i in range(3)
+            ],
+        }
+        cell_dir = tmp_path / "abc123"
+        cell_dir.mkdir()
+        (cell_dir / CHECKPOINT_FILENAME).write_text(json.dumps(legacy))
+        health = HealthLog()
+        assert SearchCheckpoint.load(cell_dir, health=health) == self._checkpoint()
+        assert len(health) == 0
 
     def test_load_missing_returns_none(self, tmp_path):
         assert SearchCheckpoint.load(tmp_path / "nope") is None
@@ -139,7 +164,6 @@ def _recorder(cell_dir, **kwargs):
     return CheckpointRecorder(
         cell_dir,
         fingerprint="fp",
-        feature_fn=lambda genotype: [float(g) / 10 for g in genotype],
         objectives_fn=lambda ev: list(ev.metrics.values()),
         **kwargs,
     )
@@ -188,7 +212,6 @@ class TestCheckpointRecorder:
             records=[
                 CheckpointRecord(
                     genotype=(9, 9),
-                    features=(0.9, 0.9),
                     objectives=(9.0, 9.0, 9.0),
                     index=i,
                 )

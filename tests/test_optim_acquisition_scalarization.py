@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.optim.acquisition import (
-    ACQUISITION_STRATEGIES,
-    acquisition_scores,
-    expected_improvement,
-    lcb_scores,
-    mean_scores,
-    thompson_scores,
-)
-from repro.optim.gp import GaussianProcess
+from repro.optim.acquisition import ACQUISITION_STRATEGIES, acquisition_scores
+from repro.optim.gp_bank import GPBank
 from repro.optim.scalarization import (
     chebyshev_scalarize,
     normalize_objectives,
@@ -21,14 +14,11 @@ from repro.optim.scalarization import (
 
 
 @pytest.fixture
-def fitted_models(rng):
+def fitted_bank(rng):
     X = rng.uniform(size=(25, 2))
     y1 = X[:, 0] ** 2 + 0.1 * X[:, 1]
     y2 = (1 - X[:, 0]) ** 2 + 0.1 * X[:, 1]
-    return [
-        GaussianProcess(noise_variance=1e-6).fit(X, y1),
-        GaussianProcess(noise_variance=1e-6).fit(X, y2),
-    ]
+    return GPBank(2, noise_variance=1e-6).fit(X, np.column_stack([y1, y2]))
 
 
 class TestScalarization:
@@ -88,57 +78,47 @@ class TestScalarization:
 
 
 class TestAcquisitions:
-    def test_thompson_scores_shape_and_variability(self, fitted_models, rng):
+    def test_thompson_scores_shape_and_variability(self, fitted_bank, rng):
         pool = rng.uniform(size=(15, 2))
-        scores_a = thompson_scores(fitted_models, pool, rng=rng)
-        scores_b = thompson_scores(fitted_models, pool, rng=rng)
+        scores_a = acquisition_scores("ts", fitted_bank, pool, rng=rng)
+        scores_b = acquisition_scores("ts", fitted_bank, pool, rng=rng)
         assert scores_a.shape == (15, 2)
         assert not np.allclose(scores_a, scores_b)
 
-    def test_lcb_is_optimistic(self, fitted_models, rng):
+    def test_lcb_is_optimistic(self, fitted_bank, rng):
         pool = rng.uniform(size=(10, 2))
-        lcb = lcb_scores(fitted_models, pool, beta=2.0)
-        means = mean_scores(fitted_models, pool)
+        lcb = acquisition_scores("ucb", fitted_bank, pool)
+        means = acquisition_scores("mean", fitted_bank, pool)
         assert np.all(lcb <= means + 1e-12)
-        with pytest.raises(ValueError):
-            lcb_scores(fitted_models, pool, beta=-1.0)
 
-    def test_mean_scores_track_true_function_ordering(self, fitted_models):
+    def test_mean_scores_track_true_function_ordering(self, fitted_bank):
         pool = np.array([[0.05, 0.5], [0.95, 0.5]])
-        means = mean_scores(fitted_models, pool)
+        means = acquisition_scores("mean", fitted_bank, pool)
         # Objective 1 = x0^2 grows with x0; objective 2 shrinks.
         assert means[0, 0] < means[1, 0]
         assert means[0, 1] > means[1, 1]
 
-    def test_expected_improvement_prefers_promising_points(self, fitted_models):
-        model = fitted_models[0]
-        pool = np.array([[0.01, 0.0], [0.99, 0.0]])
-        neg_ei = expected_improvement(model, pool, best_observed=0.3)
-        # Lower scores are better; x0 ~ 0 has low predicted objective value.
-        assert neg_ei[0] < neg_ei[1]
-        assert np.all(neg_ei <= 0)
-
-    def test_dispatch_random_strategy(self, fitted_models, rng):
+    def test_dispatch_random_strategy(self, fitted_bank, rng):
         pool = rng.uniform(size=(8, 2))
-        scores = acquisition_scores("random", fitted_models, pool, rng=0)
-        again = acquisition_scores("random", fitted_models, pool, rng=0)
+        scores = acquisition_scores("random", fitted_bank, pool, rng=0)
+        again = acquisition_scores("random", fitted_bank, pool, rng=0)
         assert scores.shape == (8, 2)
         assert np.allclose(scores, again)
 
-    def test_dispatch_validates_strategy(self, fitted_models, rng):
+    def test_dispatch_validates_strategy(self, fitted_bank, rng):
         with pytest.raises(ValueError):
-            acquisition_scores("bogus", fitted_models, rng.uniform(size=(3, 2)))
+            acquisition_scores("bogus", fitted_bank, rng.uniform(size=(3, 2)))
 
-    def test_all_strategies_produce_finite_scores(self, fitted_models, rng):
+    def test_all_strategies_produce_finite_scores(self, fitted_bank, rng):
         pool = rng.uniform(size=(6, 2))
         front = np.array([[0.2, 0.8], [0.6, 0.3]])  # required by "epdc" only
         for strategy in ACQUISITION_STRATEGIES:
             scores = acquisition_scores(
-                strategy, fitted_models, pool, rng=rng, front=front
+                strategy, fitted_bank, pool, rng=rng, front=front
             )
             assert scores.shape == (6, 2)
             assert np.all(np.isfinite(scores))
 
-    def test_epdc_requires_a_front(self, fitted_models, rng):
+    def test_epdc_requires_a_front(self, fitted_bank, rng):
         with pytest.raises(ValueError, match="front"):
-            acquisition_scores("epdc", fitted_models, rng.uniform(size=(3, 2)))
+            acquisition_scores("epdc", fitted_bank, rng.uniform(size=(3, 2)))

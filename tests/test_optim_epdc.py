@@ -11,7 +11,6 @@ from repro.optim.epdc import (
     pareto_distance_contributions,
     select_batch,
 )
-from repro.optim.gp import GaussianProcess
 from repro.optim.gp_bank import GPBank
 from repro.optim.mobo import MultiObjectiveBayesianOptimizer
 from repro.optim.pareto import pareto_front_mask
@@ -23,15 +22,6 @@ def _training_data():
     y1 = X[:, 0] ** 2 + 0.1 * X[:, 1]
     y2 = (1 - X[:, 0]) ** 2 + 0.1 * X[:, 1]
     return X, y1, y2
-
-
-@pytest.fixture
-def fitted_models():
-    X, y1, y2 = _training_data()
-    return [
-        GaussianProcess(noise_variance=1e-6).fit(X, y1),
-        GaussianProcess(noise_variance=1e-6).fit(X, y2),
-    ]
 
 
 @pytest.fixture
@@ -74,45 +64,51 @@ class TestDistanceContributions:
 
 
 class TestEpdcScores:
-    def test_shape_and_finiteness(self, fitted_models, rng):
+    def test_shape_and_finiteness(self, fitted_bank, rng):
         pool = rng.uniform(size=(12, 2))
-        scores = epdc_scores(fitted_models, pool, FRONT, rng=rng)
+        scores = epdc_scores(fitted_bank, pool, FRONT, rng=rng)
         assert scores.shape == (12,)
         assert np.all(np.isfinite(scores))
         assert np.all(scores >= 0.0)
 
-    def test_deterministic_under_seeded_rng(self, fitted_models, rng):
+    def test_deterministic_under_seeded_rng(self, fitted_bank, rng):
         pool = rng.uniform(size=(10, 2))
-        first = epdc_scores(fitted_models, pool, FRONT, rng=7)
-        second = epdc_scores(fitted_models, pool, FRONT, rng=7)
+        first = epdc_scores(fitted_bank, pool, FRONT, rng=7)
+        second = epdc_scores(fitted_bank, pool, FRONT, rng=7)
         assert np.array_equal(first, second)
 
-    def test_bank_and_list_agree(self, fitted_models, fitted_bank, rng):
-        """GPBank and per-model lists consume the RNG identically."""
+    def test_bank_and_list_agree(self, fitted_bank, rng):
+        """The bank's draws equal the list of its members' own posterior draws."""
         pool = rng.uniform(size=(10, 2))
-        from_list = epdc_scores(fitted_models, pool, FRONT, rng=3)
+        stream = np.random.default_rng(3)
+        from_list = np.mean(
+            [
+                pareto_distance_contributions(
+                    np.column_stack(
+                        [m.sample_posterior(pool, rng=stream) for m in fitted_bank.models]
+                    ),
+                    FRONT,
+                )
+                for _ in range(DEFAULT_EPDC_SAMPLES)
+            ],
+            axis=0,
+        )
         from_bank = epdc_scores(fitted_bank, pool, FRONT, rng=3)
         assert from_list == pytest.approx(from_bank, abs=1e-9)
 
-    def test_sample_count_validation(self, fitted_models, rng):
-        with pytest.raises(ValueError):
-            epdc_scores(
-                fitted_models, rng.uniform(size=(4, 2)), FRONT, num_samples=0
-            )
-
-    def test_score_matrix_is_negated_and_tiled(self, fitted_models, rng):
+    def test_score_matrix_is_negated_and_tiled(self, fitted_bank, rng):
         pool = rng.uniform(size=(8, 2))
-        values = epdc_scores(fitted_models, pool, FRONT, rng=5)
-        matrix = epdc_score_matrix(fitted_models, pool, FRONT, rng=5)
+        values = epdc_scores(fitted_bank, pool, FRONT, rng=5)
+        matrix = epdc_score_matrix(fitted_bank, pool, FRONT, rng=5)
         assert matrix.shape == (8, 2)
         assert matrix[:, 0] == pytest.approx(-values)
         assert np.array_equal(matrix[:, 0], matrix[:, 1])
 
-    def test_dispatch_through_acquisition_scores(self, fitted_models, rng):
+    def test_dispatch_through_acquisition_scores(self, fitted_bank, rng):
         pool = rng.uniform(size=(6, 2))
-        direct = epdc_score_matrix(fitted_models, pool, FRONT, rng=11)
+        direct = epdc_score_matrix(fitted_bank, pool, FRONT, rng=11)
         dispatched = acquisition_scores(
-            "epdc", fitted_models, pool, rng=11, front=FRONT
+            "epdc", fitted_bank, pool, rng=11, front=FRONT
         )
         assert np.array_equal(direct, dispatched)
 
@@ -147,15 +143,14 @@ class TestSelectBatch:
         assert select_batch(scores, features, 1) == [int(np.argmin(scores))]
 
     def test_duplicate_designs_are_avoided(self):
-        # Three near-identical good designs and one distinct mediocre one:
-        # the penalty should pull the distinct design into a batch of two.
+        # Three near-identical good designs, one distinct mediocre one and a
+        # bad one: the penalty should pull the distinct design into a batch
+        # of two ahead of the near-duplicates' better scores.
         features = np.array(
-            [[0.5, 0.5], [0.5, 0.5], [0.50001, 0.5], [0.9, 0.1]]
+            [[0.0, 0.0], [0.0, 0.0], [0.00001, 0.0], [1.0, 1.0], [0.0, 1.0]]
         )
-        scores = np.array([0.0, 0.01, 0.02, 0.5])
-        batch = select_batch(
-            scores, features, 2, lengthscale=0.1, penalty_weight=2.0
-        )
+        scores = np.array([0.0, 0.01, 0.02, 0.3, 1.0])
+        batch = select_batch(scores, features, 2)
         assert batch[0] == 0
         assert batch[1] == 3
 

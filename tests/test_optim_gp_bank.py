@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.optim.acquisition import lcb_scores, mean_scores, thompson_scores
-from repro.optim.gp import GaussianProcess, triangular_solve
+from repro.optim.acquisition import UCB_BETA, acquisition_scores
+from repro.optim.gp import LENGTHSCALE_GRID, GaussianProcess, triangular_solve
 from repro.optim.gp_bank import GPBank
-from repro.optim.kernels import Matern52Kernel, RBFKernel
 
 
 def _stream(rng, n, d=3):
@@ -27,20 +26,19 @@ class TestTriangularSolve:
 
 
 class TestGaussianProcessExtend:
-    @pytest.mark.parametrize("kernel_cls", [Matern52Kernel, RBFKernel])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_extend_equals_full_refit_over_random_streams(self, kernel_cls, seed):
+    def test_extend_equals_full_refit_over_random_streams(self, seed):
         """Property: growing one-by-one ≡ one cold fit, to 1e-8, at every step."""
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 6))
         X, y = _stream(rng, 40, d=d)
         probe = rng.uniform(size=(25, d))
 
-        incremental = GaussianProcess(kernel=kernel_cls(lengthscale=0.4))
+        incremental = GaussianProcess(lengthscale=0.4)
         incremental.fit(X[:5], y[:5])
         for i in range(5, 40):
             incremental.extend(X[i : i + 1], y[i : i + 1])
-            exact = GaussianProcess(kernel=kernel_cls(lengthscale=0.4))
+            exact = GaussianProcess(lengthscale=0.4)
             exact.fit(X[: i + 1], y[: i + 1])
             mean_inc, std_inc = incremental.predict(probe)
             mean_ref, std_ref = exact.predict(probe)
@@ -91,10 +89,10 @@ class TestGaussianProcessExtend:
     def test_lengthscale_refresh_after_extend(self, rng):
         """The grid search still works on a model grown incrementally."""
         X, y = _stream(rng, 30)
-        gp = GaussianProcess(kernel=Matern52Kernel(lengthscale=0.05))
+        gp = GaussianProcess(lengthscale=LENGTHSCALE_GRID[0])
         gp.fit(X[:20], y[:20]).extend(X[20:], y[20:])
         before = gp.log_marginal_likelihood()
-        gp.optimize_lengthscale(candidates=(0.05, 0.3, 0.8))
+        gp.optimize_lengthscale()
         assert gp.log_marginal_likelihood() >= before
 
 
@@ -105,12 +103,9 @@ class TestGPBank:
         Y = np.column_stack(
             [np.sin((j + 1) * X[:, 0]) + X[:, min(j, d - 1)] for j in range(k)]
         )
-        bank = GPBank(k, kernel=Matern52Kernel(lengthscale=0.5))
+        bank = GPBank(k, lengthscale=0.5)
         bank.fit(X, Y)
-        reference = [
-            GaussianProcess(kernel=Matern52Kernel(lengthscale=0.5)).fit(X, Y[:, j])
-            for j in range(k)
-        ]
+        reference = [GaussianProcess(lengthscale=0.5).fit(X, Y[:, j]) for j in range(k)]
         return bank, reference, X, Y
 
     def test_predict_matches_individual_models(self, rng):
@@ -124,54 +119,56 @@ class TestGPBank:
             assert np.allclose(std[:, j], std_ref, atol=1e-10)
 
     def test_thompson_matches_individual_models_for_same_stream(self, rng):
+        """The shared draw equals each member's own sample_posterior, in order."""
         bank, reference, X, _ = self._bank_and_models(rng)
         probe = rng.uniform(size=(20, X.shape[1]))
-        fast = thompson_scores(bank, probe, rng=np.random.default_rng(5))
-        slow = thompson_scores(reference, probe, rng=np.random.default_rng(5))
+        fast = acquisition_scores("ts", bank, probe, rng=np.random.default_rng(5))
+        stream = np.random.default_rng(5)
+        slow = np.column_stack([m.sample_posterior(probe, rng=stream) for m in reference])
         assert fast.shape == slow.shape == (20, 3)
         assert np.allclose(fast, slow, atol=1e-7)
 
     def test_lcb_and_mean_scores_bank_path(self, rng):
         bank, reference, X, _ = self._bank_and_models(rng)
         probe = rng.uniform(size=(9, X.shape[1]))
+        predictions = [m.predict(probe) for m in reference]
+        means = np.column_stack([mean for mean, _ in predictions])
+        stds = np.column_stack([std for _, std in predictions])
         assert np.allclose(
-            lcb_scores(bank, probe, beta=1.5),
-            lcb_scores(reference, probe, beta=1.5),
-            atol=1e-10,
+            acquisition_scores("ucb", bank, probe), means - UCB_BETA * stds, atol=1e-10
         )
-        assert np.allclose(
-            mean_scores(bank, probe), mean_scores(reference, probe), atol=1e-10
-        )
+        assert np.allclose(acquisition_scores("mean", bank, probe), means, atol=1e-10)
 
     def test_incremental_update_matches_cold_bank(self, rng):
         d, k = 4, 2
         X = rng.uniform(size=(30, d))
         Y = rng.uniform(size=(30, k))
         probe = rng.uniform(size=(10, d))
-        inc = GPBank(k, kernel=Matern52Kernel(lengthscale=0.5))
+        inc = GPBank(k, lengthscale=0.5)
         for n in range(5, 31):
             # Rescale targets every step, like the MOBO loop's re-normalisation.
             target = Y[:n] / Y[:n].max(axis=0)
             inc.update(X[:n], target)
-            cold = GPBank(k, kernel=Matern52Kernel(lengthscale=0.5)).fit(X[:n], target)
+            cold = GPBank(k, lengthscale=0.5).fit(X[:n], target)
             for a, b in zip(inc.predict(probe), cold.predict(probe)):
                 assert np.allclose(a, b, atol=1e-8)
 
     def test_refresh_lengthscales_diverges_and_rehomogenises(self, rng):
         bank, _, X, Y = self._bank_and_models(rng)
         assert bank.homogeneous
-        best = bank.refresh_lengthscales(candidates=(0.1, 0.5, 1.0))
+        best = bank.refresh_lengthscales()
         assert len(best) == 3 and not bank.homogeneous
+        assert set(best) <= set(LENGTHSCALE_GRID)
         probe = rng.uniform(size=(8, X.shape[1]))
         mean, std = bank.predict(probe)  # heterogeneous fallback path
         assert mean.shape == (8, 3) and np.all(std > 0)
-        scores = thompson_scores(bank, probe, rng=rng)
+        scores = bank.thompson_matrix(probe, rng=rng)
         assert scores.shape == (8, 3)
-        # The next full update resets to the shared base kernel.
+        # The next full update resets to the shared base lengthscale.
         bank.update(X, Y)
         assert bank.homogeneous
         for model in bank.models:
-            assert model.kernel.lengthscale == bank.base_kernel.lengthscale
+            assert model.lengthscale == bank.lengthscale
 
     def test_update_with_different_prefix_refits_instead_of_reusing_factor(self, rng):
         """A same-length X with different rows must not reuse the stale factor."""
@@ -179,18 +176,13 @@ class TestGPBank:
         X1 = rng.uniform(size=(12, d))
         X2 = rng.uniform(size=(12, d))
         Y = rng.uniform(size=(12, k))
-        bank = GPBank(k, kernel=Matern52Kernel(lengthscale=0.5))
+        bank = GPBank(k, lengthscale=0.5)
         bank.update(X1, Y)
         bank.update(X2, Y)  # violates the extends-contract; must cold-refit
         probe = rng.uniform(size=(6, d))
-        fresh = GPBank(k, kernel=Matern52Kernel(lengthscale=0.5)).fit(X2, Y)
+        fresh = GPBank(k, lengthscale=0.5).fit(X2, Y)
         for a, b in zip(bank.predict(probe), fresh.predict(probe)):
             assert np.allclose(a, b, atol=1e-10)
-
-    def test_bank_iterates_like_a_model_sequence(self, rng):
-        bank, _, _, _ = self._bank_and_models(rng)
-        assert len(bank) == 3
-        assert all(isinstance(m, GaussianProcess) for m in bank)
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.optim.gp import DEFAULT_JITTER, MAX_JITTER, GaussianProcess, escalating_cholesky
 from repro.optim.gp_bank import GPBank
-from repro.optim.kernels import Matern52Kernel
 from repro.optim.mobo import MultiObjectiveBayesianOptimizer
 from repro.resilience import faults
 from repro.resilience.faults import FaultInjector, KilledByFault
@@ -160,8 +159,7 @@ class TestEscalatingCholesky:
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(n, 3))
         X = np.vstack([X] + [X[:1]] * num_duplicates)  # duplicate the first row
-        kernel = Matern52Kernel(lengthscale=1.0)
-        K = kernel(X, X)
+        K = GaussianProcess(lengthscale=1.0).kernel(X, X)
         health = HealthLog()
         try:
             L = escalating_cholesky(K, health=health)
@@ -180,7 +178,7 @@ class TestGaussianProcessLadder:
         X = np.vstack([np.full((4, 2), 0.5), np.full((4, 2), 0.5)])
         y = np.linspace(0.0, 1.0, 8)
         health = HealthLog()
-        gp = GaussianProcess(kernel=Matern52Kernel(lengthscale=1.0), health=health)
+        gp = GaussianProcess(lengthscale=1.0, health=health)
         gp.fit(X, y)
         mean, std = gp.predict(np.array([[0.5, 0.5]]))
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
@@ -191,7 +189,7 @@ class TestGaussianProcessLadder:
         X = rng.uniform(size=(8, 2))
         y = rng.uniform(size=8)
         health = HealthLog()
-        gp = GaussianProcess(kernel=Matern52Kernel(lengthscale=1.0), health=health)
+        gp = GaussianProcess(lengthscale=1.0, health=health)
         with faults.inject(FaultInjector(linalg_failures=1)):
             gp.fit(X, y)
         mean, std = gp.predict(X)
@@ -211,7 +209,7 @@ class TestGPBankLadder:
         X = np.vstack([base, base, base[:2]])  # heavy duplication
         Y = rng.uniform(size=(X.shape[0], 2))
         health = HealthLog()
-        bank = GPBank(2, kernel=Matern52Kernel(lengthscale=1.0), health=health)
+        bank = GPBank(2, lengthscale=1.0, health=health)
         for n in range(2, X.shape[0] + 1):
             bank.update(X[:n], Y[:n])
         mean, std = bank.predict(rng.uniform(size=(5, 3)))
@@ -222,7 +220,7 @@ class TestGPBankLadder:
         X = rng.uniform(size=(8, 3))
         Y = rng.uniform(size=(8, 2))
         health = HealthLog()
-        bank = GPBank(2, kernel=Matern52Kernel(lengthscale=1.0), health=health)
+        bank = GPBank(2, lengthscale=1.0, health=health)
         # enough failures to defeat one full jitter ladder (7 attempts per
         # site) several times over, forcing exact-refit/heterogeneous rungs
         with faults.inject(FaultInjector(linalg_failures=20)):

@@ -3,7 +3,7 @@
 
 Runs :func:`repro.api.run_search` under cProfile and prints the hottest
 functions plus an aggregate split of where the time went: the surrogate
-engine (``repro.optim.gp`` / ``gp_bank`` / ``kernels``), acquisition
+engine (``repro.optim.gp`` / ``gp_bank``), acquisition
 scoring, Pareto bookkeeping, genotype sampling, repair and decoding
 (``repro.nn``), and candidate evaluation (predictors, Algorithm 1, the
 channel model, the engine caches).  Time no bucket claims — numpy builtins
@@ -13,6 +13,10 @@ breaks the candidate-evaluation row down further::
 
     PYTHONPATH=src python tools/profile_search.py --evaluations 300
     PYTHONPATH=src python tools/profile_search.py --evaluations 100 --phase eval
+
+A bucket fragment that matches no file under ``src/repro`` would attribute
+nothing without a word, so the tool exits with status 2, naming it, before
+it profiles anything.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC_ROOT))
 
 from repro.api import run_search  # noqa: E402
 
@@ -44,7 +49,7 @@ EVAL_BUCKETS = {
 
 #: Module substrings used to attribute internal time to subsystems.
 BUCKETS = {
-    "surrogate (gp/bank/kernels)": ("optim/gp.py", "optim/gp_bank.py", "optim/kernels.py"),
+    "surrogate (gp/bank)": ("optim/gp.py", "optim/gp_bank.py"),
     "acquisition + scalarisation": ("optim/acquisition.py", "optim/scalarization.py"),
     "pareto bookkeeping": ("optim/pareto.py",),
     "nn: sample/repair/decode": ("nn/",),
@@ -83,6 +88,22 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def stale_fragments(buckets: dict = BUCKETS) -> list:
+    """Fragments of ``buckets`` that match no source file under ``src/repro``.
+
+    ``BUCKETS`` holds every ``EVAL_BUCKETS`` fragment too.
+    """
+    files = [
+        path.relative_to(SRC_ROOT).as_posix() for path in (SRC_ROOT / "repro").rglob("*.py")
+    ]
+    return [
+        fragment
+        for fragments in buckets.values()
+        for fragment in fragments
+        if not any(fragment in name for name in files)
+    ]
+
+
 def bucket_times(stats: pstats.Stats, buckets: dict = BUCKETS) -> dict:
     """Total internal time attributed to each bucket of ``buckets``."""
     totals = {name: 0.0 for name in buckets}
@@ -97,6 +118,14 @@ def bucket_times(stats: pstats.Stats, buckets: dict = BUCKETS) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    stale = stale_fragments()
+    if stale:
+        print(
+            "profile_search: bucket fragment(s) match no file under src/repro: "
+            + ", ".join(repr(fragment) for fragment in stale),
+            file=sys.stderr,
+        )
+        return 2
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
