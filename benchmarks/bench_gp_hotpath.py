@@ -217,12 +217,13 @@ def test_health_instrumentation_overhead():
     """A healthy search must pay (almost) nothing for the degradation ladder.
 
     The resilience consult sites (``faults.active()`` checks in the
-    Cholesky/objective paths, the ``health is not None`` guards in the
-    ladder) live on the surrogate hot path, so this case replays the same
-    incremental conditioning stream twice — bare vs with a
-    :class:`~repro.resilience.health.HealthLog` attached — and bounds the
-    instrumentation overhead.  The < 2% floor is asserted on full-size runs
-    only (timings in fast/CI mode gate on the no-events invariant alone).
+    Cholesky path, the ladder's event recording) live on the surrogate hot
+    path.  Every bank holds a :class:`~repro.resilience.health.HealthLog`,
+    its own when none is given, so this case replays the same incremental
+    conditioning stream with the bank's own log ("bare") and with a
+    caller's log attached, and bounds the difference.  The < 2% floor is
+    asserted on full-size runs only (timings in fast/CI mode gate on the
+    no-events invariant alone).
     """
     from repro.resilience.health import HealthLog
 

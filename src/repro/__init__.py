@@ -36,8 +36,7 @@ function of the stored candidates::
     partitioned = traditional.result.partitioned(("error_percent", "energy_j"))
 
 Callers that need the resolved components (device, channel, predictor,
-evaluator) or the raw optimizer result use
-:func:`~repro.api.session.build_context` and
+evaluator) use :func:`~repro.api.session.build_context` and
 :func:`~repro.api.session.execute_strategy`.
 
 Underneath, the library is organised by substrate:

@@ -12,15 +12,14 @@ Strategies are registered by name in :data:`STRATEGIES`:
 * ``"traditional"`` — platform-aware MOBO using the All-Edge objectives;
 * ``"random"`` — uniform-random sampling with the same evaluation budget.
 
-A strategy is a callable ``strategy(context) -> (SearchResult,
-OptimizationResult | None)``; registering a new one makes it addressable
-from request envelopes immediately.
+A strategy is a callable ``strategy(context) -> SearchResult``;
+registering a new one makes it addressable from request envelopes
+immediately.
 
 :func:`run_search` is the one way to run a search.  Callers that need the
-resolved components (device, channel, predictor, evaluator) or the raw
-optimizer result use its two halves, :func:`build_context` and
-:func:`execute_strategy`, directly.  The Traditional baseline's post-hoc
-partitioning of its Pareto set is
+resolved components (device, channel, predictor, evaluator) use its two
+halves, :func:`build_context` and :func:`execute_strategy`, directly.  The
+Traditional baseline's post-hoc partitioning of its Pareto set is
 :meth:`~repro.core.results.SearchResult.partitioned`, a pure function of
 the stored candidates (``outcome.result.partitioned()``).
 """
@@ -30,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from repro.core.results import METRIC_NAMES, CandidateEvaluation, SearchResult
 from repro.hardware.device import DeviceProfile
 from repro.hardware.predictors import BaseLayerPredictor
 from repro.nn.spaces import EncodedSearchSpace
-from repro.optim.mobo import MultiObjectiveBayesianOptimizer, OptimizationResult
+from repro.optim.mobo import MultiObjectiveBayesianOptimizer
 from repro.optim.pareto import FrontHistory, compute_front_history
 from repro.partition.partitioner import PartitionAnalyzer
 from repro.resilience import faults
@@ -75,13 +74,13 @@ ProgressCallback = Callable[[int, CandidateEvaluation], None]
 class SearchContext:
     """Fully-resolved components of one search run.
 
-    The trailing resilience fields are optional wiring installed by
-    :func:`run_search`: a :class:`~repro.resilience.health.HealthLog`
-    collecting degradation events, an optional
-    :class:`~repro.resilience.checkpoint.CheckpointRecorder` (strategies
+    The trailing resilience fields are the
+    :class:`~repro.resilience.health.HealthLog` collecting the run's
+    degradation events (a fresh one per context) and an optional
+    :class:`~repro.resilience.checkpoint.CheckpointRecorder` installed by
+    :func:`run_search` (strategies
     :meth:`~repro.resilience.checkpoint.CheckpointRecorder.bind_rng` their
-    generator to it), and the non-finite/retry policy forwarded to the
-    optimization loop.
+    generator to it).
     """
 
     request: SearchRequest
@@ -95,11 +94,8 @@ class SearchContext:
     evaluator: PartitionAwareEvaluator
     engine: EvaluationEngine
     progress_callback: Optional[ProgressCallback] = None
-    health: Optional[HealthLog] = None
+    health: HealthLog = field(default_factory=HealthLog)
     recorder: Optional[CheckpointRecorder] = None
-    strict_objectives: bool = False
-    objective_retries: int = 0
-    retry_backoff_s: float = 0.0
 
 
 def build_context(
@@ -180,17 +176,7 @@ def build_context(
 
 # ---------------------------------------------------------------------- strategies
 
-def _collect_candidates(raw: OptimizationResult) -> List[CandidateEvaluation]:
-    candidates: List[CandidateEvaluation] = []
-    for point in raw.points:
-        evaluation: CandidateEvaluation = point.metadata["evaluation"]
-        evaluation.iteration = point.iteration
-        evaluation.phase = point.phase
-        candidates.append(evaluation)
-    return candidates
-
-
-def _run_mobo(context: SearchContext, label: str) -> Tuple[SearchResult, OptimizationResult]:
+def _run_mobo(context: SearchContext, label: str) -> SearchResult:
     """Shared MOBO loop behind the lens and traditional strategies."""
     request = context.request
     callback = None
@@ -213,23 +199,25 @@ def _run_mobo(context: SearchContext, label: str) -> Tuple[SearchResult, Optimiz
         neighbor_fn=context.evaluator.neighbor_fn,
         seed=request.seed,
         callback=callback,
-        strict=context.strict_objectives,
-        objective_retries=context.objective_retries,
-        retry_backoff_s=context.retry_backoff_s,
         health=context.health,
     )
     if context.recorder is not None:
         context.recorder.bind_rng(optimizer._rng)
-    raw = optimizer.run()
-    return SearchResult(_collect_candidates(raw), label=label), raw
+    candidates: List[CandidateEvaluation] = []
+    for point in optimizer.run().points:
+        evaluation: CandidateEvaluation = point.metadata["evaluation"]
+        evaluation.iteration = point.iteration
+        evaluation.phase = point.phase
+        candidates.append(evaluation)
+    return SearchResult(candidates, label=label)
 
 
-def _lens_strategy(context: SearchContext) -> Tuple[SearchResult, OptimizationResult]:
+def _lens_strategy(context: SearchContext) -> SearchResult:
     """Partition-aware MOBO (paper Algorithm 2)."""
     return _run_mobo(context, label="lens")
 
 
-def _traditional_strategy(context: SearchContext) -> Tuple[SearchResult, OptimizationResult]:
+def _traditional_strategy(context: SearchContext) -> SearchResult:
     """Platform-aware MOBO on All-Edge objectives (the paper's baseline)."""
     if context.evaluator.partition_within:
         raise ValueError(
@@ -245,13 +233,15 @@ def _traditional_strategy(context: SearchContext) -> Tuple[SearchResult, Optimiz
 _RANDOM_EVAL_CHUNK = 64
 
 
-def _random_strategy(context: SearchContext) -> Tuple[SearchResult, None]:
+def _random_strategy(context: SearchContext) -> SearchResult:
     """Uniform-random search with the same budget (sanity baseline).
 
     The whole budget is sampled up front (sampling alone consumes the
     generator, so the draw sequence matches the old interleaved loop) and
     costed in chunked pool-level evaluations through the engine's batched
-    path.
+    path.  Sampling gives up after ``20 * budget`` draws; a space with
+    fewer distinct genotypes than the budget is evaluated once per genotype
+    and the shortfall is recorded as ``H_BUDGET_SHORTFALL``.
     """
     request = context.request
     rng = ensure_rng(request.seed)
@@ -270,6 +260,14 @@ def _random_strategy(context: SearchContext) -> Tuple[SearchResult, None]:
             continue
         seen.add(key)
         genotypes.append(genotype)
+    if len(genotypes) < budget:
+        context.health.record(
+            "H_BUDGET_SHORTFALL",
+            f"found {len(genotypes)} distinct candidate(s) in {attempts} draws "
+            f"for a budget of {budget}",
+            evaluated=len(genotypes),
+            budget=budget,
+        )
     candidates: List[CandidateEvaluation] = []
     for start in range(0, len(genotypes), _RANDOM_EVAL_CHUNK):
         chunk = genotypes[start : start + _RANDOM_EVAL_CHUNK]
@@ -281,7 +279,7 @@ def _random_strategy(context: SearchContext) -> Tuple[SearchResult, None]:
             candidates.append(evaluation)
             if context.progress_callback is not None:
                 context.progress_callback(index, evaluation)
-    return SearchResult(candidates, label="random"), None
+    return SearchResult(candidates, label="random")
 
 
 #: Search strategies addressable from request envelopes.
@@ -316,10 +314,8 @@ def _front_history_of(candidates: List[CandidateEvaluation]) -> FrontHistory:
     )
 
 
-def execute_strategy(
-    context: SearchContext,
-) -> Tuple[SearchResult, Optional[OptimizationResult]]:
-    """Run the context's strategy and return its result (plus raw MOBO data)."""
+def execute_strategy(context: SearchContext) -> SearchResult:
+    """Run the context's strategy and return its result."""
     strategy = STRATEGIES.get(context.request.strategy)
     return strategy(context)
 
@@ -375,9 +371,6 @@ def run_search(
     checkpoint_dir: Union[str, Path, None] = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     resume: bool = True,
-    strict_objectives: bool = False,
-    objective_retries: int = 0,
-    retry_backoff_s: float = 0.0,
     **request_fields,
 ) -> SearchOutcome:
     """Execute a declared search end to end and return its outcome.
@@ -400,9 +393,7 @@ def run_search(
     through the evaluation-engine cache before the strategy runs, so a
     resumed search produces a bitwise-identical outcome to an
     uninterrupted one (see :mod:`repro.resilience.checkpoint` and
-    ``docs/robustness.md``).  ``strict_objectives`` / ``objective_retries``
-    / ``retry_backoff_s`` set the non-finite-quarantine and flaky-objective
-    retry policy of the optimization loop.
+    ``docs/robustness.md``).
 
     The whole run — predictor training, resume replay, the strategy and the
     front history — executes with every loaded OpenBLAS set to
@@ -432,11 +423,7 @@ def run_search(
         engine=engine,
         progress_callback=progress_callback,
     )
-    health = HealthLog()
-    context.health = health
-    context.strict_objectives = bool(strict_objectives)
-    context.objective_retries = int(objective_retries)
-    context.retry_backoff_s = float(retry_backoff_s)
+    health = context.health
     recorder = None
     if checkpoint_dir is not None:
         fingerprint = context.request.fingerprint()
@@ -494,7 +481,7 @@ def run_search(
 
         context.progress_callback = _on_progress
     start = time.perf_counter()
-    result, _raw = execute_strategy(context)
+    result = execute_strategy(context)
     elapsed = time.perf_counter() - start
     if recorder is not None:
         recorder.finalize()

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.api.envelopes import SearchOutcome, request_fingerprint
+from repro.api.envelopes import SearchOutcome, check_schema_version, request_fingerprint
 from repro.campaign.errors import AuditLog, ErrorEnvelope, summarize_audit
 from repro.campaign.supervisor import DeadLetterQueue
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
@@ -134,8 +134,12 @@ def _parse_record(raw: bytes) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     ``request`` and ``scenario`` objects that
     :meth:`~repro.api.envelopes.SearchOutcome.from_dict` reads without a
     default, whose index summary names its scenario, strategy and search
-    space with strings.  The store scan and :func:`fsck_store` share this
-    check, so a line fsck keeps is one the scan serves, and every other line
+    space with strings.  The outcome and its request carry a schema version
+    this library reads, and every scenario object (the outcome's, and the
+    request's when it is inline) holds the ``name`` and ``device`` that
+    :meth:`~repro.api.scenario.Scenario.from_dict` requires.  The check is
+    O(1) in the record's size.  The store scan and :func:`fsck_store` share
+    it, so a line fsck keeps is one the scan serves, and every other line
     is corrupt to both.
     """
     record = json.loads(raw.decode("utf-8"))
@@ -148,6 +152,12 @@ def _parse_record(raw: bytes) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         raise ValueError(
             "not a store record: its outcome lacks a request or scenario object"
         )
+    request = outcome["request"]
+    check_schema_version(outcome, "SearchOutcome")
+    check_schema_version(request, "SearchRequest")
+    for scenario in (outcome["scenario"], request.get("scenario")):
+        if isinstance(scenario, dict) and not {"name", "device"} <= scenario.keys():
+            raise ValueError("not a store record: a scenario lacks a name or device")
     summary = _record_summary(record)
     if not all(
         isinstance(summary[key], str) for key in ("scenario", "strategy", "search_space")

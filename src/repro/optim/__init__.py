@@ -38,15 +38,12 @@ from repro.optim.pareto import (
     hypervolume,
     hypervolume_2d,
     hypervolume_3d,
-    non_dominated_sort,
-    pareto_front_indices,
     pareto_front_mask,
 )
 from repro.optim.scalarization import (
     chebyshev_scalarize,
     normalize_objectives,
     random_weights,
-    weighted_sum_scalarize,
 )
 
 __all__ = [
@@ -77,13 +74,10 @@ __all__ = [
     "hypervolume",
     "hypervolume_2d",
     "hypervolume_3d",
-    "non_dominated_sort",
     "pareto_distance_contributions",
-    "pareto_front_indices",
     "pareto_front_mask",
     "select_batch",
     "chebyshev_scalarize",
     "normalize_objectives",
     "random_weights",
-    "weighted_sum_scalarize",
 ]

@@ -32,6 +32,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+# The raw LAPACK binding skips scipy.linalg.solve_triangular's python
+# validation layer, whose fixed ~0.1 ms/call overhead would otherwise
+# dominate the O(n^2) incremental updates this module is built around.
+from scipy.linalg.lapack import dtrtrs as _dtrtrs
+
 from repro.resilience import faults
 from repro.resilience.health import HealthLog
 from repro.utils.rng import SeedLike, ensure_rng
@@ -97,9 +102,7 @@ def _checked_cholesky(matrix: np.ndarray) -> np.ndarray:
 
 
 def escalating_cholesky(
-    matrix: np.ndarray,
-    health: Optional[HealthLog] = None,
-    site: str = "fit",
+    matrix: np.ndarray, health: HealthLog, site: str = "fit"
 ) -> np.ndarray:
     """Factor ``matrix``, escalating diagonal jitter x10 up to a cap on failure.
 
@@ -108,10 +111,10 @@ def escalating_cholesky(
     the diagonal).  This is the first rung of the numerical degradation
     ladder: a near-singular covariance (duplicate rows, collapsed
     lengthscales) gets progressively regularised instead of raising, and
-    each successful recovery is recorded as an ``H_JITTER_ESCALATED``
-    health event.  Raises :class:`numpy.linalg.LinAlgError` only once the
-    :data:`MAX_JITTER` cap is exhausted — callers further up the ladder
-    (the model bank, the MOBO loop) take over from there.
+    each successful recovery is recorded in ``health`` as an
+    ``H_JITTER_ESCALATED`` event.  Raises :class:`numpy.linalg.LinAlgError`
+    only once the :data:`MAX_JITTER` cap is exhausted — callers further up
+    the ladder (the model bank, the MOBO loop) take over from there.
     """
     try:
         return _checked_cholesky(matrix)
@@ -128,38 +131,27 @@ def escalating_cholesky(
         except np.linalg.LinAlgError:
             jitter *= JITTER_ESCALATION
             continue
-        if health is not None:
-            health.record(
-                "H_JITTER_ESCALATED",
-                f"{site}: factorisation recovered with jitter {added:g}",
-                site=site,
-                jitter=added,
-            )
+        health.record(
+            "H_JITTER_ESCALATED",
+            f"{site}: factorisation recovered with jitter {added:g}",
+            site=site,
+            jitter=added,
+        )
         return factor
     raise np.linalg.LinAlgError(
         f"{site}: Cholesky factorisation failed even with jitter {added:g}"
     )
 
-try:  # pragma: no cover - exercised implicitly everywhere
-    # The raw LAPACK binding skips scipy.linalg.solve_triangular's python
-    # validation layer, whose fixed ~0.1 ms/call overhead would otherwise
-    # dominate the O(n^2) incremental updates this module is built around.
-    from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
-    def triangular_solve(L: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
-        """Solve ``L x = b`` (or ``L.T x = b``) for lower-triangular ``L`` in O(n^2)."""
-        x, info = _dtrtrs(L, b, lower=1, trans=1 if trans else 0)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"triangular solve failed (LAPACK dtrtrs info={info})"
-            )
-        return x
+def triangular_solve(L: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """Solve ``L x = b`` (or ``L.T x = b``) for lower-triangular ``L`` in O(n^2)."""
+    x, info = _dtrtrs(L, b, lower=1, trans=1 if trans else 0)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"triangular solve failed (LAPACK dtrtrs info={info})"
+        )
+    return x
 
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-
-    def triangular_solve(L: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
-        """Generic-solver fallback when scipy is unavailable (O(n^3))."""
-        return np.linalg.solve(L.T if trans else L, b)
 
 #: Initial capacity of the growing observation buffers.
 _MIN_CAPACITY = 16
@@ -178,10 +170,9 @@ class GaussianProcess:
     noise_variance:
         Variance of the i.i.d. Gaussian observation noise.
     health:
-        Optional :class:`~repro.resilience.health.HealthLog` receiving an
+        The :class:`~repro.resilience.health.HealthLog` receiving an
         ``H_JITTER_ESCALATED`` event whenever a factorisation only succeeds
-        with escalated jitter.  ``None`` (the default) records nothing; the
-        healthy path is identical either way.
+        with escalated jitter; a fresh log when none is given.
     """
 
     def __init__(
@@ -194,7 +185,7 @@ class GaussianProcess:
         require_positive(noise_variance, "noise_variance")
         self.lengthscale = float(lengthscale)
         self.noise_variance = float(noise_variance)
-        self.health = health
+        self.health = health or HealthLog()
         self._X: Optional[np.ndarray] = None
         self._y_raw: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
@@ -249,7 +240,7 @@ class GaussianProcess:
         self._X = X
         self._y_raw = y
         K[np.diag_indices_from(K)] += self.noise_variance + DEFAULT_JITTER
-        self._chol = escalating_cholesky(K, health=self.health, site="fit")
+        self._chol = escalating_cholesky(K, self.health, "fit")
         if retarget:
             self._refresh_target_normalization()
             self._recompute_alpha()
@@ -320,7 +311,7 @@ class GaussianProcess:
         L11 = self._L_buf[:n, :n]
         L21 = triangular_solve(L11, K12).T  # (m, n)
         S = K22 - L21 @ L21.T
-        L22 = escalating_cholesky(S, health=self.health, site="extend")
+        L22 = escalating_cholesky(S, self.health, "extend")
 
         self._X_buf[n : n + m] = x_new
         self._y_buf[n : n + m] = y_new
@@ -432,7 +423,7 @@ class GaussianProcess:
         mean, _ = self.predict(Xs, return_std=False)
         cov = self.posterior_covariance(Xs)
         cov[np.diag_indices_from(cov)] += DEFAULT_JITTER * self._y_std**2
-        chol = escalating_cholesky(cov, health=self.health, site="sample_posterior")
+        chol = escalating_cholesky(cov, self.health, "sample_posterior")
         normals = rng.standard_normal((1, Xs.shape[0]))
         return mean + (normals @ chol.T)[0]
 

@@ -57,8 +57,9 @@ class GPBank:
     noise_variance:
         Forwarded to every member :class:`GaussianProcess`.
     health:
-        Optional :class:`~repro.resilience.health.HealthLog` (shared with
-        every member model) recording degradation-ladder events:
+        The :class:`~repro.resilience.health.HealthLog` (shared with every
+        member model, a fresh log when none is given) recording
+        degradation-ladder events:
         ``H_JITTER_ESCALATED`` from the members' factorisations,
         ``H_EXACT_REFIT`` when an incremental append fails and the bank
         refits from scratch, ``H_HETEROGENEOUS_FALLBACK`` when even the
@@ -77,9 +78,9 @@ class GPBank:
             raise ValueError(f"num_objectives must be >= 1, got {num_objectives}")
         self.num_objectives = int(num_objectives)
         self.lengthscale = float(lengthscale)
-        self.health = health
+        self.health = health or HealthLog()
         self.models: List[GaussianProcess] = [
-            GaussianProcess(self.lengthscale, noise_variance, health)
+            GaussianProcess(self.lengthscale, noise_variance, self.health)
             for _ in range(self.num_objectives)
         ]
         #: False after a lengthscale refresh diverged the member lengthscales.
@@ -93,11 +94,6 @@ class GPBank:
     @property
     def num_observations(self) -> int:
         return self.models[0].num_observations
-
-    @property
-    def homogeneous(self) -> bool:
-        """Whether all member models currently share one lengthscale."""
-        return self._homogeneous
 
     def _validate_targets(self, Y: np.ndarray, rows: int) -> np.ndarray:
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -216,18 +212,14 @@ class GPBank:
             # Second rung of the degradation ladder: the incremental append
             # (or its follow-up solves) failed even with escalated jitter, so
             # refactorise the full history from scratch.
-            self._record_exact_refit("update")
+            self.health.record(
+                "H_EXACT_REFIT",
+                "update: incremental append failed; refitting from scratch",
+                site="update",
+            )
             return self._fit_resilient(X, Y)
 
     # ------------------------------------------------------------------ degradation ladder
-    def _record_exact_refit(self, site: str) -> None:
-        if self.health is not None:
-            self.health.record(
-                "H_EXACT_REFIT",
-                f"{site}: incremental append failed; refitting from scratch",
-                site=site,
-            )
-
     def _fit_resilient(self, X: np.ndarray, Y: np.ndarray) -> "GPBank":
         """Cold fit, degrading to heterogeneous per-objective GPs on failure.
 
@@ -242,11 +234,10 @@ class GPBank:
         try:
             return self.fit(X, Y)
         except np.linalg.LinAlgError as error:
-            if self.health is not None:
-                self.health.record(
-                    "H_HETEROGENEOUS_FALLBACK",
-                    f"shared fit failed ({error}); fitting members independently",
-                )
+            self.health.record(
+                "H_HETEROGENEOUS_FALLBACK",
+                f"shared fit failed ({error}); fitting members independently",
+            )
             return self._fit_heterogeneous(X, Y)
 
     def _fit_heterogeneous(self, X: np.ndarray, Y: np.ndarray) -> "GPBank":
@@ -354,7 +345,7 @@ class GPBank:
         cov = leader.kernel(Xs, Xs) - v.T @ v
         cov[np.diag_indices_from(cov)] = np.maximum(np.diag(cov), 1e-12)
         cov[np.diag_indices_from(cov)] += DEFAULT_JITTER
-        chol = escalating_cholesky(cov, health=self.health, site="thompson")
+        chol = escalating_cholesky(cov, self.health, "thompson")
         columns = []
         for model in self.models:
             mean = Ks.T @ model._alpha * model._y_std + model._y_mean

@@ -23,7 +23,6 @@ iteration instead of the O(k n^3) of refitting every model from scratch (see
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -69,23 +68,9 @@ class ObservedPoint:
     phase: str
     metadata: Dict = field(default_factory=dict)
 
-    def to_dict(self) -> Dict:
-        candidate = self.candidate
-        if isinstance(candidate, np.ndarray):
-            candidate = candidate.tolist()
-        elif hasattr(candidate, "to_dict"):
-            candidate = candidate.to_dict()
-        return {
-            "candidate": candidate,
-            "objectives": [float(v) for v in self.objectives],
-            "iteration": self.iteration,
-            "phase": self.phase,
-            "metadata": self.metadata,
-        }
-
 
 class OptimizationResult:
-    """All evaluations of one optimization run plus Pareto-set helpers."""
+    """All evaluations of one optimization run plus its Pareto mask."""
 
     def __init__(self, points: Sequence[ObservedPoint], num_objectives: int):
         self.points: Tuple[ObservedPoint, ...] = tuple(points)
@@ -106,11 +91,6 @@ class OptimizationResult:
             return np.zeros(0, dtype=bool)
         return pareto_front_mask(self.objective_matrix())
 
-    def pareto_points(self) -> List[ObservedPoint]:
-        """The non-dominated observations."""
-        mask = self.pareto_mask()
-        return [p for p, keep in zip(self.points, mask) if keep]
-
     def pareto_objectives(self) -> np.ndarray:
         """Objective matrix restricted to the Pareto front."""
         matrix = self.objective_matrix()
@@ -118,28 +98,13 @@ class OptimizationResult:
             return matrix
         return matrix[self.pareto_mask()]
 
-    def best_for_objective(self, index: int) -> ObservedPoint:
-        """Observation minimising a single objective."""
-        if not self.points:
-            raise ValueError("the optimization produced no observations")
-        if not 0 <= index < self.num_objectives:
-            raise IndexError(f"objective index {index} out of range")
-        matrix = self.objective_matrix()
-        return self.points[int(np.argmin(matrix[:, index]))]
-
-    def to_dict(self) -> Dict:
-        return {
-            "num_objectives": self.num_objectives,
-            "points": [p.to_dict() for p in self.points],
-        }
-
 
 def _normalize_objective_output(output: Any) -> Tuple[np.ndarray, Dict]:
     """Accept ``objectives`` or ``(objectives, metadata)`` from objective functions.
 
     Shape coercion only — finite-ness is policed by the caller
-    (:meth:`MultiObjectiveBayesianOptimizer._record`), whose ``strict``
-    flag decides between raising and quarantining.
+    (:meth:`MultiObjectiveBayesianOptimizer._record`), which quarantines
+    non-finite vectors.
     """
     metadata: Dict = {}
     if isinstance(output, tuple) and len(output) == 2 and isinstance(output[1], dict):
@@ -212,23 +177,16 @@ class MultiObjectiveBayesianOptimizer:
     callback:
         Optional ``callback(evaluation_index, point, archive)`` invoked after
         every evaluation.
-    strict:
-        When ``False`` (the default) evaluations returning non-finite (or
-        empty) objective vectors are *quarantined*: recorded in
-        :attr:`quarantined` (and as an ``H_OBJECTIVE_QUARANTINED`` health
-        event) but excluded from the Pareto archive and the surrogates, and
-        the search continues.  ``strict=True`` restores the historical
-        fail-fast :class:`ValueError`.
-    objective_retries / retry_backoff_s:
-        Retry budget for flaky objective functions: a raising
-        ``batch_objective_fn`` call (one whole pool) is retried up to
-        ``objective_retries`` times (default 0 — off), sleeping
-        ``retry_backoff_s * 2**(attempt-1)`` between attempts and recording
-        each retry as an ``H_OBJECTIVE_RETRY`` health event.
     health:
-        Optional :class:`~repro.resilience.health.HealthLog` receiving the
+        The :class:`~repro.resilience.health.HealthLog` receiving the
         degradation-ladder events of this run (shared with the surrogate
-        bank).
+        bank); a fresh log when none is given.
+
+    An evaluation returning non-finite (or empty) objectives is
+    *quarantined*: recorded in :attr:`quarantined` and as an
+    ``H_OBJECTIVE_QUARANTINED`` health event, but kept out of the Pareto
+    archive and the surrogates, and the search continues.  The pool
+    objective is called once per pool; an exception it raises propagates.
     """
 
     def __init__(
@@ -247,9 +205,6 @@ class MultiObjectiveBayesianOptimizer:
         neighbor_fn: Optional[NeighborFn] = None,
         seed: SeedLike = None,
         callback: Optional[CallbackFn] = None,
-        strict: bool = False,
-        objective_retries: int = 0,
-        retry_backoff_s: float = 0.0,
         health: Optional[HealthLog] = None,
     ):
         if num_objectives < 1:
@@ -278,25 +233,14 @@ class MultiObjectiveBayesianOptimizer:
         self.acquisition = acquisition
         self.batch_size = int(batch_size)
         self.optimize_lengthscale_every = int(optimize_lengthscale_every)
-        if objective_retries < 0:
-            raise ValueError(
-                f"objective_retries must be >= 0, got {objective_retries}"
-            )
-        if retry_backoff_s < 0:
-            raise ValueError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}"
-            )
         self.neighbor_fn = neighbor_fn
         self.callback = callback
-        self.strict = bool(strict)
-        self.objective_retries = int(objective_retries)
-        self.retry_backoff_s = float(retry_backoff_s)
-        self.health = health
+        self.health = health or HealthLog()
         self._rng = ensure_rng(seed)
 
         self._points: List[ObservedPoint] = []
         #: Evaluations with non-finite objectives, kept out of the archive
-        #: and the surrogates (``strict=False`` only; see the class docs).
+        #: and the surrogates (see the class docs).
         self.quarantined: List[ObservedPoint] = []
         self._evaluation_count = 0
         self._seen: set = set()
@@ -321,12 +265,6 @@ class MultiObjectiveBayesianOptimizer:
         if injector is not None and injector.take_nan_objectives(ordinal):
             objectives = np.full(max(objectives.size, 1), np.nan)
         if objectives.size == 0 or not np.all(np.isfinite(objectives)):
-            if self.strict:
-                if objectives.size == 0:
-                    raise ValueError("objective function returned no objectives")
-                raise ValueError(
-                    f"objective function returned non-finite values: {objectives}"
-                )
             return self._quarantine(candidate, objectives, metadata, iteration, phase)
         if objectives.shape != (self.num_objectives,):
             raise ValueError(
@@ -377,43 +315,19 @@ class MultiObjectiveBayesianOptimizer:
         )
         self.quarantined.append(point)
         self._seen.add(_candidate_key(candidate))
-        if self.health is not None:
-            self.health.record(
-                "H_OBJECTIVE_QUARANTINED",
-                f"evaluation {iteration} ({phase}) returned non-finite objectives",
-                iteration=iteration,
-                phase=phase,
-            )
+        self.health.record(
+            "H_OBJECTIVE_QUARANTINED",
+            f"evaluation {iteration} ({phase}) returned non-finite objectives",
+            iteration=iteration,
+            phase=phase,
+        )
         return point
-
-    def _call_objective(self, candidates: Sequence[Any]) -> Sequence[Any]:
-        """Call the pool objective with optional retry-with-backoff."""
-        attempt = 0
-        while True:
-            try:
-                injector = faults.active()
-                if injector is not None and injector.take_objective_fault():
-                    raise RuntimeError("injected objective failure")
-                return self.batch_objective_fn(candidates)
-            except Exception as error:
-                attempt += 1
-                if attempt > self.objective_retries:
-                    raise
-                if self.health is not None:
-                    self.health.record(
-                        "H_OBJECTIVE_RETRY",
-                        f"objective call failed ({error}); "
-                        f"retry {attempt}/{self.objective_retries}",
-                        attempt=attempt,
-                    )
-                if self.retry_backoff_s > 0:
-                    time.sleep(self.retry_backoff_s * 2 ** (attempt - 1))
 
     def _evaluate_batch(
         self, candidates: Sequence[Any], first_iteration: int, phase: str
     ) -> List[ObservedPoint]:
         """Evaluate a pool through ``batch_objective_fn``, book-keeping in order."""
-        outputs = self._call_objective(candidates)
+        outputs = self.batch_objective_fn(candidates)
         if len(outputs) != len(candidates):
             raise ValueError(
                 f"batch objective function returned {len(outputs)} outputs "
@@ -466,11 +380,10 @@ class MultiObjectiveBayesianOptimizer:
             if key not in self._seen and (pending is None or key not in pending):
                 return candidate
         # The space may be nearly exhausted; accept a duplicate rather than stall.
-        if self.health is not None:
-            self.health.record(
-                "H_DUPLICATE_ACCEPTED",
-                f"no unseen candidate in {max_attempts} draws; accepting a possible duplicate",
-            )
+        self.health.record(
+            "H_DUPLICATE_ACCEPTED",
+            f"no unseen candidate in {max_attempts} draws; accepting a possible duplicate",
+        )
         return self.sample_fn(self._rng)
 
     # ------------------------------------------------------------------ pool construction
@@ -616,9 +529,8 @@ class MultiObjectiveBayesianOptimizer:
         return OptimizationResult(self._points, self.num_objectives)
 
     def _record_random_acquisition(self, reason: str, error: Optional[Exception]) -> None:
-        if self.health is not None:
-            detail = f" ({error})" if error is not None else ""
-            self.health.record(
-                "H_RANDOM_ACQUISITION",
-                f"{reason}{detail}; falling back to random candidate selection",
-            )
+        detail = f" ({error})" if error is not None else ""
+        self.health.record(
+            "H_RANDOM_ACQUISITION",
+            f"{reason}{detail}; falling back to random candidate selection",
+        )

@@ -15,7 +15,7 @@ one — the definition in §III-B of the paper.  The module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,23 +96,12 @@ def _pareto_front_mask_reference(objectives: np.ndarray) -> np.ndarray:
     return mask
 
 
-def pareto_front_indices(objectives: np.ndarray) -> np.ndarray:
-    """Indices of non-dominated rows, in their original order."""
-    return np.nonzero(pareto_front_mask(objectives))[0]
-
-
 @dataclass
 class ArchiveEntry:
     """One non-dominated entry of a :class:`ParetoArchive`."""
 
     payload: Any
     objectives: np.ndarray
-
-    def to_dict(self) -> Dict:
-        payload = self.payload
-        if hasattr(payload, "to_dict"):
-            payload = payload.to_dict()
-        return {"payload": payload, "objectives": list(map(float, self.objectives))}
 
 
 class ParetoArchive:
@@ -142,11 +131,6 @@ class ParetoArchive:
         """Current non-dominated entries."""
         return tuple(self._entries)
 
-    @property
-    def payloads(self) -> List[Any]:
-        """Payloads of the current entries."""
-        return [entry.payload for entry in self._entries]
-
     def objective_matrix(self) -> np.ndarray:
         """``(len(archive), num_objectives)`` matrix of objective vectors."""
         if not self._entries:
@@ -170,16 +154,6 @@ class ParetoArchive:
         ]
         self._entries.append(ArchiveEntry(payload=payload, objectives=objectives))
         return True
-
-    def update_many(self, items: Iterable[Tuple[Any, Sequence[float]]]) -> int:
-        """Offer many entries; returns how many were accepted."""
-        return sum(1 for payload, objectives in items if self.add(payload, objectives))
-
-    def to_dict(self) -> Dict:
-        return {
-            "num_objectives": self.num_objectives,
-            "entries": [entry.to_dict() for entry in self._entries],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -528,20 +502,3 @@ def compute_front_history(
         reference=tuple(float(v) for v in ref),
         entries=tuple(entries),
     )
-
-
-def non_dominated_sort(objectives: np.ndarray) -> List[np.ndarray]:
-    """Partition points into successive non-dominated fronts (NSGA-style).
-
-    Returns a list of index arrays: front 0 is the Pareto front, front 1 the
-    Pareto front of the remainder, and so on.  Useful for ablation analyses
-    of how deep the LENS frontier sits inside the explored population.
-    """
-    Y = np.atleast_2d(np.asarray(objectives, dtype=float))
-    remaining = np.arange(Y.shape[0])
-    fronts: List[np.ndarray] = []
-    while remaining.size > 0:
-        mask = pareto_front_mask(Y[remaining])
-        fronts.append(remaining[mask])
-        remaining = remaining[~mask]
-    return fronts

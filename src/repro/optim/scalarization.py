@@ -77,17 +77,3 @@ def chebyshev_scalarize(
     weighted = Y * w[None, :]
     scalar = weighted.max(axis=1) + rho * weighted.sum(axis=1)
     return scalar[0] if single else scalar
-
-
-def weighted_sum_scalarize(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Plain weighted-sum scalarisation (cannot reach non-convex frontier parts)."""
-    Y = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float).ravel()
-    single = Y.ndim == 1
-    Y = np.atleast_2d(Y)
-    if Y.shape[1] != w.shape[0]:
-        raise ValueError(
-            f"values have {Y.shape[1]} objectives but weights have {w.shape[0]}"
-        )
-    scalar = Y @ w
-    return scalar[0] if single else scalar

@@ -194,7 +194,8 @@ class CheckpointRecorder:
     every:
         Flush period in evaluations (``0`` flushes only on finalize).
     health:
-        Health log receiving ``H_CHECKPOINT_SAVED`` / ``H_RESUME_DRIFT``.
+        Health log receiving ``H_CHECKPOINT_SAVED`` / ``H_RESUME_DRIFT``; a
+        fresh log when none is given.
     resume_from:
         The checkpoint this run was resumed from, if any; replayed
         evaluations are verified against it (drift guard).
@@ -215,7 +216,7 @@ class CheckpointRecorder:
         self.fingerprint = str(fingerprint)
         self.objectives_fn = objectives_fn
         self.every = int(every)
-        self.health = health
+        self.health = health or HealthLog()
         self.resume_from = resume_from
         self._records: List[CheckpointRecord] = []
         self._rng: Optional[np.random.Generator] = None
@@ -271,8 +272,7 @@ class CheckpointRecorder:
 
     def _report_drift(self, message: str, **context: Any) -> None:
         self._drift_reported = True
-        if self.health is not None:
-            self.health.record("H_RESUME_DRIFT", message, **context)
+        self.health.record("H_RESUME_DRIFT", message, **context)
 
     # ----------------------------------------------------------------- flush
     def _snapshot(self, complete: bool) -> SearchCheckpoint:
@@ -289,13 +289,12 @@ class CheckpointRecorder:
     def flush(self, complete: bool = False) -> Path:
         """Write the current history atomically; returns the path written."""
         path = self._snapshot(complete).save(self.cell_dir)
-        if self.health is not None:
-            self.health.record(
-                "H_CHECKPOINT_SAVED",
-                f"flushed {len(self._records)} evaluation(s)",
-                num_evaluations=len(self._records),
-                complete=complete,
-            )
+        self.health.record(
+            "H_CHECKPOINT_SAVED",
+            f"flushed {len(self._records)} evaluation(s)",
+            num_evaluations=len(self._records),
+            complete=complete,
+        )
         return path
 
     def finalize(self) -> Path:

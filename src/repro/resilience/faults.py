@@ -2,10 +2,10 @@
 
 A :class:`FaultInjector` forces the failure modes the degradation ladder
 exists for — Cholesky :class:`~numpy.linalg.LinAlgError`, non-finite
-objective values, flaky objective functions, and a process kill after
-evaluation N — at exact, reproducible points, so the test suite and the
-chaos drills (``tools/search_chaos.py``, ``tools/distributed_smoke.py``)
-can assert recovery behaviour rather than hope for natural failures.
+objective values, and a process kill after evaluation N — at exact,
+reproducible points, so the test suite and the chaos drills
+(``tools/search_chaos.py``, ``tools/distributed_smoke.py``) can assert
+recovery behaviour rather than hope for natural failures.
 
 Injection is process-global and *off* by default: the consult sites in
 :mod:`repro.optim.gp` and :mod:`repro.optim.mobo` are a single module
@@ -22,8 +22,6 @@ search by :func:`install_from_env`):
     int — fail the next N Cholesky factorisations.
 ``REPRO_FAULT_NAN_EVALS``
     comma-separated evaluation indices whose objectives become NaN.
-``REPRO_FAULT_OBJECTIVE``
-    int — make the next N objective-function calls raise.
 ``REPRO_FAULT_KILL_AT_EVAL``
     int — SIGKILL the process after N evaluations complete (checkpoints
     already flushed for them survive; that is the point).
@@ -53,7 +51,6 @@ from typing import Iterator, Optional, Sequence, Set
 #: Environment variables understood by :func:`install_from_env`.
 ENV_LINALG = "REPRO_FAULT_LINALG"
 ENV_NAN_EVALS = "REPRO_FAULT_NAN_EVALS"
-ENV_OBJECTIVE = "REPRO_FAULT_OBJECTIVE"
 ENV_KILL_AT_EVAL = "REPRO_FAULT_KILL_AT_EVAL"
 ENV_HANG_AT_EVAL = "REPRO_FAULT_HANG_AT_EVAL"
 ENV_HANG_SECONDS = "REPRO_FAULT_HANG_SECONDS"
@@ -85,9 +82,6 @@ class FaultInjector:
     nan_evaluations:
         Evaluation indices (0-based, in evaluation order) whose objective
         vectors are replaced with NaN.
-    objective_failures:
-        Number of upcoming objective-function calls to fail with a
-        :class:`RuntimeError` (exercises retry-with-backoff).
     kill_at_evaluation:
         Kill the process after this many evaluations have completed
         (i.e. right after evaluation index ``kill_at_evaluation - 1``).
@@ -109,7 +103,6 @@ class FaultInjector:
         self,
         linalg_failures: int = 0,
         nan_evaluations: Sequence[int] = (),
-        objective_failures: int = 0,
         kill_at_evaluation: Optional[int] = None,
         kill_mode: str = "sigkill",
         hang_at_evaluation: Optional[int] = None,
@@ -121,7 +114,6 @@ class FaultInjector:
             raise ValueError(f"kill_mode must be one of {KILL_MODES}, got {kill_mode!r}")
         self.linalg_failures = int(linalg_failures)
         self.nan_evaluations: Set[int] = {int(i) for i in nan_evaluations}
-        self.objective_failures = int(objective_failures)
         self.kill_at_evaluation = (
             None if kill_at_evaluation is None else int(kill_at_evaluation)
         )
@@ -144,13 +136,6 @@ class FaultInjector:
     def take_nan_objectives(self, evaluation_index: int) -> bool:
         """Whether this evaluation's objectives should become NaN."""
         return int(evaluation_index) in self.nan_evaluations
-
-    def take_objective_fault(self) -> bool:
-        """Whether the next objective-function call should raise."""
-        if self.objective_failures > 0:
-            self.objective_failures -= 1
-            return True
-        return False
 
     def take_torn_append(self) -> bool:
         """Whether the next append should tear (half-write, then die)."""
@@ -223,7 +208,6 @@ def install_from_env(environ=os.environ) -> Optional[FaultInjector]:
     if _ACTIVE is not None:
         return _ACTIVE
     linalg = int(environ.get(ENV_LINALG, "0") or "0")
-    objective = int(environ.get(ENV_OBJECTIVE, "0") or "0")
     raw_nans = environ.get(ENV_NAN_EVALS, "")
     nans = [int(part) for part in raw_nans.split(",") if part.strip()]
     raw_kill = environ.get(ENV_KILL_AT_EVAL, "")
@@ -235,7 +219,6 @@ def install_from_env(environ=os.environ) -> Optional[FaultInjector]:
     enospc = int(environ.get(ENV_ENOSPC, "0") or "0")
     if not (
         linalg
-        or objective
         or nans
         or kill_at is not None
         or hang_at is not None
@@ -246,7 +229,6 @@ def install_from_env(environ=os.environ) -> Optional[FaultInjector]:
     injector = FaultInjector(
         linalg_failures=linalg,
         nan_evaluations=nans,
-        objective_failures=objective,
         kill_at_evaluation=kill_at,
         kill_mode="sigkill",
         hang_at_evaluation=hang_at,

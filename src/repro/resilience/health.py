@@ -25,7 +25,10 @@ H_RANDOM_ACQUISITION     the surrogate/acquisition stage failed outright;
 H_OBJECTIVE_QUARANTINED  an objective function returned non-finite (or
                          empty) values; the evaluation was recorded but
                          excluded from the archive and the surrogates
-H_OBJECTIVE_RETRY        a flaky objective function raised and was retried
+H_DUPLICATE_ACCEPTED     no unseen candidate could be sampled; a possible
+                         duplicate was accepted
+H_BUDGET_SHORTFALL       the random strategy found fewer distinct
+                         candidates than its budget and evaluated only those
 H_CHECKPOINT_SAVED       an in-search checkpoint was flushed to disk
 H_CHECKPOINT_CORRUPT     a checkpoint file existed but could not be read;
                          the search started from evaluation 0
@@ -50,16 +53,17 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.utils.serialization import append_jsonl_atomic, to_jsonable
 
-#: Every known health code with a one-line description (the docs table and
-#: ``repro report`` legends are generated from this mapping).
+#: Every known health code with a one-line description.  ``repro report``
+#: legends read this mapping; ``tests/test_docs_code_tables.py`` checks the
+#: table in ``docs/robustness.md`` and this module's docstring against it.
 HEALTH_CODES: Dict[str, str] = {
     "H_JITTER_ESCALATED": "Cholesky succeeded only after jitter escalation",
     "H_EXACT_REFIT": "incremental append failed; refit from scratch",
     "H_HETEROGENEOUS_FALLBACK": "shared fit failed; per-objective GPs fit independently",
     "H_RANDOM_ACQUISITION": "surrogate stage failed; iteration fell back to random sampling",
     "H_OBJECTIVE_QUARANTINED": "non-finite objectives recorded but excluded from archive/GP",
-    "H_OBJECTIVE_RETRY": "flaky objective function raised and was retried",
     "H_DUPLICATE_ACCEPTED": "no unseen candidate could be sampled; a possible duplicate was accepted",
+    "H_BUDGET_SHORTFALL": "the random strategy found fewer distinct candidates than its budget",
     "H_CHECKPOINT_SAVED": "in-search checkpoint flushed to disk",
     "H_CHECKPOINT_CORRUPT": "unreadable checkpoint ignored; search started fresh",
     "H_RESUMED": "search resumed from checkpoint via engine-cache replay",

@@ -6,6 +6,7 @@ import pytest
 from repro.api.engine import EvaluationEngine
 from repro.api.envelopes import SearchOutcome, SearchRequest
 from repro.api.session import STRATEGIES, build_context, execute_strategy, run_search
+from repro.nn.search_space import LensSearchSpace
 
 FAST = dict(
     num_initial=5,
@@ -19,6 +20,23 @@ FAST = dict(
 @pytest.fixture(scope="module")
 def engine():
     return EvaluationEngine()
+
+
+class ThreeGenotypeSpace(LensSearchSpace):
+    """One block and one choice per sized gene: the block must pool, and
+    one or both fully-connected layers are present — three valid genotypes."""
+
+    space_name = "three-genotype-vgg"
+
+    def __init__(self):
+        super().__init__(
+            num_blocks=1,
+            layers_per_block=(1,),
+            kernel_sizes=(3,),
+            filter_counts=(16,),
+            fc_units=(64,),
+            min_pool_layers=1,
+        )
 
 
 def test_strategy_registry_builtins():
@@ -137,7 +155,7 @@ class TestRunSearch:
             search_space=small_search_space,
             engine=EvaluationEngine(),
         )
-        result, _raw = execute_strategy(context)
+        result = execute_strategy(context)
         component_front = {
             (c.architecture_name, round(c.error_percent, 9), round(c.energy_j, 12))
             for c in result.pareto_candidates(("error_percent", "energy_j"))
@@ -178,3 +196,17 @@ class TestOtherStrategies:
             c.genotype for c in second.candidates
         ]
 
+    def test_random_strategy_records_a_budget_it_cannot_spend(self, engine):
+        # The space holds 3 genotypes, the budget is 24: the random strategy
+        # evaluates each genotype once and says so in the health log.
+        request = SearchRequest(
+            strategy="random", **dict(FAST, num_initial=4, num_iterations=20)
+        )
+        context = build_context(request, search_space=ThreeGenotypeSpace(), engine=engine)
+        assert len(execute_strategy(context)) == 3
+        [event] = context.health.events
+        assert event.code == "H_BUDGET_SHORTFALL"
+        assert event.context == {"evaluated": 3, "budget": 24}
+        outcome = run_search(request, search_space=ThreeGenotypeSpace(), engine=engine)
+        assert len(outcome) == 3
+        assert outcome.health == {"H_BUDGET_SHORTFALL": 1}

@@ -178,6 +178,13 @@ class TestRunStore:
             b'{"outcome": {}}\n',
             b'{"fingerprint": "a", "outcome": {"request": {"scenario": ["x"]}}}\n',
             b'{"fingerprint": "b", "outcome": {"request": {"scenario": "wifi"}}}\n',
+            b'{"fingerprint": "c", "outcome": {"request": {}, "scenario": {}}}\n',
+            b'{"fingerprint": "d", "outcome": {"request": {"schema_version": 99},'
+            b' "scenario": {"name": "s", "device": "d"}}}\n',
+            b'{"fingerprint": "e", "outcome": {"schema_version": 99, "request": {},'
+            b' "scenario": {"name": "s", "device": "d"}}}\n',
+            b'{"fingerprint": "f", "outcome": {"request": {"scenario": {"device": "d"}},'
+            b' "scenario": {"name": "s", "device": "d"}}}\n',
         ],
         ids=[
             "outcome-list",
@@ -186,6 +193,10 @@ class TestRunStore:
             "no-fingerprint",
             "scenario-name-list",
             "no-outcome-scenario",
+            "scenario-without-name-or-device",
+            "request-schema-from-the-future",
+            "outcome-schema-from-the-future",
+            "inline-request-scenario-without-name",
         ],
     )
     def test_objects_without_the_record_shape_are_corrupt_to_scan_and_fsck(
@@ -193,7 +204,10 @@ class TestRunStore:
     ):
         """The scan and fsck share one check: a record is an object with a
         fingerprint and an object outcome holding request and scenario
-        objects, and its scenario, strategy and space names are strings."""
+        objects, its scenario, strategy and space names are strings, the
+        outcome and request schema versions are readable, and every scenario
+        object holds a name and a device — so nothing indexed makes
+        ``outcomes()`` raise."""
         directory = tmp_path / "store"
         lines = _legacy_lines()
         shard = directory / "shards" / "x.jsonl"

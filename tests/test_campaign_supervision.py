@@ -538,7 +538,7 @@ def _synthetic_line(fingerprint, crc=True, scenario="s/d"):
                 "search_space": "sp",
                 "seed": 0,
             },
-            "scenario": {"name": scenario},
+            "scenario": {"name": scenario, "device": "jetson-tx2-gpu"},
             "candidates": [],
             "wall_time_s": 0.0,
         },

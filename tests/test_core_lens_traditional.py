@@ -122,14 +122,17 @@ class TestLensSearch:
         assert len(calls) == len(outcome)
 
     def test_raw_result_exposed(self, small_search_space_module, engine):
+        # The component path hands back the strategy's own SearchResult,
+        # without the outcome envelope run_search wraps around it.
         context = build_context(
             SearchRequest(strategy="lens", **FAST),
             search_space=small_search_space_module,
             engine=engine,
         )
-        result, raw = execute_strategy(context)
-        assert raw is not None
-        assert len(raw.points) == len(result)
+        result = execute_strategy(context)
+        assert isinstance(result, SearchResult) and result.label == "lens"
+        assert len(result) == FAST["num_initial"] + FAST["num_iterations"]
+        assert {c.phase for c in result} == {"init", "bo"}
 
 
 class TestTraditionalSearch:

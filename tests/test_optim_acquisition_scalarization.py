@@ -9,7 +9,6 @@ from repro.optim.scalarization import (
     chebyshev_scalarize,
     normalize_objectives,
     random_weights,
-    weighted_sum_scalarize,
 )
 
 
@@ -68,13 +67,6 @@ class TestScalarization:
             chebyshev_scalarize(np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             chebyshev_scalarize(np.array([0.1, 0.2]), np.array([-0.5, 1.5]))
-
-    def test_weighted_sum(self):
-        assert weighted_sum_scalarize(
-            np.array([1.0, 2.0]), np.array([0.25, 0.75])
-        ) == pytest.approx(1.75)
-        with pytest.raises(ValueError):
-            weighted_sum_scalarize(np.array([1.0]), np.array([0.5, 0.5]))
 
 
 class TestAcquisitions:

@@ -155,10 +155,10 @@ class TestGPBank:
 
     def test_refresh_lengthscales_diverges_and_rehomogenises(self, rng):
         bank, _, X, Y = self._bank_and_models(rng)
-        assert bank.homogeneous
+        assert all(model.lengthscale == bank.lengthscale for model in bank.models)
         best = bank.refresh_lengthscales()
-        assert len(best) == 3 and not bank.homogeneous
-        assert set(best) <= set(LENGTHSCALE_GRID)
+        assert [model.lengthscale for model in bank.models] == best
+        assert len(best) == 3 and set(best) <= set(LENGTHSCALE_GRID)
         probe = rng.uniform(size=(8, X.shape[1]))
         mean, std = bank.predict(probe)  # heterogeneous fallback path
         assert mean.shape == (8, 3) and np.all(std > 0)
@@ -166,7 +166,6 @@ class TestGPBank:
         assert scores.shape == (8, 3)
         # The next full update resets to the shared base lengthscale.
         bank.update(X, Y)
-        assert bank.homogeneous
         for model in bank.models:
             assert model.lengthscale == bank.lengthscale
 

@@ -61,8 +61,8 @@ class TestMOBO:
     def test_pareto_helpers_consistent(self):
         result = _make_optimizer().run()
         mask = result.pareto_mask()
-        assert mask.sum() == len(result.pareto_points())
         front = result.pareto_objectives()
+        assert mask.sum() == front.shape[0] > 0
         assert np.array_equal(front, result.objective_matrix()[mask])
 
     def test_reproducible_with_same_seed(self):
@@ -87,13 +87,6 @@ class TestMOBO:
         hv_rs = hypervolume_2d(rs.pareto_objectives(), reference)
         # The model-based search should not be clearly worse than random.
         assert hv_bo >= hv_rs * 0.9
-
-    def test_best_for_objective(self):
-        result = _make_optimizer().run()
-        best0 = result.best_for_objective(0)
-        assert best0.objectives[0] == result.objective_matrix()[:, 0].min()
-        with pytest.raises(IndexError):
-            result.best_for_objective(5)
 
     def test_callback_invoked_per_evaluation(self):
         calls = []
@@ -139,13 +132,6 @@ class TestMOBO:
         with pytest.raises(ValueError):
             bad.run()
 
-    def test_non_finite_objectives_rejected_when_strict(self):
-        bad = _make_optimizer(
-            batch_objective_fn=_pool(lambda c: np.array([np.nan, 1.0])), strict=True
-        )
-        with pytest.raises(ValueError):
-            bad.run()
-
     def test_non_finite_objectives_quarantined_by_default(self):
         # Every evaluation returns NaN: the search must still complete its
         # budget, with nothing in the archive and everything quarantined.
@@ -156,10 +142,3 @@ class TestMOBO:
         assert len(result) == 0
         assert len(bad.quarantined) == 18
         assert len(bad.archive) == 0
-
-    def test_to_dict_serialises_points(self):
-        result = _make_optimizer(num_iterations=2).run()
-        data = result.to_dict()
-        assert data["num_objectives"] == 2
-        assert len(data["points"]) == 8
-

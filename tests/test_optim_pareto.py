@@ -19,8 +19,6 @@ from repro.optim.pareto import (
     hypervolume,
     hypervolume_2d,
     hypervolume_3d,
-    non_dominated_sort,
-    pareto_front_indices,
     pareto_front_mask,
 )
 
@@ -60,7 +58,6 @@ class TestFrontMask:
         Y = np.array([[1, 5], [2, 2], [5, 1], [4, 4], [3, 3]])
         mask = pareto_front_mask(Y)
         assert list(mask) == [True, True, True, False, False]
-        assert list(pareto_front_indices(Y)) == [0, 1, 2]
 
     def test_duplicates_are_kept(self):
         Y = np.array([[1, 1], [1, 1], [2, 2]])
@@ -68,13 +65,6 @@ class TestFrontMask:
 
     def test_single_point(self):
         assert list(pareto_front_mask(np.array([[3.0, 4.0]]))) == [True]
-
-    def test_non_dominated_sort_layers(self):
-        Y = np.array([[1, 4], [4, 1], [2, 5], [5, 2], [6, 6]])
-        fronts = non_dominated_sort(Y)
-        assert set(fronts[0]) == {0, 1}
-        assert set(fronts[1]) == {2, 3}
-        assert set(fronts[2]) == {4}
 
     def test_empty_matrix(self):
         assert pareto_front_mask(np.empty((0, 3))).shape == (0,)
@@ -126,10 +116,10 @@ class TestArchive:
         assert not archive.add("c", [3.0, 3.0])  # dominated by "a"
         assert archive.add("d", [1.5, 1.5])      # dominates "a", coexists with "b"
         assert len(archive) == 2
-        assert set(archive.payloads) == {"b", "d"}
+        assert {entry.payload for entry in archive.entries} == {"b", "d"}
         assert archive.add("e", [0.5, 0.5])      # dominates everything left
         assert len(archive) == 1
-        assert archive.payloads == ["e"]
+        assert [entry.payload for entry in archive.entries] == ["e"]
 
     def test_dimension_validation(self):
         archive = ParetoArchive(2)
@@ -137,22 +127,6 @@ class TestArchive:
             archive.add("x", [1.0])
         with pytest.raises(ValueError):
             ParetoArchive(0)
-
-    def test_update_many_counts_accepted(self):
-        archive = ParetoArchive(2)
-        accepted = archive.update_many(
-            [("a", [1, 2]), ("b", [2, 1]), ("c", [3, 3])]
-        )
-        assert accepted == 2
-
-    def test_objective_matrix_and_to_dict(self):
-        archive = ParetoArchive(2)
-        archive.add("a", [1.0, 2.0])
-        archive.add("b", [2.0, 1.0])
-        assert archive.objective_matrix().shape == (2, 2)
-        data = archive.to_dict()
-        assert data["num_objectives"] == 2
-        assert len(data["entries"]) == 2
 
     def test_empty_archive_matrix_shape(self):
         assert ParetoArchive(3).objective_matrix().shape == (0, 3)
@@ -286,27 +260,12 @@ class TestHypervolume3D:
 
 
 class TestSortAndArchiveEdgeCases:
-    def test_non_dominated_sort_empty(self):
-        assert non_dominated_sort(np.empty((0, 2))) == []
-
-    def test_non_dominated_sort_single_point(self):
-        fronts = non_dominated_sort(np.array([[1.0, 2.0]]))
-        assert len(fronts) == 1
-        assert list(fronts[0]) == [0]
-
-    def test_non_dominated_sort_totally_ordered_chain(self):
-        """Each point dominates the next: n singleton fronts."""
-        Y = np.array([[i, i] for i in range(5)], dtype=float)
-        fronts = non_dominated_sort(Y)
-        assert [list(front) for front in fronts] == [[0], [1], [2], [3], [4]]
-
     def test_empty_archive_views(self):
         archive = ParetoArchive(2)
         assert len(archive) == 0
         assert list(archive) == []
-        assert archive.payloads == []
         assert archive.entries == ()
-        assert archive.to_dict()["entries"] == []
+        assert archive.objective_matrix().shape == (0, 2)
 
     def test_single_point_archive(self):
         archive = ParetoArchive(3)
@@ -317,11 +276,11 @@ class TestSortAndArchiveEdgeCases:
     def test_all_dominated_pool_rejected(self):
         archive = ParetoArchive(2)
         archive.add("best", [0.0, 0.0])
-        accepted = archive.update_many(
-            (f"p{i}", [float(i + 1), float(i + 1)]) for i in range(10)
-        )
-        assert accepted == 0
-        assert archive.payloads == ["best"]
+        accepted = [
+            archive.add(f"p{i}", [float(i + 1), float(i + 1)]) for i in range(10)
+        ]
+        assert not any(accepted)
+        assert [entry.payload for entry in archive.entries] == ["best"]
 
 
 class TestFrontHistory:

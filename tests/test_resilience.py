@@ -235,6 +235,17 @@ class TestGPBankLadder:
             "H_HETEROGENEOUS_FALLBACK",
         }
 
+    def test_bank_without_a_log_keeps_its_events(self):
+        # A bank built without a log holds its own, shared with its members,
+        # so a standalone bank never drops a degradation event.
+        rng = np.random.default_rng(0)
+        X = rng.uniform(size=(8, 3))
+        bank = GPBank(2, lengthscale=1.0)
+        with faults.inject(FaultInjector(linalg_failures=1)):
+            bank.update(X, rng.uniform(size=(8, 2)))
+        assert bank.health.counters() == {"H_JITTER_ESCALATED": 1}
+        assert all(model.health is bank.health for model in bank.models)
+
 
 # ---------------------------------------------------------------------- quarantine
 
@@ -274,14 +285,6 @@ class TestQuarantine:
         assert len(result) == 0
         assert health.count("H_OBJECTIVE_QUARANTINED") == 8
 
-    def test_strict_mode_raises_instead(self):
-        bad = _make_optimizer(
-            batch_objective_fn=_pool(lambda c: np.array([np.nan, 1.0])),
-            strict=True,
-        )
-        with pytest.raises(ValueError):
-            bad.run()
-
     def test_partial_poisoning_keeps_archive_clean(self):
         # Only evaluation indices 2 and 5 are poisoned (via the injector);
         # everything else proceeds, and the archive holds only finite rows.
@@ -296,6 +299,16 @@ class TestQuarantine:
         archive = optimizer.archive.objective_matrix()
         assert np.all(np.isfinite(archive))
 
+    def test_optimizer_without_a_log_keeps_its_events(self):
+        # The optimizer's own log also receives its surrogate bank's events.
+        optimizer = _make_optimizer(num_iterations=2)
+        with faults.inject(FaultInjector(nan_evaluations=(1,), linalg_failures=1)):
+            optimizer.run()
+        assert optimizer.health.counters() == {
+            "H_JITTER_ESCALATED": 1,
+            "H_OBJECTIVE_QUARANTINED": 1,
+        }
+
     def test_healthy_run_identical_with_and_without_health_log(self):
         # Attaching a health log must not consume RNG or perturb results —
         # the fingerprint-neutrality guarantee.
@@ -304,58 +317,6 @@ class TestQuarantine:
         logged = _make_optimizer(seed=5, health=health).run().objective_matrix()
         assert np.array_equal(plain, logged)
         assert len(health) == 0
-
-
-# ---------------------------------------------------------------------- retries
-
-
-class TestObjectiveRetry:
-    def test_flaky_objective_retried(self):
-        calls = {"n": 0}
-
-        def flaky(candidates):
-            calls["n"] += 1
-            if calls["n"] % 3 == 1:  # every third pool call fails first
-                raise RuntimeError("transient")
-            return [_objectives(c) for c in candidates]
-
-        health = HealthLog()
-        optimizer = _make_optimizer(
-            batch_objective_fn=flaky,
-            num_iterations=4,
-            objective_retries=2,
-            health=health,
-        )
-        result = optimizer.run()
-        assert len(result) == 10
-        # A retry re-costs a whole pool: the initial pool (call 1) and the
-        # BO pools of calls 4 and 7 each fail once, then succeed.
-        assert calls["n"] == 8
-        assert health.count("H_OBJECTIVE_RETRY") == 3
-
-    def test_retry_budget_exhausted_raises(self):
-        def always_fails(candidates):
-            raise RuntimeError("permanent")
-
-        optimizer = _make_optimizer(
-            batch_objective_fn=always_fails, objective_retries=1, num_iterations=2
-        )
-        with pytest.raises(RuntimeError, match="permanent"):
-            optimizer.run()
-
-    def test_injected_objective_faults_absorbed_by_retries(self):
-        health = HealthLog()
-        optimizer = _make_optimizer(
-            num_iterations=4, objective_retries=3, health=health
-        )
-        with faults.inject(FaultInjector(objective_failures=2)):
-            result = optimizer.run()
-        assert len(result) == 10
-        assert health.count("H_OBJECTIVE_RETRY") == 2
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            _make_optimizer(objective_retries=-1)
 
 
 # ---------------------------------------------------------------------- exhausted space
@@ -388,11 +349,11 @@ class TestExhaustedSpace:
 
 class TestFaultInjector:
     def test_consults_decrement(self):
-        injector = FaultInjector(linalg_failures=2, objective_failures=1)
+        injector = FaultInjector(linalg_failures=2, torn_appends=1)
         assert injector.take_linalg_fault() and injector.take_linalg_fault()
         assert not injector.take_linalg_fault()
-        assert injector.take_objective_fault()
-        assert not injector.take_objective_fault()
+        assert injector.take_torn_append()
+        assert not injector.take_torn_append()
 
     def test_nan_membership(self):
         injector = FaultInjector(nan_evaluations=(1, 4))
@@ -430,16 +391,16 @@ class TestFaultInjector:
         environ = {
             "REPRO_FAULT_LINALG": "3",
             "REPRO_FAULT_NAN_EVALS": "2,5",
-            "REPRO_FAULT_OBJECTIVE": "1",
             "REPRO_FAULT_KILL_AT_EVAL": "9",
+            "REPRO_FAULT_ENOSPC": "1",
         }
         try:
             injector = faults.install_from_env(environ)
             assert injector is not None
             assert injector.linalg_failures == 3
             assert injector.nan_evaluations == {2, 5}
-            assert injector.objective_failures == 1
             assert injector.kill_at_evaluation == 9
+            assert injector.enospc_appends == 1
         finally:
             faults.install(None)
 

@@ -117,6 +117,6 @@ def test_results_do_not_depend_on_the_thread_count(fields):
     for threads in (1, 2):
         with blas_threads(threads):
             context = build_context(request, engine=EvaluationEngine())
-            result, _ = execute_strategy(context)
+            result = execute_strategy(context)
         runs.append(json.dumps([c.to_dict() for c in result], sort_keys=True))
     assert runs[0] == runs[1]
