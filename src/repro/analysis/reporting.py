@@ -529,8 +529,11 @@ class CampaignSummary:
         runs' final hypervolumes, each in its run's own reference box (a
         progress signal; for a strictly shared-reference comparison
         recompute from the pooled candidates, as ``benchmarks/bench_epdc.py``
-        does).  Empty rows when no stored outcome carries a
-        :class:`~repro.optim.pareto.FrontHistory`.
+        does).  The volume is in raw objective units, so it spans many
+        orders of magnitude across budgets and scenarios: it is rendered
+        with 4 significant digits (``1.66e-09``, ``2.152``), never rounded
+        to a fixed number of decimals.  Empty rows when no stored outcome
+        carries a :class:`~repro.optim.pareto.FrontHistory`.
         """
         headers = ["scenario", "space", "strategy", "runs", "mean final hypervolume"]
         rows = [
@@ -539,7 +542,7 @@ class CampaignSummary:
                 cell.search_space,
                 cell.strategy,
                 cell.num_runs,
-                round(cell.final_hypervolume, 4),
+                f"{cell.final_hypervolume:.4g}",
             ]
             for cell in self.cells
             if cell.final_hypervolume is not None

@@ -56,7 +56,6 @@ from repro.campaign.supervisor import (
     deadline,
 )
 from repro.campaign.worker import final_failure
-from repro.utils.serialization import to_jsonable
 
 
 @dataclass
@@ -167,11 +166,11 @@ def _execute_request(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry point: run one serialized request, return a plain dict.
 
     Module-level (picklable) and dict-in/dict-out so it crosses process
-    boundaries regardless of start method.  The per-process default engine
-    warms up across the cells a worker executes.
+    boundaries regardless of start method; ``SearchOutcome.to_dict`` holds
+    JSON built-ins only.  The per-process default engine warms up across
+    the cells a worker executes.
     """
-    outcome = run_search(SearchRequest.from_dict(payload))
-    return to_jsonable(outcome.to_dict())
+    return run_search(SearchRequest.from_dict(payload)).to_dict()
 
 
 class ProcessPoolCampaignExecutor(CampaignExecutor):

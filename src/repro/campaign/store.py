@@ -26,10 +26,12 @@ Concurrency and durability
 --------------------------
 Shards accept **concurrent writers**: every append is one ``O_APPEND``
 ``os.write`` under an advisory ``flock``
-(:func:`~repro.utils.serialization.append_jsonl_atomic`), so records from
+(:func:`~repro.utils.serialization.append_line_atomic`), so records from
 independent ``repro worker`` processes on one machine land whole and never
-interleave.  A record is durable once its newline is on disk.  The scan is
-*tolerant*:
+interleave.  A record is durable once its newline is on disk.  Each record
+is written as its canonical serialization, checksum first (see
+:func:`record_crc`), so the scan verifies a line from its own bytes and
+never serializes a record again.  The scan is *tolerant*:
 
 * an unterminated tail is not durable yet; it is re-examined by the next
   :meth:`RunStore.refresh` and never truncated — the next append
@@ -64,7 +66,7 @@ from repro.api.envelopes import SearchOutcome, check_schema_version, request_fin
 from repro.campaign.errors import AuditLog, ErrorEnvelope, summarize_audit
 from repro.campaign.supervisor import DeadLetterQueue
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
-from repro.utils.serialization import append_jsonl_atomic, to_jsonable
+from repro.utils.serialization import append_line_atomic
 
 #: Name of the legacy single-file record file, read as a read-only shard.
 RUNS_FILENAME = "runs.jsonl"
@@ -93,6 +95,15 @@ class StoreError(RuntimeError):
     """A run store's on-disk state is inconsistent."""
 
 
+#: The start of a canonical record line, ``{"crc32":N,`` (see :func:`_record_line`).
+_CANONICAL_PREFIX = re.compile(rb'\{"crc32":(\d+),')
+
+
+def _canonical(payload: Dict[str, Any]) -> bytes:
+    """The canonical serialization: sorted keys, tight separators, UTF-8."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def record_crc(record: Dict[str, Any]) -> int:
     """CRC32 of one store record, over a canonical serialization.
 
@@ -104,10 +115,22 @@ def record_crc(record: Dict[str, Any]) -> int:
     vacuously (there is nothing to check them against).
     """
     payload = {key: value for key, value in record.items() if key != "crc32"}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
-    return zlib.crc32(blob) & 0xFFFFFFFF
+    return zlib.crc32(_canonical(payload)) & 0xFFFFFFFF
+
+
+def _record_line(record: Dict[str, Any]) -> bytes:
+    """The store line of a ``fingerprint`` + ``outcome`` record, checksum included.
+
+    The record is serialized once, canonically; its CRC (:func:`record_crc`)
+    is taken over those bytes and spliced in as the first field.  ``crc32``
+    sorts before ``fingerprint``, so the line is byte for byte the canonical
+    serialization of the whole record, and a reader verifies it from its
+    own bytes (:func:`_crc_verified`).  The outcome is written as is, so it
+    must hold JSON built-ins only, as
+    :meth:`~repro.api.envelopes.SearchOutcome.to_dict` does.
+    """
+    body = _canonical(record)
+    return b'{"crc32":%d,' % (zlib.crc32(body) & 0xFFFFFFFF) + body[1:] + b"\n"
 
 
 def verify_record_crc(record: Dict[str, Any]) -> bool:
@@ -124,6 +147,25 @@ def verify_record_crc(record: Dict[str, Any]) -> bool:
         return int(stored) == record_crc(record)
     except (TypeError, ValueError):
         return False
+
+
+def _crc_verified(raw: bytes, record: Dict[str, Any]) -> bool:
+    """Whether one parsed store line passes its checksum.
+
+    A line that starts with its own ``{"crc32":N,`` is a canonical line
+    (:func:`_record_line`): its CRC is taken over the line's bytes after the
+    checksum field, which are the bytes the writer checksummed, so nothing
+    is serialized again.  Any byte that changed fails, whether or not it
+    changed the parsed value.  Every other line — one written before
+    records were canonical, or the legacy ``runs.jsonl`` — falls back to
+    :func:`verify_record_crc`, which re-serializes the parsed record.  The
+    store scan and :func:`fsck_store` share this check.
+    """
+    match = _CANONICAL_PREFIX.match(raw)
+    if match is None:
+        return verify_record_crc(record)
+    body = memoryview(raw)[match.end() : len(raw) - 1]  # ``raw`` ends in "\n"
+    return zlib.crc32(body, zlib.crc32(b"{")) == int(match.group(1))
 
 
 def _parse_record(raw: bytes) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -283,7 +325,7 @@ class RunStore:
                     # — later records are intact
                     shard.corrupt_lines += 1
                     continue
-                if not verify_record_crc(record):
+                if not _crc_verified(raw, record):
                     # parses but the checksum disagrees: disk rot.  A rotten
                     # record must never be served; fsck quarantines the line.
                     shard.crc_mismatches += 1
@@ -333,8 +375,7 @@ class RunStore:
             raise StoreError(
                 f"fingerprint {fingerprint!r} is already stored in {self.directory}"
             )
-        record = {"fingerprint": fingerprint, "outcome": to_jsonable(outcome.to_dict())}
-        record["crc32"] = record_crc(record)
+        record = {"fingerprint": fingerprint, "outcome": outcome.to_dict()}
         summary = _record_summary(record)
         key = shard_key(summary["scenario"], summary["search_space"])
         shard = self._shards.get(key)
@@ -342,7 +383,7 @@ class RunStore:
             shard = self._shards[key] = _Shard(
                 key=key, path=self.shards_dir / f"{key}.jsonl"
             )
-        offset, end = append_jsonl_atomic(shard.path, record)
+        offset, end = append_line_atomic(shard.path, _record_line(record))
         if offset == shard.good_end:  # nothing else landed since our last scan
             shard.entries[fingerprint] = (offset, summary)
             shard.good_end = end
@@ -638,7 +679,7 @@ def _fsck_file(path: Path) -> Dict[str, Any]:
         if "crc32" not in record:
             counts["legacy"] += 1
             keep.append(raw)
-        elif verify_record_crc(record):
+        elif _crc_verified(raw, record):
             counts["intact"] += 1
             keep.append(raw)
         else:

@@ -102,8 +102,8 @@ def _maybe_inject_append_fault(fd: int, path: Path, line: bytes) -> None:
         raise faults.KilledByFault(f"injected torn append to {path}")
 
 
-def append_jsonl_atomic(path: Path, payload: Mapping[str, Any]) -> Tuple[int, int]:
-    """Append one JSON line to ``path`` safely under concurrent writers.
+def append_line_atomic(path: Path, line: bytes) -> Tuple[int, int]:
+    """Append one newline-terminated line to ``path`` safely under concurrent writers.
 
     The whole line goes down in a single ``os.write`` on a descriptor opened
     with ``O_APPEND`` (atomic with respect to the file offset on POSIX),
@@ -112,11 +112,13 @@ def append_jsonl_atomic(path: Path, payload: Mapping[str, Any]) -> Tuple[int, in
     in a newline — a writer died mid-append — a ``\\n`` is written first, so
     the fragment becomes one unparseable line of its own instead of
     swallowing this record; no byte is ever truncated.  Returns the byte
-    range ``(start, end)`` of the new line.  Used by the campaign audit
-    log, the run store shards and the resilience health log.
+    range ``(start, end)`` of the new line.  The run store shards write
+    their records through it; :func:`append_jsonl_atomic` serves the
+    campaign audit log and the resilience health log.
     """
+    if not line.endswith(b"\n"):
+        raise ValueError("an appended line must end with a newline")
     path = Path(path)
-    line = (json.dumps(payload, sort_keys=False) + "\n").encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd = os.open(str(path), os.O_APPEND | os.O_CREAT | os.O_RDWR, 0o644)
     try:
@@ -135,6 +137,12 @@ def append_jsonl_atomic(path: Path, payload: Mapping[str, Any]) -> Tuple[int, in
     finally:
         os.close(fd)
     return offset, offset + len(line)
+
+
+def append_jsonl_atomic(path: Path, payload: Mapping[str, Any]) -> Tuple[int, int]:
+    """Append ``payload`` as one JSON line (see :func:`append_line_atomic`)."""
+    line = (json.dumps(payload, sort_keys=False) + "\n").encode("utf-8")
+    return append_line_atomic(path, line)
 
 
 def iter_jsonl(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:

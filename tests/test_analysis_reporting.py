@@ -16,7 +16,7 @@ from repro.analysis.runtime_eval import run_runtime_study
 from repro.api.envelopes import SearchOutcome, SearchRequest
 from repro.api.scenario import scenario_by_name
 from repro.core.results import CandidateEvaluation, SearchResult
-from repro.optim.pareto import FrontHistory, compute_front_history
+from repro.optim.pareto import FrontHistory, FrontHistoryEntry, compute_front_history
 from repro.partition.deployment import DeploymentOption
 from repro.wireless.traces import generate_lte_trace
 
@@ -277,6 +277,28 @@ def test_campaign_summary_includes_hypervolume_table_when_recorded():
     assert len(rows) == 1
     text = ExperimentReport().add_campaign_summary(summary).render_markdown()
     assert "Final hypervolume (per-run reference boxes)" in text
+
+
+def test_tiny_final_hypervolumes_print_significant_digits(tmp_path, capsys):
+    """Small-budget cells have volumes like 1.66e-9 in raw objective units;
+    neither the CLI table nor the markdown table may print them as zero."""
+    from repro.campaign import RunStore
+    from repro.cli import main
+
+    tiny = outcome("wifi-3mbps/jetson-tx2-gpu", "random", [candidate("a", 20.0, 200.0)])
+    tiny.front_history = FrontHistory(
+        metrics=("error_percent", "latency_s", "energy_j"),
+        reference=(21.0, 0.05, 0.21),
+        entries=(FrontHistoryEntry(0, 0, 1, 1.66e-9, True, "a"),),
+    )
+    summary = summarize_campaign([tiny])
+    assert summary.hypervolume_table()[1][0][-1] == "1.66e-09"
+    assert "| 1.66e-09 |" in ExperimentReport().add_campaign_summary(summary).render_markdown()
+
+    RunStore(tmp_path).append(tiny)
+    for report_format, row in (("table", "| 1.66e-09"), ("markdown", "| 1.66e-09 |")):
+        assert main(["report", "--store", str(tmp_path), "--format", report_format]) == 0
+        assert row in capsys.readouterr().out
 
 
 def test_campaign_summary_omits_hypervolume_table_without_telemetry(

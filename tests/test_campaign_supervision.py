@@ -22,6 +22,7 @@ from repro.campaign import (
     StoreError,
     deadline,
     fsck_store,
+    merge_stores,
     run_campaign,
     run_worker,
 )
@@ -42,6 +43,7 @@ from repro.campaign.supervisor import (
 from repro.cli import main as cli_main
 from repro.resilience import faults
 from repro.resilience.faults import FaultInjector
+from repro.utils.serialization import append_jsonl_atomic
 
 #: Budgets small enough that one real search is milliseconds.
 FAST = dict(
@@ -666,6 +668,121 @@ class TestStoreIntegrity:
         assert not report["repaired"]
         assert not (directory / "quarantine").exists()
         assert (directory / "runs.jsonl").read_bytes() == payload
+
+
+def _canonical_line(record) -> bytes:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def _store_lines(directory):
+    return b"".join(
+        path.read_bytes() for path in sorted((directory / "shards").glob("*.jsonl"))
+    ).splitlines(keepends=True)
+
+
+def _flip_last_digit_of(data: bytes, key: bytes) -> bytes:
+    """Flip the last digit of the first number stored under ``"key":``."""
+    match = re.search(b'"' + key + rb'":(-?[0-9.eE+-]+)', data)
+    assert match, f"no {key!r} number to corrupt"
+    last = match.end(1) - 1
+    flipped = b"1" if data[last : last + 1] != b"1" else b"2"
+    return data[:last] + flipped + data[last + 1 :]
+
+
+class TestCanonicalRecordLines:
+    """Records are written as the canonical bytes their CRC covers."""
+
+    def test_appended_line_is_the_canonical_dump_of_its_record(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        store.append(run_search(_request()))
+        (line,) = _store_lines(tmp_path / "store")
+        assert line.startswith(b'{"crc32":')
+        assert line == _canonical_line(json.loads(line))
+
+    def test_the_byte_crc_and_the_reserialized_crc_agree(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        for seed in (0, 1):
+            store.append(run_search(_request(seed=seed)))
+        for line in _store_lines(tmp_path / "store"):
+            record = json.loads(line)
+            assert record_crc(record) == record["crc32"]
+            assert verify_record_crc(record)
+
+    def test_a_flipped_float_digit_in_the_body_is_a_crc_mismatch(self, tmp_path):
+        directory = tmp_path / "store"
+        store = RunStore(directory)
+        rotten = store.append(run_search(_request(seed=0)))
+        intact = store.append(run_search(_request(seed=1)))
+        (shard,) = (directory / "shards").glob("*.jsonl")
+        first, second = shard.read_bytes().splitlines(keepends=True)
+        shard.write_bytes(_flip_last_digit_of(first, b"error_percent") + second)
+
+        reopened = RunStore(directory)
+        assert reopened.fingerprints() == [intact]
+        assert rotten not in reopened
+        assert reopened.skipped_lines() == {"corrupt_lines": 0, "crc_mismatches": 1}
+        report = fsck_store(directory)
+        assert (report["intact"], report["crc_mismatch"], report["clean"]) == (
+            1, 1, False,
+        )
+
+    def test_a_byte_change_that_keeps_the_parsed_value_still_fails(self, tmp_path):
+        """``1e-05`` -> ``1E-05`` is one flipped bit that parses to the same
+        float: re-serializing the record would pass it, its bytes do not."""
+        directory = tmp_path / "store"
+        store = RunStore(directory)
+        fingerprint = store.append(run_search(_request(tags={"tiny": 1e-05})))
+        (shard,) = (directory / "shards").glob("*.jsonl")
+        line = shard.read_bytes()
+        assert line.count(b'"tiny":1e-05') == 1
+        rotten = line.replace(b'"tiny":1e-05', b'"tiny":1E-05')
+        assert verify_record_crc(json.loads(rotten))
+        shard.write_bytes(rotten)
+
+        assert fingerprint not in RunStore(directory)
+        assert fsck_store(directory)["crc_mismatch"] == 1
+
+    def test_a_record_in_the_earlier_line_format_verifies_by_reserialization(
+        self, tmp_path
+    ):
+        directory = tmp_path / "store"
+        donor = run_search(_request())
+        record = {"fingerprint": "earlier", "outcome": donor.to_dict()}
+        record["crc32"] = record_crc(record)
+        shard = directory / "shards" / "earlier-00000000.jsonl"
+        append_jsonl_atomic(shard, record)
+        assert shard.read_bytes().startswith(b'{"fingerprint": "earlier", ')
+
+        store = RunStore(directory)
+        assert store.fingerprints() == ["earlier"]
+        assert store.get("earlier").to_dict() == donor.to_dict()
+        report = fsck_store(directory)
+        assert (report["intact"], report["clean"]) == (1, True)
+
+        shard.write_bytes(_flip_crc_digit(shard.read_bytes()))
+        assert "earlier" not in RunStore(directory)
+        assert fsck_store(directory)["crc_mismatch"] == 1
+
+    def test_compacted_and_merged_stores_verify(self, tmp_path):
+        source = RunStore(tmp_path / "source")
+        racer = RunStore(tmp_path / "source")
+        outcomes = [run_search(_request(seed=seed)) for seed in (0, 1)]
+        for outcome in outcomes:
+            source.append(outcome)
+        racer.append(outcomes[1])  # a reclaimed lease's duplicate
+        source.refresh()
+        assert source.summary()["superseded"] == 1
+        assert source.compact()["dropped_superseded"] == 1
+        report = fsck_store(tmp_path / "source")
+        assert (report["intact"], report["clean"]) == (2, True)
+
+        dest = RunStore(tmp_path / "dest")
+        assert merge_stores([source], dest) == {"merged": 2, "skipped": 0}
+        report = fsck_store(tmp_path / "dest")
+        assert (report["intact"], report["clean"]) == (2, True)
+        for line in _store_lines(tmp_path / "dest"):
+            assert line == _canonical_line(json.loads(line))
+        assert RunStore(tmp_path / "dest").fingerprints() == source.fingerprints()
 
 
 # ---------------------------------------------------------------------- audit

@@ -325,7 +325,7 @@ def test_skipped_records_are_reported_on_stderr(tmp_path, capsys):
                  "--store", str(store_dir), "--quiet"]) == 0
     shard = next((store_dir / "shards").glob("*.jsonl"))
     data = shard.read_bytes()
-    digit = re.search(rb'"crc32": (\d+)', data).end(1) - 1
+    digit = re.search(rb'"crc32": ?(\d+)', data).end(1) - 1
     flipped = b"1" if data[digit:digit + 1] != b"1" else b"2"
     shard.write_bytes(data[:digit] + flipped + data[digit + 1:])
     capsys.readouterr()

@@ -60,6 +60,62 @@ def test_iter_jsonl_skips_damage_and_stops_at_a_torn_tail(tmp_path):
     assert list(iter_jsonl(path)) == [{"n": 1}, {"n": 2}]
 
 
+def test_append_line_atomic_takes_one_terminated_line(tmp_path):
+    from repro.utils.serialization import append_line_atomic
+
+    path = tmp_path / "log.jsonl"
+    assert append_line_atomic(path, b'{"n":1}\n') == (0, 8)
+    with pytest.raises(ValueError, match="newline"):
+        append_line_atomic(path, b'{"n":2}')
+    assert path.read_bytes() == b'{"n":1}\n'
+
+
+#: The types ``json`` reads back as themselves.
+_JSON_LEAVES = (type(None), bool, int, float, str)
+
+
+def _assert_json_builtins(value, where="outcome"):
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, f"{where} has the non-string key {key!r}"
+            _assert_json_builtins(item, f"{where}.{key}")
+    elif type(value) is list:
+        for index, item in enumerate(value):
+            _assert_json_builtins(item, f"{where}[{index}]")
+    else:
+        assert type(value) in _JSON_LEAVES, f"{where} is a {type(value)!r}"
+
+
+@pytest.mark.parametrize("space", ["lens-vgg", "resnet-v1", "seq-conv1d"])
+def test_outcome_to_dict_holds_json_builtins_only(space):
+    """The run store and the process-pool executor hand ``to_dict()`` to
+    :mod:`json` and :mod:`pickle` as is, without a ``to_jsonable`` walk, so
+    every strategy's outcome must already be JSON-native."""
+    from repro.api.session import run_search
+
+    for strategy, acquisition, batch_size in (
+        ("random", "ts", 1),
+        ("lens", "ts", 1),
+        ("traditional", "ts", 1),
+        ("lens", "epdc", 4),
+    ):
+        request = SearchRequest(
+            strategy=strategy,
+            search_space=space,
+            acquisition=acquisition,
+            batch_size=batch_size,
+            num_initial=4,
+            num_iterations=4,
+            candidate_pool_size=16,
+            predictor_samples_per_type=40,
+            seed=5,
+        )
+        data = run_search(request).to_dict()
+        assert data["candidates"] and data["front_history"]["entries"]
+        assert to_jsonable(data) == data
+        _assert_json_builtins(data)
+
+
 def test_format_table_alignment_and_precision():
     table = format_table(
         rows=[["alexnet", 39.94321, 1], ["vgg16", 120.5, 22]],

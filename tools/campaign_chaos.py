@@ -15,10 +15,11 @@ and in CI::
    the same cell must store it and exit 0 (its observer may not fail the
    cell on the records of its buried life).
 2. **Store integrity**: an injected ENOSPC append leaves the store
-   byte-identical; an injected torn append and a simulated bit-flip are
-   detected by the CRC layer (counted, never served), reported by
-   ``repro store fsck``, quarantined by ``--repair``, and the repaired
-   store keeps every intact record byte-identical.
+   byte-identical; an injected torn append and two simulated bit-flips —
+   one in a record's body, one in another record's checksum — are detected
+   by the CRC layer (counted, never served), reported by ``repro store
+   fsck``, quarantined by ``--repair``, and the repaired store keeps every
+   intact record byte-identical.
 3. **Circuit breaker, end to end**: ``repro campaign --executor
    pull-worker`` over cells that time out on every attempt must trip the
    sliding-window breaker, stop the workers claiming, and exit with
@@ -208,7 +209,7 @@ def drill_store_integrity(base: Path) -> int:
     store_dir = base / "integrity"
     store = RunStore(store_dir)
     spec = CampaignSpec(
-        scenarios=(SCENARIO,), strategies=("random",), seeds=(0, 1), **FAST
+        scenarios=(SCENARIO,), strategies=("random",), seeds=(0, 1, 2), **FAST
     )
     run_campaign(spec, store)
     (shard_path,) = sorted((store_dir / "shards").glob("*.jsonl"))
@@ -241,38 +242,45 @@ def drill_store_integrity(base: Path) -> int:
     if torn_tail <= 0:
         return _fail("torn append left no partial line behind")
 
-    # bit-flip: corrupt one digit of the first record's checksum field so
-    # the line still parses but the CRC disagrees (simulated disk rot)
-    flipped = bytearray(original_lines[0])
-    anchor = flipped.index(b'"crc32":') + len(b'"crc32":')
-    while not chr(flipped[anchor]).isdigit():
-        anchor += 1
-    while chr(flipped[anchor]).isdigit():
-        anchor += 1
-    anchor -= 1  # last digit: a leading zero would be invalid JSON instead
-    flipped[anchor] = ord("1") if flipped[anchor] == ord("0") else ord("0")
-    shard_path.write_bytes(bytes(flipped) + b"".join(original_lines[1:])
+    # bit-flips (simulated disk rot) that leave each line parseable: the
+    # last digit of a float in the first record's body, so its canonical
+    # bytes no longer match their checksum, and the last digit of the second
+    # record's checksum field (a leading zero would be invalid JSON instead)
+    def flip_last_digit(line: bytes, key: bytes) -> bytes:
+        flipped = bytearray(line)
+        anchor = flipped.index(key) + len(key)
+        while not chr(flipped[anchor]).isdigit():
+            anchor += 1
+        while chr(flipped[anchor]).isdigit() or flipped[anchor] == ord("."):
+            anchor += 1
+        anchor -= 1
+        flipped[anchor] = ord("1") if flipped[anchor] == ord("0") else ord("0")
+        return bytes(flipped)
+
+    shard_path.write_bytes(flip_last_digit(original_lines[0], b'"error_percent":')
+                           + flip_last_digit(original_lines[1], b'"crc32":')
+                           + original_lines[2]
                            + shard_path.read_bytes()[len(pristine):])
 
     reopened = RunStore(store_dir)
     if len(reopened) != 1:
-        return _fail(f"store served {len(reopened)} records; the rotten one "
-                     "must be skipped")
-    if reopened.summary()["crc_mismatches"] != 1:
-        return _fail("the scan did not count the CRC mismatch")
+        return _fail(f"store served {len(reopened)} records; the two rotten "
+                     "ones must be skipped")
+    if reopened.summary()["crc_mismatches"] != 2:
+        return _fail("the scan did not count both CRC mismatches")
 
     report = fsck_store(store_dir)
-    if report["clean"] or report["crc_mismatch"] != 1 or \
+    if report["clean"] or report["crc_mismatch"] != 2 or \
             report["torn_bytes"] != torn_tail or report["intact"] != 1:
         return _fail(f"fsck verify misclassified the damage: {report}")
-    print(f"      fsck: {report['intact']} intact, 1 checksum mismatch, "
-          f"{report['torn_bytes']} torn byte(s) detected")
+    print(f"      fsck: {report['intact']} intact, 2 checksum mismatches "
+          f"(body, checksum), {report['torn_bytes']} torn byte(s) detected")
 
     report = fsck_store(store_dir, repair=True)
-    if not report["repaired"] or report["quarantined_lines"] != 2:
-        return _fail(f"fsck --repair did not quarantine both bad lines: "
+    if not report["repaired"] or report["quarantined_lines"] != 3:
+        return _fail(f"fsck --repair did not quarantine the three bad lines: "
                      f"{report}")
-    if shard_path.read_bytes() != original_lines[1]:
+    if shard_path.read_bytes() != original_lines[2]:
         return _fail("repair did not keep the intact record byte-identical")
     quarantined = list((store_dir / "quarantine").iterdir())
     if not quarantined:
@@ -283,7 +291,7 @@ def drill_store_integrity(base: Path) -> int:
     repaired = RunStore(store_dir)
     if len(repaired) != 1 or repaired.summary()["crc_mismatches"] != 0:
         return _fail("repaired store does not scan clean")
-    print(f"      repair quarantined 2 line(s) into "
+    print(f"      repair quarantined 3 line(s) into "
           f"{quarantined[0].name}; intact record byte-identical")
     return 0
 
