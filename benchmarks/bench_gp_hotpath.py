@@ -26,8 +26,11 @@ A second test smokes the vectorised ``pareto_front_mask`` on a 50k-point
 cloud and cross-checks it against the O(n^2) reference implementation.  A
 third replays a paper-budget (10 + 300) evaluation sequence through the
 incremental ``compute_front_history`` and its per-prefix oracle
-(``tests/oracles/front_history.py``), asserts the two histories are equal
-and records both timings; it never fails on timing.
+(``tests/oracles/front_history.py``, whose hypervolume is the slab-by-slab
+``tests/oracles/hypervolume.py``), asserts the two histories are equal bit
+for bit, and records their timings and those of the staircase
+``hypervolume_3d`` and the slab oracle on the final front; it never fails
+on timing.
 """
 
 from __future__ import annotations
@@ -38,12 +41,14 @@ import time
 import numpy as np
 from conftest import FAST_MODE, save_table
 from oracles import front_history as front_history_oracle
+from oracles import hypervolume as hypervolume_oracle
 
 from repro.optim.gp import GaussianProcess
 from repro.optim.gp_bank import GPBank
 from repro.optim.pareto import (
     _pareto_front_mask_reference,
     compute_front_history,
+    hypervolume_3d,
     pareto_front_mask,
 )
 from repro.optim.scalarization import normalize_objectives
@@ -324,6 +329,16 @@ def test_pareto_front_mask_vectorized_smoke():
     )
 
 
+def _best_time(function, *args, repeats: int = 5) -> float:
+    """Fastest of ``repeats`` timed calls, in seconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        function(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def test_front_history_incremental_smoke():
     """A 310-evaluation front history: equal to the per-prefix oracle, timed."""
     rng = np.random.default_rng(11)
@@ -341,12 +356,19 @@ def test_front_history_incremental_smoke():
     expected = front_history_oracle.compute_front_history(objectives, metrics)
     oracle_s = time.perf_counter() - start
 
+    final_front = objectives[pareto_front_mask(objectives)]
+    reference = history.reference
+    sweep_hv_s = _best_time(hypervolume_3d, final_front, reference)
+    slab_hv_s = _best_time(hypervolume_oracle.hypervolume_3d, final_front, reference)
+
     joins = len(history.front_advances())
     text = (
         f"compute_front_history on {FRONT_HISTORY_EVALUATIONS}x{NUM_OBJECTIVES} "
         f"evaluations ({joins} joined the front, final size "
         f"{history.final_front_size}): incremental {incremental_s * 1e3:.1f} ms, "
-        f"per-prefix oracle {oracle_s * 1e3:.1f} ms"
+        f"per-prefix oracle {oracle_s * 1e3:.1f} ms; hypervolume_3d of the "
+        f"final front: staircase sweep {sweep_hv_s * 1e3:.2f} ms, slab oracle "
+        f"{slab_hv_s * 1e3:.2f} ms"
     )
     print("\n" + text)
     save_table(
@@ -359,6 +381,8 @@ def test_front_history_incremental_smoke():
             "final_front_size": history.final_front_size,
             "incremental_s": incremental_s,
             "oracle_s": oracle_s,
+            "hypervolume_3d_sweep_s": sweep_hv_s,
+            "hypervolume_3d_slab_oracle_s": slab_hv_s,
             "fast_mode": FAST_MODE,
         },
     )

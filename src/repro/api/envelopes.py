@@ -28,10 +28,15 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.scenario import DEFAULT_SCENARIO, SCENARIOS, Scenario, ScenarioRegistry
 from repro.core.results import CandidateEvaluation, SearchResult
+from repro.hardware.profiler import MIN_SAMPLES_PER_TYPE
 from repro.optim.pareto import FrontHistory
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
 from repro.utils.serialization import load_json
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import (
+    require_integral,
+    require_non_negative,
+    require_positive,
+)
 
 #: Current envelope schema version.
 #:
@@ -63,6 +68,16 @@ FINGERPRINT_EXCLUDED_FIELDS = ("schema_version", "tags")
 
 #: Hex digits kept in a request fingerprint (64 bits — ample for run stores).
 FINGERPRINT_LENGTH = 16
+
+#: Request fields that count something: whole numbers only, held as ``int``
+#: so a request and its stored envelope share one fingerprint.
+_COUNT_FIELDS = (
+    "num_initial",
+    "num_iterations",
+    "candidate_pool_size",
+    "batch_size",
+    "predictor_samples_per_type",
+)
 
 
 def request_fingerprint(request: "SearchRequest") -> str:
@@ -158,6 +173,8 @@ class SearchRequest:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
+        for name in _COUNT_FIELDS:
+            object.__setattr__(self, name, require_integral(getattr(self, name), name))
         require_positive(self.num_initial, "num_initial")
         if self.num_iterations < 0:
             raise ValueError(
@@ -166,6 +183,11 @@ class SearchRequest:
         require_positive(self.candidate_pool_size, "candidate_pool_size")
         require_positive(self.batch_size, "batch_size")
         require_non_negative(self.predictor_noise_std, "predictor_noise_std")
+        if self.predictor_samples_per_type < MIN_SAMPLES_PER_TYPE:
+            raise ValueError(
+                f"predictor_samples_per_type must be >= {MIN_SAMPLES_PER_TYPE} "
+                f"(the profiler's minimum), got {self.predictor_samples_per_type}"
+            )
 
     # ------------------------------------------------------------------ helpers
     @property
@@ -227,7 +249,10 @@ class SearchRequest:
         v1 payloads predate the ``search_space`` field and upgrade to
         :data:`~repro.nn.spaces.DEFAULT_SEARCH_SPACE`; the returned request
         always carries the current :data:`SCHEMA_VERSION` (and the same
-        fingerprint the payload had under the schema that wrote it).
+        fingerprint the payload had under the schema that wrote it).  Counts
+        load as stored: a non-integral one (``40.9``) raises ``ValueError``
+        here instead of loading truncated under another fingerprint, and
+        ``10.0`` loads as ``10``.
         """
         check_schema_version(data, "SearchRequest")
         scenario = data.get("scenario", DEFAULT_SCENARIO)
@@ -238,15 +263,13 @@ class SearchRequest:
             scenario=scenario,
             strategy=data.get("strategy", "lens"),
             search_space=str(data.get("search_space", DEFAULT_SEARCH_SPACE)),
-            num_initial=int(data.get("num_initial", 10)),
-            num_iterations=int(data.get("num_iterations", 50)),
-            candidate_pool_size=int(data.get("candidate_pool_size", 128)),
+            num_initial=data.get("num_initial", 10),
+            num_iterations=data.get("num_iterations", 50),
+            candidate_pool_size=data.get("candidate_pool_size", 128),
             acquisition=data.get("acquisition", "ts"),
-            batch_size=int(data.get("batch_size", DEFAULT_BATCH_SIZE)),
+            batch_size=data.get("batch_size", DEFAULT_BATCH_SIZE),
             predictor_noise_std=float(data.get("predictor_noise_std", 0.03)),
-            predictor_samples_per_type=int(
-                data.get("predictor_samples_per_type", 200)
-            ),
+            predictor_samples_per_type=data.get("predictor_samples_per_type", 200),
             seed=None if seed is None else int(seed),
             tags=dict(data.get("tags", {})),
             schema_version=SCHEMA_VERSION,

@@ -22,6 +22,18 @@ from repro.nn.architecture import LayerSummary, summarize_layer
 from repro.nn.layers import Conv2D, Dense, MaxPool2D
 from repro.utils.rng import SeedLike, ensure_rng
 
+#: Fewest configurations :class:`LayerProfiler` samples per layer family.
+MIN_SAMPLES_PER_TYPE = 10
+
+
+def _draw(rng: np.random.Generator, values: Sequence[int]) -> int:
+    """``int(rng.choice(values))``, drawn as an index into ``values``.
+
+    The generator draws the same index and is left in the same state, at a
+    fraction of ``choice``'s cost (``tests/oracles/profiler.py``).
+    """
+    return int(values[rng.integers(0, len(values))])
+
 
 @dataclass
 class ProfilingDataset:
@@ -93,8 +105,11 @@ class LayerProfiler:
         samples_per_type: int = 300,
         rng: SeedLike = None,
     ):
-        if samples_per_type < 10:
-            raise ValueError(f"samples_per_type must be >= 10, got {samples_per_type}")
+        if samples_per_type < MIN_SAMPLES_PER_TYPE:
+            raise ValueError(
+                f"samples_per_type must be >= {MIN_SAMPLES_PER_TYPE}, "
+                f"got {samples_per_type}"
+            )
         self.simulator = simulator
         self.conv_spatial_sizes = tuple(conv_spatial_sizes)
         self.conv_channels = tuple(conv_channels)
@@ -112,11 +127,11 @@ class LayerProfiler:
     def _sample_conv_configs(self) -> Iterable[Tuple[Conv2D, Tuple[int, int, int]]]:
         rng = self._rng
         for _ in range(self.samples_per_type):
-            spatial = int(rng.choice(self.conv_spatial_sizes))
-            channels = int(rng.choice(self.conv_channels))
-            kernel = int(rng.choice([k for k in self.conv_kernels if k <= spatial]))
-            filters = int(rng.choice(self.conv_filters))
-            stride = int(rng.choice(self.conv_strides))
+            spatial = _draw(rng, self.conv_spatial_sizes)
+            channels = _draw(rng, self.conv_channels)
+            kernel = _draw(rng, [k for k in self.conv_kernels if k <= spatial])
+            filters = _draw(rng, self.conv_filters)
+            stride = _draw(rng, self.conv_strides)
             layer = Conv2D(
                 name="profile_conv",
                 out_channels=filters,
@@ -130,16 +145,16 @@ class LayerProfiler:
     def _sample_fc_configs(self) -> Iterable[Tuple[Dense, Tuple[int]]]:
         rng = self._rng
         for _ in range(self.samples_per_type):
-            in_features = int(rng.choice(self.fc_input_sizes))
-            units = int(rng.choice(self.fc_units))
+            in_features = _draw(rng, self.fc_input_sizes)
+            units = _draw(rng, self.fc_units)
             yield Dense(name="profile_fc", units=units), (in_features,)
 
     def _sample_pool_configs(self) -> Iterable[Tuple[MaxPool2D, Tuple[int, int, int]]]:
         rng = self._rng
         for _ in range(self.samples_per_type):
-            spatial = int(rng.choice(self.pool_spatial_sizes))
-            channels = int(rng.choice(self.pool_channels))
-            pool_size = int(rng.choice([2, 3]))
+            spatial = _draw(rng, self.pool_spatial_sizes)
+            channels = _draw(rng, self.pool_channels)
+            pool_size = _draw(rng, (2, 3))
             stride = 2
             yield (
                 MaxPool2D(name="profile_pool", pool_size=pool_size, stride=stride),

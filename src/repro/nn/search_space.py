@@ -98,16 +98,15 @@ class LensSearchSpace(EncodedSearchSpace):
         self.accuracy_input_shape = tuple(accuracy_input_shape)
         self.performance_input_shape = tuple(performance_input_shape)
         self.encoding = self._build_encoding()
-        # Gene positions the validity rule and repair index the genotype at.
-        self._pool_positions = np.array(
-            [
-                self.encoding.gene_position(f"block{block}_pool")
-                for block in range(1, self.num_blocks + 1)
-            ]
-        )
-        self._fc_present_positions = np.array(
-            [self.encoding.gene_position(f"fc{i}_present") for i in (1, 2)]
-        )
+        # Gene positions the validity rule and repair read, as Python ints:
+        # the hooks run on ``arr.tolist()`` for every genotype a search draws.
+        self._pool_positions = [
+            self.encoding.gene_position(f"block{block}_pool")
+            for block in range(1, self.num_blocks + 1)
+        ]
+        self._fc_present_positions = [
+            self.encoding.gene_position(f"fc{i}_present") for i in (1, 2)
+        ]
         self._true_index = self.encoding.gene("fc1_present").index_of(True)
 
     # ------------------------------------------------------------------ encoding
@@ -136,10 +135,11 @@ class LensSearchSpace(EncodedSearchSpace):
         At least ``min_pool_layers`` pooling layers, and at least one of the
         two fully-connected layers present.
         """
-        pools = np.count_nonzero(arr[self._pool_positions] == self._true_index)
-        if pools < self.min_pool_layers:
+        genes = arr.tolist()
+        on = self._true_index
+        if [genes[p] for p in self._pool_positions].count(on) < self.min_pool_layers:
             return False
-        return bool((arr[self._fc_present_positions] == self._true_index).any())
+        return any(genes[p] == on for p in self._fc_present_positions)
 
     def _repair_in_place(self, arr: np.ndarray, rng: np.random.Generator) -> None:
         """Repair a validated genotype in place.
@@ -147,12 +147,15 @@ class LensSearchSpace(EncodedSearchSpace):
         Missing pooling layers are switched on at uniformly random blocks and
         the first fully-connected layer is enabled if neither is present.
         """
-        off = self._pool_positions[arr[self._pool_positions] != self._true_index]
+        genes = arr.tolist()
+        on = self._true_index
+        off = [p for p in self._pool_positions if genes[p] != on]
         missing = self.min_pool_layers - (len(self._pool_positions) - len(off))
         if missing > 0:
-            arr[off[rng.choice(len(off), size=missing, replace=False)]] = self._true_index
-        if not (arr[self._fc_present_positions] == self._true_index).any():
-            arr[self._fc_present_positions[0]] = self._true_index
+            for chosen in rng.choice(len(off), size=missing, replace=False).tolist():
+                arr[off[chosen]] = on
+        if not any(genes[p] == on for p in self._fc_present_positions):
+            arr[self._fc_present_positions[0]] = on
 
     # ------------------------------------------------------------------ decoding
     def _layer_stack(

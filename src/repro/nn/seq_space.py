@@ -95,13 +95,12 @@ class SeqConv1DSearchSpace(EncodedSearchSpace):
         self.accuracy_input_shape = tuple(accuracy_input_shape)
         self.performance_input_shape = tuple(performance_input_shape)
         self.encoding = self._build_encoding()
-        # Gene positions the validity rule and repair index the genotype at.
-        self._pool_positions = np.array(
-            [
-                self.encoding.gene_position(f"block{block}_pool")
-                for block in range(1, self.num_blocks + 1)
-            ]
-        )
+        # Gene positions the validity rule and repair read, as Python ints:
+        # the hooks run on ``arr.tolist()`` for every genotype a search draws.
+        self._pool_positions = [
+            self.encoding.gene_position(f"block{block}_pool")
+            for block in range(1, self.num_blocks + 1)
+        ]
         self._true_index = self.encoding.gene("block1_pool").index_of(True)
 
     # ------------------------------------------------------------------ encoding
@@ -119,15 +118,18 @@ class SeqConv1DSearchSpace(EncodedSearchSpace):
     # ------------------------------------------------------------------ validity
     def _satisfied(self, arr: np.ndarray) -> bool:
         """At least ``min_pool_layers`` of the block pools must be enabled."""
-        pools = np.count_nonzero(arr[self._pool_positions] == self._true_index)
-        return bool(pools >= self.min_pool_layers)
+        genes = arr.tolist()
+        pools = [genes[p] for p in self._pool_positions].count(self._true_index)
+        return pools >= self.min_pool_layers
 
     def _repair_in_place(self, arr: np.ndarray, rng: np.random.Generator) -> None:
         """Switch on pooling at random blocks until the constraint holds."""
-        off = self._pool_positions[arr[self._pool_positions] != self._true_index]
+        genes = arr.tolist()
+        off = [p for p in self._pool_positions if genes[p] != self._true_index]
         missing = self.min_pool_layers - (len(self._pool_positions) - len(off))
         if missing > 0:
-            arr[off[rng.choice(len(off), size=missing, replace=False)]] = self._true_index
+            for chosen in rng.choice(len(off), size=missing, replace=False).tolist():
+                arr[off[chosen]] = self._true_index
 
     # ------------------------------------------------------------------ decoding
     def _layer_stack(

@@ -14,6 +14,7 @@ one — the definition in §III-B of the paper.  The module provides:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -212,6 +213,27 @@ def combined_front_composition(
     }
 
 
+def _staircase_area(points: Sequence[Sequence[float]], rx: float, ry: float) -> float:
+    """Area dominated within ``(rx, ry)`` by 2-D points sorted by ``(x, y)``.
+
+    Each point adds the rectangle from its ``x`` to ``rx`` between its ``y``
+    and the lowest ``y`` before it; empty and inverted rectangles add
+    nothing.  A dominated point sorts after a point that dominates it, so
+    its ``y`` is not below the lowest before it: only the front's staircase
+    adds area, in ascending ``x``.
+    """
+    area = 0.0
+    previous_y = ry
+    for x, y in points:
+        width = rx - x
+        height = previous_y - y
+        if width > 0 and height > 0:
+            area += width * height
+        if y < previous_y:
+            previous_y = y
+    return area
+
+
 def hypervolume_2d(points: np.ndarray, reference: Sequence[float]) -> float:
     """Exact hypervolume (area) dominated by a 2-D point set w.r.t. a reference.
 
@@ -223,31 +245,20 @@ def hypervolume_2d(points: np.ndarray, reference: Sequence[float]) -> float:
     if P.shape[1] != 2 or ref.shape != (2,):
         raise ValueError("hypervolume_2d requires 2-D points and a 2-D reference")
     inside = P[np.all(P <= ref, axis=1)]
-    if inside.size == 0:
-        return 0.0
-    front = inside[pareto_front_mask(inside)]
-    order = np.argsort(front[:, 0])
-    front = front[order]
-    volume = 0.0
-    previous_y = ref[1]
-    for x, y in front:
-        width = ref[0] - x
-        height = previous_y - y
-        if width > 0 and height > 0:
-            volume += width * height
-        previous_y = min(previous_y, y)
-    return float(volume)
+    rx, ry = ref.tolist()
+    return _staircase_area(sorted(inside.tolist()), rx, ry)
 
 
 def hypervolume_3d(points: np.ndarray, reference: Sequence[float]) -> float:
     """Exact hypervolume dominated by a 3-D point set w.r.t. a reference.
 
-    Dimension-sweep algorithm: points inside the reference box are sorted by
-    their third objective; the dominated volume is the sum of slabs, each the
-    exact 2-D area (:func:`hypervolume_2d`) dominated by the projections of
-    every point at or below the slab, times the slab's height.  Runs in
-    O(m^2 log m) for a front of m points — exact where the old Monte-Carlo
-    path only estimated.
+    Dimension sweep: the front's points inside the reference box are taken
+    in ascending third objective, each joining a list of ``(x, y)``
+    projections kept sorted.  Every slab between one point's ``z`` and the
+    next (or the reference) adds its height times the area that list
+    dominates, a staircase sweep: O(m^2) for a front of m points.  The
+    products and sums are those of one :func:`hypervolume_2d` call per
+    slab, in the same order (``tests/oracles/hypervolume.py``).
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     ref = np.asarray(reference, dtype=float).ravel()
@@ -257,16 +268,18 @@ def hypervolume_3d(points: np.ndarray, reference: Sequence[float]) -> float:
     if inside.size == 0:
         return 0.0
     front = inside[pareto_front_mask(inside)]
-    order = np.argsort(front[:, 2], kind="stable")
-    front = front[order]
+    rows = front[np.argsort(front[:, 2], kind="stable")].tolist()
+    rx, ry, rz = ref.tolist()
+    tops = [z for _, _, z in rows[1:]] + [rz]
+    projections: List[Tuple[float, float]] = []
     volume = 0.0
-    heights = np.append(front[1:, 2], ref[2]) - front[:, 2]
-    for index, height in enumerate(heights):
+    for (x, y, z), top in zip(rows, tops):
+        insort(projections, (x, y))
+        height = top - z
         if height <= 0.0:
             continue
-        area = hypervolume_2d(front[: index + 1, :2], ref[:2])
-        volume += area * float(height)
-    return float(volume)
+        volume += _staircase_area(projections, rx, ry) * height
+    return volume
 
 
 def hypervolume(

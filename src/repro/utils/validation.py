@@ -6,7 +6,23 @@ These keep constructor bodies readable and produce consistent error messages
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Iterable, Sequence, Tuple, Type, Union
+
+
+def require_integral(value: Any, name: str) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is a whole number.
+
+    Integers and integral floats (``10``, ``10.0``) pass; ``40.9``, NaN,
+    infinities, booleans and non-numbers raise rather than being truncated
+    by ``int()``.
+    """
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def require_positive(value: float, name: str) -> float:

@@ -4,7 +4,9 @@
 evaluation at a time and recomputes the hypervolume only when a newcomer
 joins.  This module keeps the loop it replaced — recompute the
 non-dominated mask of every prefix and the hypervolume of its front — as the
-oracle the property test compares it with, entry for entry.
+oracle the property test compares it with, entry for entry.  The
+hypervolume is the slab-based oracle's (:mod:`oracles.hypervolume`), so a
+change to the library's hypervolume shows here too.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from oracles.hypervolume import hypervolume
 from repro.optim.pareto import (
     FrontHistory,
     FrontHistoryEntry,
     default_reference_point,
-    hypervolume,
     pareto_front_mask,
 )
 

@@ -20,6 +20,7 @@ from repro.api.envelopes import (
     SearchRequest,
     request_fingerprint,
 )
+from repro.hardware.profiler import MIN_SAMPLES_PER_TYPE
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_requests_v1.json"
@@ -137,3 +138,52 @@ def test_predictor_noise_std_is_validated_when_built_and_loaded(value):
     payload["predictor_noise_std"] = value
     with pytest.raises(ValueError, match="predictor_noise_std"):
         SearchRequest.from_dict(payload)
+
+
+#: Values a request envelope cannot keep: non-integral counts, which
+#: ``int()`` used to truncate on load (moving the fingerprint), and a
+#: profiling budget below the profiler's minimum, which failed every run.
+UNKEEPABLE_COUNTS = [
+    ("num_initial", 2.5),
+    ("num_iterations", 1.5),
+    ("candidate_pool_size", 8.5),
+    ("batch_size", 1.5),
+    ("predictor_samples_per_type", 40.9),
+    ("predictor_samples_per_type", 5),
+]
+
+
+@pytest.mark.parametrize("field, value", UNKEEPABLE_COUNTS)
+def test_unkeepable_counts_are_rejected_when_built_and_loaded(field, value):
+    request = SearchRequest.from_dict(golden_entries()[0]["request"])
+    with pytest.raises(ValueError, match=field):
+        request.replace(**{field: value})
+    payload = request.to_dict()
+    payload[field] = value
+    with pytest.raises(ValueError, match=field):
+        SearchRequest.from_dict(payload)
+
+
+@pytest.mark.parametrize("field", [field for field, _ in UNKEEPABLE_COUNTS[:5]])
+def test_integral_float_counts_load_as_ints_with_the_int_fingerprint(field):
+    request = SearchRequest.from_dict(golden_entries()[0]["request"])
+    value = getattr(request, field) or 1  # num_iterations may be 0
+    request = request.replace(**{field: value})
+    payload = request.to_dict()
+    payload[field] = float(value)
+    loaded = SearchRequest.from_dict(payload)
+    assert type(getattr(loaded, field)) is int
+    assert getattr(loaded, field) == value
+    assert loaded.fingerprint() == request.fingerprint()
+    built = request.replace(**{field: float(value)})
+    assert type(getattr(built, field)) is int
+    assert built.fingerprint() == request.fingerprint()
+
+
+def test_profiling_minimum_is_the_profilers():
+    request = SearchRequest.from_dict(golden_entries()[0]["request"])
+    assert request.replace(
+        predictor_samples_per_type=MIN_SAMPLES_PER_TYPE
+    ).predictor_samples_per_type == MIN_SAMPLES_PER_TYPE
+    with pytest.raises(ValueError, match="predictor_samples_per_type"):
+        request.replace(predictor_samples_per_type=MIN_SAMPLES_PER_TYPE - 1)

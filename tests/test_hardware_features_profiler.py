@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.predictor import layer_features
+from oracles.profiler import ChoiceLayerProfiler
 
 from repro.api.registry import SEARCH_SPACES
+from repro.hardware.device import jetson_tx2_cpu, jetson_tx2_gpu
 from repro.hardware.features import family_feature_matrix, prediction_family
 from repro.hardware.predictors import RidgeRegression
-from repro.hardware.profiler import LayerProfiler, ProfilingDataset
+from repro.hardware.profiler import LayerProfiler, ProfilingDataset, _draw
 from repro.hardware.simulator import LayerCostSimulator
 from repro.nn.architecture import summarize_layer
 
@@ -128,3 +130,67 @@ class TestLayerProfiler:
         simulator = LayerCostSimulator(gpu_device)
         with pytest.raises(ValueError):
             LayerProfiler(simulator, samples_per_type=5)
+
+
+#: A grid where only the 3x3 kernel fits the smallest (3x3) input, so some
+#: kernel draws pick from a one-element list.
+ONE_KERNEL_GRID = dict(
+    conv_spatial_sizes=(3, 14, 56),
+    conv_kernels=(3, 5, 7),
+    conv_channels=(3, 64),
+    conv_strides=(1, 2),
+    pool_spatial_sizes=(3, 28),
+)
+
+
+def _profiled(profiler_class, device, seed, grid):
+    """``profile_all``'s datasets and the generator's state afterwards.
+
+    The simulator and the profiler share one generator, as
+    ``LayerPerformancePredictor.train_for_device`` builds them.
+    """
+    rng = np.random.default_rng(seed)
+    simulator = LayerCostSimulator(device, noise_std=0.03, rng=rng)
+    profiler = profiler_class(simulator, samples_per_type=60, rng=rng, **grid)
+    return profiler.profile_all(), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 2021])
+@pytest.mark.parametrize(
+    "device, grid",
+    [(jetson_tx2_gpu, {}), (jetson_tx2_cpu, {}), (jetson_tx2_gpu, ONE_KERNEL_GRID)],
+    ids=["tx2-gpu", "tx2-cpu", "one-kernel-grid"],
+)
+def test_profile_all_equals_the_choice_oracle_byte_for_byte(device, grid, seed):
+    """Index draws give the ``rng.choice`` datasets and generator state."""
+    ours, our_state = _profiled(LayerProfiler, device(), seed, grid)
+    theirs, their_state = _profiled(ChoiceLayerProfiler, device(), seed, grid)
+    assert set(ours) == set(theirs) == {"conv", "fc", "pool"}
+    for family, dataset in ours.items():
+        expected = theirs[family]
+        for attribute in ("features", "latencies_s", "powers_w"):
+            mine, reference = getattr(dataset, attribute), getattr(expected, attribute)
+            assert mine.shape == reference.shape
+            assert mine.tobytes() == reference.tobytes()
+    assert our_state == their_state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+    lengths=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=12),
+)
+def test_property_index_draw_equals_choice(seed, lengths):
+    """``values[integers(0, len(values))]`` draws what ``rng.choice`` draws.
+
+    Every trained predictor, and so every seeded golden and digest, depends
+    on this equivalence.  Tuples and lists of every length, interleaved with
+    the simulator's ``normal`` draws, leave both generators in one state.
+    """
+    indexed = np.random.default_rng(seed)
+    chosen = np.random.default_rng(seed)
+    for length in lengths:
+        for values in (tuple(range(10, 10 + length)), list(range(7, 7 + length))):
+            assert _draw(indexed, values) == chosen.choice(values)
+            assert indexed.normal() == chosen.normal()
+    assert indexed.bit_generator.state == chosen.bit_generator.state

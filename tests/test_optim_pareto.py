@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import front_history as oracle
+from oracles import hypervolume as hypervolume_oracle
 
 from repro.optim.pareto import (
     FrontHistory,
@@ -393,6 +394,57 @@ def test_property_incremental_front_history_matches_the_per_prefix_oracle(case):
     assert _history_json(compute_front_history, objectives, reference) == _history_json(
         oracle.compute_front_history, objectives, reference
     )
+
+
+@st.composite
+def _hypervolume_cases(draw):
+    """2- or 3-objective point sets around a reference, odd values included.
+
+    Coordinates mix a coarse grid (ties), free floats, NaN, ±inf, −0.0 and
+    the reference's own coordinates (points on the box); the reference may
+    hold inf or NaN, and replayed rows make duplicates.
+    """
+    k = draw(st.sampled_from([2, 3]))
+    reference = draw(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-1.0, max_value=4.0),
+                st.sampled_from([np.inf, np.nan, -0.0]),
+            ),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    coordinate = st.one_of(
+        _GRID,
+        _FINITE,
+        _SPECIAL,
+        st.just(-0.0),
+        st.sampled_from(reference),
+        st.floats(min_value=4.0, max_value=6.0),  # outside a finite box
+    )
+    rows = draw(
+        st.lists(st.lists(coordinate, min_size=k, max_size=k), min_size=1, max_size=24)
+    )
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return np.array(rows, dtype=float), reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hypervolume_cases())
+def test_property_hypervolume_sweep_matches_the_slab_oracle_bit_for_bit(case):
+    """The staircase sweeps equal one 2-D call per slab, as ``float.hex``."""
+    points, reference = case
+    exact = hypervolume_2d if points.shape[1] == 2 else hypervolume_3d
+    exact_oracle = (
+        hypervolume_oracle.hypervolume_2d
+        if points.shape[1] == 2
+        else hypervolume_oracle.hypervolume_3d
+    )
+    with np.errstate(all="ignore"):
+        expected = float.hex(exact_oracle(points, reference))
+        assert float.hex(exact(points, reference)) == expected
+        assert float.hex(hypervolume(points, reference)) == expected
 
 
 @settings(max_examples=40, deadline=None)

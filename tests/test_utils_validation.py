@@ -1,15 +1,31 @@
 """Tests for repro.utils.validation."""
 
+import numpy as np
 import pytest
 
 from repro.utils.validation import (
     require_between,
     require_in,
+    require_integral,
     require_non_negative,
     require_positive,
     require_shape,
     require_type,
 )
+
+
+@pytest.mark.parametrize("value", [0, 10, 10.0, -3.0, np.int64(7), np.float64(12.0)])
+def test_require_integral_returns_whole_numbers_as_ints(value):
+    result = require_integral(value, "x")
+    assert type(result) is int and result == value
+
+
+@pytest.mark.parametrize(
+    "value", [40.9, 0.5, float("nan"), float("inf"), True, "10", None, np.float64(2.5)]
+)
+def test_require_integral_rejects_everything_else(value):
+    with pytest.raises(ValueError, match="x must be an integer"):
+        require_integral(value, "x")
 
 
 def test_require_positive_accepts_positive():
