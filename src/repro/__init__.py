@@ -75,8 +75,7 @@ from repro.hardware.predictors import LayerPerformancePredictor, OracleLayerPred
 from repro.nn.alexnet import build_alexnet
 from repro.api.registry import SEARCH_SPACES, register_search_space
 from repro.nn.resnet_space import ResNetSearchSpace
-from repro.nn.search_space import LensSearchSpace
-from repro.nn.seq_space import SeqConv1DSearchSpace
+from repro.nn.search_space import LensSearchSpace, SeqConv1DSearchSpace
 from repro.nn.spaces import EncodedSearchSpace
 from repro.nn.vgg import build_vgg16
 from repro.partition.partitioner import PartitionAnalyzer

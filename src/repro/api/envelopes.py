@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.scenario import DEFAULT_SCENARIO, SCENARIOS, Scenario, ScenarioRegistry
+from repro.api.scenario import DEFAULT_SCENARIO, SCENARIOS, Scenario
 from repro.core.results import CandidateEvaluation, SearchResult
 from repro.hardware.profiler import MIN_SAMPLES_PER_TYPE
 from repro.optim.pareto import FrontHistory
@@ -70,8 +70,9 @@ FINGERPRINT_EXCLUDED_FIELDS = ("schema_version", "tags")
 FINGERPRINT_LENGTH = 16
 
 #: Request fields that count something: whole numbers only, held as ``int``
-#: so a request and its stored envelope share one fingerprint.
-_COUNT_FIELDS = (
+#: so a request and its stored envelope share one fingerprint.  Campaign
+#: specs check the same fields.
+COUNT_FIELDS = (
     "num_initial",
     "num_iterations",
     "candidate_pool_size",
@@ -132,8 +133,8 @@ class SearchRequest:
     Parameters
     ----------
     scenario:
-        Scenario name (resolved through a :class:`ScenarioRegistry`) or an
-        inline :class:`Scenario`.
+        Scenario name (resolved through :data:`repro.api.scenario.SCENARIOS`)
+        or an inline :class:`Scenario`.
     strategy:
         Search strategy name (``"lens"``, ``"traditional"`` or ``"random"``,
         see :data:`repro.api.session.STRATEGIES`).
@@ -152,8 +153,7 @@ class SearchRequest:
         Performance-predictor training settings (ignored when a pre-trained
         predictor is supplied to :func:`repro.api.session.run_search`).
     seed:
-        Master seed of the run.  Must be an integer (or ``None``) for the
-        request to be serializable.
+        Master seed of the run: a whole number, held as ``int``, or ``None``.
     tags:
         Free-form metadata carried through to the outcome.
     """
@@ -173,8 +173,10 @@ class SearchRequest:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        for name in _COUNT_FIELDS:
+        for name in COUNT_FIELDS:
             object.__setattr__(self, name, require_integral(getattr(self, name), name))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", require_integral(self.seed, "seed"))
         require_positive(self.num_initial, "num_initial")
         if self.num_iterations < 0:
             raise ValueError(
@@ -202,11 +204,9 @@ class SearchRequest:
             return self.scenario.name
         return str(self.scenario)
 
-    def resolve_scenario(
-        self, scenarios: Optional[ScenarioRegistry] = None
-    ) -> Scenario:
+    def resolve_scenario(self) -> Scenario:
         """The scenario object, resolved by name when necessary."""
-        return (scenarios or SCENARIOS).resolve(self.scenario)
+        return SCENARIOS.resolve(self.scenario)
 
     def replace(self, **changes: Any) -> "SearchRequest":
         """Copy of this request with the given fields changed."""
@@ -221,11 +221,6 @@ class SearchRequest:
         scenario: Any = self.scenario
         if isinstance(scenario, Scenario):
             scenario = scenario.to_dict()
-        seed = self.seed
-        if seed is not None and not isinstance(seed, int):
-            raise TypeError(
-                f"only integer (or None) seeds are serializable, got {type(seed)!r}"
-            )
         return {
             "schema_version": self.schema_version,
             "scenario": scenario,
@@ -238,7 +233,7 @@ class SearchRequest:
             "batch_size": self.batch_size,
             "predictor_noise_std": self.predictor_noise_std,
             "predictor_samples_per_type": self.predictor_samples_per_type,
-            "seed": seed,
+            "seed": self.seed,
             "tags": dict(self.tags),
         }
 
@@ -250,15 +245,14 @@ class SearchRequest:
         :data:`~repro.nn.spaces.DEFAULT_SEARCH_SPACE`; the returned request
         always carries the current :data:`SCHEMA_VERSION` (and the same
         fingerprint the payload had under the schema that wrote it).  Counts
-        load as stored: a non-integral one (``40.9``) raises ``ValueError``
-        here instead of loading truncated under another fingerprint, and
-        ``10.0`` loads as ``10``.
+        and the seed load as stored: a non-integral one (``40.9``) or a
+        boolean raises ``ValueError`` here instead of loading truncated
+        under another fingerprint, and ``10.0`` loads as ``10``.
         """
         check_schema_version(data, "SearchRequest")
         scenario = data.get("scenario", DEFAULT_SCENARIO)
         if isinstance(scenario, dict):
             scenario = Scenario.from_dict(scenario)
-        seed = data.get("seed", 0)
         return cls(
             scenario=scenario,
             strategy=data.get("strategy", "lens"),
@@ -270,7 +264,7 @@ class SearchRequest:
             batch_size=data.get("batch_size", DEFAULT_BATCH_SIZE),
             predictor_noise_std=float(data.get("predictor_noise_std", 0.03)),
             predictor_samples_per_type=data.get("predictor_samples_per_type", 200),
-            seed=None if seed is None else int(seed),
+            seed=data.get("seed", 0),
             tags=dict(data.get("tags", {})),
             schema_version=SCHEMA_VERSION,
         )

@@ -29,8 +29,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.hardware.device import BUILTIN_DEVICES, DeviceProfile
 from repro.nn.resnet_space import ResNetSearchSpace
-from repro.nn.search_space import LensSearchSpace
-from repro.nn.seq_space import SeqConv1DSearchSpace
+from repro.nn.search_space import LensSearchSpace, SeqConv1DSearchSpace
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE, EncodedSearchSpace
 from repro.optim.acquisition import ACQUISITION_STRATEGIES
 from repro.wireless.power_models import SUPPORTED_TECHNOLOGIES, RadioPowerModel

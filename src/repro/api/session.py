@@ -37,7 +37,7 @@ from repro.accuracy.surrogate import AccuracyModel, AccuracySurrogate
 from repro.api.engine import EvaluationEngine, default_engine
 from repro.api.envelopes import SearchOutcome, SearchRequest
 from repro.api.registry import ACQUISITIONS, SEARCH_SPACES, Registry
-from repro.api.scenario import Scenario, ScenarioRegistry
+from repro.api.scenario import Scenario
 from repro.core.evaluation import PartitionAwareEvaluator
 from repro.core.results import METRIC_NAMES, CandidateEvaluation, SearchResult
 from repro.hardware.device import DeviceProfile
@@ -101,7 +101,6 @@ class SearchContext:
 def build_context(
     request: Union[SearchRequest, Dict],
     *,
-    scenarios: Optional[ScenarioRegistry] = None,
     search_space: Union[EncodedSearchSpace, str, None] = None,
     accuracy_model: Optional[AccuracyModel] = None,
     predictor: Optional[BaseLayerPredictor] = None,
@@ -141,7 +140,7 @@ def build_context(
     if search_space is None:
         search_space = SEARCH_SPACES.create(request.search_space)
     engine = engine or default_engine()
-    scenario = request.resolve_scenario(scenarios)
+    scenario = request.resolve_scenario()
     device = scenario.resolve_device()
     channel = scenario.build_channel()
     if predictor is None:
@@ -362,7 +361,6 @@ def _replay_group_sizes(request: SearchRequest, num_records: int) -> List[int]:
 def run_search(
     request: Union[SearchRequest, Dict, None] = None,
     *,
-    scenarios: Optional[ScenarioRegistry] = None,
     search_space: Union[EncodedSearchSpace, str, None] = None,
     accuracy_model: Optional[AccuracyModel] = None,
     predictor: Optional[BaseLayerPredictor] = None,
@@ -416,7 +414,6 @@ def run_search(
     stats_before = engine.stats.snapshot()  # report per-run deltas, not lifetime totals
     context = build_context(
         request,
-        scenarios=scenarios,
         search_space=search_space,
         accuracy_model=accuracy_model,
         predictor=predictor,

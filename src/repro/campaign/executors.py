@@ -75,8 +75,8 @@ class ExecutionContext:
         The campaign's :class:`~repro.campaign.supervisor.CampaignPolicy`.
         Its ``on_error="fail"`` stops launching new cells after the first
         failure; ``"continue"`` records the envelope and keeps going.
-    scenarios / engine:
-        Optional registry/engine overrides (in-process executors only).
+    engine:
+        Optional evaluation-engine override (in-process executors only).
     record / fail:
         Result callbacks provided by the runner.  ``record(fingerprint,
         outcome, persisted=False)`` stores a finished cell (``persisted=True``
@@ -88,7 +88,6 @@ class ExecutionContext:
     store: Any
     workers: int = 1
     policy: CampaignPolicy = field(default_factory=CampaignPolicy)
-    scenarios: Optional[Any] = None
     engine: Optional[Any] = None
     record: Callable[..., None] = lambda *a, **k: None
     fail: Callable[..., None] = lambda *a, **k: None
@@ -135,11 +134,7 @@ class SerialExecutor(CampaignExecutor):
         for fingerprint, request in context.pending:
             try:
                 with deadline(cell_timeout_s):
-                    outcome = run_search(
-                        request,
-                        scenarios=context.scenarios,
-                        engine=context.engine,
-                    )
+                    outcome = run_search(request, engine=context.engine)
             except Exception as error:  # noqa: BLE001 - enveloped
                 context.fail(
                     fingerprint,

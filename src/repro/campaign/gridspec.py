@@ -20,12 +20,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.envelopes import DEFAULT_BATCH_SIZE, SearchRequest, check_schema_version
+from repro.api.envelopes import (
+    COUNT_FIELDS,
+    DEFAULT_BATCH_SIZE,
+    SearchRequest,
+    check_schema_version,
+)
 from repro.api.registry import ACQUISITIONS, SEARCH_SPACES
-from repro.api.scenario import SCENARIOS, ScenarioRegistry
+from repro.api.scenario import SCENARIOS
 from repro.api.session import STRATEGIES
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
 from repro.utils.serialization import load_json
+from repro.utils.validation import require_integral
 
 
 @dataclass(frozen=True)
@@ -35,16 +41,16 @@ class CampaignSpec:
     Parameters
     ----------
     scenarios:
-        Scenario names, resolved through a
-        :class:`~repro.api.scenario.ScenarioRegistry` at run time.
+        Scenario names, resolved through
+        :data:`repro.api.scenario.SCENARIOS` at run time.
     search_spaces:
         Search-space names from :data:`repro.api.registry.SEARCH_SPACES`;
         every scenario is searched once per space.
     strategies:
         Strategy names from :data:`repro.api.session.STRATEGIES`.
     seeds:
-        Master seeds; every scenario x space x strategy cell runs once per
-        seed.
+        Master seeds (whole numbers or ``None``); every scenario x space x
+        strategy cell runs once per seed.
     acquisitions:
         Optional acquisition-strategy axis (names from
         :data:`repro.api.registry.ACQUISITIONS`).  When set, every
@@ -54,7 +60,9 @@ class CampaignSpec:
     num_initial / num_iterations / candidate_pool_size / acquisition /
     batch_size / predictor_noise_std / predictor_samples_per_type:
         Budgets applied to every generated request (same meaning as on
-        :class:`~repro.api.envelopes.SearchRequest`).
+        :class:`~repro.api.envelopes.SearchRequest`).  Seeds and counts must
+        be whole numbers: ``ValueError`` rather than truncation, here and in
+        :meth:`from_dict`.
     tags:
         Metadata copied onto every request (excluded from fingerprints).
     """
@@ -79,11 +87,12 @@ class CampaignSpec:
             self, "search_spaces", tuple(str(s) for s in self.search_spaces)
         )
         object.__setattr__(self, "strategies", tuple(str(s) for s in self.strategies))
-        object.__setattr__(
-            self,
-            "seeds",
-            tuple(None if s is None else int(s) for s in self.seeds),
+        seeds = tuple(
+            None if s is None else require_integral(s, "seed") for s in self.seeds
         )
+        object.__setattr__(self, "seeds", seeds)
+        for name in COUNT_FIELDS:
+            object.__setattr__(self, name, require_integral(getattr(self, name), name))
         object.__setattr__(
             self, "acquisitions", tuple(str(s) for s in self.acquisitions)
         )
@@ -139,7 +148,7 @@ class CampaignSpec:
                             )
         return grid
 
-    def validate(self, scenarios: Optional[ScenarioRegistry] = None) -> "CampaignSpec":
+    def validate(self) -> "CampaignSpec":
         """Resolve every axis name eagerly, before any cell runs.
 
         Raises the registries' suggestion-bearing
@@ -147,9 +156,8 @@ class CampaignSpec:
         scenario, search-space or strategy name, so a typo fails the
         campaign up front instead of mid-grid (or inside a worker process).
         """
-        registry = scenarios or SCENARIOS
         for name in self.scenarios:
-            registry.get(name)
+            SCENARIOS.get(name)
         for name in self.search_spaces:
             SEARCH_SPACES.get(name)
         for name in self.strategies:
@@ -208,15 +216,13 @@ class CampaignSpec:
             strategies=tuple(data.get("strategies", ("lens",))),
             seeds=tuple(data.get("seeds", (0,))),
             acquisitions=tuple(data.get("acquisitions", ())),
-            num_initial=int(data.get("num_initial", 10)),
-            num_iterations=int(data.get("num_iterations", 50)),
-            candidate_pool_size=int(data.get("candidate_pool_size", 128)),
+            num_initial=data.get("num_initial", 10),
+            num_iterations=data.get("num_iterations", 50),
+            candidate_pool_size=data.get("candidate_pool_size", 128),
             acquisition=data.get("acquisition", "ts"),
-            batch_size=int(data.get("batch_size", DEFAULT_BATCH_SIZE)),
+            batch_size=data.get("batch_size", DEFAULT_BATCH_SIZE),
             predictor_noise_std=float(data.get("predictor_noise_std", 0.03)),
-            predictor_samples_per_type=int(
-                data.get("predictor_samples_per_type", 200)
-            ),
+            predictor_samples_per_type=data.get("predictor_samples_per_type", 200),
             tags=dict(data.get("tags", {})),
         )
 

@@ -51,7 +51,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.engine import EvaluationEngine
 from repro.api.envelopes import SearchOutcome, SearchRequest, request_fingerprint
-from repro.api.scenario import ScenarioRegistry
 from repro.campaign.errors import ErrorEnvelope
 from repro.campaign.executors import (
     EXECUTORS,
@@ -184,7 +183,6 @@ def run_campaign(
     resume: bool = True,
     executor: Optional[Union[str, CampaignExecutor]] = None,
     policy: Optional[CampaignPolicy] = None,
-    scenarios: Optional[ScenarioRegistry] = None,
     engine: Optional[EvaluationEngine] = None,
     progress: Optional[CampaignProgress] = None,
 ) -> CampaignResult:
@@ -223,9 +221,6 @@ def run_campaign(
         code 4); out-of-process supervision (dead-lettering, shared
         breaker state) applies on the ``pull-worker`` executor, while
         in-process executors track the breaker in memory.
-    scenarios:
-        Registry used for upfront validation and by the serial path
-        (defaults to :data:`repro.api.scenario.SCENARIOS`).
     engine:
         Evaluation engine for the serial path; shared across cells so
         predictors and layer costs are trained once per device.  Ignored by
@@ -237,7 +232,7 @@ def run_campaign(
     if isinstance(store, (str, Path)):
         store = open_store(store)
     if isinstance(spec, CampaignSpec):
-        spec.validate(scenarios)
+        spec.validate()
     resolved = resolve_executor(executor, workers)
     start = time.perf_counter()
     pending, skipped = _plan(spec, store, resume)
@@ -301,7 +296,6 @@ def run_campaign(
                 store=store,
                 workers=max(1, int(workers)),
                 policy=policy,
-                scenarios=scenarios,
                 engine=engine,
                 record=_record,
                 fail=_fail,

@@ -138,7 +138,6 @@ def run_worker(
     *,
     worker_id: Optional[str] = None,
     manifest: Optional[CampaignManifest] = None,
-    scenarios: Optional[Any] = None,
     engine: Optional[Any] = None,
     max_cycles: Optional[int] = None,
     progress: Optional[WorkerProgress] = None,
@@ -154,9 +153,9 @@ def run_worker(
     manifest:
         Pre-loaded manifest (default: read ``manifest.json`` from the
         directory — the normal path for CLI workers).
-    scenarios / engine:
-        Optional registry/engine overrides forwarded to ``run_search``
-        (in-process callers only; CLI workers use the defaults).
+    engine:
+        Optional evaluation engine forwarded to ``run_search`` (in-process
+        callers only; CLI workers use the default).
     max_cycles:
         Safety bound on poll cycles (``None`` = run to completion).
     progress:
@@ -296,7 +295,6 @@ def run_worker(
                         with deadline(policy.cell_timeout_s):
                             outcome = run_search(
                                 request,
-                                scenarios=scenarios,
                                 engine=engine,
                                 **resilience_kwargs,
                             )

@@ -19,8 +19,7 @@ from repro.nn.layers import (
     shape_bytes,
 )
 from repro.nn.resnet_space import ResNetSearchSpace
-from repro.nn.search_space import LensSearchSpace
-from repro.nn.seq_space import SeqConv1DSearchSpace
+from repro.nn.search_space import LensSearchSpace, SeqConv1DSearchSpace
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE, EncodedSearchSpace
 from repro.nn.vgg import build_vgg16, build_vgg_like
 

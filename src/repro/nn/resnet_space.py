@@ -28,7 +28,7 @@ exists), so ``is_valid`` is always true and ``repair`` is the identity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -230,34 +230,3 @@ class ResNetSearchSpace(EncodedSearchSpace):
             ),
         ]
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict:
-        """Serialisable configuration of the space."""
-        return {
-            "num_stages": self.num_stages,
-            "blocks_per_stage": list(self.blocks_per_stage),
-            "kernel_sizes": list(self.kernel_sizes),
-            "stage_widths": list(self.stage_widths),
-            "fc_units": list(self.fc_units),
-            "num_classes": self.num_classes,
-            "accuracy_input_shape": list(self.accuracy_input_shape),
-            "performance_input_shape": list(self.performance_input_shape),
-            "downsample": self.downsample,
-            "projection_shortcuts": self.projection_shortcuts,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ResNetSearchSpace":
-        """Reconstruct a search space from :meth:`to_dict` output."""
-        return cls(
-            num_stages=data["num_stages"],
-            blocks_per_stage=data["blocks_per_stage"],
-            kernel_sizes=data["kernel_sizes"],
-            stage_widths=data["stage_widths"],
-            fc_units=data["fc_units"],
-            num_classes=data["num_classes"],
-            accuracy_input_shape=tuple(data["accuracy_input_shape"]),
-            performance_input_shape=tuple(data["performance_input_shape"]),
-            downsample=data.get("downsample", "pool"),
-            projection_shortcuts=bool(data.get("projection_shortcuts", False)),
-        )

@@ -18,7 +18,7 @@ Spaces are addressable by name through
 * ``"resnet-v1"`` — residual stages whose skip edges constrain partitioning
   (:class:`~repro.nn.resnet_space.ResNetSearchSpace`);
 * ``"seq-conv1d"`` — a 1-D convolutional sequence workload
-  (:class:`~repro.nn.seq_space.SeqConv1DSearchSpace`).
+  (:class:`~repro.nn.search_space.SeqConv1DSearchSpace`).
 """
 
 from __future__ import annotations
@@ -105,11 +105,11 @@ class EncodedSearchSpace(abc.ABC):
     architectures and candidate names carry it for provenance (candidate
     names start with :attr:`name_prefix` when a space sets one).
 
-    Subclasses must set five instance attributes in ``__init__`` —
-    ``self.encoding`` (the gene layout, one
+    Subclasses must provide four attributes, set in ``__init__`` or as
+    class data — ``encoding`` (the gene layout, one
     :class:`~repro.nn.encoding.Gene` per decision variable),
-    ``self.num_classes`` (the classifier width) and
-    ``self.accuracy_input_shape`` and ``self.performance_input_shape``
+    ``num_classes`` (the classifier width) and
+    ``accuracy_input_shape`` and ``performance_input_shape``
     (the channels-first input shapes :meth:`decode_for_accuracy` /
     :meth:`decode_for_performance` decode with) — and implement
     :meth:`_layer_stack`, plus — when the unconstrained genotype space
@@ -131,7 +131,7 @@ class EncodedSearchSpace(abc.ABC):
     #: Prefix of candidate names; ``None`` uses :attr:`space_name`.
     name_prefix: Optional[str] = None
 
-    #: Required instance attributes (set them in ``__init__``).
+    #: Required attributes (set them in ``__init__`` or as class data).
     encoding: EncodingScheme
     num_classes: int
     accuracy_input_shape: Tuple[int, ...]

@@ -428,9 +428,10 @@ def default_reference_point(objectives: np.ndarray) -> np.ndarray:
     """Deterministic hypervolume reference for a run's observed objectives.
 
     The nadir over every observation plus a 10 % margin of the observed
-    range (and a tiny absolute epsilon so degenerate columns still enclose
-    their points), matching the convention of
-    :func:`repro.analysis.pareto_metrics.compare_fronts`.
+    range, plus a tiny absolute epsilon so degenerate columns still enclose
+    their points: ``nadir + 0.1 * (nadir - ideal) + 1e-9``.  This is not
+    :func:`repro.analysis.pareto_metrics.compare_fronts`' reference, which
+    scales the pooled maximum (``max * 1.1 + 1e-9``).
     """
     Y = np.atleast_2d(np.asarray(objectives, dtype=float))
     if Y.size == 0:

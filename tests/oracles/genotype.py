@@ -1,11 +1,14 @@
 """Reference genotype operations: validity, repair and mutation.
 
-``LensSearchSpace`` (``lens-vgg``) and ``SeqConv1DSearchSpace``
-(``seq-conv1d``) check and repair genotypes by indexing the index array at
-gene positions they compute once.  This module keeps the path that
-indexing replaced — decode the genotype into ``{gene name: value}`` and
-look the pool and fully-connected genes up by name — as the oracle the
-property tests compare them with, draw for draw:
+The block spaces ``lens-vgg`` (``LensSearchSpace``) and ``seq-conv1d``
+(``SeqConv1DSearchSpace``) share one validity rule and one repair,
+:class:`repro.nn.search_space.BlockSearchSpace`'s, which index the genotype
+at gene positions computed once and read the minimum pool and
+fully-connected counts from each space's data.  This module keeps the
+per-space paths that indexing replaced — decode the genotype into
+``{gene name: value}`` and look the pool and fully-connected genes up by
+name — as the oracles the property tests compare the shared hooks with,
+draw for draw:
 
 * :func:`lens_is_valid` / :func:`lens_repair` — at least
   ``min_pool_layers`` pooling layers, and at least one fully-connected
@@ -28,8 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.nn.encoding import EncodingScheme
-from repro.nn.search_space import LensSearchSpace
-from repro.nn.seq_space import SeqConv1DSearchSpace
+from repro.nn.search_space import LensSearchSpace, SeqConv1DSearchSpace
 
 
 def _pool_total(space, values) -> int:

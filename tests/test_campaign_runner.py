@@ -66,6 +66,37 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="duplicates"):
             CampaignSpec(scenarios=("a", "a"))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_initial", 10.5),
+            ("num_iterations", 2.5),
+            ("candidate_pool_size", 8.5),
+            ("batch_size", 1.5),
+            ("predictor_samples_per_type", 40.9),
+            ("seeds", [2.5, 3]),
+            ("seeds", [True, 2]),
+        ],
+    )
+    def test_non_integral_seeds_and_counts_are_rejected_not_truncated(
+        self, field, value
+    ):
+        """``int()`` used to load ``10.5`` as 10 and a seed ``2.5`` as 2."""
+        payload = SPEC.to_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=field.rstrip("s")):
+            CampaignSpec.from_dict(payload)
+        with pytest.raises(ValueError, match=field.rstrip("s")):
+            CampaignSpec(scenarios=SPEC.scenarios, **{field: value})
+
+    def test_integral_float_seeds_and_counts_load_as_ints(self):
+        payload = SPEC.to_dict()
+        payload.update(seeds=[0.0, 1], num_initial=4.0, predictor_samples_per_type=40.0)
+        spec = CampaignSpec.from_dict(payload)
+        assert spec.seeds == (0, 1) and type(spec.seeds[0]) is int
+        assert type(spec.num_initial) is int and spec.num_initial == 4
+        assert spec.requests()[0].fingerprint() == SPEC.requests()[0].fingerprint()
+
     def test_validate_catches_unknown_names_upfront(self):
         bad = CampaignSpec(scenarios=("wifi-3mbps/jetson-tx2-gpu",),
                            strategies=("lense",))

@@ -164,7 +164,9 @@ def test_unkeepable_counts_are_rejected_when_built_and_loaded(field, value):
         SearchRequest.from_dict(payload)
 
 
-@pytest.mark.parametrize("field", [field for field, _ in UNKEEPABLE_COUNTS[:5]])
+@pytest.mark.parametrize(
+    "field", [field for field, _ in UNKEEPABLE_COUNTS[:5]] + ["seed"]
+)
 def test_integral_float_counts_load_as_ints_with_the_int_fingerprint(field):
     request = SearchRequest.from_dict(golden_entries()[0]["request"])
     value = getattr(request, field) or 1  # num_iterations may be 0
@@ -178,6 +180,20 @@ def test_integral_float_counts_load_as_ints_with_the_int_fingerprint(field):
     built = request.replace(**{field: float(value)})
     assert type(getattr(built, field)) is int
     assert built.fingerprint() == request.fingerprint()
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "2"])
+def test_non_integral_seeds_are_rejected_when_built_and_loaded(seed):
+    """A seed of ``2.5`` used to load as seed 2, under seed 2's fingerprint."""
+    request = SearchRequest.from_dict(golden_entries()[0]["request"])
+    with pytest.raises(ValueError, match="seed"):
+        request.replace(seed=seed)
+    payload = request.to_dict()
+    payload["seed"] = seed
+    with pytest.raises(ValueError, match="seed"):
+        SearchRequest.from_dict(payload)
+    payload["seed"] = None
+    assert SearchRequest.from_dict(payload).seed is None
 
 
 def test_profiling_minimum_is_the_profilers():

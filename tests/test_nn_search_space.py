@@ -43,7 +43,8 @@ class TestValidityAndSampling:
         for _ in range(50):
             genotype = search_space.sample(rng)
             assert search_space.is_valid(genotype)
-            assert search_space.pool_count(genotype) >= 4
+            values = search_space.encoding.values(genotype)
+            assert sum(values[f"block{i}_pool"] for i in range(1, 6)) >= 4
 
     def test_repair_fixes_pooling_and_fc(self, search_space, rng):
         genotype = search_space.sample(rng)
@@ -136,14 +137,6 @@ class TestDecoding:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        space = LensSearchSpace(num_blocks=4, min_pool_layers=3, num_classes=7)
-        rebuilt = LensSearchSpace.from_dict(space.to_dict())
-        assert rebuilt.num_blocks == 4
-        assert rebuilt.min_pool_layers == 3
-        assert rebuilt.num_classes == 7
-        assert rebuilt.num_genes == space.num_genes
-
     def test_describe_mentions_constraints(self):
         assert "pooling" in LensSearchSpace().describe()
 

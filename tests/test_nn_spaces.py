@@ -12,8 +12,7 @@ from oracles import genotype as oracle
 
 from repro.api.registry import SEARCH_SPACES, RegistryError, register_search_space
 from repro.nn.resnet_space import ResNetSearchSpace
-from repro.nn.search_space import LensSearchSpace
-from repro.nn.seq_space import SeqConv1DSearchSpace
+from repro.nn.search_space import LensSearchSpace, SeqConv1DSearchSpace
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE, EncodedSearchSpace
 from repro.utils.rng import ensure_rng
 
@@ -168,12 +167,6 @@ class TestResNetSpace:
         rng = ensure_rng(3)
         for _ in range(20):
             assert space.is_valid(space.encoding.sample_indices(rng))
-
-    def test_round_trip_configuration(self, space):
-        clone = ResNetSearchSpace.from_dict(space.to_dict())
-        assert clone.to_dict() == space.to_dict()
-        genotype = space.sample(ensure_rng(4))
-        assert clone.decode(genotype) == space.decode(genotype)
 
 
 class TestResNetVariants:
@@ -345,12 +338,6 @@ class TestSeqConv1DSpace:
             s.output_bytes < input_bytes for s in summaries[:-1]
             if s.is_partition_candidate
         )
-
-    def test_round_trip_configuration(self, space):
-        clone = SeqConv1DSearchSpace.from_dict(space.to_dict())
-        assert clone.to_dict() == space.to_dict()
-        genotype = space.sample(ensure_rng(4))
-        assert clone.decode(genotype) == space.decode(genotype)
 
 
 #: (space, dict-based validity oracle, dict-based repair oracle).

@@ -94,7 +94,7 @@ class TestRunSearchAcrossSpaces:
         """A search-space *instance* override must fold its space_name into
         the request, so the outcome is labelled correctly and never shares
         a fingerprint (store key) with a default-space run."""
-        from repro.nn.seq_space import SeqConv1DSearchSpace
+        from repro.nn.search_space import SeqConv1DSearchSpace
 
         base = SearchRequest(strategy="random", **FAST)
         outcome = run_search(base, search_space=SeqConv1DSearchSpace(), engine=engine)
