@@ -23,12 +23,12 @@ timings/speedups as JSON.  Timing floors are only asserted on full-size runs
 >= 5x surrogate-phase speedup over the legacy cold path.
 
 A second test smokes the vectorised ``pareto_front_mask`` on a 50k-point
-cloud and cross-checks it against the O(n^2) reference implementation.  A
-third replays a paper-budget (10 + 300) evaluation sequence through the
-incremental ``compute_front_history`` and its per-prefix oracle
-(``tests/oracles/front_history.py``, whose hypervolume is the slab-by-slab
-``tests/oracles/hypervolume.py``), asserts the two histories are equal bit
-for bit, and records their timings and those of the staircase
+cloud and cross-checks it against the O(n^2) loop of
+``tests/oracles/pareto.py``.  A third replays a paper-budget (10 + 300)
+evaluation sequence through the incremental ``compute_front_history`` and
+its per-prefix oracle (``tests/oracles/front_history.py``, whose
+hypervolume is the slab-by-slab ``tests/oracles/hypervolume.py``), asserts
+the two histories are equal bit for bit, and records their timings and those of the staircase
 ``hypervolume_3d`` and the slab oracle on the final front; it never fails
 on timing.
 """
@@ -42,11 +42,11 @@ import numpy as np
 from conftest import FAST_MODE, save_table
 from oracles import front_history as front_history_oracle
 from oracles import hypervolume as hypervolume_oracle
+from oracles import pareto as pareto_oracle
 
 from repro.optim.gp import GaussianProcess
 from repro.optim.gp_bank import GPBank
 from repro.optim.pareto import (
-    _pareto_front_mask_reference,
     compute_front_history,
     hypervolume_3d,
     pareto_front_mask,
@@ -312,7 +312,7 @@ def test_pareto_front_mask_vectorized_smoke():
 
     assert front.shape[0] > 0
     # Every front member must be non-dominated within the front itself.
-    assert np.all(_pareto_front_mask_reference(front))
+    assert np.all(pareto_oracle.pareto_front_mask(front))
     # Every excluded point must be dominated by some front member.
     excluded = cloud[~mask][:PARETO_CHECK_POINTS]
     dominated = np.array(
@@ -325,7 +325,7 @@ def test_pareto_front_mask_vectorized_smoke():
     # Exact equivalence with the reference implementation on a subsample.
     sample = cloud[:PARETO_CHECK_POINTS]
     assert np.array_equal(
-        pareto_front_mask(sample), _pareto_front_mask_reference(sample)
+        pareto_front_mask(sample), pareto_oracle.pareto_front_mask(sample)
     )
 
 

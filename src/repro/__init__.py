@@ -55,8 +55,7 @@ Underneath, the library is organised by substrate:
   MOBO loop;
 * :mod:`repro.accuracy` — numpy CNN training and the accuracy surrogate;
 * :mod:`repro.core` — partition-aware evaluation, search results (with the
-  Traditional baseline's post-hoc partitioning), selection and runtime
-  adaptation;
+  Traditional baseline's post-hoc partitioning) and runtime adaptation;
 * :mod:`repro.analysis` — figure/table-level analyses built on the above;
 * :mod:`repro.campaign` — parallel, resumable campaign runs of the
   experiment API into persistent run stores (also scriptable as

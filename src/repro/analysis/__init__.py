@@ -11,7 +11,6 @@ from repro.analysis.deployment_sweep import (
     DeploymentConfiguration,
     RegionalPreferenceRow,
     SweepRow,
-    evaluate_under,
     preference_changes,
     regional_preferences,
     sweep_deployments,
@@ -50,7 +49,6 @@ __all__ = [
     "DeploymentConfiguration",
     "RegionalPreferenceRow",
     "SweepRow",
-    "evaluate_under",
     "preference_changes",
     "regional_preferences",
     "sweep_deployments",

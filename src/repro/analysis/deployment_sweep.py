@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.api.engine import EvaluationEngine, default_engine
 from repro.hardware.predictors import BaseLayerPredictor
 from repro.nn.architecture import Architecture
-from repro.partition.partitioner import PartitionAnalyzer, PartitionEvaluation
+from repro.partition.partitioner import PartitionEvaluation
 from repro.wireless.channel import WirelessChannel
 from repro.wireless.regions import Region
 
@@ -53,28 +53,6 @@ class SweepRow:
             "all_edge_value": self.all_edge_value,
             "all_cloud_value": self.all_cloud_value,
         }
-
-
-def evaluate_under(
-    architecture: Architecture,
-    configuration: DeploymentConfiguration,
-    uplink_mbps: float,
-    engine: Optional[EvaluationEngine] = None,
-) -> PartitionEvaluation:
-    """Evaluate every deployment option under one throughput value.
-
-    Goes through an :class:`EvaluationEngine` (the shared process-wide one by
-    default), so the architecture's per-layer predictions are computed once
-    per predictor no matter how many throughput values are evaluated.
-    """
-    channel = WirelessChannel.create(
-        technology=configuration.technology,
-        uplink_mbps=uplink_mbps,
-        round_trip_s=configuration.round_trip_s,
-    )
-    analyzer = PartitionAnalyzer(configuration.predictor, channel)
-    engine = engine or default_engine()
-    return engine.evaluate_partitions(architecture, analyzer)
 
 
 def sweep_deployments(

@@ -1,16 +1,7 @@
-"""Markdown experiment-report builder and campaign aggregation.
+"""Markdown experiment reports and campaign aggregation.
 
-The benchmark harness writes one table per figure; users replicating the
-study on their own device profiles or wireless expectations usually want a
-single document that collects the search summary, the frontier comparison,
-the criteria counts and the runtime study.  :class:`ExperimentReport` builds
-that document from the library's result objects and renders it as Markdown
-(the same format as EXPERIMENTS.md), so a custom reproduction can be diffed
-against the shipped one.
-
-:func:`summarize_campaign` is the store-backed half: it aggregates the
-outcomes of a campaign (typically streamed from a
-:class:`~repro.campaign.store.RunStore`) into per
+:func:`summarize_campaign` aggregates the outcomes of a campaign (typically
+streamed from a :class:`~repro.campaign.store.RunStore`) into per
 scenario/search-space/strategy cells and per scenario/search-space
 winners — the strategy owning the largest share of that context's combined
 Pareto front, the comparison behind the paper's Fig. 6.  Candidates from
@@ -18,36 +9,27 @@ different search spaces are never pooled into one front: an image-CNN
 error/energy trade-off is not comparable to a 1-D sequence model's.
 Aggregation depends only on the *set* of outcomes, never their order, so
 serial, parallel and resumed campaigns report identically.
+
+:class:`ExperimentReport` renders such results as one Markdown document:
+a campaign summary with its resilience counters and failure audit
+(``repro report --format markdown``), or a fleet serving session
+(``repro serve --format markdown``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.serving.session import ServingReport
 
-from repro.analysis.criteria import CriterionComparison
-from repro.analysis.pareto_metrics import FrontComparison
-from repro.analysis.runtime_eval import RuntimeStudy
 from repro.api.envelopes import SearchOutcome
 from repro.core.results import CandidateEvaluation, SearchResult
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
-from repro.optim.pareto import FrontHistory, pareto_front_mask
+from repro.optim.pareto import pareto_front_mask
 from repro.resilience.health import HEALTH_CODES, summarize_health
 
 
@@ -89,150 +71,6 @@ class ExperimentReport:
         self._sections.append(f"## {heading}\n\n{body.strip()}")
         return self
 
-    def add_search_summary(
-        self, result: SearchResult, heading: Optional[str] = None
-    ) -> "ExperimentReport":
-        """Summarise one search run: budget, frontier size, best per metric."""
-        heading = heading or f"Search summary — {result.label}"
-        front = result.pareto_candidates(("error_percent", "energy_j"))
-        rows = []
-        for label, metric in (
-            ("lowest error", "error_percent"),
-            ("lowest energy", "energy_j"),
-            ("lowest latency", "latency_s"),
-        ):
-            best = result.best_by(metric)
-            rows.append(
-                [
-                    label,
-                    best.architecture_name,
-                    round(best.error_percent, 2),
-                    round(best.energy_mj, 1),
-                    round(best.latency_ms, 1),
-                    best.best_energy_option.label,
-                ]
-            )
-        body = (
-            f"Explored **{len(result)}** architectures; "
-            f"**{len(front)}** are Pareto-optimal on (error, energy).\n\n"
-            + _markdown_table(
-                ["selection", "model", "error %", "energy mJ", "latency ms", "deployment"],
-                rows,
-            )
-        )
-        return self.add_text(heading, body)
-
-    def add_front_comparison(
-        self, comparison: FrontComparison, heading: Optional[str] = None
-    ) -> "ExperimentReport":
-        """Add a LENS-vs-baseline frontier comparison (Fig. 6 style)."""
-        heading = heading or (
-            f"Frontier comparison — {comparison.a_label} vs {comparison.b_label}"
-        )
-        rows = [
-            ["metrics", " / ".join(comparison.metrics)],
-            [f"{comparison.a_label} front size", comparison.a_front_size],
-            [f"{comparison.b_label} front size", comparison.b_front_size],
-            [
-                f"{comparison.a_label} dominates {comparison.b_label}",
-                f"{100 * comparison.a_dominates_b_fraction:.1f}%",
-            ],
-            [
-                f"{comparison.b_label} dominates {comparison.a_label}",
-                f"{100 * comparison.b_dominates_a_fraction:.1f}%",
-            ],
-            [
-                f"combined frontier share of {comparison.a_label}",
-                f"{100 * comparison.combined_fraction_a:.1f}%",
-            ],
-            ["hypervolume ratio (a / b)",
-             round(comparison.hypervolume_a / comparison.hypervolume_b, 3)
-             if comparison.hypervolume_b > 0 else "inf"],
-        ]
-        return self.add_text(heading, _markdown_table(["statistic", "value"], rows))
-
-    def add_criteria_comparison(
-        self,
-        comparisons: Sequence[CriterionComparison],
-        heading: str = "Architectures satisfying the criteria (Fig. 7 style)",
-    ) -> "ExperimentReport":
-        """Add partition-within vs partition-after criterion counts."""
-        rows = []
-        for comparison in comparisons:
-            change = comparison.percent_change
-            rows.append(
-                [
-                    comparison.criterion.label,
-                    comparison.count_a,
-                    comparison.count_b,
-                    "inf" if change == float("inf") else f"{change:.1f}%",
-                ]
-            )
-        headers = [
-            "criterion",
-            comparisons[0].a_label if comparisons else "a",
-            comparisons[0].b_label if comparisons else "b",
-            "change",
-        ]
-        return self.add_text(heading, _markdown_table(headers, rows))
-
-    def add_runtime_study(
-        self, study: RuntimeStudy, heading: Optional[str] = None
-    ) -> "ExperimentReport":
-        """Add a trace-replay runtime study (Fig. 8 style)."""
-        heading = heading or f"Runtime study — {study.model_label} ({study.metric})"
-        unit = "J" if study.metric == "energy" else "s"
-        rows = []
-        for label, value in sorted(study.comparison.cumulative.items(), key=lambda kv: kv[1]):
-            gain = (
-                "-" if label == "dynamic"
-                else f"{study.comparison.improvement_percent(label):.2f}%"
-            )
-            rows.append([label, round(value, 4), unit, gain])
-        threshold = study.switching_threshold_mbps
-        body = _markdown_table(["strategy", "cumulative", "unit", "dynamic gain"], rows)
-        body += (
-            f"\n\nSwitching threshold: "
-            + (f"{threshold:.2f} Mbps" if threshold is not None else "none in range")
-            + f"; deployment switches over the trace: {study.comparison.num_switches}."
-        )
-        return self.add_text(heading, body)
-
-    def add_front_history(
-        self, history: FrontHistory, heading: str = "Hypervolume vs. iteration"
-    ) -> "ExperimentReport":
-        """Add a search run's per-evaluation hypervolume trajectory.
-
-        Renders one row per *front advance* (evaluations whose candidate
-        joined the Pareto front), so long searches stay readable: plateaus
-        collapse into the gap between consecutive rows.
-        """
-        if not history.entries:
-            return self.add_text(heading, "No evaluations recorded.")
-        rows = [
-            [
-                entry.evaluation,
-                entry.iteration,
-                entry.candidate or "-",
-                entry.front_size,
-                round(entry.hypervolume, 4),
-            ]
-            for entry in history.front_advances()
-        ]
-        body = (
-            f"Reference point (per objective "
-            f"{' / '.join(history.metrics)}): "
-            + ", ".join(f"{value:.4f}" for value in history.reference)
-            + f". Final hypervolume **{history.final_hypervolume:.4f}** with a "
-            f"front of **{history.final_front_size}** after "
-            f"**{len(history.entries)}** evaluations.\n\n"
-            + _markdown_table(
-                ["evaluation", "iteration", "joined", "front size", "hypervolume"],
-                rows,
-            )
-        )
-        return self.add_text(heading, body)
-
     def add_serving_report(
         self, report: "ServingReport", heading: Optional[str] = None
     ) -> "ExperimentReport":
@@ -267,23 +105,11 @@ class ExperimentReport:
         return self.add_text(heading, body)
 
     # ------------------------------------------------------------------ rendering
-    @property
-    def num_sections(self) -> int:
-        """Number of sections added so far."""
-        return len(self._sections)
-
     def render_markdown(self) -> str:
         """Render the full report as a Markdown string."""
         parts = [f"# {self.title}", ""]
         parts.extend(self._sections)
         return "\n\n".join(parts).strip() + "\n"
-
-    def write(self, path: Union[str, Path]) -> Path:
-        """Write the rendered report to a file and return the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.render_markdown(), encoding="utf-8")
-        return path
 
     def add_campaign_summary(
         self, summary: "CampaignSummary", heading: str = "Campaign summary"

@@ -1,8 +1,9 @@
 """Trace-driven runtime evaluation of deployed models (paper Fig. 8).
 
 Given a model selected from a Pareto frontier, this module identifies its
-relevant deployment options, runs the pre-deployment threshold analysis, and
-replays a throughput trace to compare fixed deployments against the dynamic
+relevant deployment options (:func:`select_runtime_options`, also behind
+``repro serve``), runs the pre-deployment threshold analysis, and replays a
+throughput trace to compare fixed deployments against the dynamic
 throughput-tracking switcher — reproducing the model A / model B study of the
 paper's runtime analysis.
 """
@@ -10,13 +11,13 @@ paper's runtime analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.runtime import RuntimeComparison, ThresholdAnalysis, simulate_runtime
-from repro.core.selection import select_runtime_options
 from repro.hardware.predictors import BaseLayerPredictor
 from repro.nn.architecture import Architecture
 from repro.partition.deployment import DeploymentMetrics
+from repro.partition.partitioner import PartitionAnalyzer
 from repro.wireless.channel import WirelessChannel
 from repro.wireless.traces import ThroughputTrace
 
@@ -54,6 +55,38 @@ class RuntimeStudy:
             "comparison": self.comparison.to_dict(),
             "options": [m.to_dict() for m in self.options],
         }
+
+
+def select_runtime_options(
+    architecture: Architecture,
+    predictor: BaseLayerPredictor,
+    channel: WirelessChannel,
+    metric: str,
+    include_all_cloud: bool = False,
+    include_all_edge: bool = True,
+) -> List[DeploymentMetrics]:
+    """Deployment options worth tracking at runtime for one model.
+
+    The paper considers each model's best partitioning option together with
+    All-Edge (model A) or All-Cloud (model B); the flags select which
+    companions to include.
+    """
+    analyzer = PartitionAnalyzer(predictor, channel)
+    evaluation = analyzer.evaluate(architecture)
+    best = evaluation.best_for(metric)
+    options: List[DeploymentMetrics] = [best]
+    if include_all_edge and evaluation.all_edge.option != best.option:
+        options.append(evaluation.all_edge)
+    if include_all_cloud and evaluation.all_cloud.option != best.option:
+        options.append(evaluation.all_cloud)
+    if len(options) < 2:
+        # Ensure at least two options so there is something to switch between.
+        options.append(
+            evaluation.all_cloud
+            if evaluation.all_edge.option == best.option
+            else evaluation.all_edge
+        )
+    return options
 
 
 def run_runtime_study(

@@ -13,11 +13,11 @@ re-run the predictors thirty times.
 * ``predictor_for`` caches *trained* predictors per
   ``(device, training settings, seed)`` — training is seconds of work and is
   deterministic for integer seeds, so sharing is safe;
-* ``layer_predictions`` caches per-layer predictions per
+* the layer cache keeps per-layer predictions per
   ``(predictor, architecture)`` — architectures hash by structure, so
   genotype duplicates across strategies and scenarios hit the cache.  The
   cached values are the predictor's read-only ``(num_layers, 2)``
-  ``(latency, power)`` arrays, shared by every caller;
+  ``(latency, power)`` arrays, filled and read only by ``evaluate_batch``;
 * ``evaluate_partitions`` / ``sweep_channels`` cost deployment options on
   top of the cached predictions, caching full
   :class:`~repro.partition.partitioner.PartitionEvaluation` records per
@@ -44,11 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.hardware.device import DeviceProfile
-from repro.hardware.predictors import (
-    BaseLayerPredictor,
-    LayerPerformancePredictor,
-    OracleLayerPredictor,
-)
+from repro.hardware.predictors import BaseLayerPredictor, LayerPerformancePredictor
 from repro.nn.architecture import Architecture
 from repro.nn.graph import PartitionGraph
 from repro.partition.partitioner import PartitionAnalyzer, PartitionEvaluation
@@ -153,7 +149,6 @@ class EvaluationEngine:
         noise_std: float = 0.03,
         samples_per_type: int = 200,
         seed: Union[int, None] = 0,
-        oracle: bool = False,
     ) -> BaseLayerPredictor:
         """A (cached) per-layer predictor for ``device``.
 
@@ -161,16 +156,6 @@ class EvaluationEngine:
         with the same settings share one predictor.  Non-integer seeds (live
         generators) bypass the cache.
         """
-        if oracle:
-            key = (_device_key(device), "oracle")
-            if key in self._predictors:
-                self.stats.predictor_hits += 1
-                return self._predictors[key]
-            self.stats.predictor_misses += 1
-            predictor: BaseLayerPredictor = OracleLayerPredictor(device)
-            self._predictors[key] = predictor
-            return predictor
-
         cacheable = seed is None or isinstance(seed, (int, np.integer))
         key = (
             _device_key(device),
@@ -191,33 +176,6 @@ class EvaluationEngine:
         if cacheable:
             self._predictors[key] = predictor
         return predictor
-
-    # ------------------------------------------------------------------ layer costs
-    def layer_predictions(
-        self, predictor: BaseLayerPredictor, architecture: Architecture
-    ) -> np.ndarray:
-        """Read-only ``(num_layers, 2)`` ``(latency, power)`` array, cached
-        per ``(predictor, architecture)``."""
-        per_predictor = self._layer_cache.setdefault(predictor, {})
-        cached = per_predictor.get(architecture)
-        if cached is not None:
-            self.stats.layer_hits += 1
-            return cached
-        self.stats.layer_misses += 1
-        predictions = predictor.predict_architecture(architecture)
-        per_predictor[architecture] = predictions
-        return predictions
-
-    def architecture_totals(
-        self, predictor: BaseLayerPredictor, architecture: Architecture
-    ) -> Tuple[float, float]:
-        """``(total latency, total energy)`` through the layer cache.
-
-        One cached prediction pass yields both totals (see
-        :meth:`~repro.hardware.predictors.BaseLayerPredictor.totals`).
-        """
-        predictions = self.layer_predictions(predictor, architecture)
-        return predictor.totals(architecture, predictions)
 
     # ------------------------------------------------------------------ partition costing
     def evaluate_partitions(
@@ -458,13 +416,6 @@ class EvaluationEngine:
         merged = self.stats.to_dict()
         merged.update(self.cache_sizes())
         return merged
-
-    def clear(self) -> None:
-        """Drop every cached value and reset the counters."""
-        self._predictors.clear()
-        self._layer_cache.clear()
-        self._partition_cache.clear()
-        self.stats = EngineStats()
 
 
 #: Process-wide default engine used when callers do not supply one.

@@ -137,20 +137,16 @@ def resolve_backoff(
     last_failure_time_s: float,
     attempt: int,
     backoff_base_s: float,
-    fingerprint: Union[str, None] = None,
-    max_backoff_s: Union[float, None] = None,
+    fingerprint: str,
+    max_backoff_s: float,
 ) -> float:
     """Epoch time before which a failed cell must not be retried.
 
-    With a ``fingerprint`` the exponential delay is scaled by the cell's
-    deterministic :func:`backoff_jitter_factor`; without one (the legacy
-    call shape) the delay is exact.  ``max_backoff_s`` caps the final delay
-    (after jitter), so high attempt counts wait at most the cap instead of
-    growing without bound; ``None`` keeps the historical uncapped shape.
+    The exponential delay ``backoff_base_s * 2**(attempt-1)`` is scaled by
+    the cell's deterministic :func:`backoff_jitter_factor`, then capped at
+    ``max_backoff_s``, so high attempt counts wait at most the cap instead
+    of growing without bound.
     """
     delay = backoff_base_s * (2 ** max(0, attempt - 1))
-    if fingerprint is not None:
-        delay *= backoff_jitter_factor(fingerprint, attempt)
-    if max_backoff_s is not None:
-        delay = min(delay, float(max_backoff_s))
-    return last_failure_time_s + delay
+    delay *= backoff_jitter_factor(fingerprint, attempt)
+    return last_failure_time_s + min(delay, float(max_backoff_s))

@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import ctypes
 import json
+import numbers
 import os
 import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
@@ -59,6 +60,7 @@ from repro.utils.serialization import (
     atomic_write_text,
     iter_jsonl,
 )
+from repro.utils.validation import require_integral
 
 try:  # pragma: no cover - POSIX only; Windows uses the thread fallback
     import fcntl
@@ -97,6 +99,17 @@ class CircuitOpenError(RuntimeError):
 
 # ---------------------------------------------------------------------- policy
 
+#: :class:`CampaignPolicy` fields that count: whole numbers, never truncated.
+_POLICY_COUNT_FIELDS = (
+    "max_attempts", "checkpoint_every", "circuit_window", "circuit_probes",
+)
+
+#: :class:`CampaignPolicy` fields in seconds or as a failure fraction.
+_POLICY_REAL_FIELDS = (
+    "ttl_s", "poll_s", "backoff_base_s", "max_backoff_s", "cell_timeout_s",
+    "circuit_threshold", "circuit_cooldown_s",
+)
+
 
 @dataclass(frozen=True)
 class CampaignPolicy:
@@ -131,6 +144,10 @@ class CampaignPolicy:
         ``circuit_threshold=0`` (default) disables the breaker entirely.
         An open circuit half-opens after ``circuit_cooldown_s``, admitting
         ``circuit_probes`` probe cells.
+
+    Counts must be whole numbers and the other numeric fields real numbers
+    (never booleans, strings or NaN): ``ValueError`` rather than truncation
+    or coercion, here and in :meth:`from_dict`.
     """
 
     ttl_s: float = 30.0
@@ -147,21 +164,28 @@ class CampaignPolicy:
     circuit_probes: int = 1
 
     def __post_init__(self) -> None:
-        if self.ttl_s <= 0 or self.poll_s <= 0:
+        for name in _POLICY_COUNT_FIELDS:
+            object.__setattr__(self, name, require_integral(getattr(self, name), name))
+        for name in _POLICY_REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not (self.ttl_s > 0 and self.poll_s > 0):
             raise ValueError(
                 f"ttl_s/poll_s must be positive, got {self.ttl_s}/{self.poll_s}"
             )
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base_s < 0:
+        if not self.backoff_base_s >= 0:
             raise ValueError(
                 f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
             )
-        if self.max_backoff_s <= 0:
+        if not self.max_backoff_s > 0:
             raise ValueError(
                 f"max_backoff_s must be positive, got {self.max_backoff_s}"
             )
-        if self.cell_timeout_s < 0:
+        if not self.cell_timeout_s >= 0:
             raise ValueError(
                 f"cell_timeout_s must be >= 0 (0 disables), got "
                 f"{self.cell_timeout_s}"
@@ -183,7 +207,7 @@ class CampaignPolicy:
                 f"circuit_threshold must be in [0, 1] (0 disables), got "
                 f"{self.circuit_threshold}"
             )
-        if self.circuit_cooldown_s < 0:
+        if not self.circuit_cooldown_s >= 0:
             raise ValueError(
                 f"circuit_cooldown_s must be >= 0, got {self.circuit_cooldown_s}"
             )
@@ -219,19 +243,14 @@ class CampaignPolicy:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignPolicy":
-        defaults = cls()
-        kwargs: Dict[str, Any] = {}
-        for name, default in defaults.to_dict().items():
-            value = data.get(name, default)
-            if isinstance(default, bool):  # pragma: no cover - none today
-                kwargs[name] = bool(value)
-            elif isinstance(default, int):
-                kwargs[name] = int(value)
-            elif isinstance(default, float):
-                kwargs[name] = float(value)
-            else:
-                kwargs[name] = str(value)
-        return cls(**kwargs)
+        """Policy of :meth:`to_dict` output or of a v1 manifest's flat keys.
+
+        Stored values go to the constructor's checks as they are; missing
+        fields take their defaults, and other keys (a v1 manifest's cells
+        and timestamp) are ignored.
+        """
+        names = {policy_field.name for policy_field in fields(cls)}
+        return cls(**{name: value for name, value in data.items() if name in names})
 
 
 # ---------------------------------------------------------------------- deadline

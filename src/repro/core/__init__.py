@@ -1,4 +1,4 @@
-"""LENS core: partition-aware evaluation, search results, selection, runtime adaptation."""
+"""LENS core: partition-aware evaluation, search results, runtime adaptation."""
 
 from repro.core.evaluation import PartitionAwareEvaluator
 from repro.core.related_work import (
@@ -9,12 +9,6 @@ from repro.core.related_work import (
     feature_matrix_headers,
 )
 from repro.core.results import METRIC_NAMES, CandidateEvaluation, SearchResult
-from repro.core.selection import (
-    DeploymentPackage,
-    build_deployment_package,
-    select_by_constraints,
-    select_knee_point,
-)
 from repro.core.runtime import (
     DominanceInterval,
     DynamicDeploymentController,
@@ -29,10 +23,6 @@ from repro.core.runtime import (
 
 __all__ = [
     "PartitionAwareEvaluator",
-    "DeploymentPackage",
-    "build_deployment_package",
-    "select_by_constraints",
-    "select_knee_point",
     "FEATURES",
     "RELATED_WORKS",
     "RelatedWork",

@@ -85,11 +85,6 @@ class DeviceProfile:
             self.compute_rate_flops.get(layer_type, self.compute_rate_flops["default"])
         )
 
-    @property
-    def is_edge(self) -> bool:
-        """Whether this device is the battery-powered edge endpoint."""
-        return self.kind == "edge"
-
     def to_dict(self) -> Dict:
         return {
             "name": self.name,

@@ -22,7 +22,7 @@ The per-layer scalar reference is the test oracle
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from repro.nn.architecture import Architecture, LayerSummary
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_non_negative
 
-if TYPE_CHECKING:  # runtime import stays lazy: repro.api imports this module
-    from repro.api.engine import EvaluationEngine
 
 #: Prediction floor: no layer is ever predicted faster/cheaper than this.
 MIN_LATENCY_S = 1e-6
@@ -140,10 +138,10 @@ class BaseLayerPredictor:
     ) -> Tuple[float, float]:
         """``(total latency, total energy)`` from one prediction pass.
 
-        Pass cached ``predictions`` (e.g. from
-        :meth:`repro.api.engine.EvaluationEngine.layer_predictions`) to skip
-        the predictor entirely.  The sums run left to right over Python
-        floats, as the per-layer totals always have.
+        Pass ``predictions`` already made for ``architecture`` (e.g. one
+        entry of :meth:`predict_pool`) to skip the predictor entirely.  The
+        sums run left to right over Python floats, as the per-layer totals
+        always have.
         """
         if predictions is None:
             predictions = self.predict_architecture(architecture)
@@ -310,7 +308,6 @@ class OracleLayerPredictor(BaseLayerPredictor):
 def prediction_error_report(
     predictor: LayerPerformancePredictor,
     architectures: Sequence[Architecture],
-    engine: Optional["EvaluationEngine"] = None,
 ) -> Dict[str, float]:
     """Compare a fitted predictor against the noiseless oracle.
 
@@ -318,41 +315,25 @@ def prediction_error_report(
     energy over the given architectures — a quick check that the regression
     pipeline is faithful enough for search-time ranking.
 
-    Both totals of each model come from one prediction pass
-    (:meth:`BaseLayerPredictor.totals`).  Pass an
-    :class:`~repro.api.engine.EvaluationEngine` to route those passes
-    through its layer cache (and share its cached oracle), so
-    architectures already costed by a search are not re-predicted.  An
-    empty pool has no error to report and raises :class:`ValueError`.
+    Both totals of each model come from one batched prediction pass per
+    predictor (:meth:`BaseLayerPredictor.totals`).  An empty pool has no
+    error to report and raises :class:`ValueError`.
     """
     latency_errors: List[float] = []
     energy_errors: List[float] = []
     pool = list(architectures)
     if not pool:
         raise ValueError("prediction_error_report needs at least one architecture")
-    if engine is not None:
-        oracle: BaseLayerPredictor = engine.predictor_for(
-            predictor.device, oracle=True
+    oracle = OracleLayerPredictor(predictor.device)
+    totals = [
+        (
+            oracle.totals(architecture, true_preds),
+            predictor.totals(architecture, model_preds),
         )
-        totals = [
-            (
-                engine.architecture_totals(oracle, architecture),
-                engine.architecture_totals(predictor, architecture),
-            )
-            for architecture in pool
-        ]
-    else:
-        oracle = OracleLayerPredictor(predictor.device)
-        # One batched prediction pass per predictor for the whole pool.
-        totals = [
-            (
-                oracle.totals(architecture, true_preds),
-                predictor.totals(architecture, model_preds),
-            )
-            for architecture, true_preds, model_preds in zip(
-                pool, oracle.predict_pool(pool), predictor.predict_pool(pool)
-            )
-        ]
+        for architecture, true_preds, model_preds in zip(
+            pool, oracle.predict_pool(pool), predictor.predict_pool(pool)
+        )
+    ]
     for (true_latency, true_energy), (predicted_latency, predicted_energy) in totals:
         latency_errors.append(abs(predicted_latency - true_latency) / true_latency)
         energy_errors.append(abs(predicted_energy - true_energy) / true_energy)

@@ -1,7 +1,7 @@
 """Neural-network intermediate representation and search-space definitions."""
 
 from repro.nn.alexnet import build_alexnet
-from repro.nn.architecture import Architecture, LayerSummary, stack_layers
+from repro.nn.architecture import Architecture, LayerSummary
 from repro.nn.encoding import EncodingScheme, Gene
 from repro.nn.graph import INPUT_NODE, PartitionGraph, SkipEdge, normalize_skip_edges
 from repro.nn.layers import (
@@ -26,7 +26,6 @@ from repro.nn.vgg import build_vgg16, build_vgg_like
 __all__ = [
     "Architecture",
     "LayerSummary",
-    "stack_layers",
     "EncodingScheme",
     "Gene",
     "INPUT_NODE",

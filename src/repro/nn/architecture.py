@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.nn.graph import PartitionGraph, SkipEdge
 from repro.nn.layers import (
@@ -320,11 +320,6 @@ class Architecture:
         return sum(s.macs for s in self.summarize())
 
     @property
-    def total_flops(self) -> int:
-        """Total floating point operations per inference."""
-        return 2 * self.total_macs
-
-    @property
     def depth(self) -> int:
         """Number of parameterised (conv, conv1d and fc) layers."""
         return sum(
@@ -344,10 +339,6 @@ class Architecture:
             if layer.name == name:
                 return index
         raise KeyError(f"no layer named {name!r} in architecture {self.name!r}")
-
-    def output_bytes_after(self, index: int) -> int:
-        """Bytes of the activation produced by the layer at ``index``."""
-        return self.summarize()[index].output_bytes
 
     # ------------------------------------------------------------------ serialization
     def to_dict(self) -> Dict:
@@ -390,10 +381,3 @@ class Architecture:
             )
         return "\n".join(lines)
 
-
-def stack_layers(groups: Iterable[Sequence[LayerSpec]]) -> List[LayerSpec]:
-    """Flatten an iterable of layer groups into a single ordered list."""
-    flattened: List[LayerSpec] = []
-    for group in groups:
-        flattened.extend(group)
-    return flattened

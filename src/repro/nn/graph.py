@@ -101,14 +101,6 @@ class PartitionGraph:
     def __hash__(self) -> int:
         return self._hash
 
-    @classmethod
-    def from_architecture(cls, architecture) -> "PartitionGraph":
-        """Graph of any object with ``layers`` and ``skip_edges`` attributes."""
-        return cls(
-            num_layers=len(architecture.layers),
-            skip_edges=tuple(getattr(architecture, "skip_edges", ())),
-        )
-
     # ------------------------------------------------------------------ legality
     @property
     def is_linear(self) -> bool:

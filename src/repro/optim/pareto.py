@@ -36,6 +36,8 @@ def pareto_front_mask(objectives: np.ndarray) -> np.ndarray:
     """Boolean mask of non-dominated rows of an ``(n, k)`` objective matrix.
 
     Duplicate rows are all retained (none of them dominates the others).
+    A row holding NaN is on the front: every comparison with NaN is false,
+    so it neither dominates nor is dominated.
 
     Sort/block-dominance implementation: rows are lexicographically sorted,
     so every dominator of a row precedes it, and the scan repeatedly takes
@@ -43,8 +45,9 @@ def pareto_front_mask(objectives: np.ndarray) -> np.ndarray:
     block of rows it dominates in one vectorised comparison, and jumps to
     the next survivor.  The number of passes equals the size of the front
     (plus duplicates), so typical inputs cost O(|front| * n * k) with NumPy
-    kernels instead of the previous O(n^2 k) Python loop — ~100x faster on a
-    50 000-point cloud (see ``benchmarks/bench_gp_hotpath.py``).
+    kernels instead of the O(n^2 k) Python loop kept as the test oracle
+    ``tests/oracles/pareto.py`` — ~100x faster on a 50 000-point cloud (see
+    ``benchmarks/bench_gp_hotpath.py``).
     """
     Y = np.atleast_2d(np.asarray(objectives, dtype=float))
     n = Y.shape[0]
@@ -52,10 +55,14 @@ def pareto_front_mask(objectives: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     if n == 1:
         return np.ones(1, dtype=bool)
-    if np.isnan(Y).any():
-        # NaN comparisons would let a NaN pivot eliminate finite rows; the
-        # loop implementation instead leaves non-dominated finite rows alone.
-        return _pareto_front_mask_reference(Y)
+    nan_rows = np.isnan(Y).any(axis=1)
+    if nan_rows.any():
+        # NaN rows are on the front; they would corrupt the sort and the
+        # pivot comparisons of the scan, so it runs over the other rows.
+        mask = nan_rows.copy()
+        rest = np.flatnonzero(~nan_rows)
+        mask[rest] = pareto_front_mask(Y[rest])
+        return mask
     # Lexicographic sort: primary key column 0, then column 1, ...
     order = np.lexsort(Y.T[::-1])
     rows = Y[order]
@@ -76,24 +83,6 @@ def pareto_front_mask(objectives: np.ndarray) -> np.ndarray:
         pointer = int(np.count_nonzero(alive[:pointer])) + 1
     mask = np.zeros(n, dtype=bool)
     mask[order[surviving]] = True
-    return mask
-
-
-def _pareto_front_mask_reference(objectives: np.ndarray) -> np.ndarray:
-    """O(n^2 k) loop reference implementation (kept for equivalence tests)."""
-    Y = np.atleast_2d(np.asarray(objectives, dtype=float))
-    n = Y.shape[0]
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        dominated_by_i = np.all(Y >= Y[i], axis=1) & np.any(Y > Y[i], axis=1)
-        mask &= ~dominated_by_i
-        mask[i] = True
-        # If someone else dominates i, drop it.
-        dominates_i = np.all(Y <= Y[i], axis=1) & np.any(Y < Y[i], axis=1)
-        if np.any(dominates_i & mask):
-            mask[i] = False
     return mask
 
 

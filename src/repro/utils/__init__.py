@@ -1,52 +1,27 @@
 """Shared utilities: randomness, unit conversions, validation and serialization."""
 
-from repro.utils.rng import ensure_rng, spawn_rng
+from repro.utils.rng import ensure_rng
 from repro.utils.units import (
     BYTES_PER_KB,
-    BYTES_PER_MB,
-    bits_to_bytes,
-    bytes_to_bits,
     bytes_to_kilobytes,
-    bytes_to_megabytes,
-    joules_to_millijoules,
-    kilobytes_to_bytes,
     mbps_to_bytes_per_second,
-    megabytes_to_bytes,
-    millijoules_to_joules,
-    milliseconds_to_seconds,
     milliwatts_to_watts,
-    seconds_to_milliseconds,
-    watts_to_milliwatts,
 )
 from repro.utils.validation import (
     require_between,
     require_in,
     require_non_negative,
     require_positive,
-    require_type,
 )
 
 __all__ = [
     "ensure_rng",
-    "spawn_rng",
     "BYTES_PER_KB",
-    "BYTES_PER_MB",
-    "bits_to_bytes",
-    "bytes_to_bits",
     "bytes_to_kilobytes",
-    "bytes_to_megabytes",
-    "joules_to_millijoules",
-    "kilobytes_to_bytes",
     "mbps_to_bytes_per_second",
-    "megabytes_to_bytes",
-    "millijoules_to_joules",
-    "milliseconds_to_seconds",
     "milliwatts_to_watts",
-    "seconds_to_milliseconds",
-    "watts_to_milliwatts",
     "require_between",
     "require_in",
     "require_non_negative",
     "require_positive",
-    "require_type",
 ]

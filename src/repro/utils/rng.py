@@ -7,7 +7,7 @@ existing :class:`numpy.random.Generator`, or ``None`` and funnels it through
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -37,17 +37,3 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
             raise ValueError(f"seed must be non-negative, got {seed}")
         return np.random.default_rng(int(seed))
     raise TypeError(f"seed must be None, an int, or a numpy Generator, got {type(seed)!r}")
-
-
-def spawn_rng(rng: np.random.Generator, count: int = 1) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``rng``.
-
-    Child streams are statistically independent of the parent and of each
-    other, which lets concurrent components (e.g. the accuracy surrogate and
-    the hardware simulator) consume randomness without perturbing one
-    another's sequences.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    seeds = rng.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]

@@ -10,37 +10,11 @@ from __future__ import annotations
 
 BITS_PER_BYTE = 8
 BYTES_PER_KB = 1024
-BYTES_PER_MB = 1024 * 1024
-
-
-def bytes_to_bits(num_bytes: float) -> float:
-    """Convert bytes to bits."""
-    return num_bytes * BITS_PER_BYTE
-
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Convert bits to bytes."""
-    return num_bits / BITS_PER_BYTE
 
 
 def bytes_to_kilobytes(num_bytes: float) -> float:
     """Convert bytes to binary kilobytes (KiB)."""
     return num_bytes / BYTES_PER_KB
-
-
-def kilobytes_to_bytes(num_kb: float) -> float:
-    """Convert binary kilobytes (KiB) to bytes."""
-    return num_kb * BYTES_PER_KB
-
-
-def bytes_to_megabytes(num_bytes: float) -> float:
-    """Convert bytes to binary megabytes (MiB)."""
-    return num_bytes / BYTES_PER_MB
-
-
-def megabytes_to_bytes(num_mb: float) -> float:
-    """Convert binary megabytes (MiB) to bytes."""
-    return num_mb * BYTES_PER_MB
 
 
 def mbps_to_bytes_per_second(mbps: float) -> float:
@@ -50,31 +24,6 @@ def mbps_to_bytes_per_second(mbps: float) -> float:
     how carriers and the Opensignal report quote uplink speed.
     """
     return mbps * 1e6 / BITS_PER_BYTE
-
-
-def seconds_to_milliseconds(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * 1e3
-
-
-def milliseconds_to_seconds(milliseconds: float) -> float:
-    """Convert milliseconds to seconds."""
-    return milliseconds / 1e3
-
-
-def joules_to_millijoules(joules: float) -> float:
-    """Convert joules to millijoules."""
-    return joules * 1e3
-
-
-def millijoules_to_joules(millijoules: float) -> float:
-    """Convert millijoules to joules."""
-    return millijoules / 1e3
-
-
-def watts_to_milliwatts(watts: float) -> float:
-    """Convert watts to milliwatts."""
-    return watts * 1e3
 
 
 def milliwatts_to_watts(milliwatts: float) -> float:

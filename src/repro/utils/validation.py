@@ -7,7 +7,7 @@ These keep constructor bodies readable and produce consistent error messages
 from __future__ import annotations
 
 import numbers
-from typing import Any, Iterable, Sequence, Tuple, Type, Union
+from typing import Any, Iterable
 
 
 def require_integral(value: Any, name: str) -> int:
@@ -52,22 +52,3 @@ def require_in(value: Any, choices: Iterable[Any], name: str) -> Any:
     if value not in choices:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
     return value
-
-
-def require_type(
-    value: Any, types: Union[Type, Tuple[Type, ...]], name: str
-) -> Any:
-    """Raise ``TypeError`` unless ``value`` is an instance of ``types``."""
-    if not isinstance(value, types):
-        raise TypeError(f"{name} must be of type {types}, got {type(value)!r}")
-    return value
-
-
-def require_shape(shape: Sequence[int], rank: int, name: str) -> Tuple[int, ...]:
-    """Validate a tensor shape: correct rank and strictly positive dims."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != rank:
-        raise ValueError(f"{name} must have rank {rank}, got shape {shape}")
-    if any(s <= 0 for s in shape):
-        raise ValueError(f"{name} dimensions must be positive, got {shape}")
-    return shape

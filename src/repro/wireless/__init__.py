@@ -20,7 +20,6 @@ from repro.wireless.traces import (
     ThroughputSample,
     ThroughputTrace,
     generate_lte_trace,
-    paper_like_traces,
 )
 
 __all__ = [
@@ -40,5 +39,4 @@ __all__ = [
     "ThroughputSample",
     "ThroughputTrace",
     "generate_lte_trace",
-    "paper_like_traces",
 ]

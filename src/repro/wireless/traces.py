@@ -150,21 +150,3 @@ def generate_lte_trace(
             value *= fade_factor
         values.append(max(value, 0.05))
     return ThroughputTrace.from_values(values, period_s=period_s, name=name)
-
-
-def paper_like_traces(seed: SeedLike = 7) -> Dict[str, ThroughputTrace]:
-    """Two traces calibrated for the Fig. 8 runtime analysis.
-
-    ``"model_a"`` hovers around the paper's energy switching threshold for
-    model A (6.77 Mbps) and ``"model_b"`` around the latency threshold for
-    model B (22.77 Mbps), so both fixed options lose to dynamic switching at
-    some points of the trace — the behaviour Fig. 8 illustrates.
-    """
-    rng = ensure_rng(seed)
-    trace_a = generate_lte_trace(
-        num_samples=40, mean_mbps=7.0, volatility=0.5, seed=rng, name="lte-trace-model-a"
-    )
-    trace_b = generate_lte_trace(
-        num_samples=40, mean_mbps=21.0, volatility=0.45, seed=rng, name="lte-trace-model-b"
-    )
-    return {"model_a": trace_a, "model_b": trace_b}

@@ -1,5 +1,7 @@
 """Tests for Pareto comparisons (Fig. 6), criteria counting (Fig. 7) and runtime studies (Fig. 8)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,10 @@ from repro.analysis.criteria import (
 from repro.analysis.pareto_metrics import compare_fronts, frontier_extremes
 from repro.analysis.runtime_eval import run_runtime_study, select_runtime_options
 from repro.core.results import CandidateEvaluation, SearchResult
+from repro.core.runtime import DynamicDeploymentController, ThresholdAnalysis
 from repro.partition.deployment import DeploymentOption
+from repro.partition.partitioner import PartitionAnalyzer
+from repro.utils.serialization import to_jsonable
 from repro.wireless.traces import generate_lte_trace
 
 
@@ -165,3 +170,90 @@ class TestRuntimeStudy:
         )
         assert study.comparison.metric == "latency"
         assert study.to_dict()["model_label"] == "model B"
+
+
+class TestRuntimeOptionsOfASearchedModel:
+    """The §IV-E hand-off for a model drawn from the search space: its runtime
+    options, their pre-deployment threshold analysis and the controller."""
+
+    @pytest.fixture
+    def architecture(self, search_space):
+        return search_space.decode_for_performance(search_space.sample(3))
+
+    @pytest.fixture
+    def analysis(self, architecture, gpu_oracle, wifi_channel):
+        options = select_runtime_options(
+            architecture, gpu_oracle, wifi_channel, "energy", include_all_cloud=True
+        )
+        return ThresholdAnalysis(
+            options=options,
+            power_model=wifi_channel.power_model,
+            round_trip_s=wifi_channel.round_trip_s,
+            metric="energy",
+        )
+
+    def test_first_option_is_the_best_partition_for_the_metric(
+        self, architecture, analysis, gpu_oracle, wifi_channel
+    ):
+        best = PartitionAnalyzer(gpu_oracle, wifi_channel).evaluate(architecture)
+        assert analysis.options[0].option == best.best_energy.option
+        assert architecture.input_shape == (3, 224, 224)
+        labels = [m.option.label for m in analysis.options]
+        assert len(labels) >= 2 and len(set(labels)) == len(labels)
+
+    def test_best_option_at_the_design_throughput_minimises_the_metric(
+        self, analysis, wifi_channel
+    ):
+        uplink = wifi_channel.uplink_mbps
+        recommended = analysis.best_option(uplink)
+        assert analysis.value(recommended, uplink) == min(
+            analysis.value(m, uplink) for m in analysis.options
+        )
+        assert analysis.value(recommended, uplink) == pytest.approx(
+            analysis.options[0].energy_j
+        )
+
+    def test_dominance_intervals_name_only_selected_options(self, analysis):
+        options = [m.option for m in analysis.options]
+        intervals = analysis.dominance_intervals()
+        assert intervals and all(i.option in options for i in intervals)
+        assert intervals[0].low_mbps == pytest.approx(0.1)
+        assert intervals[-1].high_mbps == pytest.approx(100.0)
+        for uplink in (0.1, 5.0, 80.0):
+            assert analysis.best_option(uplink).option in options
+
+    def test_controller_picks_the_best_selected_option(self, analysis):
+        controller = DynamicDeploymentController(analysis)
+        for uplink in (5.0, 0.2, 80.0):
+            chosen = controller.observe_and_select(uplink)
+            assert chosen is analysis.best_option(uplink)
+
+    def test_options_and_thresholds_serialise(self, analysis):
+        data = to_jsonable(
+            {
+                "options": [m.to_dict() for m in analysis.options],
+                "intervals": [i.to_dict() for i in analysis.dominance_intervals()],
+                "thresholds": [
+                    [a, b, t] for (a, b), t in analysis.thresholds().items()
+                ],
+            }
+        )
+        assert json.loads(json.dumps(data)) == data
+        assert len(data["options"]) == len(analysis.options)
+
+    def test_a_lone_companion_is_always_added(
+        self, architecture, gpu_oracle, wifi_channel
+    ):
+        """Without companions a model still gets a second option to switch to."""
+        options = select_runtime_options(
+            architecture,
+            gpu_oracle,
+            wifi_channel,
+            "latency",
+            include_all_edge=False,
+        )
+        assert len(options) == 2
+        assert options[1].option in (
+            DeploymentOption.all_edge(),
+            DeploymentOption.all_cloud(),
+        )

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.criteria import compare_criteria, paper_criteria
-from repro.analysis.pareto_metrics import compare_fronts
 from repro.analysis.reporting import (
     ExperimentReport,
     _markdown_table,
@@ -12,13 +10,11 @@ from repro.analysis.reporting import (
     merged_results,
     summarize_campaign,
 )
-from repro.analysis.runtime_eval import run_runtime_study
 from repro.api.envelopes import SearchOutcome, SearchRequest
 from repro.api.scenario import scenario_by_name
 from repro.core.results import CandidateEvaluation, SearchResult
 from repro.optim.pareto import FrontHistory, FrontHistoryEntry, compute_front_history
 from repro.partition.deployment import DeploymentOption
-from repro.wireless.traces import generate_lte_trace
 
 
 def candidate(name, error, energy_mj, latency_ms=40.0):
@@ -35,22 +31,6 @@ def candidate(name, error, energy_mj, latency_ms=40.0):
     )
 
 
-@pytest.fixture
-def lens_result():
-    return SearchResult(
-        [candidate("a", 20.0, 300.0), candidate("b", 28.0, 150.0), candidate("c", 35.0, 500.0)],
-        label="lens",
-    )
-
-
-@pytest.fixture
-def baseline_result():
-    return SearchResult(
-        [candidate("x", 22.0, 400.0), candidate("y", 30.0, 250.0)],
-        label="traditional",
-    )
-
-
 def test_markdown_table_shape_and_validation():
     table = _markdown_table(["a", "b"], [[1, 2.5], ["x", "y"]])
     lines = table.splitlines()
@@ -59,44 +39,6 @@ def test_markdown_table_shape_and_validation():
     assert "2.500" in lines[2]
     with pytest.raises(ValueError):
         _markdown_table(["a", "b"], [[1]])
-
-
-def test_search_summary_section(lens_result):
-    report = ExperimentReport().add_search_summary(lens_result)
-    text = report.render_markdown()
-    assert "Search summary — lens" in text
-    assert "Explored **3** architectures" in text
-    assert "Split@pool3" in text
-    assert report.num_sections == 1
-
-
-def test_front_comparison_section(lens_result, baseline_result):
-    comparison = compare_fronts(lens_result, baseline_result)
-    text = ExperimentReport().add_front_comparison(comparison).render_markdown()
-    assert "lens dominates traditional" in text
-    assert "combined frontier share of lens" in text
-
-
-def test_criteria_section(lens_result, baseline_result):
-    comparisons = compare_criteria(lens_result, baseline_result, paper_criteria())
-    text = ExperimentReport().add_criteria_comparison(comparisons).render_markdown()
-    assert "Err < 25" in text
-    assert "Ergy < 200" in text
-
-
-def test_runtime_section(alexnet, gpu_oracle, wifi_channel):
-    study = run_runtime_study(
-        "model A",
-        alexnet,
-        gpu_oracle,
-        wifi_channel,
-        generate_lte_trace(num_samples=10, mean_mbps=6.0, seed=0),
-        metric="energy",
-    )
-    text = ExperimentReport().add_runtime_study(study).render_markdown()
-    assert "Runtime study — model A (energy)" in text
-    assert "dynamic" in text
-    assert "Switching threshold" in text
 
 
 def outcome(scenario_name, strategy, candidates, seed=0, search_space="lens-vgg"):
@@ -223,41 +165,6 @@ def test_campaign_summary_section(campaign_outcomes):
     assert "| wifi-3mbps/jetson-tx2-gpu | lens-vgg | lens |" in text
 
 
-def test_front_history_section_golden_output():
-    """The hypervolume-vs-iteration section renders byte-for-byte stably."""
-    history = compute_front_history(
-        np.array([[1.0, 3.0], [3.0, 3.0], [2.0, 2.0], [3.0, 1.0]]),
-        ("error_percent", "energy_j"),
-        reference=[4.0, 4.0],
-        labels=["m0", "m1", "m2", "m3"],
-        iterations=[0, 1, 2, 3],
-    )
-    text = ExperimentReport().add_front_history(history).render_markdown()
-    assert text == (
-        "# LENS reproduction report\n"
-        "\n"
-        "\n"
-        "\n"
-        "## Hypervolume vs. iteration\n"
-        "\n"
-        "Reference point (per objective error_percent / energy_j): "
-        "4.0000, 4.0000. Final hypervolume **6.0000** with a front of **3** "
-        "after **4** evaluations.\n"
-        "\n"
-        "| evaluation | iteration | joined | front size | hypervolume |\n"
-        "|---|---|---|---|---|\n"
-        "| 0 | 0 | m0 | 1 | 3.000 |\n"
-        "| 2 | 2 | m2 | 2 | 5.000 |\n"
-        "| 3 | 3 | m3 | 3 | 6.000 |\n"
-    )
-
-
-def test_front_history_section_with_no_entries():
-    empty = FrontHistory(metrics=("a", "b"), reference=(), entries=())
-    text = ExperimentReport().add_front_history(empty).render_markdown()
-    assert "No evaluations recorded." in text
-
-
 def test_campaign_summary_includes_hypervolume_table_when_recorded():
     wifi = "wifi-3mbps/jetson-tx2-gpu"
     with_history = outcome(wifi, "lens", [
@@ -310,17 +217,3 @@ def test_campaign_summary_omits_hypervolume_table_without_telemetry(
     assert "final_hypervolume" not in summary.cells[0].to_dict()
     text = ExperimentReport().add_campaign_summary(summary).render_markdown()
     assert "Final hypervolume" not in text
-
-
-def test_full_report_round_trip(tmp_path, lens_result, baseline_result):
-    report = (
-        ExperimentReport(title="Custom reproduction")
-        .add_text("Setup", "WiFi at 3 Mbps, TX2-GPU.")
-        .add_search_summary(lens_result)
-        .add_front_comparison(compare_fronts(lens_result, baseline_result))
-    )
-    path = report.write(tmp_path / "report" / "experiments.md")
-    content = path.read_text()
-    assert content.startswith("# Custom reproduction")
-    assert content.count("## ") == 3
-    assert report.num_sections == 3

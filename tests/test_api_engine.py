@@ -1,9 +1,13 @@
 """Tests for the shared, caching EvaluationEngine."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.api.engine import EvaluationEngine, default_engine
+from repro.hardware.predictors import OracleLayerPredictor
+from repro.nn.vgg import build_vgg16
 from repro.partition.partitioner import PartitionAnalyzer
 from repro.wireless.channel import WirelessChannel
 
@@ -33,21 +37,54 @@ class TestPredictorCache:
         second = engine.predictor_for(gpu_device, samples_per_type=60, seed=rng)
         assert first is not second
 
-    def test_oracle_predictors_cached_separately(self, engine, gpu_device):
-        oracle = engine.predictor_for(gpu_device, oracle=True)
-        assert engine.predictor_for(gpu_device, oracle=True) is oracle
-        trained = engine.predictor_for(gpu_device, samples_per_type=60, seed=0)
-        assert trained is not oracle
-
 
 class TestLayerAndPartitionCaches:
     def test_layer_predictions_cached_and_identical(self, engine, gpu_oracle, alexnet):
-        first = engine.layer_predictions(gpu_oracle, alexnet)
-        second = engine.layer_predictions(gpu_oracle, alexnet)
-        assert first is second
-        assert engine.stats.layer_hits == 1 and engine.stats.layer_misses == 1
-        direct = gpu_oracle.predict_architecture(alexnet)
-        assert np.array_equal(first, direct)
+        """A second channel re-uses the cached layer predictions, and a
+        one-candidate pool costs bit for bit like the direct analyzer."""
+        wifi = WirelessChannel.create("wifi", uplink_mbps=3.0)
+        engine.evaluate_batch([alexnet], PartitionAnalyzer(gpu_oracle, wifi))
+        analyzer = PartitionAnalyzer(gpu_oracle, wifi.with_uplink(30.0))
+        (via_engine,) = engine.evaluate_batch([alexnet], analyzer)[0]
+        assert engine.stats.layer_misses == 1 and engine.stats.layer_hits == 1
+        assert engine.cache_sizes()["layer_predictions"] == 1
+        direct = analyzer.evaluate(alexnet)
+        assert [m.latency_s for m in via_engine.options] == [
+            m.latency_s for m in direct.options
+        ]
+        assert [m.energy_j for m in via_engine.options] == [
+            m.energy_j for m in direct.options
+        ]
+
+    def test_pool_duplicates_share_one_layer_entry(self, engine, gpu_oracle, alexnet):
+        vgg = build_vgg16()
+        analyzer = PartitionAnalyzer(
+            gpu_oracle, WirelessChannel.create("wifi", uplink_mbps=3.0)
+        )
+        results = engine.evaluate_batch([alexnet, vgg, alexnet], analyzer)
+        assert results[0][0] is results[2][0]
+        assert engine.stats.layer_misses == 2 and engine.stats.layer_hits == 0
+        assert engine.stats.partition_misses == 2
+        assert engine.stats.partition_hits == 1
+        assert engine.stats_dict()["layer_predictions"] == 2
+        assert engine.stats_dict()["partition_evaluations"] == 2
+
+    def test_discarding_a_predictor_releases_its_cache_entries(
+        self, engine, gpu_device, alexnet
+    ):
+        predictor = OracleLayerPredictor(gpu_device)
+        analyzer = PartitionAnalyzer(
+            predictor, WirelessChannel.create("wifi", uplink_mbps=3.0)
+        )
+        engine.evaluate_partitions(alexnet, analyzer)
+        assert engine.cache_sizes()["layer_predictions"] == 1
+        del predictor, analyzer
+        gc.collect()
+        assert engine.cache_sizes() == {
+            "predictors": 0,
+            "layer_predictions": 0,
+            "partition_evaluations": 0,
+        }
 
     def test_evaluate_partitions_matches_direct_evaluation(
         self, engine, gpu_oracle, alexnet
@@ -103,16 +140,6 @@ class TestLayerAndPartitionCaches:
         assert engine.stats.partition_misses == 3
         assert engine.stats.partition_hits == 3
         assert engine.stats.layer_misses == 1
-
-    def test_clear_resets_everything(self, engine, gpu_oracle, alexnet):
-        engine.layer_predictions(gpu_oracle, alexnet)
-        engine.clear()
-        assert engine.cache_sizes() == {
-            "predictors": 0,
-            "layer_predictions": 0,
-            "partition_evaluations": 0,
-        }
-        assert engine.stats.layer_misses == 0
 
 
 def test_default_engine_is_a_process_singleton():

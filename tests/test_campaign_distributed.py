@@ -32,7 +32,11 @@ from repro.campaign.errors import (
 )
 from repro.campaign.executors import EXECUTORS, resolve_executor
 from repro.campaign.leases import LeaseBoard
-from repro.campaign.manifest import CampaignManifest, resolve_backoff
+from repro.campaign.manifest import (
+    CampaignManifest,
+    backoff_jitter_factor,
+    resolve_backoff,
+)
 from repro.campaign.store import export_metrics, shard_key
 
 #: Budgets small enough that one run is milliseconds.
@@ -347,9 +351,11 @@ class TestErrorEnvelopes:
         assert log.last("abc").final
 
     def test_backoff_is_exponential(self):
-        base = resolve_backoff(100.0, 1, 0.5)
-        assert base == pytest.approx(100.5)
-        assert resolve_backoff(100.0, 3, 0.5) == pytest.approx(102.0)
+        for attempt, delay in ((1, 0.5), (3, 2.0)):
+            ready = resolve_backoff(100.0, attempt, 0.5, "abc", max_backoff_s=60.0)
+            assert ready == pytest.approx(
+                100.0 + delay * backoff_jitter_factor("abc", attempt)
+            )
 
 
 # ---------------------------------------------------------------------- leases

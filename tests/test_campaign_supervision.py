@@ -32,7 +32,11 @@ from repro.campaign.errors import (
     classify_error,
     summarize_audit,
 )
-from repro.campaign.manifest import CampaignManifest, resolve_backoff
+from repro.campaign.manifest import (
+    CampaignManifest,
+    backoff_jitter_factor,
+    resolve_backoff,
+)
 from repro.campaign.store import record_crc, verify_record_crc
 from repro.campaign.supervisor import (
     CIRCUIT_CLOSED,
@@ -118,6 +122,21 @@ class TestCampaignPolicy:
             dict(circuit_threshold=-0.1),
             dict(circuit_cooldown_s=-1.0),
             dict(circuit_probes=0),
+            # counts are whole numbers, the rest real numbers: no truncation
+            dict(max_attempts=2.5),
+            dict(checkpoint_every=0.5),
+            dict(circuit_window=1.5),
+            dict(circuit_probes="3"),
+            dict(ttl_s=True),
+            dict(circuit_threshold="0.5"),
+            # NaN fails every range check (a JSON manifest can carry NaN)
+            dict(ttl_s=float("nan")),
+            dict(poll_s=float("nan")),
+            dict(backoff_base_s=float("nan")),
+            dict(max_backoff_s=float("nan")),
+            dict(cell_timeout_s=float("nan")),
+            dict(circuit_threshold=float("nan")),
+            dict(circuit_cooldown_s=float("nan")),
         ],
     )
     def test_invalid_fields_rejected(self, changes):
@@ -132,11 +151,30 @@ class TestCampaignPolicy:
         assert policy.circuit_enabled
         assert policy.replace(circuit_threshold=0.0).circuit_enabled is False
 
-    def test_from_dict_coerces_and_fills_defaults(self):
-        policy = CampaignPolicy.from_dict({"ttl_s": "12", "max_attempts": "5"})
-        assert policy.ttl_s == 12.0
-        assert policy.max_attempts == 5
+    def test_from_dict_keeps_whole_numbers_and_fills_defaults(self):
+        policy = CampaignPolicy.from_dict({"ttl_s": 12, "max_attempts": 5.0})
+        assert policy.ttl_s == 12.0 and type(policy.ttl_s) is float
+        assert policy.max_attempts == 5 and type(policy.max_attempts) is int
         assert policy.max_backoff_s == 60.0  # missing keys take defaults
+
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            {"max_attempts": 2.7},
+            {"checkpoint_every": 1.9},
+            {"circuit_window": True},
+            {"circuit_probes": "3"},
+            {"ttl_s": "12"},
+            {"backoff_base_s": False},
+        ],
+    )
+    def test_from_dict_rejects_what_it_used_to_coerce(self, stored):
+        """A mistyped manifest fails to load instead of running a
+        different policy (``int(2.7)`` was 2, ``int(True)`` 1)."""
+        with pytest.raises(ValueError):
+            CampaignPolicy.from_dict(stored)
+        with pytest.raises(ValueError):  # the v1 flat manifest too
+            CampaignManifest.from_dict(dict(stored, cells={}))
 
 
 class TestManifestPolicy:
@@ -183,15 +221,12 @@ class TestManifestPolicy:
 
 
 class TestResolveBackoff:
-    def test_legacy_shape_is_exact_and_uncapped(self):
-        assert resolve_backoff(100.0, 1, 0.5) == 100.5
-        assert resolve_backoff(100.0, 3, 0.5) == 102.0
-        assert resolve_backoff(0.0, 10, 1.0) == 512.0
-
     def test_cap_clamps_high_attempts(self):
-        assert resolve_backoff(0.0, 10, 1.0, max_backoff_s=5.0) == 5.0
-        # below the cap the delay is untouched
-        assert resolve_backoff(0.0, 2, 1.0, max_backoff_s=5.0) == 2.0
+        assert resolve_backoff(0.0, 10, 1.0, "cell", max_backoff_s=5.0) == 5.0
+        # below the cap the jittered delay is untouched
+        assert resolve_backoff(0.0, 2, 1.0, "cell", max_backoff_s=5.0) == (
+            2.0 * backoff_jitter_factor("cell", 2)
+        )
 
     def test_cap_applies_after_jitter(self):
         for attempt in range(1, 12):

@@ -418,13 +418,10 @@ class TestBackoffJitter:
         }
         assert len(factors) == 6  # all distinct: no lockstep retries
 
-    def test_resolve_backoff_legacy_shape_is_exact(self):
-        # the positional (pre-jitter) call keeps its original semantics
-        assert resolve_backoff(100.0, 1, 2.0) == 102.0
-        assert resolve_backoff(100.0, 3, 2.0) == 108.0
-
     def test_resolve_backoff_with_fingerprint_scales_by_factor(self):
-        ready = resolve_backoff(100.0, 2, 2.0, fingerprint="cell-a")
+        ready = resolve_backoff(
+            100.0, 2, 2.0, fingerprint="cell-a", max_backoff_s=60.0
+        )
         expected = 100.0 + 4.0 * backoff_jitter_factor("cell-a", 2)
         assert ready == pytest.approx(expected)
         assert 102.0 <= ready < 106.0  # delay in [0.5, 1.5) x base window

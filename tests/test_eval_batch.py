@@ -177,11 +177,7 @@ def test_predict_pool_arrays_are_read_only(predictor_factory):
     rng = np.random.default_rng(9)
     architectures = [space.decode_for_performance(space.sample(rng)) for _ in range(3)]
     predictor = predictor_factory()
-    engine = EvaluationEngine()
-    arrays = predictor.predict_pool(architectures) + [
-        engine.layer_predictions(predictor, architectures[0])
-    ]
-    for array in arrays:
+    for array in predictor.predict_pool(architectures):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
@@ -360,7 +356,7 @@ class TestEngineBatchStats:
         )
 
 
-def test_totals_single_pass_and_engine_layer_cache():
+def test_totals_single_pass():
     """Both totals derive from one prediction pass, summed left to right."""
     space = _space("lens-vgg")
     rng = np.random.default_rng(1)
@@ -375,34 +371,6 @@ def test_totals_single_pass_and_engine_layer_cache():
     assert energy == sum(l * p for l, p in pairs)
     assert predictor.totals(architecture) == (latency, energy)
 
-    engine = EvaluationEngine()
-    first = engine.architecture_totals(predictor, architecture)
-    second = engine.architecture_totals(predictor, architecture)
-    assert first == second == (latency, energy)
-    # One miss for the initial prediction pass, then pure layer-cache hits.
-    assert engine.stats.layer_misses == 1
-    assert engine.stats.layer_hits == 1
-
-
-def test_prediction_error_report_engine_routing_matches_direct():
-    """The engine-routed error report equals the direct batched one."""
-    from repro.hardware.predictors import prediction_error_report
-
-    space = _space("lens-vgg")
-    rng = np.random.default_rng(4)
-    pool = [space.decode_for_performance(space.sample(rng)) for _ in range(3)]
-    predictor = _trained()
-    direct = prediction_error_report(predictor, pool)
-    engine = EvaluationEngine()
-    routed = prediction_error_report(predictor, pool, engine=engine)
-    assert routed == pytest.approx(direct)
-    before = engine.stats.snapshot()
-    prediction_error_report(predictor, pool, engine=engine)
-    delta = engine.stats.since(before)
-    # Second engine-routed report is pure layer-cache hits (both predictors).
-    assert delta["layer_misses"] == 0
-    assert delta["layer_hits"] == 6
-
 
 def test_prediction_error_report_rejects_an_empty_pool():
     """An empty pool has no error to average: ValueError, not a NaN."""
@@ -410,5 +378,3 @@ def test_prediction_error_report_rejects_an_empty_pool():
 
     with pytest.raises(ValueError):
         prediction_error_report(_trained(), [])
-    with pytest.raises(ValueError):
-        prediction_error_report(_trained(), [], engine=EvaluationEngine())

@@ -32,7 +32,6 @@ def test_cloud_is_much_faster_than_edge():
     cloud, gpu = cloud_server(), jetson_tx2_gpu()
     assert cloud.compute_rate("conv") > 10 * gpu.compute_rate("conv")
     assert cloud.kind == "cloud"
-    assert not cloud.is_edge
 
 
 def test_compute_rate_falls_back_to_default():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.architecture import Architecture, stack_layers
+from repro.nn.architecture import Architecture
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D
 
 
@@ -51,7 +51,6 @@ def test_totals_are_sums_of_layers():
     summaries = arch.summarize()
     assert arch.total_params == sum(s.params for s in summaries)
     assert arch.total_macs == sum(s.macs for s in summaries)
-    assert arch.total_flops == 2 * arch.total_macs
 
 
 def test_depth_counts_parameterised_layers():
@@ -77,11 +76,6 @@ def test_layer_index_lookup():
     assert arch.layer_index("pool1") == 1
     with pytest.raises(KeyError):
         arch.layer_index("missing")
-
-
-def test_output_bytes_after():
-    arch = tiny_architecture()
-    assert arch.output_bytes_after(0) == 4 * 8 * 8 * 4
 
 
 def test_iteration_and_indexing():
@@ -124,11 +118,6 @@ def test_describe_mentions_every_layer():
     description = tiny_architecture().describe()
     for name in ("conv1", "pool1", "flatten", "fc"):
         assert name in description
-
-
-def test_stack_layers_flattens_groups():
-    groups = [[Conv2D(name="a")], [Conv2D(name="b"), Conv2D(name="c")]]
-    assert [layer.name for layer in stack_layers(groups)] == ["a", "b", "c"]
 
 
 def test_layer_summary_to_dict_contains_key_fields():

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import front_history as oracle
 from oracles import hypervolume as hypervolume_oracle
+from oracles import pareto as pareto_oracle
 
 from repro.optim.pareto import (
     FrontHistory,
     ParetoArchive,
-    _pareto_front_mask_reference,
     combined_front_composition,
     compute_front_history,
     coverage,
@@ -77,7 +77,7 @@ class TestFrontMask:
         n = int(rng.integers(1, 300))
         k = int(rng.integers(1, 5))
         Y = rng.uniform(size=(n, k))
-        assert np.array_equal(pareto_front_mask(Y), _pareto_front_mask_reference(Y))
+        assert np.array_equal(pareto_front_mask(Y), pareto_oracle.pareto_front_mask(Y))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_randomized_equivalence_with_ties_and_duplicates(self, seed):
@@ -87,7 +87,7 @@ class TestFrontMask:
         Y = np.round(rng.uniform(size=(n, 3)) * 4) / 4
         duplicated = np.vstack([Y, Y[rng.integers(0, n, size=n // 2)]])
         assert np.array_equal(
-            pareto_front_mask(duplicated), _pareto_front_mask_reference(duplicated)
+            pareto_front_mask(duplicated), pareto_oracle.pareto_front_mask(duplicated)
         )
 
     def test_duplicates_of_front_points_all_survive_at_scale(self):
@@ -103,10 +103,44 @@ class TestFrontMask:
         assert pareto_front_mask(Y).all()
 
     def test_nan_rows_do_not_destroy_finite_front(self):
-        """NaN objectives keep the loop-implementation semantics."""
+        """A NaN row is on the front and leaves the finite front alone."""
         Y = np.array([[0.5, 0.5], [np.nan, 0.1], [0.2, 0.9], [0.6, 0.6]])
-        assert np.array_equal(pareto_front_mask(Y), _pareto_front_mask_reference(Y))
+        assert np.array_equal(pareto_front_mask(Y), pareto_oracle.pareto_front_mask(Y))
         assert list(pareto_front_mask(Y)[:3]) == [True, True, True]
+
+    def test_all_nan_rows_are_all_on_the_front(self):
+        assert pareto_front_mask(np.full((4, 2), np.nan)).all()
+
+    def test_a_nan_row_behind_a_finite_row_stays_on_the_front(self):
+        """[0, 0] beats [1, NaN] in the first objective but cannot dominate it."""
+        Y = np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 2.0]])
+        assert list(pareto_front_mask(Y)) == [True, True, False]
+
+    def test_infinities_compare_as_numbers(self):
+        Y = np.array([[-np.inf, 5.0], [0.0, 5.0], [np.inf, 5.0], [1.0, -np.inf]])
+        assert list(pareto_front_mask(Y)) == [True, False, False, True]
+        assert pareto_front_mask(np.full((2, 2), np.inf)).all()
+
+    def test_negative_zero_ties_with_zero(self):
+        Y = np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, 1.5]])
+        assert list(pareto_front_mask(Y)) == [True, True, False]
+
+    def test_single_objective_keeps_every_minimum_and_every_nan(self):
+        Y = np.array([[3.0], [1.0], [np.nan], [1.0], [2.0]])
+        assert list(pareto_front_mask(Y)) == [False, True, True, True, False]
+
+    def test_nan_rows_leave_the_finite_mask_unchanged(self):
+        """Interleaving NaN rows moves no decision about the finite rows."""
+        rng = np.random.default_rng(7)
+        Y = np.round(rng.uniform(size=(200, 3)) * 8) / 8
+        positions = [0, 50, 50, 120, 200]
+        nan_rows = np.full((len(positions), 3), np.nan)
+        nan_rows[1, 0] = 0.0  # a partial NaN row counts as a NaN row
+        with_nan = np.insert(Y, positions, nan_rows, axis=0)
+        is_nan = np.isnan(with_nan).any(axis=1)
+        mask = pareto_front_mask(with_nan)
+        assert mask[is_nan].all()
+        assert np.array_equal(mask[~is_nan], pareto_front_mask(Y))
 
 
 class TestArchive:
@@ -445,6 +479,27 @@ def test_property_hypervolume_sweep_matches_the_slab_oracle_bit_for_bit(case):
         expected = float.hex(exact_oracle(points, reference))
         assert float.hex(exact(points, reference)) == expected
         assert float.hex(hypervolume(points, reference)) == expected
+
+
+@st.composite
+def _front_mask_cases(draw):
+    """1- to 4-objective matrices with ties, NaN, ±inf, −0.0 and duplicate rows."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    coordinate = st.one_of(_GRID, _FINITE, _SPECIAL, st.just(-0.0))
+    rows = draw(
+        st.lists(st.lists(coordinate, min_size=k, max_size=k), min_size=1, max_size=16)
+    )
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return np.array(rows, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_front_mask_cases())
+def test_property_front_mask_matches_the_loop_oracle(objectives):
+    """The sort/block scan equals the pairwise loop, NaN rows included."""
+    assert np.array_equal(
+        pareto_front_mask(objectives), pareto_oracle.pareto_front_mask(objectives)
+    )
 
 
 @settings(max_examples=40, deadline=None)

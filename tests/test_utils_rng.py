@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_rng, spawn_rng
+from repro.utils.rng import ensure_rng
 
 
 def test_ensure_rng_from_int_is_deterministic():
@@ -35,17 +35,3 @@ def test_ensure_rng_rejects_negative_seed():
 def test_ensure_rng_rejects_bad_type():
     with pytest.raises(TypeError):
         ensure_rng("not-a-seed")
-
-
-def test_spawn_rng_children_are_independent():
-    parent = ensure_rng(0)
-    children = spawn_rng(parent, count=3)
-    assert len(children) == 3
-    draws = [child.integers(0, 1_000_000, size=10) for child in children]
-    assert not np.array_equal(draws[0], draws[1])
-    assert not np.array_equal(draws[1], draws[2])
-
-
-def test_spawn_rng_rejects_zero_count():
-    with pytest.raises(ValueError):
-        spawn_rng(ensure_rng(0), count=0)

@@ -1,24 +1,12 @@
 """Tests for repro.utils.units."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.utils import units
 
 
-def test_bytes_bits_round_trip():
-    assert units.bytes_to_bits(10) == 80
-    assert units.bits_to_bytes(80) == 10
-
-
 def test_kilobyte_conversions():
     assert units.bytes_to_kilobytes(2048) == 2.0
-    assert units.kilobytes_to_bytes(2.0) == 2048
-
-
-def test_megabyte_conversions():
-    assert units.bytes_to_megabytes(units.BYTES_PER_MB) == 1.0
-    assert units.megabytes_to_bytes(1.0) == units.BYTES_PER_MB
 
 
 def test_mbps_conversion_uses_decimal_megabits():
@@ -33,23 +21,5 @@ def test_alexnet_input_transfer_time_matches_hand_calculation():
     assert seconds == pytest.approx(0.4014, abs=1e-3)
 
 
-def test_time_conversions():
-    assert units.seconds_to_milliseconds(0.25) == 250
-    assert units.milliseconds_to_seconds(250) == 0.25
-
-
-def test_energy_conversions():
-    assert units.joules_to_millijoules(0.207) == pytest.approx(207.0)
-    assert units.millijoules_to_joules(207.0) == pytest.approx(0.207)
-
-
 def test_power_conversions():
-    assert units.watts_to_milliwatts(1.288) == pytest.approx(1288.0)
     assert units.milliwatts_to_watts(1288.04) == pytest.approx(1.28804)
-
-
-@given(st.floats(min_value=0, max_value=1e12, allow_nan=False))
-def test_round_trips_are_identities(value):
-    assert units.bits_to_bytes(units.bytes_to_bits(value)) == pytest.approx(value)
-    assert units.millijoules_to_joules(units.joules_to_millijoules(value)) == pytest.approx(value)
-    assert units.milliseconds_to_seconds(units.seconds_to_milliseconds(value)) == pytest.approx(value)

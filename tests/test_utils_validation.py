@@ -9,8 +9,6 @@ from repro.utils.validation import (
     require_integral,
     require_non_negative,
     require_positive,
-    require_shape,
-    require_type,
 )
 
 
@@ -56,23 +54,3 @@ def test_require_in():
     assert require_in("a", ("a", "b"), "x") == "a"
     with pytest.raises(ValueError):
         require_in("c", ("a", "b"), "x")
-
-
-def test_require_type():
-    assert require_type(3, int, "x") == 3
-    with pytest.raises(TypeError):
-        require_type(3, str, "x")
-
-
-def test_require_shape_valid():
-    assert require_shape((3, 32, 32), 3, "shape") == (3, 32, 32)
-
-
-def test_require_shape_wrong_rank():
-    with pytest.raises(ValueError, match="rank"):
-        require_shape((3, 32), 3, "shape")
-
-
-def test_require_shape_non_positive_dim():
-    with pytest.raises(ValueError, match="positive"):
-        require_shape((3, 0, 32), 3, "shape")

@@ -16,7 +16,6 @@ from repro.wireless.traces import (
     ThroughputSample,
     ThroughputTrace,
     generate_lte_trace,
-    paper_like_traces,
 )
 
 
@@ -81,11 +80,6 @@ class TestTraces:
             generate_lte_trace(correlation=1.5)
         with pytest.raises(ValueError):
             generate_lte_trace(mean_mbps=-1.0)
-
-    def test_paper_like_traces_cover_both_models(self):
-        traces = paper_like_traces(seed=7)
-        assert set(traces) == {"model_a", "model_b"}
-        assert traces["model_b"].mean_mbps > traces["model_a"].mean_mbps
 
     def test_to_dict(self):
         data = generate_lte_trace(num_samples=3, seed=0).to_dict()

@@ -28,7 +28,8 @@ and in CI::
    record-identical contents (modulo per-run wall time, and the checksum
    that covers it) and summaries as an unsupervised one.
 
-Exits non-zero with a diagnostic on any violation.
+Exits non-zero with a diagnostic on any violation and keeps its temporary
+workspace for inspection; a passing run removes it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -402,10 +404,12 @@ def main() -> int:
     ):
         code = drill(base)
         if code:
+            print(f"workspace kept for inspection: {base}", file=sys.stderr)
             return code
     print("OK: deadlines enforced, poison cells dead-lettered and "
           "re-admittable, circuit breaker trips to exit 4, store rot "
           "detected/quarantined/repaired, healthy supervision inert")
+    shutil.rmtree(base)
     return 0
 
 

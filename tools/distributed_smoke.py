@@ -24,15 +24,18 @@ CI::
    cell by **resuming from the checkpoint** — its stored outcome records
    ``H_RESUMED``, proving it did not restart from evaluation zero.
 
-Exits non-zero with a diagnostic on any violation.
+Exits non-zero with a diagnostic on any violation and keeps its temporary
+workspace for inspection; a passing run removes it.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -88,12 +91,7 @@ def _metric_rows(store):
     return rows
 
 
-def main() -> int:
-    import tempfile
-
-    base = Path(tempfile.mkdtemp(prefix="repro-distributed-smoke-"))
-    print(f"workspace: {base}")
-
+def _drill(base: Path) -> int:
     print(f"[1/6] serial reference run ({SPEC.num_cells} cells)...")
     serial = RunStore(base / "serial")
     result = run_campaign(SPEC, serial)
@@ -235,6 +233,17 @@ def main() -> int:
         f"discarded it after storing the cell"
     )
     return 0
+
+
+def main() -> int:
+    base = Path(tempfile.mkdtemp(prefix="repro-distributed-smoke-"))
+    print(f"workspace: {base}")
+    code = _drill(base)
+    if code == 0:
+        shutil.rmtree(base)
+    else:
+        print(f"workspace kept for inspection: {base}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -20,15 +20,18 @@ runnable locally and in CI::
 5. Inject **NaN objectives** and assert the poisoned evaluations are
    quarantined while the search still completes its budget.
 
-Exits non-zero with a diagnostic on any violation.
+Exits non-zero with a diagnostic on any violation and keeps its temporary
+workspace for inspection; a passing run removes it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -90,13 +93,9 @@ def _run_crash_child(checkpoint_dir: Path) -> subprocess.CompletedProcess:
     )
 
 
-def main() -> int:
-    import tempfile
-
-    base = Path(tempfile.mkdtemp(prefix="repro-search-chaos-"))
+def _drill(base: Path) -> int:
     checkpoints = base / "checkpoints"
     failures = []
-    print(f"workspace: {base}")
 
     print("[1/5] golden uninterrupted run...")
     golden = run_search(engine=EvaluationEngine(), **REQUEST)
@@ -185,6 +184,17 @@ def main() -> int:
         "NaN evaluations quarantined"
     )
     return 0
+
+
+def main() -> int:
+    base = Path(tempfile.mkdtemp(prefix="repro-search-chaos-"))
+    print(f"workspace: {base}")
+    code = _drill(base)
+    if code == 0:
+        shutil.rmtree(base)
+    else:
+        print(f"workspace kept for inspection: {base}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":
