@@ -7,8 +7,9 @@ plus one :class:`~repro.core.runtime.DynamicDeploymentController` per client
 — a Python loop over every client on every tick.  The serving layer
 (:mod:`repro.serving`) advances the whole fleet per tick with array ops:
 one EWMA update (:class:`~repro.serving.fleet.FleetTracker`) and one
-``argmin`` over the option costs
-(:class:`~repro.serving.fleet.FleetController`).
+decision over the option costs, the first option whose cost is strictly
+lowest (:func:`~repro.core.runtime.first_minimum`, taken by
+:class:`~repro.serving.fleet.FleetController`).
 
 This benchmark replays the same synthetic multi-region workload (including
 stalled clients) both ways and asserts:

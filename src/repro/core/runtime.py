@@ -13,8 +13,11 @@ dominant option in O(1).  This module provides:
   only the communication terms depend on ``tu``);
 * :class:`ThresholdAnalysis` — pairwise crossover thresholds and dominance
   intervals (the 6.77 Mbps / 22.77 Mbps numbers of §V-C are instances of
-  these), plus :meth:`ThresholdAnalysis.costs`, the vectorized option costs
-  whose ``argmin`` is the one definition of a runtime decision;
+  these), plus :meth:`ThresholdAnalysis.costs`, the vectorized option costs;
+* :func:`first_minimum` — the one definition of a runtime decision: the
+  first option whose cost is strictly lowest, the rule
+  :meth:`ThresholdAnalysis.best_option`'s ``min`` applies, over the rows of
+  a ``costs`` matrix;
 * :class:`DynamicDeploymentController` — the scalar single-device switcher
   driven by a :class:`~repro.wireless.tracker.ThroughputTracker` (the
   reference the array paths are held bitwise equal to);
@@ -31,7 +34,7 @@ import numpy as np
 
 from repro.partition.deployment import DeploymentMetrics, DeploymentOption
 from repro.utils.units import mbps_to_bytes_per_second
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_positive, require_positive_finite
 from repro.wireless.power_models import RadioPowerModel
 from repro.wireless.tracker import ThroughputTracker
 from repro.wireless.traces import ThroughputTrace
@@ -115,6 +118,33 @@ def pairwise_threshold(
     return float(threshold)
 
 
+def first_minimum(costs: np.ndarray) -> np.ndarray:
+    """Row index of each column's first strict minimum: the runtime decision.
+
+    ``costs`` is a :meth:`ThresholdAnalysis.costs` matrix, one row per
+    option.  A later row replaces the running best only where its cost is
+    strictly lower, which is the rule ``min`` applies in
+    :meth:`ThresholdAnalysis.best_option`: ties go to the earlier option, a
+    NaN cost never replaces a number, and a column whose first cost is NaN
+    picks option 0.  It takes ``k - 1`` compare-and-select passes over the
+    ``k`` rows.
+    """
+    best = costs[0]
+    index = np.zeros(costs.shape[1:], dtype=np.intp)
+    for row_index in range(1, len(costs)):
+        row = costs[row_index]
+        chosen = (row < best).astype(np.intp)
+        chosen *= row_index
+        # Rows come in index order, so a maximum selects without a branch.
+        np.maximum(index, chosen, out=index)
+        if row_index + 1 < len(costs):
+            # The running best, also branch-free: fmin reads a NaN cost as
+            # inf, so it never replaces the best, and minimum keeps a NaN
+            # best, which no later cost is below.
+            best = np.minimum(best, np.fmin(row, np.inf))
+    return index
+
+
 @dataclass
 class DominanceInterval:
     """Throughput interval over which one deployment option is the best choice."""
@@ -122,10 +152,6 @@ class DominanceInterval:
     option: DeploymentOption
     low_mbps: float
     high_mbps: float
-
-    def contains(self, uplink_mbps: float) -> bool:
-        """Whether a throughput value falls inside the interval."""
-        return self.low_mbps <= uplink_mbps <= self.high_mbps
 
     def to_dict(self) -> Dict:
         return {
@@ -194,33 +220,54 @@ class ThresholdAnalysis:
 
         With ``option_indices=None`` this is the ``(num_options, n)`` matrix
         whose element ``[i, j]`` is ``value(options[i], uplinks_mbps[j])``;
-        otherwise the indices broadcast against the throughputs, one value per
+        the row of an option that transfers no bytes is its edge cost.
+        Otherwise the indices broadcast against the throughputs, one value per
         ``(index, throughput)`` pair.  The arithmetic replicates
         :func:`deployment_latency` / :func:`deployment_energy` operation for
         operation (IEEE-754 makes the element-wise numpy ops identical to the
-        scalar float ops), so values match :meth:`value` bit for bit and an
-        ``argmin`` over axis 0 picks the :meth:`best_option` index, ties
-        included.  That ``argmin`` is the runtime decision.  ``metric``
+        scalar float ops, and ``+`` and ``*`` are commutative), so values
+        match :meth:`value` bit for bit and :func:`first_minimum` of the
+        matrix picks the :meth:`best_option` index, ties included.  ``metric``
         overrides the analysis metric (SLA accounting is always latency).
         """
         metric = self.metric if metric is None else metric
+        if metric not in RUNTIME_METRICS:
+            raise ValueError(f"metric must be one of {RUNTIME_METRICS}, got {metric!r}")
         uplinks = np.asarray(uplinks_mbps, dtype=np.float64)
-        if option_indices is None:
-            option_indices = np.arange(len(self.options))[:, None]
-        transferred = self._transferred_bytes[option_indices]
         # mbps_to_bytes_per_second, element-wise in scalar evaluation order.
-        transmission = transferred / (uplinks * 1e6 / 8.0)
+        rate = uplinks * 1e6 / 8.0
         if metric == "latency":
-            edge = self._edge_latency_s[option_indices]
-            values = (edge + transmission) + self.round_trip_s
-        elif metric == "energy":
-            edge = self._edge_energy_j[option_indices]
+            edges, power_w = self._edge_latency_s, None
+        else:
+            edges = self._edge_energy_j
             power = self.power_model
             power_w = power.alpha_w_per_mbps * uplinks + power.beta_w
-            values = edge + power_w * transmission
-        else:
-            raise ValueError(f"metric must be one of {RUNTIME_METRICS}, got {metric!r}")
+        if option_indices is None:
+            values = np.empty((len(self.options),) + uplinks.shape)
+            for i, (transferred, edge) in enumerate(zip(self._transferred_bytes, edges)):
+                if transferred <= 0.0:
+                    values[i] = edge
+                else:
+                    self._transfer_costs(transferred, edge, rate, power_w, values[i, ...])
+            return values
+        transferred = self._transferred_bytes.take(option_indices)
+        edge = edges.take(option_indices)
+        values = self._transfer_costs(transferred, edge, rate, power_w)
         return np.where(transferred <= 0.0, edge, values)
+
+    def _transfer_costs(self, transferred, edge, rate, power_w, out=None):
+        """Costs of options that send ``transferred`` bytes at ``rate`` bytes/s.
+
+        They are computed in ``out`` (a new array if it is ``None``).
+        """
+        values = np.divide(transferred, rate, out=out)  # transmission time
+        if power_w is None:  # (edge + transmission) + round trip
+            values += edge
+            values += self.round_trip_s
+        else:  # edge + power * transmission
+            values *= power_w
+            values += edge
+        return values
 
     def thresholds(self) -> Dict[Tuple[str, str], Optional[float]]:
         """Pairwise crossover thresholds keyed by option labels."""
@@ -247,10 +294,11 @@ class ThresholdAnalysis:
         """Throughput intervals over which each option is the best choice.
 
         The interval boundaries are located on a fine logarithmic grid, whose
-        winners are the :meth:`costs` ``argmin`` at every grid point.
+        winners are the :func:`first_minimum` of the :meth:`costs` at every
+        grid point.
         """
         grid = np.geomspace(min_mbps, max_mbps, resolution)
-        winners = np.argmin(self.costs(grid), axis=0)
+        winners = first_minimum(self.costs(grid))
         starts = np.flatnonzero(np.diff(winners, prepend=-1))
         ends = np.append(starts[1:], grid.size) - 1
         return [
@@ -372,12 +420,15 @@ def simulate_runtime(
     option that costs least at it.  All strategies are charged using the
     *actual* throughput of the sample.  The whole replay is one
     :meth:`ThresholdAnalysis.costs` matrix: its rows are the fixed
-    strategies and its column ``argmin`` is the dynamic choice.
+    strategies and its :func:`first_minimum` is the dynamic choice.  Every
+    sample must be positive and finite, as the scalar tracker requires.
     """
     uplinks = trace.uplinks_mbps
-    require_positive(float(uplinks.min()), "uplink_mbps")
+    # NaN is the minimum of an array holding one, and fails the check too.
+    for bound in (uplinks.min(), uplinks.max()):
+        require_positive_finite(float(bound), "uplink_mbps")
     costs = analysis.costs(uplinks)
-    chosen = np.argmin(costs, axis=0)
+    chosen = first_minimum(costs)
     per_sample: Dict[str, List[float]] = {
         metrics.option.label: row.tolist()
         for metrics, row in zip(analysis.options, costs)

@@ -330,16 +330,6 @@ class Architecture:
         """Number of layers of the given family."""
         return sum(1 for s in self.summarize() if s.layer_type == layer_type)
 
-    def layer_index(self, name: str) -> int:
-        """Index of the layer with the given name.
-
-        Raises ``KeyError`` if no layer carries that name.
-        """
-        for index, layer in enumerate(self.layers):
-            if layer.name == name:
-                return index
-        raise KeyError(f"no layer named {name!r} in architecture {self.name!r}")
-
     # ------------------------------------------------------------------ serialization
     def to_dict(self) -> Dict:
         """Serialisable description of the architecture."""

@@ -252,12 +252,6 @@ class EncodingScheme:
             arr[i] = _other_choice(int(arr[i]), card, rng)
         return arr
 
-    def hamming_distance(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """Number of genes on which two index vectors differ."""
-        va = self.validate_indices(a)
-        vb = self.validate_indices(b)
-        return int(np.sum(va != vb))
-
     def describe(self) -> str:
         """Human-readable listing of genes and their choices."""
         lines: List[str] = [f"EncodingScheme with {self.num_genes} genes:"]

@@ -155,10 +155,6 @@ class PartitionGraph:
         ]
 
     # ------------------------------------------------------------------ misc
-    def consumers_of(self, src: int) -> List[int]:
-        """Layers that consume ``src``'s output through a skip edge."""
-        return [d for s, d in self.skip_edges if s == src]
-
     def to_dict(self) -> Dict:
         """Serialisable description of the graph."""
         return {

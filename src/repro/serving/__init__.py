@@ -2,11 +2,12 @@
 
 The paper's runtime story (§IV-E, §V-C) is one edge device switching
 deployment options in O(1) as its uplink drifts.  This package serves that
-decision — the ``argmin`` over
-:meth:`~repro.core.runtime.ThresholdAnalysis.costs` — to a *fleet*: N
-clients' EWMA throughput estimates advance in one array op per tick
-(:class:`FleetTracker`), the whole fleet's estimates map onto options in
-one ``argmin`` per tick (:class:`FleetController`), and
+decision — :func:`~repro.core.runtime.first_minimum` of
+:meth:`~repro.core.runtime.ThresholdAnalysis.costs`, the first option whose
+cost is strictly lowest — to a *fleet*: N clients' EWMA throughput
+estimates advance in one array op per tick (:class:`FleetTracker`), the
+whole fleet's estimates map onto options in one decision pass per tick
+(:class:`FleetController`), and
 :class:`ServingSession` replays per-region client traces
 (:class:`FleetWorkload`) while recording service metrics — decisions/sec,
 switch counts, decision-latency percentiles and SLA-violation rates

@@ -1,8 +1,9 @@
 """Vectorized multi-client throughput tracking and deployment switching.
 
-A runtime decision is the ``argmin`` over
-:meth:`~repro.core.runtime.ThresholdAnalysis.costs`: the deployment option
-that costs least at the client's throughput estimate.  Serving that decision
+A runtime decision is :func:`~repro.core.runtime.first_minimum` of
+:meth:`~repro.core.runtime.ThresholdAnalysis.costs`: the first deployment
+option whose cost at the client's throughput estimate is strictly lowest,
+the rule the scalar ``best_option`` applies.  Serving that decision
 to a fleet of clients needs the scalar single-device machinery
 (:class:`~repro.wireless.tracker.ThroughputTracker` driving a
 :class:`~repro.core.runtime.DynamicDeploymentController`) at array scale:
@@ -11,9 +12,9 @@ to a fleet of clients needs the scalar single-device machinery
   array operation per tick — heterogeneous smoothing coefficients and priors,
   NaN-masked idle clients, and anomaly counting for measurements a scalar
   tracker would reject;
-* :class:`FleetController` takes the ``argmin`` of the costs for the whole
-  fleet's estimates per tick, counting per-client switches exactly as the
-  scalar controller does.
+* :class:`FleetController` takes that decision for the whole fleet's
+  estimates per tick, counting per-client switches exactly as the scalar
+  controller does.
 
 Parity contract
 ---------------
@@ -31,7 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.core.runtime import ThresholdAnalysis
+from repro.core.runtime import ThresholdAnalysis, first_minimum
 
 __all__ = ["FleetTracker", "FleetController"]
 
@@ -66,8 +67,9 @@ class FleetTracker:
         EWMA coefficient(s) in (0, 1] — a scalar shared by every client or a
         per-client array (heterogeneous fleets).
     initial_mbps:
-        Optional prior estimate(s); NaN entries mean "no prior" (matching a
-        scalar tracker constructed without ``initial_mbps``).
+        Optional prior estimate(s), positive and finite; NaN entries mean "no
+        prior" (matching a scalar tracker constructed without
+        ``initial_mbps``).
 
     Tick semantics
     --------------
@@ -97,13 +99,21 @@ class FleetTracker:
         )
         if np.any((self.smoothing < 1e-6) | (self.smoothing > 1.0)):
             raise ValueError("smoothing coefficients must lie in [1e-6, 1.0]")
+        # The weight of the previous estimate in the EWMA update, derived
+        # once, so the coefficients it comes from are frozen.
+        self._retained = 1.0 - self.smoothing
+        self.smoothing.flags.writeable = False
         self._estimates = _as_client_array(
             initial_mbps, self.num_clients, "initial_mbps", np.nan
         )
+        unknown = np.isnan(self._estimates)
         with np.errstate(invalid="ignore"):
-            bad_prior = ~np.isnan(self._estimates) & ~(self._estimates > 0.0)
-        if bad_prior.any():
-            raise ValueError("initial_mbps entries must be positive (or NaN)")
+            usable = (self._estimates > 0.0) & (self._estimates < np.inf)
+        if not (unknown | usable).all():
+            raise ValueError("initial_mbps entries must be positive and finite (or NaN)")
+        # Whether some client has no estimate yet; an estimate is never lost.
+        self._unestimated = bool(unknown.any())
+        self._active = np.zeros(self.num_clients, dtype=bool)
         self._num_observations = np.zeros(self.num_clients, dtype=np.int64)
         self._anomalies = np.zeros(self.num_clients, dtype=np.int64)
 
@@ -123,6 +133,11 @@ class FleetTracker:
         """Per-client count of rejected (non-positive / infinite) measurements."""
         return self._anomalies.copy()
 
+    @property
+    def active(self) -> np.ndarray:
+        """Mask of the clients whose measurement the last :meth:`observe` consumed."""
+        return self._active.copy()
+
     # ------------------------------------------------------------------ update
     def observe(self, measurements: Union[Sequence[float], np.ndarray]) -> np.ndarray:
         """Consume one tick of measurements and return the updated estimates.
@@ -139,18 +154,21 @@ class FleetTracker:
                 f"measurements must have shape ({self.num_clients},), "
                 f"got {values.shape}"
             )
+        estimates = self._estimates
         with np.errstate(invalid="ignore"):
             active = np.isfinite(values) & (values > 0.0)
-        anomalous = ~np.isnan(values) & ~active
-        self._anomalies += anomalous
+            # Same expression (and evaluation order) as the scalar tracker;
+            # NaN operands only occur in lanes the final where() discards.
+            blended = self.smoothing * values + self._retained * estimates
+        self._anomalies += ~(np.isnan(values) | active)
         self._num_observations += active
-        estimates = self._estimates
-        # Same expression (and evaluation order) as the scalar tracker;
-        # NaN operands only occur in lanes the final where() discards.
-        with np.errstate(invalid="ignore"):
-            blended = self.smoothing * values + (1.0 - self.smoothing) * estimates
-            updated = np.where(np.isnan(estimates), values, blended)
-            self._estimates = np.where(active, updated, estimates)
+        if self._unestimated:
+            # A client's first observation is the value itself.
+            unknown = np.isnan(estimates)
+            blended = np.where(unknown, values, blended)
+            self._unestimated = bool((unknown & ~active).any())
+        self._estimates = np.where(active, blended, estimates)
+        self._active = active
         return self._estimates.copy()
 
 
@@ -158,7 +176,8 @@ class FleetController:
     """Vectorized sequel of :class:`DynamicDeploymentController` for N clients.
 
     Maps the whole fleet's throughput estimates onto deployment options in
-    one ``argmin`` over :meth:`ThresholdAnalysis.costs` per tick.
+    one :func:`~repro.core.runtime.first_minimum` of
+    :meth:`ThresholdAnalysis.costs` per tick.
 
     Clients without an estimate yet (NaN) hold their previous decision
     (``-1`` before any decision) and are never counted as switches; held
@@ -171,6 +190,8 @@ class FleetController:
         self.analysis = analysis
         self.num_clients = int(num_clients)
         self._last = np.full(self.num_clients, -1, dtype=np.intp)
+        # Whether some client has no decision yet; a decision is never lost.
+        self._undecided = True
         self._switches = np.zeros(self.num_clients, dtype=np.int64)
         self._holds = np.zeros(self.num_clients, dtype=np.int64)
 
@@ -210,12 +231,15 @@ class FleetController:
                 f"estimates must have shape ({self.num_clients},), "
                 f"got {estimates.shape}"
             )
-        known = ~np.isnan(estimates)
-        choice = self._last.copy()
-        if known.any():
-            choice[known] = np.argmin(self.analysis.costs(estimates[known]), axis=0)
-        switched = known & (self._last >= 0) & (choice != self._last)
+        choice = first_minimum(self.analysis.costs(estimates))
+        idle = np.isnan(estimates)
+        if idle.any():
+            choice = np.where(idle, self._last, choice)
+            self._holds += idle
+        switched = choice != self._last
+        if self._undecided:
+            switched &= self._last >= 0
+            self._undecided = bool((choice < 0).any())
         self._switches += switched
-        self._holds += ~known
         self._last = choice
         return choice.copy()

@@ -202,12 +202,7 @@ class ServingSession:
         controller = FleetController(self.analysis, num_clients)
         uplinks = workload.uplinks_mbps
         tick_times = np.empty(workload.ticks, dtype=np.float64)
-        decisions = 0
-        served = 0
-        violations = 0
-        served_by_client = np.zeros(num_clients, dtype=np.int64)
         violations_by_client = np.zeros(num_clients, dtype=np.int64)
-        decisions_by_client = np.zeros(num_clients, dtype=np.int64)
         log = (
             np.full((workload.ticks, num_clients), -1, dtype=np.intp)
             if self.record_decisions
@@ -220,35 +215,33 @@ class ServingSession:
             estimates = tracker.observe(measurements)
             choice = controller.decide(estimates)
             tick_times[tick] = time.perf_counter() - start
-            decided = choice >= 0
-            decisions += int(decided.sum())
-            decisions_by_client += decided
             if log is not None:
                 log[tick] = choice
-            # SLA accounting: inferences actually issued this tick (a valid
-            # measurement arrived) by clients that hold a decision.
-            with np.errstate(invalid="ignore"):
-                active = np.isfinite(measurements) & (measurements > 0.0)
-            issued = active & decided
-            if issued.any():
-                served += int(issued.sum())
-                served_by_client += issued
-                if self.latency_sla_s is not None:
-                    latency = self.analysis.costs(
-                        measurements[issued], choice[issued], metric="latency"
-                    )
-                    violated = latency > self.latency_sla_s
-                    violations += int(violated.sum())
-                    violations_by_client[issued] += violated
+            if self.latency_sla_s is not None:
+                # Every client is costed at its current option (the last
+                # option for one without a decision) and only the issued
+                # inferences count, so idle and anomalous lanes are dropped.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    latency = self.analysis.costs(measurements, choice, metric="latency")
+                violated = latency > self.latency_sla_s
+                violated &= tracker.active
+                violations_by_client += violated
 
+        # An inference is issued when a valid measurement arrives, and that
+        # measurement gives the client an estimate, hence a decision: every
+        # consumed measurement is served.  A client without a decision has
+        # no estimate, and the controller holds exactly those ticks.
+        served_by_client = tracker.num_observations
+        decisions_by_client = workload.ticks - controller.holds
+        decisions = int(decisions_by_client.sum())
+        served = int(served_by_client.sum())
+        violations = int(violations_by_client.sum())
         decision_time_s = float(tick_times.sum())
-        valid = ~np.isnan(uplinks)
-        any_valid = valid.any(axis=0)
-        silent = int((~any_valid).sum())
-        last_valid = np.where(
-            any_valid, workload.ticks - 1 - np.argmax(valid[::-1], axis=0), -1
-        )
-        exhausted = int((any_valid & (last_valid < workload.ticks - 1)).sum())
+        # Every non-NaN measurement was either consumed or an anomaly.
+        measured = served_by_client + tracker.anomalies
+        silent = int(np.count_nonzero(measured == 0))
+        # A client whose samples ended before the replay has none at the end.
+        exhausted = int(np.count_nonzero((measured > 0) & np.isnan(uplinks[-1])))
 
         per_region: Dict[str, Dict[str, Any]] = {}
         switch_counts = controller.switches
@@ -282,7 +275,7 @@ class ServingSession:
             sla_latency_s=self.latency_sla_s,
             sla_violations=violations,
             anomalies=int(tracker.anomalies.sum()),
-            idle_client_ticks=workload.idle_client_ticks,
+            idle_client_ticks=workload.ticks * num_clients - int(measured.sum()),
             held_ticks=int(controller.holds.sum()),
             silent_clients=silent,
             exhausted_clients=exhausted,

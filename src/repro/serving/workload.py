@@ -93,11 +93,6 @@ class FleetWorkload:
         """Fleet size."""
         return int(self.uplinks_mbps.shape[1])
 
-    @property
-    def idle_client_ticks(self) -> int:
-        """Total NaN entries: client-ticks without a measurement."""
-        return int(np.isnan(self.uplinks_mbps).sum())
-
     def region_masks(self) -> Dict[str, np.ndarray]:
         """Region label -> boolean client mask, in first-seen order."""
         masks: Dict[str, np.ndarray] = {}

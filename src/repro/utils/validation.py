@@ -6,6 +6,7 @@ These keep constructor bodies readable and produce consistent error messages
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Any, Iterable
 
@@ -29,6 +30,13 @@ def require_positive(value: float, name: str) -> float:
     """Raise ``ValueError`` unless ``value`` is strictly positive."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def require_positive_finite(value: float, name: str) -> float:
+    """Raise ``ValueError`` unless ``0 < value < inf`` (NaN is not)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 

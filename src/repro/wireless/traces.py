@@ -54,11 +54,6 @@ class ThroughputTrace:
         return np.array([s.uplink_mbps for s in self.samples])
 
     @property
-    def times_s(self) -> np.ndarray:
-        """Time offsets as an array."""
-        return np.array([s.time_s for s in self.samples])
-
-    @property
     def mean_mbps(self) -> float:
         """Mean uplink throughput over the trace."""
         return float(self.uplinks_mbps.mean())

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from repro.utils.validation import require_between, require_positive
+from repro.utils.validation import require_between, require_positive_finite
 
 
 class ThroughputTracker:
@@ -31,7 +31,8 @@ class ThroughputTracker:
         (the behaviour assumed by the paper's O(1) switching argument), lower
         values smooth out measurement noise.
     initial_mbps:
-        Optional prior estimate before any observation arrives.
+        Optional prior estimate before any observation arrives (positive and
+        finite).
     history_limit:
         Maximum number of raw measurements retained by :attr:`history`
         (bounded-deque semantics: older samples are dropped as new ones
@@ -56,7 +57,7 @@ class ThroughputTracker:
         self._history: Deque[float] = deque(maxlen=history_limit)
         self._num_observations = 0
         if initial_mbps is not None:
-            require_positive(initial_mbps, "initial_mbps")
+            require_positive_finite(initial_mbps, "initial_mbps")
             self._estimate = float(initial_mbps)
 
     @property
@@ -83,8 +84,11 @@ class ThroughputTracker:
         return list(self._history)
 
     def observe(self, uplink_mbps: float) -> float:
-        """Consume one measurement and return the updated estimate."""
-        require_positive(uplink_mbps, "uplink_mbps")
+        """Consume one measurement and return the updated estimate.
+
+        Zero, negative and non-finite measurements raise ``ValueError``.
+        """
+        require_positive_finite(uplink_mbps, "uplink_mbps")
         self._history.append(float(uplink_mbps))
         self._num_observations += 1
         if self._estimate is None:

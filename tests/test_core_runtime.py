@@ -147,7 +147,7 @@ class TestThresholdAnalysis:
         assert intervals[-1].high_mbps == pytest.approx(80.0)
         for first, second in zip(intervals, intervals[1:]):
             assert first.high_mbps <= second.low_mbps
-        assert any(i.contains(1.0) for i in intervals)
+        assert any(i.low_mbps <= 1.0 <= i.high_mbps for i in intervals)
 
     def test_requires_two_options_and_valid_metric(self):
         with pytest.raises(ValueError):

@@ -71,13 +71,6 @@ def test_input_bytes_per_element_configurable():
     assert arch.input_bytes == 3 * 8 * 8 * 4
 
 
-def test_layer_index_lookup():
-    arch = tiny_architecture()
-    assert arch.layer_index("pool1") == 1
-    with pytest.raises(KeyError):
-        arch.layer_index("missing")
-
-
 def test_iteration_and_indexing():
     arch = tiny_architecture()
     assert len(arch) == 4

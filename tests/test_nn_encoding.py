@@ -102,7 +102,7 @@ class TestEncodingScheme:
         base = scheme.sample_indices(rng)
         for _ in range(10):
             mutated = scheme.mutate(base, rng)
-            assert scheme.hamming_distance(base, mutated) >= 1
+            assert np.count_nonzero(np.asarray(mutated) != base) >= 1
 
     def test_sampling_is_reproducible(self):
         scheme = simple_scheme()

@@ -69,9 +69,8 @@ class TestPartitionGraph:
         with pytest.raises(ValueError, match="pair"):
             normalize_skip_edges([(1, 2, 3)])
 
-    def test_consumers_and_describe(self):
+    def test_describe(self):
         graph = PartitionGraph(num_layers=6, skip_edges=((1, 3),))
-        assert graph.consumers_of(1) == [3]
         assert "blocked" in graph.describe()
         assert "linear" in PartitionGraph(num_layers=2).describe()
 

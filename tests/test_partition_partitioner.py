@@ -69,7 +69,7 @@ class TestPartitionAnalyzer:
         self, gpu_wifi_analyzer, wifi_channel, alexnet
     ):
         evaluation = gpu_wifi_analyzer.evaluate(alexnet)
-        pool5_index = alexnet.layer_index("pool5")
+        pool5_index = [layer.name for layer in alexnet.layers].index("pool5")
         split = evaluation.metrics_for(DeploymentOption.split_after(pool5_index, "pool5"))
         prefix_latency = sum(evaluation.layer_latencies_s[: pool5_index + 1])
         prefix_energy = sum(evaluation.layer_energies_j[: pool5_index + 1])

@@ -1,10 +1,11 @@
 """Property tests: the array decision path vs its scalar references.
 
-A runtime decision is the ``argmin`` over ``ThresholdAnalysis.costs``.  The
-contracts under test:
+A runtime decision is ``first_minimum`` of ``ThresholdAnalysis.costs``: the
+first option whose cost is strictly lowest.  The contracts under test:
 
 * ``costs`` equals the scalar ``deployment_latency`` / ``analysis.value``
-  bit for bit, and its ``argmin`` picks the ``best_option`` index;
+  bit for bit, and ``first_minimum`` of it picks the ``best_option`` index,
+  also where a cost is NaN (``np.argmin`` agrees on finite costs);
 * feeding the same measurements to a :class:`FleetTracker` /
   :class:`FleetController` and to one :class:`ThroughputTracker` +
   ``analysis.best_option`` loop per client produces *bitwise identical*
@@ -22,14 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.runtime import (
+    RUNTIME_METRICS,
     DynamicDeploymentController,
     ThresholdAnalysis,
     deployment_latency,
+    first_minimum,
     simulate_runtime,
 )
 from repro.partition.deployment import DeploymentMetrics, DeploymentOption
 from repro.serving import FleetController, FleetTracker
-from repro.wireless.power_models import RadioPowerModel
+from repro.wireless.power_models import SUPPORTED_TECHNOLOGIES, RadioPowerModel
 from repro.wireless.tracker import ThroughputTracker
 from repro.wireless.traces import ThroughputTrace
 
@@ -129,6 +132,32 @@ def threshold_probes(analysis):
 
 uplink = st.floats(min_value=0.01, max_value=500.0,
                    allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_analyses(draw):
+    """2-4 options with random costs; some transfer nothing, some tie."""
+    options = [
+        DeploymentMetrics(
+            option=DeploymentOption.split_after(index),
+            latency_s=0.0,
+            energy_j=0.0,
+            edge_latency_s=draw(st.sampled_from((0.0, 0.04)) | st.floats(0.0, 0.5)),
+            edge_energy_j=draw(st.sampled_from((0.0, 0.28)) | st.floats(0.0, 1.0)),
+            comm_latency_s=0.0,
+            comm_energy_j=0.0,
+            transferred_bytes=draw(st.just(0.0) | st.floats(1.0, 1e6)),
+        )
+        for index in range(draw(st.integers(2, 4)))
+    ]
+    return ThresholdAnalysis(
+        options=options,
+        power_model=RadioPowerModel.for_technology(
+            draw(st.sampled_from(SUPPORTED_TECHNOLOGIES))
+        ),
+        round_trip_s=draw(st.floats(0.0, 0.1)),
+        metric=draw(st.sampled_from(RUNTIME_METRICS)),
+    )
 
 
 @st.composite
@@ -241,6 +270,58 @@ class TestElementwiseParity:
         assert np.argmin(analysis.costs(uplinks), axis=0).tolist() == expected
 
 
+class TestFirstMinimum:
+    """``first_minimum`` is ``best_option``'s rule over a ``costs`` matrix."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_picks_the_best_option_index(self, data):
+        analysis = data.draw(
+            st.sampled_from(sorted(RUNTIME_ANALYSES)).map(RUNTIME_ANALYSES.get)
+            | random_analyses()
+        )
+        probes = threshold_probes(analysis)
+        # inf makes every transferring option's energy NaN (inf * 0).
+        sample = st.one_of(uplink, st.just(np.inf), *(
+            [st.sampled_from(probes)] if probes else []
+        ))
+        values = data.draw(st.lists(sample, min_size=1, max_size=20))
+        with np.errstate(invalid="ignore"):
+            got = first_minimum(analysis.costs(np.array(values)))
+        expected = [option_index(analysis, analysis.best_option(v)) for v in values]
+        assert got.tolist() == expected
+
+    @given(
+        columns=st.lists(
+            st.lists(
+                st.sampled_from((np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 2.0))
+                | st.floats(allow_nan=True),
+                min_size=3, max_size=3,
+            ),
+            min_size=1, max_size=12,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_min_on_any_costs(self, columns):
+        """Ties go to the earlier row; a NaN never wins over an earlier cost."""
+        costs = np.array(columns, dtype=np.float64).T
+        expected = [min(range(len(col)), key=col.__getitem__) for col in columns]
+        assert first_minimum(costs).tolist() == expected
+
+    def test_nan_cost_lanes_keep_the_scalar_choice(self):
+        # At inf the split and cloud energies are NaN: best_option keeps
+        # All-Edge, where np.argmin would pick the first NaN.
+        analysis = ANALYSES["energy"]
+        expected = option_index(analysis, analysis.best_option(np.inf))
+        with np.errstate(invalid="ignore"):
+            costs = analysis.costs(np.array([np.inf]))
+            choice = FleetController(analysis, 1).decide(np.array([np.inf]))
+        assert np.isnan(costs[1:, 0]).all()
+        assert expected == 0
+        assert first_minimum(costs).tolist() == [expected]
+        assert choice.tolist() == [expected]
+
+
 class TestExactThresholdTieBreaking:
     @pytest.mark.parametrize("metric", ["energy", "latency"])
     def test_decisions_at_exact_crossings(self, metric):
@@ -347,3 +428,10 @@ class TestRuntimeReplayParity:
         trace = ThroughputTrace.from_values([3.0, bad, 4.0])
         with pytest.raises(ValueError):
             simulate_runtime(ANALYSES["latency"], trace)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_sample_raises(self, bad):
+        """The scalar tracker rejects these, so the replay does too."""
+        trace = ThroughputTrace.from_values([3.0, bad, 4.0])
+        with pytest.raises(ValueError, match="finite"):
+            simulate_runtime(ANALYSES["energy"], trace)

@@ -10,6 +10,7 @@ unknown scenario exits 2.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.serving import (
     ServingSession,
 )
 from repro.wireless.power_models import RadioPowerModel
+from repro.wireless.tracker import ThroughputTracker
 from repro.wireless.traces import ThroughputTrace
 
 
@@ -50,6 +52,68 @@ def build_analysis(metric="energy"):
 
 
 ANALYSIS = build_analysis()
+
+
+def three_option_analysis(order=(0, 1, 2), metric="energy"):
+    """``ANALYSIS``'s options plus All-Cloud, in the given order."""
+    cloud = DeploymentMetrics(
+        option=DeploymentOption.all_cloud(),
+        latency_s=0.0, energy_j=0.0,
+        edge_latency_s=0.0, edge_energy_j=0.0,
+        comm_latency_s=0.0, comm_energy_j=0.0, transferred_bytes=150528.0,
+    )
+    options = [*ANALYSIS.options, cloud]
+    return ThresholdAnalysis(
+        options=[options[i] for i in order],
+        power_model=ANALYSIS.power_model,
+        round_trip_s=ANALYSIS.round_trip_s,
+        metric=metric,
+    )
+
+
+def scalar_session(analysis, uplinks, smoothing, priors, sla):
+    """Per-client reference replay: one scalar tracker and ``best_option``.
+
+    A client decides at every tick at which it holds an estimate (a prior or
+    an observed value) and holds otherwise; NaN and rejected measurements
+    leave its estimate as it was.  Returns the decision log and per-client
+    ``decisions``, ``holds``, ``switches``, ``served``, ``violations`` and
+    ``anomalies`` counts.
+    """
+    ticks, num_clients = uplinks.shape
+    log = np.full((ticks, num_clients), -1, dtype=np.intp)
+    counts = {
+        key: [0] * num_clients
+        for key in ("decisions", "holds", "switches", "served", "violations", "anomalies")
+    }
+    for client in range(num_clients):
+        prior = priors[client]
+        tracker = ThroughputTracker(
+            smoothing=smoothing, initial_mbps=None if np.isnan(prior) else prior
+        )
+        last = -1
+        for tick in range(ticks):
+            value = float(uplinks[tick, client])
+            issued = False
+            if not np.isnan(value):
+                try:
+                    tracker.observe(value)
+                    issued = True
+                except ValueError:
+                    counts["anomalies"][client] += 1
+            if tracker.estimate_mbps is None:
+                counts["holds"][client] += 1
+                continue
+            best = analysis.best_option(tracker.estimate_mbps)
+            choice = next(i for i, m in enumerate(analysis.options) if m is best)
+            counts["switches"][client] += last >= 0 and choice != last
+            counts["decisions"][client] += 1
+            last = log[tick, client] = choice
+            if issued:
+                counts["served"][client] += 1
+                latency = deployment_latency(best, value, analysis.round_trip_s)
+                counts["violations"][client] += latency > sla
+    return log, counts
 
 
 class TestStalledClients:
@@ -117,14 +181,108 @@ class TestAnomalousMeasurements:
         assert tracker.num_observations[0] == 0
 
 
+class TestScalarSessionReplay:
+    def test_staggered_clients_match_a_scalar_replay(self):
+        """Late first measurements, priors, anomalies and silent clients.
+
+        The session derives decisions and served counts from the holds and
+        the observations instead of counting them every tick; each client
+        here is its own region, so the per-region counts are per client.
+        """
+        nan = np.nan
+        # Latency picks All-Edge below ~19.7 Mbps and All-Cloud above ~60.6.
+        swing = [5.0, 30.0, 100.0, 10.0, 150.0, 2.0, 40.0, 90.0, 1.0, 70.0]
+        columns = [
+            swing,                                     # from tick 0
+            [nan] * 3 + swing[3:],                     # first value at tick 3
+            [nan] * 4 + swing[4:],                     # a prior, then tick 4
+            [nan] * 10,                                # silent
+            [0.0, -1.0, nan, np.inf, 6.0, nan, 50.0, -np.inf, 0.4, nan],
+            [nan] * 10,                                # silent, with a prior
+            [nan, 2.0, nan, nan, 30.0, 30.0, nan, 0.5, 0.5, 9.0],
+        ]
+        priors = [nan, nan, 0.5, nan, nan, 0.6, nan]
+        uplinks = np.array(columns, dtype=np.float64).T
+        regions = tuple(f"client{i}" for i in range(len(columns)))
+        analysis = three_option_analysis(metric="latency")
+        sla = 0.05
+        report = ServingSession(
+            analysis, FleetWorkload(uplinks, regions), smoothing=0.8,
+            initial_mbps=priors, latency_sla_s=sla, record_decisions=True,
+        ).run()
+        log, counts = scalar_session(analysis, uplinks, 0.8, priors, sla)
+
+        np.testing.assert_array_equal(report.decision_log, log)
+        assert report.per_region == {
+            region: {
+                "clients": 1,
+                "decisions": counts["decisions"][i],
+                "switches": counts["switches"][i],
+                "served": counts["served"][i],
+                "violations": counts["violations"][i],
+            }
+            for i, region in enumerate(regions)
+        }
+        assert report.held_ticks == sum(counts["holds"])
+        assert report.decisions == sum(counts["decisions"])
+        assert report.switches == sum(counts["switches"])
+        assert report.max_switches_per_client == max(counts["switches"])
+        assert report.served == sum(counts["served"])
+        assert report.sla_violations == sum(counts["violations"])
+        assert report.anomalies == sum(counts["anomalies"]) == 4
+        sampled = [np.flatnonzero(~np.isnan(column)) for column in uplinks.T]
+        assert report.silent_clients == sum(len(t) == 0 for t in sampled) == 2
+        assert report.exhausted_clients == sum(
+            len(t) > 0 and t[-1] < len(uplinks) - 1 for t in sampled
+        ) == 1
+        assert report.idle_client_ticks == int(np.isnan(uplinks).sum())
+        # Not vacuous: every kind of tick and outcome occurs.
+        assert counts["holds"][1] == 3 and counts["holds"][5] == 0
+        assert min(counts["switches"][:3]) > 0
+        assert set(log[log >= 0].tolist()) == {0, 1, 2}
+        assert 0 < report.sla_violations < report.served
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+    def test_sla_accounting_over_bad_inputs_warns_nothing(self, order):
+        """Zero, negative and infinite measurements and undecided clients.
+
+        SLA latency is costed for every client at its current option (the
+        last one for an undecided client), so these lanes divide by zero or
+        compute 0/0; the session discards them without a RuntimeWarning.
+        """
+        nan = np.nan
+        uplinks = np.array([
+            [0.3, 50.0, nan, 0.0],
+            [0.0, 0.0, 0.0, -1.0],
+            [-1.0, -2.0, -1.0, np.inf],
+            [np.inf, np.inf, np.inf, -np.inf],
+            [-np.inf, -np.inf, -np.inf, 0.0],
+            [nan, nan, nan, 3.0],
+        ])
+        workload = FleetWorkload(uplinks, regions=("a", "b", "c", "d"))
+        analysis = three_option_analysis(order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = ServingSession(
+                analysis, workload, latency_sla_s=0.05, record_decisions=True,
+            ).run()
+        assert report.anomalies == 17
+        assert report.served == 3
+        assert report.held_ticks == 6 + 5
+        assert (report.decision_log[:, 2] == -1).all()
+        # At 0 Mbps the All-Edge client computes 0/0 and the other x/0.
+        first = [analysis.options[i] for i in report.decision_log[0, :2]]
+        assert [m.transferred_bytes > 0 for m in first] == [False, True]
+
+
 class TestExhaustedTraces:
     def test_shorter_trace_exhausts_and_holds(self):
         long = ThroughputTrace.from_values([3.0, 4.0, 2.0, 5.0], name="long")
         short = ThroughputTrace.from_values([3.0, 4.0], name="short")
         workload = FleetWorkload.from_traces([long, short])
-        assert workload.idle_client_ticks == 2
         report = ServingSession(ANALYSIS, workload,
                                 record_decisions=True).run()
+        assert report.idle_client_ticks == 2
         assert report.exhausted_clients == 1
         assert report.silent_clients == 0
         # After exhaustion the short client's decision is frozen.
@@ -226,6 +384,16 @@ class TestValidation:
         tracker = FleetTracker(2)
         with pytest.raises(ValueError):
             tracker.observe(np.array([1.0, 2.0, 3.0]))
+        # The EWMA keeps 1 - smoothing from construction.
+        with pytest.raises(ValueError):
+            tracker.smoothing[0] = 0.5
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_tracker_rejects_non_finite_priors(self, bad):
+        # ThroughputTracker(initial_mbps=inf) raises too; NaN means no prior.
+        with pytest.raises(ValueError, match="finite"):
+            FleetTracker(2, initial_mbps=[bad, 2.0])
+        assert np.isnan(FleetTracker(2, initial_mbps=[np.nan, 2.0]).estimates_mbps[0])
 
     def test_workload_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

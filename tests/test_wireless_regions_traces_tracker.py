@@ -46,7 +46,7 @@ class TestTraces:
     def test_default_trace_matches_collection_protocol(self):
         trace = generate_lte_trace(seed=0)
         assert len(trace) == 40
-        assert trace.times_s[1] - trace.times_s[0] == pytest.approx(300.0)
+        assert trace[1].time_s - trace[0].time_s == pytest.approx(300.0)
 
     def test_trace_values_positive_and_reproducible(self):
         a = generate_lte_trace(seed=5)
@@ -121,6 +121,17 @@ class TestTracker:
             ThroughputTracker(initial_mbps=-1.0)
         with pytest.raises(ValueError):
             ThroughputTracker().observe(0.0)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_values_are_rejected(self, bad):
+        """The fleet tracker counts these as anomalies; the scalar one raises."""
+        tracker = ThroughputTracker(smoothing=0.5, initial_mbps=4.0)
+        with pytest.raises(ValueError, match="finite"):
+            tracker.observe(bad)
+        assert tracker.estimate_mbps == 4.0
+        assert tracker.num_observations == 0
+        with pytest.raises(ValueError, match="finite"):
+            ThroughputTracker(initial_mbps=bad)
 
 
 class TestTrackerHistoryLimit:

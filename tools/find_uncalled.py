@@ -63,28 +63,20 @@ ALLOWED: Dict[str, str] = {
     # tests build inputs or check other behaviour with these
     "repro.api.registry.Registry.unregister":
         "tests drop what they register, so registries stay clean",
-    "repro.core.runtime.DominanceInterval.contains":
-        "runtime tests check dominance_intervals' coverage with it",
     "repro.hardware.predictors.LayerPerformancePredictor.supported_families":
         "the predictor oracle and its parity tests branch on it",
     "repro.hardware.simulator.LayerCostSimulator.measure_architecture":
         "simulator tests check whole-model totals with it",
     "repro.nn.architecture.Architecture.count_layers":
         "space and reference-model tests count layer families with it",
-    "repro.nn.architecture.Architecture.layer_index":
-        "partitioner tests find AlexNet's pool5 with it",
     "repro.nn.encoding.EncodingScheme.cardinalities":
         "pool and space tests build out-of-range genotypes from it",
     "repro.nn.encoding.EncodingScheme.indices_from_values":
         "space and end-to-end tests build genotypes from gene values",
     "repro.nn.encoding.EncodingScheme.from_unit":
         "encoding tests round-trip to_unit through it",
-    "repro.nn.encoding.EncodingScheme.hamming_distance":
-        "encoding tests check that a mutation moves a gene with it",
     "repro.nn.graph.PartitionGraph.legal_cut_indices":
         "graph and space tests compare cut sets with it",
-    "repro.nn.graph.PartitionGraph.consumers_of":
-        "graph tests check skip-edge consumers with it",
     "repro.nn.spaces.EncodedSearchSpace.genotype_digest":
         "a property test pins candidate names to the scalar-fold oracle",
     "repro.nn.vgg.build_vgg16":
@@ -103,8 +95,6 @@ ALLOWED: Dict[str, str] = {
         "partitioner tests check Algorithm 1's transfer energy with it",
     "repro.wireless.channel.WirelessChannel.cost":
         "the scalar costing oracle tests/oracles/partition.py calls it",
-    "repro.wireless.traces.ThroughputTrace.times_s":
-        "trace tests check the sampling period with it",
 }
 
 
