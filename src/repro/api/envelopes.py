@@ -1,7 +1,7 @@
 """Versioned request/outcome envelopes for search runs.
 
 A :class:`SearchRequest` declares *what* to run — scenario, strategy and
-budgets — entirely in plain data, so runs can be persisted, replayed and
+budgets — entirely in plain data, so runs can be saved, replayed and
 compared; a :class:`SearchOutcome` pairs the request with every explored
 candidate plus timing and cache statistics.  Both round-trip losslessly
 through ``to_dict``/``from_dict`` and serialize with
@@ -14,7 +14,7 @@ payloads written by a *newer* library (older versions are upgraded in
 
 :func:`request_fingerprint` derives a deterministic hex key from a request's
 computational content (everything except tag metadata); campaign run stores
-(:mod:`repro.campaign.store`) key persisted outcomes by it so interrupted
+(:mod:`repro.campaign.store`) key stored outcomes by it so interrupted
 grids can resume without re-running finished cells.
 """
 
@@ -88,7 +88,7 @@ def request_fingerprint(request: "SearchRequest") -> str:
     form with :data:`FINGERPRINT_EXCLUDED_FIELDS` removed, so two requests
     with the same *declared* content — regardless of tag metadata or the
     library version that wrote them — share one fingerprint.  Run stores key
-    persisted outcomes by it to make campaigns resumable.
+    stored outcomes by it to make campaigns resumable.
 
     Fields added by later schema versions are dropped from the payload while
     they hold their upgrade default (``search_space="lens-vgg"``,

@@ -4,7 +4,7 @@ Every pluggable component of the library — edge devices, wireless
 technologies, acquisition strategies and search strategies — is addressable
 by a short string key, so experiments can be declared with names
 (``device="jetson-tx2-gpu"``, ``strategy="lens"``) instead of constructor
-wiring, and persisted request envelopes stay meaningful across processes.
+wiring, and saved request envelopes stay meaningful across processes.
 
 :class:`Registry` is the generic container; the module-level instances
 
@@ -25,7 +25,7 @@ hold the built-ins.  Search strategies live in
 from __future__ import annotations
 
 import difflib
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.hardware.device import BUILTIN_DEVICES, DeviceProfile
 from repro.nn.resnet_space import ResNetSearchSpace
@@ -114,7 +114,7 @@ class Registry:
         try:
             return self._entries[key]
         except KeyError:
-            raise RegistryError(self._unknown_message(name)) from None
+            raise unknown_name(self.kind, key, self.names()) from None
 
     def create(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Look up ``name`` and call the registered factory."""
@@ -153,13 +153,14 @@ class Registry:
             raise TypeError(f"registry keys must be strings, got {type(name)!r}")
         return name.strip()
 
-    def _unknown_message(self, name: str) -> str:
-        names = self.names()
-        message = f"unknown {self.kind} {name!r}; registered: {names}"
-        close = difflib.get_close_matches(self._normalize(name), names, n=1)
-        if close:
-            message += f". Did you mean {close[0]!r}?"
-        return message
+
+def unknown_name(kind: str, name: str, names: Sequence[str]) -> RegistryError:
+    """The error for a ``kind`` name outside ``names``, naming the closest one."""
+    message = f"unknown {kind} {name!r}; registered: {list(names)}"
+    close = difflib.get_close_matches(name, list(names), n=1)
+    if close:
+        message += f". Did you mean {close[0]!r}?"
+    return RegistryError(message)
 
 
 # ---------------------------------------------------------------------- built-in registries

@@ -9,18 +9,18 @@ built from (scenarios x strategies x seeds) as one restartable unit:
   shards of outcomes keyed by request fingerprint, one per (scenario x
   space), safe for concurrent writers, plus :func:`open_store` /
   :func:`fsck_store` / :func:`merge_stores` / :func:`export_metrics`;
-* :mod:`repro.campaign.executors` — the :data:`EXECUTORS` registry of
-  execution back-ends (``serial`` / ``process-pool`` / ``pull-worker``);
 * :mod:`repro.campaign.leases` / :mod:`repro.campaign.manifest` /
-  :mod:`repro.campaign.worker` — the crash-safe pull protocol behind the
-  ``pull-worker`` executor (``repro worker`` on the CLI);
+  :mod:`repro.campaign.executors` — the crash-safe pull protocol:
+  :func:`run_worker` is the one loop that runs cells (``repro worker`` on
+  the CLI), and the executor names (``serial`` / ``process-pool`` /
+  ``pull-worker``) say where it runs;
 * :mod:`repro.campaign.errors` — :class:`ErrorEnvelope` failure records and
   per-shard audit logs;
 * :mod:`repro.campaign.supervisor` — :class:`CampaignPolicy` and the
   supervision subsystem: enforced per-cell deadlines, poison-cell
   dead-lettering and a shared circuit breaker (see ``docs/distributed.md``);
 * :mod:`repro.campaign.runner` — :func:`run_campaign`, which skips cells
-  already in the store and hands the rest to the chosen executor.
+  already in the store and runs the rest through the loop.
 
 Quickstart::
 
@@ -47,7 +47,7 @@ The same machinery is scriptable from the command line; see
 """
 
 from repro.campaign.errors import ERROR_CODES, AuditLog, ErrorEnvelope, summarize_audit
-from repro.campaign.executors import EXECUTORS, CampaignExecutor
+from repro.campaign.executors import EXECUTOR_NAMES, WorkerReport, run_worker
 from repro.campaign.gridspec import CampaignSpec, expand_requests
 from repro.campaign.leases import Lease, LeaseBoard
 from repro.campaign.manifest import CampaignManifest
@@ -69,7 +69,6 @@ from repro.campaign.supervisor import (
     DeadLetterQueue,
     deadline,
 )
-from repro.campaign.worker import WorkerReport, run_worker
 
 __all__ = [
     "CampaignPolicy",
@@ -90,8 +89,7 @@ __all__ = [
     "open_store",
     "merge_stores",
     "export_metrics",
-    "EXECUTORS",
-    "CampaignExecutor",
+    "EXECUTOR_NAMES",
     "ErrorEnvelope",
     "ERROR_CODES",
     "AuditLog",

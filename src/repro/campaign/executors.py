@@ -1,232 +1,436 @@
-"""Pluggable campaign executors behind a string-keyed registry.
+"""One pull loop runs every campaign cell; the executor names say where.
 
-:func:`~repro.campaign.runner.run_campaign` plans the grid (expand, dedupe,
-resume-skip) and persists results; *how* the pending cells actually execute
-is delegated to a :class:`CampaignExecutor` resolved by name through
-:data:`EXECUTORS` — the same registry idiom as devices, search spaces and
-strategies (:mod:`repro.api.registry`).
+:func:`run_worker` is the only code that executes a cell.  Its loop:
 
-Built-in executors
-------------------
+1. load the :class:`~repro.campaign.manifest.CampaignManifest` and open the
+   :class:`~repro.campaign.store.RunStore` of a shared store directory;
+2. each cycle, :meth:`~repro.campaign.store.RunStore.refresh` and walk the
+   manifest's unresolved cells — not stored, not permanently failed, not
+   inside a retry-backoff window;
+3. claim each via the :class:`~repro.campaign.leases.LeaseBoard` (expired
+   leases of crashed peers are reclaimed transparently), **re-check the
+   store under the lease** (a re-claimed finished cell is a no-op — the
+   idempotence guarantee), run it under a heartbeat thread and the policy's
+   :func:`~repro.campaign.supervisor.deadline`, append the outcome, release
+   the lease;
+4. failures become :class:`~repro.campaign.errors.ErrorEnvelope` records in
+   the per-shard audit log; retryable ones are retried by whichever loop
+   gets there after the exponential backoff, up to ``max_attempts``.  A
+   cell that fails for good — retry budget exhausted, non-retryable, or a
+   lease-reclaim history showing it repeatedly killed its workers — is
+   buried in the :class:`~repro.campaign.supervisor.DeadLetterQueue` and
+   never claimed again.  Every result feeds the shared circuit breaker,
+   which pauses claiming while open;
+5. end once every manifest cell is resolved (stored, finally failed, or
+   dead-lettered), sleeping ``poll_s`` between fruitless cycles while peers
+   hold the remaining leases.  Under ``on_error="fail"`` a loop also ends
+   once a cell it ran has failed for good.
+
+Because every coordination artifact is a file keyed by the request
+fingerprint, any number of loops can run against one directory — on one
+machine or many — and killing one at *any* point loses at most the cell it
+was running, which a peer reclaims one TTL later.
+
+:func:`run_cells` runs a campaign's pending cells through that loop.  The
+executor names of :func:`~repro.campaign.runner.run_campaign` only say
+where the loop runs:
+
 ``serial``
-    In-process loop sharing one evaluation engine.  Deterministic order,
-    best cache reuse, no parallelism.  Default for ``workers <= 1``.
+    One loop in the calling process, on the caller's evaluation engine.
+    Default for ``workers <= 1``.
 ``process-pool``
-    A :class:`concurrent.futures.ProcessPoolExecutor` fan-out (the
-    pre-existing parallel path, refactored behind the interface).  Default
-    for ``workers > 1``.
+    N loops in :mod:`multiprocessing` children, started with the
+    platform's default start method (forked children start with the
+    parent's imports).  Default for ``workers > 1``.
 ``pull-worker``
-    Publishes a :class:`~repro.campaign.manifest.CampaignManifest` into a
-    shared :class:`~repro.campaign.store.RunStore` directory and
-    launches N ``repro worker`` processes that *pull* cells through the
-    lease protocol (:mod:`repro.campaign.leases`).  The only executor that
-    survives worker crashes mid-campaign, and the same protocol additional
-    workers on other machines join by pointing at the directory.
+    N ``repro worker`` subprocesses, the path that further workers on other
+    machines join by pointing at the same directory.
 
-Executors report results through the :class:`ExecutionContext` callbacks —
-``record`` for outcomes, ``fail`` for error envelopes — and never touch the
-store directly unless their protocol requires it (pull workers persist
-outcomes themselves; they pass ``persisted=True`` so the runner does not
-append twice).
+The parent publishes the manifest, then sweeps the store while the loops
+run, reporting each cell once as it is stored or fails for good.  A local
+loop (in-process or child) that finds the breaker open stops; ``repro
+worker`` subprocesses pause for half-open probes instead, so the parent
+stops them.  Once every cell is resolved and no lease is held, the parent
+stops the children still idling in their poll sleep.  Every child is
+joined before :func:`run_cells` returns.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.connection
 import os
 import subprocess
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import repro
-from repro.api.envelopes import SearchOutcome, SearchRequest
-from repro.api.registry import Registry
+from repro.api.envelopes import SearchRequest
+from repro.api.registry import unknown_name
 from repro.api.session import run_search
 from repro.campaign.errors import ErrorEnvelope
-from repro.campaign.manifest import CampaignManifest
-from repro.campaign.store import RunStore
+from repro.campaign.leases import LEASES_DIRNAME, LeaseBoard, heartbeat
+from repro.campaign.manifest import CampaignManifest, resolve_backoff
+from repro.campaign.store import RunStore, StoreError
 from repro.campaign.supervisor import (
     CIRCUIT_OPEN,
     CampaignPolicy,
     CampaignSupervisor,
+    CellTimeout,
     CircuitOpenError,
     DeadLetterQueue,
     deadline,
 )
-from repro.campaign.worker import final_failure
+from repro.resilience.checkpoint import SearchCheckpoint
+
+#: Where :func:`run_cells` can run the loop (``run_campaign(executor=...)``).
+EXECUTOR_NAMES = ("process-pool", "pull-worker", "serial")
+
+#: Subdirectory of the shared store holding per-cell search checkpoints
+#: (only used when the manifest sets ``checkpoint_every > 0``).
+CHECKPOINTS_DIRNAME = "checkpoints"
+
+#: Progress callback: ``(worker_id, event, fingerprint)`` with event one of
+#: ``"executed" | "skipped" | "failed" | "reclaimed" | "waiting" |
+#: "buried" | "paused"``.
+WorkerProgress = Callable[[str, str, str], None]
 
 
 @dataclass
-class ExecutionContext:
-    """Everything an executor needs to run one campaign's pending cells.
+class WorkerReport:
+    """What one worker loop did over its lifetime."""
 
-    Attributes
+    worker: str
+    executed: int = 0
+    skipped: int = 0
+    failed: int = 0
+    reclaimed: int = 0
+    cycles: int = 0
+    #: Cells this worker killed at their enforced deadline (``E_TIMEOUT``).
+    timeout_kills: int = 0
+    #: Cells this worker moved to the dead-letter queue.
+    dead_lettered: int = 0
+    wall_time_s: float = 0.0
+    #: Fingerprints this worker personally stored, in completion order.
+    fingerprints: List[str] = field(default_factory=list)
+
+    def summary(self) -> Dict[str, Any]:
+        return {
+            "worker": self.worker,
+            "executed": self.executed,
+            "skipped": self.skipped,
+            "failed": self.failed,
+            "reclaimed": self.reclaimed,
+            "cycles": self.cycles,
+            "timeout_kills": self.timeout_kills,
+            "dead_lettered": self.dead_lettered,
+            "wall_time_s": self.wall_time_s,
+        }
+
+
+def default_worker_id() -> str:
+    """A worker identity unique enough for audit records: host + pid."""
+    host = os.uname().nodename if hasattr(os, "uname") else "host"
+    return f"{host}-{os.getpid()}"
+
+
+def final_failure(
+    store: RunStore,
+    fingerprint: str,
+    request: SearchRequest,
+    dead_letters: DeadLetterQueue,
+) -> Optional[ErrorEnvelope]:
+    """The failure that resolves a cell, or ``None`` while it needs work.
+
+    A cell the store does not hold is finally failed when it is buried in
+    the dead-letter queue, or when its last audit record is final.  That
+    record is looked for after the cell's latest dead-letter re-admission:
+    failures from a previous life do not keep a re-admitted cell failed.
+    Loops stop claiming such a cell, and :func:`run_cells` reports it
+    failed with the returned envelope.
+    """
+    log = store.audit_log(request.scenario_name, request.search_space)
+    if dead_letters.is_dead(fingerprint):
+        # the burial resolves the cell even when no audit record explains it
+        return log.last(fingerprint) or ErrorEnvelope(
+            code="E_POISON",
+            message="buried in the dead-letter queue",
+            final=True,
+            fingerprint=fingerprint,
+        )
+    last = log.last(fingerprint, since=dead_letters.readmitted_at(fingerprint))
+    return last if last is not None and last.final else None
+
+
+def run_worker(
+    store_dir: Union[str, Path],
+    *,
+    worker_id: Optional[str] = None,
+    manifest: Optional[CampaignManifest] = None,
+    engine: Optional[Any] = None,
+    max_cycles: Optional[int] = None,
+    progress: Optional[WorkerProgress] = None,
+) -> WorkerReport:
+    """Run the pull loop against a shared store directory until done.
+
+    Parameters
     ----------
-    pending:
-        ``(fingerprint, request)`` pairs still to execute, in grid order.
-    store:
-        The destination store (executors that persist results themselves —
-        pull workers — need its directory; others leave writes to ``record``).
-    workers:
-        Parallelism degree requested by the caller.
-    policy:
-        The campaign's :class:`~repro.campaign.supervisor.CampaignPolicy`.
-        Its ``on_error="fail"`` stops launching new cells after the first
-        failure; ``"continue"`` records the envelope and keeps going.
+    store_dir:
+        Directory holding the run store, manifest and lease board.
+    worker_id:
+        Identity for leases/audit records (default ``<host>-<pid>``).
+    manifest:
+        Pre-loaded manifest, walked in its cell order (default: read
+        ``manifest.json`` from the directory — the normal path for CLI
+        workers).
     engine:
-        Optional evaluation-engine override (in-process executors only).
-    record / fail:
-        Result callbacks provided by the runner.  ``record(fingerprint,
-        outcome, persisted=False)`` stores a finished cell (``persisted=True``
-        means the executor already wrote it); ``fail(fingerprint, envelope,
-        persisted=False)`` registers a permanent failure likewise.
+        Optional evaluation engine forwarded to ``run_search`` (in-process
+        callers only; CLI workers use the default).
+    max_cycles:
+        Safety bound on poll cycles (``None`` = run to completion).
+    progress:
+        Optional ``(worker, event, fingerprint)`` callback.  An exception it
+        raises ends the loop (after the current cell's lease is released).
     """
+    store_dir = Path(store_dir)
+    worker = worker_id or default_worker_id()
+    if manifest is None:
+        manifest = CampaignManifest.load(store_dir)
+    policy = manifest.policy
+    store = RunStore(store_dir)
+    board = LeaseBoard(store_dir / LEASES_DIRNAME, worker, ttl_s=policy.ttl_s)
+    supervisor = CampaignSupervisor(store_dir, policy)
+    dead_letters = DeadLetterQueue(store_dir)
+    requests = manifest.requests()
+    report = WorkerReport(worker=worker)
+    started = time.perf_counter()
 
-    pending: List[Tuple[str, SearchRequest]]
-    store: Any
-    workers: int = 1
-    policy: CampaignPolicy = field(default_factory=CampaignPolicy)
-    engine: Optional[Any] = None
-    record: Callable[..., None] = lambda *a, **k: None
-    fail: Callable[..., None] = lambda *a, **k: None
+    def note(event: str, fingerprint: str) -> None:
+        if progress is not None:
+            progress(worker, event, fingerprint)
 
-    @property
-    def stop_on_error(self) -> bool:
-        return self.policy.on_error == "fail"
+    def fail(
+        fingerprint: str,
+        request: SearchRequest,
+        envelope: ErrorEnvelope,
+        reason: str,
+        since: Optional[float],
+    ) -> bool:
+        """Audit one failed attempt; returns whether the loop must stop.
 
+        A final failure is dead-lettered with its full chain, so the burial
+        reason survives next to the store.  Under ``on_error="fail"`` a
+        loop claims nothing after a cell it ran failed for good.
+        """
+        if envelope.final:
+            envelope = envelope.replace(
+                context=dict(envelope.context, dead_letter=True)
+            )
+        store.record_error(envelope)
+        if envelope.final:
+            log = store.audit_log(request.scenario_name, request.search_space)
+            chain = list(log.history(fingerprint, since=since))
+            if not chain or chain[-1].time_s != envelope.time_s:
+                chain.append(envelope)
+            dead_letters.bury(
+                fingerprint, reason=reason, envelopes=chain, worker=worker
+            )
+            report.dead_lettered += 1
+            note("buried", fingerprint)
+        supervisor.record_result(False)
+        report.failed += 1
+        note("failed", fingerprint)
+        return envelope.final and policy.on_error == "fail"
 
-class CampaignExecutor:
-    """Protocol of a campaign executor.
-
-    Subclasses implement :meth:`run`, reporting every pending cell exactly
-    once through ``context.record`` / ``context.fail`` (except cells skipped
-    because ``on_error="fail"`` stopped the campaign early).
-    """
-
-    #: Registry key (also shown in ``CampaignResult.summary()``).
-    name: str = "base"
-
-    def run(self, context: ExecutionContext) -> None:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-# ---------------------------------------------------------------------- serial
-
-
-class SerialExecutor(CampaignExecutor):
-    """In-process loop sharing one engine across cells.
-
-    Honours the policy's ``cell_timeout_s``: each cell runs under
-    :func:`~repro.campaign.supervisor.deadline`, so an overrun raises
-    :class:`~repro.campaign.supervisor.CellTimeout` and is enveloped as
-    ``E_TIMEOUT`` like any other failure.
-    """
-
-    name = "serial"
-
-    def run(self, context: ExecutionContext) -> None:
-        cell_timeout_s = context.policy.cell_timeout_s
-        for fingerprint, request in context.pending:
-            try:
-                with deadline(cell_timeout_s):
-                    outcome = run_search(request, engine=context.engine)
-            except Exception as error:  # noqa: BLE001 - enveloped
-                context.fail(
-                    fingerprint,
-                    ErrorEnvelope.from_exception(
-                        error,
-                        fingerprint=fingerprint,
-                        worker=self.name,
-                        context={
-                            "scenario": request.scenario_name,
-                            "search_space": request.search_space,
-                        },
-                    ),
-                )
-                if context.stop_on_error:
-                    return
+    halted = False
+    while not halted:
+        report.cycles += 1
+        store.refresh()
+        progressed = False
+        unresolved = 0
+        for fingerprint, request in requests.items():
+            if halted:
+                break
+            if fingerprint in store or (
+                final_failure(store, fingerprint, request, dead_letters)
+                is not None
+            ):
                 continue
-            context.record(fingerprint, outcome)
-
-
-# ---------------------------------------------------------------------- process pool
-
-
-def _execute_request(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: run one serialized request, return a plain dict.
-
-    Module-level (picklable) and dict-in/dict-out so it crosses process
-    boundaries regardless of start method; ``SearchOutcome.to_dict`` holds
-    JSON built-ins only.  The per-process default engine warms up across
-    the cells a worker executes.
-    """
-    return run_search(SearchRequest.from_dict(payload)).to_dict()
-
-
-class ProcessPoolCampaignExecutor(CampaignExecutor):
-    """Fan cells out over a :class:`ProcessPoolExecutor`.
-
-    Workers resolve scenario/space/strategy *names* through their own
-    freshly-imported registries, so custom components must be registered at
-    import time (see the :mod:`repro.campaign.runner` docstring).  A failing
-    cell never discards finished work: successes are stored as they
-    complete, and under ``on_error="fail"`` not-yet-started cells are
-    cancelled while in-flight ones drain.
-
-    ``cell_timeout_s`` is **not** enforced here (a pool worker cannot be
-    killed per-cell without losing its warm engine); use the
-    ``pull-worker`` executor when deadlines matter.
-    """
-
-    name = "process-pool"
-
-    def run(self, context: ExecutionContext) -> None:
-        if not context.pending:
-            return
-        requests = dict(context.pending)
-        failed_once = False
-        with ProcessPoolExecutor(max_workers=max(1, context.workers)) as pool:
-            futures = {
-                pool.submit(_execute_request, request.to_dict()): fingerprint
-                for fingerprint, request in context.pending
-            }
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    if future.cancelled():
-                        continue
-                    fingerprint = futures[future]
-                    try:
-                        outcome = SearchOutcome.from_dict(future.result())
-                    except Exception as error:  # noqa: BLE001 — drain the rest
-                        if context.stop_on_error and not failed_once:
-                            for outstanding in remaining:
-                                outstanding.cancel()
-                        failed_once = True
-                        request = requests[fingerprint]
-                        context.fail(
-                            fingerprint,
-                            ErrorEnvelope.from_exception(
-                                error,
-                                fingerprint=fingerprint,
-                                worker=self.name,
-                                context={
-                                    "scenario": request.scenario_name,
-                                    "search_space": request.search_space,
-                                },
+            unresolved += 1
+            since = dead_letters.readmitted_at(fingerprint)
+            log = store.audit_log(request.scenario_name, request.search_space)
+            last = log.last(fingerprint, since=since)
+            if last is not None:
+                ready_at = resolve_backoff(
+                    last.time_s,
+                    last.attempt,
+                    policy.backoff_base_s,
+                    fingerprint=fingerprint,
+                    max_backoff_s=policy.max_backoff_s,
+                )
+                if time.time() < ready_at:
+                    continue  # inside the exponential-backoff window
+            if not supervisor.circuit_allows():
+                # breaker open (pause claiming until it cools down) or
+                # half-open with every probe slot already handed out
+                note("paused", fingerprint)
+                continue
+            lease = board.claim(fingerprint)
+            if lease is None:
+                supervisor.release_probe()
+                continue  # a live peer holds it
+            if lease.reclaims > 0:
+                report.reclaimed += 1
+                note("reclaimed", fingerprint)
+            try:
+                # idempotence: the lease may have been reclaimed from a peer
+                # that finished the cell but died before releasing — re-check
+                # the store *under the lease* and no-op if so
+                store.refresh()
+                if fingerprint in store:
+                    supervisor.release_probe()
+                    report.skipped += 1
+                    note("skipped", fingerprint)
+                    continue
+                attempt = log.attempts(fingerprint, since=since) + 1
+                context = {
+                    "scenario": request.scenario_name,
+                    "search_space": request.search_space,
+                }
+                if lease.reclaims >= policy.max_attempts:
+                    # the cell's lease history shows it repeatedly *killing*
+                    # workers (claimed, never reported, lease reclaimed) —
+                    # a poison cell.  Bury it instead of feeding it another
+                    # worker.
+                    halted = fail(
+                        fingerprint,
+                        request,
+                        ErrorEnvelope(
+                            code="E_POISON",
+                            message=(
+                                f"lease reclaimed {lease.reclaims}x without a "
+                                f"result: the cell keeps killing its workers"
                             ),
+                            retryable=False,
+                            attempt=attempt,
+                            final=True,
+                            fingerprint=fingerprint,
+                            worker=worker,
+                            time_s=time.time(),
+                            context=dict(context, reclaims=lease.reclaims),
+                        ),
+                        f"killed {lease.reclaims} workers (lease reclaims)",
+                        since,
+                    )
+                    progressed = True
+                    continue
+                resilience_kwargs: Dict[str, Any] = {}
+                if policy.checkpoint_every > 0:
+                    # crash-safe mode: a reclaimed or retried cell resumes
+                    # from its last snapshot instead of evaluation zero
+                    resilience_kwargs = {
+                        "checkpoint_dir": store_dir / CHECKPOINTS_DIRNAME,
+                        "checkpoint_every": policy.checkpoint_every,
+                        "resume": True,
+                    }
+                try:
+                    with heartbeat(board, lease):
+                        with deadline(policy.cell_timeout_s):
+                            outcome = run_search(
+                                request,
+                                engine=engine,
+                                **resilience_kwargs,
+                            )
+                    store.append(outcome, fingerprint=fingerprint)
+                    if policy.checkpoint_every > 0:
+                        SearchCheckpoint.discard(
+                            store_dir / CHECKPOINTS_DIRNAME, fingerprint
                         )
-                        continue
-                    context.record(fingerprint, outcome)
+                except StoreError:
+                    # a racing peer stored the cell first — idempotent no-op
+                    supervisor.release_probe()
+                    report.skipped += 1
+                    note("skipped", fingerprint)
+                    continue
+                except Exception as error:  # noqa: BLE001 - audited, not fatal
+                    if isinstance(error, CellTimeout):
+                        report.timeout_kills += 1
+                        supervisor.note_timeout_kill()
+                    envelope = ErrorEnvelope.from_exception(
+                        error,
+                        attempt=attempt,
+                        fingerprint=fingerprint,
+                        worker=worker,
+                        context=context,
+                        max_attempts=policy.max_attempts,
+                    )
+                    halted = fail(
+                        fingerprint,
+                        request,
+                        envelope,
+                        (
+                            f"retry budget exhausted "
+                            f"({attempt}/{policy.max_attempts})"
+                            if envelope.retryable
+                            else f"non-retryable {envelope.code}"
+                        ),
+                        since,
+                    )
+                    progressed = True
+                    continue
+                supervisor.record_result(True)
+                report.executed += 1
+                report.fingerprints.append(fingerprint)
+                progressed = True
+                note("executed", fingerprint)
+            finally:
+                board.release(lease)
+        if unresolved == 0:
+            break
+        if max_cycles is not None and report.cycles >= max_cycles:
+            break
+        if not progressed and not halted:
+            # everything unresolved is leased by peers or backing off
+            note("waiting", "")
+            time.sleep(policy.poll_s)
+    report.wall_time_s = time.perf_counter() - started
+    return report
 
 
-# ---------------------------------------------------------------------- pull worker
+# ---------------------------------------------------------------------- where the loop runs
+
+
+class _Halt(Exception):
+    """Raised by a local loop's progress hook to end the loop."""
+
+
+def _halt_when_paused(worker: str, event: str, fingerprint: str) -> None:
+    """Progress hook of a local loop: stop at an open breaker, not pause."""
+    if event == "paused":
+        raise _Halt
+
+
+def _child_loop(store_dir: str, manifest: CampaignManifest) -> None:
+    """Body of a ``process-pool`` child: one loop on its default engine.
+
+    Besides stopping at an open breaker, the loop ends after its current
+    cell once the parent process is gone, so a killed campaign leaves no
+    orphan draining the grid.
+    """
+    parent = multiprocessing.parent_process()
+
+    def hook(worker: str, event: str, fingerprint: str) -> None:
+        _halt_when_paused(worker, event, fingerprint)
+        if parent is not None and not parent.is_alive():
+            raise _Halt
+
+    try:
+        run_worker(store_dir, manifest=manifest, progress=hook)
+    except _Halt:
+        pass
 
 
 def _subprocess_env() -> Dict[str, str]:
@@ -241,171 +445,152 @@ def _subprocess_env() -> Dict[str, str]:
     return env
 
 
-class PullWorkerExecutor(CampaignExecutor):
-    """Launch N ``repro worker`` processes pulling from a shared store.
+class _WorkerCommand(subprocess.Popen):
+    """A ``repro worker`` subprocess, with the calls the parent makes on a
+    :class:`multiprocessing.Process` child."""
 
-    The executor publishes the manifest, spawns the workers, then
-    *observes*: it polls the store, reporting newly appeared outcomes
-    (``persisted=True`` — the workers already wrote them) and
-    finally-failed audit records, until every pending cell is resolved.
-    Workers crashing is survivable — peers reclaim their leases; the
-    campaign only fails if **all** workers exit with cells still
-    unresolved.
+    #: No handle to wait on: the parent polls these children.
+    sentinel = None
 
-    Its settings are the campaign's
-    :class:`~repro.campaign.supervisor.CampaignPolicy` fields: ``ttl_s``
-    lease expiry window, ``poll_s`` poll interval, ``max_attempts`` /
-    ``backoff_base_s`` / ``max_backoff_s`` retry policy, ``cell_timeout_s``
-    enforced per-cell deadline, ``checkpoint_every`` crash-safe mid-search
-    checkpointing (``0`` disables; see ``docs/robustness.md``), and the
-    ``circuit_*`` breaker knobs.  If the shared breaker opens mid-campaign
-    the observer raises
-    :class:`~repro.campaign.supervisor.CircuitOpenError` (CLI exit code 4)
-    after shutting the workers down.
-    """
-
-    name = "pull-worker"
-
-    def run(self, context: ExecutionContext) -> None:
-        store = context.store
-        if not context.pending:
-            return
-        manifest = CampaignManifest.from_requests(
-            [request for _, request in context.pending], policy=context.policy
+    def __init__(self, store_dir: Path, worker_id: str):
+        super().__init__(
+            [
+                sys.executable, "-m", "repro", "worker",
+                "--store", str(store_dir), "--worker-id", worker_id,
+            ],
+            env=_subprocess_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
-        manifest.write(store.directory)
-        env = _subprocess_env()
-        workers = [
-            subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "worker",
-                    "--store",
-                    str(store.directory),
-                    "--worker-id",
-                    f"w{index}",
-                ],
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            )
-            for index in range(max(1, context.workers))
-        ]
+
+    def is_alive(self) -> bool:
+        return self.poll() is None
+
+    def join(self, timeout: Optional[float] = None) -> None:
         try:
-            self._observe(context, store, manifest, workers)
-        except CircuitOpenError:
-            # paused workers never exit on their own — tell them to stop
-            # before the finally block waits on them
-            for process in workers:
-                if process.poll() is None:
-                    process.terminate()
-            raise
-        finally:
-            for process in workers:
-                if process.poll() is None:
-                    try:
-                        process.wait(timeout=10.0)
-                    except subprocess.TimeoutExpired:
-                        process.terminate()
-                        try:
-                            process.wait(timeout=5.0)
-                        except subprocess.TimeoutExpired:
-                            process.kill()
-                            process.wait()
-
-    def _observe(
-        self,
-        context: ExecutionContext,
-        store: RunStore,
-        manifest: CampaignManifest,
-        workers: List[subprocess.Popen],
-    ) -> None:
-        dead_letters = DeadLetterQueue(store.directory)
-
-        def sweep(unresolved: Dict[str, SearchRequest]) -> None:
-            store.refresh()
-            for fingerprint in list(unresolved):
-                request = unresolved[fingerprint]
-                if fingerprint in store:
-                    context.record(
-                        fingerprint, store.get(fingerprint), persisted=True
-                    )
-                    del unresolved[fingerprint]
-                    continue
-                # the workers' own rule, so a re-admitted dead-letter cell
-                # is not failed by the records of its previous life
-                failure = final_failure(store, fingerprint, request, dead_letters)
-                if failure is not None:
-                    context.fail(fingerprint, failure, persisted=True)
-                    del unresolved[fingerprint]
-
-        policy = manifest.policy
-        supervisor = CampaignSupervisor(store.directory, policy)
-        unresolved = dict(context.pending)
-        while unresolved:
-            sweep(unresolved)
-            if not unresolved:
-                break
-            if (
-                policy.circuit_enabled
-                and supervisor.circuit_state() == CIRCUIT_OPEN
-            ):
-                # the shared breaker tripped: abort the campaign instead of
-                # burning the remaining grid (workers are shut down by the
-                # caller's finally block; the store keeps what finished)
-                raise CircuitOpenError(
-                    f"campaign circuit breaker is open (failure rate over "
-                    f"the last {policy.circuit_window} cells reached "
-                    f"{policy.circuit_threshold:g}); {len(unresolved)} "
-                    f"cell(s) left unexecuted"
-                )
-            if all(process.poll() is not None for process in workers):
-                # one final sweep so results stored right before the last
-                # worker exited are not missed
-                sweep(unresolved)
-                if unresolved:
-                    raise RuntimeError(
-                        f"all pull workers exited with {len(unresolved)} "
-                        f"campaign cell(s) unresolved: "
-                        f"{sorted(unresolved)[:5]}"
-                    )
-                break
-            time.sleep(min(0.2, policy.poll_s))
+            self.wait(timeout)
+        except subprocess.TimeoutExpired:
+            pass
 
 
-# ---------------------------------------------------------------------- registry
-
-#: String-keyed registry of campaign executors; ``EXECUTORS.create(name)``
-#: returns a fresh executor instance.  Register custom executors with
-#: ``EXECUTORS.register("my-executor", MyExecutor)``.
-EXECUTORS = Registry(
-    "campaign executor",
-    {
-        SerialExecutor.name: SerialExecutor,
-        ProcessPoolCampaignExecutor.name: ProcessPoolCampaignExecutor,
-        PullWorkerExecutor.name: PullWorkerExecutor,
-    },
-)
-
-
-def resolve_executor(
-    executor: Optional[Any], workers: int
-) -> CampaignExecutor:
-    """Turn ``run_campaign``'s ``executor=`` argument into an instance.
-
-    ``None`` keeps the historical behaviour: ``serial`` for ``workers <= 1``,
-    ``process-pool`` otherwise.  Strings resolve through :data:`EXECUTORS`;
-    instances pass through untouched.
-    """
+def executor_name(executor: Optional[str], workers: int) -> str:
+    """Check ``run_campaign``'s ``executor=``; ``None`` picks by ``workers``."""
     if executor is None:
-        executor = "serial" if workers <= 1 else "process-pool"
-    if isinstance(executor, str):
-        return EXECUTORS.create(executor)
-    if isinstance(executor, CampaignExecutor):
-        return executor
-    raise TypeError(
-        f"executor must be None, a registry name or a CampaignExecutor, "
-        f"got {type(executor)!r}"
+        return "serial" if workers <= 1 else "process-pool"
+    if not isinstance(executor, str):
+        raise TypeError(
+            f"executor must be None or one of {list(EXECUTOR_NAMES)}, got "
+            f"{type(executor)!r}"
+        )
+    if executor not in EXECUTOR_NAMES:
+        raise unknown_name("campaign executor", executor, EXECUTOR_NAMES)
+    return executor
+
+
+def run_cells(
+    executor: str,
+    pending: Sequence[Tuple[str, SearchRequest]],
+    store: RunStore,
+    *,
+    workers: int,
+    policy: CampaignPolicy,
+    engine: Optional[Any],
+    resolved: Callable[[str, Optional[ErrorEnvelope]], None],
+) -> List[str]:
+    """Run pending cells through the pull loop wherever ``executor`` says.
+
+    ``resolved(fingerprint, failure)`` is called once per cell as the
+    parent's sweep finds it stored (``failure=None``) or failed for good,
+    in that order.  Returns the fingerprints still unresolved once every
+    loop has ended.  Raises
+    :class:`~repro.campaign.supervisor.CircuitOpenError` when the shared
+    breaker opened with cells left.
+    """
+    manifest = CampaignManifest.from_requests(
+        [request for _, request in pending], policy=policy
     )
+    manifest.write(store.directory)
+    dead_letters = DeadLetterQueue(store.directory)
+    unresolved = dict(pending)
+
+    def sweep() -> None:
+        store.refresh()
+        for fingerprint, request in list(unresolved.items()):
+            failure = None
+            if fingerprint not in store:
+                # the loops' own rule, so a re-admitted dead-letter cell is
+                # not failed by the records of its previous life
+                failure = final_failure(store, fingerprint, request, dead_letters)
+                if failure is None:
+                    continue
+            del unresolved[fingerprint]
+            resolved(fingerprint, failure)
+
+    supervisor = CampaignSupervisor(store.directory, policy)
+    if executor == "serial":
+        def hook(worker: str, event: str, fingerprint: str) -> None:
+            sweep()
+            _halt_when_paused(worker, event, fingerprint)
+
+        try:
+            run_worker(
+                store.directory, manifest=manifest, engine=engine, progress=hook
+            )
+        except _Halt:
+            pass
+    else:
+        children: List[Any] = []
+        leases = LeaseBoard(
+            store.directory / LEASES_DIRNAME, "campaign", ttl_s=policy.ttl_s
+        )
+        interval = min(0.2, policy.poll_s)
+        try:
+            for index in range(workers):
+                if executor == "process-pool":
+                    child = multiprocessing.Process(
+                        target=_child_loop, args=(str(store.directory), manifest)
+                    )
+                    child.start()
+                else:
+                    child = _WorkerCommand(store.directory, f"w{index}")
+                children.append(child)
+            while True:
+                live = [child for child in children if child.is_alive()]
+                if not live:
+                    break
+                sweep()
+                if not unresolved and all(
+                    leases.holder(fingerprint) is None for fingerprint, _ in pending
+                ):
+                    # every cell is resolved and no loop is inside one: the
+                    # loops left would idle up to poll_s before seeing it
+                    break
+                if executor == "pull-worker" and (
+                    supervisor.circuit_state() == CIRCUIT_OPEN
+                ):
+                    break  # paused `repro worker`s never exit on their own
+                sentinels = [
+                    child.sentinel for child in live if child.sentinel is not None
+                ]
+                if sentinels:
+                    multiprocessing.connection.wait(sentinels, interval)
+                else:
+                    time.sleep(interval)
+        finally:
+            for child in children:
+                if child.is_alive():
+                    child.terminate()
+            for child in children:
+                child.join(10.0)
+                if child.is_alive():
+                    child.kill()
+                    child.join()
+    sweep()
+    if unresolved and supervisor.circuit_state() == CIRCUIT_OPEN:
+        raise CircuitOpenError(
+            f"campaign circuit breaker is open (failure rate over the last "
+            f"{policy.circuit_window} cells reached "
+            f"{policy.circuit_threshold:g}); {len(unresolved)} cell(s) left "
+            f"unexecuted"
+        )
+    return list(unresolved)

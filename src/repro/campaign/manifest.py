@@ -1,6 +1,6 @@
 """Shared work manifest for pull workers.
 
-The ``pull-worker`` executor does not *push* cells to workers; it writes a
+A campaign does not *push* cells to workers, on any executor; it writes a
 ``manifest.json`` into the shared store directory describing the whole
 campaign — every cell keyed by its request fingerprint (the idempotency
 key), plus the lease/retry/supervision policy — and workers *pull* from it:

@@ -1,38 +1,42 @@
-"""Campaign execution: plan the grid, delegate to a pluggable executor.
+"""Campaign execution: plan the grid, run the rest through the pull loop.
 
 :func:`run_campaign` takes a :class:`~repro.campaign.gridspec.CampaignSpec`
 (or an explicit request list) and a run store, skips every cell whose
-fingerprint the store already holds (*resume*), and hands the rest to a
-:class:`~repro.campaign.executors.CampaignExecutor` resolved by name
-through :data:`~repro.campaign.executors.EXECUTORS`:
+fingerprint the store already holds (*resume*), and runs the rest through
+the one pull-worker loop, :func:`~repro.campaign.executors.run_worker`.
+The executor name only says where that loop runs (see
+:mod:`repro.campaign.executors`):
 
-* ``serial`` — in-process, one shared engine (default for ``workers <= 1``);
-* ``process-pool`` — a :class:`concurrent.futures.ProcessPoolExecutor`
-  fan-out (default for ``workers > 1``);
-* ``pull-worker`` — N independent ``repro worker`` processes pulling from a
-  shared :class:`~repro.campaign.store.RunStore` directory through the
-  crash-safe lease protocol (see :doc:`docs/distributed`).
+* ``serial`` — one loop in-process, on the caller's engine (default for
+  ``workers <= 1``);
+* ``process-pool`` — N loops in :mod:`multiprocessing` children (default
+  for ``workers > 1``);
+* ``pull-worker`` — N independent ``repro worker`` processes pulling from
+  the shared :class:`~repro.campaign.store.RunStore` directory (see
+  :doc:`docs/distributed`).
 
-Each finished :class:`~repro.api.envelopes.SearchOutcome` is appended to
-the store as soon as it completes, so an interrupted campaign loses at
-most the cells that were in flight.  Failures become structured
+On every executor a loop appends each finished
+:class:`~repro.api.envelopes.SearchOutcome` to the store as soon as it
+completes, so an interrupted campaign loses at most the cells that were in
+flight, and the policy's deadlines, retries, dead-lettering and shared
+circuit breaker hold.  Failures become structured
 :class:`~repro.campaign.errors.ErrorEnvelope` audit records; under the
-policy's default ``on_error="fail"`` the first failure stops the campaign
-(finished cells stay stored for resume), while ``on_error="continue"``
-records the envelope and keeps going, surfacing failed-cell counts in
-:meth:`CampaignResult.summary`.
+policy's default ``on_error="fail"`` a loop claims no further cell once a
+cell it ran has failed for good, and the campaign raises (finished cells
+stay stored for resume), while ``on_error="continue"`` keeps going,
+surfacing failed-cell counts in :meth:`CampaignResult.summary`.
 
-Out-of-process executors ship requests to workers in their serialized dict
-form and rebuild outcomes from dicts in the parent, so only plain data
-crosses process boundaries.  Workers resolve scenario, search-space and
-strategy *names* through their own (freshly imported) default registries;
-custom scenarios must therefore be passed inline (a
-:class:`~repro.api.scenario.Scenario` object inside the request serializes
-fully) or registered at import time.  Custom *search spaces* have no inline
-form — a space registered only in the parent script passes ``validate()``
-there but raises in every worker, so register custom spaces from a module
-workers import (e.g. via :func:`repro.api.registry.register_search_space`
-at module level) or run with the ``serial`` executor.
+Child loops read their requests from the published manifest, so only plain
+data crosses process boundaries.  They resolve scenario, search-space and
+strategy *names* through their own default registries (inherited when
+forked, freshly imported otherwise); custom scenarios must therefore be
+passed inline (a :class:`~repro.api.scenario.Scenario` object inside the
+request serializes fully) or registered at import time.  Custom *search
+spaces* have no inline form — a space registered only in the parent script
+passes ``validate()`` there but raises in every ``repro worker``, so
+register custom spaces from a module workers import (e.g. via
+:func:`repro.api.registry.register_search_space` at module level) or run
+with the ``serial`` executor.
 
 Results agree across executors within 1e-9, not bit for bit: every run is
 seeded through its request, but a warm evaluation engine (shared across
@@ -52,21 +56,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.api.engine import EvaluationEngine
 from repro.api.envelopes import SearchOutcome, SearchRequest, request_fingerprint
 from repro.campaign.errors import ErrorEnvelope
-from repro.campaign.executors import (
-    EXECUTORS,
-    CampaignExecutor,
-    ExecutionContext,
-    resolve_executor,
-)
+from repro.campaign.executors import executor_name, run_cells
 from repro.campaign.gridspec import CampaignSpec, expand_requests
 from repro.campaign.store import RunStore, StoreError, open_store
-from repro.campaign.supervisor import (
-    CIRCUIT_OPEN,
-    CampaignPolicy,
-    CampaignSupervisor,
-    CircuitBreaker,
-    CircuitOpenError,
-)
+from repro.campaign.supervisor import CampaignPolicy, CampaignSupervisor
 
 #: Optional ``callback(done_count, total_count, fingerprint, outcome)`` fired
 #: after each cell is stored (and once per skipped cell, with ``outcome=None``).
@@ -93,19 +86,21 @@ class CampaignResult:
     store:
         The store every outcome went into.
     executed:
-        Fingerprints run by this call, in completion order.
+        Fingerprints run by this call, in the order the parent saw them
+        stored.
     skipped:
         Fingerprints that were already stored (resume hits), in grid order.
     failed:
         :class:`CellFailure` records of permanently failed cells (only
-        non-empty under the policy's ``on_error="continue"``).
+        returned under the policy's ``on_error="continue"``).
     workers / executor / wall_time_s:
         Execution settings and total duration of the call.
     timeout_kills / dead_lettered / circuit_state / circuit_transitions:
-        Supervision telemetry (see :mod:`repro.campaign.supervisor`):
-        cells killed at their enforced deadline, cells moved to the
-        dead-letter queue, and the circuit breaker's final state plus its
-        ``(time, from, to)`` transition history.  ``circuit_state`` is
+        Supervision telemetry from the store's
+        :meth:`~repro.campaign.supervisor.CampaignSupervisor.summary`:
+        cells this call killed at their enforced deadline, cells the
+        dead-letter queue holds buried, and the circuit breaker's final
+        state plus its ``(time, from, to)`` transition history.  ``circuit_state`` is
         ``"disabled"`` when the policy never enables the breaker, so an
         unsupervised campaign's summary keys are stable.
     """
@@ -181,7 +176,7 @@ def run_campaign(
     *,
     workers: int = 1,
     resume: bool = True,
-    executor: Optional[Union[str, CampaignExecutor]] = None,
+    executor: Optional[str] = None,
     policy: Optional[CampaignPolicy] = None,
     engine: Optional[EvaluationEngine] = None,
     progress: Optional[CampaignProgress] = None,
@@ -203,28 +198,26 @@ def run_campaign(
         ``resume=False`` raises *before any cell runs* if part of the grid
         is already stored, rather than silently duplicating records.
     executor:
-        Executor name from :data:`~repro.campaign.executors.EXECUTORS`
-        (``"serial"``, ``"process-pool"``, ``"pull-worker"``) or an
-        instance; ``None`` picks by ``workers``.
+        Where the pull loop runs: ``"serial"``, ``"process-pool"`` or
+        ``"pull-worker"`` (see :data:`~repro.campaign.executors.EXECUTOR_NAMES`);
+        ``None`` picks by ``workers``.
     policy:
         The campaign's :class:`~repro.campaign.supervisor.CampaignPolicy`
         (default: ``CampaignPolicy()``), the one carrier of its settings:
-        lease and retry limits for ``pull-worker``, the enforced cell
-        deadline, the circuit breaker and ``on_error``.  Under
-        ``on_error="fail"`` (default) the first failed cell stops the
-        campaign, which raises after draining in-flight work — finished
-        cells stay stored.  ``"continue"`` records an error envelope in the
-        store's audit log and keeps going; failures are reported in the
+        lease and retry limits, the enforced cell deadline, the circuit
+        breaker and ``on_error``, on every executor.  Under
+        ``on_error="fail"`` (default) a loop claims no further cell once a
+        cell it ran has failed for good, and the campaign raises once every
+        loop has ended — finished cells stay stored.  ``"continue"`` keeps
+        going; failures are dead-lettered in the store and reported in the
         result.  With the breaker enabled, a campaign whose sliding-window
         failure rate trips the threshold aborts with
         :class:`~repro.campaign.supervisor.CircuitOpenError` (CLI exit
-        code 4); out-of-process supervision (dead-lettering, shared
-        breaker state) applies on the ``pull-worker`` executor, while
-        in-process executors track the breaker in memory.
+        code 4) without running the cells still queued.
     engine:
-        Evaluation engine for the serial path; shared across cells so
+        Evaluation engine of the ``serial`` loop; shared across cells so
         predictors and layer costs are trained once per device.  Ignored by
-        out-of-process executors (each worker keeps its own).
+        the other executors (each child keeps its own).
     progress:
         Optional :data:`CampaignProgress` callback.
     """
@@ -233,7 +226,10 @@ def run_campaign(
         store = open_store(store)
     if isinstance(spec, CampaignSpec):
         spec.validate()
-    resolved = resolve_executor(executor, workers)
+    name = executor_name(executor, workers)
+    workers = max(1, int(workers))
+    supervisor = CampaignSupervisor(store.directory, policy)
+    kills_before = supervisor.summary()["timeout_kills"]
     start = time.perf_counter()
     pending, skipped = _plan(spec, store, resume)
     total = len(pending) + len(skipped)
@@ -246,60 +242,26 @@ def run_campaign(
     executed: List[str] = []
     failures: List[CellFailure] = []
 
-    # in-process circuit breaker: pull workers share the file-backed one
-    # (via the manifest policy); every other executor feeds this in-memory
-    # breaker through the record/fail callbacks below
-    breaker: Optional[CircuitBreaker] = None
-    if policy.circuit_enabled and resolved.name != "pull-worker":
-        breaker = CircuitBreaker(
-            window=policy.circuit_window,
-            threshold=policy.circuit_threshold,
-            cooldown_s=policy.circuit_cooldown_s,
-            probes=policy.circuit_probes,
-        )
-
-    def _trip(success: bool) -> None:
-        if breaker is None:
+    def resolved(fingerprint: str, failure: Optional[ErrorEnvelope]) -> None:
+        nonlocal done
+        done += 1
+        if failure is not None:
+            failures.append(CellFailure(fingerprint, failure))
             return
-        if breaker.record(success) == CIRCUIT_OPEN:
-            raise CircuitOpenError(
-                f"campaign circuit breaker is open (failure rate over the "
-                f"last {breaker.window} cells reached {breaker.threshold:g})"
-            )
-
-    def _record(
-        fingerprint: str, outcome: SearchOutcome, persisted: bool = False
-    ) -> None:
-        nonlocal done
-        if not persisted:
-            store.append(outcome, fingerprint=fingerprint)
         executed.append(fingerprint)
-        done += 1
         if progress is not None:
-            progress(done, total, fingerprint, outcome)
-        _trip(True)
+            progress(done, total, fingerprint, store.get(fingerprint))
 
-    def _fail(
-        fingerprint: str, envelope: ErrorEnvelope, persisted: bool = False
-    ) -> None:
-        nonlocal done
-        if not persisted:
-            store.record_error(envelope, **envelope.context)
-        failures.append(CellFailure(fingerprint, envelope))
-        done += 1
-        _trip(False)
-
+    left: List[str] = []
     if pending:
-        resolved.run(
-            ExecutionContext(
-                pending=pending,
-                store=store,
-                workers=max(1, int(workers)),
-                policy=policy,
-                engine=engine,
-                record=_record,
-                fail=_fail,
-            )
+        left = run_cells(
+            name,
+            pending,
+            store,
+            workers=workers,
+            policy=policy,
+            engine=engine,
+            resolved=resolved,
         )
     if failures and policy.on_error == "fail":
         first = failures[0]
@@ -308,39 +270,24 @@ def run_campaign(
             f"cells were stored; resume re-runs only the rest): "
             f"{first.envelope.message}"
         )
-
-    # supervision telemetry: the pull-worker path persists it next to the
-    # store; in-process paths derive it from the failures and the breaker
-    if resolved.name == "pull-worker":
-        supervision = CampaignSupervisor(store.directory, policy).summary()
-        timeout_kills = supervision["timeout_kills"]
-        dead_lettered = supervision["dead_lettered"]
-        circuit_state = supervision["circuit_state"]
-        circuit_transitions = tuple(
-            tuple(t) for t in supervision["circuit_transitions"]
+    if left:
+        raise RuntimeError(
+            f"every campaign worker exited with {len(left)} cell(s) "
+            f"unresolved: {sorted(left)[:5]}"
         )
-    else:
-        timeout_kills = sum(
-            1 for failure in failures if failure.envelope.code == "E_TIMEOUT"
-        )
-        dead_lettered = 0
-        if breaker is not None:
-            circuit_state = breaker.state
-            circuit_transitions = tuple(breaker.transitions)
-        else:
-            circuit_state = "disabled"
-            circuit_transitions = ()
-
+    supervision = supervisor.summary()
     return CampaignResult(
         store=store,
         executed=tuple(executed),
         skipped=tuple(skipped),
         failed=tuple(failures),
-        workers=max(1, int(workers)),
-        executor=resolved.name,
+        workers=workers,
+        executor=name,
         wall_time_s=time.perf_counter() - start,
-        timeout_kills=timeout_kills,
-        dead_lettered=dead_lettered,
-        circuit_state=circuit_state,
-        circuit_transitions=circuit_transitions,
+        timeout_kills=supervision["timeout_kills"] - kills_before,
+        dead_lettered=supervision["dead_lettered"],
+        circuit_state=supervision["circuit_state"],
+        circuit_transitions=tuple(
+            tuple(t) for t in supervision["circuit_transitions"]
+        ),
     )

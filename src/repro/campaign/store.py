@@ -520,7 +520,7 @@ class RunStore:
         """:func:`summarize_audit` of the audit logs, resolved against the store.
 
         ``failed_cells`` follows the rule of
-        :func:`repro.campaign.worker.final_failure`: a cell the store does
+        :func:`repro.campaign.executors.final_failure`: a cell the store does
         not hold is failed when it is buried in the dead-letter queue, or
         when its last audit record after its latest re-admission is final.
         A re-admitted cell that has not run again, or ran and was stored,

@@ -30,8 +30,8 @@ shared by every executor through one :class:`CampaignPolicy`:
     ``circuit_cooldown_s`` the circuit half-opens, admitting probe cells;
     a probe success closes it, a probe failure re-opens it.  The
     :class:`CampaignSupervisor` persists this state in ``supervisor.json``
-    (flock'd read-modify-write, atomic replace) so independent pull-worker
-    processes share one breaker.
+    (flock'd read-modify-write, atomic replace) so every worker loop, in
+    whatever process it runs, shares one breaker.
 
 Everything is **off by default** (``cell_timeout_s=0``,
 ``circuit_threshold=0``): a campaign that does not opt in behaves — and
@@ -133,8 +133,11 @@ class CampaignPolicy:
         Enforced per-cell deadline in seconds; ``0`` (default) disables the
         watchdog.  Overruns are killed and audited as ``E_TIMEOUT``.
     on_error:
-        ``"fail"`` or ``"continue"`` — what the orchestrator does about
-        permanently failed cells; workers always continue past failures.
+        ``"fail"`` or ``"continue"`` — what a campaign does about
+        permanently failed cells.  Under ``"fail"`` a worker loop claims
+        no further cell once a cell it ran has failed for good, and
+        ``run_campaign`` raises; under ``"continue"`` the loops keep going
+        and the failures are reported.
     checkpoint_every:
         Crash-safe mid-search checkpointing every N evaluations
         (``0`` disables; see ``docs/robustness.md``).
@@ -274,13 +277,14 @@ def deadline(seconds: float) -> Iterator[None]:
 
     * **main thread, POSIX** — ``signal.setitimer(ITIMER_REAL)`` +
       ``SIGALRM``; interrupts blocking system calls (``time.sleep``, I/O)
-      immediately.  This is the path worker processes take: ``repro
-      worker`` runs its pull loop on the main thread.
+      immediately.  Every worker loop on its process's main thread takes
+      this path: ``repro worker``, ``process-pool`` children, and a
+      ``serial`` campaign started from the main thread.
     * **other threads / platforms without SIGALRM** — a daemon
       :class:`threading.Timer` async-raises :class:`CellTimeout` into the
       calling thread.  The exception lands at the next bytecode boundary,
       so a cell wedged inside a single C call is not interruptible on this
-      path (documented limitation; the pull-worker path does not hit it).
+      path (documented limitation; loops on a main thread do not hit it).
 
     Not reentrant on the signal path (one ``ITIMER_REAL`` per process);
     nested deadlines would clobber each other, which no caller does.

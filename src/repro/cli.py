@@ -4,13 +4,13 @@ The subcommands mirror the library's layers (also reachable as
 ``python -m repro``):
 
 * ``repro list`` — registries (scenarios, strategies, executors, devices,
-  wireless, acquisitions) and, with ``--store``, the runs persisted in a
+  wireless, acquisitions) and, with ``--store``, the runs kept in a
   store;
 * ``repro run`` — execute one :class:`~repro.api.envelopes.SearchRequest`
   by scenario/strategy name, print its summary, optionally persist it;
-* ``repro campaign`` — fan a scenario x search-space x strategy x seed grid
-  out through a pluggable executor (``--executor serial | process-pool |
-  pull-worker``) into a resumable run store;
+* ``repro campaign`` — run a scenario x search-space x strategy x seed grid
+  through the pull-worker loop into a resumable run store, in-process or
+  in N processes (``--executor serial | process-pool | pull-worker``);
 * ``repro worker`` — join a distributed campaign by pulling cells from a
   shared store directory (the ``pull-worker`` protocol; start any
   number, on any machine sharing the filesystem);
@@ -52,7 +52,7 @@ from repro.api.registry import (
 from repro.api.scenario import SCENARIOS
 from repro.api.session import STRATEGIES, run_search
 from repro.campaign import (
-    EXECUTORS,
+    EXECUTOR_NAMES,
     CampaignPolicy,
     CampaignSpec,
     CircuitOpenError,
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="show registries and stored runs",
         description="Show registered scenarios, strategies, search spaces, "
                     "devices, wireless technologies and acquisitions; with "
-                    "--store, also the runs persisted in a store.",
+                    "--store, also the runs kept in a store.",
     )
     list_parser.add_argument("--store", metavar="DIR",
                              help="also list the runs stored under DIR")
@@ -206,33 +206,37 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument("--workers", type=int, default=1, metavar="N",
                                  help="worker processes (default: 1 = in-process)")
     campaign_parser.add_argument("--executor", default=None,
-                                 choices=EXECUTORS.names(), metavar="NAME",
-                                 help=f"execution back-end {EXECUTORS.names()} "
-                                      "(default: serial for --workers 1, "
-                                      "process-pool otherwise)")
+                                 choices=EXECUTOR_NAMES, metavar="NAME",
+                                 help="where the pull-worker loops run: "
+                                      "serial (one loop in-process), "
+                                      "process-pool (--workers child "
+                                      "processes) or pull-worker (--workers "
+                                      "'repro worker' processes); default: "
+                                      "serial for --workers 1, process-pool "
+                                      "otherwise")
     campaign_parser.add_argument("--on-error", choices=("fail", "continue"),
                                  default="fail",
                                  help="stop on the first failed cell (fail, "
                                       "default) or record an error envelope "
                                       "and keep going (continue)")
     campaign_parser.add_argument("--ttl", type=float, default=30.0, metavar="S",
-                                 help="pull-worker lease expiry window "
+                                 help="lease expiry window of a claimed cell "
                                       "(default: 30s)")
     campaign_parser.add_argument("--poll", type=float, default=0.5, metavar="S",
-                                 help="pull-worker idle poll interval "
-                                      "(default: 0.5s)")
+                                 help="idle poll interval of the worker "
+                                      "loops (default: 0.5s)")
     campaign_parser.add_argument("--max-attempts", type=int, default=3,
                                  metavar="N",
                                  help="retry budget per cell for retryable "
-                                      "failures (pull-worker; default: 3)")
+                                      "failures (default: 3)")
     campaign_parser.add_argument("--backoff", type=float, default=0.5,
                                  metavar="S",
                                  help="exponential-backoff base between "
-                                      "retries (pull-worker; default: 0.5s)")
+                                      "retries (default: 0.5s)")
     campaign_parser.add_argument("--max-backoff", type=float, default=60.0,
                                  metavar="S",
                                  help="cap on any single retry delay "
-                                      "(pull-worker; default: 60s)")
+                                      "(default: 60s)")
     campaign_parser.add_argument("--cell-timeout", type=float, default=0.0,
                                  metavar="S",
                                  help="per-cell deadline: a cell still running "
@@ -266,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument("--checkpoint-every", type=int, default=0,
                                  metavar="N",
                                  help="crash-safe mid-search checkpointing "
-                                      "every N evaluations (pull-worker; "
-                                      "0 = off, the default): a reclaimed "
+                                      "every N evaluations (0 = off, the "
+                                      "default): a reclaimed or retried "
                                       "cell resumes instead of restarting")
     campaign_parser.add_argument("--no-resume", action="store_true",
                                  help="fail on already-stored cells instead of "
@@ -437,7 +441,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
               f"{scenario.uplink_mbps:6.2f} Mbps  {scenario.device_name}")
     print(f"strategies: {', '.join(STRATEGIES.names())}")
     print(f"search spaces: {', '.join(SEARCH_SPACES.names())}")
-    print(f"campaign executors: {', '.join(EXECUTORS.names())}")
+    print(f"campaign executors: {', '.join(EXECUTOR_NAMES)}")
     print(f"devices: {', '.join(DEVICES.names())}")
     print(f"wireless technologies: {', '.join(WIRELESS_TECHNOLOGIES.names())}")
     print(f"acquisitions: {', '.join(ACQUISITIONS.names())}")
@@ -616,14 +620,15 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if summary["failed"]:
         print(f"failed cells: {summary['failed']} "
               f"({', '.join(summary['failed_cells'][:5])}) — "
-              f"see the store's audit log; 'repro campaign' again retries them")
+              f"see the store's audit log; a re-run skips them until "
+              f"'repro campaign --store {args.store} --retry-dead' "
+              f"re-admits them")
     if summary.get("timeout_kills"):
         print(f"deadlines: {summary['timeout_kills']} cell(s) killed at the "
               f"{policy.cell_timeout_s:g}s deadline (E_TIMEOUT)")
     if summary.get("dead_lettered"):
         print(f"dead-letter: {summary['dead_lettered']} poison cell(s) "
-              f"buried — 'repro campaign --store {args.store} --retry-dead' "
-              f"re-admits them")
+              f"buried in the store")
     if summary.get("circuit_state") not in (None, "disabled", "closed"):
         print(f"circuit breaker: {summary['circuit_state']} "
               f"({len(summary.get('circuit_transitions', []))} transition(s))")

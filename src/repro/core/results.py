@@ -87,7 +87,7 @@ class CandidateEvaluation:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CandidateEvaluation":
-        """Inverse of :meth:`to_dict` (used by persisted search outcomes)."""
+        """Inverse of :meth:`to_dict` (used by stored search outcomes)."""
         return cls(
             genotype=tuple(int(v) for v in data["genotype"]),
             architecture_name=data["architecture_name"],

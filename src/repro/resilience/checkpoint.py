@@ -41,7 +41,7 @@ from repro.utils.serialization import atomic_write_text, to_jsonable
 #: File name of the snapshot inside a per-fingerprint checkpoint directory.
 CHECKPOINT_FILENAME = "checkpoint.json"
 
-#: File name of the persisted health-event stream next to the snapshot.
+#: File name of the saved health-event stream next to the snapshot.
 HEALTH_LOG_FILENAME = "health.jsonl"
 
 #: Snapshot schema version (independent of the envelope schema).

@@ -16,6 +16,7 @@ from repro.api.session import run_search
 from repro.campaign import (
     CampaignPolicy,
     CampaignSpec,
+    DeadLetterQueue,
     RunStore,
     StoreError,
     merge_stores,
@@ -30,7 +31,7 @@ from repro.campaign.errors import (
     classify_error,
     summarize_audit,
 )
-from repro.campaign.executors import EXECUTORS, resolve_executor
+from repro.campaign.executors import EXECUTOR_NAMES, executor_name
 from repro.campaign.leases import LeaseBoard
 from repro.campaign.manifest import (
     CampaignManifest,
@@ -481,7 +482,7 @@ class TestPullWorkers:
     def test_reclaimed_finished_cell_is_a_noop(self, tmp_path, monkeypatch):
         """The idempotence re-check under the lease: a peer finished the
         cell between this worker's store refresh and its claim."""
-        import repro.campaign.worker as worker_mod
+        import repro.campaign.executors as worker_mod
 
         store_dir = tmp_path / "shared"
         RunStore(store_dir)
@@ -542,17 +543,21 @@ class TestPullWorkers:
 
 
 class TestExecutors:
-    def test_registry_and_resolution(self):
-        assert EXECUTORS.names() == ["process-pool", "pull-worker", "serial"]
-        assert resolve_executor(None, 1).name == "serial"
-        assert resolve_executor(None, 4).name == "process-pool"
-        assert resolve_executor("pull-worker", 2).name == "pull-worker"
-        with pytest.raises(RegistryError, match="serial"):
-            resolve_executor("serail", 1)
+    def test_names_and_resolution(self, tmp_path):
+        assert EXECUTOR_NAMES == ("process-pool", "pull-worker", "serial")
+        assert executor_name(None, 1) == "serial"
+        assert executor_name(None, 4) == "process-pool"
+        assert executor_name("pull-worker", 2) == "pull-worker"
+        with pytest.raises(RegistryError, match="Did you mean 'serial'"):
+            executor_name("serail", 1)
         with pytest.raises(RegistryError):
-            resolve_executor("asyncio", 2)
+            executor_name("asyncio", 2)
         with pytest.raises(TypeError, match="executor"):
-            resolve_executor(42, 1)
+            executor_name(42, 1)
+        # run_campaign checks the name before any cell runs
+        with pytest.raises(RegistryError, match="serial"):
+            run_campaign(SMALL_SPEC, RunStore(tmp_path / "s"), executor="serail")
+        assert not (tmp_path / "s").exists()
 
     def test_pull_worker_executor_matches_serial(self, tmp_path):
         serial = RunStore(tmp_path / "serial")
@@ -575,15 +580,22 @@ class TestExecutors:
 
 
 class TestOnError:
-    def test_continue_records_envelope_and_keeps_going(self, tmp_path):
+    """One failure policy on every executor: each runs the same loop."""
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_continue_records_envelope_and_keeps_going(self, tmp_path, executor):
         good = SMALL_SPEC.requests()
         bad = good[0].replace(
             scenario=Scenario(name="ghost/nowhere", device="ghost-device"),
         )
         store = RunStore(tmp_path / "store")
         result = run_campaign(
-            [bad] + good, store, policy=CampaignPolicy(on_error="continue")
+            [bad] + good,
+            store,
+            executor=executor,
+            policy=CampaignPolicy(on_error="continue", poll_s=0.05),
         )
+        assert result.executor == executor
         assert len(result.failed) == 1
         assert result.failed[0].envelope.code == "E_REGISTRY"
         summary = result.summary()
@@ -593,8 +605,36 @@ class TestOnError:
         assert sorted(store.fingerprints()) == sorted(
             request_fingerprint(r) for r in good
         )
-        # and the failure is audited in the store
+        # and the failure is audited in the store, and dead-lettered
         assert len(store.audit_records()) == 1
+        assert result.dead_lettered == 1
+        assert DeadLetterQueue(store.directory).is_dead(request_fingerprint(bad))
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_fail_stops_the_loop_at_its_first_permanent_failure(
+        self, tmp_path, executor
+    ):
+        first, last = SMALL_SPEC.requests()
+        bad = first.replace(
+            scenario=Scenario(name="ghost/nowhere", device="ghost-device"),
+        )
+        cells = [first, bad, last]
+        store = RunStore(tmp_path / "store")
+        with pytest.raises(RuntimeError, match="campaign cell .* failed"):
+            run_campaign(
+                cells, store, executor=executor, policy=CampaignPolicy(poll_s=0.05)
+            )
+        # a local loop walks the grid in order; a `repro worker` walks the
+        # manifest file, whose cells are sorted by fingerprint
+        order = [request_fingerprint(r) for r in cells]
+        if executor == "pull-worker":
+            order.sort()
+        before_bad = order[: order.index(request_fingerprint(bad))]
+        store.refresh()
+        assert sorted(store.fingerprints()) == sorted(before_bad)
+        assert [r.fingerprint for r in store.audit_records()] == [
+            request_fingerprint(bad)
+        ]
 
     def test_fail_default_stops_and_raises(self, tmp_path):
         good = SMALL_SPEC.requests()

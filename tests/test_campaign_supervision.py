@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import re
 import threading
 import time
@@ -10,6 +11,7 @@ import time
 import pytest
 
 from repro.api.envelopes import SearchRequest, request_fingerprint
+from repro.api.scenario import Scenario
 from repro.api.session import run_search
 from repro.campaign import (
     CampaignPolicy,
@@ -519,7 +521,7 @@ class TestReadmission:
     previous one resolve it for nobody."""
 
     def test_final_failure_restarts_at_readmission(self, tmp_path):
-        from repro.campaign.worker import final_failure
+        from repro.campaign.executors import final_failure
 
         request = _request()
         store = RunStore(tmp_path)
@@ -560,6 +562,129 @@ class TestReadmission:
         assert result.failed == ()
         assert result.executed == (fingerprint,)
         assert RunStore(store_dir).fingerprints() == [fingerprint]
+
+
+# ---------------------------------------------------------------------- every executor
+
+
+@pytest.fixture
+def hang_every_cell(monkeypatch):
+    """Stall every search for 2 s after each evaluation, in this process and
+    in any child: forked children inherit the injector, spawned ones read
+    the environment.  A 0.5 s deadline kills such a cell; without one it
+    finishes after 2 s per evaluation."""
+    monkeypatch.setenv(faults.ENV_HANG_AT_EVAL, "1")
+    monkeypatch.setenv(faults.ENV_HANG_SECONDS, "2")
+    with faults.inject(FaultInjector(hang_at_evaluation=1, hang_seconds=2)):
+        yield
+
+
+def _ghost(request: SearchRequest) -> SearchRequest:
+    """The request on a scenario whose device no registry knows (E_REGISTRY)."""
+    return request.replace(
+        scenario=Scenario(name="ghost/nowhere", device="ghost-device")
+    )
+
+
+class TestSupervisionOnEveryExecutor:
+    """Deadlines, retries, dead-lettering and the breaker hold on every
+    executor, because each runs the one pull loop."""
+
+    def test_process_pool_kills_a_hung_cell_at_its_deadline(
+        self, tmp_path, hang_every_cell
+    ):
+        request = _request()
+        store = RunStore(tmp_path / "store")
+        policy = CampaignPolicy(
+            cell_timeout_s=0.5, max_attempts=1, on_error="continue"
+        )
+        result = run_campaign([request], store, executor="process-pool", policy=policy)
+        (failure,) = result.failed
+        assert failure.envelope.code == "E_TIMEOUT"
+        assert result.timeout_kills == 1
+        assert [r.code for r in store.audit_records()] == ["E_TIMEOUT"]
+        assert len(store) == 0
+        assert multiprocessing.active_children() == []
+        # the cell is dead-lettered: a re-run reports it failed without
+        # running it, and counts only its own kills
+        again = run_campaign([request], store, executor="process-pool", policy=policy)
+        assert [f.fingerprint for f in again.failed] == [failure.fingerprint]
+        assert again.timeout_kills == 0 and again.dead_lettered == 1
+        assert len(store.audit_records()) == 1
+
+    @pytest.mark.parametrize("executor", ["serial", "process-pool"])
+    def test_retryable_failure_is_retried_then_dead_lettered(
+        self, tmp_path, hang_every_cell, executor
+    ):
+        request = _request()
+        fingerprint = request_fingerprint(request)
+        store = RunStore(tmp_path / "store")
+        result = run_campaign(
+            [request],
+            store,
+            executor=executor,
+            policy=CampaignPolicy(
+                cell_timeout_s=0.5,
+                max_attempts=2,
+                backoff_base_s=0.01,
+                poll_s=0.05,
+                on_error="continue",
+            ),
+        )
+        assert [f.fingerprint for f in result.failed] == [fingerprint]
+        records = store.audit_records()
+        assert [(r.code, r.attempt, r.final) for r in records] == [
+            ("E_TIMEOUT", 1, False),
+            ("E_TIMEOUT", 2, True),
+        ]
+        assert records[-1].context.get("dead_letter") is True
+        queue = DeadLetterQueue(store.directory)
+        assert queue.is_dead(fingerprint)
+        assert [e.attempt for e in queue.envelopes(fingerprint)] == [1, 2]
+        assert result.dead_lettered == 1 and result.timeout_kills == 2
+
+    @pytest.mark.parametrize("executor", ["serial", "process-pool"])
+    def test_open_breaker_leaves_queued_cells_unrun(
+        self, tmp_path, monkeypatch, executor
+    ):
+        if executor == "process-pool" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("only a forked child sees the patched run_search")
+        import repro.campaign.executors as executors
+
+        calls = tmp_path / "calls.txt"
+        real_run_search = executors.run_search
+
+        def counted(request, **kwargs):
+            with calls.open("a", encoding="utf-8") as handle:
+                handle.write(request_fingerprint(request) + "\n")
+            return real_run_search(request, **kwargs)
+
+        monkeypatch.setattr(executors, "run_search", counted)
+        good = [_request(seed=seed) for seed in range(6)]
+        bad = [_ghost(_request(seed=seed)) for seed in range(2)]
+        cells = good[:1] + bad + good[1:]
+        store = RunStore(tmp_path / "store")
+        with pytest.raises(CircuitOpenError, match="5 cell\\(s\\) left unexecuted"):
+            run_campaign(
+                cells,
+                store,
+                executor=executor,
+                policy=CampaignPolicy(
+                    circuit_window=2,
+                    circuit_threshold=1.0,
+                    circuit_cooldown_s=60.0,
+                    on_error="continue",
+                ),
+            )
+        # good, bad, bad opened the breaker; the loop stopped at the next claim
+        ran = calls.read_text(encoding="utf-8").split()
+        assert ran == [request_fingerprint(r) for r in cells[:3]]
+        store.refresh()
+        assert store.fingerprints() == [request_fingerprint(good[0])]
+        assert set(DeadLetterQueue(store.directory).dead()) == {
+            request_fingerprint(r) for r in bad
+        }
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------- integrity

@@ -23,7 +23,7 @@ from repro.campaign.manifest import (
 )
 from repro.campaign.store import RunStore
 from repro.campaign.supervisor import CampaignPolicy
-from repro.campaign.worker import run_worker
+from repro.campaign.executors import run_worker
 from repro.resilience import faults
 from repro.resilience.checkpoint import (
     CHECKPOINT_FILENAME,

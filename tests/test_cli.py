@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.api.envelopes import SearchRequest, load_outcome
+from repro.api.scenario import SCENARIOS, Scenario
 from repro.campaign import RunStore
 from repro.cli import main
 
@@ -421,12 +422,22 @@ def test_store_without_operation_is_a_usage_error(capsys):
 
 
 def test_campaign_on_error_continue_reports_failures(tmp_path, capsys):
-    # an unknown scenario passes CLI parsing but cannot pass validate();
-    # use a spec file with a valid grid plus a pre-stored conflicting state
-    # is complex — instead drive run_campaign's knob through the CLI flag
-    # with a healthy grid and assert the flag round-trips (exit 0, no fails)
+    # a registered scenario on a device no registry knows passes validate()
+    # and fails inside its cell (E_REGISTRY, not retryable)
+    ghost = SCENARIOS.add(Scenario(name="ghost/nowhere", device="ghost-device"))
     store_dir = tmp_path / "store"
-    assert main(["campaign", *SMALL_GRID, *FAST_FLAGS,
-                 "--store", str(store_dir), "--on-error", "continue",
-                 "--quiet"]) == 0
-    assert "campaign done: 2 executed" in capsys.readouterr().out
+    args = ["campaign", *SMALL_GRID, "--scenario", ghost.name, *FAST_FLAGS,
+            "--store", str(store_dir), "--on-error", "continue", "--quiet"]
+    try:
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert "campaign done: 2 executed" in out
+        assert "failed cells: 2" in out
+        assert f"'repro campaign --store {store_dir} --retry-dead'" in out
+        # the failed cells are dead-lettered: a plain re-run reports them
+        # failed again without running them
+        assert main(args) == 1
+        assert "failed cells: 2" in capsys.readouterr().out
+        assert len(RunStore(store_dir).audit_records()) == 2
+    finally:
+        SCENARIOS.unregister(ghost.name)

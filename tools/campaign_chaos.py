@@ -20,10 +20,12 @@ and in CI::
    by the CRC layer (counted, never served), reported by ``repro store
    fsck``, quarantined by ``--repair``, and the repaired store keeps every
    intact record byte-identical.
-3. **Circuit breaker, end to end**: ``repro campaign --executor
-   pull-worker`` over cells that time out on every attempt must trip the
-   sliding-window breaker, stop the workers claiming, and exit with
-   code 4.
+3. **Circuit breaker, end to end**: a grid that fails on every cell must
+   trip the breaker of the ``serial`` and the ``process-pool`` executor
+   (their loops stop claiming, and ``run_campaign`` raises
+   ``CircuitOpenError``); ``repro campaign --executor pull-worker`` over
+   cells that time out on every attempt must trip the sliding-window
+   breaker, stop the workers claiming, and exit with code 4.
 4. **Healthy parity**: a supervised campaign over healthy cells stores
    record-identical contents (modulo per-run wall time, and the checksum
    that covers it) and summaries as an unsupervised one.
@@ -302,8 +304,9 @@ def drill_circuit_breaker(base: Path) -> int:
     print("[3/4] circuit-breaker drill (campaign CLI must exit 4)...")
     store_dir = base / "circuit"
 
-    # in-process first: a request batch that fails on every cell must trip
-    # the in-memory breaker of the serial executor
+    # local loops first: a request batch that fails on every cell must trip
+    # the shared breaker, and the in-process loop and the child loop must
+    # stop at it
     from repro.api.scenario import Scenario
     good = CampaignSpec(
         scenarios=(SCENARIO,), strategies=("random",), seeds=(0, 1, 2, 3),
@@ -317,12 +320,14 @@ def drill_circuit_breaker(base: Path) -> int:
     ]
     policy = CampaignPolicy(circuit_window=2, circuit_threshold=1.0,
                             circuit_cooldown_s=60.0, on_error="continue")
-    try:
-        run_campaign(ghosts, RunStore(store_dir / "serial"), policy=policy)
-        return _fail("serial campaign over failing cells did not trip the "
-                     "breaker")
-    except CircuitOpenError as error:
-        print(f"      serial executor tripped in-memory: {error}")
+    for executor in ("serial", "process-pool"):
+        try:
+            run_campaign(ghosts, RunStore(store_dir / executor),
+                         executor=executor, policy=policy)
+            return _fail(f"{executor} campaign over failing cells did not "
+                         "trip the breaker")
+        except CircuitOpenError as error:
+            print(f"      {executor} executor tripped the breaker: {error}")
 
     # end to end: every pull-worker attempt times out (wedged search +
     # 3s deadline); two failures fill the window, the shared breaker opens,
