@@ -7,6 +7,7 @@ import multiprocessing
 import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -685,6 +686,61 @@ class TestSupervisionOnEveryExecutor:
             request_fingerprint(r) for r in bad
         }
         assert multiprocessing.active_children() == []
+
+    def test_pull_worker_stops_its_paused_workers_at_an_open_breaker(
+        self, tmp_path
+    ):
+        proc = Path("/proc")
+        if not proc.is_dir():
+            pytest.skip("finds the worker processes through /proc")
+        store_dir = tmp_path / "store"
+        ghosts = [_ghost(_request(seed=seed)) for seed in range(4)]
+        with pytest.raises(CircuitOpenError, match="2 cell\\(s\\) left unexecuted"):
+            run_campaign(
+                ghosts,
+                store_dir,
+                executor="pull-worker",
+                policy=CampaignPolicy(
+                    poll_s=0.05,
+                    circuit_window=2,
+                    circuit_threshold=1.0,
+                    circuit_cooldown_s=60.0,
+                    on_error="continue",
+                ),
+            )
+        # the `repro worker`s paused at the breaker; none outlives the call
+        workers = []
+        for cmdline in proc.glob("[0-9]*/cmdline"):
+            try:
+                if str(store_dir).encode() in cmdline.read_bytes():
+                    workers.append(cmdline.parent.name)
+            except OSError:
+                continue
+        assert workers == []
+
+    def test_standalone_worker_pauses_for_a_half_open_probe(self, tmp_path):
+        """Only local loops stop at an open breaker; a `repro worker` loop
+        keeps pausing until the cool-down admits a probe."""
+        store_dir = tmp_path / "store"
+        policy = CampaignPolicy(
+            poll_s=0.05,
+            circuit_window=1,
+            circuit_threshold=1.0,
+            circuit_cooldown_s=0.3,
+        )
+        manifest = CampaignManifest.from_requests([_request()], policy=policy)
+        manifest.write(store_dir)
+        supervisor = CampaignSupervisor(store_dir, policy)
+        assert supervisor.record_result(False) == CIRCUIT_OPEN
+        events = []
+        report = run_worker(
+            store_dir,
+            worker_id="standalone",
+            progress=lambda worker, event, fingerprint: events.append(event),
+        )
+        assert "paused" in events
+        assert events[-1] == "executed" and report.executed == 1
+        assert supervisor.circuit_state() == CIRCUIT_CLOSED
 
 
 # ---------------------------------------------------------------------- integrity
