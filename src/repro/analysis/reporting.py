@@ -145,7 +145,7 @@ class ExperimentReport:
         (documented in ``docs/robustness.md``).
         """
         if not health:
-            return self.add_text(heading, "No degradation or checkpoint events.")
+            return self.add_text(heading, "No degradation events.")
         rows = [
             [code, count, HEALTH_CODES.get(code, "(unknown code)")]
             for code, count in sorted(health.items())
@@ -272,8 +272,8 @@ class CampaignSummary:
     cells: Tuple[CampaignCell, ...]
     winners: Tuple[ScenarioWinner, ...]
     #: Aggregated resilience counters (``H_*`` code -> total) over every
-    #: stored outcome — empty when no run recorded a degradation or
-    #: checkpoint event (including outcomes stored before schema v4).
+    #: stored outcome — empty when no run recorded a degradation event
+    #: (including outcomes stored before schema v4).
     health: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:

@@ -297,9 +297,12 @@ class SearchOutcome:
     health:
         Resilience event counters by ``H_*`` code (see
         :mod:`repro.resilience.health`): how often the degradation ladder
-        fired, evaluations were quarantined, checkpoints were written or a
-        resume replayed history.  Empty for healthy runs and for outcomes
-        written before schema v4.  Like ``wall_time_s`` and
+        fired, evaluations were quarantined, a duplicate was accepted or
+        the random strategy fell short of its budget.  Empty for healthy
+        runs and for outcomes written before schema v4.  Outcomes stored
+        by older versions may carry a code since retired (such as
+        ``H_RESUMED``); they load unchanged and ``repro report`` lists it
+        as "(unknown code)".  Like ``wall_time_s`` and
         ``engine_stats``, this describes *how* the run went, not *what* it
         computed — it never affects the request fingerprint.
     """

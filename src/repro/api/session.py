@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -47,12 +46,6 @@ from repro.optim.mobo import MultiObjectiveBayesianOptimizer
 from repro.optim.pareto import FrontHistory, compute_front_history
 from repro.partition.partitioner import PartitionAnalyzer
 from repro.resilience import faults
-from repro.resilience.checkpoint import (
-    DEFAULT_CHECKPOINT_EVERY,
-    HEALTH_LOG_FILENAME,
-    CheckpointRecorder,
-    SearchCheckpoint,
-)
 from repro.resilience.health import HealthLog
 from repro.utils.blas import blas_threads
 from repro.utils.rng import ensure_rng
@@ -74,13 +67,8 @@ ProgressCallback = Callable[[int, CandidateEvaluation], None]
 class SearchContext:
     """Fully-resolved components of one search run.
 
-    The trailing resilience fields are the
-    :class:`~repro.resilience.health.HealthLog` collecting the run's
-    degradation events (a fresh one per context) and an optional
-    :class:`~repro.resilience.checkpoint.CheckpointRecorder` installed by
-    :func:`run_search` (strategies
-    :meth:`~repro.resilience.checkpoint.CheckpointRecorder.bind_rng` their
-    generator to it).
+    ``health`` is the :class:`~repro.resilience.health.HealthLog` collecting
+    the run's degradation events (a fresh one per context).
     """
 
     request: SearchRequest
@@ -95,7 +83,6 @@ class SearchContext:
     engine: EvaluationEngine
     progress_callback: Optional[ProgressCallback] = None
     health: HealthLog = field(default_factory=HealthLog)
-    recorder: Optional[CheckpointRecorder] = None
 
 
 def build_context(
@@ -200,8 +187,6 @@ def _run_mobo(context: SearchContext, label: str) -> SearchResult:
         callback=callback,
         health=context.health,
     )
-    if context.recorder is not None:
-        context.recorder.bind_rng(optimizer._rng)
     candidates: List[CandidateEvaluation] = []
     for point in optimizer.run().points:
         evaluation: CandidateEvaluation = point.metadata["evaluation"]
@@ -244,8 +229,6 @@ def _random_strategy(context: SearchContext) -> SearchResult:
     """
     request = context.request
     rng = ensure_rng(request.seed)
-    if context.recorder is not None:
-        context.recorder.bind_rng(rng)
     evaluator = context.evaluator
     seen = set()
     genotypes: List[np.ndarray] = []
@@ -319,44 +302,6 @@ def execute_strategy(context: SearchContext) -> SearchResult:
     return strategy(context)
 
 
-def _replay_group_sizes(request: SearchRequest, num_records: int) -> List[int]:
-    """Evaluation-group sizes of a search's first ``num_records`` evaluations.
-
-    Mirrors the strategies' batching exactly: the random strategy costs
-    pools of :data:`_RANDOM_EVAL_CHUNK`, the MOBO strategies cost one
-    ``num_initial`` batch and then ``min(batch_size, remaining)`` per step.
-    Only *complete* groups are returned (their sizes sum to at most
-    ``num_records``); records past the last group boundary are dropped by
-    the resume replay and re-evaluated live, which keeps the warmed engine
-    cache bit-identical to the original run's.
-    """
-    sizes: List[int] = []
-    if request.strategy == "random":
-        budget = request.num_evaluations
-        start = 0
-        while start < budget:
-            size = min(_RANDOM_EVAL_CHUNK, budget - start)
-            if start + size > num_records:
-                break
-            sizes.append(size)
-            start += size
-        return sizes
-    # MOBO-shaped strategies (lens, traditional)
-    if request.num_initial > num_records:
-        return sizes
-    sizes.append(request.num_initial)
-    consumed = 0
-    done = request.num_initial
-    while consumed < request.num_iterations:
-        step = min(request.batch_size, request.num_iterations - consumed)
-        if done + step > num_records:
-            break
-        sizes.append(step)
-        consumed += step
-        done += step
-    return sizes
-
-
 @blas_threads(SEARCH_BLAS_THREADS)
 def run_search(
     request: Union[SearchRequest, Dict, None] = None,
@@ -366,9 +311,6 @@ def run_search(
     predictor: Optional[BaseLayerPredictor] = None,
     engine: Optional[EvaluationEngine] = None,
     progress_callback: Optional[ProgressCallback] = None,
-    checkpoint_dir: Union[str, Path, None] = None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    resume: bool = True,
     **request_fields,
 ) -> SearchOutcome:
     """Execute a declared search end to end and return its outcome.
@@ -384,17 +326,13 @@ def run_search(
     candidate, the engine's cache statistics and the run's resilience
     counters, and round-trips through ``to_dict``/``from_dict``.
 
-    Passing ``checkpoint_dir`` makes the run crash-safe: the evaluated
-    history is snapshotted every ``checkpoint_every`` evaluations into
-    ``<checkpoint_dir>/<fingerprint>/`` (atomic temp-write+rename), and —
-    with ``resume=True``, the default — an existing snapshot is replayed
-    through the evaluation-engine cache before the strategy runs, so a
-    resumed search produces a bitwise-identical outcome to an
-    uninterrupted one (see :mod:`repro.resilience.checkpoint` and
+    A run is a pure function of its request, so a search killed mid-run is
+    recovered by calling ``run_search`` with the same request again: on a
+    fresh engine the re-run's outcome equals an uninterrupted one (see
     ``docs/robustness.md``).
 
-    The whole run — predictor training, resume replay, the strategy and the
-    front history — executes with every loaded OpenBLAS set to
+    The whole run — predictor training, the strategy and the front
+    history — executes with every loaded OpenBLAS set to
     :data:`SEARCH_BLAS_THREADS` thread, and the previous count is restored
     afterwards (:func:`repro.utils.blas.blas_threads`).  The count is
     process-wide while the run lasts, and the outcome does not depend on it.
@@ -420,56 +358,10 @@ def run_search(
         engine=engine,
         progress_callback=progress_callback,
     )
-    health = context.health
-    recorder = None
-    if checkpoint_dir is not None:
-        fingerprint = context.request.fingerprint()
-        cell_dir = SearchCheckpoint.cell_dir(checkpoint_dir, fingerprint)
-        health.attach(cell_dir / HEALTH_LOG_FILENAME)
-        resume_from = SearchCheckpoint.load(cell_dir, health=health) if resume else None
-        if resume_from is not None and resume_from.records:
-            # Resume is replay: warming the engine caches with the recorded
-            # candidate sequence turns every recorded evaluation of the
-            # re-run into a cache hit, so the strategy regenerates the
-            # identical search at cache speed.  The replay must reproduce
-            # the original run's evaluation *grouping* (init batch vs
-            # per-step evaluations): costing pools of different
-            # composition agree only to float roundoff, so warming with a
-            # different grouping would seed the cache with last-ulp
-            # different values and break bitwise parity.  Records past the
-            # last complete group boundary are simply re-evaluated live.
-            genotypes = resume_from.genotypes()
-            replayed = 0
-            for size in _replay_group_sizes(context.request, len(genotypes)):
-                context.evaluator.evaluate_pool(
-                    [
-                        np.asarray(g, dtype=int)
-                        for g in genotypes[replayed : replayed + size]
-                    ]
-                )
-                replayed += size
-            if replayed:
-                health.record(
-                    "H_RESUMED",
-                    f"replayed {replayed} of {resume_from.num_evaluations} "
-                    f"recorded evaluation(s) through the engine cache",
-                    replayed=replayed,
-                )
-        recorder = CheckpointRecorder(
-            cell_dir,
-            fingerprint=fingerprint,
-            objectives_fn=lambda ev: [ev.metric(m) for m in OBJECTIVES],
-            every=checkpoint_every,
-            health=health,
-            resume_from=resume_from,
-        )
-        context.recorder = recorder
     user_callback = context.progress_callback
-    if recorder is not None or user_callback is not None or faults.active() is not None:
+    if user_callback is not None or faults.active() is not None:
 
         def _on_progress(index: int, evaluation: CandidateEvaluation) -> None:
-            if recorder is not None:
-                recorder.on_evaluation(index, evaluation)
             if user_callback is not None:
                 user_callback(index, evaluation)
             injector = faults.active()
@@ -480,8 +372,6 @@ def run_search(
     start = time.perf_counter()
     result = execute_strategy(context)
     elapsed = time.perf_counter() - start
-    if recorder is not None:
-        recorder.finalize()
     # the context's request records any space folded in by build_context
     return SearchOutcome(
         request=context.request,
@@ -491,5 +381,5 @@ def run_search(
         wall_time_s=elapsed,
         engine_stats=engine.stats.since(stats_before),
         front_history=_front_history_of(list(result)),
-        health=health.counters(),
+        health=context.health.counters(),
     )

@@ -84,14 +84,9 @@ from repro.campaign.supervisor import (
     DeadLetterQueue,
     deadline,
 )
-from repro.resilience.checkpoint import SearchCheckpoint
 
 #: Where :func:`run_cells` can run the loop (``run_campaign(executor=...)``).
 EXECUTOR_NAMES = ("process-pool", "pull-worker", "serial")
-
-#: Subdirectory of the shared store holding per-cell search checkpoints
-#: (only used when the manifest sets ``checkpoint_every > 0``).
-CHECKPOINTS_DIRNAME = "checkpoints"
 
 #: Progress callback: ``(worker_id, event, fingerprint)`` with event one of
 #: ``"executed" | "skipped" | "failed" | "reclaimed" | "waiting" |
@@ -327,28 +322,11 @@ def run_worker(
                     )
                     progressed = True
                     continue
-                resilience_kwargs: Dict[str, Any] = {}
-                if policy.checkpoint_every > 0:
-                    # crash-safe mode: a reclaimed or retried cell resumes
-                    # from its last snapshot instead of evaluation zero
-                    resilience_kwargs = {
-                        "checkpoint_dir": store_dir / CHECKPOINTS_DIRNAME,
-                        "checkpoint_every": policy.checkpoint_every,
-                        "resume": True,
-                    }
                 try:
                     with heartbeat(board, lease):
                         with deadline(policy.cell_timeout_s):
-                            outcome = run_search(
-                                request,
-                                engine=engine,
-                                **resilience_kwargs,
-                            )
+                            outcome = run_search(request, engine=engine)
                     store.append(outcome, fingerprint=fingerprint)
-                    if policy.checkpoint_every > 0:
-                        SearchCheckpoint.discard(
-                            store_dir / CHECKPOINTS_DIRNAME, fingerprint
-                        )
                 except StoreError:
                     # a racing peer stored the cell first — idempotent no-op
                     supervisor.release_probe()

@@ -62,8 +62,12 @@ from repro.campaign.store import RunStore, StoreError, open_store
 from repro.campaign.supervisor import CampaignPolicy, CampaignSupervisor
 
 #: Optional ``callback(done_count, total_count, fingerprint, outcome)`` fired
-#: after each cell is stored (and once per skipped cell, with ``outcome=None``).
-CampaignProgress = Callable[[int, int, str, Optional[SearchOutcome]], None]
+#: once per cell: with the :class:`~repro.api.envelopes.SearchOutcome` of a
+#: stored cell, the :class:`~repro.campaign.errors.ErrorEnvelope` of a cell
+#: that failed for good, and ``None`` for a skipped (already stored) cell.
+CampaignProgress = Callable[
+    [int, int, str, Union[SearchOutcome, ErrorEnvelope, None]], None
+]
 
 
 @dataclass(frozen=True)
@@ -247,10 +251,15 @@ def run_campaign(
         done += 1
         if failure is not None:
             failures.append(CellFailure(fingerprint, failure))
-            return
-        executed.append(fingerprint)
+        else:
+            executed.append(fingerprint)
         if progress is not None:
-            progress(done, total, fingerprint, store.get(fingerprint))
+            progress(
+                done,
+                total,
+                fingerprint,
+                store.get(fingerprint) if failure is None else failure,
+            )
 
     left: List[str] = []
     if pending:

@@ -101,7 +101,7 @@ class CircuitOpenError(RuntimeError):
 
 #: :class:`CampaignPolicy` fields that count: whole numbers, never truncated.
 _POLICY_COUNT_FIELDS = (
-    "max_attempts", "checkpoint_every", "circuit_window", "circuit_probes",
+    "max_attempts", "circuit_window", "circuit_probes",
 )
 
 #: :class:`CampaignPolicy` fields in seconds or as a failure fraction.
@@ -138,9 +138,6 @@ class CampaignPolicy:
         no further cell once a cell it ran has failed for good, and
         ``run_campaign`` raises; under ``"continue"`` the loops keep going
         and the failures are reported.
-    checkpoint_every:
-        Crash-safe mid-search checkpointing every N evaluations
-        (``0`` disables; see ``docs/robustness.md``).
     circuit_window / circuit_threshold / circuit_cooldown_s / circuit_probes:
         Sliding-window circuit breaker: once ``circuit_window`` results are
         in, a failure fraction ``>= circuit_threshold`` opens the circuit.
@@ -160,7 +157,6 @@ class CampaignPolicy:
     max_backoff_s: float = 60.0
     cell_timeout_s: float = 0.0
     on_error: str = "fail"
-    checkpoint_every: int = 0
     circuit_window: int = 8
     circuit_threshold: float = 0.0
     circuit_cooldown_s: float = 5.0
@@ -196,10 +192,6 @@ class CampaignPolicy:
         if self.on_error not in ("fail", "continue"):
             raise ValueError(
                 f"on_error must be 'fail' or 'continue', got {self.on_error!r}"
-            )
-        if self.checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
         if self.circuit_window < 1:
             raise ValueError(
@@ -237,7 +229,6 @@ class CampaignPolicy:
             "max_backoff_s": self.max_backoff_s,
             "cell_timeout_s": self.cell_timeout_s,
             "on_error": self.on_error,
-            "checkpoint_every": self.checkpoint_every,
             "circuit_window": self.circuit_window,
             "circuit_threshold": self.circuit_threshold,
             "circuit_cooldown_s": self.circuit_cooldown_s,
@@ -250,7 +241,8 @@ class CampaignPolicy:
 
         Stored values go to the constructor's checks as they are; missing
         fields take their defaults, and other keys (a v1 manifest's cells
-        and timestamp) are ignored.
+        and timestamp, or a field an older version wrote and this one
+        retired) are ignored.
         """
         names = {policy_field.name for policy_field in fields(cls)}
         return cls(**{name: value for name, value in data.items() if name in names})

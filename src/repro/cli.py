@@ -57,6 +57,7 @@ from repro.campaign import (
     CampaignSpec,
     CircuitOpenError,
     DeadLetterQueue,
+    ErrorEnvelope,
     RunStore,
     StoreError,
     export_metrics,
@@ -166,18 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="append the outcome to the run store under DIR")
     run_parser.add_argument("--tag", action="append", metavar="KEY=VALUE",
                             help="attach metadata to the request (repeatable)")
-    run_parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                            help="crash-safe mode: snapshot the evaluated "
-                                 "history under DIR/<fingerprint>/ and resume "
-                                 "a previously interrupted run bitwise-"
-                                 "identically (see docs/robustness.md)")
-    run_parser.add_argument("--checkpoint-every", type=int, default=10,
-                            metavar="N",
-                            help="evaluations between snapshots "
-                                 "(with --checkpoint-dir; default: 10)")
-    run_parser.add_argument("--fresh", action="store_true",
-                            help="ignore an existing checkpoint and restart "
-                                 "the search from evaluation zero")
     _add_budget_arguments(run_parser, deferred=True)
 
     campaign_parser = commands.add_parser(
@@ -267,12 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="re-admit every dead-lettered cell in "
                                       "--store with a fresh retry budget "
                                       "before (or without) running the grid")
-    campaign_parser.add_argument("--checkpoint-every", type=int, default=0,
-                                 metavar="N",
-                                 help="crash-safe mid-search checkpointing "
-                                      "every N evaluations (0 = off, the "
-                                      "default): a reclaimed or retried "
-                                      "cell resumes instead of restarting")
     campaign_parser.add_argument("--no-resume", action="store_true",
                                  help="fail on already-stored cells instead of "
                                       "skipping them")
@@ -495,12 +478,7 @@ def _request_from_args(args: argparse.Namespace) -> SearchRequest:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     request = _request_from_args(args)
-    outcome = run_search(
-        request,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=not args.fresh,
-    )
+    outcome = run_search(request)
     front = outcome.pareto_candidates()
     print(f"scenario:    {outcome.scenario.name}")
     print(f"strategy:    {outcome.label}")
@@ -509,15 +487,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"candidates:  {len(outcome)} explored, {len(front)} Pareto-optimal "
           f"(error, energy)")
     print(f"wall time:   {outcome.wall_time_s:.2f}s")
-    degradations = {
-        code: count for code, count in outcome.health.items()
-        if code not in ("H_CHECKPOINT_SAVED", "H_RESUMED")
-    }
-    if degradations:
-        events = ", ".join(f"{c}={n}" for c, n in sorted(degradations.items()))
+    if outcome.health:
+        events = ", ".join(f"{c}={n}" for c, n in sorted(outcome.health.items()))
         print(f"health:      degraded [{events}] — see docs/robustness.md")
-    elif outcome.health.get("H_RESUMED"):
-        print("health:      resumed from checkpoint")
     rows = []
     for label, metric in (("lowest error", "error_percent"),
                           ("lowest energy", "energy_j"),
@@ -585,6 +557,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             record = stored.get(fingerprint, {})
             what = (f"{record.get('scenario', '?')} x {record.get('strategy', '?')} "
                     "(already stored)")
+        elif isinstance(outcome, ErrorEnvelope):
+            what = f"failed: {outcome.code} {outcome.message}"
         else:
             what = (f"{outcome.scenario.name} x {outcome.request.search_space} "
                     f"x {outcome.label} seed={outcome.request.seed} "
@@ -599,7 +573,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         max_backoff_s=args.max_backoff,
         cell_timeout_s=args.cell_timeout,
         on_error=args.on_error,
-        checkpoint_every=args.checkpoint_every,
         circuit_window=args.circuit_window,
         circuit_threshold=args.circuit_threshold,
         circuit_cooldown_s=args.circuit_cooldown,

@@ -23,8 +23,8 @@ search by :func:`install_from_env`):
 ``REPRO_FAULT_NAN_EVALS``
     comma-separated evaluation indices whose objectives become NaN.
 ``REPRO_FAULT_KILL_AT_EVAL``
-    int — SIGKILL the process after N evaluations complete (checkpoints
-    already flushed for them survive; that is the point).
+    int — SIGKILL the process after N evaluations complete, as a crash
+    mid-search would; the drills then re-run the request and compare.
 ``REPRO_FAULT_HANG_AT_EVAL`` / ``REPRO_FAULT_HANG_SECONDS``
     int / float — wedge the process (a long ``time.sleep``) after N
     evaluations complete, for ``REPRO_FAULT_HANG_SECONDS`` seconds
@@ -152,7 +152,7 @@ class FaultInjector:
         return False
 
     def on_evaluation_complete(self, evaluation_index: int) -> None:
-        """Kill switch: called after each evaluation (checkpoint included)."""
+        """Kill switch: called after each evaluation's progress callback."""
         if (
             self.hang_at_evaluation is not None
             and int(evaluation_index) + 1 >= self.hang_at_evaluation

@@ -29,14 +29,6 @@ H_DUPLICATE_ACCEPTED     no unseen candidate could be sampled; a possible
                          duplicate was accepted
 H_BUDGET_SHORTFALL       the random strategy found fewer distinct
                          candidates than its budget and evaluated only those
-H_CHECKPOINT_SAVED       an in-search checkpoint was flushed to disk
-H_CHECKPOINT_CORRUPT     a checkpoint file existed but could not be read;
-                         the search started from evaluation 0
-H_RESUMED                a search resumed from a checkpoint, replaying the
-                         recorded evaluations through the engine cache
-H_RESUME_DRIFT           a replayed evaluation (or the RNG state) diverged
-                         from the checkpointed history — the environment
-                         changed between runs
 ======================== ====================================================
 
 This mirrors the campaign service's ``E_*`` error-code scheme
@@ -48,14 +40,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
-
-from repro.utils.serialization import append_jsonl_atomic, to_jsonable
+from typing import Any, Dict, Iterable, List, Mapping
 
 #: Every known health code with a one-line description.  ``repro report``
-#: legends read this mapping; ``tests/test_docs_code_tables.py`` checks the
-#: table in ``docs/robustness.md`` and this module's docstring against it.
+#: legends read this mapping (a code stored by an older version and since
+#: retired reads "(unknown code)"); ``tests/test_docs_code_tables.py``
+#: checks the table in ``docs/robustness.md`` and this module's docstring
+#: against it.
 HEALTH_CODES: Dict[str, str] = {
     "H_JITTER_ESCALATED": "Cholesky succeeded only after jitter escalation",
     "H_EXACT_REFIT": "incremental append failed; refit from scratch",
@@ -64,10 +55,6 @@ HEALTH_CODES: Dict[str, str] = {
     "H_OBJECTIVE_QUARANTINED": "non-finite objectives recorded but excluded from archive/GP",
     "H_DUPLICATE_ACCEPTED": "no unseen candidate could be sampled; a possible duplicate was accepted",
     "H_BUDGET_SHORTFALL": "the random strategy found fewer distinct candidates than its budget",
-    "H_CHECKPOINT_SAVED": "in-search checkpoint flushed to disk",
-    "H_CHECKPOINT_CORRUPT": "unreadable checkpoint ignored; search started fresh",
-    "H_RESUMED": "search resumed from checkpoint via engine-cache replay",
-    "H_RESUME_DRIFT": "replayed evaluation diverged from the checkpointed history",
 }
 
 
@@ -89,50 +76,23 @@ class HealthEvent:
         if not self.time_s:
             self.time_s = time.time()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "code": self.code,
-            "message": self.message,
-            "time_s": self.time_s,
-            "context": to_jsonable(self.context),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HealthEvent":
-        return cls(
-            code=str(data["code"]),
-            message=str(data.get("message", "")),
-            time_s=float(data.get("time_s", 0.0)),
-            context=dict(data.get("context", {})),
-        )
-
 
 class HealthLog:
-    """In-memory event list with optional JSONL persistence.
+    """In-memory list of a search's health events.
 
     A log is cheap enough to create unconditionally: recording is an
-    append to a Python list (plus one atomic JSONL line when a sink path
-    is attached), and the healthy search path records nothing at all —
-    the <2% hot-path overhead budget is enforced by
+    append to a Python list, and the healthy search path records nothing
+    at all — the <2% hot-path overhead budget is enforced by
     ``benchmarks/bench_gp_hotpath.py``.
     """
 
-    def __init__(self, path: Optional[Union[str, Path]] = None):
+    def __init__(self) -> None:
         self.events: List[HealthEvent] = []
-        self.path: Optional[Path] = Path(path) if path is not None else None
-
-    def attach(self, path: Union[str, Path]) -> None:
-        """Persist subsequent (and already-recorded) events to ``path``."""
-        self.path = Path(path)
-        for event in self.events:
-            append_jsonl_atomic(self.path, event.to_dict())
 
     def record(self, code: str, message: str = "", **context: Any) -> HealthEvent:
-        """Record one event (and persist it when a sink is attached)."""
+        """Record one event."""
         event = HealthEvent(code=code, message=message, context=context)
         self.events.append(event)
-        if self.path is not None:
-            append_jsonl_atomic(self.path, event.to_dict())
         return event
 
     def counters(self) -> Dict[str, int]:
@@ -150,8 +110,9 @@ class HealthLog:
         return len(self.events)
 
     def __bool__(self) -> bool:
-        # A log is truthy as an *object* even when empty, so `log or ...`
-        # style defaults never silently replace an attached log.
+        # Truthy even when empty: the optimizer, the GP bank and the GP take
+        # `health or HealthLog()`, and a search's shared log must reach them
+        # all while it is still empty, not be swapped for a fresh one.
         return True
 
 

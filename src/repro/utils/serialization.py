@@ -66,8 +66,8 @@ def atomic_write_text(path: Path, text: str) -> None:
 
     The content goes to a temp file in the same directory and is
     ``os.replace``-d into place, so a crash mid-write leaves either the old
-    file or the new one — never a torn hybrid.  Shared by the campaign run
-    stores, the manifest writer and the search checkpoint layer.
+    file or the new one — never a torn hybrid.  Shared by the campaign
+    manifest writer and the circuit breaker's state file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -114,7 +114,7 @@ def append_line_atomic(path: Path, line: bytes) -> Tuple[int, int]:
     swallowing this record; no byte is ever truncated.  Returns the byte
     range ``(start, end)`` of the new line.  The run store shards write
     their records through it; :func:`append_jsonl_atomic` serves the
-    campaign audit log and the resilience health log.
+    campaign audit log and the dead-letter queue.
     """
     if not line.endswith(b"\n"):
         raise ValueError("an appended line must end with a newline")

@@ -119,7 +119,6 @@ class TestCampaignPolicy:
             dict(max_backoff_s=0.0),
             dict(cell_timeout_s=-1.0),
             dict(on_error="explode"),
-            dict(checkpoint_every=-1),
             dict(circuit_window=0),
             dict(circuit_threshold=1.5),
             dict(circuit_threshold=-0.1),
@@ -127,7 +126,6 @@ class TestCampaignPolicy:
             dict(circuit_probes=0),
             # counts are whole numbers, the rest real numbers: no truncation
             dict(max_attempts=2.5),
-            dict(checkpoint_every=0.5),
             dict(circuit_window=1.5),
             dict(circuit_probes="3"),
             dict(ttl_s=True),
@@ -164,7 +162,6 @@ class TestCampaignPolicy:
         "stored",
         [
             {"max_attempts": 2.7},
-            {"checkpoint_every": 1.9},
             {"circuit_window": True},
             {"circuit_probes": "3"},
             {"ttl_s": "12"},
@@ -222,6 +219,24 @@ class TestManifestPolicy:
         assert manifest.policy.cell_timeout_s == 0.0
         assert not manifest.policy.circuit_enabled
 
+    def test_v2_manifest_with_retired_checkpoint_every_still_runs(self, tmp_path):
+        """A manifest published while the policy still had
+        ``checkpoint_every`` loads, ignoring the key, and its cells run."""
+        requests = [_request(seed=0), _request(seed=1)]
+        payload = CampaignManifest.from_requests(
+            requests, policy=CampaignPolicy(ttl_s=5.0, poll_s=0.05)
+        ).to_dict()
+        payload["policy"]["checkpoint_every"] = 5
+        RunStore(tmp_path)
+        (tmp_path / "manifest.json").write_text(json.dumps(payload))
+        manifest = CampaignManifest.load(tmp_path)
+        assert manifest.policy == CampaignPolicy(ttl_s=5.0, poll_s=0.05)
+        report = run_worker(tmp_path, worker_id="w0", max_cycles=5)
+        assert report.executed == 2
+        assert set(RunStore(tmp_path).fingerprints()) == {
+            request_fingerprint(request) for request in requests
+        }
+
 
 class TestResolveBackoff:
     def test_cap_clamps_high_attempts(self):
@@ -237,6 +252,31 @@ class TestResolveBackoff:
                 0.0, attempt, 1.0, fingerprint="cell", max_backoff_s=3.0
             )
             assert ready <= 3.0
+
+
+class TestBackoffJitter:
+    def test_factor_is_deterministic_and_bounded(self):
+        for fingerprint in ("aaa", "bbb", "ccc"):
+            for attempt in range(1, 6):
+                factor = backoff_jitter_factor(fingerprint, attempt)
+                assert factor == backoff_jitter_factor(fingerprint, attempt)
+                assert 0.5 <= factor < 1.5
+
+    def test_factor_decorrelates_cells_and_attempts(self):
+        factors = {
+            backoff_jitter_factor(fingerprint, attempt)
+            for fingerprint in ("aaa", "bbb")
+            for attempt in (1, 2, 3)
+        }
+        assert len(factors) == 6  # all distinct: no lockstep retries
+
+    def test_resolve_backoff_with_fingerprint_scales_by_factor(self):
+        ready = resolve_backoff(
+            100.0, 2, 2.0, fingerprint="cell-a", max_backoff_s=60.0
+        )
+        expected = 100.0 + 4.0 * backoff_jitter_factor("cell-a", 2)
+        assert ready == pytest.approx(expected)
+        assert 102.0 <= ready < 106.0  # delay in [0.5, 1.5) x base window
 
 
 # ---------------------------------------------------------------------- deadline

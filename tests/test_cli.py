@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.envelopes import SearchRequest, load_outcome
+from repro.analysis.reporting import summarize_campaign
+from repro.api.envelopes import SearchOutcome, SearchRequest, load_outcome
 from repro.api.scenario import SCENARIOS, Scenario
 from repro.campaign import RunStore
 from repro.cli import main
@@ -421,23 +422,69 @@ def test_store_without_operation_is_a_usage_error(capsys):
     assert "compact, export, merge or fsck" in capsys.readouterr().err
 
 
+def _progress_lines(out: str, total: int):
+    """``{k: what}`` of the ``[k/total] <fingerprint>  <what>`` lines."""
+    lines = re.findall(rf"^\[(\d+)/{total}\] \S+  (.*)$", out, flags=re.MULTILINE)
+    assert len(lines) == len({int(k) for k, _ in lines}), "a [k/N] line repeats"
+    return {int(k): what for k, what in lines}
+
+
 def test_campaign_on_error_continue_reports_failures(tmp_path, capsys):
     # a registered scenario on a device no registry knows passes validate()
     # and fails inside its cell (E_REGISTRY, not retryable)
     ghost = SCENARIOS.add(Scenario(name="ghost/nowhere", device="ghost-device"))
     store_dir = tmp_path / "store"
     args = ["campaign", *SMALL_GRID, "--scenario", ghost.name, *FAST_FLAGS,
-            "--store", str(store_dir), "--on-error", "continue", "--quiet"]
+            "--store", str(store_dir), "--on-error", "continue"]
     try:
         assert main(args) == 1
         out = capsys.readouterr().out
         assert "campaign done: 2 executed" in out
         assert "failed cells: 2" in out
         assert f"'repro campaign --store {store_dir} --retry-dead'" in out
+        # every cell gets its [k/N] line, a failed one with its error code
+        lines = _progress_lines(out, 4)
+        assert sorted(lines) == [1, 2, 3, 4]
+        failed = [what for what in lines.values() if what.startswith("failed: ")]
+        assert len(failed) == 2
+        assert all(what.startswith("failed: E_REGISTRY ") for what in failed)
         # the failed cells are dead-lettered: a plain re-run reports them
         # failed again without running them
         assert main(args) == 1
-        assert "failed cells: 2" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "failed cells: 2" in out
+        lines = _progress_lines(out, 4)
+        assert sorted(lines) == [1, 2, 3, 4]
+        assert sum(what.endswith("(already stored)") for what in lines.values()) == 2
+        assert sum(
+            what.startswith("failed: E_REGISTRY ") for what in lines.values()
+        ) == 2
         assert len(RunStore(store_dir).audit_records()) == 2
     finally:
         SCENARIOS.unregister(ghost.name)
+
+
+def test_report_lists_retired_health_codes(tmp_path, capsys):
+    """An outcome stored with the retired checkpoint/resume health codes
+    loads, is counted in the summary and is listed by ``repro report``."""
+    store_dir = tmp_path / "store"
+    assert main(["run", "--scenario", "wifi-3mbps/jetson-tx2-gpu",
+                 "--strategy", "random", "--seed", "0",
+                 "--out", str(tmp_path / "outcome.json"), *FAST_FLAGS]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "outcome.json").read_text())
+    payload["health"] = {"H_RESUMED": 1, "H_CHECKPOINT_SAVED": 3}
+    outcome = SearchOutcome.from_dict(payload)
+    assert outcome.health == {"H_CHECKPOINT_SAVED": 3, "H_RESUMED": 1}
+    RunStore(store_dir).append(outcome)
+
+    stored = list(RunStore(store_dir).outcomes())
+    assert stored[0].health == {"H_CHECKPOINT_SAVED": 3, "H_RESUMED": 1}
+    assert summarize_campaign(stored).health == {
+        "H_CHECKPOINT_SAVED": 3, "H_RESUMED": 1,
+    }
+    assert main(["report", "--store", str(store_dir)]) == 0
+    out = capsys.readouterr().out
+    for code, count in (("H_CHECKPOINT_SAVED", 3), ("H_RESUMED", 1)):
+        row = rf"^{code}\s+\|\s+{count}\s+\|\s+\(unknown code\)$"
+        assert re.search(row, out, re.MULTILINE), out

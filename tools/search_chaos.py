@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Search chaos drill: kill a search mid-run, resume it, inject failures.
+"""Search chaos drill: kill a search mid-run, re-run it, inject failures.
 
 The acceptance drill of the resilience layer (``repro.resilience``),
 runnable locally and in CI::
@@ -7,13 +7,13 @@ runnable locally and in CI::
     PYTHONPATH=src python tools/search_chaos.py
 
 1. Run one search **uninterrupted** (the golden reference).
-2. Run the same request in a subprocess with a checkpoint directory and
-   ``REPRO_FAULT_KILL_AT_EVAL`` set — the process SIGKILLs itself
-   mid-search, leaving a partial checkpoint behind.
-3. **Resume** from that checkpoint (fresh process state, fresh engine) and
-   assert the outcome is bitwise-identical to the golden run — same
-   candidate sequence, same fronts, same fingerprint — with ``H_RESUMED``
-   recorded in its health counters.
+2. Run the same request in a subprocess with ``REPRO_FAULT_KILL_AT_EVAL``
+   set — the process SIGKILLs itself mid-search, after logging each
+   completed evaluation to the workspace.
+3. **Re-run** the request on a fresh engine and assert the outcome is
+   bitwise-identical to the golden run — same candidate sequence, same
+   fronts, same fingerprint.  A search is a pure function of its request,
+   so a re-run is the whole recovery.
 4. Inject **Cholesky failures** (``LinAlgError``) and assert the search
    completes with the degradation ladder recorded in the health log
    instead of raising.
@@ -39,8 +39,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api.engine import EvaluationEngine  # noqa: E402
 from repro.api.session import run_search  # noqa: E402
-from repro.resilience import FaultInjector, SearchCheckpoint  # noqa: E402
-from repro.resilience import faults  # noqa: E402
+from repro.resilience import FaultInjector, faults  # noqa: E402
 
 #: One small-but-real search: 4 init + 6 BO = 10 evaluations.
 REQUEST = dict(
@@ -53,10 +52,9 @@ REQUEST = dict(
     predictor_samples_per_type=40,
     seed=11,
 )
-CHECKPOINT_EVERY = 2
 KILL_AT_EVAL = 7  # mid-search: after the BO phase has begun
 
-#: Ladder rungs that prove degradation (as opposed to checkpoint traffic).
+#: Ladder rungs that prove degradation.
 LADDER_CODES = (
     "H_JITTER_ESCALATED",
     "H_EXACT_REFIT",
@@ -74,7 +72,9 @@ def _comparable(outcome) -> dict:
     return payload
 
 
-def _run_crash_child(checkpoint_dir: Path) -> subprocess.CompletedProcess:
+def _run_crash_child(progress_log: Path) -> subprocess.CompletedProcess:
+    """Run REQUEST in a subprocess that SIGKILLs itself at KILL_AT_EVAL,
+    appending one line to ``progress_log`` per completed evaluation."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_FAULT_KILL_AT_EVAL"] = str(KILL_AT_EVAL)
@@ -82,11 +82,14 @@ def _run_crash_child(checkpoint_dir: Path) -> subprocess.CompletedProcess:
         "import json, sys\n"
         "from repro.api.session import run_search\n"
         "request = json.loads(sys.argv[1])\n"
-        f"run_search(checkpoint_dir=sys.argv[2], checkpoint_every={CHECKPOINT_EVERY}, **request)\n"
+        "def log(index, evaluation):\n"
+        "    with open(sys.argv[2], 'a') as handle:\n"
+        "        handle.write(f'{index} {evaluation.architecture_name}\\n')\n"
+        "run_search(progress_callback=log, **request)\n"
         "sys.exit(3)  # unreachable: the injected kill fires first\n"
     )
     return subprocess.run(
-        [sys.executable, "-c", child, json.dumps(REQUEST), str(checkpoint_dir)],
+        [sys.executable, "-c", child, json.dumps(REQUEST), str(progress_log)],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
@@ -94,7 +97,6 @@ def _run_crash_child(checkpoint_dir: Path) -> subprocess.CompletedProcess:
 
 
 def _drill(base: Path) -> int:
-    checkpoints = base / "checkpoints"
     failures = []
 
     print("[1/5] golden uninterrupted run...")
@@ -103,47 +105,33 @@ def _drill(base: Path) -> int:
     print(f"      {len(golden)} candidates, fingerprint {fingerprint}")
 
     print(f"[2/5] crash run: SIGKILL after evaluation {KILL_AT_EVAL}...")
-    crashed = _run_crash_child(checkpoints)
+    progress_log = base / "crash-progress.txt"
+    crashed = _run_crash_child(progress_log)
     if crashed.returncode != -9:
         failures.append(
             f"crash child exited {crashed.returncode}, expected SIGKILL (-9); "
             f"stderr: {crashed.stderr.decode(errors='replace')[-500:]}"
         )
-    cell_dir = SearchCheckpoint.cell_dir(checkpoints, fingerprint)
-    partial = SearchCheckpoint.load(cell_dir)
-    if partial is None:
-        failures.append("no checkpoint survived the crash")
-    else:
-        print(
-            f"      checkpoint survived with {partial.num_evaluations} "
-            f"evaluation(s) (complete={partial.complete})"
+    completed = (
+        len(progress_log.read_text().splitlines()) if progress_log.exists() else 0
+    )
+    print(f"      killed after {completed} of {len(golden)} evaluation(s)")
+    if completed != KILL_AT_EVAL:
+        failures.append(
+            f"expected the kill after evaluation {KILL_AT_EVAL}, the child "
+            f"logged {completed}"
         )
-        if partial.complete or partial.num_evaluations == 0:
-            failures.append(
-                f"expected a *partial* checkpoint, got "
-                f"{partial.num_evaluations} records, complete={partial.complete}"
-            )
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
 
-    print("[3/5] resuming from the partial checkpoint...")
-    resumed = run_search(
-        engine=EvaluationEngine(),
-        checkpoint_dir=checkpoints,
-        checkpoint_every=CHECKPOINT_EVERY,
-        **REQUEST,
-    )
-    if not resumed.health.get("H_RESUMED"):
-        failures.append(f"resumed run recorded no H_RESUMED: {resumed.health}")
-    if _comparable(resumed) != _comparable(golden):
-        failures.append("resumed outcome is not bitwise-identical to the golden run")
+    print("[3/5] re-running the killed request on a fresh engine...")
+    rerun = run_search(engine=EvaluationEngine(), **REQUEST)
+    if _comparable(rerun) != _comparable(golden):
+        failures.append("re-run outcome is not bitwise-identical to the golden run")
     else:
-        print(
-            f"      bitwise parity OK ({len(resumed)} candidates); "
-            f"health: {resumed.health}"
-        )
+        print(f"      bitwise parity OK ({len(rerun)} candidates)")
 
     print("[4/5] LinAlgError injection: the degradation ladder must absorb it...")
     with faults.inject(FaultInjector(linalg_failures=50)):
@@ -180,7 +168,7 @@ def _drill(base: Path) -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print(
-        "OK: kill/resume bitwise parity, LinAlg degradation absorbed, "
+        "OK: kill/re-run bitwise parity, LinAlg degradation absorbed, "
         "NaN evaluations quarantined"
     )
     return 0
