@@ -55,6 +55,22 @@ def test_unknown_scenario_fails_with_listing(engine):
         run_search(scenario="wifi-3mbps/jetson-tx2-gp", engine=engine, **FAST)
 
 
+@pytest.mark.parametrize(
+    "retired", [{"checkpoint_dir": "ck"}, {"checkpoint_every": 5}, {"resume": True}]
+)
+def test_retired_checkpoint_keywords_are_rejected(retired):
+    """A killed search is recovered by calling ``run_search`` again, so the
+    checkpoint keywords are gone — not silently swallowed as request fields."""
+    (name,) = retired
+    with pytest.raises(TypeError, match=name):
+        run_search(
+            strategy="random", scenario="wifi-3mbps/jetson-tx2-gpu", **FAST, **retired
+        )
+    request = SearchRequest(strategy="random", **FAST)
+    with pytest.raises(TypeError, match=name):
+        run_search(request, **retired)
+
+
 class TestRunSearch:
     @pytest.fixture(scope="class")
     def outcome(self, small_search_space, engine):

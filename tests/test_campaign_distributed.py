@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.api.engine import EvaluationEngine
 from repro.api.envelopes import SearchOutcome, SearchRequest, request_fingerprint
 from repro.api.registry import RegistryError
 from repro.api.scenario import Scenario
@@ -479,6 +486,42 @@ class TestPullWorkers:
         )
         assert lines == len(requests)
 
+    def test_sigkilled_workers_cell_is_reclaimed_and_rerun(self, tmp_path):
+        """A ``repro worker`` SIGKILLed mid-cell leaves its lease behind;
+        once it expires a peer reclaims the cell and re-runs it from its
+        request, storing what an uninterrupted run stores."""
+        store_dir = tmp_path / "shared"
+        RunStore(store_dir)
+        request = _request(strategy="lens")
+        fingerprint = request_fingerprint(request)
+        CampaignManifest.from_requests(
+            [request], policy=CampaignPolicy(ttl_s=0.5, poll_s=0.05)
+        ).write(store_dir)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(
+            os.environ,
+            PYTHONPATH=path,
+            REPRO_FAULT_KILL_AT_EVAL="5",  # of the cell's 6 evaluations
+        )
+        doomed = subprocess.run(
+            [sys.executable, "-m", "repro", "worker", "--store", str(store_dir),
+             "--worker-id", "doomed"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert doomed.returncode == -signal.SIGKILL, doomed.stderr
+        assert len(list((store_dir / "leases").glob("*.lease"))) == 1
+        assert fingerprint not in RunStore(store_dir)
+
+        report = run_worker(
+            store_dir, worker_id="finisher", engine=EvaluationEngine(), max_cycles=400
+        )
+        assert (report.reclaimed, report.executed) == (1, 1)
+        golden = run_search(request, engine=EvaluationEngine())
+        stored = RunStore(store_dir).get(fingerprint)
+        assert stored.candidates == golden.candidates
+        assert stored.front_history == golden.front_history
+
     def test_reclaimed_finished_cell_is_a_noop(self, tmp_path, monkeypatch):
         """The idempotence re-check under the lease: a peer finished the
         cell between this worker's store refresh and its claim."""
@@ -635,6 +678,37 @@ class TestOnError:
         assert [r.fingerprint for r in store.audit_records()] == [
             request_fingerprint(bad)
         ]
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_progress_reports_every_cell_once(self, tmp_path, executor):
+        """A stored cell reports its outcome, a cell that failed for good its
+        envelope and an already-stored cell ``None``: one call per cell."""
+        stored, fresh = SMALL_SPEC.requests()
+        bad = stored.replace(
+            scenario=Scenario(name="ghost/nowhere", device="ghost-device"),
+        )
+        store = RunStore(tmp_path / "store")
+        store.append(run_search(stored))
+        events = []
+        run_campaign(
+            [bad, stored, fresh],
+            store,
+            executor=executor,
+            policy=CampaignPolicy(on_error="continue", poll_s=0.05),
+            progress=lambda done, total, fp, what: events.append(
+                (done, total, fp, what)
+            ),
+        )
+        assert [(done, total) for done, total, *_ in events] == [
+            (1, 3), (2, 3), (3, 3),
+        ]
+        reported = {fp: what for _, _, fp, what in events}
+        assert reported[request_fingerprint(stored)] is None
+        outcome = reported[request_fingerprint(fresh)]
+        assert isinstance(outcome, SearchOutcome) and outcome.request == fresh
+        envelope = reported[request_fingerprint(bad)]
+        assert isinstance(envelope, ErrorEnvelope)
+        assert envelope.code == "E_REGISTRY" and envelope.final
 
     def test_fail_default_stops_and_raises(self, tmp_path):
         good = SMALL_SPEC.requests()

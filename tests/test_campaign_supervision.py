@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.engine import EvaluationEngine
 from repro.api.envelopes import SearchRequest, request_fingerprint
 from repro.api.scenario import Scenario
 from repro.api.session import run_search
@@ -157,6 +158,14 @@ class TestCampaignPolicy:
         assert policy.ttl_s == 12.0 and type(policy.ttl_s) is float
         assert policy.max_attempts == 5 and type(policy.max_attempts) is int
         assert policy.max_backoff_s == 60.0  # missing keys take defaults
+
+    def test_checkpoint_every_is_no_longer_a_field(self):
+        """A killed search is re-run, so the policy has no checkpoint
+        cadence; a stored policy that still names one loads without it."""
+        with pytest.raises(TypeError, match="checkpoint_every"):
+            CampaignPolicy(checkpoint_every=5)
+        assert "checkpoint_every" not in CampaignPolicy().to_dict()
+        assert CampaignPolicy.from_dict({"checkpoint_every": 5}) == CampaignPolicy()
 
     @pytest.mark.parametrize(
         "stored",
@@ -924,6 +933,65 @@ class TestStoreIntegrity:
         assert not report["repaired"]
         assert not (directory / "quarantine").exists()
         assert (directory / "runs.jsonl").read_bytes() == payload
+
+
+def _leave_checkpoint_files(store_dir, fingerprint) -> dict:
+    """Write what a checkpointed search once left in a store:
+    ``checkpoints/<fingerprint>/{checkpoint.json,health.jsonl}``."""
+    cell = store_dir / "checkpoints" / fingerprint
+    cell.mkdir(parents=True)
+    snapshot = {
+        "schema_version": 1,
+        "fingerprint": fingerprint,
+        "complete": False,
+        "num_evaluations": 0,
+        "rng_state": None,
+        "records": [],
+    }
+    (cell / "checkpoint.json").write_text(json.dumps(snapshot))
+    (cell / "health.jsonl").write_text(
+        json.dumps({"code": "H_CHECKPOINT_SAVED", "message": "", "time_s": 1.0})
+        + "\n"
+    )
+    return {path: path.read_bytes() for path in sorted(cell.iterdir())}
+
+
+class TestLeftoverCheckpointFiles:
+    """Stores written while searches could be checkpointed may still hold
+    checkpoint snapshots and ``health.jsonl`` logs; nothing reads them."""
+
+    def test_campaign_runs_cells_afresh_and_leaves_the_files(self, tmp_path):
+        requests = [_request(strategy="lens", seed=0), _request(seed=1)]
+        fresh = RunStore(tmp_path / "fresh")
+        run_campaign(requests, fresh, engine=EvaluationEngine())
+
+        store = RunStore(tmp_path / "old")
+        leftovers = {}
+        for request in requests:
+            leftovers.update(
+                _leave_checkpoint_files(store.directory, request_fingerprint(request))
+            )
+        result = run_campaign(requests, store, engine=EvaluationEngine())
+        assert sorted(result.executed) == sorted(fresh.fingerprints())
+        for fingerprint in fresh.fingerprints():
+            outcome = store.get(fingerprint)
+            assert outcome.health == {}
+            assert outcome.candidates == fresh.get(fingerprint).candidates
+        assert {path: path.read_bytes() for path in leftovers} == leftovers
+
+    def test_fsck_repair_leaves_the_files_alone(self, tmp_path):
+        store = RunStore(tmp_path / "old")
+        store.append(run_search(_request()))
+        leftovers = _leave_checkpoint_files(store.directory, "cell-1")
+        shard = next((store.directory / "shards").glob("*.jsonl"))
+        with shard.open("ab") as handle:
+            handle.write(b'{"fingerprint": "torn')
+
+        report = fsck_store(store.directory, repair=True)
+        assert report["repaired"] and report["torn_bytes"] > 0
+        assert set(report["files"]) == {shard.relative_to(store.directory).as_posix()}
+        assert fsck_store(store.directory)["clean"]
+        assert {path: path.read_bytes() for path in leftovers} == leftovers
 
 
 def _canonical_line(record) -> bytes:

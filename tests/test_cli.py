@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.reporting import summarize_campaign
+from repro.api.engine import EvaluationEngine
 from repro.api.envelopes import SearchOutcome, SearchRequest, load_outcome
 from repro.api.scenario import SCENARIOS, Scenario
+from repro.api.session import run_search
 from repro.campaign import RunStore
 from repro.cli import main
 
@@ -488,3 +495,74 @@ def test_report_lists_retired_health_codes(tmp_path, capsys):
     for code, count in (("H_CHECKPOINT_SAVED", 3), ("H_RESUMED", 1)):
         row = rf"^{code}\s+\|\s+{count}\s+\|\s+\(unknown code\)$"
         assert re.search(row, out, re.MULTILINE), out
+
+
+@pytest.mark.parametrize(
+    "command, retired",
+    [
+        ("run", ["--checkpoint-dir", "ck"]),
+        ("run", ["--checkpoint-every", "5"]),
+        ("run", ["--fresh"]),
+        ("campaign", ["--checkpoint-every", "5"]),
+    ],
+    ids=["run-checkpoint-dir", "run-checkpoint-every", "run-fresh",
+         "campaign-checkpoint-every"],
+)
+def test_retired_checkpoint_flags_are_usage_errors(tmp_path, capsys, command, retired):
+    """A killed search is re-run from its request, so no command takes a
+    checkpoint flag any more (nor an abbreviation of a surviving one)."""
+    grid = SMALL_GRID
+    if command == "run":
+        grid = ["--scenario", "wifi-3mbps/jetson-tx2-gpu"]
+    store_dir = tmp_path / "store"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *grid, *retired, "--store", str(store_dir), *FAST_FLAGS])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(retired)}" in capsys.readouterr().err
+    assert not store_dir.exists()
+
+
+def _repro(args, **env):
+    """``python -m repro <args>`` in a fresh interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_sigkilled_run_is_recovered_by_running_it_again(tmp_path):
+    """``repro run`` killed mid-search leaves nothing behind; the same
+    command again stores the outcome an uninterrupted run produces."""
+    out_file = tmp_path / "outcome.json"
+    store_dir = tmp_path / "store"
+    args = ["run", "--scenario", "wifi-3mbps/jetson-tx2-gpu", "--strategy", "lens",
+            "--seed", "3", "--num-initial", "3", "--num-iterations", "4",
+            "--pool-size", "16", "--predictor-samples", "40",
+            "--out", str(out_file), "--store", str(store_dir)]
+    killed = _repro(args, REPRO_FAULT_KILL_AT_EVAL="5")
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+    assert not out_file.exists()
+    assert len(RunStore(store_dir)) == 0
+
+    rerun = _repro(args)
+    assert rerun.returncode == 0, rerun.stderr
+    golden = run_search(
+        strategy="lens", scenario="wifi-3mbps/jetson-tx2-gpu", seed=3,
+        num_initial=3, num_iterations=4, candidate_pool_size=16,
+        predictor_samples_per_type=40, engine=EvaluationEngine(),
+    )
+
+    def comparable(outcome):
+        data = outcome.to_dict()
+        for key in ("wall_time_s", "engine_stats", "health"):
+            data.pop(key)
+        return data
+
+    assert comparable(load_outcome(out_file)) == comparable(golden)
+    stored = list(RunStore(store_dir).outcomes())
+    assert [comparable(outcome) for outcome in stored] == [comparable(golden)]

@@ -4,8 +4,8 @@ The degradation ladder is exercised both directly (near-singular kernel
 matrices, hypothesis-generated duplicate-row designs) and through
 deterministic fault injection (:mod:`repro.resilience.faults`); the
 quarantine tests pin the non-finite-objective policy of the MOBO loop, and
-the kill test pins how a crashed search recovers: a plain re-run of its
-request.
+the kill tests pin how a crashed search recovers: a plain re-run of its
+request, on a fresh engine or on the one the killed run warmed.
 """
 
 import numpy as np
@@ -84,6 +84,17 @@ class TestHealthLog:
             HealthLog().record("H_NO_SUCH_CODE")
         with pytest.raises(ValueError):
             HealthEvent(code="bogus")
+
+    @pytest.mark.parametrize(
+        "code",
+        ["H_CHECKPOINT_SAVED", "H_CHECKPOINT_CORRUPT", "H_RESUMED", "H_RESUME_DRIFT"],
+    )
+    def test_retired_checkpoint_codes_cannot_be_recorded(self, code):
+        # stored outcomes may still carry them (reported as "(unknown
+        # code)"), but no search records them any more
+        assert code not in HEALTH_CODES
+        with pytest.raises(ValueError, match="unknown health code"):
+            HealthLog().record(code)
 
     def test_empty_log_is_truthy_object(self):
         # `health or HealthLog()` must not swap an empty shared log for a
@@ -428,6 +439,30 @@ def _comparable(outcome):
     return data
 
 
+def _killed_search(space, strategy="lens", engine=None):
+    """Run :data:`KILLED_SEARCH` with ``strategy`` (default: on a fresh engine)."""
+    return run_search(
+        search_space=space,
+        engine=engine or EvaluationEngine(),
+        **dict(KILLED_SEARCH, strategy=strategy),
+    )
+
+
+@pytest.fixture(scope="class")
+def uninterrupted(small_search_space):
+    """``strategy -> comparable outcome`` of an uninterrupted run, run once."""
+    outcomes = {}
+
+    def get(strategy):
+        if strategy not in outcomes:
+            outcomes[strategy] = _comparable(
+                _killed_search(small_search_space, strategy)
+            )
+        return outcomes[strategy]
+
+    return get
+
+
 class TestKillAndRerun:
     def test_interrupted_search_reruns_bitwise_identical(self, small_search_space):
         def run():
@@ -445,3 +480,35 @@ class TestKillAndRerun:
                 run()
         # recovery is a plain re-run of the request on a fresh engine
         assert _comparable(run()) == _comparable(golden)
+
+    # 1: first evaluation of the initial design; 3: its last; 7: after the
+    # last evaluation, before the outcome is built
+    @pytest.mark.parametrize("kill_at", [1, 3, 7])
+    @pytest.mark.parametrize("strategy", ["lens", "traditional", "random"])
+    def test_rerun_matches_at_every_kill_point(
+        self, small_search_space, uninterrupted, strategy, kill_at
+    ):
+        with faults.inject(
+            FaultInjector(kill_at_evaluation=kill_at, kill_mode="raise")
+        ):
+            with pytest.raises(KilledByFault):
+                _killed_search(small_search_space, strategy)
+        rerun = _killed_search(small_search_space, strategy)
+        assert _comparable(rerun) == uninterrupted(strategy)
+
+    def test_rerun_on_the_killed_runs_engine_matches(
+        self, small_search_space, uninterrupted
+    ):
+        """A loop that retries a cell in-process (a deadline kill is
+        retryable) reuses the engine the killed attempt warmed: that attempt
+        costed the re-run's own pools, so the cached values are the ones the
+        re-run would compute."""
+        engine = EvaluationEngine()
+        with faults.inject(FaultInjector(kill_at_evaluation=5, kill_mode="raise")):
+            with pytest.raises(KilledByFault):
+                _killed_search(small_search_space, "lens", engine)
+        rerun = _killed_search(small_search_space, "lens", engine)
+        # the five candidates the killed attempt evaluated come from the cache
+        assert rerun.engine_stats["predictor_hits"] == 1
+        assert rerun.engine_stats["partition_hits"] == 5
+        assert _comparable(rerun) == uninterrupted("lens")
