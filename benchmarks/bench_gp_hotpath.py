@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import time
+import timeit
 
 import numpy as np
 from conftest import FAST_MODE, save_table
@@ -74,6 +75,9 @@ PARITY_TOLERANCE = 1e-6
 #: Pareto smoke-cloud size (and the cross-check subsample size).
 PARETO_POINTS = 5_000 if FAST_MODE else 50_000
 PARETO_CHECK_POINTS = 2_000
+
+#: Iterations each timing of one idle fault consult runs.
+CONSULT_ITERATIONS = 200_000
 
 #: Evaluations in the front-history smoke: a paper-budget search's sequence.
 FRONT_HISTORY_EVALUATIONS = NUM_INITIAL + SEARCH_EVALUATIONS
@@ -224,12 +228,16 @@ def test_health_instrumentation_overhead():
     The resilience consult sites live on the surrogate hot path: each
     ``GPBank.update`` factors through ``escalating_cholesky``, whose every
     factorization asks :func:`repro.resilience.faults.active` for an
-    injector and, when one is installed, asks it whether to fail.  This case
-    replays the same incremental conditioning stream with no injector
-    installed ("bare") and with an idle ``FaultInjector()`` installed
-    ("instrumented": every consult runs in full and none fires), and bounds
-    the difference.  The < 2% floor is asserted on full-size runs only
-    (timings in fast/CI mode gate on the no-events invariant alone).
+    injector and, when one is installed, asks it whether to fail.  The
+    overhead of an idle injector is measured as the consults one
+    incremental conditioning replay makes, times the cost of one idle
+    consult timed on its own over many iterations, against the replay with
+    no injector installed ("bare").  Two replays differ by far more than
+    2% from one run to the next, so timing a replay with an idle
+    ``FaultInjector()`` installed ("instrumented") against a bare one
+    cannot resolve the bound; both replay timings are still recorded.  The
+    < 2% bound is asserted on full-size runs only (timings in fast/CI mode
+    gate on the no-events invariant alone).
     """
     from repro.resilience import faults
     from repro.resilience.health import HealthLog
@@ -239,24 +247,51 @@ def test_health_instrumentation_overhead():
     X, Y, _ = _surrogate_stream(total, seed=3)
     log = HealthLog()
 
-    # min-of-N: the overhead is a floor effect, so compare best-case
-    # timings; the configurations alternate which runs first, after one
-    # warm-up replay, so neither gets the warm caches or the first slot
+    class CountingInjector(faults.FaultInjector):
+        """An idle injector that counts the factorizations consulting it."""
+
+        consults = 0
+
+        def take_linalg_fault(self) -> bool:
+            self.consults += 1
+            return super().take_linalg_fault()
+
+    # the warm-up replay counts the consults every replay makes
+    counter = CountingInjector()
+    with faults.inject(counter):
+        _replay_bank(X, Y, health=log)
+    consults = counter.consults
+
+    # min-of-N replays, alternating which configuration runs first, so
+    # neither gets the warm caches or the first slot
     injectors = [("bare", None), ("instrumented", faults.FaultInjector())]
     best = {name: float("inf") for name, _ in injectors}
-    _replay_bank(X, Y, health=log)
     for repeat in range(repeats):
         for name, injector in injectors[:: 1 if repeat % 2 == 0 else -1]:
             with faults.inject(injector):
                 best[name] = min(best[name], _replay_bank(X, Y, health=log)[0])
     bare_s, instrumented_s = best["bare"], best["instrumented"]
-    overhead = instrumented_s / bare_s - 1.0 if bare_s > 0 else 0.0
+
+    # one idle consult is the two calls a factorization makes before it
+    # factors: faults.active() and the idle injector's take_linalg_fault().
+    # A bare replay makes the first too, so this bounds the extra cost from
+    # above.
+    idle = faults.FaultInjector()
+    with faults.inject(idle):
+        consult_s = min(
+            timeit.timeit(faults.active, number=CONSULT_ITERATIONS)
+            + timeit.timeit(idle.take_linalg_fault, number=CONSULT_ITERATIONS)
+            for _ in range(repeats)
+        ) / CONSULT_ITERATIONS
+    overhead = consults * consult_s / bare_s
 
     text = (
         f"fault-injection consults on the incremental surrogate path "
-        f"(n={total}, best of {repeats}): no injector {bare_s * 1e3:.1f} ms, "
-        f"idle injector {instrumented_s * 1e3:.1f} ms, "
-        f"overhead {overhead * 100:+.2f}%"
+        f"(n={total}): {consults} consults x {consult_s * 1e9:.0f} ns each "
+        f"(best of {repeats} x {CONSULT_ITERATIONS} iterations) against a "
+        f"{bare_s * 1e3:.1f} ms bare replay: overhead {overhead * 100:.4f}%; "
+        f"replays (best of {repeats}): no injector {bare_s * 1e3:.1f} ms, "
+        f"idle injector {instrumented_s * 1e3:.1f} ms"
     )
     print("\n" + text)
     save_table(
@@ -267,6 +302,9 @@ def test_health_instrumentation_overhead():
             "repeats": repeats,
             "bare_s": bare_s,
             "instrumented_s": instrumented_s,
+            "consults": consults,
+            "consult_iterations": CONSULT_ITERATIONS,
+            "consult_s": consult_s,
             "overhead_fraction": overhead,
             "health_events": len(log),
             "fast_mode": FAST_MODE,
@@ -275,10 +313,11 @@ def test_health_instrumentation_overhead():
     # A healthy replay must record no events — the ladder only speaks up
     # when a rung actually fires.
     assert len(log) == 0, f"healthy replay recorded {len(log)} health events"
+    assert consults > 0, "the replay factored without consulting the injector"
     if not FAST_MODE:
         assert overhead <= 0.02, (
             "fault-injection consults should cost < 2% on the surrogate hot "
-            f"path, measured {overhead * 100:.2f}%"
+            f"path, measured {overhead * 100:.4f}%"
         )
 
 

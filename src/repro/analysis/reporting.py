@@ -163,10 +163,10 @@ class ExperimentReport:
         """Add a campaign's error/audit overview.
 
         ``audit`` is the dict produced by
-        :meth:`repro.campaign.store.RunStore.audit_summary` (or
-        :func:`repro.campaign.errors.summarize_audit`) — per-code counts,
-        permanently failed cells, retries, reporting workers and buried
-        cells.
+        :meth:`repro.campaign.store.RunStore.audit_summary` — per-code
+        counts, permanently failed cells, retries and reporting workers — or
+        by :func:`repro.campaign.errors.summarize_audit`, which lists no
+        failed cells.
         """
         if not audit.get("num_records"):
             return self.add_text(heading, "No failure records.")
@@ -185,12 +185,6 @@ class ExperimentReport:
             listed = ", ".join(f"`{fp}`" for fp in failed[:10])
             suffix = " …" if len(failed) > 10 else ""
             lines += ["", f"Failed cells: {listed}{suffix}"]
-        if audit.get("dead_lettered"):
-            lines += [
-                "",
-                f"**{len(audit['dead_lettered'])}** poison cell(s) dead-lettered "
-                f"— `repro campaign --retry-dead` re-admits them.",
-            ]
         workers = audit.get("workers", [])
         if workers:
             lines += ["", f"Reporting workers: {', '.join(workers)}"]

@@ -7,7 +7,9 @@ built from (scenarios x strategies x seeds) as one restartable unit:
   grid (axes + shared budgets, JSON round-trip);
 * :mod:`repro.campaign.store` — :class:`RunStore`, append-only JSONL
   shards of outcomes keyed by request fingerprint, one per (scenario x
-  space), safe for concurrent writers, plus :func:`open_store` /
+  space), safe for concurrent writers, and the rule that reads their audit
+  logs to tell which cells have failed for good
+  (:meth:`RunStore.cell_failures`), plus :func:`open_store` /
   :func:`fsck_store` / :func:`merge_stores` / :func:`export_metrics`;
 * :mod:`repro.campaign.leases` / :mod:`repro.campaign.manifest` /
   :mod:`repro.campaign.executors` — the crash-safe pull protocol:
@@ -15,10 +17,10 @@ built from (scenarios x strategies x seeds) as one restartable unit:
   the CLI), and the executor names (``serial`` / ``process-pool`` /
   ``pull-worker``) say where it runs;
 * :mod:`repro.campaign.errors` — :class:`ErrorEnvelope` failure records and
-  per-shard audit logs;
+  per-shard audit logs, the one record of a cell's failures;
 * :mod:`repro.campaign.supervisor` — :class:`CampaignPolicy` and the
-  supervision subsystem: enforced per-cell deadlines, poison-cell
-  dead-lettering and a shared circuit breaker (see ``docs/distributed.md``);
+  supervision subsystem: enforced per-cell deadlines and a shared circuit
+  breaker (see ``docs/distributed.md``);
 * :mod:`repro.campaign.runner` — :func:`run_campaign`, which skips cells
   already in the store and runs the rest through the loop.
 
@@ -66,7 +68,6 @@ from repro.campaign.supervisor import (
     CellTimeout,
     CircuitBreaker,
     CircuitOpenError,
-    DeadLetterQueue,
     deadline,
 )
 
@@ -76,7 +77,6 @@ __all__ = [
     "CellTimeout",
     "CircuitBreaker",
     "CircuitOpenError",
-    "DeadLetterQueue",
     "deadline",
     "fsck_store",
     "CampaignSpec",

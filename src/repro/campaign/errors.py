@@ -4,10 +4,12 @@ One bad cell must never kill a million-cell campaign.  Every failure inside
 the campaign service is therefore captured as an :class:`ErrorEnvelope` — a
 uniform ``code``/``message``/``retryable``/``attempt`` record in the style
 of service error-code schemes — and appended to an :class:`AuditLog`, an
-append-only JSONL file living next to the store data it describes.  Workers
-read the audit log back to drive bounded retry with exponential backoff:
-the number of prior attempts and the timestamp of the last failure are both
-recoverable from the log alone, so retry state survives worker crashes.
+append-only JSONL file living next to the store data it describes.  The
+audit logs are the one record of a cell's failures.  Workers read them back
+(:meth:`repro.campaign.store.RunStore.cell_failures`) to drive bounded retry
+with exponential backoff, and to tell when a cell has failed for good: the
+number of prior attempts and the last failure are both recoverable from the
+logs alone, so retry state survives worker crashes.
 
 Error codes
 -----------
@@ -241,66 +243,28 @@ class AuditLog:
         """Every intact record, in append order (see :meth:`iter_records`)."""
         return list(self.iter_records())
 
-    def attempts(self, fingerprint: str, since: Optional[float] = None) -> int:
-        """Number of recorded failures of one cell.
-
-        ``since`` ignores records at or before that epoch time — the
-        baseline a re-admitted dead-letter cell restarts its retry budget
-        from.
-        """
-        return sum(1 for _ in self.history(fingerprint, since=since))
-
-    def history(
-        self, fingerprint: str, since: Optional[float] = None
-    ) -> Iterator[ErrorEnvelope]:
-        """Stream one cell's failure records, optionally after ``since``."""
-        for record in self.iter_records():
-            if record.fingerprint != fingerprint:
-                continue
-            if since is not None and record.time_s <= since:
-                continue
-            yield record
-
-    def last(
-        self, fingerprint: str, since: Optional[float] = None
-    ) -> Optional[ErrorEnvelope]:
-        """Most recent failure record of one cell, if any."""
-        match = None
-        for record in self.history(fingerprint, since=since):
-            match = record
-        return match
-
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_records())
 
 
 def summarize_audit(records: Iterable[ErrorEnvelope]) -> Dict[str, Any]:
-    """Aggregate audit records into the shape reports and the CLI print.
+    """Count audit records: the streaming half of a failure report.
 
-    Returns ``num_records``, per-``code`` counts, the fingerprints of
-    permanently failed cells, how many records were retries
-    (``attempt > 1``), which workers reported failures, and how many cells
-    were dead-lettered (records whose ``context`` carries
-    ``dead_letter=True``).  Single-pass and streaming: ``records`` may be a
-    generator (e.g. :meth:`AuditLog.iter_records`) and is never
-    materialised, so arbitrarily long audit logs summarise in O(1) memory.
+    Returns ``num_records``, per-``code`` counts, how many records were
+    retries (``attempt > 1``) and which workers reported failures.
+    Single-pass and streaming: ``records`` may be a generator (e.g.
+    :meth:`AuditLog.iter_records`) and is never materialised, so
+    arbitrarily long audit logs summarise in O(1) memory.  Which cells have
+    failed for good needs the store and the re-admissions as well; see
+    :meth:`repro.campaign.store.RunStore.audit_summary`.
     """
     num_records = 0
     by_code: Dict[str, int] = {}
-    failed: List[str] = []
-    failed_seen = set()
-    dead_lettered = set()
     workers = set()
     retries = 0
     for record in records:
         num_records += 1
         by_code[record.code] = by_code.get(record.code, 0) + 1
-        if record.final and record.fingerprint:
-            if record.fingerprint not in failed_seen:
-                failed_seen.add(record.fingerprint)
-                failed.append(record.fingerprint)
-        if record.fingerprint and record.context.get("dead_letter"):
-            dead_lettered.add(record.fingerprint)
         if record.attempt > 1:
             retries += 1
         if record.worker:
@@ -308,8 +272,6 @@ def summarize_audit(records: Iterable[ErrorEnvelope]) -> Dict[str, Any]:
     return {
         "num_records": num_records,
         "by_code": dict(sorted(by_code.items())),
-        "failed_cells": sorted(failed),
         "retries": retries,
         "workers": sorted(workers),
-        "dead_lettered": sorted(dead_lettered),
     }

@@ -4,27 +4,29 @@
 
 1. load the :class:`~repro.campaign.manifest.CampaignManifest` and open the
    :class:`~repro.campaign.store.RunStore` of a shared store directory;
-2. each cycle, :meth:`~repro.campaign.store.RunStore.refresh` and walk the
-   manifest's unresolved cells — not stored, not permanently failed, not
-   inside a retry-backoff window;
+2. each cycle, :meth:`~repro.campaign.store.RunStore.refresh` the store,
+   read its :meth:`~repro.campaign.store.RunStore.cell_failures` once, and
+   walk the manifest's unresolved cells — not stored, not failed for good,
+   not inside a retry-backoff window;
 3. claim each via the :class:`~repro.campaign.leases.LeaseBoard` (expired
    leases of crashed peers are reclaimed transparently), **re-check the
-   store under the lease** (a re-claimed finished cell is a no-op — the
-   idempotence guarantee), run it under a heartbeat thread and the policy's
-   :func:`~repro.campaign.supervisor.deadline`, append the outcome, release
-   the lease;
+   store and the cell's failures under the lease** (a re-claimed finished
+   cell is a no-op — the idempotence guarantee — and the attempt number
+   counts what peers audited meanwhile), run it under a heartbeat thread
+   and the policy's :func:`~repro.campaign.supervisor.deadline`, append the
+   outcome, release the lease;
 4. failures become :class:`~repro.campaign.errors.ErrorEnvelope` records in
    the per-shard audit log; retryable ones are retried by whichever loop
    gets there after the exponential backoff, up to ``max_attempts``.  A
    cell that fails for good — retry budget exhausted, non-retryable, or a
-   lease-reclaim history showing it repeatedly killed its workers — is
-   buried in the :class:`~repro.campaign.supervisor.DeadLetterQueue` and
-   never claimed again.  Every result feeds the shared circuit breaker,
-   which pauses claiming while open;
-5. end once every manifest cell is resolved (stored, finally failed, or
-   dead-lettered), sleeping ``poll_s`` between fruitless cycles while peers
-   hold the remaining leases.  Under ``on_error="fail"`` a loop also ends
-   once a cell it ran has failed for good.
+   lease-reclaim history showing it repeatedly killed its workers — has a
+   final last record, and no loop claims it again until ``repro campaign
+   --retry-dead`` re-admits it.  Every result feeds the shared circuit
+   breaker, which pauses claiming while open;
+5. end once every manifest cell is resolved (stored or failed for good),
+   sleeping ``poll_s`` between fruitless cycles while peers hold the
+   remaining leases.  Under ``on_error="fail"`` a loop also ends once a
+   cell it ran has failed for good.
 
 Because every coordination artifact is a file keyed by the request
 fingerprint, any number of loops can run against one directory — on one
@@ -74,14 +76,13 @@ from repro.api.session import run_search
 from repro.campaign.errors import ErrorEnvelope
 from repro.campaign.leases import LEASES_DIRNAME, LeaseBoard, heartbeat
 from repro.campaign.manifest import CampaignManifest, resolve_backoff
-from repro.campaign.store import RunStore, StoreError
+from repro.campaign.store import CellFailures, RunStore, StoreError
 from repro.campaign.supervisor import (
     CIRCUIT_OPEN,
     CampaignPolicy,
     CampaignSupervisor,
     CellTimeout,
     CircuitOpenError,
-    DeadLetterQueue,
     deadline,
 )
 
@@ -90,7 +91,8 @@ EXECUTOR_NAMES = ("process-pool", "pull-worker", "serial")
 
 #: Progress callback: ``(worker_id, event, fingerprint)`` with event one of
 #: ``"executed" | "skipped" | "failed" | "reclaimed" | "waiting" |
-#: "buried" | "paused"``.
+#: "buried" | "paused"`` (``"buried"`` precedes the ``"failed"`` of a cell
+#: that failed for good).
 WorkerProgress = Callable[[str, str, str], None]
 
 
@@ -106,7 +108,7 @@ class WorkerReport:
     cycles: int = 0
     #: Cells this worker killed at their enforced deadline (``E_TIMEOUT``).
     timeout_kills: int = 0
-    #: Cells this worker moved to the dead-letter queue.
+    #: Cells whose failure under this worker was final (failed for good).
     dead_lettered: int = 0
     wall_time_s: float = 0.0
     #: Fingerprints this worker personally stored, in completion order.
@@ -130,34 +132,6 @@ def default_worker_id() -> str:
     """A worker identity unique enough for audit records: host + pid."""
     host = os.uname().nodename if hasattr(os, "uname") else "host"
     return f"{host}-{os.getpid()}"
-
-
-def final_failure(
-    store: RunStore,
-    fingerprint: str,
-    request: SearchRequest,
-    dead_letters: DeadLetterQueue,
-) -> Optional[ErrorEnvelope]:
-    """The failure that resolves a cell, or ``None`` while it needs work.
-
-    A cell the store does not hold is finally failed when it is buried in
-    the dead-letter queue, or when its last audit record is final.  That
-    record is looked for after the cell's latest dead-letter re-admission:
-    failures from a previous life do not keep a re-admitted cell failed.
-    Loops stop claiming such a cell, and :func:`run_cells` reports it
-    failed with the returned envelope.
-    """
-    log = store.audit_log(request.scenario_name, request.search_space)
-    if dead_letters.is_dead(fingerprint):
-        # the burial resolves the cell even when no audit record explains it
-        return log.last(fingerprint) or ErrorEnvelope(
-            code="E_POISON",
-            message="buried in the dead-letter queue",
-            final=True,
-            fingerprint=fingerprint,
-        )
-    last = log.last(fingerprint, since=dead_letters.readmitted_at(fingerprint))
-    return last if last is not None and last.final else None
 
 
 def run_worker(
@@ -198,7 +172,6 @@ def run_worker(
     store = RunStore(store_dir)
     board = LeaseBoard(store_dir / LEASES_DIRNAME, worker, ttl_s=policy.ttl_s)
     supervisor = CampaignSupervisor(store_dir, policy)
-    dead_letters = DeadLetterQueue(store_dir)
     requests = manifest.requests()
     report = WorkerReport(worker=worker)
     started = time.perf_counter()
@@ -207,67 +180,47 @@ def run_worker(
         if progress is not None:
             progress(worker, event, fingerprint)
 
-    def fail(
-        fingerprint: str,
-        request: SearchRequest,
-        envelope: ErrorEnvelope,
-        reason: str,
-        since: Optional[float],
-    ) -> bool:
+    def backing_off(cell: Optional[CellFailures]) -> bool:
+        """Whether a failed cell is inside its exponential-backoff window."""
+        return cell is not None and time.time() < resolve_backoff(
+            cell.last.time_s,
+            cell.last.attempt,
+            policy.backoff_base_s,
+            fingerprint=cell.last.fingerprint,
+            max_backoff_s=policy.max_backoff_s,
+        )
+
+    def fail(envelope: ErrorEnvelope) -> bool:
         """Audit one failed attempt; returns whether the loop must stop.
 
-        A final failure is dead-lettered with its full chain, so the burial
-        reason survives next to the store.  Under ``on_error="fail"`` a
-        loop claims nothing after a cell it ran failed for good.
+        Under ``on_error="fail"`` a loop claims nothing after a cell it ran
+        failed for good.
         """
-        if envelope.final:
-            envelope = envelope.replace(
-                context=dict(envelope.context, dead_letter=True)
-            )
         store.record_error(envelope)
         if envelope.final:
-            log = store.audit_log(request.scenario_name, request.search_space)
-            chain = list(log.history(fingerprint, since=since))
-            if not chain or chain[-1].time_s != envelope.time_s:
-                chain.append(envelope)
-            dead_letters.bury(
-                fingerprint, reason=reason, envelopes=chain, worker=worker
-            )
             report.dead_lettered += 1
-            note("buried", fingerprint)
+            note("buried", envelope.fingerprint)
         supervisor.record_result(False)
         report.failed += 1
-        note("failed", fingerprint)
+        note("failed", envelope.fingerprint)
         return envelope.final and policy.on_error == "fail"
 
     halted = False
     while not halted:
         report.cycles += 1
         store.refresh()
+        failures = store.cell_failures()
         progressed = False
         unresolved = 0
         for fingerprint, request in requests.items():
             if halted:
                 break
-            if fingerprint in store or (
-                final_failure(store, fingerprint, request, dead_letters)
-                is not None
-            ):
+            cell = failures.get(fingerprint)
+            if fingerprint in store or (cell is not None and cell.failed):
                 continue
             unresolved += 1
-            since = dead_letters.readmitted_at(fingerprint)
-            log = store.audit_log(request.scenario_name, request.search_space)
-            last = log.last(fingerprint, since=since)
-            if last is not None:
-                ready_at = resolve_backoff(
-                    last.time_s,
-                    last.attempt,
-                    policy.backoff_base_s,
-                    fingerprint=fingerprint,
-                    max_backoff_s=policy.max_backoff_s,
-                )
-                if time.time() < ready_at:
-                    continue  # inside the exponential-backoff window
+            if backing_off(cell):
+                continue
             if not supervisor.circuit_allows():
                 # breaker open (pause claiming until it cools down) or
                 # half-open with every probe slot already handed out
@@ -290,7 +243,14 @@ def run_worker(
                     report.skipped += 1
                     note("skipped", fingerprint)
                     continue
-                attempt = log.attempts(fingerprint, since=since) + 1
+                # and re-read its failures: a peer may have audited another
+                # attempt since this cycle began, so max_attempts and the
+                # backoff hold against concurrent loops
+                cell = store.cell_failures().get(fingerprint)
+                if cell is not None and (cell.failed or backing_off(cell)):
+                    supervisor.release_probe()
+                    continue
+                attempt = 1 if cell is None else cell.attempts + 1
                 context = {
                     "scenario": request.scenario_name,
                     "search_space": request.search_space,
@@ -298,11 +258,9 @@ def run_worker(
                 if lease.reclaims >= policy.max_attempts:
                     # the cell's lease history shows it repeatedly *killing*
                     # workers (claimed, never reported, lease reclaimed) —
-                    # a poison cell.  Bury it instead of feeding it another
-                    # worker.
+                    # a poison cell.  Fail it for good instead of feeding it
+                    # another worker.
                     halted = fail(
-                        fingerprint,
-                        request,
                         ErrorEnvelope(
                             code="E_POISON",
                             message=(
@@ -316,9 +274,7 @@ def run_worker(
                             worker=worker,
                             time_s=time.time(),
                             context=dict(context, reclaims=lease.reclaims),
-                        ),
-                        f"killed {lease.reclaims} workers (lease reclaims)",
-                        since,
+                        )
                     )
                     progressed = True
                     continue
@@ -336,26 +292,15 @@ def run_worker(
                 except Exception as error:  # noqa: BLE001 - audited, not fatal
                     if isinstance(error, CellTimeout):
                         report.timeout_kills += 1
-                        supervisor.note_timeout_kill()
-                    envelope = ErrorEnvelope.from_exception(
-                        error,
-                        attempt=attempt,
-                        fingerprint=fingerprint,
-                        worker=worker,
-                        context=context,
-                        max_attempts=policy.max_attempts,
-                    )
                     halted = fail(
-                        fingerprint,
-                        request,
-                        envelope,
-                        (
-                            f"retry budget exhausted "
-                            f"({attempt}/{policy.max_attempts})"
-                            if envelope.retryable
-                            else f"non-retryable {envelope.code}"
-                        ),
-                        since,
+                        ErrorEnvelope.from_exception(
+                            error,
+                            attempt=attempt,
+                            fingerprint=fingerprint,
+                            worker=worker,
+                            context=context,
+                            max_attempts=policy.max_attempts,
+                        )
                     )
                     progressed = True
                     continue
@@ -488,19 +433,21 @@ def run_cells(
         [request for _, request in pending], policy=policy
     )
     manifest.write(store.directory)
-    dead_letters = DeadLetterQueue(store.directory)
     unresolved = dict(pending)
 
     def sweep() -> None:
         store.refresh()
-        for fingerprint, request in list(unresolved.items()):
-            failure = None
-            if fingerprint not in store:
-                # the loops' own rule, so a re-admitted dead-letter cell is
-                # not failed by the records of its previous life
-                failure = final_failure(store, fingerprint, request, dead_letters)
-                if failure is None:
-                    continue
+        # the loops' own rule, so a re-admitted cell is not failed by the
+        # records of its previous life
+        failures = store.cell_failures()
+        for fingerprint in list(unresolved):
+            cell = failures.get(fingerprint)
+            if fingerprint in store:
+                failure = None
+            elif cell is not None and cell.failed:
+                failure = cell.last
+            else:
+                continue
             del unresolved[fingerprint]
             resolved(fingerprint, failure)
 

@@ -15,7 +15,8 @@ Protocol
    (temp file + ``os.replace``, so readers never see a torn payload) with a
    fresh timestamp.  :class:`heartbeat` runs this on a daemon thread.
 3. **Reclaim** — a lease whose heartbeat is older than the TTL belongs to a
-   crashed (or wedged) peer.  Any worker may break it: re-read, re-check
+   crashed (or wedged) peer; a lease file whose payload cannot be read
+   counts from its mtime.  Any worker may break it: re-read, re-check
    expiry, unlink, then race through step 1 again.  Losing the race is
    fine — *someone* owns the cell afterwards.
 4. **Release** — unlink the file after the outcome is stored (or the
@@ -180,23 +181,35 @@ class LeaseBoard:
         """Read the current lease of a cell, ``None`` when unleased.
 
         Tolerant of the claim/heartbeat races: a lease file that vanishes
-        or is momentarily empty mid-rewrite reads as ``None``/retry.
+        reads as ``None``, and one momentarily empty mid-create is re-read.
+        A payload that stays unreadable — its creator died between creating
+        the file and writing it, or the write failed — reads as a lease
+        last heart-beaten at the file's mtime, so it expires after the TTL
+        and is reclaimed like any dead peer's lease.
         """
         path = self._path(fingerprint)
         for _ in range(3):
             try:
-                raw = path.read_text(encoding="utf-8")
-            except FileNotFoundError:
-                return None
+                raw = path.read_bytes()
             except OSError:
                 return None
-            if raw.strip():
-                try:
-                    return Lease.from_dict(json.loads(raw))
-                except ValueError:
-                    pass
+            try:
+                data = json.loads(raw)
+                if isinstance(data, dict):
+                    return Lease.from_dict(data)
+            except (ValueError, TypeError):
+                pass
             time.sleep(0.01)  # writer mid-create; payload lands shortly
-        return None
+        try:
+            written_at = path.stat().st_mtime
+        except OSError:
+            return None
+        return Lease(
+            fingerprint=fingerprint,
+            worker="?",
+            acquired_at=written_at,
+            heartbeat_at=written_at,
+        )
 
     def active(self) -> List[Lease]:
         """Every currently readable lease on the board."""

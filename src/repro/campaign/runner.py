@@ -18,8 +18,8 @@ The executor name only says where that loop runs (see
 On every executor a loop appends each finished
 :class:`~repro.api.envelopes.SearchOutcome` to the store as soon as it
 completes, so an interrupted campaign loses at most the cells that were in
-flight, and the policy's deadlines, retries, dead-lettering and shared
-circuit breaker hold.  Failures become structured
+flight, and the policy's deadlines, retries and shared circuit breaker hold.
+Failures become structured
 :class:`~repro.campaign.errors.ErrorEnvelope` audit records; under the
 policy's default ``on_error="fail"`` a loop claims no further cell once a
 cell it ran has failed for good, and the campaign raises (finished cells
@@ -99,14 +99,15 @@ class CampaignResult:
         returned under the policy's ``on_error="continue"``).
     workers / executor / wall_time_s:
         Execution settings and total duration of the call.
-    timeout_kills / dead_lettered / circuit_state / circuit_transitions:
-        Supervision telemetry from the store's
-        :meth:`~repro.campaign.supervisor.CampaignSupervisor.summary`:
-        cells this call killed at their enforced deadline, cells the
-        dead-letter queue holds buried, and the circuit breaker's final
-        state plus its ``(time, from, to)`` transition history.  ``circuit_state`` is
-        ``"disabled"`` when the policy never enables the breaker, so an
-        unsupervised campaign's summary keys are stable.
+    timeout_kills:
+        Cells killed at their enforced deadline during this call: the
+        ``E_TIMEOUT`` records it added to the store's audit logs.
+    circuit_state / circuit_transitions:
+        The circuit breaker's final state plus its ``(time, from, to)``
+        transition history, from the store's
+        :meth:`~repro.campaign.supervisor.CampaignSupervisor.summary`.
+        ``circuit_state`` is ``"disabled"`` when the policy never enables
+        the breaker, so an unsupervised campaign's summary keys are stable.
     """
 
     store: RunStore
@@ -117,7 +118,6 @@ class CampaignResult:
     executor: str = "serial"
     wall_time_s: float = 0.0
     timeout_kills: int = 0
-    dead_lettered: int = 0
     circuit_state: str = "disabled"
     circuit_transitions: Tuple[Any, ...] = ()
 
@@ -139,12 +139,16 @@ class CampaignResult:
             "executor": self.executor,
             "wall_time_s": self.wall_time_s,
             "timeout_kills": self.timeout_kills,
-            "dead_lettered": self.dead_lettered,
             "circuit_state": self.circuit_state,
             "circuit_transitions": [
                 list(t) for t in self.circuit_transitions
             ],
         }
+
+
+def _timeout_kills(store: RunStore) -> int:
+    """Deadline kills the store's audit logs hold: its ``E_TIMEOUT`` records."""
+    return sum(1 for record in store.iter_audit_records() if record.code == "E_TIMEOUT")
 
 
 def _plan(
@@ -213,7 +217,7 @@ def run_campaign(
         ``on_error="fail"`` (default) a loop claims no further cell once a
         cell it ran has failed for good, and the campaign raises once every
         loop has ended — finished cells stay stored.  ``"continue"`` keeps
-        going; failures are dead-lettered in the store and reported in the
+        going; failures are audited in the store and reported in the
         result.  With the breaker enabled, a campaign whose sliding-window
         failure rate trips the threshold aborts with
         :class:`~repro.campaign.supervisor.CircuitOpenError` (CLI exit
@@ -232,8 +236,7 @@ def run_campaign(
         spec.validate()
     name = executor_name(executor, workers)
     workers = max(1, int(workers))
-    supervisor = CampaignSupervisor(store.directory, policy)
-    kills_before = supervisor.summary()["timeout_kills"]
+    kills_before = _timeout_kills(store)
     start = time.perf_counter()
     pending, skipped = _plan(spec, store, resume)
     total = len(pending) + len(skipped)
@@ -284,7 +287,7 @@ def run_campaign(
             f"every campaign worker exited with {len(left)} cell(s) "
             f"unresolved: {sorted(left)[:5]}"
         )
-    supervision = supervisor.summary()
+    supervision = CampaignSupervisor(store.directory, policy).summary()
     return CampaignResult(
         store=store,
         executed=tuple(executed),
@@ -293,8 +296,7 @@ def run_campaign(
         workers=workers,
         executor=name,
         wall_time_s=time.perf_counter() - start,
-        timeout_kills=supervision["timeout_kills"] - kills_before,
-        dead_lettered=supervision["dead_lettered"],
+        timeout_kills=_timeout_kills(store) - kills_before,
         circuit_state=supervision["circuit_state"],
         circuit_transitions=tuple(
             tuple(t) for t in supervision["circuit_transitions"]

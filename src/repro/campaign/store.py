@@ -8,7 +8,15 @@ fingerprint:
   shard of the (scenario x search space) context its request declares
   (:func:`shard_key`);
 * ``audit/<key>.jsonl`` — per-shard logs of structured
-  :class:`~repro.campaign.errors.ErrorEnvelope` failure records.
+  :class:`~repro.campaign.errors.ErrorEnvelope` failure records, the one
+  record of a cell's failures;
+* ``dead-letter.jsonl`` — the ``readmit`` events of cells re-admitted with
+  a fresh retry budget (:meth:`RunStore.readmit_failed`).
+
+:meth:`RunStore.cell_failures` reads the audit logs against the
+re-admissions, and holds the one rule of a cell that has failed for good:
+the store does not hold it, and its last audit record after its latest
+re-admission is final.
 
 Opening a store scans the shards into an in-memory fingerprint -> (shard,
 byte offset) index, which is never written to disk; an ``index.json`` left
@@ -57,6 +65,7 @@ import hashlib
 import json
 import os
 import re
+import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,9 +73,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api.envelopes import SearchOutcome, check_schema_version, request_fingerprint
 from repro.campaign.errors import AuditLog, ErrorEnvelope, summarize_audit
-from repro.campaign.supervisor import DeadLetterQueue
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
-from repro.utils.serialization import append_line_atomic
+from repro.utils.serialization import append_jsonl_atomic, append_line_atomic, iter_jsonl
 
 #: Name of the legacy single-file record file, read as a read-only shard.
 RUNS_FILENAME = "runs.jsonl"
@@ -79,6 +87,11 @@ SHARDS_DIRNAME = "shards"
 
 #: Subdirectory holding the per-shard audit logs.
 AUDIT_DIRNAME = "audit"
+
+#: Name of the re-admission log: ``readmit`` events, one line per re-admitted
+#: cell.  Stores written by earlier versions also hold ``bury`` events there,
+#: each after a final audit record of the same cell; readers skip them.
+DEAD_LETTER_FILENAME = "dead-letter.jsonl"
 
 #: Subdirectory where :func:`fsck_store` with ``repair=True`` banishes bad lines.
 QUARANTINE_DIRNAME = "quarantine"
@@ -241,6 +254,28 @@ def shard_key(scenario: str, search_space: str) -> str:
         f"{scenario}\x00{search_space}".encode("utf-8")
     ).hexdigest()[:_SHARD_HASH_LENGTH]
     return f"{slug}-{digest}"
+
+
+@dataclass(frozen=True)
+class CellFailures:
+    """One cell's failure records since its latest re-admission."""
+
+    #: How many failed attempts the audit logs hold since then.
+    attempts: int
+    #: The latest of them.
+    last: ErrorEnvelope
+    #: Whether the cell has failed for good: the store does not hold it and
+    #: ``last`` is final.
+    failed: bool
+
+
+def _readmissions(path: Path) -> Dict[str, float]:
+    """``fingerprint -> time`` of each cell's latest ``readmit`` event."""
+    return {
+        str(event["fingerprint"]): float(event.get("time_s", 0.0))
+        for event in iter_jsonl(path)
+        if event.get("event") == "readmit" and event.get("fingerprint")
+    }
 
 
 @dataclass
@@ -487,7 +522,6 @@ class RunStore:
             "total_wall_time_s": sum(r["wall_time_s"] for r in records.values()),
             "superseded": sum(s.superseded for s in self._shards.values()),
             **self.skipped_lines(),
-            "dead_letter": len(DeadLetterQueue(self.directory)),
             "audit": self.audit_summary(),
         }
 
@@ -517,39 +551,67 @@ class RunStore:
         log.append(envelope)
 
     def audit_summary(self) -> Dict[str, Any]:
-        """:func:`summarize_audit` of the audit logs, resolved against the store.
+        """:func:`summarize_audit` of the audit logs, plus :meth:`failed_cells`.
 
-        ``failed_cells`` follows the rule of
-        :func:`repro.campaign.executors.final_failure`: a cell the store does
-        not hold is failed when it is buried in the dead-letter queue, or
-        when its last audit record after its latest re-admission is final.
-        A re-admitted cell that has not run again, or ran and was stored,
-        is not failed.  ``dead_lettered`` lists the cells the dead-letter
-        queue holds buried now, not every burial the audit records flag.
+        A re-admitted cell that has not failed for good again, or a cell the
+        store holds, is not among the ``failed_cells``.
         """
-        dead_letters = DeadLetterQueue(self.directory)
-        buried = dead_letters.dead()
         audit = summarize_audit(self.iter_audit_records())
-        pending = {
-            fingerprint
-            for fingerprint in audit["failed_cells"]
-            if fingerprint not in self and fingerprint not in buried
-        }
-        last_final: Dict[str, bool] = {}
-        if pending:
-            readmitted = dead_letters.readmitted()
-            for record in self.iter_audit_records():
-                fingerprint = record.fingerprint
-                if fingerprint in pending and record.time_s > readmitted.get(
-                    fingerprint, float("-inf")
-                ):
-                    last_final[fingerprint] = record.final
-        audit["failed_cells"] = sorted(
-            {fingerprint for fingerprint in buried if fingerprint not in self}
-            | {fingerprint for fingerprint, final in last_final.items() if final}
-        )
-        audit["dead_lettered"] = sorted(buried)
+        audit["failed_cells"] = self.failed_cells()
         return audit
+
+    def failed_cells(self) -> List[str]:
+        """The cells that have failed for good (:meth:`cell_failures`), sorted."""
+        return sorted(
+            fingerprint
+            for fingerprint, cell in self.cell_failures().items()
+            if cell.failed
+        )
+
+    def cell_failures(self) -> Dict[str, CellFailures]:
+        """Each audited cell's failures since its latest re-admission.
+
+        One pass over the re-admission log, then one over the audit logs
+        (:meth:`iter_audit_records`).  A record at or before the cell's
+        latest re-admission belongs to an earlier life of the cell and is
+        not counted.  :attr:`CellFailures.failed` is the one rule of a cell
+        that has failed for good; the worker loops, the campaign's sweep,
+        :meth:`audit_summary` and :meth:`readmit_failed` all read it here.
+        """
+        readmitted = _readmissions(self.directory / DEAD_LETTER_FILENAME)
+        attempts: Dict[str, int] = {}
+        last: Dict[str, ErrorEnvelope] = {}
+        for record in self.iter_audit_records():
+            fingerprint = record.fingerprint
+            if not fingerprint or not isinstance(fingerprint, str):
+                continue  # names no cell
+            if record.time_s <= readmitted.get(fingerprint, float("-inf")):
+                continue
+            attempts[fingerprint] = attempts.get(fingerprint, 0) + 1
+            last[fingerprint] = record
+        return {
+            fingerprint: CellFailures(
+                attempts=attempts[fingerprint],
+                last=record,
+                failed=record.final and fingerprint not in self,
+            )
+            for fingerprint, record in last.items()
+        }
+
+    def readmit_failed(self) -> List[str]:
+        """Re-admit every cell that has failed for good; returns them, sorted.
+
+        Appends one ``readmit`` event per cell to ``dead-letter.jsonl``.
+        Attempts restart at the event's time, so each cell gets a fresh
+        retry budget and workers claim it again.
+        """
+        failed = self.failed_cells()
+        for fingerprint in failed:
+            append_jsonl_atomic(
+                self.directory / DEAD_LETTER_FILENAME,
+                {"event": "readmit", "fingerprint": fingerprint, "time_s": time.time()},
+            )
+        return failed
 
     def audit_records(self) -> List[ErrorEnvelope]:
         """Every failure envelope (see :meth:`iter_audit_records`)."""

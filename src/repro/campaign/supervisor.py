@@ -1,8 +1,9 @@
-"""Campaign supervision: deadlines, dead-lettering and circuit breaking.
+"""Campaign supervision: the policy, deadlines and circuit breaking.
 
-PR 6's pull protocol makes a campaign *survive* worker crashes; this module
-makes it *converge* under sustained failure.  Three service disciplines,
-shared by every executor through one :class:`CampaignPolicy`:
+The pull protocol makes a campaign *survive* worker crashes; this module
+makes it *converge* under sustained failure.  One :class:`CampaignPolicy`,
+shared by every executor, carries the lease, retry and supervision settings
+of a campaign, and two service disciplines enforce them:
 
 **Enforced per-cell deadlines** (:func:`deadline`)
     ``cell_timeout_s > 0`` runs each cell under a watchdog that interrupts
@@ -10,17 +11,8 @@ shared by every executor through one :class:`CampaignPolicy`:
     so it classifies as ``E_TIMEOUT`` and enters the ordinary bounded-retry
     path.  On the main thread the watchdog is ``SIGALRM``-based (interrupts
     even a cell blocked in a system call); elsewhere it falls back to an
-    async-raise timer that fires at the next bytecode boundary.
-
-**Poison-cell dead-lettering** (:class:`DeadLetterQueue`)
-    A cell that exhausts ``max_attempts`` — or whose lease-reclaim history
-    shows it repeatedly *killing* its workers without ever reporting — is
-    buried in ``dead-letter.jsonl`` with its full
-    :class:`~repro.campaign.errors.ErrorEnvelope` chain.  Buried cells are
-    resolved: no worker ever claims them again, so one poison cell cannot
-    consume a campaign's worker fleet.  ``repro campaign --retry-dead``
-    re-admits them explicitly (an append-only ``readmit`` event, so the
-    burial history is never lost).
+    async-raise timer that fires at the next bytecode boundary.  Each kill
+    is one ``E_TIMEOUT`` record in the store's audit log.
 
 **Campaign circuit breaker** (:class:`CircuitBreaker` / :class:`CampaignSupervisor`)
     A sliding window over recent cell results opens the circuit when the
@@ -29,9 +21,15 @@ shared by every executor through one :class:`CampaignPolicy`:
     burning the remaining grid against a systematically broken axis.  After
     ``circuit_cooldown_s`` the circuit half-opens, admitting probe cells;
     a probe success closes it, a probe failure re-opens it.  The
-    :class:`CampaignSupervisor` persists this state in ``supervisor.json``
+    :class:`CampaignSupervisor` persists the breaker in ``supervisor.json``
     (flock'd read-modify-write, atomic replace) so every worker loop, in
     whatever process it runs, shares one breaker.
+
+A cell that exhausts ``max_attempts``, fails non-retryably, or whose
+lease-reclaim history shows it repeatedly *killing* its workers has failed
+for good; the store's audit log records that, and no worker claims the
+cell again until ``repro campaign --retry-dead`` re-admits it (see
+:meth:`repro.campaign.store.RunStore.cell_failures`).
 
 Everything is **off by default** (``cell_timeout_s=0``,
 ``circuit_threshold=0``): a campaign that does not opt in behaves — and
@@ -52,23 +50,15 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
-from repro.campaign.errors import ErrorEnvelope
-from repro.utils.serialization import (
-    append_jsonl_atomic,
-    atomic_write_text,
-    iter_jsonl,
-)
+from repro.utils.serialization import atomic_write_text
 from repro.utils.validation import require_integral
 
 try:  # pragma: no cover - POSIX only; Windows uses the thread fallback
     import fcntl
 except ImportError:  # pragma: no cover
     fcntl = None
-
-#: Name of the dead-letter file inside a store directory.
-DEAD_LETTER_FILENAME = "dead-letter.jsonl"
 
 #: Name of the shared supervisor-state file inside a store directory.
 SUPERVISOR_FILENAME = "supervisor.json"
@@ -311,141 +301,6 @@ def deadline(seconds: float) -> Iterator[None]:
             timer.cancel()
 
 
-# ---------------------------------------------------------------------- dead letter
-
-
-class DeadLetterQueue:
-    """Append-only record of poisoned cells, next to the store they poisoned.
-
-    ``dead-letter.jsonl`` holds ``bury`` and ``readmit`` events in append
-    order; the latest event per fingerprint wins, so burial history is
-    never rewritten — a re-admitted cell that poisons again simply gains a
-    second ``bury`` event.  Appends go through the same single-write
-    ``flock`` discipline as the audit log, so concurrent workers burying
-    the same cell at once both land whole (and resolve latest-wins).
-    """
-
-    def __init__(self, directory: Union[str, Path]):
-        self.directory = Path(directory)
-        self.path = self.directory / DEAD_LETTER_FILENAME
-
-    # ------------------------------------------------------------------ events
-    def _events(self) -> Iterator[Dict[str, Any]]:
-        for event in iter_jsonl(self.path):
-            if event.get("fingerprint"):
-                yield event
-
-    def _latest(self) -> Dict[str, Dict[str, Any]]:
-        """``fingerprint -> latest event`` (bury or readmit)."""
-        latest: Dict[str, Dict[str, Any]] = {}
-        for event in self._events():
-            latest[str(event["fingerprint"])] = event
-        return latest
-
-    # ------------------------------------------------------------------ writing
-    def bury(
-        self,
-        fingerprint: str,
-        *,
-        reason: str,
-        envelopes: Sequence[ErrorEnvelope] = (),
-        worker: Optional[str] = None,
-    ) -> None:
-        """Move one cell to the dead-letter queue with its failure chain."""
-        append_jsonl_atomic(
-            self.path,
-            {
-                "event": "bury",
-                "fingerprint": fingerprint,
-                "reason": reason,
-                "worker": worker,
-                "time_s": time.time(),
-                "envelopes": [envelope.to_dict() for envelope in envelopes],
-            },
-        )
-
-    def readmit(self, fingerprint: str) -> bool:
-        """Re-admit one buried cell; returns whether it was buried."""
-        latest = self._latest().get(fingerprint)
-        if latest is None or latest.get("event") != "bury":
-            return False
-        append_jsonl_atomic(
-            self.path,
-            {
-                "event": "readmit",
-                "fingerprint": fingerprint,
-                "time_s": time.time(),
-            },
-        )
-        return True
-
-    def readmit_all(self) -> List[str]:
-        """Re-admit every buried cell, returning their fingerprints."""
-        readmitted = []
-        for fingerprint in sorted(self.dead()):
-            if self.readmit(fingerprint):
-                readmitted.append(fingerprint)
-        return readmitted
-
-    # ------------------------------------------------------------------ reading
-    def dead(self) -> Dict[str, Dict[str, Any]]:
-        """``fingerprint -> bury event`` of every currently buried cell."""
-        return {
-            fingerprint: event
-            for fingerprint, event in self._latest().items()
-            if event.get("event") == "bury"
-        }
-
-    def is_dead(self, fingerprint: str) -> bool:
-        """Whether a cell is currently buried (workers must not claim it)."""
-        latest = self._latest().get(fingerprint)
-        return latest is not None and latest.get("event") == "bury"
-
-    def readmitted(self) -> Dict[str, float]:
-        """``fingerprint -> time of the latest re-admission`` of every re-admitted cell."""
-        return {
-            fingerprint: float(event.get("time_s", 0.0))
-            for fingerprint, event in self._latest().items()
-            if event.get("event") == "readmit"
-        }
-
-    def readmitted_at(self, fingerprint: str) -> Optional[float]:
-        """Time of the cell's latest re-admission, if it is re-admitted.
-
-        Workers use this as the baseline for attempt counting: audit
-        records older than the re-admission belong to the previous life of
-        the cell and do not count against the fresh retry budget.
-        """
-        return self.readmitted().get(fingerprint)
-
-    def envelopes(self, fingerprint: str) -> List[ErrorEnvelope]:
-        """The failure chain recorded with the cell's latest burial."""
-        latest = self._latest().get(fingerprint)
-        if latest is None or latest.get("event") != "bury":
-            return []
-        out = []
-        for payload in latest.get("envelopes", []):
-            try:
-                out.append(ErrorEnvelope.from_dict(payload))
-            except (ValueError, KeyError, TypeError):
-                continue
-        return out
-
-    def __len__(self) -> int:
-        return len(self.dead())
-
-    def summary(self) -> Dict[str, Any]:
-        dead = self.dead()
-        return {
-            "dead": len(dead),
-            "fingerprints": sorted(dead),
-            "reasons": {
-                fingerprint: str(event.get("reason", ""))
-                for fingerprint, event in sorted(dead.items())
-            },
-        }
-
-
 # ---------------------------------------------------------------------- breaker
 
 
@@ -570,17 +425,15 @@ class CircuitBreaker:
 class CampaignSupervisor:
     """File-backed supervision state shared by every process of a campaign.
 
-    Persists a :class:`CircuitBreaker` plus counters (timeout kills) in
-    ``supervisor.json`` inside the store directory.  Every mutation is a
-    read-modify-write under an exclusive ``flock`` on a sidecar lock file,
-    finished with an atomic replace, so concurrent pull workers see one
-    consistent breaker — the same discipline the lease board and audit log
-    already use.
+    Persists a :class:`CircuitBreaker` in ``supervisor.json`` inside the
+    store directory.  Every mutation is a read-modify-write under an
+    exclusive ``flock`` on a sidecar lock file, finished with an atomic
+    replace, so concurrent pull workers see one consistent breaker — the
+    same discipline the lease board and audit log already use.
 
     With the breaker disabled (``circuit_threshold=0``, the default) the
-    mutating methods short-circuit without touching the filesystem except
-    :meth:`note_timeout_kill`, which is failure-path-only, so the healthy
-    path of an unsupervised campaign pays nothing.
+    mutating methods short-circuit without touching the filesystem, so an
+    unsupervised campaign never writes the file.
     """
 
     def __init__(
@@ -604,7 +457,6 @@ class CampaignSupervisor:
                 cooldown_s=self.policy.circuit_cooldown_s,
                 probes=self.policy.circuit_probes,
             ).to_dict(),
-            "timeout_kills": 0,
         }
 
     def _read_state(self) -> Dict[str, Any]:
@@ -616,7 +468,7 @@ class CampaignSupervisor:
             state = json.loads(raw)
         except ValueError:
             return self._fresh_state()
-        if not isinstance(state, dict) or "circuit" not in state:
+        if not isinstance(state, dict) or not isinstance(state.get("circuit"), dict):
             return self._fresh_state()
         return state
 
@@ -729,17 +581,10 @@ class CampaignSupervisor:
         circuit = self._read_state_cached().get("circuit", {})
         return str(circuit.get("state", CIRCUIT_CLOSED))
 
-    # ------------------------------------------------------------------ counters
-    def note_timeout_kill(self) -> None:
-        """Count one watchdog kill (failure path only — never hot)."""
-        with self._locked() as state:
-            state["timeout_kills"] = int(state.get("timeout_kills", 0)) + 1
-
     # ------------------------------------------------------------------ summary
     def summary(self) -> Dict[str, Any]:
-        """Supervision overview for reports and ``CampaignResult.summary``."""
-        state = self._read_state() if self.path.exists() else self._fresh_state()
-        circuit = state.get("circuit", {})
+        """The breaker's state and transitions, for ``CampaignResult.summary``."""
+        circuit = self._read_state()["circuit"]
         return {
             "circuit_state": (
                 str(circuit.get("state", CIRCUIT_CLOSED))
@@ -749,6 +594,4 @@ class CampaignSupervisor:
             "circuit_transitions": [
                 list(t) for t in circuit.get("transitions", [])
             ],
-            "timeout_kills": int(state.get("timeout_kills", 0)),
-            "dead_lettered": len(DeadLetterQueue(self.directory)),
         }

@@ -56,7 +56,6 @@ from repro.campaign import (
     CampaignPolicy,
     CampaignSpec,
     CircuitOpenError,
-    DeadLetterQueue,
     ErrorEnvelope,
     RunStore,
     StoreError,
@@ -253,9 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="probe cells allowed through a "
                                       "half-open circuit (default: 1)")
     campaign_parser.add_argument("--retry-dead", action="store_true",
-                                 help="re-admit every dead-lettered cell in "
-                                      "--store with a fresh retry budget "
-                                      "before (or without) running the grid")
+                                 help="re-admit every cell in --store that "
+                                      "failed for good (dead-lettered) with "
+                                      "a fresh retry budget before (or "
+                                      "without) running the grid")
     campaign_parser.add_argument("--no-resume", action="store_true",
                                  help="fail on already-stored cells instead of "
                                       "skipping them")
@@ -541,7 +541,7 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.retry_dead:
-        readmitted = DeadLetterQueue(args.store).readmit_all()
+        readmitted = open_store(args.store).readmit_failed()
         print(f"retry-dead: {len(readmitted)} dead-lettered cell(s) "
               f"re-admitted with a fresh retry budget")
         if not args.spec and not args.scenario:
@@ -599,9 +599,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if summary.get("timeout_kills"):
         print(f"deadlines: {summary['timeout_kills']} cell(s) killed at the "
               f"{policy.cell_timeout_s:g}s deadline (E_TIMEOUT)")
-    if summary.get("dead_lettered"):
-        print(f"dead-letter: {summary['dead_lettered']} poison cell(s) "
-              f"buried in the store")
     if summary.get("circuit_state") not in (None, "disabled", "closed"):
         print(f"circuit breaker: {summary['circuit_state']} "
               f"({len(summary.get('circuit_transitions', []))} transition(s))")
@@ -665,11 +662,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"[{codes}], {len(audit['failed_cells'])} cell(s) "
                 f"permanently failed, {audit['retries']} retries"
             )
-            if audit.get("dead_lettered"):
-                text += (
-                    f"\ndead-letter: {len(audit['dead_lettered'])} poison cell(s) "
-                    f"buried (repro campaign --retry-dead re-admits them)"
-                )
     print(text)
     if args.out:
         path = Path(args.out)
@@ -821,8 +813,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         print(f"deadlines: {summary['timeout_kills']} cell(s) killed at the "
               f"deadline (E_TIMEOUT)")
     if summary.get("dead_lettered"):
-        print(f"dead-letter: {summary['dead_lettered']} poison cell(s) buried "
-              f"(repro campaign --retry-dead re-admits them)")
+        print(f"dead-letter: {summary['dead_lettered']} cell(s) failed for "
+              f"good (repro campaign --retry-dead re-admits them)")
     return 0
 
 

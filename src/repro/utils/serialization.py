@@ -114,7 +114,7 @@ def append_line_atomic(path: Path, line: bytes) -> Tuple[int, int]:
     swallowing this record; no byte is ever truncated.  Returns the byte
     range ``(start, end)`` of the new line.  The run store shards write
     their records through it; :func:`append_jsonl_atomic` serves the
-    campaign audit log and the dead-letter queue.
+    campaign audit logs and the re-admission log (``dead-letter.jsonl``).
     """
     if not line.endswith(b"\n"):
         raise ValueError("an appended line must end with a newline")
@@ -151,8 +151,8 @@ def iter_jsonl(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
     Tolerant of what concurrent writers and crashes leave behind: reading
     stops at an unterminated tail (a writer is, or was, mid-append), and a
     line that does not parse to a JSON object is skipped.  A missing file
-    yields nothing.  Used by the campaign audit logs and the dead-letter
-    queue.
+    yields nothing.  Used by the campaign audit logs and the re-admission
+    log (``dead-letter.jsonl``).
     """
     path = Path(path)
     if not path.exists():

@@ -23,7 +23,6 @@ from repro.api.session import run_search
 from repro.campaign import (
     CampaignPolicy,
     CampaignSpec,
-    DeadLetterQueue,
     RunStore,
     StoreError,
     merge_stores,
@@ -336,11 +335,11 @@ class TestErrorEnvelopes:
             handle.write(b'{"code": "torn')
         records = log.records()
         assert len(records) == 2
-        assert log.attempts("abc") == 2
-        assert log.last("abc").final
+        # the log is the legacy root audit log of a store in tmp_path
+        cell = RunStore(tmp_path).cell_failures()["abc"]
+        assert (cell.attempts, cell.last, cell.failed) == (2, records[-1], True)
         summary = summarize_audit(records)
         assert summary["by_code"] == {"E_TIMEOUT": 2}
-        assert summary["failed_cells"] == ["abc"]
         assert summary["retries"] == 1
         assert summary["workers"] == ["w0"]
 
@@ -355,8 +354,8 @@ class TestErrorEnvelopes:
         with log.path.open("ab") as handle:
             handle.write(b'{"code": "torn')
         log.append(first.replace(attempt=2, final=True))
-        assert log.attempts("abc") == 2
-        assert log.last("abc").final
+        cell = RunStore(tmp_path).cell_failures()["abc"]
+        assert cell.attempts == 2 and cell.last.final
 
     def test_backoff_is_exponential(self):
         for attempt, delay in ((1, 0.5), (3, 2.0)):
@@ -391,6 +390,53 @@ class TestLeases:
         assert reclaimed is not None
         assert reclaimed.worker == "survivor"
         assert reclaimed.reclaims == 1
+
+    @staticmethod
+    def _unreadable_lease(path, payload=b"", age_s=0.0):
+        """The lease file a claimer leaves when it dies between creating the
+        file and writing its payload (``b""``), last modified ``age_s`` ago."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(payload)
+        stamp = time.time() - age_s
+        os.utime(path, (stamp, stamp))
+        return path
+
+    def test_stale_empty_lease_is_reclaimed(self, tmp_path):
+        self._unreadable_lease(tmp_path / "leases" / "cell-1.lease", age_s=1.0)
+        board = LeaseBoard(tmp_path / "leases", "survivor", ttl_s=0.05)
+        lease = board.claim("cell-1")
+        assert lease is not None
+        assert (lease.worker, lease.reclaims) == ("survivor", 1)
+        assert board.holder("cell-1").worker == "survivor"
+
+    def test_fresh_empty_lease_is_left_alone(self, tmp_path):
+        path = self._unreadable_lease(tmp_path / "leases" / "cell-1.lease")
+        board = LeaseBoard(tmp_path / "leases", "peer", ttl_s=30.0)
+        assert board.claim("cell-1") is None  # its creator may be mid-write
+        assert path.read_bytes() == b""
+
+    def test_a_payload_that_is_not_an_object_reads_as_unreadable(self, tmp_path):
+        path = self._unreadable_lease(
+            tmp_path / "leases" / "cell-1.lease", payload=b"[1]", age_s=1.0
+        )
+        board = LeaseBoard(tmp_path / "leases", "survivor", ttl_s=0.05)
+        holder = board.holder("cell-1")
+        assert holder.worker == "?"
+        assert holder.heartbeat_at == pytest.approx(path.stat().st_mtime)
+        assert board.claim("cell-1").reclaims == 1
+
+    def test_worker_stores_a_cell_behind_a_stale_empty_lease(self, tmp_path):
+        store_dir = tmp_path / "store"
+        request = _request()
+        manifest = CampaignManifest.from_requests(
+            [request], policy=CampaignPolicy(ttl_s=0.05, poll_s=0.05)
+        )
+        manifest.write(store_dir)
+        fingerprint = request_fingerprint(request)
+        self._unreadable_lease(store_dir / "leases" / f"{fingerprint}.lease", age_s=1.0)
+        report = run_worker(store_dir, worker_id="w0", max_cycles=3)
+        assert (report.executed, report.reclaimed) == (1, 1)
+        assert RunStore(store_dir).fingerprints() == [fingerprint]
 
     def test_heartbeat_keeps_lease_alive(self, tmp_path):
         board = LeaseBoard(tmp_path / "leases", "w0", ttl_s=0.3)
@@ -648,10 +694,9 @@ class TestOnError:
         assert sorted(store.fingerprints()) == sorted(
             request_fingerprint(r) for r in good
         )
-        # and the failure is audited in the store, and dead-lettered
+        # and the failure is audited in the store, where it has failed for good
         assert len(store.audit_records()) == 1
-        assert result.dead_lettered == 1
-        assert DeadLetterQueue(store.directory).is_dead(request_fingerprint(bad))
+        assert store.failed_cells() == [request_fingerprint(bad)]
 
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
     def test_fail_stops_the_loop_at_its_first_permanent_failure(

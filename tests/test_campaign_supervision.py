@@ -1,4 +1,4 @@
-"""Campaign supervision: deadlines, dead-lettering, circuit breaking, fsck."""
+"""Campaign supervision: deadlines, failed cells, circuit breaking, fsck."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from repro.campaign import (
     CellTimeout,
     CircuitBreaker,
     CircuitOpenError,
-    DeadLetterQueue,
     RunStore,
     StoreError,
     deadline,
@@ -41,12 +40,12 @@ from repro.campaign.manifest import (
     backoff_jitter_factor,
     resolve_backoff,
 )
-from repro.campaign.store import record_crc, verify_record_crc
+from repro.campaign.store import DEAD_LETTER_FILENAME, record_crc, verify_record_crc
 from repro.campaign.supervisor import (
     CIRCUIT_CLOSED,
     CIRCUIT_HALF_OPEN,
     CIRCUIT_OPEN,
-    DEAD_LETTER_FILENAME,
+    SUPERVISOR_FILENAME,
 )
 from repro.cli import main as cli_main
 from repro.resilience import faults
@@ -74,30 +73,32 @@ def _envelope(code="E_EXECUTION", **overrides) -> ErrorEnvelope:
     return ErrorEnvelope(**fields)
 
 
-def _bury(store_dir, request) -> str:
-    """Fail a cell for good as a worker does: a final audit record flagged
-    ``dead_letter``, then a burial in the dead-letter queue."""
+def _fail_for_good(store_dir, request) -> str:
+    """Fail a cell for good as a worker does: a final audit record."""
     fingerprint = request_fingerprint(request)
-    envelope = ErrorEnvelope(
-        code="E_TIMEOUT",
-        message="cell exceeded its 1s deadline",
-        retryable=True,
-        attempt=2,
-        final=True,
-        fingerprint=fingerprint,
-        worker="w0",
-        time_s=time.time(),
-        context={
-            "scenario": request.scenario_name,
-            "search_space": request.search_space,
-            "dead_letter": True,
-        },
-    )
-    RunStore(store_dir).record_error(envelope)
-    DeadLetterQueue(store_dir).bury(
-        fingerprint, reason="retry budget exhausted (2/2)", envelopes=[envelope]
+    RunStore(store_dir).record_error(
+        ErrorEnvelope(
+            code="E_TIMEOUT",
+            message="cell exceeded its 1s deadline",
+            retryable=True,
+            attempt=2,
+            final=True,
+            fingerprint=fingerprint,
+            worker="w0",
+            time_s=time.time(),
+            context={
+                "scenario": request.scenario_name,
+                "search_space": request.search_space,
+            },
+        )
     )
     return fingerprint
+
+
+def _failed(store_dir, fingerprint) -> bool:
+    """Whether the store's one rule says the cell has failed for good."""
+    cell = RunStore(store_dir).cell_failures().get(fingerprint)
+    return cell is not None and cell.failed
 
 
 # ---------------------------------------------------------------------- policy
@@ -333,64 +334,6 @@ class TestDeadline:
         assert issubclass(CircuitOpenError, RuntimeError)
 
 
-# ---------------------------------------------------------------------- dead letter
-
-
-class TestDeadLetterQueue:
-    def test_bury_readmit_round_trip(self, tmp_path):
-        queue = DeadLetterQueue(tmp_path)
-        assert not queue.is_dead("cell-1")
-        assert queue.readmitted_at("cell-1") is None
-
-        chain = [_envelope(attempt=1), _envelope(attempt=2, final=True)]
-        queue.bury("cell-1", reason="retry budget exhausted", envelopes=chain,
-                   worker="w1")
-        assert queue.is_dead("cell-1")
-        assert len(queue) == 1
-        assert [e.attempt for e in queue.envelopes("cell-1")] == [1, 2]
-        assert queue.summary()["reasons"]["cell-1"] == "retry budget exhausted"
-
-        assert queue.readmit("cell-1") is True
-        assert not queue.is_dead("cell-1")
-        assert queue.readmitted_at("cell-1") is not None
-        assert queue.envelopes("cell-1") == []
-        # burial history is append-only, never rewritten
-        events = [json.loads(line) for line in
-                  (tmp_path / DEAD_LETTER_FILENAME).read_text().splitlines()]
-        assert [e["event"] for e in events] == ["bury", "readmit"]
-
-    def test_readmit_of_unburied_cell_is_refused(self, tmp_path):
-        queue = DeadLetterQueue(tmp_path)
-        assert queue.readmit("never-buried") is False
-        queue.bury("cell-1", reason="x")
-        queue.readmit("cell-1")
-        assert queue.readmit("cell-1") is False  # already re-admitted
-
-    def test_readmit_all_returns_fingerprints(self, tmp_path):
-        queue = DeadLetterQueue(tmp_path)
-        queue.bury("b", reason="x")
-        queue.bury("a", reason="y")
-        assert queue.readmit_all() == ["a", "b"]
-        assert len(queue) == 0
-        assert queue.readmit_all() == []
-
-    def test_second_burial_after_readmission_wins(self, tmp_path):
-        queue = DeadLetterQueue(tmp_path)
-        queue.bury("cell-1", reason="first life")
-        queue.readmit("cell-1")
-        queue.bury("cell-1", reason="second life")
-        assert queue.is_dead("cell-1")
-        assert queue.summary()["reasons"]["cell-1"] == "second life"
-        assert queue.readmitted_at("cell-1") is None
-
-    def test_torn_tail_is_ignored(self, tmp_path):
-        queue = DeadLetterQueue(tmp_path)
-        queue.bury("cell-1", reason="x")
-        with (tmp_path / DEAD_LETTER_FILENAME).open("ab") as handle:
-            handle.write(b'{"event": "readmit", "fingerprint": "cell-1"')
-        assert queue.is_dead("cell-1")  # the half-written readmit never landed
-
-
 # ---------------------------------------------------------------------- breaker
 
 
@@ -477,21 +420,20 @@ class TestCampaignSupervisor:
         assert not supervisor.path.exists()
         assert supervisor.summary()["circuit_state"] == "disabled"
 
-    def test_timeout_kills_and_dead_letters_in_summary(self, tmp_path):
-        supervisor = CampaignSupervisor(tmp_path, CampaignPolicy())
-        supervisor.note_timeout_kill()
-        supervisor.note_timeout_kill()
-        DeadLetterQueue(tmp_path).bury("cell-1", reason="x")
-        summary = supervisor.summary()
-        assert summary["timeout_kills"] == 2
-        assert summary["dead_lettered"] == 1
-
     def test_corrupt_state_file_resets_to_fresh(self, tmp_path):
         supervisor = CampaignSupervisor(tmp_path, self.POLICY)
         supervisor.record_result(False)
         supervisor.path.write_text("{ not json", encoding="utf-8")
         assert supervisor.circuit_state() == CIRCUIT_CLOSED
         assert supervisor.circuit_allows()
+        # a state whose breaker is not an object resets the same way
+        for payload in ('{"circuit": null}', '{"circuit": 5}'):
+            supervisor = CampaignSupervisor(tmp_path, self.POLICY)
+            supervisor.path.write_text(payload, encoding="utf-8")
+            assert supervisor.circuit_allows()
+            assert supervisor.circuit_state() == CIRCUIT_CLOSED
+            assert supervisor.summary()["circuit_state"] == CIRCUIT_CLOSED
+            assert supervisor.record_result(False) == CIRCUIT_CLOSED
 
 
 # ---------------------------------------------------------------------- worker
@@ -528,22 +470,21 @@ class TestWorkerSupervision:
         assert fingerprint not in store
         records = list(store.iter_audit_records())
         assert [r.code for r in records] == ["E_TIMEOUT", "E_TIMEOUT"]
+        assert [r.attempt for r in records] == [1, 2]
         assert records[0].retryable and not records[0].final
         assert records[1].final
-        assert records[1].context.get("dead_letter") is True
 
-        queue = DeadLetterQueue(store_dir)
-        assert queue.is_dead(fingerprint)
-        chain = queue.envelopes(fingerprint)
-        assert [e.attempt for e in chain] == [1, 2]
+        cell = store.cell_failures()[fingerprint]
+        assert (cell.attempts, cell.last, cell.failed) == (2, records[1], True)
 
-        # a scavenger never claims the buried cell
+        # a scavenger never claims the failed cell
         scavenger = run_worker(store_dir, worker_id="scavenger", manifest=manifest)
         assert scavenger.executed == 0
         assert fingerprint not in RunStore(store_dir)
+        assert len(RunStore(store_dir).audit_records()) == 2
 
         # re-admission grants a fresh budget; a healthy worker finishes it
-        assert queue.readmit(fingerprint) is True
+        assert RunStore(store_dir).readmit_failed() == [fingerprint]
         finisher = run_worker(store_dir, worker_id="finisher", manifest=manifest)
         assert finisher.executed == 1
         assert finisher.timeout_kills == 0
@@ -557,52 +498,51 @@ class TestWorkerSupervision:
         with faults.inject(FaultInjector(hang_at_evaluation=1, hang_seconds=60)):
             run_worker(store_dir, worker_id="wedged", manifest=manifest)
         summary = CampaignSupervisor(store_dir, manifest.policy).summary()
-        assert summary["timeout_kills"] == 2
-        assert summary["dead_lettered"] == 1
-        assert summary["circuit_state"] == "disabled"
+        assert summary == {"circuit_state": "disabled", "circuit_transitions": []}
 
-        audit = summarize_audit(RunStore(store_dir).iter_audit_records())
+        audit = RunStore(store_dir).audit_summary()
         assert audit["by_code"] == {"E_TIMEOUT": 2}
-        assert audit["dead_lettered"] == [request_fingerprint(request)]
+        assert audit["failed_cells"] == [request_fingerprint(request)]
 
 
 class TestReadmission:
-    """A re-admitted dead-letter cell starts a new life: the failures of its
-    previous one resolve it for nobody."""
+    """A re-admitted cell starts a new life: the failures of its previous
+    one resolve it for nobody."""
 
     def test_final_failure_restarts_at_readmission(self, tmp_path):
-        from repro.campaign.executors import final_failure
-
         request = _request()
         store = RunStore(tmp_path)
-        queue = DeadLetterQueue(tmp_path)
         fingerprint = request_fingerprint(request)
-        assert final_failure(store, fingerprint, request, queue) is None
+        assert store.cell_failures() == {}
+        assert store.readmit_failed() == []  # nothing has failed for good
 
-        _bury(tmp_path, request)
-        (buried,) = store.audit_records()
-        assert final_failure(store, fingerprint, request, queue) == buried
+        _fail_for_good(tmp_path, request)
+        (final,) = store.audit_records()
+        assert store.cell_failures()[fingerprint].last == final
+        assert _failed(tmp_path, fingerprint)
 
-        queue.readmit(fingerprint)
-        assert final_failure(store, fingerprint, request, queue) is None
-        retry = buried.replace(attempt=1, final=False, time_s=time.time() + 1.0)
+        assert store.readmit_failed() == [fingerprint]
+        assert store.readmit_failed() == []  # already re-admitted
+        assert store.cell_failures() == {}
+        retry = final.replace(attempt=1, final=False, time_s=time.time() + 1.0)
         store.record_error(retry)
-        assert final_failure(store, fingerprint, request, queue) is None
+        cell = store.cell_failures()[fingerprint]
+        assert (cell.attempts, cell.last, cell.failed) == (1, retry, False)
         failed = retry.replace(final=True, time_s=retry.time_s + 1.0)
         store.record_error(failed)
-        assert final_failure(store, fingerprint, request, queue) == failed
+        cell = store.cell_failures()[fingerprint]
+        assert (cell.attempts, cell.last, cell.failed) == (2, failed, True)
 
-        # a burial without an audit record still resolves the cell
-        other = _request(seed=1)
-        queue.bury(request_fingerprint(other), reason="poison")
-        envelope = final_failure(store, request_fingerprint(other), other, queue)
-        assert envelope.code == "E_POISON" and envelope.final
+        # a torn re-admission never landed
+        with (tmp_path / DEAD_LETTER_FILENAME).open("ab") as handle:
+            handle.write(b'{"event": "readmit", "fingerprint": "%s"' % fingerprint.encode())
+        assert _failed(tmp_path, fingerprint)
 
     def test_pull_worker_campaign_stores_a_readmitted_cell(self, tmp_path):
         store_dir = tmp_path / "store"
         request = _request()
-        fingerprint = _bury(store_dir, request)
-        assert DeadLetterQueue(store_dir).readmit(fingerprint)
+        fingerprint = _fail_for_good(store_dir, request)
+        assert RunStore(store_dir).readmit_failed() == [fingerprint]
         result = run_campaign(
             [request],
             store_dir,
@@ -612,6 +552,115 @@ class TestReadmission:
         assert result.failed == ()
         assert result.executed == (fingerprint,)
         assert RunStore(store_dir).fingerprints() == [fingerprint]
+
+
+class TestOneRecordOfFailures:
+    """The audit log is the one record of a cell's failures: stores written
+    when a final record was also copied into a ``bury`` event, and deadline
+    kills were also counted in ``supervisor.json``, resolve the same cells."""
+
+    def test_a_store_of_the_earlier_layout_resolves_the_same_cells(
+        self, tmp_path, capsys
+    ):
+        store_dir = tmp_path / "store"
+        buried, readmitted = _request(seed=0), _request(seed=1)
+        a, b = request_fingerprint(buried), request_fingerprint(readmitted)
+        now = time.time()
+        store = RunStore(store_dir)
+        events = []
+        for request, fingerprint in ((buried, a), (readmitted, b)):
+            chain = [
+                ErrorEnvelope(
+                    code="E_TIMEOUT",
+                    message="cell exceeded its 1s deadline",
+                    retryable=True,
+                    attempt=attempt,
+                    final=attempt == 2,
+                    fingerprint=fingerprint,
+                    worker="w0",
+                    time_s=now - 11.0 + attempt,
+                    context={
+                        "scenario": request.scenario_name,
+                        "search_space": request.search_space,
+                        **({"dead_letter": True} if attempt == 2 else {}),
+                    },
+                )
+                for attempt in (1, 2)
+            ]
+            for envelope in chain:
+                store.record_error(envelope)
+            events.append({
+                "event": "bury", "fingerprint": fingerprint,
+                "reason": "retry budget exhausted (2/2)", "worker": "w0",
+                "time_s": now - 8.0,
+                "envelopes": [envelope.to_dict() for envelope in chain],
+            })
+        events.append({"event": "readmit", "fingerprint": b, "time_s": now - 5.0})
+        (store_dir / DEAD_LETTER_FILENAME).write_text(
+            "".join(json.dumps(event) + "\n" for event in events), encoding="utf-8"
+        )
+        (store_dir / SUPERVISOR_FILENAME).write_text(
+            json.dumps({
+                "schema_version": 1,
+                "circuit": CircuitBreaker().to_dict(),
+                "timeout_kills": 2,
+            }),
+            encoding="utf-8",
+        )
+
+        # A has failed for good; B was re-admitted and has no failure since
+        cells = RunStore(store_dir).cell_failures()
+        assert set(cells) == {a}
+        assert (cells[a].attempts, cells[a].failed) == (2, True)
+
+        # no loop claims A, and B runs on a fresh budget of max_attempts=2
+        policy = CampaignPolicy(ttl_s=15.0, poll_s=0.05, max_attempts=2)
+        manifest = CampaignManifest.from_requests([buried, readmitted], policy=policy)
+        report = run_worker(store_dir, worker_id="w1", manifest=manifest)
+        assert (report.executed, report.fingerprints) == (1, [b])
+        assert RunStore(store_dir).fingerprints() == [b]
+        assert len(RunStore(store_dir).audit_records()) == 4
+
+        capsys.readouterr()
+        assert cli_main(["report", "--store", str(store_dir)]) == 0
+        assert re.search(r"\b1 cell\(s\) permanently failed", capsys.readouterr().out)
+        result = run_campaign(
+            [buried, readmitted], store_dir, policy=policy.replace(on_error="continue")
+        )
+        assert result.skipped == (b,) and [f.fingerprint for f in result.failed] == [a]
+        assert result.timeout_kills == 0
+
+        assert cli_main(["campaign", "--store", str(store_dir), "--retry-dead"]) == 0
+        assert "1 dead-lettered cell(s) re-admitted" in capsys.readouterr().out
+        assert not _failed(store_dir, a)
+        lines = (store_dir / DEAD_LETTER_FILENAME).read_text().splitlines()
+        last = json.loads(lines[-1])
+        assert set(last) == {"event", "fingerprint", "time_s"}
+        assert (last["event"], last["fingerprint"]) == ("readmit", a)
+
+    def test_a_cell_failed_for_good_leaves_no_burial_and_no_kill_counter(
+        self, tmp_path, hang_every_cell
+    ):
+        store_dir = tmp_path / "store"
+        request = _request()
+        result = run_campaign(
+            [request],
+            store_dir,
+            executor="serial",
+            policy=CampaignPolicy(
+                cell_timeout_s=0.5,
+                max_attempts=1,
+                on_error="continue",
+                circuit_threshold=1.0,
+            ),
+        )
+        fingerprint = request_fingerprint(request)
+        assert [f.fingerprint for f in result.failed] == [fingerprint]
+        assert result.timeout_kills == 1
+        assert not (store_dir / DEAD_LETTER_FILENAME).exists()
+        state = json.loads((store_dir / SUPERVISOR_FILENAME).read_text())
+        assert set(state) == {"schema_version", "circuit"}
+        assert _failed(store_dir, fingerprint)
 
 
 # ---------------------------------------------------------------------- every executor
@@ -637,7 +686,7 @@ def _ghost(request: SearchRequest) -> SearchRequest:
 
 
 class TestSupervisionOnEveryExecutor:
-    """Deadlines, retries, dead-lettering and the breaker hold on every
+    """Deadlines, retries, failing for good and the breaker hold on every
     executor, because each runs the one pull loop."""
 
     def test_process_pool_kills_a_hung_cell_at_its_deadline(
@@ -655,11 +704,11 @@ class TestSupervisionOnEveryExecutor:
         assert [r.code for r in store.audit_records()] == ["E_TIMEOUT"]
         assert len(store) == 0
         assert multiprocessing.active_children() == []
-        # the cell is dead-lettered: a re-run reports it failed without
+        # the cell has failed for good: a re-run reports it failed without
         # running it, and counts only its own kills
         again = run_campaign([request], store, executor="process-pool", policy=policy)
         assert [f.fingerprint for f in again.failed] == [failure.fingerprint]
-        assert again.timeout_kills == 0 and again.dead_lettered == 1
+        assert again.timeout_kills == 0
         assert len(store.audit_records()) == 1
 
     @pytest.mark.parametrize("executor", ["serial", "process-pool"])
@@ -687,11 +736,10 @@ class TestSupervisionOnEveryExecutor:
             ("E_TIMEOUT", 1, False),
             ("E_TIMEOUT", 2, True),
         ]
-        assert records[-1].context.get("dead_letter") is True
-        queue = DeadLetterQueue(store.directory)
-        assert queue.is_dead(fingerprint)
-        assert [e.attempt for e in queue.envelopes(fingerprint)] == [1, 2]
-        assert result.dead_lettered == 1 and result.timeout_kills == 2
+        cell = store.cell_failures()[fingerprint]
+        assert (cell.attempts, cell.last, cell.failed) == (2, records[-1], True)
+        assert result.failed[0].envelope == records[-1]
+        assert result.timeout_kills == 2
 
     @pytest.mark.parametrize("executor", ["serial", "process-pool"])
     def test_open_breaker_leaves_queued_cells_unrun(
@@ -731,9 +779,7 @@ class TestSupervisionOnEveryExecutor:
         assert ran == [request_fingerprint(r) for r in cells[:3]]
         store.refresh()
         assert store.fingerprints() == [request_fingerprint(good[0])]
-        assert set(DeadLetterQueue(store.directory).dead()) == {
-            request_fingerprint(r) for r in bad
-        }
+        assert store.failed_cells() == sorted(request_fingerprint(r) for r in bad)
         assert multiprocessing.active_children() == []
 
     def test_pull_worker_stops_its_paused_workers_at_an_open_breaker(
@@ -1136,11 +1182,12 @@ class TestAuditStreaming:
         log.append(_envelope(final=True))
         log.append(_envelope(code="E_TIMEOUT", attempt=2, worker="w1"))
         summary = summarize_audit(log.iter_records())
-        assert summary["num_records"] == 2
-        assert summary["by_code"] == {"E_EXECUTION": 1, "E_TIMEOUT": 1}
-        assert summary["failed_cells"] == ["cell-1"]
-        assert summary["retries"] == 1
-        assert summary["workers"] == ["w1"]
+        assert summary == {
+            "num_records": 2,
+            "by_code": {"E_EXECUTION": 1, "E_TIMEOUT": 1},
+            "retries": 1,
+            "workers": ["w1"],
+        }
 
     def test_lines_that_are_not_envelopes_are_skipped(self, tmp_path):
         log = AuditLog(tmp_path / "audit.jsonl")
@@ -1155,34 +1202,28 @@ class TestAuditStreaming:
     ):
         store_dir = tmp_path / "store"
         request = _request()
-        stored = _bury(store_dir, request)
-        DeadLetterQueue(store_dir).readmit(stored)
+        stored = _fail_for_good(store_dir, request)
         RunStore(store_dir).append(run_search(request), fingerprint=stored)
-        buried = _bury(store_dir, _request(seed=1))
+        failed = _fail_for_good(store_dir, _request(seed=1))
         audit = RunStore(store_dir).audit_summary()
         assert audit["num_records"] == 2
-        assert audit["failed_cells"] == [buried]
-        assert audit["dead_lettered"] == [buried]
+        assert audit["failed_cells"] == [failed]
         assert RunStore(store_dir).summary()["audit"] == audit
 
     def test_store_audit_summary_applies_the_final_failure_rule(self, tmp_path):
         """A re-admitted cell is pending until a record of its new life is
-        final, and a burial fails a cell even without an audit record."""
+        final."""
         store_dir = tmp_path / "store"
-        fingerprint = _bury(store_dir, _request())
-        DeadLetterQueue(store_dir).readmit(fingerprint)
+        fingerprint = _fail_for_good(store_dir, _request())
         store = RunStore(store_dir)
+        assert store.readmit_failed() == [fingerprint]
         assert store.audit_summary()["failed_cells"] == []
-        (buried,) = store.audit_records()
-        retry = buried.replace(attempt=1, final=False, time_s=time.time() + 1.0)
+        (final,) = store.audit_records()
+        retry = final.replace(attempt=1, final=False, time_s=time.time() + 1.0)
         store.record_error(retry)
         assert store.audit_summary()["failed_cells"] == []
         store.record_error(retry.replace(final=True, time_s=retry.time_s + 1.0))
         assert store.audit_summary()["failed_cells"] == [fingerprint]
-        DeadLetterQueue(store_dir).bury("unexplained", reason="operator")
-        audit = store.audit_summary()
-        assert audit["failed_cells"] == sorted([fingerprint, "unexplained"])
-        assert audit["dead_lettered"] == ["unexplained"]
 
     def test_unknown_future_code_is_preserved_not_dropped(self):
         payload = _envelope().to_dict()
@@ -1207,37 +1248,31 @@ class TestAuditStreaming:
         log.path.parent.mkdir(parents=True, exist_ok=True)
         with log.path.open("ab") as handle:
             handle.write((json.dumps(future) + "\n").encode("utf-8"))
-        log.append(
-            _envelope(
-                code="E_POISON",
-                fingerprint="cell-2",
-                final=True,
-                context={"dead_letter": True},
-            )
-        )
+        log.append(_envelope(code="E_POISON", fingerprint="cell-2", final=True))
         summary = summarize_audit(log.iter_records())
         assert summary["by_code"] == {
             "E_POISON": 1,
             "E_QUANTUM_DECAY": 1,
             "E_TIMEOUT": 1,
         }
-        assert summary["failed_cells"] == ["cell-1", "cell-2"]
-        assert summary["dead_lettered"] == ["cell-2"]
+        # a future code's final record fails its cell like any other
+        assert RunStore(tmp_path).failed_cells() == ["cell-1", "cell-2"]
 
     def test_report_renders_dead_letter_count_not_the_list(self, tmp_path):
         store = RunStore(tmp_path / "sharded")
-        store.audit_log("s/d", "sp").append(
-            _envelope(
-                code="E_POISON", final=True, context={"dead_letter": True}
-            )
-        )
+        store.audit_log("s/d", "sp").append(_envelope(code="E_POISON", final=True))
         from repro.analysis.reporting import ExperimentReport
 
         report = ExperimentReport(title="t")
-        report.add_audit_summary(summarize_audit(store.iter_audit_records()))
+        report.add_audit_summary(store.audit_summary())
         markdown = report.render_markdown()
-        assert "**1** poison cell(s) dead-lettered" in markdown
-        assert "[" not in markdown.split("poison")[0].splitlines()[-1]
+        count_line = next(
+            line for line in markdown.splitlines() if "permanently failed" in line
+        )
+        assert "**1** cell(s) permanently failed" in count_line
+        assert "[" not in count_line and "cell-1" not in count_line
+        assert "Failed cells: `cell-1`" in markdown
+        assert "dead-lettered" not in markdown
 
     def test_classify_error_edges(self):
         assert classify_error(CellTimeout("late")) == "E_TIMEOUT"
@@ -1291,12 +1326,13 @@ class TestSupervisionCLI:
 
     def test_retry_dead_readmits_and_exits_0(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
-        queue = DeadLetterQueue(store_dir)
-        queue.bury("cell-1", reason="poison")
+        fingerprint = _fail_for_good(store_dir, _request())
         code = cli_main(["campaign", "--store", str(store_dir), "--retry-dead"])
         assert code == 0
         assert "1 dead-lettered cell(s) re-admitted" in capsys.readouterr().out
-        assert len(DeadLetterQueue(store_dir)) == 0
+        assert not _failed(store_dir, fingerprint)
+        assert cli_main(["campaign", "--store", str(store_dir), "--retry-dead"]) == 0
+        assert "0 dead-lettered cell(s) re-admitted" in capsys.readouterr().out
 
     @pytest.mark.parametrize("fmt", ["table", "markdown", "json"])
     def test_report_does_not_count_a_readmitted_stored_cell(
@@ -1304,7 +1340,7 @@ class TestSupervisionCLI:
     ):
         store_dir = tmp_path / "store"
         request = _request()
-        fingerprint = _bury(store_dir, request)
+        fingerprint = _fail_for_good(store_dir, request)
         assert cli_main(["campaign", "--store", str(store_dir), "--retry-dead"]) == 0
         RunStore(store_dir).append(run_search(request), fingerprint=fingerprint)
         capsys.readouterr()
@@ -1313,7 +1349,7 @@ class TestSupervisionCLI:
         if fmt == "json":
             audit = json.loads(out)["audit"]
             assert audit["num_records"] == 1
-            assert audit["failed_cells"] == [] and audit["dead_lettered"] == []
+            assert audit["failed_cells"] == []
         else:
             assert "cell(s) permanently failed" in out
             assert not re.search(r"1\W* cell\(s\) permanently failed", out)

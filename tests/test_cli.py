@@ -455,7 +455,7 @@ def test_campaign_on_error_continue_reports_failures(tmp_path, capsys):
         failed = [what for what in lines.values() if what.startswith("failed: ")]
         assert len(failed) == 2
         assert all(what.startswith("failed: E_REGISTRY ") for what in failed)
-        # the failed cells are dead-lettered: a plain re-run reports them
+        # the failed cells have failed for good: a plain re-run reports them
         # failed again without running them
         assert main(args) == 1
         out = capsys.readouterr().out

@@ -1,19 +1,20 @@
 #!/usr/bin/env python
 """Campaign supervision chaos drills: deadlines, dead-letter, circuit, fsck.
 
-The acceptance drill of the supervision subsystem (PR 10), runnable locally
-and in CI::
+The acceptance drill of the supervision subsystem, runnable locally and in
+CI::
 
     PYTHONPATH=src python tools/campaign_chaos.py
 
 1. **Deadline + dead-letter**: a worker whose search wedges forever
    (``REPRO_FAULT_HANG_AT_EVAL``) must be killed at the enforced per-cell
    deadline, audited as ``E_TIMEOUT``, retried, and — once the retry budget
-   is exhausted — buried in ``dead-letter.jsonl``.  A fresh worker must
-   refuse to claim the buried cell; ``repro campaign --retry-dead`` must
-   re-admit it, after which ``repro campaign --executor pull-worker`` over
-   the same cell must store it and exit 0 (its observer may not fail the
-   cell on the records of its buried life).
+   is exhausted — have failed for good, its two ``E_TIMEOUT`` audit records
+   its whole failure chain (``RunStore.cell_failures``).  A fresh worker
+   must refuse to claim the failed cell; ``repro campaign --retry-dead``
+   must re-admit it, after which ``repro campaign --executor pull-worker``
+   over the same cell must store it and exit 0 (its observer may not fail
+   the cell on the records of its previous life).
 2. **Store integrity**: an injected ENOSPC append leaves the store
    byte-identical; an injected torn append and two simulated bit-flips —
    one in a record's body, one in another record's checksum — are detected
@@ -28,7 +29,8 @@ and in CI::
    breaker, stop the workers claiming, and exit with code 4.
 4. **Healthy parity**: a supervised campaign over healthy cells stores
    record-identical contents (modulo per-run wall time, and the checksum
-   that covers it) and summaries as an unsupervised one.
+   that covers it) and summaries as an unsupervised one, and audits no
+   failure.
 
 Exits non-zero with a diagnostic on any violation and keeps its temporary
 workspace for inspection; a passing run removes it.
@@ -53,7 +55,6 @@ from repro.campaign import (  # noqa: E402
     CampaignPolicy,
     CampaignSpec,
     CircuitOpenError,
-    DeadLetterQueue,
     RunStore,
     fsck_store,
     run_campaign,
@@ -145,41 +146,49 @@ def drill_deadline_and_dead_letter(base: Path) -> int:
         return _fail("hung worker was not released by the deadline watchdog")
     if hung.returncode != 0:
         return _fail(f"hung worker exited {hung.returncode}, expected 0 "
-                     "(bury the cell and finish)")
+                     "(fail the cell for good and finish)")
 
     store = RunStore(store_dir)
+
+    def failed_for_good() -> bool:
+        store.refresh()
+        cell = store.cell_failures().get(fingerprint)
+        return cell is not None and cell.failed
+
     if len(store) != 0:
         return _fail("a wedged cell still produced a stored outcome")
-    timeouts = [e for e in store.audit_records() if e.code == "E_TIMEOUT"]
-    if len(timeouts) != policy.max_attempts:
+    chain = store.audit_records()
+    if [e.code for e in chain] != ["E_TIMEOUT"] * policy.max_attempts or any(
+        e.fingerprint != fingerprint for e in chain
+    ):
         return _fail(f"expected {policy.max_attempts} E_TIMEOUT audit "
-                     f"records, found {len(timeouts)}")
-    dead_letters = DeadLetterQueue(store_dir)
-    if not dead_letters.is_dead(fingerprint):
-        return _fail("the poison cell was not dead-lettered")
-    chain = dead_letters.envelopes(fingerprint)
-    if not chain or not all(e.code == "E_TIMEOUT" for e in chain):
-        return _fail(f"dead-letter chain should be E_TIMEOUT envelopes, "
-                     f"got {[e.code for e in chain]}")
+                     f"records of the cell, found {[e.code for e in chain]}")
+    cell = store.cell_failures().get(fingerprint)
+    if cell is None or not cell.failed:
+        return _fail("the poison cell has not failed for good")
+    if cell.attempts != len(chain) or cell.last != chain[-1]:
+        return _fail(f"the cell's failure chain is not its {len(chain)} "
+                     f"E_TIMEOUT records: {cell}")
     print(f"      killed at the {policy.cell_timeout_s:g}s deadline twice, "
-          f"buried with a {len(chain)}-envelope chain")
+          f"failed for good with a {cell.attempts}-record chain")
 
-    # a fresh worker must refuse the buried cell and exit with nothing to do
+    # a fresh worker must refuse the failed cell and exit with nothing to do
     scavenger = _spawn_worker(store_dir, "scavenger")
     scavenger.wait(timeout=60.0)
-    store.refresh()
-    if len(store) != 0 or not dead_letters.is_dead(fingerprint):
+    if not failed_for_good() or len(store) != 0 or (
+        len(store.audit_records()) != len(chain)
+    ):
         return _fail("a fresh worker re-claimed a dead-lettered cell")
-    print("      fresh worker refused the buried cell")
+    print("      fresh worker refused the failed cell")
 
     # explicit re-admission, then a pull-worker campaign over the same cell
     # finishes it; its observer must not fail the cell on the final audit
-    # record of its buried life
+    # record of its previous life
     code = cli_main(["campaign", "--store", str(store_dir), "--retry-dead"])
     if code != 0:
         return _fail(f"repro campaign --retry-dead exited {code}")
-    if dead_letters.is_dead(fingerprint):
-        return _fail("--retry-dead did not re-admit the buried cell")
+    if failed_for_good():
+        return _fail("--retry-dead did not re-admit the failed cell")
     try:
         campaign = subprocess.run(
             [sys.executable, "-m", "repro", "campaign",
@@ -355,8 +364,9 @@ def drill_circuit_breaker(base: Path) -> int:
         return _fail(f"supervisor.json records circuit state "
                      f"{state['circuit']['state']!r}, expected 'open'")
     transitions = state["circuit"].get("transitions", [])
+    kills = sum(1 for e in RunStore(cli_dir).audit_records() if e.code == "E_TIMEOUT")
     print(f"      pull-worker campaign exited 4; shared breaker open after "
-          f"{state.get('timeout_kills', 0)} timeout kill(s), "
+          f"{kills} timeout kill(s), "
           f"transitions: {[t[-1] for t in transitions]}")
     return 0
 
@@ -391,8 +401,9 @@ def drill_healthy_parity(base: Path) -> int:
     if supervised.summary()["circuit_state"] not in ("closed", "disabled"):
         return _fail("healthy supervised campaign did not keep the breaker "
                      "closed")
-    if supervised.summary()["timeout_kills"] or supervised.summary()["dead_lettered"]:
-        return _fail("healthy supervised campaign recorded supervision events")
+    audit = RunStore(supervised_dir).audit_summary()
+    if audit["by_code"].get("E_TIMEOUT") or audit["failed_cells"]:
+        return _fail(f"healthy supervised campaign audited failures: {audit}")
     print("      supervised and unsupervised stores identical "
           "(modulo wall time); breaker stayed closed")
     return 0
@@ -411,7 +422,7 @@ def main() -> int:
         if code:
             print(f"workspace kept for inspection: {base}", file=sys.stderr)
             return code
-    print("OK: deadlines enforced, poison cells dead-lettered and "
+    print("OK: deadlines enforced, poison cells failed for good and "
           "re-admittable, circuit breaker trips to exit 4, store rot "
           "detected/quarantined/repaired, healthy supervision inert")
     shutil.rmtree(base)
