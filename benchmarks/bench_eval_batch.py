@@ -29,11 +29,11 @@ enforces.  The >= 5x timing floor is only asserted on full-size runs
 (``REPRO_BENCH_FAST=0``).
 
 ``test_evaluate_pool_memo_smoke`` evaluates one pool per built-in space
-through ``PartitionAwareEvaluator.evaluate_pool`` with cold layer memos
-(interned specs, layer summaries, noise keys), then again warm, asserts
-identical objective vectors and records, and writes both timings with the
-memo entry counts and hit ratios to ``results/eval_memo_smoke.json``.  It
-never fails on timing.
+through ``PartitionAwareEvaluator.evaluate_pool`` against a cold layer
+table (in a fresh interpreter: this module run as a script, one space per
+run) and against this process's warm one, asserts identical objective
+vectors and records, and writes both timings with the table rows each pass
+added to ``results/eval_memo_smoke.json``.  It never fails on timing.
 
 ``test_evaluate_pool_oracle_smoke`` evaluates one pool per built-in space,
 of the random strategy's chunk size, through ``evaluate_pool`` and through
@@ -46,6 +46,8 @@ objective bytes and record JSON, and writes both timings to
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -54,13 +56,14 @@ from oracles import evaluation as evaluation_oracle
 from oracles import partition as oracle
 from oracles import predictor as predictor_oracle
 
-from repro.accuracy.surrogate import AccuracySurrogate, layer_noise_key
+from repro.accuracy.surrogate import AccuracySurrogate
 from repro.api.engine import EvaluationEngine
 from repro.api.registry import SEARCH_SPACES
 from repro.api.session import _RANDOM_EVAL_CHUNK
 from repro.core.evaluation import PartitionAwareEvaluator
-from repro.nn.architecture import layer_summary
-from repro.nn.layers import interned
+from repro.hardware.device import jetson_tx2_gpu
+from repro.hardware.predictors import LayerPerformancePredictor
+from repro.nn.table import LAYER_TABLE
 from repro.partition.partitioner import PartitionAnalyzer
 from repro.wireless.channel import WirelessChannel
 
@@ -79,15 +82,8 @@ SPEEDUP_FLOOR = 5.0
 #: Timed repetitions per path; the best run is scored (noise robustness).
 REPEATS = 3
 
-#: Spaces of the memo smoke.
+#: Spaces of the table and oracle smokes.
 MEMO_SMOKE_SPACES = ("lens-vgg", "resnet-v1", "seq-conv1d")
-
-#: Layer memos the memo smoke clears and reports, by name.
-LAYER_MEMOS = {
-    "interned": interned,
-    "layer_summary": layer_summary,
-    "layer_noise_key": layer_noise_key,
-}
 
 #: Metric fields compared per deployment option.
 _METRIC_FIELDS = (
@@ -305,87 +301,84 @@ def test_batched_evaluation_graph_aware_parity(trained_gpu_predictor):
     assert any(not graph.is_linear for graph in graphs)
 
 
-def _memo_pass(evaluator, genotypes):
-    """One timed ``evaluate_pool`` call and the memo hits/misses it made."""
-    before = {name: memo.cache_info() for name, memo in LAYER_MEMOS.items()}
-    start = time.perf_counter()
-    records = evaluator.evaluate_pool(genotypes)
-    elapsed = time.perf_counter() - start
-    ratios = {}
-    for name, memo in LAYER_MEMOS.items():
-        info = memo.cache_info()
-        hits = info.hits - before[name].hits
-        misses = info.misses - before[name].misses
-        ratios[name] = hits / (hits + misses) if hits + misses else 0.0
-    return elapsed, records, ratios
-
-
 def _outputs(records):
     """A pool's objective vectors as bytes and its records as JSON text."""
     objectives = np.array([objectives for objectives, _ in records]).tobytes()
     return objectives, [json.dumps(meta["evaluation"].to_dict()) for _, meta in records]
 
 
+def _table_pass(space_name, predictor):
+    """One timed ``evaluate_pool`` of the space's smoke pool, as JSON-ready data.
+
+    Returns the seconds it took, the layer-table rows it added and its
+    objective bytes (hex) and record JSON.
+    """
+    space = SEARCH_SPACES.create(space_name)
+    rng = np.random.default_rng(SEED)
+    genotypes = [space.sample(rng) for _ in range(POOL_SIZE)]
+    analyzer = PartitionAnalyzer(predictor, _channels()[0])
+    evaluator = PartitionAwareEvaluator(space, AccuracySurrogate(), analyzer)
+    rows = LAYER_TABLE.size
+    start = time.perf_counter()
+    records = evaluator.evaluate_pool(genotypes)
+    elapsed = time.perf_counter() - start
+    objectives, texts = _outputs(records)
+    return {
+        "seconds": elapsed,
+        "rows_added": LAYER_TABLE.size - rows,
+        "outputs": [objectives.hex(), texts],
+    }
+
+
 def test_evaluate_pool_memo_smoke(trained_gpu_predictor):
-    """Cold-memo and warm-memo pool evaluations agree exactly, per space."""
-    analyzer = PartitionAnalyzer(trained_gpu_predictor, _channels()[0])
+    """Cold-table and warm-table pool evaluations agree exactly, per space."""
     rows = []
     mismatched = []
     payload = {"pool_size": POOL_SIZE, "fast_mode": FAST_MODE, "spaces": {}}
     for name in MEMO_SMOKE_SPACES:
-        space = SEARCH_SPACES.create(name)
-        rng = np.random.default_rng(SEED)
-        genotypes = [space.sample(rng) for _ in range(POOL_SIZE)]
-        evaluator = PartitionAwareEvaluator(space, AccuracySurrogate(), analyzer)
-        for memo in LAYER_MEMOS.values():
-            memo.cache_clear()
-        cold_s, cold, cold_ratios = _memo_pass(evaluator, genotypes)
-        entries = {n: memo.cache_info().currsize for n, memo in LAYER_MEMOS.items()}
-        warm_s, warm, warm_ratios = _memo_pass(evaluator, genotypes)
-        identical = _outputs(cold) == _outputs(warm)
+        completed = subprocess.run(
+            [sys.executable, __file__, name],
+            capture_output=True,
+            text=True,
+            timeout=600,
+            check=True,
+        )
+        cold = json.loads(completed.stdout)
+        _table_pass(name, trained_gpu_predictor)  # warm the table for this pool
+        warm = _table_pass(name, trained_gpu_predictor)
+        identical = cold["outputs"] == warm["outputs"]
         if not identical:
             mismatched.append(name)
         payload["spaces"][name] = {
-            "cold_s": cold_s,
-            "warm_s": warm_s,
-            "entries": entries,
-            "cold_hit_ratio": cold_ratios,
-            "warm_hit_ratio": warm_ratios,
+            "cold_s": cold["seconds"],
+            "warm_s": warm["seconds"],
+            "cold_rows_added": cold["rows_added"],
+            "warm_rows_added": warm["rows_added"],
+            "table_rows": LAYER_TABLE.size,
             "identical": identical,
         }
         rows.append(
             [
                 name,
-                round(cold_s * 1e3, 1),
-                round(warm_s * 1e3, 1),
-                entries["interned"],
-                entries["layer_summary"],
-                round(cold_ratios["layer_summary"], 3),
-                round(warm_ratios["layer_summary"], 3),
+                round(cold["seconds"] * 1e3, 1),
+                round(warm["seconds"] * 1e3, 1),
+                cold["rows_added"],
+                warm["rows_added"],
             ]
         )
 
     from repro.utils.serialization import format_table
 
     text = (
-        f"evaluate_pool with cold vs warm layer memos ({POOL_SIZE} candidates "
+        f"evaluate_pool with a cold vs a warm layer table ({POOL_SIZE} candidates "
         f"per space, {'fast' if FAST_MODE else 'full'} mode)\n"
         + format_table(
-            rows,
-            [
-                "space",
-                "cold ms",
-                "warm ms",
-                "layer specs",
-                "summaries",
-                "cold summary hits",
-                "warm summary hits",
-            ],
+            rows, ["space", "cold ms", "warm ms", "cold rows added", "warm rows added"]
         )
     )
     print("\n" + text)
     save_table("eval_memo_smoke", text, payload)
-    assert not mismatched, f"warm layer memos changed pool results in {mismatched}"
+    assert not mismatched, f"a warm layer table changed pool results in {mismatched}"
 
 
 def test_evaluate_pool_oracle_smoke(trained_gpu_predictor):
@@ -399,7 +392,7 @@ def test_evaluate_pool_oracle_smoke(trained_gpu_predictor):
         rng = np.random.default_rng(SEED)
         genotypes = [space.sample(rng) for _ in range(_RANDOM_EVAL_CHUNK)]
         evaluator = PartitionAwareEvaluator(space, AccuracySurrogate(), analyzer)
-        evaluator.evaluate_pool(genotypes)  # warm the layer memos for both paths
+        evaluator.evaluate_pool(genotypes)  # warm the layer table for both paths
         start = time.perf_counter()
         pooled = evaluator.evaluate_pool(genotypes)
         pool_s = time.perf_counter() - start
@@ -422,9 +415,19 @@ def test_evaluate_pool_oracle_smoke(trained_gpu_predictor):
 
     text = (
         f"evaluate_pool vs the per-candidate oracle ({_RANDOM_EVAL_CHUNK} "
-        "candidates per space, warm layer memos)\n"
+        "candidates per space, warm layer table)\n"
         + format_table(rows, ["space", "pool ms", "oracle ms", "identical"])
     )
     print("\n" + text)
     save_table("eval_pool_smoke", text, payload)
     assert not mismatched, f"evaluate_pool diverged from the oracle in {mismatched}"
+
+
+if __name__ == "__main__":
+    # The cold pass of the table smoke: a fresh interpreter starts with an
+    # empty layer table.  The predictor is trained as the
+    # ``trained_gpu_predictor`` fixture trains it.
+    _predictor = LayerPerformancePredictor.train_for_device(
+        jetson_tx2_gpu(), noise_std=0.03, samples_per_type=PREDICTOR_SAMPLES, seed=SEED
+    )
+    print(json.dumps(_table_pass(sys.argv[1], _predictor)))

@@ -27,31 +27,13 @@ offers genuine (small-scale) training through the same interface.
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
-from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.architecture import Architecture
-from repro.nn.layers import LAYER_MEMO_SIZE, LayerSpec
+from repro.nn.architecture import Architecture, LayerRows
+from repro.nn.table import LAYER_TABLE
 from repro.utils.validation import require_non_negative
-
-
-@lru_cache(maxsize=LAYER_MEMO_SIZE)
-def layer_noise_key(layer: LayerSpec) -> str:
-    """``repr(layer.to_dict())``, computed once per distinct layer."""
-    return repr(layer.to_dict())
-
-
-def noise_key(architecture: Architecture) -> str:
-    """The architecture part of the noise seed string.
-
-    Equal to ``repr(architecture.to_dict()["layers"])`` (a list's repr joins
-    its items' reprs with ``", "``), built from per-layer memo entries.
-    """
-    return "[" + ", ".join(map(layer_noise_key, architecture.layers)) + "]"
-
 
 #: Layer families whose statistics drive the surrogate: 1-D
 #: convolutions/poolings drive the same capacity trends as their 2-D
@@ -61,27 +43,27 @@ _POOL_TYPES = frozenset({"pool", "pool1d"})
 
 
 def _row_means(
-    rows: Sequence[Sequence[float]],
+    values: np.ndarray,
+    mask: np.ndarray,
     empty: float,
     transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
-    """``np.mean(transform(row))`` of every row, bit for bit; ``empty`` for an empty row.
+    """``np.mean(transform(row))`` of each row's masked values, bit for bit.
 
-    Rows of one length are stacked and averaged along axis 1, which sums
-    each row in the order a 1-D ``np.mean`` does (pairwise from eight values
-    on).  One reduction over the rows concatenated would sum them in
-    another order and move the last bits.
+    ``empty`` where a row masks nothing.  Rows with equal masked counts are
+    stacked and averaged along axis 1, which sums each row in the order a
+    1-D ``np.mean`` does (pairwise from eight values on).  One reduction
+    over the rows concatenated would sum them in another order and move
+    the last bits.
     """
-    means = np.full(len(rows), empty)
-    groups: Dict[int, List[int]] = defaultdict(list)
-    for index, row in enumerate(rows):
-        if row:
-            groups[len(row)].append(index)
-    for members in groups.values():
-        values = np.array([rows[index] for index in members], dtype=float)
+    counts = mask.sum(axis=1)
+    means = np.full(len(counts), empty)
+    for count in np.unique(counts[counts > 0]).tolist():
+        members = np.flatnonzero(counts == count)
+        chosen = values[members][mask[members]].reshape(len(members), count)
         if transform is not None:
-            values = transform(values)
-        means[members] = values.mean(axis=1)
+            chosen = transform(chosen)
+        means[members] = chosen.mean(axis=1)
     return means
 
 
@@ -137,41 +119,31 @@ class AccuracySurrogate(AccuracyModel):
 
     # ------------------------------------------------------------------ feature terms
     @staticmethod
-    def _statistics(architectures: Sequence[Architecture]) -> Dict[str, np.ndarray]:
-        """Structural statistics of a pool, one array entry per architecture."""
-        num_conv, num_pool, params = [], [], []
-        conv_filters, kernel_sizes, hidden_fc_units = [], [], []
-        for architecture in architectures:
-            filters, kernels, fc_units, pools = [], [], [], 0
-            for spec, summary in zip(architecture.layers, architecture.summarize()):
-                layer_type = summary.layer_type
-                if layer_type in _CONV_TYPES:
-                    filters.append(summary.output_shape[0])
-                    kernels.append(spec.kernel_size)
-                elif layer_type == "fc":
-                    fc_units.append(summary.output_shape[0])
-                elif layer_type in _POOL_TYPES:
-                    pools += 1
-            num_conv.append(len(filters))
-            num_pool.append(pools)
-            params.append(max(architecture.total_params, 1))
-            conv_filters.append(filters)
-            kernel_sizes.append(kernels)
-            # The final classifier is always present; hidden FC widths drive capacity.
-            hidden_fc_units.append([max(units, 1) for units in fc_units[:-1]] or [1])
+    def _statistics(pool: LayerRows) -> Dict[str, np.ndarray]:
+        """Structural statistics of a pool, one array entry per candidate."""
+        ids = pool.ids
+        codes = LAYER_TABLE.type_code[ids]
+
+        def family(types) -> np.ndarray:
+            return np.isin(codes, [c for c, t in enumerate(LAYER_TABLE.layer_types) if t in types])
+
+        conv, pools, fc = family(_CONV_TYPES), family(_POOL_TYPES), family({"fc"})
+        # The final classifier is always present; hidden FC widths drive capacity.
+        hidden_fc = fc & (np.cumsum(fc[:, ::-1], axis=1)[:, ::-1] > 1)
+        width = LAYER_TABLE.out_channels[ids]
+        params = np.maximum(LAYER_TABLE.params[ids].sum(axis=1), 1)
         return {
-            "num_conv": np.array(num_conv, dtype=float),
-            "num_pool": np.array(num_pool, dtype=float),
-            "mean_log2_filters": _row_means(conv_filters, 0.0, np.log2),
-            "mean_kernel": _row_means(kernel_sizes, 3.0),
-            "mean_log2_fc_units": _row_means(hidden_fc_units, 0.0, np.log2),
-            "log10_params": np.log10(np.array(params, dtype=float)),
+            "num_conv": conv.sum(axis=1).astype(float),
+            "num_pool": pools.sum(axis=1).astype(float),
+            "mean_log2_filters": _row_means(width, conv, 0.0, np.log2),
+            "mean_kernel": _row_means(LAYER_TABLE.kernel[ids], conv, 3.0),
+            "mean_log2_fc_units": _row_means(np.maximum(width, 1.0), hidden_fc, 0.0, np.log2),
+            "log10_params": np.log10(params.astype(float)),
         }
 
-    def _noise(self, architecture: Architecture) -> float:
-        digest = hashlib.sha256(
-            (self.seed_salt + noise_key(architecture)).encode()
-        ).digest()
+    def _noise(self, key: str) -> float:
+        """The noise term seeded by an architecture's noise-key text."""
+        digest = hashlib.sha256((self.seed_salt + key).encode()).digest()
         seed = int.from_bytes(digest[:8], "little")
         rng = np.random.default_rng(seed)
         return float(rng.normal(0.0, self.noise_std))
@@ -183,10 +155,17 @@ class AccuracySurrogate(AccuracyModel):
     def error_percent_pool(self, architectures: Sequence[Architecture]) -> List[float]:
         """Estimated test errors of a pool, from pool-wide statistics.
 
-        Every term is an element-wise array operation, so each entry equals
-        the error of its architecture computed on its own.
+        The pool is read as layer-table rows
+        (:meth:`~repro.nn.architecture.LayerRows.of`), and every term is an
+        element-wise array operation, so each entry equals the error of its
+        architecture computed on its own.  The noise seed string is
+        ``repr(architecture.to_dict()["layers"])`` (a list's repr joins its
+        items' reprs with ``", "``), joined from the rows' noise keys.
         """
-        stats = self._statistics(architectures)
+        pool = LayerRows.of(architectures)
+        if not len(pool):
+            return []
+        stats = self._statistics(pool)
 
         depth_gain = 9.0 * (1.0 - np.exp(-stats["num_conv"] / 6.0))
         width_gain = 7.0 * (
@@ -201,7 +180,13 @@ class AccuracySurrogate(AccuracyModel):
         overfit_penalty = 2.5 * np.maximum(stats["log10_params"] - 7.6, 0.0)
         # Losing all spatial resolution before the classifier costs a little.
         pooling_penalty = 0.6 * np.maximum(stats["num_pool"] - 4.0, 0.0)
-        noise = np.array([self._noise(architecture) for architecture in architectures])
+        keys = LAYER_TABLE.noise_keys
+        noise = np.array(
+            [
+                self._noise("[" + ", ".join([keys[row] for row in chain]) + "]")
+                for chain in pool.chains
+            ]
+        )
 
         error = (
             self.base_error

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.hardware.device import DeviceProfile
 from repro.hardware.predictors import BaseLayerPredictor, LayerPerformancePredictor
-from repro.nn.architecture import Architecture
+from repro.nn.architecture import Architecture, LayerRows
 from repro.nn.graph import PartitionGraph
 from repro.partition.partitioner import PartitionAnalyzer, PartitionEvaluation
 from repro.wireless.channel import WirelessChannel
@@ -231,146 +231,98 @@ class EvaluationEngine:
         channel).  Results are cache-shared records — treat them as
         read-only.
         """
-        architectures = list(architectures)
+        pool = LayerRows.of(architectures)
         channels = (
             [analyzer.channel] if channels is None else list(channels)
         )
-        n = len(architectures)
+        n = len(pool)
         num_channels = len(channels)
         if n == 0 or not channels:
             return [[] for _ in range(n)]
         # Dedup channels by cache key; repeated channels are pure re-use.
-        channel_index: Dict[ChannelKey, int] = {}
-        channel_owners: List[int] = []
-        unique_channels: List[WirelessChannel] = []
-        unique_channel_keys: List[ChannelKey] = []
-        for channel in channels:
-            channel_key = _channel_key(channel)
-            index = channel_index.get(channel_key)
-            if index is None:
-                index = len(unique_channels)
-                channel_index[channel_key] = index
-                unique_channels.append(channel)
-                unique_channel_keys.append(channel_key)
-            channel_owners.append(index)
-        channels = unique_channels
+        channel_keys = [_channel_key(channel) for channel in channels]
+        channel_owners, channel_firsts = _dedup(channel_keys)
+        unique_channel_keys = [channel_keys[c] for c in channel_firsts]
+        channels = [channels[c] for c in channel_firsts]
         if graphs is None:
             graphs = [None] * n
         if len(graphs) != n:
             raise ValueError(f"expected {n} graphs, got {len(graphs)}")
         effective_graphs = [
-            graph if graph is not None else architecture.partition_graph()
-            for architecture, graph in zip(architectures, graphs)
+            graph if graph is not None else own
+            for graph, own in zip(graphs, pool.graphs)
         ]
 
-        # ---- dedup the pool (architectures hash by structure) -----------
-        unique_index: Dict[tuple, int] = {}
-        unique_positions: List[int] = []
-        unique_keys: List[tuple] = []
-        owners: List[int] = []
-        for position, architecture in enumerate(architectures):
-            key = (architecture, effective_graphs[position])
-            index = unique_index.get(key)
-            if index is None:
-                index = len(unique_positions)
-                unique_index[key] = index
-                unique_positions.append(position)
-                unique_keys.append(key)
-            owners.append(index)
-        unique_archs = [architectures[p] for p in unique_positions]
+        # ---- dedup the pool (candidate keys compare table rows) ---------
+        keys = list(zip(pool.keys(), effective_graphs))
+        owners, unique_positions = _dedup(keys)
+        unique_keys = [keys[p] for p in unique_positions]
         unique_graphs = [effective_graphs[p] for p in unique_positions]
 
         predictor = analyzer.predictor
+        per_predictor = self._layer_cache.setdefault(predictor, {})
 
         def resolve_predictions(indices: Sequence[int]) -> List[np.ndarray]:
-            """Layer predictions for the given unique-arch indices.
+            """Layer predictions for the given unique-candidate indices.
 
             Cached entries are re-used (one layer hit per distinct
             architecture), the rest run through one
             :meth:`~repro.hardware.predictors.BaseLayerPredictor.predict_pool`
             call and backfill the layer cache.
             """
-            per_predictor = self._layer_cache.setdefault(predictor, {})
-            resolved: Dict[Architecture, Optional[np.ndarray]] = {}
-            for index in indices:
-                architecture = unique_archs[index]
-                if architecture in resolved:
-                    continue
-                cached = per_predictor.get(architecture)
-                resolved[architecture] = cached
-                if cached is not None:
-                    self.stats.layer_hits += 1
-                else:
-                    self.stats.layer_misses += 1
-            missing = [a for a, value in resolved.items() if value is None]
+            candidates = [unique_keys[index][0] for index in indices]
+            _, firsts = _dedup(candidates)
+            missing = [first for first in firsts if candidates[first] not in per_predictor]
+            self.stats.layer_hits += len(firsts) - len(missing)
+            self.stats.layer_misses += len(missing)
             if missing:
-                for architecture, predicted in zip(
-                    missing, predictor.predict_pool(missing)
-                ):
-                    per_predictor[architecture] = predicted
-                    resolved[architecture] = predicted
-            return [resolved[unique_archs[index]] for index in indices]
+                fresh = predictor.predict_pool(
+                    pool.take([unique_positions[indices[first]] for first in missing])
+                )
+                per_predictor.update(zip([candidates[first] for first in missing], fresh))
+            return [per_predictor[candidate] for candidate in candidates]
 
         # ---- partition costing: cached cells re-used, misses batched ----
-        results: List[List[Optional[PartitionEvaluation]]] = [
-            [None] * len(channels) for _ in range(len(unique_archs))
-        ]
         per_predictor_partitions = self._partition_cache.setdefault(predictor, {})
         per_channel_dicts = [
             per_predictor_partitions.setdefault(channel_key, {})
             for channel_key in unique_channel_keys
         ]
-        miss_archs: List[int] = []
-        hits = 0
-        misses = 0
-        for i in range(len(unique_archs)):
-            key = unique_keys[i]
-            row_missing = False
-            row = results[i]
-            for ci, per_channel in enumerate(per_channel_dicts):
-                cached = per_channel.get(key)
-                if cached is not None:
-                    hits += 1
-                    row[ci] = cached
-                else:
-                    misses += 1
-                    row_missing = True
-            if row_missing:
-                miss_archs.append(i)
-        self.stats.partition_hits += hits
+        results: List[List[Optional[PartitionEvaluation]]] = [
+            [per_channel.get(key) for per_channel in per_channel_dicts]
+            for key in unique_keys
+        ]
+        misses = sum(row.count(None) for row in results)
+        self.stats.partition_hits += len(unique_keys) * len(channels) - misses
         self.stats.partition_misses += misses
-        if miss_archs:
-            # Group miss rows by their missing-channel signature so only
-            # genuinely uncached (architecture, channel) cells are
-            # computed — a rectangular batch over all miss channels
-            # would redo cached cells on partial overlap.  Signatures
-            # are usually homogeneous (one group).
-            by_signature: Dict[tuple, List[int]] = {}
-            for i in miss_archs:
-                signature = tuple(
-                    ci
-                    for ci in range(len(channels))
-                    if results[i][ci] is None
-                )
+        # Group miss rows by their missing-channel signature so only
+        # genuinely uncached (architecture, channel) cells are computed — a
+        # rectangular batch over all miss channels would redo cached cells
+        # on partial overlap.  Signatures are usually homogeneous (one
+        # group).
+        by_signature: Dict[tuple, List[int]] = {}
+        for i, row in enumerate(results):
+            signature = tuple(ci for ci, cell in enumerate(row) if cell is None)
+            if signature:
                 by_signature.setdefault(signature, []).append(i)
-            for signature, arch_indices in by_signature.items():
-                fresh = analyzer.evaluate_batch(
-                    [unique_archs[i] for i in arch_indices],
-                    channels=[channels[ci] for ci in signature],
-                    predictions=resolve_predictions(arch_indices),
-                    graphs=[unique_graphs[i] for i in arch_indices],
-                )
-                for row_index, i in enumerate(arch_indices):
-                    key = unique_keys[i]
-                    for column, ci in enumerate(signature):
-                        evaluation = fresh[row_index][column]
-                        per_channel_dicts[ci][key] = evaluation
-                        results[i][ci] = evaluation
+        for signature, arch_indices in by_signature.items():
+            fresh = analyzer.evaluate_batch(
+                pool.take([unique_positions[i] for i in arch_indices]),
+                channels=[channels[ci] for ci in signature],
+                predictions=resolve_predictions(arch_indices),
+                graphs=[unique_graphs[i] for i in arch_indices],
+            )
+            for row_index, i in enumerate(arch_indices):
+                key = unique_keys[i]
+                for column, ci in enumerate(signature):
+                    evaluation = fresh[row_index][column]
+                    per_channel_dicts[ci][key] = evaluation
+                    results[i][ci] = evaluation
         # Duplicate pool positions and repeated channels are cache-level
         # re-use: every cell beyond the unique (arch, channel) grid is a
         # hit.
         self.stats.partition_hits += (
-            n * num_channels - len(unique_archs) * len(channels)
+            n * num_channels - len(unique_positions) * len(channels)
         )
 
         return [
@@ -416,6 +368,16 @@ class EvaluationEngine:
         merged = self.stats.to_dict()
         merged.update(self.cache_sizes())
         return merged
+
+
+def _dedup(keys: Iterable[Hashable]) -> Tuple[List[int], List[int]]:
+    """Each key's distinct-key index, and each distinct key's first position."""
+    index: Dict[Hashable, int] = {}
+    owners = [index.setdefault(key, len(index)) for key in keys]
+    firsts = [0] * len(index)
+    for position in reversed(range(len(owners))):
+        firsts[owners[position]] = position
+    return owners, firsts
 
 
 #: Process-wide default engine used when callers do not supply one.

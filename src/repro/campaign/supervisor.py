@@ -419,6 +419,28 @@ class CircuitBreaker:
         )
 
 
+#: The types each field :meth:`CircuitBreaker.to_dict` writes may have.
+_CIRCUIT_TYPES = dict(
+    window=int, probes=int, probes_out=int, threshold=(int, float), cooldown_s=(int, float),
+    opened_at=(int, float), state=str, results=list, transitions=list,
+)
+
+
+def _readable_circuit(circuit: Any) -> bool:
+    """Whether a stored breaker holds each field in a type the breaker writes."""
+    return (
+        isinstance(circuit, dict)
+        and circuit.get("state", CIRCUIT_CLOSED) in (CIRCUIT_CLOSED, CIRCUIT_OPEN, CIRCUIT_HALF_OPEN)
+        and all(
+            isinstance(circuit[name], kind) and not isinstance(circuit[name], bool)
+            for name, kind in _CIRCUIT_TYPES.items()
+            if name in circuit
+        )
+        and all(isinstance(result, bool) for result in circuit.get("results", []))
+        and all(isinstance(transition, list) for transition in circuit.get("transitions", []))
+    )
+
+
 # ---------------------------------------------------------------------- supervisor
 
 
@@ -468,7 +490,7 @@ class CampaignSupervisor:
             state = json.loads(raw)
         except ValueError:
             return self._fresh_state()
-        if not isinstance(state, dict) or not isinstance(state.get("circuit"), dict):
+        if not isinstance(state, dict) or not _readable_circuit(state.get("circuit")):
             return self._fresh_state()
         return state
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.accuracy.surrogate import AccuracyModel
 from repro.core.results import CandidateEvaluation
-from repro.nn.architecture import Architecture
 from repro.nn.spaces import EncodedSearchSpace
 from repro.partition.partitioner import PartitionAnalyzer
 
@@ -113,35 +112,44 @@ class PartitionAwareEvaluator:
         if not genotypes:
             return []
         pool = self.search_space.decode_pool(genotypes)
+        performance = pool.performance
         # The space's partition_graph hook is authoritative: spaces may
-        # constrain cuts beyond what the decoded skip edges express.
-        graphs = [
-            self.search_space.partition_graph(architecture)
-            for architecture in pool.performance
-        ]
+        # constrain cuts beyond what the decoded skip edges express.  The
+        # default hook reads those skip edges, which the pool already holds.
+        graphs = None
+        if type(self.search_space).partition_graph is not EncodedSearchSpace.partition_graph:
+            graphs = [self.search_space.partition_graph(a) for a in performance]
         if self.engine is not None:
-            rows = self.engine.evaluate_batch(
-                pool.performance, self.analyzer, graphs=graphs
-            )
+            rows = self.engine.evaluate_batch(performance, self.analyzer, graphs=graphs)
         else:
-            rows = self.analyzer.evaluate_batch(pool.performance, graphs=graphs)
+            rows = self.analyzer.evaluate_batch(performance, graphs=graphs)
         errors = self.accuracy_model.error_percent_pool(pool.accuracy)
         return [
-            self._package(tuple(genotype), accuracy_arch, performance_arch, row[0], error)
-            for genotype, accuracy_arch, performance_arch, row, error in zip(
-                pool.genotypes.tolist(), pool.accuracy, pool.performance, rows, errors
+            self._package(tuple(genotype), name, row[0], error, params, macs)
+            for genotype, name, row, error, params, macs in zip(
+                pool.genotypes.tolist(),
+                performance.names,
+                rows,
+                errors,
+                pool.accuracy.sums("params"),
+                performance.sums("macs"),
             )
         ]
 
     def _package(
         self,
         genotype: Tuple[int, ...],
-        accuracy_arch: Architecture,
-        performance_arch: Architecture,
+        name: str,
         partition_eval,
         error: float,
+        total_params: int,
+        total_macs: int,
     ) -> Tuple[np.ndarray, Dict]:
-        """Objective vector and metadata record of one costed candidate."""
+        """Objective vector and metadata record of one costed candidate.
+
+        ``total_params`` counts the accuracy-shape architecture and
+        ``total_macs`` the performance-shape one.
+        """
         error = float(error)
         all_edge = partition_eval.all_edge
         best_latency = partition_eval.best_latency
@@ -156,7 +164,7 @@ class PartitionAwareEvaluator:
 
         evaluation = CandidateEvaluation(
             genotype=genotype,
-            architecture_name=performance_arch.name,
+            architecture_name=name,
             error_percent=error,
             latency_s=float(latency),
             energy_j=float(energy),
@@ -170,8 +178,8 @@ class PartitionAwareEvaluator:
                 "all_cloud_latency_s": float(partition_eval.all_cloud.latency_s),
                 "all_cloud_energy_j": float(partition_eval.all_cloud.energy_j),
                 "num_partition_points": len(partition_eval.partition_point_indices),
-                "total_params": int(accuracy_arch.total_params),
-                "total_macs": int(performance_arch.total_macs),
+                "total_params": int(total_params),
+                "total_macs": int(total_macs),
             },
         )
         objectives = np.array([error, float(latency), float(energy)])

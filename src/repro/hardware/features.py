@@ -7,9 +7,10 @@ feature vector built from the layer's configuration and its input/output
 feature-map sizes.  Features are expressed in "mega" units (1e6 elements /
 operations / bytes) so the regression design matrices are well conditioned.
 
-:func:`family_feature_matrix` builds the design matrix of a whole family
-group in one pass and is the only feature definition; the per-layer
-extractors it replaced are kept as the test oracle
+:func:`family_feature_matrix` builds the design matrix of a family group
+and is the only feature definition: the profiler's training rows and the
+layer table's feature rows (:mod:`repro.nn.table`) both come from it.  The
+per-layer extractors it replaced are kept as the test oracle
 ``tests/oracles/predictor.py``.
 """
 
@@ -40,60 +41,24 @@ def prediction_family(layer_type: str) -> str:
     return FAMILY_ALIASES.get(layer_type, layer_type)
 
 
-# One column function per prediction family.  Each gathers the *raw*
-# counts of a whole family group column by column (plain list
-# comprehensions, no per-layer array or tuple allocation), and
-# :func:`family_feature_matrix` converts them in one ``np.array`` call and
-# applies one matrix-wide ``/ MEGA``.
-
-def _conv_columns(summaries: List[LayerSummary]) -> tuple:
-    """Convolutions: input elements, output elements, MACs, parameters,
-    weight bytes and total activation+weight traffic."""
-    return (
-        [s.input_elements for s in summaries],
-        [s.output_elements for s in summaries],
-        [s.macs for s in summaries],
-        [s.params for s in summaries],
-        [s.weight_bytes for s in summaries],
-        [
-            s.weight_bytes + s.output_bytes + 4 * s.input_elements
-            for s in summaries
-        ],
-    )
-
-
-def _fc_columns(summaries: List[LayerSummary]) -> tuple:
-    """Fully-connected layers: input features, output features, MACs and
-    weight bytes."""
-    return (
-        [s.input_elements for s in summaries],
-        [s.output_elements for s in summaries],
-        [s.macs for s in summaries],
-        [s.weight_bytes for s in summaries],
-    )
-
-
-def _pool_columns(summaries: List[LayerSummary]) -> tuple:
-    """Poolings: input elements, output elements and operations."""
-    return (
-        [s.input_elements for s in summaries],
-        [s.output_elements for s in summaries],
-        [s.macs for s in summaries],
-    )
-
-
-def _generic_columns(summaries: List[LayerSummary]) -> tuple:
-    """Structural layers (flatten, dropout): input and output elements."""
-    return (
-        [s.input_elements for s in summaries],
-        [s.output_elements for s in summaries],
-    )
-
-
-_COLUMN_BUILDERS = {
-    "conv": _conv_columns,
-    "fc": _fc_columns,
-    "pool": _pool_columns,
+#: The raw counts of one layer's feature row, per prediction family; a
+#: family without its own (flatten, dropout) uses the input and output
+#: elements.
+_FEATURE_COUNTS = {
+    # convolutions: input and output elements, MACs, parameters, weight
+    # bytes and total activation+weight traffic
+    "conv": lambda s: (
+        s.input_elements,
+        s.output_elements,
+        s.macs,
+        s.params,
+        s.weight_bytes,
+        s.weight_bytes + s.output_bytes + 4 * s.input_elements,
+    ),
+    # fully-connected layers: input and output features, MACs, weight bytes
+    "fc": lambda s: (s.input_elements, s.output_elements, s.macs, s.weight_bytes),
+    # poolings: input elements, output elements and operations
+    "pool": lambda s: (s.input_elements, s.output_elements, s.macs),
 }
 
 
@@ -101,13 +66,10 @@ def family_feature_matrix(family: str, summaries: List[LayerSummary]) -> np.ndar
     """``(len(summaries), d)`` design matrix for one prediction family.
 
     The one feature definition of the library: the profiler builds its
-    training rows with it and the predictors featurize candidate pools
-    with it.  ``family`` must be the summaries' shared
-    :func:`prediction_family`; families without columns of their own get
-    the generic two columns.  The matrix is the transpose of the
-    column stack, so it is Fortran-ordered.
+    training rows with it and the layer table its rows' feature rows, which
+    the predictors gather.  ``family`` must be the summaries' shared
+    :func:`prediction_family`.  Each entry is a raw count divided by
+    :data:`MEGA`.
     """
-    builder = _COLUMN_BUILDERS.get(family, _generic_columns)
-    matrix = np.array(builder(summaries), dtype=float).T
-    matrix /= MEGA
-    return matrix
+    counts = _FEATURE_COUNTS.get(family, lambda s: (s.input_elements, s.output_elements))
+    return np.array([counts(summary) for summary in summaries], dtype=float) / MEGA

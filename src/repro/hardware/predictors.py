@@ -27,10 +27,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.hardware.device import DeviceProfile
-from repro.hardware.features import FAMILY_ALIASES, family_feature_matrix
+from repro.hardware.features import prediction_family
 from repro.hardware.profiler import LayerProfiler, ProfilingDataset
 from repro.hardware.simulator import LayerCostSimulator
-from repro.nn.architecture import Architecture, LayerSummary
+from repro.nn.architecture import Architecture, LayerRows
+from repro.nn.table import LAYER_TABLE
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_non_negative
 
@@ -98,19 +99,6 @@ class RidgeRegression:
         if total <= 1e-30:
             return 1.0 if residual <= 1e-30 else 0.0
         return 1.0 - residual / total
-
-
-def _split_pool(
-    pairs: np.ndarray, summary_lists: Sequence[Sequence[LayerSummary]]
-) -> List[np.ndarray]:
-    """Per-architecture row blocks of a pool's ``(total_layers, 2)`` array.
-
-    The blocks are read-only views: callers (the engine's layer cache
-    above all) share them, so nobody may write into another's predictions.
-    """
-    pairs.flags.writeable = False
-    offsets = np.cumsum([0] + [len(s) for s in summary_lists]).tolist()
-    return [pairs[start:end] for start, end in zip(offsets[:-1], offsets[1:])]
 
 
 class BaseLayerPredictor:
@@ -207,9 +195,10 @@ class LayerPerformancePredictor(BaseLayerPredictor):
     def predict_pool(self, architectures: Sequence[Architecture]) -> List[np.ndarray]:
         """Vectorised per-layer predictions for a whole candidate pool.
 
-        All layers of all architectures are grouped by prediction family,
-        each family featurizes into one design matrix
-        (:func:`~repro.hardware.features.family_feature_matrix`), and each
+        The pool is read as layer-table rows
+        (:meth:`~repro.nn.architecture.LayerRows.of`).  Each prediction
+        family's design matrix is gathered from the table's feature rows,
+        with the family's layers in pool order then layer order, and each
         :class:`RidgeRegression` runs as a single matrix product — two
         matmuls per family for the entire pool instead of two per layer.
         Families without a model (flatten/dropout) are predicted as free at
@@ -217,41 +206,29 @@ class LayerPerformancePredictor(BaseLayerPredictor):
         """
         if not self.is_fitted:
             raise RuntimeError("predictor is not fitted; call fit() or train_for_device()")
-        summary_lists = [a.summarize() for a in architectures]
-        total = sum(len(summaries) for summaries in summary_lists)
-        pairs = np.empty((total, 2))
-        latencies = pairs[:, 0]
-        powers = pairs[:, 1]
-        latency_models = self._latency_models
-        idle_power = self.device.idle_power_w
-        aliases = FAMILY_ALIASES
-        # One pass groups (position, summary) by family; families without a
-        # model (flatten/dropout) are filled in place as cost-free.
-        groups: Dict[str, Tuple[List[int], List[LayerSummary]]] = {}
-        position = 0
-        for summaries in summary_lists:
-            for summary in summaries:
-                layer_type = summary.layer_type
-                family = aliases.get(layer_type, layer_type)
-                if family in latency_models:
-                    entry = groups.get(family)
-                    if entry is None:
-                        entry = groups[family] = ([], [])
-                    entry[0].append(position)
-                    entry[1].append(summary)
-                else:
-                    latencies[position] = 0.0
-                    powers[position] = idle_power
-                position += 1
-        for family, (positions, members) in groups.items():
-            matrix = family_feature_matrix(family, members)
-            latency = latency_models[family].predict(matrix)
+        pool = LayerRows.of(architectures)
+        flat = pool.flat
+        features = LAYER_TABLE.features  # featurizes new rows and sets their widths
+        codes = LAYER_TABLE.type_code[flat]
+        pairs = np.tile([0.0, self.device.idle_power_w], (len(flat), 1))
+        families: Dict[str, List[int]] = {}
+        for code, layer_type in enumerate(LAYER_TABLE.layer_types):
+            family = prediction_family(layer_type)
+            if family in self._latency_models:
+                families.setdefault(family, []).append(code)
+        for family, family_codes in families.items():
+            positions = np.flatnonzero(np.isin(codes, family_codes))
+            width = LAYER_TABLE.feature_widths[family_codes[0]]
+            # the transpose of a C-ordered gather: the Fortran-ordered
+            # matrix the regression's BLAS product has always been given
+            matrix = np.take(features[:width], flat[positions], axis=1).T
+            latency = self._latency_models[family].predict(matrix)
             power = self._power_models[family].predict(matrix)
             np.maximum(latency, MIN_LATENCY_S, out=latency)
             np.maximum(power, MIN_POWER_W, out=power)
-            latencies[positions] = latency
-            powers[positions] = power
-        return _split_pool(pairs, summary_lists)
+            pairs[positions, 0] = latency
+            pairs[positions, 1] = power
+        return pool.split(pairs)
 
     # ------------------------------------------------------------------ convenience
     @classmethod
@@ -292,17 +269,17 @@ class OracleLayerPredictor(BaseLayerPredictor):
 
     def predict_pool(self, architectures: Sequence[Architecture]) -> List[np.ndarray]:
         """The simulator's noiseless latency and power of every layer."""
-        summary_lists = [a.summarize() for a in architectures]
+        pool = LayerRows.of(architectures)
+        records = LAYER_TABLE.records
         simulator = self._simulator
         pairs = np.array(
             [
-                (simulator.latency(s), simulator.power(s))
-                for summaries in summary_lists
-                for s in summaries
+                (simulator.latency(records[row]), simulator.power(records[row]))
+                for row in pool.flat.tolist()
             ],
             dtype=float,
         ).reshape(-1, 2)
-        return _split_pool(pairs, summary_lists)
+        return pool.split(pairs)
 
 
 def prediction_error_report(

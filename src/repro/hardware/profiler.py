@@ -172,9 +172,7 @@ class LayerProfiler:
             summaries.append(summary)
             latencies.append(measurement.latency_s)
             powers.append(measurement.power_w)
-        # C order, as row-stacked feature vectors are: the ridge fit's
-        # reductions then run in the same order, bit for bit.
-        features = np.ascontiguousarray(family_feature_matrix(family, summaries))
+        features = family_feature_matrix(family, summaries)
         return ProfilingDataset(family, features, np.array(latencies), np.array(powers))
 
     def profile_conv(self) -> ProfilingDataset:

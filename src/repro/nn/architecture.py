@@ -9,118 +9,45 @@ input/output shapes, parameter counts, MAC counts and activation byte sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+import dataclasses
+import itertools
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.nn.graph import PartitionGraph, SkipEdge
-from repro.nn.layers import (
-    BYTES_PER_ELEMENT,
-    LayerSpec,
-    Shape,
-    element_count,
-    layer_from_dict,
-    shape_bytes,
-)
-
-#: Bound of the :func:`layer_summary` memo.  One process running a campaign
-#: over the three registered search spaces fills ~17k entries (~600 B each).
-SUMMARY_MEMO_SIZE = 1 << 15
+from repro.nn.layers import LayerSpec, Shape, element_count, layer_from_dict
+# LayerSummary and summarize_layer are re-exported from their table module.
+from repro.nn.table import LAYER_TABLE, LayerSummary, summarize_layer  # noqa: F401
 
 
-@dataclass(frozen=True)
-class LayerSummary:
-    """Static analysis record for one layer within a concrete architecture.
+def check_skip_edges(
+    input_shape: Shape, rows: Sequence[int], skip_edges: Sequence[SkipEdge]
+) -> None:
+    """Raise ``ValueError`` unless every skip edge joins mergeable shapes.
 
-    Attributes
-    ----------
-    index:
-        Zero-based position of the layer within the architecture.
-    name:
-        Layer name (unique within the architecture).
-    layer_type:
-        Layer family identifier (``conv``, ``pool``, ``fc``, ...).
-    input_shape / output_shape:
-        Channels-first activation shapes entering and leaving the layer.
-    params:
-        Trainable parameter count.
-    macs:
-        Multiply-accumulate operations per inference.
-    output_bytes:
-        Size of the layer's output activation in bytes (what would be
-        transmitted if the model were split right after this layer).
-    weight_bytes:
-        Size of the layer's parameters in bytes (memory traffic lower bound
-        for memory-bound layers such as large fully-connected layers).
-    is_partition_candidate:
-        Whether the layer boundary is structurally eligible as a split point.
+    ``rows`` are the architecture's table rows; a skip tensor merges
+    element-wise, directly or through a downsampling projection.
     """
-
-    index: int
-    name: str
-    layer_type: str
-    input_shape: Shape
-    output_shape: Shape
-    params: int
-    macs: int
-    output_bytes: int
-    weight_bytes: int
-    is_partition_candidate: bool
-
-    @property
-    def flops(self) -> int:
-        """Floating point operations (2 per MAC)."""
-        return 2 * self.macs
-
-    @cached_property
-    def output_elements(self) -> int:
-        """Number of scalars in the output activation (computed once)."""
-        return element_count(self.output_shape)
-
-    @cached_property
-    def input_elements(self) -> int:
-        """Number of scalars in the input activation (computed once)."""
-        return element_count(self.input_shape)
-
-    def to_dict(self) -> Dict:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "layer_type": self.layer_type,
-            "input_shape": list(self.input_shape),
-            "output_shape": list(self.output_shape),
-            "params": self.params,
-            "macs": self.macs,
-            "output_bytes": self.output_bytes,
-            "weight_bytes": self.weight_bytes,
-            "is_partition_candidate": self.is_partition_candidate,
-        }
+    records = LAYER_TABLE.records
+    for src, dst in skip_edges:
+        src_shape = input_shape if src < 0 else records[rows[src]].output_shape
+        dst_shape = records[rows[dst]].output_shape
+        if src_shape != dst_shape and _projection_stride(src_shape, dst_shape) is None:
+            raise ValueError(
+                f"skip edge ({src}, {dst}) joins incompatible shapes "
+                f"{src_shape} -> {dst_shape}; skip tensors merge "
+                "element-wise, directly or through a downsampling "
+                "projection"
+            )
 
 
-def summarize_layer(index: int, layer: LayerSpec, input_shape: Shape) -> LayerSummary:
-    """Static analysis of ``layer`` at position ``index`` fed ``input_shape``."""
-    output_shape = layer.output_shape(input_shape)
-    return LayerSummary(
-        index=index,
-        name=layer.name,
-        layer_type=layer.layer_type,
-        input_shape=input_shape,
-        output_shape=output_shape,
-        params=layer.param_count(input_shape),
-        macs=layer.macs(input_shape),
-        output_bytes=shape_bytes(output_shape),
-        weight_bytes=layer.weight_bytes(input_shape),
-        is_partition_candidate=layer.is_partition_candidate,
-    )
-
-
-#: The memo behind :meth:`Architecture.summarize`, keyed by value on
-#: ``(index, layer, input_shape)``: a summary depends on nothing else, and
-#: it is frozen, so every architecture holding that layer at that position
-#: with that input shares one record.  Layer specs whose fields compare
-#: equal (``64`` and ``64.0``) share entries here, as they already make
-#: equal architectures for the engine caches.
-layer_summary = lru_cache(maxsize=SUMMARY_MEMO_SIZE)(summarize_layer)
+def require_unique_names(names: Sequence[str]) -> None:
+    """Raise ``ValueError`` when a layer name repeats."""
+    if len(set(names)) != len(names):
+        duplicates = sorted({n for n in names if names.count(n) > 1})
+        raise ValueError(f"duplicate layer names: {duplicates}")
 
 
 def _projection_stride(src_shape: Shape, dst_shape: Shape) -> Optional[int]:
@@ -198,31 +125,15 @@ class Architecture:
         self.input_shape: Shape = tuple(int(s) for s in input_shape)
         self.input_bytes_per_element = int(input_bytes_per_element)
         self.layers: Tuple[LayerSpec, ...] = tuple(layers)
-        names = [layer.name for layer in self.layers]
-        if len(set(names)) != len(names):
-            duplicates = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate layer names: {duplicates}")
+        require_unique_names([layer.name for layer in self.layers])
         # PartitionGraph normalises and bounds-checks the edges once; the
         # graph is immutable, so every partition_graph() call shares it.
         self._partition_graph = PartitionGraph(
             num_layers=len(self.layers), skip_edges=tuple(skip_edges)
         )
         self.skip_edges: Tuple[SkipEdge, ...] = self._partition_graph.skip_edges
+        self._row_ids: Optional[Tuple[int, ...]] = None
         self._summaries: Optional[Tuple[LayerSummary, ...]] = None
-        self._hash: Optional[int] = None
-
-    def with_input_shape(self, input_shape: Shape) -> "Architecture":
-        """The same layer stack fed ``input_shape``.
-
-        Shares this architecture's name, validated layers and partition
-        graph, none of which depend on the input shape.
-        """
-        other = object.__new__(type(self))
-        other.__dict__.update(self.__dict__)
-        other.input_shape = tuple(int(s) for s in input_shape)
-        other._summaries = None
-        other._hash = None
-        return other
 
     # ------------------------------------------------------------------ dunder
     def __len__(self) -> int:
@@ -251,48 +162,32 @@ class Architecture:
         )
 
     def __hash__(self) -> int:
-        # Hashing walks every layer spec; architectures are structurally
-        # immutable, and they key every engine cache, so compute it once.
-        if self._hash is None:
-            self._hash = hash(
-                (
-                    self.input_shape,
-                    self.input_bytes_per_element,
-                    self.layers,
-                    self.skip_edges,
-                )
-            )
-        return self._hash
+        return hash(
+            (self.input_shape, self.input_bytes_per_element, self.layers, self.skip_edges)
+        )
 
     # ------------------------------------------------------------------ analysis
+    def row_ids(self) -> Tuple[int, ...]:
+        """The architecture's rows of the layer table, in layer order (cached)."""
+        if self._row_ids is None:
+            self._row_ids = tuple(
+                LAYER_TABLE.chain(LAYER_TABLE.spec_ids(self.layers), self.input_shape)
+            )
+        return self._row_ids
+
     def summarize(self) -> Tuple[LayerSummary, ...]:
         """Run shape inference and return per-layer summaries (cached).
 
-        Each record comes from the :func:`layer_summary` memo; the skip-edge
-        shape check runs per architecture.
+        Each record is a view of the layer's table row at its position;
+        the skip-edge shape check runs per architecture.
         """
         if self._summaries is None:
-            summaries: List[LayerSummary] = []
-            current_shape = self.input_shape
-            for index, layer in enumerate(self.layers):
-                summary = layer_summary(index, layer, current_shape)
-                summaries.append(summary)
-                current_shape = summary.output_shape
-            for src, dst in self.skip_edges:
-                src_shape = (
-                    self.input_shape if src < 0 else summaries[src].output_shape
-                )
-                dst_shape = summaries[dst].output_shape
-                if src_shape == dst_shape:
-                    continue
-                if _projection_stride(src_shape, dst_shape) is None:
-                    raise ValueError(
-                        f"skip edge ({src}, {dst}) joins incompatible shapes "
-                        f"{src_shape} -> {dst_shape}; skip tensors merge "
-                        "element-wise, directly or through a downsampling "
-                        "projection"
-                    )
-            self._summaries = tuple(summaries)
+            rows = self.row_ids()
+            check_skip_edges(self.input_shape, rows, self.skip_edges)
+            self._summaries = tuple(
+                dataclasses.replace(LAYER_TABLE.records[row], index=index)
+                for index, row in enumerate(rows)
+            )
         return self._summaries
 
     def partition_graph(self) -> PartitionGraph:
@@ -371,3 +266,101 @@ class Architecture:
             )
         return "\n".join(lines)
 
+
+
+class LayerRows:
+    """A candidate pool read as rows of :data:`~repro.nn.table.LAYER_TABLE` ids.
+
+    ``ids`` is an ``(m, L)`` ``int64`` matrix whose row ``i`` holds
+    candidate ``i``'s table rows in layer order, padded to the longest
+    candidate with the table's padding row 0; ``lengths[i]`` is its layer
+    count and ``flat`` the unpadded rows of the whole pool, in pool order
+    then layer order.  ``names``, ``skip_edges``, ``input_bytes_per_element``
+    and the cut-legality ``graphs`` are per candidate.  Evaluation gathers
+    table columns with these ids.  The pool is also a sequence of
+    :class:`Architecture` objects, each built on first access, for callers
+    that need one.
+    """
+
+    def __init__(
+        self,
+        chains: Sequence[Sequence[int]],
+        names: Sequence[str],
+        graphs: Sequence[PartitionGraph],
+        input_bytes_per_element: Sequence[int],
+        architectures: Optional[Sequence[Optional[Architecture]]] = None,
+    ):
+        self.chains = [tuple(chain) for chain in chains]
+        self.names = list(names)
+        self.graphs = list(graphs)
+        self.skip_edges = [graph.skip_edges for graph in self.graphs]
+        self.input_bytes_per_element = list(input_bytes_per_element)
+        self._architectures = list(architectures or [None] * len(self.chains))
+        self.lengths = [len(chain) for chain in self.chains]
+        self.flat = np.array(list(itertools.chain.from_iterable(self.chains)), np.int64)
+        self.ids = np.zeros((len(self.chains), max(self.lengths, default=0)), np.int64)
+        self.ids[np.arange(self.ids.shape[1]) < np.array(self.lengths)[:, None]] = self.flat
+
+    @classmethod
+    def of(cls, pool: "Sequence[Architecture] | LayerRows") -> "LayerRows":
+        """``pool`` itself, or its architectures read through the table."""
+        if isinstance(pool, LayerRows):
+            return pool
+        archs = list(pool)
+        return cls(
+            [a.row_ids() for a in archs],
+            [a.name for a in archs],
+            [a.partition_graph() for a in archs],
+            [a.input_bytes_per_element for a in archs],
+            archs,
+        )
+
+    def take(self, indices: Sequence[int]) -> "LayerRows":
+        """The sub-pool of the given candidates, in the given order."""
+        indices = list(indices)
+        if indices == list(range(len(self))):
+            return self
+        columns = (self.chains, self.names, self.graphs, self.input_bytes_per_element)
+        return LayerRows(
+            *([column[i] for i in indices] for column in columns),
+            [self._architectures[i] for i in indices],
+        )
+
+    def __len__(self) -> int:
+        return len(self.chains)
+
+    def __getitem__(self, index: int) -> Architecture:
+        if self._architectures[index] is None:
+            chain = self.chains[index]
+            layers = [LAYER_TABLE.specs[LAYER_TABLE.row_specs[row]] for row in chain]
+            shape = LAYER_TABLE.records[chain[0]].input_shape
+            built = Architecture(self.names[index], shape, layers, *self._extras(index))
+            built._row_ids = chain
+            self._architectures[index] = built
+        return self._architectures[index]
+
+    def _extras(self, index: int) -> tuple:
+        return self.input_bytes_per_element[index], self.skip_edges[index]
+
+    @cached_property
+    def offsets(self) -> List[int]:
+        """Start of each candidate in :attr:`flat`, then its total length."""
+        return [0, *itertools.accumulate(self.lengths)]
+
+    def keys(self) -> List[tuple]:
+        """Per candidate, a key equal exactly for equal architectures."""
+        return [(chain, *self._extras(i)) for i, chain in enumerate(self.chains)]
+
+    def sums(self, column: str) -> List[int]:
+        """Per candidate, the exact integer sum of a table column over its layers."""
+        return getattr(LAYER_TABLE, column)[self.ids].sum(axis=1).tolist()
+
+    def split(self, values: np.ndarray) -> List[np.ndarray]:
+        """Per-candidate read-only blocks of a per-layer array over :attr:`flat`.
+
+        The blocks are views: callers (the engine's layer cache above all)
+        share them, so nobody may write into another's values.
+        """
+        values.flags.writeable = False
+        offsets = self.offsets
+        return [values[start:end] for start, end in zip(offsets[:-1], offsets[1:])]

@@ -22,8 +22,7 @@ change between them").
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
-from typing import Dict, Tuple, Type, TypeVar, Union
+from typing import Dict, Tuple, Union
 
 from repro.utils.validation import require_in, require_positive
 
@@ -38,10 +37,6 @@ PADDING_MODES = ("same", "valid")
 
 #: Activation functions the IR records (used by the numpy trainer).
 ACTIVATIONS = ("relu", "softmax", "linear")
-
-#: Bound of the per-layer memos (:func:`interned` and the surrogate's noise
-#: key).  The three registered search spaces hold ~670 distinct layer specs.
-LAYER_MEMO_SIZE = 4096
 
 
 def element_count(shape: Shape) -> int:
@@ -115,9 +110,17 @@ class LayerSpec:
         return data
 
 
+def _product(values) -> int:
+    """Left-to-right product, as the cost formulas multiply."""
+    result = values[0]
+    for value in values[1:]:
+        result = result * value
+    return result
+
+
 @dataclass(frozen=True)
-class Conv2D(LayerSpec):
-    """2-D convolution with fused activation and optional batch norm.
+class _Convolution(LayerSpec):
+    """A convolution over ``spatial`` dimensions with fused activation and optional batch norm.
 
     Parameters
     ----------
@@ -138,6 +141,10 @@ class Conv2D(LayerSpec):
         2 * out_channels parameters, negligible compute).
     """
 
+    #: Spatial dimensions, and the input layout error messages name.
+    spatial = 2
+    layout = "(C, H, W)"
+
     out_channels: int = 64
     kernel_size: int = 3
     stride: int = 1
@@ -151,7 +158,7 @@ class Conv2D(LayerSpec):
         require_positive(self.stride, "stride")
         if isinstance(self.padding, str):
             require_in(self.padding, PADDING_MODES, "padding")
-        elif isinstance(self.padding, (int,)) and not isinstance(self.padding, bool):
+        elif isinstance(self.padding, int) and not isinstance(self.padding, bool):
             if self.padding < 0:
                 raise ValueError(f"padding must be >= 0, got {self.padding}")
         else:
@@ -159,10 +166,6 @@ class Conv2D(LayerSpec):
                 f"padding must be 'same', 'valid' or a non-negative int, got {self.padding!r}"
             )
         require_in(self.activation, ACTIVATIONS, "activation")
-
-    @property
-    def layer_type(self) -> str:
-        return "conv"
 
     @property
     def padding_pixels(self) -> int:
@@ -188,79 +191,34 @@ class Conv2D(LayerSpec):
         return out
 
     def output_shape(self, input_shape: Shape) -> Shape:
-        if len(input_shape) != 3:
+        if len(input_shape) != self.spatial + 1:
             raise ValueError(
-                f"Conv2D {self.name!r} expects a (C, H, W) input, got {input_shape}"
+                f"{type(self).__name__} {self.name!r} expects a {self.layout} "
+                f"input, got {input_shape}"
             )
-        _, height, width = input_shape
-        return (self.out_channels, self._spatial_out(height), self._spatial_out(width))
+        return (self.out_channels, *map(self._spatial_out, input_shape[1:]))
 
     def param_count(self, input_shape: Shape) -> int:
-        in_channels = input_shape[0]
-        weights = self.out_channels * in_channels * self.kernel_size * self.kernel_size
+        kernel = (self.kernel_size,) * self.spatial
+        weights = _product((self.out_channels, input_shape[0], *kernel))
         biases = self.out_channels
         bn = 2 * self.out_channels if self.batch_norm else 0
         return weights + biases + bn
 
     def macs(self, input_shape: Shape) -> int:
-        in_channels = input_shape[0]
-        out_c, out_h, out_w = self.output_shape(input_shape)
-        return out_c * out_h * out_w * in_channels * self.kernel_size * self.kernel_size
+        kernel = (self.kernel_size,) * self.spatial
+        return _product((*self.output_shape(input_shape), input_shape[0], *kernel))
 
 
-@dataclass(frozen=True)
-class MaxPool2D(LayerSpec):
-    """Max-pooling layer.
-
-    The search space uses 2x2 pooling with stride 2; AlexNet uses 3x3 with
-    stride 2, both expressible here.
-    """
-
-    pool_size: int = 2
-    stride: int = 0  # 0 means "same as pool_size"
-
-    def __post_init__(self) -> None:
-        require_positive(self.pool_size, "pool_size")
-        if self.stride < 0:
-            raise ValueError(f"stride must be >= 0, got {self.stride}")
+class Conv2D(_Convolution):
+    """2-D convolution with fused activation and optional batch norm."""
 
     @property
     def layer_type(self) -> str:
-        return "pool"
-
-    @property
-    def effective_stride(self) -> int:
-        return self.stride if self.stride > 0 else self.pool_size
-
-    def output_shape(self, input_shape: Shape) -> Shape:
-        if len(input_shape) != 3:
-            raise ValueError(
-                f"MaxPool2D {self.name!r} expects a (C, H, W) input, got {input_shape}"
-            )
-        channels, height, width = input_shape
-        stride = self.effective_stride
-        out_h = (height - self.pool_size) // stride + 1
-        out_w = (width - self.pool_size) // stride + 1
-        if out_h < 1 or out_w < 1:
-            # Degenerate pooling on tiny inputs collapses to a 1x1 map rather
-            # than failing; the search space guards against this but reference
-            # models on small inputs may legitimately hit it.
-            out_h = max(1, out_h)
-            out_w = max(1, out_w)
-        return (channels, out_h, out_w)
-
-    def param_count(self, input_shape: Shape) -> int:
-        return 0
-
-    def macs(self, input_shape: Shape) -> int:
-        # Comparisons, not multiplies; counted as one op per output element
-        # per window element so pooling is not free but remains negligible.
-        out = self.output_shape(input_shape)
-        return element_count(out) * self.pool_size * self.pool_size
+        return "conv"
 
 
-@dataclass(frozen=True)
-class Conv1D(LayerSpec):
+class Conv1D(_Convolution):
     """1-D convolution over a channels-first sequence, fused like :class:`Conv2D`.
 
     Inputs are ``(channels, length)`` tuples — sensor streams, audio frames
@@ -270,75 +228,24 @@ class Conv1D(LayerSpec):
     :func:`repro.hardware.features.prediction_family`).
     """
 
-    out_channels: int = 64
-    kernel_size: int = 3
-    stride: int = 1
-    padding: Union[int, str] = "same"
-    activation: str = "relu"
-    batch_norm: bool = False
-
-    def __post_init__(self) -> None:
-        require_positive(self.out_channels, "out_channels")
-        require_positive(self.kernel_size, "kernel_size")
-        require_positive(self.stride, "stride")
-        if isinstance(self.padding, str):
-            require_in(self.padding, PADDING_MODES, "padding")
-        elif isinstance(self.padding, int) and not isinstance(self.padding, bool):
-            if self.padding < 0:
-                raise ValueError(f"padding must be >= 0, got {self.padding}")
-        else:
-            raise TypeError(
-                f"padding must be 'same', 'valid' or a non-negative int, got {self.padding!r}"
-            )
-        require_in(self.activation, ACTIVATIONS, "activation")
+    spatial = 1
+    layout = "(C, L)"
 
     @property
     def layer_type(self) -> str:
         return "conv1d"
 
-    @property
-    def padding_elements(self) -> int:
-        """Explicit per-side padding implied by the padding setting."""
-        if isinstance(self.padding, str):
-            return (self.kernel_size - 1) // 2 if self.padding == "same" else 0
-        return int(self.padding)
-
-    def _length_out(self, length: int) -> int:
-        if self.padding == "same":
-            return max(1, -(-length // self.stride))  # ceil division
-        pad = self.padding_elements
-        out = (length + 2 * pad - self.kernel_size) // self.stride + 1
-        if out < 1:
-            raise ValueError(
-                f"layer {self.name!r}: kernel {self.kernel_size} does not fit "
-                f"input length {length} with padding {pad}"
-            )
-        return out
-
-    def output_shape(self, input_shape: Shape) -> Shape:
-        if len(input_shape) != 2:
-            raise ValueError(
-                f"Conv1D {self.name!r} expects a (C, L) input, got {input_shape}"
-            )
-        _, length = input_shape
-        return (self.out_channels, self._length_out(length))
-
-    def param_count(self, input_shape: Shape) -> int:
-        in_channels = input_shape[0]
-        weights = self.out_channels * in_channels * self.kernel_size
-        biases = self.out_channels
-        bn = 2 * self.out_channels if self.batch_norm else 0
-        return weights + biases + bn
-
-    def macs(self, input_shape: Shape) -> int:
-        in_channels = input_shape[0]
-        out_c, out_l = self.output_shape(input_shape)
-        return out_c * out_l * in_channels * self.kernel_size
-
 
 @dataclass(frozen=True)
-class MaxPool1D(LayerSpec):
-    """Max-pooling over a channels-first sequence."""
+class _MaxPool(LayerSpec):
+    """Max pooling over ``spatial`` dimensions.
+
+    The search space uses 2x2 pooling with stride 2; AlexNet uses 3x3 with
+    stride 2, both expressible here.
+    """
+
+    spatial = 2
+    layout = "(C, H, W)"
 
     pool_size: int = 2
     stride: int = 0  # 0 means "same as pool_size"
@@ -349,30 +256,51 @@ class MaxPool1D(LayerSpec):
             raise ValueError(f"stride must be >= 0, got {self.stride}")
 
     @property
-    def layer_type(self) -> str:
-        return "pool1d"
-
-    @property
     def effective_stride(self) -> int:
         return self.stride if self.stride > 0 else self.pool_size
 
     def output_shape(self, input_shape: Shape) -> Shape:
-        if len(input_shape) != 2:
+        if len(input_shape) != self.spatial + 1:
             raise ValueError(
-                f"MaxPool1D {self.name!r} expects a (C, L) input, got {input_shape}"
+                f"{type(self).__name__} {self.name!r} expects a {self.layout} "
+                f"input, got {input_shape}"
             )
-        channels, length = input_shape
-        out_l = (length - self.pool_size) // self.effective_stride + 1
-        # Degenerate pooling on short sequences collapses to length 1 rather
-        # than failing, matching the 2-D pooling behaviour on tiny inputs.
-        return (channels, max(1, out_l))
+        # Degenerate pooling on tiny inputs collapses to size 1 rather than
+        # failing; the search spaces guard against this but reference models
+        # on small inputs may legitimately hit it.
+        stride = self.effective_stride
+        return (
+            input_shape[0],
+            *(max(1, (size - self.pool_size) // stride + 1) for size in input_shape[1:]),
+        )
 
     def param_count(self, input_shape: Shape) -> int:
         return 0
 
     def macs(self, input_shape: Shape) -> int:
-        # One comparison per output element per window element, as in 2-D.
-        return element_count(self.output_shape(input_shape)) * self.pool_size
+        # Comparisons, not multiplies; counted as one op per output element
+        # per window element so pooling is not free but remains negligible.
+        window = (self.pool_size,) * self.spatial
+        return _product((element_count(self.output_shape(input_shape)), *window))
+
+
+class MaxPool2D(_MaxPool):
+    """2-D max-pooling layer."""
+
+    @property
+    def layer_type(self) -> str:
+        return "pool"
+
+
+class MaxPool1D(_MaxPool):
+    """Max-pooling over a channels-first sequence."""
+
+    spatial = 1
+    layout = "(C, L)"
+
+    @property
+    def layer_type(self) -> str:
+        return "pool1d"
 
 
 @dataclass(frozen=True)
@@ -451,23 +379,6 @@ class Dropout(LayerSpec):
 
     def macs(self, input_shape: Shape) -> int:
         return 0
-
-
-LayerT = TypeVar("LayerT", bound=LayerSpec)
-
-
-@lru_cache(maxsize=LAYER_MEMO_SIZE, typed=True)
-def interned(cls: Type[LayerT], /, **kwargs) -> LayerT:
-    """The shared instance of ``cls(**kwargs)``.
-
-    Search spaces build their layers through this constructor, so equal
-    layers of different candidates are one object: construction and
-    validation run once per distinct layer, and the value-keyed layer memos
-    (:func:`repro.nn.architecture.layer_summary`, the accuracy surrogate's
-    noise key) find their entries by identity.  ``typed`` keys keep ``64``
-    and ``64.0`` apart.
-    """
-    return cls(**kwargs)
 
 
 LAYER_CLASSES = {

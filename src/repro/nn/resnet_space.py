@@ -34,8 +34,9 @@ import numpy as np
 
 from repro.nn.encoding import EncodingScheme, Gene
 from repro.nn.graph import SkipEdge
-from repro.nn.layers import Conv2D, Dense, Flatten, LayerSpec, MaxPool2D, interned
+from repro.nn.layers import Conv2D, Dense, Flatten, LayerSpec, MaxPool2D
 from repro.nn.spaces import EncodedSearchSpace
+from repro.nn.table import LAYER_TABLE
 
 #: Default per-stage gene choices.
 DEFAULT_BLOCKS_PER_STAGE = (1, 2, 3)
@@ -139,7 +140,7 @@ class ResNetSearchSpace(EncodedSearchSpace):
         layers: List[LayerSpec] = []
         skip_edges: List[SkipEdge] = []
         layers.append(
-            interned(
+            LAYER_TABLE.spec(
                 Conv2D,
                 name="stem",
                 out_channels=self.stage_widths[genes[2]],
@@ -157,7 +158,7 @@ class ResNetSearchSpace(EncodedSearchSpace):
             if self.downsample == "stride":
                 # one stride-2 convolution downsamples and adapts channels
                 layers.append(
-                    interned(
+                    LAYER_TABLE.spec(
                         Conv2D,
                         name=f"stage{stage}_downsample",
                         out_channels=width,
@@ -169,10 +170,10 @@ class ResNetSearchSpace(EncodedSearchSpace):
                 )
             else:
                 layers.append(
-                    interned(MaxPool2D, name=f"stage{stage}_pool", pool_size=2)
+                    LAYER_TABLE.spec(MaxPool2D, name=f"stage{stage}_pool", pool_size=2)
                 )
                 layers.append(
-                    interned(
+                    LAYER_TABLE.spec(
                         Conv2D,
                         name=f"stage{stage}_transition",
                         out_channels=width,
@@ -189,7 +190,7 @@ class ResNetSearchSpace(EncodedSearchSpace):
                     block_input = stage_input
                 for half in ("a", "b"):
                     layers.append(
-                        interned(
+                        LAYER_TABLE.spec(
                             Conv2D,
                             name=f"stage{stage}_block{block}_{half}",
                             out_channels=width,
@@ -199,14 +200,14 @@ class ResNetSearchSpace(EncodedSearchSpace):
                         )
                     )
                 skip_edges.append((block_input, len(layers) - 1))
-        layers.append(interned(Flatten, name="flatten"))
+        layers.append(LAYER_TABLE.spec(Flatten, name="flatten"))
         head = 3 * self.num_stages
         if genes[head] == self._true_index:
             layers.append(
-                interned(Dense, name="fc1", units=self.fc_units[genes[head + 1]])
+                LAYER_TABLE.spec(Dense, name="fc1", units=self.fc_units[genes[head + 1]])
             )
         layers.append(
-            interned(Dense, name="classifier", units=num_classes, activation="softmax")
+            LAYER_TABLE.spec(Dense, name="classifier", units=num_classes, activation="softmax")
         )
         return layers, tuple(skip_edges)
 

@@ -40,9 +40,9 @@ from repro.nn.layers import (
     LayerSpec,
     MaxPool1D,
     MaxPool2D,
-    interned,
 )
 from repro.nn.spaces import EncodedSearchSpace
+from repro.nn.table import LAYER_TABLE
 
 #: Choices of the pool and fully-connected switch genes.
 _SWITCH = (False, True)
@@ -159,7 +159,7 @@ class BlockSearchSpace(EncodedSearchSpace):
             filters = self.filter_counts[next(genes)]
             for layer_idx in range(1, depth + 1):
                 layers.append(
-                    interned(
+                    LAYER_TABLE.spec(
                         self.conv_layer,
                         name=f"conv{block}_{layer_idx}",
                         out_channels=filters,
@@ -170,20 +170,20 @@ class BlockSearchSpace(EncodedSearchSpace):
                 )
             if next(genes) == on:
                 layers.append(
-                    interned(
+                    LAYER_TABLE.spec(
                         self.pool_layer, name=f"pool{block}", pool_size=self.pool_size
                     )
                 )
-        layers.append(interned(Flatten, name="flatten"))
+        layers.append(LAYER_TABLE.spec(Flatten, name="flatten"))
         fc_index = 0
         for _ in range(self.num_fc_layers):
             present = next(genes) == on
             units = self.fc_units[next(genes)]
             if present:
                 fc_index += 1
-                layers.append(interned(Dense, name=f"fc{fc_index}", units=units))
+                layers.append(LAYER_TABLE.spec(Dense, name=f"fc{fc_index}", units=units))
         layers.append(
-            interned(Dense, name="classifier", units=num_classes, activation="softmax")
+            LAYER_TABLE.spec(Dense, name="classifier", units=num_classes, activation="softmax")
         )
         return layers, ()
 

@@ -29,10 +29,16 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.architecture import Architecture
+from repro.nn.architecture import (
+    Architecture,
+    LayerRows,
+    check_skip_edges,
+    require_unique_names,
+)
 from repro.nn.encoding import EncodingScheme
 from repro.nn.graph import PartitionGraph, SkipEdge
 from repro.nn.layers import LayerSpec
+from repro.nn.table import LAYER_TABLE
 from repro.utils.rng import SeedLike, ensure_rng
 
 #: Name of the search space every request uses unless it says otherwise —
@@ -48,16 +54,18 @@ _SEALED_METHODS = ("is_valid", "repair", "decode", "candidate_name")
 
 
 class DecodedPool(NamedTuple):
-    """A validated candidate pool, decoded in both input shapes.
+    """A validated candidate pool, read in both input shapes.
 
     ``genotypes`` is the pool as an ``(m, num_genes)`` ``int64`` array;
-    ``accuracy[i]`` and ``performance[i]`` are row ``i`` decoded with the
-    accuracy and the performance input shape.
+    ``accuracy`` and ``performance`` are the pool's layer-table rows
+    (:class:`~repro.nn.architecture.LayerRows`) under the accuracy and the
+    performance input shape, sharing names and skip edges.  Item ``i`` of
+    either is row ``i`` decoded with that input shape, built on access.
     """
 
     genotypes: np.ndarray
-    accuracy: List[Architecture]
-    performance: List[Architecture]
+    accuracy: LayerRows
+    performance: LayerRows
 
 
 @lru_cache(maxsize=None)
@@ -278,31 +286,41 @@ class EncodedSearchSpace(abc.ABC):
         )
 
     def decode_pool(self, genotypes: Sequence[Sequence[int]]) -> DecodedPool:
-        """Decode a candidate pool in both input shapes.
+        """Decode a candidate pool into layer-table rows, in both input shapes.
 
         The pool is validated as one array; a bad row raises the
         ``ValueError`` :meth:`decode` raises for it (the first bad row's,
-        in pool order).  Each genotype's name and layer stack are built
-        once, and its two architectures share them: they differ only in
-        the input shape.  Equal to :meth:`decode_for_accuracy` and
-        :meth:`decode_for_performance` of every row.
+        in pool order).  Each genotype's name, layer stack and skip edges
+        are built once and read under both input shapes; no
+        :class:`Architecture` is built unless a caller indexes the result.
+        Item ``i`` equals :meth:`decode_for_accuracy` and
+        :meth:`decode_for_performance` of row ``i``.
         """
         rows = self.encoding.validate_pool(genotypes)
         if not all(map(self._satisfied, rows)):
             for row in rows:
                 self._checked(row)
-        accuracy: List[Architecture] = []
-        performance: List[Architecture] = []
-        for row, name in zip(rows, self._names(rows)):
+        stacks: List[List[int]] = []  # spec ids, one stack per row
+        graphs: List[PartitionGraph] = []
+        shared: dict = {}  # (layer count, skip edges) -> graph
+        for row in rows:
             layers, skip_edges = self._layer_stack(row, self.num_classes)
-            architecture = Architecture(
-                name, self.accuracy_input_shape, layers, skip_edges=skip_edges
-            )
-            accuracy.append(architecture)
-            performance.append(
-                architecture.with_input_shape(self.performance_input_shape)
-            )
-        return DecodedPool(rows, accuracy, performance)
+            require_unique_names([layer.name for layer in layers])
+            key = (len(layers), tuple(skip_edges))
+            graphs.append(shared.get(key) or shared.setdefault(key, PartitionGraph(*key)))
+            stacks.append(LAYER_TABLE.spec_ids(layers))
+        names = self._names(rows)
+
+        def read(input_shape: Tuple[int, ...]) -> LayerRows:
+            shape = tuple(int(s) for s in input_shape)
+            chains = [LAYER_TABLE.chain(stack, shape) for stack in stacks]
+            for chain, graph in zip(chains, graphs):
+                check_skip_edges(shape, chain, graph.skip_edges)
+            return LayerRows(chains, names, graphs, [1] * len(chains))
+
+        return DecodedPool(
+            rows, read(self.accuracy_input_shape), read(self.performance_input_shape)
+        )
 
     def decode_for_accuracy(
         self, indices: Sequence[int], name: Optional[str] = None

@@ -31,14 +31,14 @@ per-candidate loop it replaced is kept as the test oracle
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hardware.predictors import BaseLayerPredictor
-from repro.nn.architecture import Architecture
+from repro.nn.architecture import Architecture, LayerRows
 from repro.nn.graph import PartitionGraph
+from repro.nn.table import LAYER_TABLE
 from repro.partition.deployment import DeploymentMetrics, DeploymentOption
 from repro.utils.units import mbps_to_bytes_per_second
 from repro.wireless.channel import WirelessChannel
@@ -211,13 +211,13 @@ class PartitionAnalyzer:
         ``results[i][j]`` is the :class:`PartitionEvaluation` of
         ``architectures[i]`` under ``channels[j]``.
         """
-        architectures = list(architectures)
+        pool = LayerRows.of(architectures)
         channels = [self.channel] if channels is None else list(channels)
-        n = len(architectures)
+        n = len(pool)
         if n == 0 or not channels:
             return [[] for _ in range(n)]
         if predictions is None:
-            predictions = self.predictor.predict_pool(architectures)
+            predictions = self.predictor.predict_pool(pool)
         if graphs is None:
             graphs = [None] * n
         if len(predictions) != n or len(graphs) != n:
@@ -231,18 +231,13 @@ class PartitionAnalyzer:
         # (candidate i owns positions offsets[i]:offsets[i+1]) so every
         # numpy operation below runs once for the whole pool; per-candidate
         # 2-D padding would cost one small-array operation per candidate.
-        summary_lists = [a.summarize() for a in architectures]
-        lengths = [len(s) for s in summary_lists]
-        offsets = [0]
-        for count in lengths:
-            offsets.append(offsets[-1] + count)
-        for architecture, layer_predictions, count in zip(
-            architectures, predictions, lengths
-        ):
+        lengths = pool.lengths
+        offsets = pool.offsets
+        for name, layer_predictions, count in zip(pool.names, predictions, lengths):
             if len(layer_predictions) != count:
                 raise ValueError(
                     f"expected {count} layer predictions for "
-                    f"{architecture.name}, got {len(layer_predictions)}"
+                    f"{name}, got {len(layer_predictions)}"
                 )
         pairs = np.concatenate(predictions)
         flat_latency = pairs[:, 0]
@@ -261,68 +256,46 @@ class PartitionAnalyzer:
         cumulative_latency = cum_lat_all - base_lat
         cumulative_energy = cum_en_all - base_en
 
-        flat_bytes: List[int] = []
-        flat_flags: List[bool] = []
-        for summaries in summary_lists:
-            for summary in summaries:
-                flat_bytes.append(summary.output_bytes)
-                flat_flags.append(summary.is_partition_candidate)
+        flat_rows = pool.flat
+        flat_bytes = LAYER_TABLE.output_bytes[flat_rows].tolist()
         bytes_array = np.array(flat_bytes, dtype=float)
+        records = LAYER_TABLE.records
         input_bytes = np.array(
-            [a.input_bytes for a in architectures], dtype=float
+            [
+                records[chain[0]].input_elements * per_element
+                for chain, per_element in zip(pool.chains, pool.input_bytes_per_element)
+            ],
+            dtype=float,
         )
 
         # Legal-cut mask: the structural flag, the final-boundary exclusion,
         # the paper's shrinkage rule and the graph's single-tensor-cut mask,
         # all as pool-wide boolean vector operations.
-        mask = np.array(flat_flags, dtype=bool)
+        mask = LAYER_TABLE.candidate[flat_rows]
         mask[last_positions] = False  # cutting after the last layer is All-Edge
         mask &= bytes_array < np.repeat(input_bytes, lengths)
-        for i, architecture in enumerate(architectures):
-            graph = graphs[i]
+        for i, graph in enumerate(graphs):
             if graph is None:
-                graph = architecture.partition_graph()
+                graph = pool.graphs[i]
             if not graph.is_linear:
                 mask[offsets[i] : offsets[i + 1] - 1] &= graph.legal_cut_mask()
-        flat_cuts = np.flatnonzero(mask).tolist()
+        cuts = np.flatnonzero(mask)
 
-        # Per-candidate cut segments: flat positions (for array indexing),
-        # relative indices (the split points) and shared DeploymentOptions,
-        # concatenated pool-wide so each flat per-cut value list is later
-        # extracted with a single itemgetter call per channel.
-        split_option_cache: Dict[Tuple[int, str], DeploymentOption] = {}
-        flat_split_options: List[DeploymentOption] = []
-        cut_offsets: List[int] = [0]
-        cut_tuples: List[Tuple[int, ...]] = []
-        cursor = 0
-        num_cuts = len(flat_cuts)
-        for i in range(n):
-            start = offsets[i]
-            end = offsets[i + 1]
-            summaries = summary_lists[i]
-            rel_cuts: List[int] = []
-            while cursor < num_cuts and flat_cuts[cursor] < end:
-                index = flat_cuts[cursor] - start
-                key = (index, summaries[index].name)
-                option = split_option_cache.get(key)
-                if option is None:
-                    option = DeploymentOption.split_after(index, summaries[index].name)
-                    split_option_cache[key] = option
-                flat_split_options.append(option)
-                rel_cuts.append(index)
-                cursor += 1
-            cut_offsets.append(cursor)
-            cut_tuples.append(tuple(rel_cuts))
-        if num_cuts == 1:
-            only = flat_cuts[0]
-
-            def flat_getter(values, _p=only):
-                return (values[_p],)
-
-        elif num_cuts:
-            flat_getter = itemgetter(*flat_cuts)
-        else:
-            flat_getter = None
+        # Per-cut values, pool-wide: candidate i's cuts are
+        # cuts[cut_offsets[i]:cut_offsets[i + 1]], each a split after the
+        # candidate's layer ``relative`` (one DeploymentOption per index and
+        # layer name), so each per-cut value stream is one gather.
+        cut_offsets = np.searchsorted(cuts, offsets).tolist()
+        relative = (cuts - np.repeat(starts, lengths)[cuts]).tolist()
+        option_cache: Dict[Tuple[int, str], DeploymentOption] = {}
+        flat_split_options = [
+            option_cache.get(key)
+            or option_cache.setdefault(key, DeploymentOption.split_after(*key))
+            for key in zip(relative, [records[row].name for row in flat_rows[cuts].tolist()])
+        ]
+        cut_tuples = [
+            tuple(relative[a:b]) for a, b in zip(cut_offsets[:-1], cut_offsets[1:])
+        ]
 
         lat_list = flat_latency.tolist()
         en_list = flat_energy.tolist()
@@ -335,21 +308,15 @@ class PartitionAnalyzer:
         layer_byte_tuples = [
             tuple(flat_bytes[offsets[i] : offsets[i + 1]]) for i in range(n)
         ]
-        cum_lat_list = cumulative_latency.tolist()
-        cum_en_list = cumulative_energy.tolist()
         all_edge_latency = cumulative_latency[last_positions].tolist()
         all_edge_energy = cumulative_energy[last_positions].tolist()
-        bytes_floats = bytes_array.tolist()
         input_bytes_floats = input_bytes.tolist()
-        names = [a.name for a in architectures]
+        names = pool.names
         all_cloud_option = DeploymentOption.all_cloud()
         all_edge_option = DeploymentOption.all_edge()
-        # Channel-independent per-cut value streams, extracted pool-wide in
-        # one itemgetter call each.
-        if flat_getter is not None:
-            transferred_cuts = flat_getter(bytes_floats)
-            edge_latency_cuts = flat_getter(cum_lat_list)
-            edge_energy_cuts = flat_getter(cum_en_list)
+        transferred_cuts = bytes_array[cuts].tolist()
+        edge_latency_cuts = cumulative_latency[cuts].tolist()
+        edge_energy_cuts = cumulative_energy[cuts].tolist()
         metrics = DeploymentMetrics._make
 
         # ---- per-channel broadcast costing ------------------------------
@@ -363,35 +330,26 @@ class PartitionAnalyzer:
             transmission = bytes_array / rate
             comm_latency = transmission + round_trip
             comm_energy = power * transmission
-            split_latency = (cumulative_latency + comm_latency).tolist()
-            split_energy = (cumulative_energy + comm_energy).tolist()
-            comm_latency_list = comm_latency.tolist()
-            comm_energy_list = comm_energy.tolist()
             cloud_transmission = input_bytes / rate
             cloud_latency = (cloud_transmission + round_trip).tolist()
             cloud_energy = (power * cloud_transmission).tolist()
-
             # Every split option of every candidate, one map over the
-            # pool-wide per-cut value streams; candidate i's splits are
-            # flat_split_metrics[cut_offsets[i]:cut_offsets[i + 1]].
-            if flat_getter is not None:
-                flat_split_metrics = list(
-                    map(
-                        metrics,
-                        zip(
-                            flat_split_options,
-                            flat_getter(split_latency),
-                            flat_getter(split_energy),
-                            edge_latency_cuts,
-                            edge_energy_cuts,
-                            flat_getter(comm_latency_list),
-                            flat_getter(comm_energy_list),
-                            transferred_cuts,
-                        ),
-                    )
+            # pool-wide per-cut value streams.
+            flat_split_metrics = list(
+                map(
+                    metrics,
+                    zip(
+                        flat_split_options,
+                        (cumulative_latency + comm_latency)[cuts].tolist(),
+                        (cumulative_energy + comm_energy)[cuts].tolist(),
+                        edge_latency_cuts,
+                        edge_energy_cuts,
+                        comm_latency[cuts].tolist(),
+                        comm_energy[cuts].tolist(),
+                        transferred_cuts,
+                    ),
                 )
-            else:
-                flat_split_metrics = []
+            )
 
             for i in range(n):
                 results[i][ci] = PartitionEvaluation(

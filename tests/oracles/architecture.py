@@ -1,22 +1,24 @@
 """Reference per-layer analysis and the per-architecture accuracy surrogate.
 
-:meth:`repro.nn.architecture.Architecture.summarize` takes every
-``LayerSummary`` from a memo keyed by ``(index, layer, input_shape)``, and
-:class:`repro.accuracy.surrogate.AccuracySurrogate` joins memoised per-layer
-reprs into its noise seed string and computes its structural statistics for
-a whole pool with array operations.  This module keeps what they replaced,
-as the oracle the property tests compare them with:
+:meth:`repro.nn.architecture.Architecture.summarize` reads every
+``LayerSummary`` as a view of a row of the process's layer table
+(:mod:`repro.nn.table`), and
+:class:`repro.accuracy.surrogate.AccuracySurrogate` joins the rows' noise
+keys into its noise seed string and computes its structural statistics for
+a whole pool by gathers over row ids.  This module keeps what they
+replaced, as the oracle the property tests compare them with:
 
 * :func:`summarize` — shape inference layer by layer, every record built
   anew (the skip-edge shape check is not part of it: it still runs per
   architecture);
-* :func:`noise_key` — ``repr(architecture.to_dict()["layers"])``;
+* :func:`noise_key` — ``repr(architecture.to_dict()["layers"])``, and
+  :func:`noise`, the surrogate's noise term seeded from it;
 * :func:`statistics` and :func:`surrogate_error` — the surrogate's
   statistics and error of one architecture, from small per-row NumPy calls;
 * :class:`UncachedArchitecture` and :class:`ReferenceSurrogate` — an
   architecture and a surrogate that use only the functions above, so an
-  ``error_percent`` computed through them touches no memo and no pool-wide
-  array.
+  ``error_percent`` computed through them touches no table row and no
+  pool-wide array.
 """
 
 from __future__ import annotations
@@ -60,11 +62,21 @@ def noise_key(architecture: Architecture) -> str:
     return repr(architecture.to_dict()["layers"])
 
 
+def noise(surrogate: AccuracySurrogate, architecture: Architecture) -> float:
+    """``surrogate``'s noise term of one architecture, seeded by :func:`noise_key`."""
+    digest = hashlib.sha256(
+        (surrogate.seed_salt + noise_key(architecture)).encode()
+    ).digest()
+    seed = int.from_bytes(digest[:8], "little")
+    rng = np.random.default_rng(seed)
+    return float(rng.normal(0.0, surrogate.noise_std))
+
+
 def statistics(architecture: Architecture) -> Dict[str, float]:
     """The surrogate's structural statistics of one architecture."""
     # 1-D convolutions/poolings drive the same capacity trends as their
     # 2-D counterparts, so both families feed the structural statistics.
-    summaries = architecture.summarize()
+    summaries = summarize(architecture)
     conv = [s for s in summaries if s.layer_type in ("conv", "conv1d")]
     fc = [s for s in summaries if s.layer_type == "fc"]
     pools = [s for s in summaries if s.layer_type in ("pool", "pool1d")]
@@ -82,7 +94,7 @@ def statistics(architecture: Architecture) -> Dict[str, float]:
         "mean_log2_filters": float(np.mean(np.log2(conv_filters))) if conv_filters else 0.0,
         "mean_kernel": float(np.mean(kernel_sizes)) if kernel_sizes else 3.0,
         "mean_log2_fc_units": float(np.mean(np.log2(np.maximum(hidden_fc_units, 1)))),
-        "log10_params": float(np.log10(max(architecture.total_params, 1))),
+        "log10_params": float(np.log10(max(sum(s.params for s in summaries), 1))),
     }
 
 
@@ -109,7 +121,7 @@ def surrogate_error(surrogate: AccuracySurrogate, architecture: Architecture) ->
         + kernel_penalty
         + overfit_penalty
         + pooling_penalty
-        + surrogate._noise(architecture)
+        + noise(surrogate, architecture)
     )
     return float(np.clip(error, surrogate.floor, surrogate.ceiling))
 
@@ -143,11 +155,3 @@ class ReferenceSurrogate(AccuracySurrogate):
 
     def error_percent(self, architecture: Architecture) -> float:
         return surrogate_error(self, architecture)
-
-    def _noise(self, architecture: Architecture) -> float:
-        digest = hashlib.sha256(
-            (self.seed_salt + noise_key(architecture)).encode()
-        ).digest()
-        seed = int.from_bytes(digest[:8], "little")
-        rng = np.random.default_rng(seed)
-        return float(rng.normal(0.0, self.noise_std))

@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from oracles.architecture import surrogate_error
+from oracles.architecture import summarize, surrogate_error
 from repro.accuracy.surrogate import AccuracyModel, AccuracySurrogate
 from repro.core.evaluation import PartitionAwareEvaluator
 from repro.nn.architecture import Architecture
@@ -54,10 +54,11 @@ def evaluate_pool(
     return [
         evaluator._package(
             tuple(int(v) for v in np.asarray(genotype, dtype=int)),
-            accuracy_arch,
-            performance_arch,
+            performance_arch.name,
             row[0],
             error_percent(evaluator.accuracy_model, accuracy_arch),
+            sum(s.params for s in summarize(accuracy_arch)),
+            sum(s.macs for s in summarize(performance_arch)),
         )
         for genotype, accuracy_arch, performance_arch, row in zip(
             genotypes, accuracy, performance, rows

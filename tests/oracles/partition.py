@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
+from oracles.architecture import summarize
 
 from repro.nn.architecture import Architecture, LayerSummary
 from repro.nn.graph import PartitionGraph
@@ -68,7 +69,7 @@ def evaluate(
     ``graph`` optionally overrides the architecture's own cut-legality
     graph.
     """
-    summaries = architecture.summarize()
+    summaries = summarize(architecture)
     if predictions is None:
         predictions = analyzer.predictor.predict_architecture(architecture)
     if len(predictions) != len(summaries):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from oracles.architecture import summarize
 
 from repro.hardware.features import MEGA, prediction_family
 from repro.hardware.predictors import MIN_LATENCY_S, MIN_POWER_W, OracleLayerPredictor
@@ -60,6 +61,6 @@ def predict_layer(predictor, summary: LayerSummary) -> Tuple[float, float]:
 def predict_architecture(predictor, architecture: Architecture) -> np.ndarray:
     """``(num_layers, 2)`` array of :func:`predict_layer` over every layer."""
     return np.array(
-        [predict_layer(predictor, summary) for summary in architecture.summarize()],
+        [predict_layer(predictor, summary) for summary in summarize(architecture)],
         dtype=float,
     ).reshape(-1, 2)

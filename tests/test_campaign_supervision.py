@@ -426,9 +426,21 @@ class TestCampaignSupervisor:
         supervisor.path.write_text("{ not json", encoding="utf-8")
         assert supervisor.circuit_state() == CIRCUIT_CLOSED
         assert supervisor.circuit_allows()
-        # a state whose breaker is not an object resets the same way
-        for payload in ('{"circuit": null}', '{"circuit": 5}'):
+        # a state whose breaker is not an object, or holds a field of
+        # another type than the breaker writes, resets the same way
+        for payload in (
+            '{"circuit": null}',
+            '{"circuit": 5}',
+            '{"circuit": {"state": "open", "results": 5}}',
+            '{"circuit": {"state": "open", "opened_at": "x"}}',
+            '{"circuit": {"transitions": 5}}',
+            '{"circuit": {"state": "closed", "window": "x"}}',
+            '{"circuit": {"state": "closed", "window": true}}',
+            '{"circuit": {"state": "ajar"}}',
+        ):
             supervisor = CampaignSupervisor(tmp_path, self.POLICY)
+            supervisor.path.write_text(payload, encoding="utf-8")
+            assert supervisor.record_result(True) == CIRCUIT_CLOSED
             supervisor.path.write_text(payload, encoding="utf-8")
             assert supervisor.circuit_allows()
             assert supervisor.circuit_state() == CIRCUIT_CLOSED

@@ -1,10 +1,12 @@
 """Pool evaluation against the per-candidate oracle (``tests/oracles/evaluation.py``).
 
-``PartitionAwareEvaluator.evaluate_pool`` validates a pool once, builds each
-genotype's layer stack and name once and estimates the pool's errors from
-pool-wide statistics.  For pools of 1-64 genotypes of every built-in space —
-with duplicates, and rows given as lists, ``int32`` and ``int64`` arrays —
-its objective vectors, errors, names, layers and skip edges must equal the
+``PartitionAwareEvaluator.evaluate_pool`` validates a pool once, reads each
+genotype's layer stack and name once as layer-table rows and estimates the
+pool's errors from gathers over those rows.  For pools of 1-64 genotypes of
+every built-in space and the stride/projection ResNet — with duplicates,
+and rows given as lists, ``int32`` and ``int64`` arrays — costed under the
+noiseless and the trained predictor, with and without an engine, its
+objective vectors, errors, names, layers and skip edges must equal the
 per-candidate path bit for bit, a bad row must raise the error ``decode``
 raises for it, and a model without a pool method must see its
 ``error_percent`` calls in pool order.
@@ -23,17 +25,22 @@ from oracles import architecture as architecture_oracle
 from oracles import evaluation as oracle
 
 from repro.accuracy.surrogate import AccuracyModel, AccuracySurrogate
+from repro.api.engine import EvaluationEngine
 from repro.api.registry import SEARCH_SPACES
 from repro.core.evaluation import PartitionAwareEvaluator
 from repro.hardware.device import jetson_tx2_gpu
-from repro.hardware.predictors import OracleLayerPredictor
+from repro.hardware.predictors import LayerPerformancePredictor, OracleLayerPredictor
 from repro.nn.alexnet import build_alexnet
+from repro.nn.resnet_space import ResNetSearchSpace
 from repro.nn.vgg import build_vgg16
 from repro.partition.partitioner import PartitionAnalyzer
 from repro.wireless.channel import WirelessChannel
 
-SPACE_NAMES = ("lens-vgg", "resnet-v1", "seq-conv1d")
-SPACES = {name: SEARCH_SPACES.create(name) for name in SPACE_NAMES}
+SPACES = {name: SEARCH_SPACES.create(name) for name in ("lens-vgg", "resnet-v1", "seq-conv1d")}
+SPACES["resnet-stride-projection"] = ResNetSearchSpace(
+    downsample="stride", projection_shortcuts=True
+)
+SPACE_NAMES = tuple(SPACES)
 
 #: How a pool may hand over a row.
 ROW_FORMS = {
@@ -43,16 +50,21 @@ ROW_FORMS = {
 }
 
 
-@functools.lru_cache(maxsize=1)
-def _analyzer():
-    return PartitionAnalyzer(
-        OracleLayerPredictor(jetson_tx2_gpu()),
-        WirelessChannel.create("wifi", uplink_mbps=3.0),
+@functools.lru_cache(maxsize=None)
+def _analyzer(trained=False):
+    device = jetson_tx2_gpu()
+    predictor = (
+        LayerPerformancePredictor.train_for_device(device, samples_per_type=60, seed=0)
+        if trained
+        else OracleLayerPredictor(device)
     )
+    return PartitionAnalyzer(predictor, WirelessChannel.create("wifi", uplink_mbps=3.0))
 
 
-def _evaluator(name, model=None):
-    return PartitionAwareEvaluator(SPACES[name], model or AccuracySurrogate(), _analyzer())
+def _evaluator(name, model=None, trained=False, engine=None):
+    return PartitionAwareEvaluator(
+        SPACES[name], model or AccuracySurrogate(), _analyzer(trained), engine=engine
+    )
 
 
 @st.composite
@@ -78,13 +90,19 @@ def _layers(architecture):
     return [repr(layer) for layer in architecture.layers]
 
 
+@pytest.mark.parametrize("engine", [False, True], ids=["no-engine", "engine"])
+@pytest.mark.parametrize("trained", [False, True], ids=["oracle", "trained"])
 @settings(max_examples=30, deadline=None)
 @given(pool=pools())
-def test_evaluate_pool_matches_the_per_candidate_oracle(pool):
+def test_evaluate_pool_matches_the_per_candidate_oracle(trained, engine, pool):
     name, genotypes = pool
     space = SPACES[name]
-    got = _evaluator(name).evaluate_pool(genotypes)
-    want = oracle.evaluate_pool(_evaluator(name), genotypes)
+
+    def evaluator():
+        return _evaluator(name, trained=trained, engine=EvaluationEngine() if engine else None)
+
+    got = evaluator().evaluate_pool(genotypes)
+    want = oracle.evaluate_pool(evaluator(), genotypes)
     assert _outputs(got) == _outputs(want)
 
     decoded = space.decode_pool(genotypes)

@@ -87,19 +87,6 @@ def test_equality_and_hash():
     assert a != c
 
 
-def test_with_input_shape_shares_the_stack_and_analyses_anew():
-    arch = tiny_architecture()
-    arch.summarize()
-    hash(arch)
-    wide = arch.with_input_shape((3, 16, 16))
-    rebuilt = Architecture("tiny", (3, 16, 16), list(arch.layers))
-    assert wide.layers is arch.layers and wide.name == arch.name
-    assert wide.partition_graph() is arch.partition_graph()
-    assert wide.summarize() == rebuilt.summarize() != arch.summarize()
-    assert wide == rebuilt and hash(wide) == hash(rebuilt)
-    assert arch.input_shape == (3, 8, 8)
-
-
 def test_to_dict_round_trip():
     arch = tiny_architecture()
     rebuilt = Architecture.from_dict(arch.to_dict())
