@@ -58,12 +58,17 @@ def _row_means(
     """
     counts = mask.sum(axis=1)
     means = np.full(len(counts), empty)
-    for count in np.unique(counts[counts > 0]).tolist():
-        members = np.flatnonzero(counts == count)
-        chosen = values[members][mask[members]].reshape(len(members), count)
-        if transform is not None:
-            chosen = transform(chosen)
-        means[members] = chosen.mean(axis=1)
+    # rows in order of their masked count, so each count's values are one block
+    order = np.argsort(counts, kind="stable")
+    chosen = values[order][mask[order]]
+    start = offset = 0
+    for count, size in enumerate(np.bincount(counts).tolist()):
+        if count and size:
+            block = chosen[offset : offset + count * size].reshape(size, count)
+            block = block if transform is None else transform(block)
+            # ``block.mean(axis=1)``: the same reduction and division
+            means[order[start : start + size]] = np.add.reduce(block, axis=1) / count
+        start, offset = start + size, offset + count * size
     return means
 
 
@@ -125,7 +130,7 @@ class AccuracySurrogate(AccuracyModel):
         codes = LAYER_TABLE.type_code[ids]
 
         def family(types) -> np.ndarray:
-            return np.isin(codes, [c for c, t in enumerate(LAYER_TABLE.layer_types) if t in types])
+            return np.array([t in types for t in LAYER_TABLE.layer_types])[codes]
 
         conv, pools, fc = family(_CONV_TYPES), family(_POOL_TYPES), family({"fc"})
         # The final classifier is always present; hidden FC widths drive capacity.

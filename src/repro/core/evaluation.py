@@ -151,7 +151,8 @@ class PartitionAwareEvaluator:
         ``total_macs`` the performance-shape one.
         """
         error = float(error)
-        all_edge = partition_eval.all_edge
+        # a PartitionEvaluation's options open with All-Cloud, then All-Edge
+        all_cloud, all_edge = partition_eval.options[:2]
         best_latency = partition_eval.best_latency
         best_energy = partition_eval.best_energy
 
@@ -175,8 +176,8 @@ class PartitionAwareEvaluator:
             extras={
                 "best_latency_s": float(best_latency.latency_s),
                 "best_energy_j": float(best_energy.energy_j),
-                "all_cloud_latency_s": float(partition_eval.all_cloud.latency_s),
-                "all_cloud_energy_j": float(partition_eval.all_cloud.energy_j),
+                "all_cloud_latency_s": float(all_cloud.latency_s),
+                "all_cloud_energy_j": float(all_cloud.energy_j),
                 "num_partition_points": len(partition_eval.partition_point_indices),
                 "total_params": int(total_params),
                 "total_macs": int(total_macs),

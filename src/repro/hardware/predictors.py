@@ -217,7 +217,8 @@ class LayerPerformancePredictor(BaseLayerPredictor):
             if family in self._latency_models:
                 families.setdefault(family, []).append(code)
         for family, family_codes in families.items():
-            positions = np.flatnonzero(np.isin(codes, family_codes))
+            in_family = [code in family_codes for code in range(len(LAYER_TABLE.layer_types))]
+            positions = np.flatnonzero(np.array(in_family)[codes])
             width = LAYER_TABLE.feature_widths[family_codes[0]]
             # the transpose of a C-ordered gather: the Fortran-ordered
             # matrix the regression's BLAS product has always been given

@@ -115,6 +115,38 @@ class ResNetSearchSpace(EncodedSearchSpace):
         self.encoding = self._build_encoding()
         self._true_index = self.encoding.gene("fc_present").index_of(True)
 
+        # Every layer a gene can choose, so that decoding reads a
+        # genotype's layers by gene value.
+        def conv(name: str, width: int, kernel: int, stride: int = 1) -> LayerSpec:
+            return LAYER_TABLE.spec(
+                Conv2D, name=name, out_channels=width, kernel_size=kernel,
+                stride=stride, padding="same", batch_norm=True,
+            )
+
+        stages = range(1, self.num_stages + 1)
+        self._stems = {width: conv("stem", width, 3) for width in self.stage_widths}
+        # "stride": one stride-2 convolution downsamples and adapts channels
+        self._downsamples = {
+            (stage, width): [conv(f"stage{stage}_downsample", width, 3, stride=2)]
+            if self.downsample == "stride"
+            else [
+                LAYER_TABLE.spec(MaxPool2D, name=f"stage{stage}_pool", pool_size=2),
+                conv(f"stage{stage}_transition", width, 1),
+            ]
+            for stage in stages
+            for width in self.stage_widths
+        }
+        self._blocks = {
+            (stage, block, width, kernel): [
+                conv(f"stage{stage}_block{block}_{half}", width, kernel) for half in "ab"
+            ]
+            for stage in stages
+            for block in range(1, max(self.blocks_per_stage) + 1)
+            for width in self.stage_widths
+            for kernel in self.kernel_sizes
+        }
+        self._fcs = {units: LAYER_TABLE.spec(Dense, name="fc1", units=units) for units in self.fc_units}
+
     # ------------------------------------------------------------------ encoding
     def _build_encoding(self) -> EncodingScheme:
         genes: List[Gene] = []
@@ -137,75 +169,27 @@ class ResNetSearchSpace(EncodedSearchSpace):
         block's identity shortcut.
         """
         genes = arr.tolist()  # per stage (blocks, kernel, width), then the head
-        layers: List[LayerSpec] = []
+        layers: List[LayerSpec] = [self._stems[self.stage_widths[genes[2]]]]
         skip_edges: List[SkipEdge] = []
-        layers.append(
-            LAYER_TABLE.spec(
-                Conv2D,
-                name="stem",
-                out_channels=self.stage_widths[genes[2]],
-                kernel_size=3,
-                padding="same",
-                batch_norm=True,
-            )
-        )
         for stage in range(1, self.num_stages + 1):
             offset = 3 * (stage - 1)
             blocks = self.blocks_per_stage[genes[offset]]
             kernel = self.kernel_sizes[genes[offset + 1]]
             width = self.stage_widths[genes[offset + 2]]
             stage_input = len(layers) - 1
-            if self.downsample == "stride":
-                # one stride-2 convolution downsamples and adapts channels
-                layers.append(
-                    LAYER_TABLE.spec(
-                        Conv2D,
-                        name=f"stage{stage}_downsample",
-                        out_channels=width,
-                        kernel_size=3,
-                        stride=2,
-                        padding="same",
-                        batch_norm=True,
-                    )
-                )
-            else:
-                layers.append(
-                    LAYER_TABLE.spec(MaxPool2D, name=f"stage{stage}_pool", pool_size=2)
-                )
-                layers.append(
-                    LAYER_TABLE.spec(
-                        Conv2D,
-                        name=f"stage{stage}_transition",
-                        out_channels=width,
-                        kernel_size=1,
-                        padding="same",
-                        batch_norm=True,
-                    )
-                )
+            layers += self._downsamples[stage, width]
             for block in range(1, blocks + 1):
                 block_input = len(layers) - 1
                 if block == 1 and self.projection_shortcuts:
                     # the projection shortcut spans the downsampling layers,
                     # so the partitioner may not cut at the stage boundary
                     block_input = stage_input
-                for half in ("a", "b"):
-                    layers.append(
-                        LAYER_TABLE.spec(
-                            Conv2D,
-                            name=f"stage{stage}_block{block}_{half}",
-                            out_channels=width,
-                            kernel_size=kernel,
-                            padding="same",
-                            batch_norm=True,
-                        )
-                    )
+                layers += self._blocks[stage, block, width, kernel]
                 skip_edges.append((block_input, len(layers) - 1))
         layers.append(LAYER_TABLE.spec(Flatten, name="flatten"))
         head = 3 * self.num_stages
         if genes[head] == self._true_index:
-            layers.append(
-                LAYER_TABLE.spec(Dense, name="fc1", units=self.fc_units[genes[head + 1]])
-            )
+            layers.append(self._fcs[self.fc_units[genes[head + 1]]])
         layers.append(
             LAYER_TABLE.spec(Dense, name="classifier", units=num_classes, activation="softmax")
         )

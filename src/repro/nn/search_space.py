@@ -101,6 +101,28 @@ class BlockSearchSpace(EncodedSearchSpace):
             self.encoding.gene_position(f"fc{fc}_present")
             for fc in range(1, self.num_fc_layers + 1)
         ]
+        # Every layer a block or head gene can choose, so that decoding
+        # reads a genotype's layers by gene value.
+        blocks = range(1, self.num_blocks + 1)
+        self._convs = {
+            (block, index, filters, kernel): LAYER_TABLE.spec(
+                self.conv_layer, name=f"conv{block}_{index}", out_channels=filters,
+                kernel_size=kernel, padding="same", batch_norm=True,
+            )
+            for block in blocks
+            for index in range(1, max(self.layers_per_block) + 1)
+            for filters in self.filter_counts
+            for kernel in self.kernel_sizes
+        }
+        self._pools = [
+            LAYER_TABLE.spec(self.pool_layer, name=f"pool{block}", pool_size=self.pool_size)
+            for block in blocks
+        ]
+        self._fcs = {
+            (index, units): LAYER_TABLE.spec(Dense, name=f"fc{index}", units=units)
+            for index in range(1, self.num_fc_layers + 1)
+            for units in self.fc_units
+        }
 
     # ------------------------------------------------------------------ encoding
     def _build_encoding(self) -> EncodingScheme:
@@ -157,23 +179,9 @@ class BlockSearchSpace(EncodedSearchSpace):
             depth = self.layers_per_block[next(genes)]
             kernel = self.kernel_sizes[next(genes)]
             filters = self.filter_counts[next(genes)]
-            for layer_idx in range(1, depth + 1):
-                layers.append(
-                    LAYER_TABLE.spec(
-                        self.conv_layer,
-                        name=f"conv{block}_{layer_idx}",
-                        out_channels=filters,
-                        kernel_size=kernel,
-                        padding="same",
-                        batch_norm=True,
-                    )
-                )
+            layers += [self._convs[block, i, filters, kernel] for i in range(1, depth + 1)]
             if next(genes) == on:
-                layers.append(
-                    LAYER_TABLE.spec(
-                        self.pool_layer, name=f"pool{block}", pool_size=self.pool_size
-                    )
-                )
+                layers.append(self._pools[block - 1])
         layers.append(LAYER_TABLE.spec(Flatten, name="flatten"))
         fc_index = 0
         for _ in range(self.num_fc_layers):
@@ -181,7 +189,7 @@ class BlockSearchSpace(EncodedSearchSpace):
             units = self.fc_units[next(genes)]
             if present:
                 fc_index += 1
-                layers.append(LAYER_TABLE.spec(Dense, name=f"fc{fc_index}", units=units))
+                layers.append(self._fcs[fc_index, units])
         layers.append(
             LAYER_TABLE.spec(Dense, name="classifier", units=num_classes, activation="softmax")
         )

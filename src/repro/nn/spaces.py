@@ -302,7 +302,8 @@ class EncodedSearchSpace(abc.ABC):
                 self._checked(row)
         stacks: List[List[int]] = []  # spec ids, one stack per row
         graphs: List[PartitionGraph] = []
-        shared: dict = {}  # (layer count, skip edges) -> graph
+        # one immutable graph per (layer count, skip edges), for the space's life
+        shared = self.__dict__.setdefault("_decoded_graphs", {})
         for row in rows:
             layers, skip_edges = self._layer_stack(row, self.num_classes)
             require_unique_names([layer.name for layer in layers])
