@@ -14,7 +14,8 @@ re-run the predictors thirty times.
   ``(device, training settings, seed)`` — training is seconds of work and is
   deterministic for integer seeds, so sharing is safe;
 * the layer cache keeps per-layer predictions per
-  ``(predictor, architecture)`` — architectures hash by structure, so
+  ``(predictor, candidate)``, where a candidate is keyed by its
+  layer-table rows (:class:`~repro.nn.architecture.LayerRows`), so
   genotype duplicates across strategies and scenarios hit the cache.  The
   cached values are the predictor's read-only ``(num_layers, 2)``
   ``(latency, power)`` arrays, filled and read only by ``evaluate_batch``;
@@ -193,7 +194,7 @@ class EvaluationEngine:
         :meth:`repro.nn.spaces.EncodedSearchSpace.partition_graph`).
 
         The cache is keyed per search space *by value*: the architecture
-        (which hashes over its structure, including skip edges) and the
+        (its layer-table rows, input bytes per element and skip edges) and the
         *effective* graph (override or the architecture's own —
         :class:`~repro.nn.graph.PartitionGraph` is a frozen dataclass
         hashing by value) are both in the key, so runs over different
@@ -213,9 +214,11 @@ class EvaluationEngine:
     ) -> List[List[PartitionEvaluation]]:
         """Pool-level costing: dedup against the caches, batch the misses.
 
-        The candidate pool is first deduplicated (architectures hash by
-        structure, so genotype duplicates collapse) and checked against the
-        layer and partition caches; only genuine misses run through the
+        The candidate pool (architectures, or their
+        :class:`~repro.nn.architecture.LayerRows`) is first deduplicated on
+        its layer-table rows, so genotype duplicates collapse, and checked
+        against the layer and partition caches; only genuine misses run
+        through the
         vectorised :meth:`~repro.hardware.predictors.BaseLayerPredictor.predict_pool`
         /:meth:`~repro.partition.partitioner.PartitionAnalyzer.evaluate_batch`
         path, and their results backfill the caches so later calls hit.

@@ -430,7 +430,8 @@ def _readable_circuit(circuit: Any) -> bool:
     """Whether a stored breaker holds each field in a type the breaker writes."""
     return (
         isinstance(circuit, dict)
-        and circuit.get("state", CIRCUIT_CLOSED) in (CIRCUIT_CLOSED, CIRCUIT_OPEN, CIRCUIT_HALF_OPEN)
+        and circuit.get("state", CIRCUIT_CLOSED)
+        in (CIRCUIT_CLOSED, CIRCUIT_OPEN, CIRCUIT_HALF_OPEN)
         and all(
             isinstance(circuit[name], kind) and not isinstance(circuit[name], bool)
             for name, kind in _CIRCUIT_TYPES.items()

@@ -267,7 +267,6 @@ class Architecture:
         return "\n".join(lines)
 
 
-
 class LayerRows:
     """A candidate pool read as rows of :data:`~repro.nn.table.LAYER_TABLE` ids.
 

@@ -145,7 +145,9 @@ class ResNetSearchSpace(EncodedSearchSpace):
             for width in self.stage_widths
             for kernel in self.kernel_sizes
         }
-        self._fcs = {units: LAYER_TABLE.spec(Dense, name="fc1", units=units) for units in self.fc_units}
+        self._fcs = {
+            units: LAYER_TABLE.spec(Dense, name="fc1", units=units) for units in self.fc_units
+        }
 
     # ------------------------------------------------------------------ encoding
     def _build_encoding(self) -> EncodingScheme:

@@ -238,13 +238,14 @@ class LayerTable:
             self._features = np.concatenate(
                 [self._features, np.zeros_like(self._features)], axis=1
             )
-        code = self.layer_types.index(record.layer_type)
-        kernel = getattr(spec, "kernel_size", 0)
-        for name, value in zip(self.COLUMNS, (code, record.output_shape[0], kernel)):
+        values = (
+            self.layer_types.index(record.layer_type),
+            record.output_shape[0],
+            getattr(spec, "kernel_size", 0),
+            record.params, record.macs, record.output_bytes, record.is_partition_candidate,
+        )
+        for name, value in zip(self.COLUMNS, values):  # in COLUMNS order
             getattr(self, name)[row] = value
-        for name in ("params", "macs", "output_bytes"):
-            getattr(self, name)[row] = getattr(record, name)
-        self.candidate[row] = record.is_partition_candidate
         self.records.append(record)
         self.noise_keys.append(self._spec_noise_keys[spec_id])
         self.row_specs.append(spec_id)

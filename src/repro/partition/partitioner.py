@@ -193,7 +193,9 @@ class PartitionAnalyzer:
         Parameters
         ----------
         architectures:
-            The candidate pool.
+            The candidate pool: architectures, or their layer-table rows
+            (:class:`~repro.nn.architecture.LayerRows`), whose columns the
+            per-layer arrays are gathered from.
         channels:
             Wireless channels to cost under; defaults to the analyzer's own
             channel.  The per-candidate arrays are built once and shared.

@@ -80,7 +80,7 @@ ALLOWED: Dict[str, str] = {
     "repro.nn.spaces.EncodedSearchSpace.genotype_digest":
         "a property test pins candidate names to the scalar-fold oracle",
     "repro.nn.vgg.build_vgg16":
-        "reference model the layer-memo and pool tests decode",
+        "reference model the layer-table and pool tests cost and summarize",
     "repro.partition.partitioner.PartitionEvaluation.split_options":
         "partitioner and graph tests check the split options with it",
     "repro.serving.fleet.FleetController.last_option_indices":
