@@ -24,8 +24,8 @@ Spaces are addressable by name through
 from __future__ import annotations
 
 import abc
-from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -285,6 +285,11 @@ class EncodedSearchSpace(abc.ABC):
             skip_edges=skip_edges,
         )
 
+    @cached_property
+    def _decoded_graphs(self) -> Dict[tuple, PartitionGraph]:
+        """One immutable cut-legality graph per (layer count, skip edges) decoded."""
+        return {}
+
     def decode_pool(self, genotypes: Sequence[Sequence[int]]) -> DecodedPool:
         """Decode a candidate pool into layer-table rows, in both input shapes.
 
@@ -302,8 +307,7 @@ class EncodedSearchSpace(abc.ABC):
                 self._checked(row)
         stacks: List[List[int]] = []  # spec ids, one stack per row
         graphs: List[PartitionGraph] = []
-        # one immutable graph per (layer count, skip edges), for the space's life
-        shared = self.__dict__.setdefault("_decoded_graphs", {})
+        shared = self._decoded_graphs
         for row in rows:
             layers, skip_edges = self._layer_stack(row, self.num_classes)
             require_unique_names([layer.name for layer in layers])
