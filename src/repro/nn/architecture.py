@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -329,6 +330,7 @@ class LayerRows:
         return len(self.chains)
 
     def __getitem__(self, index: int) -> Architecture:
+        index = operator.index(index)  # one candidate; a slice is a TypeError
         if self._architectures[index] is None:
             chain = self.chains[index]
             layers = [LAYER_TABLE.specs[LAYER_TABLE.row_specs[row]] for row in chain]
