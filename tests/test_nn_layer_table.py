@@ -295,4 +295,10 @@ def test_layer_rows_of_a_pool_read_the_same_rows_as_its_architectures():
     assert np.array_equal(rebuilt.ids, pool.performance.ids)
     assert pool.performance.sums("macs") == [a.total_macs for a in pool.performance]
     assert pool.accuracy.sums("params") == [a.total_params for a in pool.accuracy]
-    assert all(a == b for a, b in zip(pool.performance, pool.performance.take(range(8))))
+    # duplicate genotypes share keys, which is what the engine dedups on
+    keys = pool.performance.keys()
+    assert keys[6:] == keys[:2]
+    sub = pool.performance.take([7, 0])
+    assert sub.chains == [pool.performance.chains[7], pool.performance.chains[0]]
+    assert [a.name for a in sub] == [pool.performance.names[7], pool.performance.names[0]]
+    assert sub.lengths == [len(chain) for chain in sub.chains]
