@@ -5,6 +5,9 @@ objects together with an input shape.  Calling :meth:`Architecture.summarize`
 performs full shape inference and returns one :class:`LayerSummary` per layer
 with everything the partitioning engine and the hardware predictors need:
 input/output shapes, parameter counts, MAC counts and activation byte sizes.
+Those records are views of rows of the layer table (:mod:`repro.nn.table`),
+and :class:`LayerRows` reads a whole candidate pool as rows of table ids,
+which is what evaluation gathers from.
 """
 
 from __future__ import annotations
