@@ -208,7 +208,7 @@ class LayerPerformancePredictor(BaseLayerPredictor):
             raise RuntimeError("predictor is not fitted; call fit() or train_for_device()")
         pool = LayerRows.of(architectures)
         flat = pool.flat
-        features = LAYER_TABLE.features  # featurizes new rows and sets their widths
+        features = LAYER_TABLE.features  # featurizes new rows
         codes = LAYER_TABLE.type_code[flat]
         pairs = np.tile([0.0, self.device.idle_power_w], (len(flat), 1))
         families: Dict[str, List[int]] = {}
@@ -219,7 +219,7 @@ class LayerPerformancePredictor(BaseLayerPredictor):
         for family, family_codes in families.items():
             in_family = [code in family_codes for code in range(len(LAYER_TABLE.layer_types))]
             positions = np.flatnonzero(np.array(in_family)[codes])
-            width = LAYER_TABLE.feature_widths[family_codes[0]]
+            width = self._latency_models[family]._weights.size  # the family's features
             # the transpose of a C-ordered gather: the Fortran-ordered
             # matrix the regression's BLAS product has always been given
             matrix = np.take(features[:width], flat[positions], axis=1).T

@@ -130,11 +130,21 @@ class LayerTable:
     Specs are stored once per typed value, and rows once per stored spec
     and typed input shape.  The numeric columns (:attr:`COLUMNS` and the
     ``(FEATURE_WIDTH, capacity)`` :attr:`features` block, which holds a
-    row's feature row in its first ``feature_widths[type_code]`` entries)
+    row's feature row in its first entries, as many as its family has)
     are arrays indexed by row id that grow by doubling, so read them
     through the attribute at each use.  ``records[row]`` is the row's
     :class:`LayerSummary` at index 0 and ``noise_keys[row]`` its spec's
     ``repr(spec.to_dict())``.
+
+    An addition is all or nothing even when an exception lands between
+    any two of its bytecodes, as a cell deadline's ``CellTimeout`` can (it
+    is raised from a signal handler, and the campaign worker goes on to its
+    next cell with the same table).  Everything an addition reads is
+    computed first.  A spec or shape is then written past the stored ones
+    and stored by one assignment, of its key's id; an interrupted write is
+    overwritten by the next.  A row's appends are taken back unless its
+    key's id is stored too.  A layer type is registered on its own, and a
+    type no row has is never read.
     """
 
     #: Numeric columns and their dtypes.
@@ -151,14 +161,12 @@ class LayerTable:
         self._shape_ids: Dict[tuple, int] = {}
         self._shapes: List[Shape] = []
         self._rows: List[Dict[int, int]] = []  # per input shape id: spec id -> row
-        self._unfeatured: List[int] = []
+        self._featured = 1  # rows below it have their feature rows
         # per row, from the padding row 0 on
         self.records: List[LayerSummary] = [None]  # type: ignore[list-item]
         self.noise_keys, self.row_specs, self._output_shape_ids = [""], [-1], [-1]
-        #: Layer types in order of first appearance (``type_code`` indexes
-        #: them) and the width of each one's feature row.
-        self.layer_types, self.feature_widths = [""], [0]
-        self.size = 1
+        #: Layer types in order of first appearance (``type_code`` indexes them).
+        self.layer_types = [""]
         for name, dtype in self.COLUMNS.items():
             setattr(self, name, np.zeros(1024, dtype=dtype))
         self._features = np.zeros((FEATURE_WIDTH, 1024))
@@ -181,11 +189,12 @@ class LayerTable:
             values = tuple(getattr(spec, f.name) for f in dataclasses.fields(spec))
             key = (type(spec), *_typed(values))
             known = self._spec_ids.get(key)
-            if known is None:
-                known = self._spec_ids[key] = len(self.specs)
-                self.specs.append(spec)
+            if known is None:  # added as the class docstring says
+                known = len(self._spec_ids)
+                self.specs[known:] = [spec]
+                self._spec_noise_keys[known:] = [repr(spec.to_dict())]
+                self._spec_ids[key] = known
                 self._stored[id(spec)] = known
-                self._spec_noise_keys.append(repr(spec.to_dict()))
         return known
 
     def spec_ids(self, layers: Sequence[LayerSpec]) -> List[int]:
@@ -198,10 +207,10 @@ class LayerTable:
     def _shape_id(self, shape: Shape) -> int:
         key = _typed(tuple(shape))
         known = self._shape_ids.get(key)
-        if known is None:
-            known = self._shape_ids[key] = len(self._shapes)
-            self._shapes.append(key[0])
-            self._rows.append({})
+        if known is None:  # added as the class docstring says
+            known = len(self._shape_ids)
+            self._shapes[known:], self._rows[known:] = [key[0]], [{}]
+            self._shape_ids[key] = known
         return known
 
     def chain(self, spec_ids: Sequence[int], input_shape: Shape) -> List[int]:
@@ -224,35 +233,40 @@ class LayerTable:
             shape = output_shape_ids[row]
         return chain
 
+    @property
+    def size(self) -> int:
+        """Number of rows, the padding row included."""
+        return len(self.records)
+
     def _add_row(self, spec_id: int, shape_id: int) -> int:
         spec = self.specs[spec_id]
         record = summarize_layer(0, spec, self._shapes[shape_id])
+        output_shape_id = self._shape_id(record.output_shape)
         if record.layer_type not in self.layer_types:
             self.layer_types.append(record.layer_type)
-            self.feature_widths.append(0)
         row = self.size
-        if row == len(self.type_code):
+        if row == self._features.shape[1]:  # full: grow by doubling, the block last
             for name in self.COLUMNS:
                 column = getattr(self, name)
-                setattr(self, name, np.concatenate([column, np.zeros_like(column)]))
-            self._features = np.concatenate(
-                [self._features, np.zeros_like(self._features)], axis=1
-            )
-        values = (
-            self.layer_types.index(record.layer_type),
-            record.output_shape[0],
-            getattr(spec, "kernel_size", 0),
-            record.params, record.macs, record.output_bytes, record.is_partition_candidate,
-        )
-        for name, value in zip(self.COLUMNS, values):  # in COLUMNS order
+                if row == len(column):  # else an interrupted growth grew it
+                    setattr(self, name, np.concatenate([column, np.zeros_like(column)]))
+            self._features = np.concatenate([self._features, np.zeros_like(self._features)], 1)
+        code, kernel = self.layer_types.index(record.layer_type), getattr(spec, "kernel_size", 0)
+        values = (code, record.output_shape[0], kernel, record.params, record.macs,
+                  record.output_bytes, record.is_partition_candidate)  # in COLUMNS order
+        for name, value in zip(self.COLUMNS, values):  # unread until the row is stored
             getattr(self, name)[row] = value
-        self.records.append(record)
-        self.noise_keys.append(self._spec_noise_keys[spec_id])
-        self.row_specs.append(spec_id)
-        self._output_shape_ids.append(self._shape_id(record.output_shape))
-        self._rows[shape_id][spec_id] = row
-        self._unfeatured.append(row)
-        self.size = row + 1
+        per_row = (self.records, self.noise_keys, self.row_specs, self._output_shape_ids)
+        values = (record, self._spec_noise_keys[spec_id], spec_id, output_shape_id)
+        try:  # added as the class docstring says
+            for column, value in zip(per_row, values):
+                column.append(value)
+            self._rows[shape_id][spec_id] = row
+        except BaseException:
+            for column in per_row:
+                del column[row:]
+            self._rows[shape_id].pop(spec_id, None)
+            raise
         return row
 
     @property
@@ -261,23 +275,22 @@ class LayerTable:
 
         Rows are featurized on the first read after they are added, one
         :func:`~repro.hardware.features.family_feature_matrix` call per
-        prediction family, which also sets ``feature_widths``.
+        prediction family.
         """
-        if self._unfeatured:
+        size = self.size
+        if self._featured < size:
             # hardware's feature definition reads nn's summaries, so it is
             # imported on use rather than when nn loads
             from repro.hardware.features import family_feature_matrix, prediction_family
 
             families: Dict[str, List[int]] = {}
-            for row in self._unfeatured:
+            for row in range(self._featured, size):
                 family = prediction_family(self.records[row].layer_type)
                 families.setdefault(family, []).append(row)
             for family, rows in families.items():
                 matrix = family_feature_matrix(family, [self.records[row] for row in rows])
                 self._features[: matrix.shape[1], rows] = matrix.T
-                for code in set(self.type_code[rows].tolist()):
-                    self.feature_widths[code] = matrix.shape[1]
-            self._unfeatured = []
+            self._featured = size
         return self._features
 
 

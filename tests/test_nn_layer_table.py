@@ -4,8 +4,9 @@ Every table-backed result is compared with the per-layer oracle
 (``tests/oracles/``): layer summaries field by field, the surrogate's error,
 the per-layer predictions and the deployment costing bit for bit, for
 decoded candidates and hand-built models.  A row keeps its id as rows are
-added, and a cold table (a fresh process) gives the records a warm one
-does.
+added, a cold table (a fresh process) gives the records a warm one does,
+and an addition interrupted at any bytecode (as a cell deadline's
+``CellTimeout`` interrupts one) leaves the table as it was.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -27,14 +29,16 @@ from oracles import partition as partition_oracle
 from oracles import predictor as predictor_oracle
 
 from repro.accuracy.surrogate import AccuracySurrogate
+from repro.api.engine import EvaluationEngine
 from repro.api.registry import SEARCH_SPACES
+from repro.campaign.supervisor import CellTimeout
 from repro.hardware.device import jetson_tx2_gpu
 from repro.hardware.predictors import OracleLayerPredictor
 from repro.nn.alexnet import build_alexnet
 from repro.nn.architecture import Architecture, LayerRows
-from repro.nn.layers import Conv2D, Dense, Flatten
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D
 from repro.nn.resnet_space import ResNetSearchSpace
-from repro.nn.table import LAYER_TABLE
+from repro.nn.table import LAYER_TABLE, LayerTable
 from repro.nn.vgg import build_vgg16, build_vgg_like
 from repro.partition.partitioner import PartitionAnalyzer
 from repro.utils.rng import ensure_rng
@@ -140,8 +144,18 @@ def test_skip_edge_check_runs_for_every_architecture():
     Architecture("chain", (3, 8, 8), layers).summarize()
     # every row exists now; the mismatched edge must still raise
     bad = Architecture("bad-skip", (3, 8, 8), layers, skip_edges=((0, 1),))
-    with pytest.raises(ValueError, match="incompatible shapes"):
-        bad.summarize()
+    # every path that reads the architecture's rows refuses it, every time
+    for read in (
+        Architecture.summarize,
+        Architecture.row_ids,
+        lambda a: LayerRows.of([a]),
+        ANALYZER.evaluate,
+        lambda a: EvaluationEngine().evaluate_batch([a], ANALYZER),
+        ANALYZER.predictor.predict_architecture,
+        SURROGATE.error_percent,
+    ):
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            read(bad)
 
 
 def test_table_specs_share_equal_values_and_keep_value_types_apart():
@@ -217,6 +231,129 @@ def test_equal_specs_of_other_value_types_keep_their_own_error(first):
         )
         assert records(model.summarize()) == records(oracle.summarize(model))
     assert models["int"].row_ids() != models["float"].row_ids()
+
+
+@pytest.mark.parametrize("where", ["to_dict", "_shape_id"])
+def test_an_interrupted_addition_changes_no_later_result(monkeypatch, where):
+    # A CellTimeout raised once inside the first model's additions: while
+    # its new spec's noise key is computed, or while its second new row
+    # stores its output shape.  Fresh layer names make every spec new.
+    owner, raise_at = (Dense, 0) if where == "to_dict" else (LayerTable, 2)
+    original, calls = getattr(owner, where), itertools.count()
+
+    def interrupted(*args, **kwargs):
+        if next(calls) == raise_at:
+            raise CellTimeout("cell exceeded its deadline")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, where, interrupted)
+    with pytest.raises(CellTimeout):
+        _four_layer(f"cut-{where}", 96).row_ids()
+    monkeypatch.undo()
+    for tag in (f"cut-{where}", f"after-{where}", f"wider-{where}"):
+        model = _four_layer(tag, 96 if tag.startswith("cut") else 160)
+        assert records(model.summarize()) == records(oracle.summarize(model))
+        assert (
+            SURROGATE.error_percent(model).hex()
+            == oracle.surrogate_error(REFERENCE, model).hex()
+        )
+        assert_costs_as_oracle(model)
+
+
+def _table_additions(table: LayerTable) -> list:
+    """Chains that add specs (one through ``spec``, one equal to it in
+    value but not in type), shapes, layer types and rows, then featurize
+    them; returns the chains."""
+    dense = table.spec(Dense, name="fc", units=8)
+    layers = [Conv2D(name="conv", out_channels=4), Flatten(name="flat"), dense]
+    chains = [
+        table.chain(table.spec_ids(layers), (3, 8, 8)),
+        table.chain(table.spec_ids([Dense(name="fc", units=8.0)]), (256,)),
+    ]
+    table.features
+    return chains
+
+
+def _small_table() -> LayerTable:
+    """A fresh table whose columns hold two rows, so the additions grow them."""
+    table = LayerTable()
+    for name in LayerTable.COLUMNS:
+        setattr(table, name, getattr(table, name)[:2].copy())
+    table._features = table._features[:, :2].copy()
+    return table
+
+
+def _table_state(table: LayerTable) -> tuple:
+    """Everything a reader of ``table`` can see, in comparable form."""
+    size = table.size
+    published = len(table._shape_ids)
+    return (
+        size,
+        [repr(dataclasses.astuple(record)) for record in table.records[1:]],
+        table.noise_keys, table.row_specs, table._output_shape_ids,
+        [repr(spec) for spec in table.specs[: len(table._spec_ids)]],
+        table._spec_noise_keys[: len(table._spec_ids)], table._spec_ids,
+        table._shapes[:published], table._shape_ids, table._rows[:published],
+        table.layer_types,
+        {name: getattr(table, name)[:size].tolist() for name in LayerTable.COLUMNS},
+        table.features[:, :size].tolist(),
+    )
+
+
+#: The code of the table's methods that store (what they call computes
+#: values and stores nothing, and their callers only read).
+_STORING_METHODS = {
+    method.__code__
+    for method in (LayerTable.spec_id, LayerTable._shape_id, LayerTable._add_row)
+} | {LayerTable.features.fget.__code__}
+
+
+def _interrupt_at_opcode(k: int, call) -> bool:
+    """Run ``call``, raising ``CellTimeout`` before the ``k``-th bytecode it
+    runs in a storing table method (a signal handler's exception lands at
+    such a boundary); returns whether it was raised."""
+    count = itertools.count()
+
+    def opcodes(frame, event, arg):
+        if event == "opcode" and next(count) == k:
+            raise CellTimeout("cell exceeded its deadline")  # also unsets the tracer
+        return opcodes
+
+    def calls(frame, event, arg):
+        if frame.f_code not in _STORING_METHODS:
+            return None
+        frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return opcodes
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        call()
+    except CellTimeout:
+        return True
+    finally:
+        sys.settrace(previous)
+    return False
+
+
+def test_an_addition_interrupted_at_any_bytecode_leaves_the_table_whole():
+    reference = _small_table()
+    expected_chains = _table_additions(reference)
+    expected = _table_state(reference)
+    # the reference itself matches the oracle, row by row
+    for row in range(1, reference.size):
+        record, spec = reference.records[row], reference.specs[reference.row_specs[row]]
+        alone = Architecture("alone", record.input_shape, [spec])
+        assert records([record]) == records(oracle.summarize(alone))
+        assert reference.noise_keys[row] == repr(spec.to_dict())
+    for k in itertools.count():
+        table = _small_table()
+        interrupted = _interrupt_at_opcode(k, lambda: _table_additions(table))
+        assert _table_additions(table) == expected_chains, k
+        assert _table_state(table) == expected, k
+        if not interrupted:
+            break
+    assert k > 1000  # the additions ran that many bytecodes of the storing methods
 
 
 #: Evaluates one seeded pool per space and prints objective hexes and record
