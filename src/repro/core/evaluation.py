@@ -151,8 +151,7 @@ class PartitionAwareEvaluator:
         ``total_macs`` the performance-shape one.
         """
         error = float(error)
-        # a PartitionEvaluation's options open with All-Cloud, then All-Edge
-        all_cloud, all_edge = partition_eval.options[:2]
+        all_cloud, all_edge = partition_eval.all_cloud, partition_eval.all_edge
         best_latency = partition_eval.best_latency
         best_energy = partition_eval.best_energy
 

@@ -172,25 +172,26 @@ class Architecture:
 
     # ------------------------------------------------------------------ analysis
     def row_ids(self) -> Tuple[int, ...]:
-        """The architecture's rows of the layer table, in layer order (cached)."""
+        """The architecture's rows of the layer table, in layer order (cached).
+
+        Every costing and summary of the architecture reads them, so the
+        skip-edge shape check runs here, once per architecture.
+        """
         if self._row_ids is None:
-            self._row_ids = tuple(
-                LAYER_TABLE.chain(LAYER_TABLE.spec_ids(self.layers), self.input_shape)
-            )
+            rows = LAYER_TABLE.chain(LAYER_TABLE.spec_ids(self.layers), self.input_shape)
+            check_skip_edges(self.input_shape, rows, self.skip_edges)
+            self._row_ids = tuple(rows)
         return self._row_ids
 
     def summarize(self) -> Tuple[LayerSummary, ...]:
         """Run shape inference and return per-layer summaries (cached).
 
-        Each record is a view of the layer's table row at its position;
-        the skip-edge shape check runs per architecture.
+        Each record is a view of the layer's table row at its position.
         """
         if self._summaries is None:
-            rows = self.row_ids()
-            check_skip_edges(self.input_shape, rows, self.skip_edges)
             self._summaries = tuple(
                 dataclasses.replace(LAYER_TABLE.records[row], index=index)
-                for index, row in enumerate(rows)
+                for index, row in enumerate(self.row_ids())
             )
         return self._summaries
 
@@ -339,7 +340,7 @@ class LayerRows:
             layers = [LAYER_TABLE.specs[LAYER_TABLE.row_specs[row]] for row in chain]
             shape = LAYER_TABLE.records[chain[0]].input_shape
             built = Architecture(self.names[index], shape, layers, *self._extras(index))
-            built._row_ids = chain
+            built._row_ids = chain  # decode_pool checked its skip edges
             self._architectures[index] = built
         return self._architectures[index]
 

@@ -9,8 +9,8 @@ a whole pool by gathers over row ids.  This module keeps what they
 replaced, as the oracle the property tests compare them with:
 
 * :func:`summarize` — shape inference layer by layer, every record built
-  anew (the skip-edge shape check is not part of it: it still runs per
-  architecture);
+  anew (the skip-edge shape check is not part of it: it runs in
+  ``Architecture.row_ids``, once per architecture);
 * :func:`noise_key` — ``repr(architecture.to_dict()["layers"])``, and
   :func:`noise`, the surrogate's noise term seeded from it;
 * :func:`statistics` and :func:`surrogate_error` — the surrogate's
