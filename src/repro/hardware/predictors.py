@@ -219,7 +219,7 @@ class LayerPerformancePredictor(BaseLayerPredictor):
         for family, family_codes in families.items():
             in_family = [code in family_codes for code in range(len(LAYER_TABLE.layer_types))]
             positions = np.flatnonzero(np.array(in_family)[codes])
-            width = self._latency_models[family]._weights.size  # the family's features
+            width = self._latency_models[family]._weights.size  # features per layer
             # the transpose of a C-ordered gather: the Fortran-ordered
             # matrix the regression's BLAS product has always been given
             matrix = np.take(features[:width], flat[positions], axis=1).T

@@ -136,15 +136,17 @@ class LayerTable:
     :class:`LayerSummary` at index 0 and ``noise_keys[row]`` its spec's
     ``repr(spec.to_dict())``.
 
-    An addition is all or nothing even when an exception lands between
-    any two of its bytecodes, as a cell deadline's ``CellTimeout`` can (it
-    is raised from a signal handler, and the campaign worker goes on to its
-    next cell with the same table).  Everything an addition reads is
-    computed first.  A spec or shape is then written past the stored ones
-    and stored by one assignment, of its key's id; an interrupted write is
-    overwritten by the next.  A row's appends are taken back unless its
-    key's id is stored too.  A layer type is registered on its own, and a
-    type no row has is never read.
+    An addition is all or nothing, even when an exception lands between
+    two of its bytecodes, as a cell deadline's ``CellTimeout`` does (a
+    signal handler raises it, and the campaign worker goes on to its next
+    cell with the same table).  Each addition computes what it stores
+    before it stores anything.  A spec or shape is written past the stored
+    ones, then stored by one assignment of its id to its key; the next
+    addition overwrites what an interrupted one wrote.  A row's appends are
+    taken back unless its id is stored under its key too.  Growing the
+    columns and filling feature rows can be redone but are never left half
+    done.  A layer type is registered on its own, and a type that no row
+    has changes no result.
     """
 
     #: Numeric columns and their dtypes.
@@ -189,7 +191,7 @@ class LayerTable:
             values = tuple(getattr(spec, f.name) for f in dataclasses.fields(spec))
             key = (type(spec), *_typed(values))
             known = self._spec_ids.get(key)
-            if known is None:  # added as the class docstring says
+            if known is None:  # all or nothing: see the class docstring
                 known = len(self._spec_ids)
                 self.specs[known:] = [spec]
                 self._spec_noise_keys[known:] = [repr(spec.to_dict())]
@@ -207,7 +209,7 @@ class LayerTable:
     def _shape_id(self, shape: Shape) -> int:
         key = _typed(tuple(shape))
         known = self._shape_ids.get(key)
-        if known is None:  # added as the class docstring says
+        if known is None:  # all or nothing: see the class docstring
             known = len(self._shape_ids)
             self._shapes[known:], self._rows[known:] = [key[0]], [{}]
             self._shape_ids[key] = known
@@ -258,7 +260,7 @@ class LayerTable:
             getattr(self, name)[row] = value
         per_row = (self.records, self.noise_keys, self.row_specs, self._output_shape_ids)
         values = (record, self._spec_noise_keys[spec_id], spec_id, output_shape_id)
-        try:  # added as the class docstring says
+        try:  # all or nothing: see the class docstring
             for column, value in zip(per_row, values):
                 column.append(value)
             self._rows[shape_id][spec_id] = row
