@@ -209,21 +209,16 @@ class LayerPerformancePredictor(BaseLayerPredictor):
         pool = LayerRows.of(architectures)
         flat = pool.flat
         features = LAYER_TABLE.features  # featurizes new rows
-        codes = LAYER_TABLE.type_code[flat]
+        families = np.array([prediction_family(t) for t in LAYER_TABLE.layer_types])
+        layer_families = families[LAYER_TABLE.type_code[flat]]
         pairs = np.tile([0.0, self.device.idle_power_w], (len(flat), 1))
-        families: Dict[str, List[int]] = {}
-        for code, layer_type in enumerate(LAYER_TABLE.layer_types):
-            family = prediction_family(layer_type)
-            if family in self._latency_models:
-                families.setdefault(family, []).append(code)
-        for family, family_codes in families.items():
-            in_family = [code in family_codes for code in range(len(LAYER_TABLE.layer_types))]
-            positions = np.flatnonzero(np.array(in_family)[codes])
-            width = self._latency_models[family]._weights.size  # features per layer
+        for family, latency_model in self._latency_models.items():
+            positions = np.flatnonzero(layer_families == family)
+            width = latency_model._weights.size  # features per layer
             # the transpose of a C-ordered gather: the Fortran-ordered
             # matrix the regression's BLAS product has always been given
             matrix = np.take(features[:width], flat[positions], axis=1).T
-            latency = self._latency_models[family].predict(matrix)
+            latency = latency_model.predict(matrix)
             power = self._power_models[family].predict(matrix)
             np.maximum(latency, MIN_LATENCY_S, out=latency)
             np.maximum(power, MIN_POWER_W, out=power)

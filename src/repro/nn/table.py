@@ -21,6 +21,7 @@ column, that fills the short rows of a padded id matrix.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence
@@ -146,7 +147,8 @@ class LayerTable:
     taken back unless its id is stored under its key too.  Growing the
     columns and filling feature rows can be redone but are never left half
     done.  A layer type is registered on its own, and a type that no row
-    has changes no result.
+    has changes no result.  Additions hold a lock, so threads add one at a
+    time; reads take none, as they only follow ids that are stored.
     """
 
     #: Numeric columns and their dtypes.
@@ -172,6 +174,7 @@ class LayerTable:
         for name, dtype in self.COLUMNS.items():
             setattr(self, name, np.zeros(1024, dtype=dtype))
         self._features = np.zeros((FEATURE_WIDTH, 1024))
+        self._lock = threading.RLock()  # held to add (reads take none)
         self.spec = lru_cache(maxsize=None, typed=True)(self._build_spec)
 
     # ------------------------------------------------------------------ specs
@@ -190,13 +193,14 @@ class LayerTable:
         if known is None:
             values = tuple(getattr(spec, f.name) for f in dataclasses.fields(spec))
             key = (type(spec), *_typed(values))
-            known = self._spec_ids.get(key)
-            if known is None:  # all or nothing: see the class docstring
-                known = len(self._spec_ids)
-                self.specs[known:] = [spec]
-                self._spec_noise_keys[known:] = [repr(spec.to_dict())]
-                self._spec_ids[key] = known
-                self._stored[id(spec)] = known
+            with self._lock:
+                known = self._spec_ids.get(key)
+                if known is None:  # all or nothing: see the class docstring
+                    known = len(self._spec_ids)
+                    self.specs[known:] = [spec]
+                    self._spec_noise_keys[known:] = [repr(spec.to_dict())]
+                    self._spec_ids[key] = known
+                    self._stored[id(spec)] = known
         return known
 
     def spec_ids(self, layers: Sequence[LayerSpec]) -> List[int]:
@@ -208,11 +212,12 @@ class LayerTable:
     # ------------------------------------------------------------------ rows
     def _shape_id(self, shape: Shape) -> int:
         key = _typed(tuple(shape))
-        known = self._shape_ids.get(key)
-        if known is None:  # all or nothing: see the class docstring
-            known = len(self._shape_ids)
-            self._shapes[known:], self._rows[known:] = [key[0]], [{}]
-            self._shape_ids[key] = known
+        with self._lock:
+            known = self._shape_ids.get(key)
+            if known is None:  # all or nothing: see the class docstring
+                known = len(self._shape_ids)
+                self._shapes[known:], self._rows[known:] = [key[0]], [{}]
+                self._shape_ids[key] = known
         return known
 
     def chain(self, spec_ids: Sequence[int], input_shape: Shape) -> List[int]:
@@ -229,8 +234,9 @@ class LayerTable:
         for spec in spec_ids:
             try:
                 row = rows[shape][spec]
-            except KeyError:
-                row = self._add_row(spec, shape)
+            except KeyError:  # another thread may add it first
+                with self._lock:
+                    row = rows[shape].get(spec) or self._add_row(spec, shape)
             append(row)
             shape = output_shape_ids[row]
         return chain
@@ -279,21 +285,22 @@ class LayerTable:
         :func:`~repro.hardware.features.family_feature_matrix` call per
         prediction family.
         """
-        size = self.size
-        if self._featured < size:
-            # hardware's feature definition reads nn's summaries, so it is
-            # imported on use rather than when nn loads
-            from repro.hardware.features import family_feature_matrix, prediction_family
+        with self._lock:
+            size = self.size
+            if self._featured < size:
+                # hardware's feature definition reads nn's summaries, so it is
+                # imported on use rather than when nn loads
+                from repro.hardware.features import family_feature_matrix, prediction_family
 
-            families: Dict[str, List[int]] = {}
-            for row in range(self._featured, size):
-                family = prediction_family(self.records[row].layer_type)
-                families.setdefault(family, []).append(row)
-            for family, rows in families.items():
-                matrix = family_feature_matrix(family, [self.records[row] for row in rows])
-                self._features[: matrix.shape[1], rows] = matrix.T
-            self._featured = size
-        return self._features
+                families: Dict[str, List[int]] = {}
+                for row in range(self._featured, size):
+                    family = prediction_family(self.records[row].layer_type)
+                    families.setdefault(family, []).append(row)
+                for family, rows in families.items():
+                    matrix = family_feature_matrix(family, [self.records[row] for row in rows])
+                    self._features[: matrix.shape[1], rows] = matrix.T
+                self._featured = size
+            return self._features
 
 
 #: The process's layer table.

@@ -5,8 +5,9 @@ Every table-backed result is compared with the per-layer oracle
 the per-layer predictions and the deployment costing bit for bit, for
 decoded candidates and hand-built models.  A row keeps its id as rows are
 added, a cold table (a fresh process) gives the records a warm one does,
-and an addition interrupted at any bytecode (as a cell deadline's
-``CellTimeout`` interrupts one) leaves the table as it was.
+an addition interrupted at any bytecode (as a cell deadline's
+``CellTimeout`` interrupts one) leaves the table as it was, and threads
+adding rows at once leave it as one thread would.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +356,70 @@ def test_an_addition_interrupted_at_any_bytecode_leaves_the_table_whole():
         if not interrupted:
             break
     assert k > 1000  # the additions ran that many bytecodes of the storing methods
+
+
+def _thread_additions(table: LayerTable, tag: str) -> list:
+    """Chains of layers that the other threads add too and of this thread's
+    own, then the feature rows; returns each chain with its layers."""
+    shared = [Conv2D(name="conv", out_channels=4), Flatten(name="flat")]
+    chains = []
+    for index in range(150):
+        layers = [*shared, Dense(name=f"fc-{tag}-{index}", units=8 + index % 16)]
+        chains.append((layers, table.chain(table.spec_ids(layers), (3, 8, 8 + index % 4))))
+    table.features
+    return chains
+
+
+def _rows_by_key(table: LayerTable) -> dict:
+    """Every row's stored fields, keyed by its spec and input shape."""
+    features = table.features
+    rows = {
+        (repr(table.specs[table.row_specs[row]]), table.records[row].input_shape): (
+            repr(dataclasses.astuple(table.records[row])),
+            table.noise_keys[row],
+            table.layer_types[table.type_code[row]],
+            [getattr(table, name)[row].item() for name in LayerTable.COLUMNS if name != "type_code"],
+            features[:, row].tolist(),
+        )
+        for row in range(1, table.size)
+    }
+    assert len(rows) == table.size - 1  # one row per key
+    return rows
+
+
+def test_threads_adding_rows_at_once_keep_the_table_whole():
+    tags = "abcd"
+    reference = _small_table()
+    for tag in tags:
+        _thread_additions(reference, tag)
+    table, chains, errors = _small_table(), {}, []
+    start = threading.Barrier(len(tags), timeout=60)
+
+    def add(tag):
+        try:
+            start.wait()
+            chains[tag] = _thread_additions(table, tag)
+        except Exception as error:  # reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=add, args=(tag,)) for tag in tags]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and sorted(chains) == list(tags)
+    assert _rows_by_key(table) == _rows_by_key(reference)
+    for layers, chain in itertools.chain.from_iterable(chains.values()):
+        assert [table.records[row].name for row in chain] == [layer.name for layer in layers]
+        assert [table.records[row].input_shape for row in chain[1:]] == [
+            table.records[row].output_shape for row in chain[:-1]
+        ]
 
 
 #: Evaluates one seeded pool per space and prints objective hexes and record
