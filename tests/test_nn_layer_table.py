@@ -18,6 +18,8 @@ import io
 import itertools
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 import threading
@@ -33,7 +35,7 @@ from oracles import predictor as predictor_oracle
 from repro.accuracy.surrogate import AccuracySurrogate
 from repro.api.engine import EvaluationEngine
 from repro.api.registry import SEARCH_SPACES
-from repro.campaign.supervisor import CellTimeout
+from repro.campaign.supervisor import CellTimeout, deadline
 from repro.hardware.device import jetson_tx2_gpu
 from repro.hardware.predictors import OracleLayerPredictor
 from repro.nn.alexnet import build_alexnet
@@ -356,6 +358,34 @@ def test_an_addition_interrupted_at_any_bytecode_leaves_the_table_whole():
         if not interrupted:
             break
     assert k > 1000  # the additions ran that many bytecodes of the storing methods
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs the deadline's signal path")
+# a signal delivered inside a gc callback (hypothesis installs one) raises
+# there, and the interpreter reports it as unraisable: that run is not cut
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+def test_additions_cut_by_real_cell_deadlines_leave_the_table_whole():
+    # A campaign cell's deadline: a SIGALRM handler raises CellTimeout
+    # wherever the interpreter delivers the signal.  Unlike the tracer
+    # above, this also shows the lock is let go of at every such point.
+    reference = _small_table()
+    expected_chains = _table_additions(reference)
+    expected = _table_state(reference)
+    rng, cuts, handler = random.Random(0), 0, signal.getsignal(signal.SIGALRM)
+    try:
+        for _ in range(2000):
+            table = _small_table()
+            try:
+                with deadline(rng.uniform(1e-6, 6e-4)):
+                    _table_additions(table)
+            except CellTimeout:
+                cuts += 1
+            assert not table._lock._is_owned()
+            assert _table_additions(table) == expected_chains
+            assert _table_state(table) == expected
+    finally:
+        signal.signal(signal.SIGALRM, handler)
+    assert cuts > 200
 
 
 def _thread_additions(table: LayerTable, tag: str) -> list:
