@@ -283,22 +283,16 @@ def test_batched_evaluation_graph_aware_parity(trained_gpu_predictor):
     architectures = [
         space.decode_for_performance(space.sample(rng)) for _ in range(8)
     ]
-    graphs = [space.partition_graph(a) for a in architectures]
     analyzer = PartitionAnalyzer(trained_gpu_predictor, channels[0])
-    batched = analyzer.evaluate_batch(
-        architectures, channels=channels, graphs=graphs
-    )
+    batched = analyzer.evaluate_batch(architectures, channels=channels)
     scalar = [
-        [
-            oracle.evaluate(analyzer.with_channel(channel), architecture, graph=graph)
-            for channel in channels
-        ]
-        for architecture, graph in zip(architectures, graphs)
+        [oracle.evaluate(analyzer.with_channel(channel), architecture) for channel in channels]
+        for architecture in architectures
     ]
     divergence = _max_divergence(scalar, batched)
     assert divergence <= PARITY_TOLERANCE
     # Residual candidates must actually exercise the skip-edge mask.
-    assert any(not graph.is_linear for graph in graphs)
+    assert any(architecture.skip_edges for architecture in architectures)
 
 
 def _outputs(records):

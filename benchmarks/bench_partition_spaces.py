@@ -37,8 +37,10 @@ SAMPLES = 40
 REPETITIONS = 3
 
 #: Allowed slow-down of graph-aware vs. raw linear enumeration on lens-vgg.
-#: The graph path adds one ``allows_cut_after`` check per boundary; anything
-#: beyond this factor would indicate an accidental complexity regression.
+#: On a linear graph the oracle's graph path adds one ``is_linear`` test per
+#: architecture, and on a residual one a scalar cut-rule check per boundary;
+#: anything beyond this factor would indicate an accidental complexity
+#: regression.
 MAX_LENS_SLOWDOWN = 3.0
 
 

@@ -19,17 +19,18 @@ re-run the predictors thirty times.
   genotype duplicates across strategies and scenarios hit the cache.  The
   cached values are the predictor's read-only ``(num_layers, 2)``
   ``(latency, power)`` arrays, filled and read only by ``evaluate_batch``;
-* ``evaluate_partitions`` / ``sweep_channels`` cost deployment options on
-  top of the cached predictions, caching full
+* the partition cache keeps full
   :class:`~repro.partition.partitioner.PartitionEvaluation` records per
-  ``(channel, effective cut-legality graph)`` — runs over different search
-  spaces never share partition records unless they request the identical
-  computation;
+  ``(predictor, channel, candidate)`` — the same candidate key, so runs
+  over different search spaces share a record only when they cost the
+  identical computation (the key holds the skip edges that decide which
+  cuts are legal);
 * ``evaluate_batch`` is the pool-level entry point behind the search loop
-  and the sweeps: it dedups a whole candidate pool against the caches,
-  evaluates only the misses through the vectorised
+  and the sweeps (``sweep_channels`` is its one-architecture, many-channel
+  call): it dedups a whole candidate pool against the caches, evaluates
+  only the misses through the vectorised
   ``predict_pool`` / ``PartitionAnalyzer.evaluate_batch`` path, and
-  backfills the caches; ``evaluate_partitions`` is its pool-of-one call.
+  backfills the caches.
 
 One engine can (and should) back many runs: pass the same instance to
 :func:`repro.api.session.run_search`, the deployment sweeps and the
@@ -47,7 +48,6 @@ import numpy as np
 from repro.hardware.device import DeviceProfile
 from repro.hardware.predictors import BaseLayerPredictor, LayerPerformancePredictor
 from repro.nn.architecture import Architecture, LayerRows
-from repro.nn.graph import PartitionGraph
 from repro.partition.partitioner import PartitionAnalyzer, PartitionEvaluation
 from repro.wireless.channel import WirelessChannel
 
@@ -135,8 +135,8 @@ class EvaluationEngine:
         self._layer_cache: "weakref.WeakKeyDictionary[BaseLayerPredictor, Dict[Architecture, np.ndarray]]" = (
             weakref.WeakKeyDictionary()
         )
-        # predictor -> {channel key: {(architecture, partition graph): evaluation}};
-        # nested so pool-level lookups hash the channel context once.
+        # predictor -> {channel key: {candidate key: evaluation}}; nested so
+        # pool-level lookups hash the channel context once.
         self._partition_cache: "weakref.WeakKeyDictionary[BaseLayerPredictor, Dict[tuple, Dict[tuple, PartitionEvaluation]]]" = (
             weakref.WeakKeyDictionary()
         )
@@ -179,55 +179,29 @@ class EvaluationEngine:
         return predictor
 
     # ------------------------------------------------------------------ partition costing
-    def evaluate_partitions(
-        self,
-        architecture: Architecture,
-        analyzer: PartitionAnalyzer,
-        graph: Optional["PartitionGraph"] = None,
-    ) -> PartitionEvaluation:
-        """Cost every deployment option, reusing cached layer predictions.
-
-        A pool-of-one call of :meth:`evaluate_batch`: equivalent to
-        ``analyzer.evaluate(architecture)``, but both the layer predictions
-        and the resulting evaluation are memoised.  ``graph`` optionally
-        overrides the architecture's own cut-legality graph (the hook behind
-        :meth:`repro.nn.spaces.EncodedSearchSpace.partition_graph`).
-
-        The cache is keyed per search space *by value*: the architecture
-        (its layer-table rows, input bytes per element and skip edges) and the
-        *effective* graph (override or the architecture's own —
-        :class:`~repro.nn.graph.PartitionGraph` is a frozen dataclass
-        hashing by value) are both in the key, so runs over different
-        spaces can never serve each other stale evaluations, while
-        space-less callers (the deployment sweeps) still hit entries warmed
-        by a search over the identical computation.
-        """
-        return self.evaluate_batch([architecture], analyzer, graphs=[graph])[0][0]
-
     def evaluate_batch(
         self,
         architectures: Sequence[Architecture],
         analyzer: PartitionAnalyzer,
         *,
         channels: Optional[Sequence[WirelessChannel]] = None,
-        graphs: Optional[Sequence[Optional["PartitionGraph"]]] = None,
     ) -> List[List[PartitionEvaluation]]:
         """Pool-level costing: dedup against the caches, batch the misses.
 
         The candidate pool (architectures, or their
         :class:`~repro.nn.architecture.LayerRows`) is first deduplicated on
-        its layer-table rows, so genotype duplicates collapse, and checked
-        against the layer and partition caches; only genuine misses run
-        through the
+        its candidate keys (:meth:`~repro.nn.architecture.LayerRows.keys`:
+        the layer-table rows, input bytes per element and skip edges), so
+        genotype duplicates collapse, and checked against the layer and
+        partition caches; only genuine misses run through the
         vectorised :meth:`~repro.hardware.predictors.BaseLayerPredictor.predict_pool`
         /:meth:`~repro.partition.partitioner.PartitionAnalyzer.evaluate_batch`
         path, and their results backfill the caches so later calls hit.
-        Stats mirror the work actually saved: every
-        pool position counts one partition hit or miss per channel
-        (duplicates and cached ``(architecture, channel, graph)`` cells are
-        hits), and each distinct architecture that needs costing counts one
-        layer hit or miss — fully cached pools touch the layer cache not at
-        all.
+        Stats mirror the work actually saved: every pool position counts one
+        partition hit or miss per channel (duplicates and cached
+        ``(architecture, channel)`` cells are hits), and each distinct
+        architecture that needs costing counts one layer hit or miss — fully
+        cached pools touch the layer cache not at all.
 
         ``results[i][j]`` is the evaluation of ``architectures[i]`` under
         ``channels[j]`` (``channels`` defaults to the analyzer's own
@@ -247,20 +221,11 @@ class EvaluationEngine:
         channel_owners, channel_firsts = _dedup(channel_keys)
         unique_channel_keys = [channel_keys[c] for c in channel_firsts]
         channels = [channels[c] for c in channel_firsts]
-        if graphs is None:
-            graphs = [None] * n
-        if len(graphs) != n:
-            raise ValueError(f"expected {n} graphs, got {len(graphs)}")
-        effective_graphs = [
-            graph if graph is not None else own
-            for graph, own in zip(graphs, pool.graphs)
-        ]
 
         # ---- dedup the pool (candidate keys compare table rows) ---------
-        keys = list(zip(pool.keys(), effective_graphs))
+        keys = pool.keys()
         owners, unique_positions = _dedup(keys)
         unique_keys = [keys[p] for p in unique_positions]
-        unique_graphs = [effective_graphs[p] for p in unique_positions]
 
         predictor = analyzer.predictor
         per_predictor = self._layer_cache.setdefault(predictor, {})
@@ -273,16 +238,15 @@ class EvaluationEngine:
             :meth:`~repro.hardware.predictors.BaseLayerPredictor.predict_pool`
             call and backfill the layer cache.
             """
-            candidates = [unique_keys[index][0] for index in indices]
-            _, firsts = _dedup(candidates)
-            missing = [first for first in firsts if candidates[first] not in per_predictor]
-            self.stats.layer_hits += len(firsts) - len(missing)
+            candidates = [unique_keys[index] for index in indices]
+            missing = [i for i, candidate in enumerate(candidates) if candidate not in per_predictor]
+            self.stats.layer_hits += len(candidates) - len(missing)
             self.stats.layer_misses += len(missing)
             if missing:
                 fresh = predictor.predict_pool(
-                    pool.take([unique_positions[indices[first]] for first in missing])
+                    pool.take([unique_positions[indices[i]] for i in missing])
                 )
-                per_predictor.update(zip([candidates[first] for first in missing], fresh))
+                per_predictor.update(zip([candidates[i] for i in missing], fresh))
             return [per_predictor[candidate] for candidate in candidates]
 
         # ---- partition costing: cached cells re-used, misses batched ----
@@ -313,7 +277,6 @@ class EvaluationEngine:
                 pool.take([unique_positions[i] for i in arch_indices]),
                 channels=[channels[ci] for ci in signature],
                 predictions=resolve_predictions(arch_indices),
-                graphs=[unique_graphs[i] for i in arch_indices],
             )
             for row_index, i in enumerate(arch_indices):
                 key = unique_keys[i]

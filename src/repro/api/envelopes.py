@@ -33,6 +33,7 @@ from repro.optim.pareto import FrontHistory
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
 from repro.utils.serialization import load_json
 from repro.utils.validation import (
+    require_finite,
     require_integral,
     require_non_negative,
     require_positive,
@@ -151,7 +152,10 @@ class SearchRequest:
         for hypervolume-driven q-batch selection.
     predictor_noise_std / predictor_samples_per_type:
         Performance-predictor training settings (ignored when a pre-trained
-        predictor is supplied to :func:`repro.api.session.run_search`).
+        predictor is supplied to :func:`repro.api.session.run_search`).  The
+        noise std must be a finite, non-negative real number and is held as
+        ``float``, so a request and its stored envelope share one
+        fingerprint.
     seed:
         Master seed of the run: a whole number, held as ``int``, or ``None``.
     tags:
@@ -184,6 +188,11 @@ class SearchRequest:
             )
         require_positive(self.candidate_pool_size, "candidate_pool_size")
         require_positive(self.batch_size, "batch_size")
+        object.__setattr__(
+            self,
+            "predictor_noise_std",
+            require_finite(self.predictor_noise_std, "predictor_noise_std"),
+        )
         require_non_negative(self.predictor_noise_std, "predictor_noise_std")
         if self.predictor_samples_per_type < MIN_SAMPLES_PER_TYPE:
             raise ValueError(
@@ -247,7 +256,8 @@ class SearchRequest:
         fingerprint the payload had under the schema that wrote it).  Counts
         and the seed load as stored: a non-integral one (``40.9``) or a
         boolean raises ``ValueError`` here instead of loading truncated
-        under another fingerprint, and ``10.0`` loads as ``10``.
+        under another fingerprint, and ``10.0`` loads as ``10``.  So does a
+        noise std that is not a finite number (``true``, ``"0.1"``).
         """
         check_schema_version(data, "SearchRequest")
         scenario = data.get("scenario", DEFAULT_SCENARIO)
@@ -262,7 +272,7 @@ class SearchRequest:
             candidate_pool_size=data.get("candidate_pool_size", 128),
             acquisition=data.get("acquisition", "ts"),
             batch_size=data.get("batch_size", DEFAULT_BATCH_SIZE),
-            predictor_noise_std=float(data.get("predictor_noise_std", 0.03)),
+            predictor_noise_std=data.get("predictor_noise_std", 0.03),
             predictor_samples_per_type=data.get("predictor_samples_per_type", 200),
             seed=data.get("seed", 0),
             tags=dict(data.get("tags", {})),

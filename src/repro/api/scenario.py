@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.api.registry import DEVICES, Registry
 from repro.hardware.device import DeviceProfile
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_finite, require_non_negative, require_positive
 from repro.wireless.channel import WirelessChannel
 from repro.wireless.power_models import SUPPORTED_TECHNOLOGIES
 from repro.wireless.regions import Region, all_regions
@@ -59,7 +59,9 @@ class Scenario:
         Radio technology (``"wifi"`` / ``"lte"`` / ``"3g"``).
     uplink_mbps / round_trip_s:
         Expected upload throughput and round-trip time folded into the
-        partition-aware objectives.
+        partition-aware objectives: finite real numbers, held as ``float``
+        (``ValueError`` for booleans, non-numbers, NaN and infinities), so a
+        scenario and its stored form share one request fingerprint.
     region:
         Optional name of the region the throughput expectation came from.
     description:
@@ -77,6 +79,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if not str(self.name).strip():
             raise ValueError("scenario name must be a non-empty string")
+        for name in ("uplink_mbps", "round_trip_s"):
+            object.__setattr__(self, name, require_finite(getattr(self, name), name))
         require_positive(self.uplink_mbps, "uplink_mbps")
         require_non_negative(self.round_trip_s, "round_trip_s")
 
@@ -104,9 +108,7 @@ class Scenario:
 
     def with_uplink(self, uplink_mbps: float, name: Optional[str] = None) -> "Scenario":
         """Copy of this scenario with a different throughput expectation."""
-        return replace(
-            self, uplink_mbps=float(uplink_mbps), name=name or self.name
-        )
+        return replace(self, uplink_mbps=uplink_mbps, name=name or self.name)
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -158,8 +160,8 @@ class Scenario:
             name=data["name"],
             device=device,
             wireless_technology=data.get("wireless_technology", "wifi"),
-            uplink_mbps=float(data.get("uplink_mbps", PAPER_UPLINK_MBPS)),
-            round_trip_s=float(data.get("round_trip_s", 0.01)),
+            uplink_mbps=data.get("uplink_mbps", PAPER_UPLINK_MBPS),
+            round_trip_s=data.get("round_trip_s", 0.01),
             region=data.get("region"),
             description=data.get("description", ""),
         )

@@ -31,7 +31,7 @@ from repro.api.scenario import SCENARIOS
 from repro.api.session import STRATEGIES
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
 from repro.utils.serialization import load_json
-from repro.utils.validation import require_integral
+from repro.utils.validation import require_finite, require_integral
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,9 @@ class CampaignSpec:
     batch_size / predictor_noise_std / predictor_samples_per_type:
         Budgets applied to every generated request (same meaning as on
         :class:`~repro.api.envelopes.SearchRequest`).  Seeds and counts must
-        be whole numbers: ``ValueError`` rather than truncation, here and in
-        :meth:`from_dict`.
+        be whole numbers and the noise std a finite number, held as
+        ``float``: ``ValueError`` rather than truncation or coercion, here
+        and in :meth:`from_dict`.
     tags:
         Metadata copied onto every request (excluded from fingerprints).
     """
@@ -93,6 +94,11 @@ class CampaignSpec:
         object.__setattr__(self, "seeds", seeds)
         for name in COUNT_FIELDS:
             object.__setattr__(self, name, require_integral(getattr(self, name), name))
+        object.__setattr__(
+            self,
+            "predictor_noise_std",
+            require_finite(self.predictor_noise_std, "predictor_noise_std"),
+        )
         object.__setattr__(
             self, "acquisitions", tuple(str(s) for s in self.acquisitions)
         )
@@ -221,7 +227,7 @@ class CampaignSpec:
             candidate_pool_size=data.get("candidate_pool_size", 128),
             acquisition=data.get("acquisition", "ts"),
             batch_size=data.get("batch_size", DEFAULT_BATCH_SIZE),
-            predictor_noise_std=float(data.get("predictor_noise_std", 0.03)),
+            predictor_noise_std=data.get("predictor_noise_std", 0.03),
             predictor_samples_per_type=data.get("predictor_samples_per_type", 200),
             tags=dict(data.get("tags", {})),
         )

@@ -113,16 +113,10 @@ class PartitionAwareEvaluator:
             return []
         pool = self.search_space.decode_pool(genotypes)
         performance = pool.performance
-        # The space's partition_graph hook is authoritative: spaces may
-        # constrain cuts beyond what the decoded skip edges express.  The
-        # default hook reads those skip edges, which the pool already holds.
-        graphs = None
-        if type(self.search_space).partition_graph is not EncodedSearchSpace.partition_graph:
-            graphs = [self.search_space.partition_graph(a) for a in performance]
         if self.engine is not None:
-            rows = self.engine.evaluate_batch(performance, self.analyzer, graphs=graphs)
+            rows = self.engine.evaluate_batch(performance, self.analyzer)
         else:
-            rows = self.analyzer.evaluate_batch(performance, graphs=graphs)
+            rows = self.analyzer.evaluate_batch(performance)
         errors = self.accuracy_model.error_percent_pool(pool.accuracy)
         return [
             self._package(tuple(genotype), name, row[0], error, params, macs)

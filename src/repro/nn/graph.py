@@ -20,13 +20,15 @@ Linear architectures (no skip edges) produce a graph that allows every
 boundary, so the graph-aware enumeration degenerates to the original
 linear-chain behaviour — the two are bit-identical on the ``lens-vgg``
 space (see ``tests/test_partition_graph.py`` and
-``benchmarks/bench_partition_spaces.py``).
+``benchmarks/bench_partition_spaces.py``).  The partitioner reads the rule
+as :meth:`PartitionGraph.legal_cut_mask`; its scalar form, one boundary at a
+time, is the test oracle ``tests/oracles/partition.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -93,13 +95,6 @@ class PartitionGraph:
                     f"skip edge ({src}, {dst}) exceeds the layer count "
                     f"({self.num_layers})"
                 )
-        # Graphs key the engine's partition cache; hash once, not per lookup.
-        object.__setattr__(
-            self, "_hash", hash((self.num_layers, self.skip_edges))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     # ------------------------------------------------------------------ legality
     @property
@@ -107,67 +102,17 @@ class PartitionGraph:
         """Whether the graph is a plain chain (every boundary cuttable)."""
         return not self.skip_edges
 
-    def allows_cut_after(self, index: int) -> bool:
-        """Whether the boundary after layer ``index`` is a single-tensor cut.
-
-        A skip edge ``(src, dst)`` forbids every boundary it spans strictly
-        (``src < index < dst``); a cut exactly at the edge's source remains
-        legal because the transmitted tensor is the skip tensor itself.
-        """
-        if not -1 <= index < self.num_layers:
-            raise IndexError(
-                f"cut index {index} out of range [-1, {self.num_layers})"
-            )
-        return all(
-            not (src < index < dst) for src, dst in self.skip_edges
-        )
-
     def legal_cut_mask(self) -> np.ndarray:
         """Boolean mask over the ``num_layers - 1`` non-final boundaries.
 
-        ``mask[j]`` is :meth:`allows_cut_after` ``(j)`` for
-        ``j in range(num_layers - 1)`` — the vectorised form the batched
-        partition costing broadcasts against per-candidate shrinkage masks.
+        ``mask[j]`` says whether the boundary after layer ``j`` is a
+        single-tensor cut: a skip edge ``(src, dst)`` forbids every boundary
+        it spans strictly (``src < j < dst``), and a cut exactly at the
+        edge's source stays legal because the transmitted tensor is the skip
+        tensor itself.  The batched partition costing broadcasts it against
+        per-candidate shrinkage masks.
         """
         mask = np.ones(self.num_layers - 1, dtype=bool)
         for src, dst in self.skip_edges:
             mask[src + 1 : dst] = False
         return mask
-
-    def legal_cut_indices(self) -> List[int]:
-        """Every structurally legal cut boundary, in layer order.
-
-        The final boundary is excluded — cutting after the last layer is the
-        All-Edge deployment, not a split.
-        """
-        return [
-            index
-            for index in range(self.num_layers - 1)
-            if self.allows_cut_after(index)
-        ]
-
-    def blocked_cut_indices(self) -> List[int]:
-        """Boundaries forbidden because a skip edge spans them."""
-        return [
-            index
-            for index in range(self.num_layers - 1)
-            if not self.allows_cut_after(index)
-        ]
-
-    # ------------------------------------------------------------------ misc
-    def to_dict(self) -> Dict:
-        """Serialisable description of the graph."""
-        return {
-            "num_layers": self.num_layers,
-            "skip_edges": [list(edge) for edge in self.skip_edges],
-        }
-
-    def describe(self) -> str:
-        """Human-readable one-liner for logs and docs."""
-        if self.is_linear:
-            return f"linear chain of {self.num_layers} layers (all cuts legal)"
-        blocked = self.blocked_cut_indices()
-        return (
-            f"{self.num_layers} layers, {len(self.skip_edges)} skip edges, "
-            f"{len(blocked)} of {self.num_layers - 1} boundaries blocked"
-        )

@@ -104,10 +104,11 @@ class EncodedSearchSpace(abc.ABC):
       accuracy input shape and once with the performance input shape
       (:meth:`decode_for_accuracy` / :meth:`decode_for_performance`, or
       :meth:`decode_pool` for a whole candidate pool);
-    * **partition legality** — describe which layer boundaries of a decoded
-      architecture are cut-legal (:meth:`partition_graph`), so the
-      partitioner never proposes a split that the workload's dataflow graph
-      cannot express as a single-tensor transfer.
+    * **partition legality** — the skip edges :meth:`_layer_stack` returns
+      with each layer stack decide which layer boundaries are cut-legal
+      (:attr:`~repro.nn.architecture.LayerRows.graphs`), so the partitioner
+      never proposes a split that the workload's dataflow graph cannot
+      express as a single-tensor transfer.
 
     ``space_name`` is the registry key the space answers to; decoded
     architectures and candidate names carry it for provenance (candidate
@@ -342,15 +343,6 @@ class EncodedSearchSpace(abc.ABC):
         return self.decode(
             indices, input_shape=self.performance_input_shape, name=name
         )
-
-    # ------------------------------------------------------------------ partitioning
-    def partition_graph(self, architecture: Architecture) -> PartitionGraph:
-        """Cut-legality graph of a decoded architecture.
-
-        The default trusts the skip edges the space baked into the decoded
-        architecture; spaces with out-of-band constraints may override.
-        """
-        return architecture.partition_graph()
 
     # ------------------------------------------------------------------ misc
     @staticmethod

@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.hardware.predictors import BaseLayerPredictor
 from repro.nn.architecture import Architecture, LayerRows
-from repro.nn.graph import PartitionGraph
 from repro.nn.table import LAYER_TABLE
 from repro.partition.deployment import DeploymentMetrics, DeploymentOption
 from repro.utils.units import mbps_to_bytes_per_second
@@ -49,47 +48,26 @@ class PartitionEvaluation(NamedTuple):
 
     Attributes
     ----------
-    architecture_name:
-        Name of the evaluated architecture.
     options:
         One :class:`DeploymentMetrics` per considered deployment option
         (All-Cloud, All-Edge and every candidate split), in that order.
-    layer_latencies_s / layer_energies_j / layer_output_bytes:
-        Per-layer predictions the costing was derived from, exposed for the
-        per-layer analyses (Fig. 1) and the runtime threshold study.
     partition_point_indices:
         Indices of the layers after which a split option cuts, in the order
         of the split options.
     """
 
-    architecture_name: str
     options: Tuple[DeploymentMetrics, ...]
-    layer_latencies_s: Tuple[float, ...]
-    layer_energies_j: Tuple[float, ...]
-    layer_output_bytes: Tuple[int, ...]
     partition_point_indices: Tuple[int, ...]
-
-    def metrics_for(self, option: DeploymentOption) -> DeploymentMetrics:
-        """Metrics of a specific deployment option."""
-        for metrics in self.options:
-            if metrics.option == option:
-                return metrics
-        raise KeyError(f"option {option.label} was not evaluated")
-
-    @property
-    def all_edge(self) -> DeploymentMetrics:
-        """Metrics of the All-Edge deployment."""
-        return self.metrics_for(DeploymentOption.all_edge())
 
     @property
     def all_cloud(self) -> DeploymentMetrics:
         """Metrics of the All-Cloud deployment."""
-        return self.metrics_for(DeploymentOption.all_cloud())
+        return self.options[0]
 
     @property
-    def split_options(self) -> Tuple[DeploymentMetrics, ...]:
-        """Metrics of every genuine split option."""
-        return tuple(m for m in self.options if m.option.is_split)
+    def all_edge(self) -> DeploymentMetrics:
+        """Metrics of the All-Edge deployment."""
+        return self.options[1]
 
     @property
     def best_latency(self) -> DeploymentMetrics:
@@ -109,15 +87,6 @@ class PartitionEvaluation(NamedTuple):
             return self.best_energy
         raise ValueError(f"metric must be 'latency' or 'energy', got {metric!r}")
 
-    def to_dict(self) -> Dict:
-        return {
-            "architecture_name": self.architecture_name,
-            "options": [m.to_dict() for m in self.options],
-            "partition_point_indices": list(self.partition_point_indices),
-            "best_latency": self.best_latency.to_dict(),
-            "best_energy": self.best_energy.to_dict(),
-        }
-
 
 class PartitionAnalyzer:
     """Evaluates all deployment options of an architecture (Algorithm 1).
@@ -136,52 +105,29 @@ class PartitionAnalyzer:
         self.channel = channel
 
     # ------------------------------------------------------------------ evaluation
-    def evaluate(
-        self,
-        architecture: Architecture,
-        predictions: Optional[np.ndarray] = None,
-        graph: Optional[PartitionGraph] = None,
-    ) -> PartitionEvaluation:
+    def evaluate(self, architecture: Architecture) -> PartitionEvaluation:
         """Cost every deployment option of ``architecture``.
 
         A pool-of-one call of :meth:`evaluate_batch`, so every caller runs
-        the costing the searches run.
-
-        Parameters
-        ----------
-        architecture:
-            The candidate model, decoded with the *performance* input shape.
-        predictions:
-            Optional pre-computed ``(num_layers, 2)`` ``(latency, power)``
-            array (used to avoid re-running the predictors when evaluating
-            the same architecture under several channels).
-        graph:
-            Optional cut-legality graph overriding the architecture's own
-            (used by search spaces that constrain cuts beyond what the
-            decoded skip edges express, via
-            :meth:`repro.nn.spaces.EncodedSearchSpace.partition_graph`).
+        the costing the searches run.  ``architecture`` is the candidate
+        model, decoded with the *performance* input shape.
         """
-        return self.evaluate_batch(
-            [architecture],
-            predictions=None if predictions is None else [predictions],
-            graphs=[graph],
-        )[0][0]
+        return self.evaluate_batch([architecture])[0][0]
 
     def evaluate_batch(
         self,
         architectures: Sequence[Architecture],
         channels: Optional[Sequence[WirelessChannel]] = None,
         predictions: Optional[Sequence[np.ndarray]] = None,
-        graphs: Optional[Sequence[Optional[PartitionGraph]]] = None,
     ) -> List[List[PartitionEvaluation]]:
         """Array-based costing of a candidate pool under many channels.
 
         Costs every ``(architecture, channel)`` pair end to end on arrays:
         per-candidate latency/energy/output-byte vectors concatenate into one
         flat pool-wide axis, split costing (prefix sums, the shrinkage rule,
-        the :class:`~repro.nn.graph.PartitionGraph` legal-cut mask and the
-        channel cost model) is broadcast across every cut point of every
-        candidate at once.
+        the legal-cut mask of each candidate's skip edges and the channel
+        cost model) is broadcast across every cut point of every candidate
+        at once.
 
         Results match the scalar oracle (``tests/oracles/partition.py``)
         to floating-point roundoff, <= 1e-9, and bit for bit for a
@@ -195,7 +141,8 @@ class PartitionAnalyzer:
         architectures:
             The candidate pool: architectures, or their layer-table rows
             (:class:`~repro.nn.architecture.LayerRows`), whose columns the
-            per-layer arrays are gathered from.
+            per-layer arrays are gathered from and whose cut-legality
+            :attr:`~repro.nn.architecture.LayerRows.graphs` mask the cuts.
         channels:
             Wireless channels to cost under; defaults to the analyzer's own
             channel.  The per-candidate arrays are built once and shared.
@@ -204,9 +151,6 @@ class PartitionAnalyzer:
             ``(num_layers, 2)`` ``(latency, power)`` array per architecture,
             as :meth:`~repro.hardware.predictors.BaseLayerPredictor.predict_pool`
             returns them.
-        graphs:
-            Optional per-architecture cut-legality overrides (``None``
-            entries fall back to each architecture's own graph).
 
         Returns
         -------
@@ -220,13 +164,8 @@ class PartitionAnalyzer:
             return [[] for _ in range(n)]
         if predictions is None:
             predictions = self.predictor.predict_pool(pool)
-        if graphs is None:
-            graphs = [None] * n
-        if len(predictions) != n or len(graphs) != n:
-            raise ValueError(
-                f"expected {n} prediction arrays and graphs, got "
-                f"{len(predictions)} and {len(graphs)}"
-            )
+        if len(predictions) != n:
+            raise ValueError(f"expected {n} prediction arrays, got {len(predictions)}")
 
         # ---- channel-independent pool arrays (flat layer axis) ----------
         # All per-layer quantities are concatenated along one flat axis
@@ -259,8 +198,7 @@ class PartitionAnalyzer:
         cumulative_energy = cum_en_all - base_en
 
         flat_rows = pool.flat
-        flat_bytes = LAYER_TABLE.output_bytes[flat_rows].tolist()
-        bytes_array = np.array(flat_bytes, dtype=float)
+        bytes_array = LAYER_TABLE.output_bytes[flat_rows].astype(float)
         records = LAYER_TABLE.records
         input_bytes = np.array(
             [
@@ -276,9 +214,7 @@ class PartitionAnalyzer:
         mask = LAYER_TABLE.candidate[flat_rows]
         mask[last_positions] = False  # cutting after the last layer is All-Edge
         mask &= bytes_array < np.repeat(input_bytes, lengths)
-        for i, graph in enumerate(graphs):
-            if graph is None:
-                graph = pool.graphs[i]
+        for i, graph in enumerate(pool.graphs):
             if not graph.is_linear:
                 mask[offsets[i] : offsets[i + 1] - 1] &= graph.legal_cut_mask()
         cuts = np.flatnonzero(mask)
@@ -299,21 +235,9 @@ class PartitionAnalyzer:
             tuple(relative[a:b]) for a, b in zip(cut_offsets[:-1], cut_offsets[1:])
         ]
 
-        lat_list = flat_latency.tolist()
-        en_list = flat_energy.tolist()
-        layer_latency_tuples = [
-            tuple(lat_list[offsets[i] : offsets[i + 1]]) for i in range(n)
-        ]
-        layer_energy_tuples = [
-            tuple(en_list[offsets[i] : offsets[i + 1]]) for i in range(n)
-        ]
-        layer_byte_tuples = [
-            tuple(flat_bytes[offsets[i] : offsets[i + 1]]) for i in range(n)
-        ]
         all_edge_latency = cumulative_latency[last_positions].tolist()
         all_edge_energy = cumulative_energy[last_positions].tolist()
         input_bytes_floats = input_bytes.tolist()
-        names = pool.names
         all_cloud_option = DeploymentOption.all_cloud()
         all_edge_option = DeploymentOption.all_edge()
         transferred_cuts = bytes_array[cuts].tolist()
@@ -355,7 +279,6 @@ class PartitionAnalyzer:
 
             for i in range(n):
                 results[i][ci] = PartitionEvaluation(
-                    names[i],
                     (
                         DeploymentMetrics(
                             all_cloud_option,
@@ -379,9 +302,6 @@ class PartitionAnalyzer:
                         ),
                         *flat_split_metrics[cut_offsets[i] : cut_offsets[i + 1]],
                     ),
-                    layer_latency_tuples[i],
-                    layer_energy_tuples[i],
-                    layer_byte_tuples[i],
                     cut_tuples[i],
                 )
         return results

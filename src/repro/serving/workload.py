@@ -11,10 +11,11 @@ Workloads come from two places:
 * :meth:`FleetWorkload.from_traces` — existing
   :class:`~repro.wireless.traces.ThroughputTrace` objects (e.g. the Fig. 8
   replay traces), one per client, NaN-padded when lengths differ;
-* :meth:`FleetWorkload.synthesize` — the vectorized sibling of
-  :func:`~repro.wireless.traces.generate_lte_trace`: AR(1) log-normal
-  throughput with deep fades, one column per client, with each client's
-  stationary mean taken from its region's Table-I average uplink.
+* :meth:`FleetWorkload.synthesize` — the process of
+  :func:`~repro.wireless.traces.generate_lte_trace`
+  (:func:`~repro.wireless.traces.ar1_uplinks`: AR(1) log-normal throughput
+  with deep fades), one column per client, with each client's stationary
+  mean taken from its region's Table-I average uplink.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.wireless.regions import Region, paper_regions, region_by_name
-from repro.wireless.traces import ThroughputTrace
+from repro.wireless.traces import ThroughputTrace, ar1_uplinks
 
 __all__ = ["FleetWorkload"]
 
@@ -136,28 +137,25 @@ class FleetWorkload:
         num_clients: int,
         ticks: int,
         regions: Optional[Sequence[Union[str, Region]]] = None,
-        volatility: float = 0.45,
-        correlation: float = 0.6,
-        fade_probability: float = 0.05,
-        fade_factor: float = 0.15,
+        *,
         stall_probability: float = 0.0,
         seed: SeedLike = None,
         name: str = "synthetic-fleet",
+        **process: float,
     ) -> "FleetWorkload":
         """Synthesize a heterogeneous fleet's throughput replay.
 
         Clients are assigned to ``regions`` round-robin (default: the
-        paper's Table-I regions) and each follows an AR(1) log-normal
-        process with stationary median at its region's average uplink —
-        the same process as :func:`~repro.wireless.traces.generate_lte_trace`
-        but advanced for the whole fleet with one vector op per tick.
-        ``stall_probability`` independently blanks measurements to NaN,
-        modelling clients that intermittently stop reporting.
+        paper's Table-I regions) and each follows the AR(1) log-normal
+        process of :func:`~repro.wireless.traces.ar1_uplinks` with
+        stationary median at its region's average uplink; ``process`` takes
+        its ``volatility``, ``correlation``, ``fade_probability`` and
+        ``fade_factor``.  ``stall_probability`` independently blanks
+        measurements to NaN, modelling clients that intermittently stop
+        reporting.
         """
         if num_clients < 1 or ticks < 1:
             raise ValueError("num_clients and ticks must both be >= 1")
-        if not (0.0 <= correlation < 1.0):
-            raise ValueError(f"correlation must be in [0, 1), got {correlation}")
         if not (0.0 <= stall_probability < 1.0):
             raise ValueError(
                 f"stall_probability must be in [0, 1), got {stall_probability}"
@@ -165,22 +163,8 @@ class FleetWorkload:
         catalogue = _resolve_regions(regions)
         rng = ensure_rng(seed)
         assignment = np.arange(num_clients) % len(catalogue)
-        log_mean = np.log(
-            np.array([r.avg_uplink_mbps for r in catalogue], dtype=np.float64)
-        )[assignment]
-        innovation_std = volatility * np.sqrt(1.0 - correlation**2)
-        log_value = rng.normal(log_mean, volatility)
-        uplinks = np.empty((ticks, num_clients), dtype=np.float64)
-        for tick in range(ticks):
-            log_value = (
-                correlation * log_value
-                + (1.0 - correlation) * log_mean
-                + rng.normal(0.0, innovation_std, size=num_clients)
-            )
-            values = np.exp(log_value)
-            fades = rng.random(num_clients) < fade_probability
-            values = np.where(fades, values * fade_factor, values)
-            uplinks[tick] = np.maximum(values, 0.05)
+        means = np.array([r.avg_uplink_mbps for r in catalogue], dtype=np.float64)
+        uplinks = ar1_uplinks(means[assignment], ticks, rng, **process)
         if stall_probability > 0.0:
             stalled = rng.random(uplinks.shape) < stall_probability
             uplinks[stalled] = np.nan

@@ -26,6 +26,22 @@ def require_integral(value: Any, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_finite(value: Any, name: str) -> float:
+    """``value`` as a ``float``; ``ValueError`` unless it is a finite real number.
+
+    Integers and floats pass; NaN, infinities, booleans and non-numbers
+    raise rather than being coerced by ``float()``.
+    """
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            result = float(value)
+        except OverflowError:  # an int beyond the float range
+            result = math.inf
+        if math.isfinite(result):
+            return result
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def require_positive(value: float, name: str) -> float:
     """Raise ``ValueError`` unless ``value`` is strictly positive."""
     if not value > 0:

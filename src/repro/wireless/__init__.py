@@ -1,6 +1,6 @@
 """Wireless communication substrate: power models, channels, regions, traces."""
 
-from repro.wireless.channel import CommunicationCost, WirelessChannel
+from repro.wireless.channel import WirelessChannel
 from repro.wireless.power_models import (
     HUANG_COEFFICIENTS_MILLIWATTS,
     SUPPORTED_TECHNOLOGIES,
@@ -23,7 +23,6 @@ from repro.wireless.traces import (
 )
 
 __all__ = [
-    "CommunicationCost",
     "WirelessChannel",
     "HUANG_COEFFICIENTS_MILLIWATTS",
     "SUPPORTED_TECHNOLOGIES",

@@ -11,30 +11,21 @@ where ``P_Tx`` comes from the technology-specific
 :class:`~repro.wireless.power_models.RadioPowerModel`.  The cloud's download
 of results back to the edge is negligible (class scores are a few bytes) and
 is absorbed into the round-trip term, as in the paper.
+
+A :class:`WirelessChannel` holds the channel's parameters; the partitioner
+(:meth:`repro.partition.partitioner.PartitionAnalyzer.evaluate_batch`)
+evaluates the equations for every transfer of a candidate pool at once.
+Their scalar form, one transfer at a time, is the test oracle
+``tests/oracles/partition.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict
 
-from repro.utils.units import mbps_to_bytes_per_second
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_finite, require_non_negative, require_positive
 from repro.wireless.power_models import RadioPowerModel
-
-
-@dataclass(frozen=True)
-class CommunicationCost:
-    """Latency and energy of one edge-to-cloud transfer."""
-
-    transmission_latency_s: float
-    round_trip_s: float
-    energy_j: float
-
-    @property
-    def latency_s(self) -> float:
-        """Total communication latency (transmission plus round trip)."""
-        return self.transmission_latency_s + self.round_trip_s
 
 
 @dataclass(frozen=True)
@@ -51,6 +42,9 @@ class WirelessChannel:
     round_trip_s:
         Average round-trip network latency ``L_RT`` in seconds (the paper
         estimates it from repeated pings to the server).
+
+    Both are finite real numbers, held as ``float`` (``ValueError`` for
+    booleans, non-numbers, NaN and infinities).
     """
 
     power_model: RadioPowerModel
@@ -58,6 +52,8 @@ class WirelessChannel:
     round_trip_s: float = 0.01
 
     def __post_init__(self) -> None:
+        for name in ("uplink_mbps", "round_trip_s"):
+            object.__setattr__(self, name, require_finite(getattr(self, name), name))
         require_positive(self.uplink_mbps, "uplink_mbps")
         require_non_negative(self.round_trip_s, "round_trip_s")
 
@@ -77,39 +73,9 @@ class WirelessChannel:
             round_trip_s=round_trip_s,
         )
 
-    def with_uplink(self, uplink_mbps: float) -> "WirelessChannel":
-        """Copy of this channel with a different uplink throughput."""
-        return replace(self, uplink_mbps=uplink_mbps)
-
-    # ------------------------------------------------------------------ cost model
-    def transmission_latency_s(self, num_bytes: float) -> float:
-        """``L_Tx``: time to push ``num_bytes`` through the uplink."""
-        require_non_negative(num_bytes, "num_bytes")
-        return num_bytes / mbps_to_bytes_per_second(self.uplink_mbps)
-
     def transmission_power_w(self) -> float:
         """``P_Tx``: radio power while transmitting at the expected throughput."""
         return self.power_model.power_w(self.uplink_mbps)
-
-    def transmission_energy_j(self, num_bytes: float) -> float:
-        """``E_Tx = P_Tx * L_Tx`` for a transfer of ``num_bytes``."""
-        return self.transmission_power_w() * self.transmission_latency_s(num_bytes)
-
-    def communication_latency_s(self, num_bytes: float) -> float:
-        """``L_comm = L_Tx + L_RT`` for a transfer of ``num_bytes``."""
-        return self.transmission_latency_s(num_bytes) + self.round_trip_s
-
-    def communication_energy_j(self, num_bytes: float) -> float:
-        """``E_comm = E_Tx`` for a transfer of ``num_bytes``."""
-        return self.transmission_energy_j(num_bytes)
-
-    def cost(self, num_bytes: float) -> CommunicationCost:
-        """Full communication cost record for a transfer of ``num_bytes``."""
-        return CommunicationCost(
-            transmission_latency_s=self.transmission_latency_s(num_bytes),
-            round_trip_s=self.round_trip_s,
-            energy_j=self.transmission_energy_j(num_bytes),
-        )
 
     def to_dict(self) -> Dict:
         return {

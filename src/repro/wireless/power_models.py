@@ -59,11 +59,6 @@ class RadioPowerModel:
         require_non_negative(uplink_mbps, "uplink_mbps")
         return self.alpha_w_per_mbps * uplink_mbps + self.beta_w
 
-    def transmission_energy_j(self, uplink_mbps: float, duration_s: float) -> float:
-        """Energy of a transmission lasting ``duration_s`` seconds."""
-        require_non_negative(duration_s, "duration_s")
-        return self.power_w(uplink_mbps) * duration_s
-
     def to_dict(self) -> Dict:
         return {
             "technology": self.technology,

@@ -11,7 +11,7 @@ are similar), plus occasional deep fades.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -92,24 +92,77 @@ class ThroughputTrace:
         return cls(samples, name=name)
 
 
-def generate_lte_trace(
-    num_samples: int = 40,
-    period_s: float = 300.0,
-    mean_mbps: float = 8.0,
+def ar1_uplinks(
+    mean_mbps: Sequence[float],
+    ticks: int,
+    rng: np.random.Generator,
+    *,
     volatility: float = 0.45,
     correlation: float = 0.6,
     fade_probability: float = 0.05,
     fade_factor: float = 0.15,
+) -> np.ndarray:
+    """``(ticks, clients)`` uplink throughputs of the synthetic LTE process.
+
+    Each client's log-throughput is an AR(1) random walk with stationary
+    mean ``log(mean_mbps[client])`` and stationary standard deviation
+    ``volatility``; occasional deep fades multiply the throughput by
+    ``fade_factor`` to mimic coverage holes, and no value falls below
+    0.05 Mbps.  The whole fleet advances with one vector draw per tick, so
+    a one-client call draws exactly what a scalar loop would.
+
+    Parameters
+    ----------
+    mean_mbps:
+        Median throughput of each client's stationary distribution.
+    ticks:
+        Number of samples per client.
+    rng:
+        Generator the start values, innovations and fades are drawn from,
+        in that order per tick.
+    volatility:
+        Standard deviation of log-throughput.
+    correlation:
+        AR(1) coefficient in [0, 1); higher values give smoother traces.
+    fade_probability / fade_factor:
+        Probability and depth of deep-fade events.
+    """
+    means = np.asarray(mean_mbps, dtype=np.float64)
+    if not np.all(means > 0):
+        raise ValueError(f"mean_mbps must be positive, got {mean_mbps}")
+    if not (0.0 <= correlation < 1.0):
+        raise ValueError(f"correlation must be in [0, 1), got {correlation}")
+    clients = means.size
+    log_mean = np.log(means)
+    innovation_std = volatility * np.sqrt(1.0 - correlation**2)
+    log_value = rng.normal(log_mean, volatility)
+    uplinks = np.empty((ticks, clients), dtype=np.float64)
+    for tick in range(ticks):
+        log_value = (
+            correlation * log_value
+            + (1.0 - correlation) * log_mean
+            + rng.normal(0.0, innovation_std, size=clients)
+        )
+        values = np.exp(log_value)
+        fades = rng.random(clients) < fade_probability
+        uplinks[tick] = np.maximum(np.where(fades, values * fade_factor, values), 0.05)
+    return uplinks
+
+
+def generate_lte_trace(
+    num_samples: int = 40,
+    period_s: float = 300.0,
+    mean_mbps: float = 8.0,
+    *,
     seed: SeedLike = None,
     name: str = "lte-trace",
+    **process: float,
 ) -> ThroughputTrace:
     """Generate a synthetic LTE upload-throughput trace.
 
-    The process is an AR(1) random walk in log-throughput with stationary mean
-    ``log(mean_mbps)`` and stationary standard deviation ``volatility``;
-    occasional deep fades multiply the throughput by ``fade_factor`` to mimic
-    coverage holes.  Defaults match the paper's collection protocol: 40
-    samples taken every 5 minutes.
+    One client of :func:`ar1_uplinks`: log-normal marginals with AR(1)
+    temporal correlation and occasional deep fades.  Defaults match the
+    paper's collection protocol: 40 samples taken every 5 minutes.
 
     Parameters
     ----------
@@ -117,31 +170,11 @@ def generate_lte_trace(
         Trace length and sampling period.
     mean_mbps:
         Median throughput of the stationary distribution.
-    volatility:
-        Standard deviation of log-throughput.
-    correlation:
-        AR(1) coefficient in (0, 1); higher values give smoother traces.
-    fade_probability / fade_factor:
-        Probability and depth of deep-fade events.
+    process:
+        ``volatility``, ``correlation``, ``fade_probability`` and
+        ``fade_factor`` of :func:`ar1_uplinks`.
     """
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    require_positive(mean_mbps, "mean_mbps")
-    if not (0.0 <= correlation < 1.0):
-        raise ValueError(f"correlation must be in [0, 1), got {correlation}")
-    rng = ensure_rng(seed)
-    log_mean = np.log(mean_mbps)
-    innovation_std = volatility * np.sqrt(1.0 - correlation**2)
-    log_value = rng.normal(log_mean, volatility)
-    values: List[float] = []
-    for _ in range(num_samples):
-        log_value = (
-            correlation * log_value
-            + (1.0 - correlation) * log_mean
-            + rng.normal(0.0, innovation_std)
-        )
-        value = float(np.exp(log_value))
-        if rng.random() < fade_probability:
-            value *= fade_factor
-        values.append(max(value, 0.05))
-    return ThroughputTrace.from_values(values, period_s=period_s, name=name)
+    values = ar1_uplinks([mean_mbps], num_samples, ensure_rng(seed), **process)
+    return ThroughputTrace.from_values(values[:, 0], period_s=period_s, name=name)

@@ -46,11 +46,10 @@ def evaluate_pool(
     performance = [
         space.decode(g, input_shape=space.performance_input_shape) for g in genotypes
     ]
-    graphs = [space.partition_graph(architecture) for architecture in performance]
     if evaluator.engine is not None:
-        rows = evaluator.engine.evaluate_batch(performance, evaluator.analyzer, graphs=graphs)
+        rows = evaluator.engine.evaluate_batch(performance, evaluator.analyzer)
     else:
-        rows = evaluator.analyzer.evaluate_batch(performance, graphs=graphs)
+        rows = evaluator.analyzer.evaluate_batch(performance)
     return [
         evaluator._package(
             tuple(int(v) for v in np.asarray(genotype, dtype=int)),

@@ -1,5 +1,6 @@
 """Tests for the shared, caching EvaluationEngine."""
 
+import dataclasses
 import gc
 
 import numpy as np
@@ -44,7 +45,7 @@ class TestLayerAndPartitionCaches:
         one-candidate pool costs bit for bit like the direct analyzer."""
         wifi = WirelessChannel.create("wifi", uplink_mbps=3.0)
         engine.evaluate_batch([alexnet], PartitionAnalyzer(gpu_oracle, wifi))
-        analyzer = PartitionAnalyzer(gpu_oracle, wifi.with_uplink(30.0))
+        analyzer = PartitionAnalyzer(gpu_oracle, dataclasses.replace(wifi, uplink_mbps=30.0))
         (via_engine,) = engine.evaluate_batch([alexnet], analyzer)[0]
         assert engine.stats.layer_misses == 1 and engine.stats.layer_hits == 1
         assert engine.cache_sizes()["layer_predictions"] == 1
@@ -76,7 +77,7 @@ class TestLayerAndPartitionCaches:
         analyzer = PartitionAnalyzer(
             predictor, WirelessChannel.create("wifi", uplink_mbps=3.0)
         )
-        engine.evaluate_partitions(alexnet, analyzer)
+        engine.evaluate_batch([alexnet], analyzer)
         assert engine.cache_sizes()["layer_predictions"] == 1
         del predictor, analyzer
         gc.collect()
@@ -86,34 +87,20 @@ class TestLayerAndPartitionCaches:
             "partition_evaluations": 0,
         }
 
-    def test_evaluate_partitions_matches_direct_evaluation(
-        self, engine, gpu_oracle, alexnet
-    ):
-        channel = WirelessChannel.create("wifi", uplink_mbps=3.0)
-        analyzer = PartitionAnalyzer(gpu_oracle, channel)
-        via_engine = engine.evaluate_partitions(alexnet, analyzer)
-        direct = analyzer.evaluate(alexnet)
-        assert via_engine.best_latency.option == direct.best_latency.option
-        assert via_engine.best_latency.latency_s == pytest.approx(
-            direct.best_latency.latency_s
-        )
-        assert via_engine.best_energy.energy_j == pytest.approx(
-            direct.best_energy.energy_j
-        )
-
     def test_partition_cache_hits_per_channel(self, engine, gpu_oracle, alexnet):
         channel = WirelessChannel.create("wifi", uplink_mbps=3.0)
         analyzer = PartitionAnalyzer(gpu_oracle, channel)
-        first = engine.evaluate_partitions(alexnet, analyzer)
+        (first,) = engine.evaluate_batch([alexnet], analyzer)[0]
         # A fresh analyzer with an equal channel must still hit the cache.
-        second = engine.evaluate_partitions(
-            alexnet, PartitionAnalyzer(gpu_oracle, channel.with_uplink(3.0))
-        )
+        (second,) = engine.evaluate_batch(
+            [alexnet], PartitionAnalyzer(gpu_oracle, dataclasses.replace(channel))
+        )[0]
         assert first is second
         # A different uplink is a different cache entry with different costs.
-        third = engine.evaluate_partitions(
-            alexnet, PartitionAnalyzer(gpu_oracle, channel.with_uplink(30.0))
-        )
+        (third,) = engine.evaluate_batch(
+            [alexnet],
+            PartitionAnalyzer(gpu_oracle, dataclasses.replace(channel, uplink_mbps=30.0)),
+        )[0]
         assert third is not first
         assert engine.stats.partition_hits == 1
         assert engine.stats.partition_misses == 2

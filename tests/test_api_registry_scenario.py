@@ -18,6 +18,7 @@ from repro.api.scenario import (
     builtin_scenarios,
     scenario_by_name,
 )
+from repro.api.envelopes import SearchRequest
 from repro.hardware.device import DeviceProfile, device_by_name
 
 
@@ -147,6 +148,25 @@ class TestScenario:
         faster = base.with_uplink(30.0, name="fast")
         assert faster.uplink_mbps == 30.0 and faster.name == "fast"
         assert base.uplink_mbps == 3.0
+
+    @pytest.mark.parametrize("value", [float("inf"), True, "3.0"], ids=repr)
+    @pytest.mark.parametrize("field", ["uplink_mbps", "round_trip_s"])
+    def test_reals_must_be_finite_numbers(self, field, value):
+        """An infinite uplink quarantined every evaluation of a search."""
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            Scenario(name="x", **{field: value})
+        payload = Scenario(name="x").to_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            Scenario.from_dict(payload)
+
+    def test_inline_scenario_keeps_its_fingerprint_through_its_envelope(self):
+        """An integral uplink used to fingerprint apart from its stored form."""
+        scenario = Scenario(name="inline/int", uplink_mbps=5, round_trip_s=0)
+        assert type(scenario.uplink_mbps) is float and type(scenario.round_trip_s) is float
+        request = SearchRequest(scenario=scenario)
+        loaded = SearchRequest.from_dict(request.to_dict())
+        assert loaded.fingerprint() == request.fingerprint()
 
     def test_invalid_scenarios_rejected(self):
         with pytest.raises(ValueError):

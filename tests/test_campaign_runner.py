@@ -97,6 +97,25 @@ class TestCampaignSpec:
         assert type(spec.num_initial) is int and spec.num_initial == 4
         assert spec.requests()[0].fingerprint() == SPEC.requests()[0].fingerprint()
 
+    @pytest.mark.parametrize("value", [float("inf"), True, "0.1"], ids=repr)
+    def test_noise_std_must_be_a_finite_number(self, value):
+        payload = SPEC.to_dict()
+        payload["predictor_noise_std"] = value
+        with pytest.raises(ValueError, match="predictor_noise_std must be a finite number"):
+            CampaignSpec.from_dict(payload)
+        with pytest.raises(ValueError, match="predictor_noise_std must be a finite number"):
+            CampaignSpec(scenarios=SPEC.scenarios, predictor_noise_std=value)
+
+    def test_round_trip_expands_to_the_same_grid(self):
+        """An integral noise std used to expand to other fingerprints after
+        ``to_dict``/``from_dict`` than before."""
+        spec = CampaignSpec(scenarios=SPEC.scenarios, predictor_noise_std=0)
+        clone = CampaignSpec.from_dict(spec.to_dict())
+        assert clone == spec and type(clone.predictor_noise_std) is float
+        assert [r.fingerprint() for r in clone.requests()] == [
+            r.fingerprint() for r in spec.requests()
+        ]
+
     def test_validate_catches_unknown_names_upfront(self):
         bad = CampaignSpec(scenarios=("wifi-3mbps/jetson-tx2-gpu",),
                            strategies=("lense",))

@@ -212,9 +212,7 @@ class TestTraditionalSearch:
         space = context.search_space
         for candidate in partitioned:
             architecture = space.decode_for_performance(candidate.genotype)
-            evaluation = context.analyzer.evaluate(
-                architecture, graph=space.partition_graph(architecture)
-            )
+            evaluation = context.analyzer.evaluate(architecture)
             assert candidate.latency_s == pytest.approx(
                 evaluation.best_latency.latency_s, rel=1e-9
             )

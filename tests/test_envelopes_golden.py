@@ -129,8 +129,11 @@ def test_batch_size_round_trips_and_validates():
         request.replace(batch_size=0)
 
 
-@pytest.mark.parametrize("value", [-0.1, float("nan")])
+@pytest.mark.parametrize(
+    "value", [-0.1, float("nan"), float("inf"), True, "0.1", None], ids=repr
+)
 def test_predictor_noise_std_is_validated_when_built_and_loaded(value):
+    """An infinite std gave every candidate the same costs, and ``True`` ran as 1.0."""
     request = SearchRequest.from_dict(golden_entries()[0]["request"])
     with pytest.raises(ValueError, match="predictor_noise_std"):
         request.replace(predictor_noise_std=value)
@@ -138,6 +141,15 @@ def test_predictor_noise_std_is_validated_when_built_and_loaded(value):
     payload["predictor_noise_std"] = value
     with pytest.raises(ValueError, match="predictor_noise_std"):
         SearchRequest.from_dict(payload)
+
+
+def test_integral_noise_std_is_held_as_float_with_the_envelope_fingerprint():
+    """``predictor_noise_std=0`` used to fingerprint apart from its own envelope."""
+    request = SearchRequest(predictor_noise_std=0)
+    assert type(request.predictor_noise_std) is float
+    loaded = SearchRequest.from_dict(request.to_dict())
+    assert loaded.fingerprint() == request.fingerprint() == "77d386110e7d7688"
+    assert SearchRequest(predictor_noise_std=0.0).fingerprint() == request.fingerprint()
 
 
 #: Values a request envelope cannot keep: non-integral counts, which

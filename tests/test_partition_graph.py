@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles import partition as oracle
 from oracles.partition import identify_partition_points
 
 from repro.hardware.device import jetson_tx2_gpu
@@ -39,25 +40,30 @@ def residual_architecture() -> Architecture:
 
 
 class TestPartitionGraph:
+    """The oracle's scalar cut rule, and the mask the partitioner reads."""
+
     def test_linear_graph_allows_everything(self):
         graph = PartitionGraph(num_layers=5)
         assert graph.is_linear
-        assert graph.legal_cut_indices() == [0, 1, 2, 3]
-        assert graph.blocked_cut_indices() == []
+        assert oracle.legal_cut_indices(graph) == [0, 1, 2, 3]
+        assert oracle.blocked_cut_indices(graph) == []
+        assert graph.legal_cut_mask().tolist() == [True] * 4
 
     def test_skip_edge_blocks_strict_interior_only(self):
         graph = PartitionGraph(num_layers=6, skip_edges=((1, 3),))
-        assert graph.allows_cut_after(0)
-        assert graph.allows_cut_after(1)  # the cut tensor IS the skip tensor
-        assert not graph.allows_cut_after(2)
-        assert graph.allows_cut_after(3)
-        assert graph.blocked_cut_indices() == [2]
+        assert oracle.allows_cut_after(graph, 0)
+        assert oracle.allows_cut_after(graph, 1)  # the cut tensor IS the skip tensor
+        assert not oracle.allows_cut_after(graph, 2)
+        assert oracle.allows_cut_after(graph, 3)
+        assert oracle.blocked_cut_indices(graph) == [2]
+        assert graph.legal_cut_mask().tolist() == [True, True, False, True, True]
 
     def test_input_skip_blocks_leading_boundaries(self):
         graph = PartitionGraph(num_layers=4, skip_edges=((-1, 2),))
-        assert not graph.allows_cut_after(0)
-        assert not graph.allows_cut_after(1)
-        assert graph.allows_cut_after(2)
+        assert not oracle.allows_cut_after(graph, 0)
+        assert not oracle.allows_cut_after(graph, 1)
+        assert oracle.allows_cut_after(graph, 2)
+        assert graph.legal_cut_mask().tolist() == [False, False, True]
 
     def test_edges_are_normalised_and_validated(self):
         graph = PartitionGraph(num_layers=6, skip_edges=[(3, 5), (1, 3), (3, 5)])
@@ -71,8 +77,8 @@ class TestPartitionGraph:
 
     def test_describe(self):
         graph = PartitionGraph(num_layers=6, skip_edges=((1, 3),))
-        assert "blocked" in graph.describe()
-        assert "linear" in PartitionGraph(num_layers=2).describe()
+        assert "blocked" in oracle.describe(graph)
+        assert "linear" in oracle.describe(PartitionGraph(num_layers=2))
 
 
 class TestArchitectureSkipEdges:
@@ -159,12 +165,10 @@ class TestGraphAwarePartitioner:
         assert 2 in naive  # shrinkage alone admits the interior boundary
         assert 2 not in graph_aware
         assert set(graph_aware) == set(naive) - {2}
-        # The analyzer enumerates the same cuts: naive under a linear-chain
-        # override, graph-aware under the architecture's own graph.
-        linear = PartitionGraph(num_layers=len(architecture.layers))
-        assert analyzer.evaluate(
-            architecture, graph=linear
-        ).partition_point_indices == tuple(naive)
+        # The analyzer enumerates the same cuts: naive for the same layers
+        # without the skip edge, graph-aware with it.
+        chain = Architecture(architecture.name, architecture.input_shape, architecture.layers)
+        assert analyzer.evaluate(chain).partition_point_indices == tuple(naive)
         assert analyzer.evaluate(architecture).partition_point_indices == tuple(
             graph_aware
         )
@@ -172,9 +176,7 @@ class TestGraphAwarePartitioner:
     def test_evaluate_never_splits_a_skip_edge(self, analyzer):
         evaluation = analyzer.evaluate(residual_architecture())
         assert 2 not in evaluation.partition_point_indices
-        assert all(
-            option.option.split_index != 2 for option in evaluation.split_options
-        )
+        assert all(option.option.split_index != 2 for option in evaluation.options)
         # All-Edge and All-Cloud are always present regardless of the graph
         assert evaluation.all_edge.latency_s > 0
         assert evaluation.all_cloud.transferred_bytes > 0
@@ -185,7 +187,7 @@ class TestGraphAwarePartitioner:
         evaluation = analyzer.evaluate(architecture)
         graph = architecture.partition_graph()
         for index in evaluation.partition_point_indices:
-            assert graph.allows_cut_after(index)
+            assert oracle.allows_cut_after(graph, index)
         for src, dst in architecture.skip_edges:
             for interior in range(src + 1, dst):
                 assert interior not in evaluation.partition_point_indices

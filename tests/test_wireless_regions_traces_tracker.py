@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.serving.workload import FleetWorkload
 from repro.wireless.regions import (
     ALL_REGIONS,
     PAPER_REGIONS,
@@ -84,6 +86,32 @@ class TestTraces:
     def test_to_dict(self):
         data = generate_lte_trace(num_samples=3, seed=0).to_dict()
         assert len(data["samples"]) == 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_samples=st.integers(1, 60),
+        mean_mbps=st.floats(0.1, 50.0),
+        process=st.fixed_dictionaries(
+            {},
+            optional={
+                "volatility": st.floats(0.0, 1.5),
+                "correlation": st.floats(0.0, 0.99),
+                "fade_probability": st.floats(0.0, 1.0),
+                "fade_factor": st.floats(0.01, 1.0),
+            },
+        ),
+    )
+    def test_trace_is_a_one_client_fleet(self, seed, num_samples, mean_mbps, process):
+        """Both generators run one AR(1) process: a trace equals the
+        one-client fleet of the same mean and seed, bit for bit."""
+        trace = generate_lte_trace(
+            num_samples=num_samples, mean_mbps=mean_mbps, seed=seed, **process
+        )
+        fleet = FleetWorkload.synthesize(
+            1, num_samples, regions=[Region("x", mean_mbps)], seed=seed, **process
+        )
+        assert trace.uplinks_mbps.tobytes() == fleet.uplinks_mbps[:, 0].tobytes()
 
 
 class TestTracker:

@@ -43,8 +43,6 @@ ALLOWED: Dict[str, str] = {
         "docs/architecture.md offers it as the trained accuracy model",
     "repro.analysis.reporting.CampaignSummary.winner_for":
         "docs/cli.md reads a campaign's winner with it from Python",
-    "repro.api.engine.EvaluationEngine.evaluate_partitions":
-        "the engine's documented pool-of-one call (docs/architecture.md)",
     "repro.api.envelopes.load_outcome":
         "docs/api.md reads saved outcome envelopes with it",
     "repro.api.registry.register_device":
@@ -75,26 +73,14 @@ ALLOWED: Dict[str, str] = {
         "space and end-to-end tests build genotypes from gene values",
     "repro.nn.encoding.EncodingScheme.from_unit":
         "encoding tests round-trip to_unit through it",
-    "repro.nn.graph.PartitionGraph.legal_cut_indices":
-        "graph and space tests compare cut sets with it",
     "repro.nn.spaces.EncodedSearchSpace.genotype_digest":
         "a property test pins candidate names to the scalar-fold oracle",
     "repro.nn.vgg.build_vgg16":
         "reference model the layer-table and pool tests cost and summarize",
-    "repro.partition.partitioner.PartitionEvaluation.split_options":
-        "partitioner and graph tests check the split options with it",
     "repro.serving.fleet.FleetController.last_option_indices":
         "serving tests check that an anomaly holds the decision",
     "repro.serving.workload.FleetWorkload.from_traces":
         "serving and golden-trace tests build trace fleets with it",
-    "repro.wireless.channel.WirelessChannel.with_uplink":
-        "engine and partitioner tests vary the uplink with it",
-    "repro.wireless.channel.WirelessChannel.communication_latency_s":
-        "partitioner tests check Algorithm 1's transfer latency with it",
-    "repro.wireless.channel.WirelessChannel.communication_energy_j":
-        "partitioner tests check Algorithm 1's transfer energy with it",
-    "repro.wireless.channel.WirelessChannel.cost":
-        "the scalar costing oracle tests/oracles/partition.py calls it",
 }
 
 
