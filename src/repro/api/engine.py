@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.hardware.device import DeviceProfile
 from repro.hardware.predictors import BaseLayerPredictor, LayerPerformancePredictor
+from repro.hardware.profiler import DEFAULT_PROFILING_NOISE_STD, DEFAULT_SAMPLES_PER_TYPE
 from repro.nn.architecture import Architecture, LayerRows
 from repro.partition.partitioner import PartitionAnalyzer, PartitionEvaluation
 from repro.wireless.channel import WirelessChannel
@@ -147,8 +148,8 @@ class EvaluationEngine:
         self,
         device: DeviceProfile,
         *,
-        noise_std: float = 0.03,
-        samples_per_type: int = 200,
+        noise_std: float = DEFAULT_PROFILING_NOISE_STD,
+        samples_per_type: int = DEFAULT_SAMPLES_PER_TYPE,
         seed: Union[int, None] = 0,
     ) -> BaseLayerPredictor:
         """A (cached) per-layer predictor for ``device``.

@@ -22,13 +22,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.scenario import DEFAULT_SCENARIO, SCENARIOS, Scenario
 from repro.core.results import CandidateEvaluation, SearchResult
-from repro.hardware.profiler import MIN_SAMPLES_PER_TYPE
+from repro.hardware.profiler import (
+    DEFAULT_PROFILING_NOISE_STD,
+    DEFAULT_SAMPLES_PER_TYPE,
+    MIN_SAMPLES_PER_TYPE,
+)
 from repro.optim.pareto import FrontHistory
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
 from repro.utils.serialization import load_json
@@ -71,8 +75,7 @@ FINGERPRINT_EXCLUDED_FIELDS = ("schema_version", "tags")
 FINGERPRINT_LENGTH = 16
 
 #: Request fields that count something: whole numbers only, held as ``int``
-#: so a request and its stored envelope share one fingerprint.  Campaign
-#: specs check the same fields.
+#: so a request and its stored envelope share one fingerprint.
 COUNT_FIELDS = (
     "num_initial",
     "num_iterations",
@@ -127,6 +130,19 @@ def check_schema_version(data: Mapping[str, Any], what: str) -> int:
     return version
 
 
+def check_known_fields(data: Mapping[str, Any], known: Iterable[str], what: str) -> None:
+    """Reject the keys of a serialized envelope that name no field.
+
+    A typo'd key would otherwise be dropped, and the payload would silently
+    describe another run; the error names every unknown key.
+    """
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown {what} fields {unknown}; known fields: {sorted(known)}"
+        )
+
+
 @dataclass(frozen=True)
 class SearchRequest:
     """Declarative description of one search run.
@@ -170,8 +186,8 @@ class SearchRequest:
     candidate_pool_size: int = 128
     acquisition: str = "ts"
     batch_size: int = DEFAULT_BATCH_SIZE
-    predictor_noise_std: float = 0.03
-    predictor_samples_per_type: int = 200
+    predictor_noise_std: float = DEFAULT_PROFILING_NOISE_STD
+    predictor_samples_per_type: int = DEFAULT_SAMPLES_PER_TYPE
     seed: Optional[int] = 0
     tags: Dict[str, Any] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
@@ -257,27 +273,18 @@ class SearchRequest:
         and the seed load as stored: a non-integral one (``40.9``) or a
         boolean raises ``ValueError`` here instead of loading truncated
         under another fingerprint, and ``10.0`` loads as ``10``.  So does a
-        noise std that is not a finite number (``true``, ``"0.1"``).
+        noise std that is not a finite number (``true``, ``"0.1"``).  Missing
+        fields take the dataclass defaults; a key that names no field (a typo
+        such as ``num_initals``) raises ``ValueError`` naming it.
         """
         check_schema_version(data, "SearchRequest")
-        scenario = data.get("scenario", DEFAULT_SCENARIO)
-        if isinstance(scenario, dict):
-            scenario = Scenario.from_dict(scenario)
-        return cls(
-            scenario=scenario,
-            strategy=data.get("strategy", "lens"),
-            search_space=str(data.get("search_space", DEFAULT_SEARCH_SPACE)),
-            num_initial=data.get("num_initial", 10),
-            num_iterations=data.get("num_iterations", 50),
-            candidate_pool_size=data.get("candidate_pool_size", 128),
-            acquisition=data.get("acquisition", "ts"),
-            batch_size=data.get("batch_size", DEFAULT_BATCH_SIZE),
-            predictor_noise_std=data.get("predictor_noise_std", 0.03),
-            predictor_samples_per_type=data.get("predictor_samples_per_type", 200),
-            seed=data.get("seed", 0),
-            tags=dict(data.get("tags", {})),
-            schema_version=SCHEMA_VERSION,
-        )
+        names = [request_field.name for request_field in fields(cls)]
+        check_known_fields(data, names, "search request")
+        values = dict(data, schema_version=SCHEMA_VERSION)
+        if isinstance(values.get("scenario"), dict):
+            values["scenario"] = Scenario.from_dict(values["scenario"])
+        values["tags"] = dict(values.get("tags", {}))
+        return cls(**values)
 
 
 @dataclass

@@ -16,22 +16,29 @@ it: the runner keys work by request fingerprint, not position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import product
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.envelopes import (
-    COUNT_FIELDS,
-    DEFAULT_BATCH_SIZE,
-    SearchRequest,
-    check_schema_version,
-)
+from repro.api.envelopes import SearchRequest, check_known_fields, check_schema_version
 from repro.api.registry import ACQUISITIONS, SEARCH_SPACES
 from repro.api.scenario import SCENARIOS
 from repro.api.session import STRATEGIES
-from repro.nn.spaces import DEFAULT_SEARCH_SPACE
 from repro.utils.serialization import load_json
-from repro.utils.validation import require_finite, require_integral
+from repro.utils.validation import require_integral
+
+#: :class:`~repro.api.envelopes.SearchRequest` fields a spec sets once for
+#: every cell of its grid.
+BUDGET_FIELDS = (
+    "num_initial",
+    "num_iterations",
+    "candidate_pool_size",
+    "acquisition",
+    "batch_size",
+    "predictor_noise_std",
+    "predictor_samples_per_type",
+)
 
 
 @dataclass(frozen=True)
@@ -59,49 +66,49 @@ class CampaignSpec:
         scalar ``acquisition`` budget applies to every cell as before.
     num_initial / num_iterations / candidate_pool_size / acquisition /
     batch_size / predictor_noise_std / predictor_samples_per_type:
-        Budgets applied to every generated request (same meaning as on
-        :class:`~repro.api.envelopes.SearchRequest`).  Seeds and counts must
-        be whole numbers and the noise std a finite number, held as
-        ``float``: ``ValueError`` rather than truncation or coercion, here
-        and in :meth:`from_dict`.
+        Budgets applied to every generated request (same meaning, defaults
+        and checks as on :class:`~repro.api.envelopes.SearchRequest`): the
+        spec builds one template request from them, so a budget every
+        request would reject raises ``ValueError`` here and in
+        :meth:`from_dict`, and the values are held as the request holds
+        them.
     tags:
         Metadata copied onto every request (excluded from fingerprints).
+
+    The axes default to one cell of the request's defaults: its search
+    space, its strategy and its seed.
     """
 
     scenarios: Tuple[str, ...]
-    search_spaces: Tuple[str, ...] = (DEFAULT_SEARCH_SPACE,)
-    strategies: Tuple[str, ...] = ("lens",)
-    seeds: Tuple[Optional[int], ...] = (0,)
+    search_spaces: Tuple[str, ...] = (SearchRequest.search_space,)
+    strategies: Tuple[str, ...] = (SearchRequest.strategy,)
+    seeds: Tuple[Optional[int], ...] = (SearchRequest.seed,)
     acquisitions: Tuple[str, ...] = ()
-    num_initial: int = 10
-    num_iterations: int = 50
-    candidate_pool_size: int = 128
-    acquisition: str = "ts"
-    batch_size: int = DEFAULT_BATCH_SIZE
-    predictor_noise_std: float = 0.03
-    predictor_samples_per_type: int = 200
+    num_initial: int = SearchRequest.num_initial
+    num_iterations: int = SearchRequest.num_iterations
+    candidate_pool_size: int = SearchRequest.candidate_pool_size
+    acquisition: str = SearchRequest.acquisition
+    batch_size: int = SearchRequest.batch_size
+    predictor_noise_std: float = SearchRequest.predictor_noise_std
+    predictor_samples_per_type: int = SearchRequest.predictor_samples_per_type
     tags: Dict[str, Any] = field(default_factory=dict)
+    #: The request every cell copies, with only the axis fields replaced.
+    _template: SearchRequest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scenarios", tuple(str(s) for s in self.scenarios))
-        object.__setattr__(
-            self, "search_spaces", tuple(str(s) for s in self.search_spaces)
-        )
-        object.__setattr__(self, "strategies", tuple(str(s) for s in self.strategies))
+        for axis in ("scenarios", "search_spaces", "strategies", "acquisitions"):
+            object.__setattr__(self, axis, tuple(str(s) for s in getattr(self, axis)))
         seeds = tuple(
             None if s is None else require_integral(s, "seed") for s in self.seeds
         )
         object.__setattr__(self, "seeds", seeds)
-        for name in COUNT_FIELDS:
-            object.__setattr__(self, name, require_integral(getattr(self, name), name))
-        object.__setattr__(
-            self,
-            "predictor_noise_std",
-            require_finite(self.predictor_noise_std, "predictor_noise_std"),
-        )
-        object.__setattr__(
-            self, "acquisitions", tuple(str(s) for s in self.acquisitions)
-        )
+        object.__setattr__(self, "tags", dict(self.tags))
+        # every request check runs here, once, and the budgets are held as
+        # the requests hold them
+        template = SearchRequest(**{name: getattr(self, name) for name in BUDGET_FIELDS})
+        for name in BUDGET_FIELDS:
+            object.__setattr__(self, name, getattr(template, name))
+        object.__setattr__(self, "_template", template)
         for axis in ("scenarios", "search_spaces", "strategies", "seeds"):
             values = getattr(self, axis)
             if not values:
@@ -113,8 +120,6 @@ class CampaignSpec:
             raise ValueError(
                 f"campaign acquisitions contain duplicates: {self.acquisitions}"
             )
-        if self.batch_size < 1:
-            raise ValueError("campaign batch_size must be >= 1")
 
     # ------------------------------------------------------------------ expansion
     @property
@@ -130,29 +135,23 @@ class CampaignSpec:
 
     def requests(self) -> List[SearchRequest]:
         """The full request grid, in deterministic scenario-major order."""
-        grid: List[SearchRequest] = []
-        for scenario in self.scenarios:
-            for search_space in self.search_spaces:
-                for strategy in self.strategies:
-                    for acquisition in self.acquisitions or (self.acquisition,):
-                        for seed in self.seeds:
-                            grid.append(
-                                SearchRequest(
-                                    scenario=scenario,
-                                    strategy=strategy,
-                                    search_space=search_space,
-                                    num_initial=self.num_initial,
-                                    num_iterations=self.num_iterations,
-                                    candidate_pool_size=self.candidate_pool_size,
-                                    acquisition=acquisition,
-                                    batch_size=self.batch_size,
-                                    predictor_noise_std=self.predictor_noise_std,
-                                    predictor_samples_per_type=self.predictor_samples_per_type,
-                                    seed=seed,
-                                    tags=dict(self.tags),
-                                )
-                            )
-        return grid
+        return [
+            self._template.replace(
+                scenario=scenario,
+                search_space=search_space,
+                strategy=strategy,
+                acquisition=acquisition,
+                seed=seed,
+                tags=dict(self.tags),
+            )
+            for scenario, search_space, strategy, acquisition, seed in product(
+                self.scenarios,
+                self.search_spaces,
+                self.strategies,
+                self.acquisitions or (self.acquisition,),
+                self.seeds,
+            )
+        ]
 
     def validate(self) -> "CampaignSpec":
         """Resolve every axis name eagerly, before any cell runs.
@@ -180,57 +179,30 @@ class CampaignSpec:
             "search_spaces": list(self.search_spaces),
             "strategies": list(self.strategies),
             "seeds": list(self.seeds),
-            "num_initial": self.num_initial,
-            "num_iterations": self.num_iterations,
-            "candidate_pool_size": self.candidate_pool_size,
-            "acquisition": self.acquisition,
-            "predictor_noise_std": self.predictor_noise_std,
-            "predictor_samples_per_type": self.predictor_samples_per_type,
+            **{name: getattr(self, name) for name in BUDGET_FIELDS},
             "tags": dict(self.tags),
         }
         # emitted only when set, so specs written before the ablation axis
-        # existed round-trip byte-identically
+        # and q-batches existed round-trip byte-identically
         if self.acquisitions:
             payload["acquisitions"] = list(self.acquisitions)
-        if self.batch_size != DEFAULT_BATCH_SIZE:
-            payload["batch_size"] = self.batch_size
+        if self.batch_size == SearchRequest.batch_size:
+            del payload["batch_size"]
         return payload
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
+        """Rebuild a spec; missing fields take the dataclass defaults.
+
+        A key that names no field (``seed`` for ``seeds``) raises
+        ``ValueError`` naming it, as does a budget every request rejects.
+        """
         check_schema_version(data, "CampaignSpec")
-        known = {
-            "schema_version", "scenarios", "search_spaces", "strategies",
-            "seeds", "acquisitions", "num_initial", "num_iterations",
-            "candidate_pool_size", "acquisition", "batch_size",
-            "predictor_noise_std", "predictor_samples_per_type", "tags",
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            # a typo'd key would otherwise silently run a different campaign
-            raise ValueError(
-                f"unknown campaign spec fields {unknown}; "
-                f"known fields: {sorted(known)}"
-            )
+        names = {spec_field.name for spec_field in fields(cls) if spec_field.init}
+        check_known_fields(data, names | {"schema_version"}, "campaign spec")
         if "scenarios" not in data:
             raise ValueError("campaign spec must declare 'scenarios'")
-        return cls(
-            scenarios=tuple(data["scenarios"]),
-            search_spaces=tuple(
-                data.get("search_spaces", (DEFAULT_SEARCH_SPACE,))
-            ),
-            strategies=tuple(data.get("strategies", ("lens",))),
-            seeds=tuple(data.get("seeds", (0,))),
-            acquisitions=tuple(data.get("acquisitions", ())),
-            num_initial=data.get("num_initial", 10),
-            num_iterations=data.get("num_iterations", 50),
-            candidate_pool_size=data.get("candidate_pool_size", 128),
-            acquisition=data.get("acquisition", "ts"),
-            batch_size=data.get("batch_size", DEFAULT_BATCH_SIZE),
-            predictor_noise_std=data.get("predictor_noise_std", 0.03),
-            predictor_samples_per_type=data.get("predictor_samples_per_type", 200),
-            tags=dict(data.get("tags", {})),
-        )
+        return cls(**{name: value for name, value in data.items() if name in names})
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CampaignSpec":

@@ -43,9 +43,6 @@ from typing import Any, Dict, List, Optional, Union
 #: Subdirectory (inside a store directory) holding the lease files.
 LEASES_DIRNAME = "leases"
 
-#: Default seconds without a heartbeat before a lease counts as expired.
-DEFAULT_TTL_S = 30.0
-
 
 @dataclass(frozen=True)
 class Lease:
@@ -100,15 +97,11 @@ class LeaseBoard:
         audit records).
     ttl_s:
         Heartbeat freshness window; a lease older than this is reclaimable.
+        Campaigns pass their policy's
+        :attr:`~repro.campaign.supervisor.CampaignPolicy.ttl_s`.
     """
 
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        worker: str,
-        *,
-        ttl_s: float = DEFAULT_TTL_S,
-    ):
+    def __init__(self, directory: Union[str, Path], worker: str, *, ttl_s: float):
         self.directory = Path(directory)
         self.worker = worker
         self.ttl_s = float(ttl_s)

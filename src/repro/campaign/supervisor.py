@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import ctypes
 import json
-import numbers
 import os
 import signal
 import threading
@@ -53,7 +52,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.utils.serialization import atomic_write_text
-from repro.utils.validation import require_integral
+from repro.utils.validation import require_finite, require_integral
 
 try:  # pragma: no cover - POSIX only; Windows uses the thread fallback
     import fcntl
@@ -135,9 +134,10 @@ class CampaignPolicy:
         An open circuit half-opens after ``circuit_cooldown_s``, admitting
         ``circuit_probes`` probe cells.
 
-    Counts must be whole numbers and the other numeric fields real numbers
-    (never booleans, strings or NaN): ``ValueError`` rather than truncation
-    or coercion, here and in :meth:`from_dict`.
+    Counts must be whole numbers and the other numeric fields finite real
+    numbers, held as ``float`` (never booleans, strings, NaN or infinities):
+    ``ValueError`` rather than truncation or coercion, here and in
+    :meth:`from_dict`.
     """
 
     ttl_s: float = 30.0
@@ -156,10 +156,7 @@ class CampaignPolicy:
         for name in _POLICY_COUNT_FIELDS:
             object.__setattr__(self, name, require_integral(getattr(self, name), name))
         for name in _POLICY_REAL_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, require_finite(getattr(self, name), name))
         if not (self.ttl_s > 0 and self.poll_s > 0):
             raise ValueError(
                 f"ttl_s/poll_s must be positive, got {self.ttl_s}/{self.poll_s}"
@@ -212,17 +209,8 @@ class CampaignPolicy:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "ttl_s": self.ttl_s,
-            "poll_s": self.poll_s,
-            "max_attempts": self.max_attempts,
-            "backoff_base_s": self.backoff_base_s,
-            "max_backoff_s": self.max_backoff_s,
-            "cell_timeout_s": self.cell_timeout_s,
-            "on_error": self.on_error,
-            "circuit_window": self.circuit_window,
-            "circuit_threshold": self.circuit_threshold,
-            "circuit_cooldown_s": self.circuit_cooldown_s,
-            "circuit_probes": self.circuit_probes,
+            policy_field.name: getattr(self, policy_field.name)
+            for policy_field in fields(self)
         }
 
     @classmethod
@@ -282,8 +270,10 @@ def deadline(seconds: float) -> Iterator[None]:
             raise CellTimeout(f"cell exceeded its {seconds:g}s deadline")
 
         previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, float(seconds))
         try:
+            # armed inside the try: a deadline setitimer cannot hold (such
+            # as 1e12 s) raises with the previous handler back in place
+            signal.setitimer(signal.ITIMER_REAL, float(seconds))
             yield
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)

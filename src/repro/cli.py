@@ -35,6 +35,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -68,7 +69,6 @@ from repro.campaign import (
 )
 from repro.core.results import SearchResult
 from repro.core.runtime import ThresholdAnalysis
-from repro.nn.spaces import DEFAULT_SEARCH_SPACE
 from repro.serving import FleetWorkload, ServingSession
 from repro.utils.serialization import dump_json, format_table, to_jsonable
 
@@ -85,43 +85,81 @@ def _parse_tags(pairs: Optional[Sequence[str]]) -> Dict[str, str]:
     return tags
 
 
-def _add_budget_arguments(
-    parser: argparse.ArgumentParser, *, deferred: bool = False
-) -> None:
-    """Attach the shared search-budget flags.
+#: The search-budget flags ``repro run`` and ``repro campaign`` share:
+#: ``(flag, field, type, metavar, help)``, the field being the
+#: :class:`SearchRequest` (or :class:`CampaignSpec`) field the flag sets.
+_BUDGET_FLAGS = (
+    ("--num-initial", "num_initial", int, "N", "random-initialisation evaluations"),
+    ("--num-iterations", "num_iterations", int, "N", "Bayesian-search iterations"),
+    ("--pool-size", "candidate_pool_size", int, "N", "acquisition candidate-pool size"),
+    ("--batch-size", "batch_size", int, "N",
+     "candidates proposed per BO iteration, for q-batch selection"),
+    ("--predictor-samples", "predictor_samples_per_type", int, "N",
+     "profiling samples per layer type"),
+)
 
-    ``deferred=True`` (the ``run`` command) leaves every default as ``None``
-    so "flag given" is distinguishable from "default" — a flag then
-    overrides the corresponding field of a ``--request`` file, and absent
-    flags fall back to the :class:`SearchRequest` dataclass defaults.
+#: ``repro campaign``'s supervision flags, one per :class:`CampaignPolicy`
+#: field: ``(flag, field, type, metavar, help)``.
+_POLICY_FLAGS = (
+    ("--on-error", "on_error", str, "MODE",
+     "'fail' stops on the first failed cell, 'continue' records an error "
+     "envelope and keeps going"),
+    ("--ttl", "ttl_s", float, "S",
+     "lease expiry window of a claimed cell, in seconds"),
+    ("--poll", "poll_s", float, "S",
+     "idle poll interval of the worker loops, in seconds"),
+    ("--max-attempts", "max_attempts", int, "N",
+     "retry budget per cell for retryable failures"),
+    ("--backoff", "backoff_base_s", float, "S",
+     "exponential-backoff base between retries, in seconds"),
+    ("--max-backoff", "max_backoff_s", float, "S",
+     "cap on any single retry delay, in seconds"),
+    ("--cell-timeout", "cell_timeout_s", float, "S",
+     "per-cell deadline: a cell still running after S seconds is killed and "
+     "audited as E_TIMEOUT; 0 = no deadline"),
+    ("--circuit-threshold", "circuit_threshold", float, "F",
+     "open the campaign circuit breaker when the failure rate over the last "
+     "--circuit-window cells reaches F in (0, 1]; exits with code 4; "
+     "0 = disabled"),
+    ("--circuit-window", "circuit_window", int, "N",
+     "sliding window of recent cell results the failure rate is computed over"),
+    ("--circuit-cooldown", "circuit_cooldown_s", float, "S",
+     "seconds an open circuit waits before half-opening to probe"),
+    ("--circuit-probes", "circuit_probes", int, "N",
+     "probe cells allowed through a half-open circuit"),
+)
+
+
+def _shown(value: Any) -> str:
+    """A default as ``--help`` prints it: ``30.0`` as ``30``, a tuple joined."""
+    if isinstance(value, tuple):
+        return ", ".join(_shown(item) for item in value)
+    return format(value, "g") if isinstance(value, float) else str(value)
+
+
+def _add_field_flags(parser, defaults: type, rows, **options: Any) -> None:
+    """Add one flag per ``(flag, field, type, metavar, help)`` row.
+
+    The flag stores into ``args.<field>`` and defaults to ``None``, so only
+    the flags given reach the dataclass (:func:`_given`); its help ends with
+    the field's default, read from the ``defaults`` dataclass.
     """
-    group = parser.add_argument_group("search budgets")
-    group.add_argument("--num-initial", type=int,
-                       default=None if deferred else 10,
-                       help="random-initialisation evaluations (default: 10)")
-    group.add_argument("--num-iterations", type=int,
-                       default=None if deferred else 50,
-                       help="Bayesian-search iterations (default: 50)")
-    group.add_argument("--pool-size", type=int,
-                       default=None if deferred else 128,
-                       help="acquisition candidate-pool size (default: 128)")
-    if deferred:
-        group.add_argument("--acquisition", default=None,
-                           help=f"acquisition strategy {ACQUISITIONS.names()} "
-                                "(default: ts)")
-    else:
-        # campaigns: repeatable, to declare an ablation axis over acquisitions
-        group.add_argument("--acquisition", action="append", default=None,
-                           metavar="NAME",
-                           help=f"acquisition strategy {ACQUISITIONS.names()} "
-                                "(default: ts); repeat to grid over several")
-    group.add_argument("--batch-size", type=int,
-                       default=None if deferred else 1,
-                       help="candidates proposed per BO iteration "
-                            "(q-batch selection, default: 1)")
-    group.add_argument("--predictor-samples", type=int,
-                       default=None if deferred else 200,
-                       help="profiling samples per layer type (default: 200)")
+    for flag, name, kind, metavar, text in rows:
+        parser.add_argument(
+            flag, dest=name, type=kind, default=None, metavar=metavar,
+            help=f"{text} (default: {_shown(getattr(defaults, name))})",
+            **options,
+        )
+
+
+def _given(args: argparse.Namespace, target: type) -> Dict[str, Any]:
+    """Keyword arguments for the ``target`` dataclass: the flags given."""
+    names = (target_field.name for target_field in fields(target))
+    return {
+        name: getattr(args, name)
+        for name in names
+        if getattr(args, name, None) is not None
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,16 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "summary. --request loads a serialized SearchRequest "
                     "instead; explicit flags override its fields.",
     )
-    run_parser.add_argument("--scenario", default=None,
-                            help="scenario name (see: repro list; "
-                                 "default: wifi-3mbps/jetson-tx2-gpu)")
-    run_parser.add_argument("--strategy", default=None,
-                            help=f"strategy {STRATEGIES.names()} (default: lens)")
-    run_parser.add_argument("--search-space", default=None,
-                            help=f"search space {SEARCH_SPACES.names()} "
-                                 f"(default: {DEFAULT_SEARCH_SPACE})")
-    run_parser.add_argument("--seed", type=int, default=None,
-                            help="master seed (default: 0)")
+    _add_field_flags(run_parser, SearchRequest, (
+        ("--scenario", "scenario", None, None, "scenario name listed by 'repro list'"),
+        ("--strategy", "strategy", None, None, f"strategy {STRATEGIES.names()}"),
+        ("--search-space", "search_space", None, None,
+         f"search space {SEARCH_SPACES.names()}"),
+        ("--seed", "seed", int, None, "master seed"),
+    ))
     run_parser.add_argument("--request", metavar="FILE",
                             help="load a SearchRequest JSON file")
     run_parser.add_argument("--out", metavar="FILE",
@@ -166,7 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="append the outcome to the run store under DIR")
     run_parser.add_argument("--tag", action="append", metavar="KEY=VALUE",
                             help="attach metadata to the request (repeatable)")
-    _add_budget_arguments(run_parser, deferred=True)
+    run_budgets = run_parser.add_argument_group("search budgets")
+    _add_field_flags(run_budgets, SearchRequest, _BUDGET_FLAGS + (
+        ("--acquisition", "acquisition", None, "NAME",
+         f"acquisition strategy {ACQUISITIONS.names()}"),
+    ))
 
     campaign_parser = commands.add_parser(
         "campaign",
@@ -178,17 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument("--spec", metavar="FILE",
                                  help="CampaignSpec JSON file (flags below are "
                                       "ignored when given)")
-    campaign_parser.add_argument("--scenario", action="append", default=None,
+    campaign_parser.add_argument("--scenario", action="append", dest="scenarios",
                                  metavar="NAME", help="grid scenario (repeatable)")
-    campaign_parser.add_argument("--search-space", action="append", default=None,
-                                 metavar="NAME",
-                                 help="grid search space (repeatable; "
-                                      f"default: {DEFAULT_SEARCH_SPACE})")
-    campaign_parser.add_argument("--strategy", action="append", default=None,
-                                 metavar="NAME", help="grid strategy (repeatable; "
-                                 "default: lens)")
-    campaign_parser.add_argument("--seed", action="append", type=int, default=None,
-                                 metavar="N", help="grid seed (repeatable; default: 0)")
+    _add_field_flags(campaign_parser, CampaignSpec, (
+        ("--search-space", "search_spaces", None, "NAME",
+         "grid search space, repeatable"),
+        ("--strategy", "strategies", None, "NAME", "grid strategy, repeatable"),
+        ("--seed", "seeds", int, "N", "grid seed, repeatable"),
+    ), action="append")
     campaign_parser.add_argument("--store", required=True, metavar="DIR",
                                  help="run-store directory (created if missing)")
     campaign_parser.add_argument("--workers", type=int, default=1, metavar="N",
@@ -202,55 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "'repro worker' processes); default: "
                                       "serial for --workers 1, process-pool "
                                       "otherwise")
-    campaign_parser.add_argument("--on-error", choices=("fail", "continue"),
-                                 default="fail",
-                                 help="stop on the first failed cell (fail, "
-                                      "default) or record an error envelope "
-                                      "and keep going (continue)")
-    campaign_parser.add_argument("--ttl", type=float, default=30.0, metavar="S",
-                                 help="lease expiry window of a claimed cell "
-                                      "(default: 30s)")
-    campaign_parser.add_argument("--poll", type=float, default=0.5, metavar="S",
-                                 help="idle poll interval of the worker "
-                                      "loops (default: 0.5s)")
-    campaign_parser.add_argument("--max-attempts", type=int, default=3,
-                                 metavar="N",
-                                 help="retry budget per cell for retryable "
-                                      "failures (default: 3)")
-    campaign_parser.add_argument("--backoff", type=float, default=0.5,
-                                 metavar="S",
-                                 help="exponential-backoff base between "
-                                      "retries (default: 0.5s)")
-    campaign_parser.add_argument("--max-backoff", type=float, default=60.0,
-                                 metavar="S",
-                                 help="cap on any single retry delay "
-                                      "(default: 60s)")
-    campaign_parser.add_argument("--cell-timeout", type=float, default=0.0,
-                                 metavar="S",
-                                 help="per-cell deadline: a cell still running "
-                                      "after S seconds is killed and audited "
-                                      "as E_TIMEOUT (0 = no deadline, the "
-                                      "default)")
-    campaign_parser.add_argument("--circuit-threshold", type=float, default=0.0,
-                                 metavar="F",
-                                 help="open the campaign circuit breaker when "
-                                      "the failure rate over the last "
-                                      "--circuit-window cells reaches F in "
-                                      "(0, 1]; exits with code 4 "
-                                      "(0 = disabled, the default)")
-    campaign_parser.add_argument("--circuit-window", type=int, default=8,
-                                 metavar="N",
-                                 help="sliding window of recent cell results "
-                                      "the failure rate is computed over "
-                                      "(default: 8)")
-    campaign_parser.add_argument("--circuit-cooldown", type=float, default=5.0,
-                                 metavar="S",
-                                 help="seconds an open circuit waits before "
-                                      "half-opening to probe (default: 5s)")
-    campaign_parser.add_argument("--circuit-probes", type=int, default=1,
-                                 metavar="N",
-                                 help="probe cells allowed through a "
-                                      "half-open circuit (default: 1)")
     campaign_parser.add_argument("--retry-dead", action="store_true",
                                  help="re-admit every cell in --store that "
                                       "failed for good (dead-lettered) with "
@@ -261,7 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
                                       "skipping them")
     campaign_parser.add_argument("--quiet", action="store_true",
                                  help="suppress per-cell progress lines")
-    _add_budget_arguments(campaign_parser)
+    _add_field_flags(campaign_parser.add_argument_group("campaign policy"),
+                     CampaignPolicy, _POLICY_FLAGS)
+    campaign_budgets = campaign_parser.add_argument_group("search budgets")
+    _add_field_flags(campaign_budgets, CampaignSpec, _BUDGET_FLAGS)
+    # repeatable, to declare an ablation axis over acquisitions
+    _add_field_flags(campaign_budgets, CampaignSpec, (
+        ("--acquisition", "acquisition", None, "NAME",
+         f"acquisition strategy {ACQUISITIONS.names()}; repeat to grid over "
+         "several"),
+    ), action="append")
 
     worker_parser = commands.add_parser(
         "worker",
@@ -451,27 +447,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _request_from_args(args: argparse.Namespace) -> SearchRequest:
     """Build the request: ``--request`` file fields, overridden by given flags."""
-    overrides: Dict[str, Any] = {}
-    for flag, field in (
-        ("scenario", "scenario"),
-        ("strategy", "strategy"),
-        ("search_space", "search_space"),
-        ("seed", "seed"),
-        ("num_initial", "num_initial"),
-        ("num_iterations", "num_iterations"),
-        ("pool_size", "candidate_pool_size"),
-        ("acquisition", "acquisition"),
-        ("batch_size", "batch_size"),
-        ("predictor_samples", "predictor_samples_per_type"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field] = value
+    overrides = _given(args, SearchRequest)
     if args.tag:
         overrides["tags"] = _parse_tags(args.tag)
     if args.request:
-        request = load_request(args.request)
-        return request.replace(**overrides) if overrides else request
+        return load_request(args.request).replace(**overrides)
     # absent flags fall back to the SearchRequest dataclass defaults
     return SearchRequest(**overrides)
 
@@ -518,25 +498,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
     if args.spec:
         return CampaignSpec.load(args.spec)
-    if not args.scenario:
+    if not args.scenarios:
         raise argparse.ArgumentTypeError(
             "campaign needs --spec FILE or at least one --scenario"
         )
+    values = _given(args, CampaignSpec)
     # one --acquisition sets the shared budget; several declare an ablation axis
-    acquisitions = tuple(args.acquisition or ())
-    return CampaignSpec(
-        scenarios=tuple(args.scenario),
-        search_spaces=tuple(args.search_space or (DEFAULT_SEARCH_SPACE,)),
-        strategies=tuple(args.strategy or ("lens",)),
-        seeds=tuple(args.seed if args.seed is not None else (0,)),
-        acquisitions=acquisitions if len(acquisitions) > 1 else (),
-        num_initial=args.num_initial,
-        num_iterations=args.num_iterations,
-        candidate_pool_size=args.pool_size,
-        acquisition=acquisitions[0] if len(acquisitions) == 1 else "ts",
-        batch_size=args.batch_size,
-        predictor_samples_per_type=args.predictor_samples,
-    )
+    acquisitions = values.pop("acquisition", ())
+    if len(acquisitions) == 1:
+        values["acquisition"] = acquisitions[0]
+    elif acquisitions:
+        values["acquisitions"] = acquisitions
+    return CampaignSpec(**values)
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -544,9 +517,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         readmitted = open_store(args.store).readmit_failed()
         print(f"retry-dead: {len(readmitted)} dead-lettered cell(s) "
               f"re-admitted with a fresh retry budget")
-        if not args.spec and not args.scenario:
+        if not args.spec and not args.scenarios:
             return 0  # re-admit only; a later campaign/worker picks them up
     spec = _spec_from_args(args)
+    policy = CampaignPolicy(**_given(args, CampaignPolicy))
     store = open_store(args.store)
     stored = store.records()  # one snapshot for labelling every skipped cell
 
@@ -565,19 +539,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     f"({outcome.wall_time_s:.2f}s)")
         print(f"[{done}/{total}] {fingerprint}  {what}")
 
-    policy = CampaignPolicy(
-        ttl_s=args.ttl,
-        poll_s=args.poll,
-        max_attempts=args.max_attempts,
-        backoff_base_s=args.backoff,
-        max_backoff_s=args.max_backoff,
-        cell_timeout_s=args.cell_timeout,
-        on_error=args.on_error,
-        circuit_window=args.circuit_window,
-        circuit_threshold=args.circuit_threshold,
-        circuit_cooldown_s=args.circuit_cooldown,
-        circuit_probes=args.circuit_probes,
-    )
     result = run_campaign(
         spec, store,
         workers=args.workers,

@@ -28,7 +28,12 @@ import numpy as np
 
 from repro.hardware.device import DeviceProfile
 from repro.hardware.features import prediction_family
-from repro.hardware.profiler import LayerProfiler, ProfilingDataset
+from repro.hardware.profiler import (
+    DEFAULT_PROFILING_NOISE_STD,
+    DEFAULT_SAMPLES_PER_TYPE,
+    LayerProfiler,
+    ProfilingDataset,
+)
 from repro.hardware.simulator import LayerCostSimulator
 from repro.nn.architecture import Architecture, LayerRows
 from repro.nn.table import LAYER_TABLE
@@ -231,8 +236,8 @@ class LayerPerformancePredictor(BaseLayerPredictor):
     def train_for_device(
         cls,
         device: DeviceProfile,
-        noise_std: float = 0.03,
-        samples_per_type: int = 300,
+        noise_std: float = DEFAULT_PROFILING_NOISE_STD,
+        samples_per_type: int = DEFAULT_SAMPLES_PER_TYPE,
         alpha: float = 1e-3,
         seed: SeedLike = 0,
     ) -> "LayerPerformancePredictor":

@@ -25,6 +25,14 @@ from repro.utils.rng import SeedLike, ensure_rng
 #: Fewest configurations :class:`LayerProfiler` samples per layer family.
 MIN_SAMPLES_PER_TYPE = 10
 
+#: Configurations sampled per layer family when training a predictor, unless
+#: a request or caller sets its own count.
+DEFAULT_SAMPLES_PER_TYPE = 200
+
+#: Relative measurement noise of the simulated device while a predictor's
+#: profiling datasets are collected, unless a request or caller sets its own.
+DEFAULT_PROFILING_NOISE_STD = 0.03
+
 
 def _draw(rng: np.random.Generator, values: Sequence[int]) -> int:
     """``int(rng.choice(values))``, drawn as an index into ``values``.
@@ -87,7 +95,8 @@ class LayerProfiler:
         Sweep grids for pooling layers.
     samples_per_type:
         Number of configurations sampled (without replacement when possible)
-        from each family's full grid.
+        from each family's full grid (default
+        :data:`DEFAULT_SAMPLES_PER_TYPE`).
     """
 
     def __init__(
@@ -102,7 +111,7 @@ class LayerProfiler:
         fc_units: Sequence[int] = (10, 256, 512, 1024, 2048, 4096, 8192),
         pool_spatial_sizes: Sequence[int] = (7, 14, 28, 56, 112, 224),
         pool_channels: Sequence[int] = (24, 64, 128, 256, 384),
-        samples_per_type: int = 300,
+        samples_per_type: int = DEFAULT_SAMPLES_PER_TYPE,
         rng: SeedLike = None,
     ):
         if samples_per_type < MIN_SAMPLES_PER_TYPE:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.utils.units import milliwatts_to_watts
-from repro.utils.validation import require_non_negative
+from repro.utils.validation import require_finite, require_non_negative
 
 #: Published uplink coefficients (alpha_u in mW per Mbps, beta in mW).
 HUANG_COEFFICIENTS_MILLIWATTS: Dict[str, Tuple[float, float]] = {
@@ -44,6 +44,9 @@ class RadioPowerModel:
         Throughput-dependent coefficient in watts per Mbps.
     beta_w:
         Fixed radio power in watts while transmitting.
+
+    Both coefficients must be finite, non-negative real numbers (never
+    booleans) and are held as ``float``.
     """
 
     technology: str
@@ -51,8 +54,9 @@ class RadioPowerModel:
     beta_w: float
 
     def __post_init__(self) -> None:
-        require_non_negative(self.alpha_w_per_mbps, "alpha_w_per_mbps")
-        require_non_negative(self.beta_w, "beta_w")
+        for name in ("alpha_w_per_mbps", "beta_w"):
+            value = require_finite(getattr(self, name), name)
+            object.__setattr__(self, name, require_non_negative(value, name))
 
     def power_w(self, uplink_mbps: float) -> float:
         """Transmission power in watts at the given uplink throughput."""

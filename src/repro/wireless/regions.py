@@ -13,19 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_finite, require_positive
 
 
 @dataclass(frozen=True)
 class Region:
-    """A geographic region with its average experienced upload throughput."""
+    """A geographic region with its average experienced upload throughput.
+
+    ``avg_uplink_mbps`` must be a finite, positive real number (never a
+    boolean) and is held as ``float``.
+    """
 
     name: str
     avg_uplink_mbps: float
     source: str = "opensignal-2020"
 
     def __post_init__(self) -> None:
-        require_positive(self.avg_uplink_mbps, "avg_uplink_mbps")
+        uplink = require_finite(self.avg_uplink_mbps, "avg_uplink_mbps")
+        object.__setattr__(
+            self, "avg_uplink_mbps", require_positive(uplink, "avg_uplink_mbps")
+        )
 
     def to_dict(self) -> Dict:
         return {

@@ -369,6 +369,13 @@ class TestErrorEnvelopes:
 
 
 class TestLeases:
+    def test_ttl_is_the_callers_policy(self, tmp_path):
+        """The board has no TTL of its own; campaigns pass ``policy.ttl_s``."""
+        with pytest.raises(TypeError, match="ttl_s"):
+            LeaseBoard(tmp_path / "leases", "a")
+        with pytest.raises(ValueError, match="ttl_s"):
+            LeaseBoard(tmp_path / "leases", "a", ttl_s=0.0)
+
     def test_claim_is_exclusive(self, tmp_path):
         a = LeaseBoard(tmp_path / "leases", "a", ttl_s=30.0)
         b = LeaseBoard(tmp_path / "leases", "b", ttl_s=30.0)

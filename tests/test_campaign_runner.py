@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.analysis.reporting import summarize_campaign
-from repro.api.envelopes import request_fingerprint
+from repro.api.envelopes import SearchRequest, request_fingerprint
 from repro.api.registry import RegistryError
 from repro.api.scenario import Scenario
 from repro.campaign import CampaignSpec, RunStore, StoreError, run_campaign
@@ -115,6 +115,34 @@ class TestCampaignSpec:
         assert [r.fingerprint() for r in clone.requests()] == [
             r.fingerprint() for r in spec.requests()
         ]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_initial", 0),
+            ("candidate_pool_size", 0),
+            ("predictor_samples_per_type", 5),
+            ("predictor_noise_std", -1.0),
+        ],
+    )
+    def test_budgets_every_request_rejects_fail_when_the_spec_is_built(
+        self, field, value
+    ):
+        """These specs used to construct and pass ``validate()``, failing
+        only once ``requests()`` expanded the grid."""
+        with pytest.raises(ValueError, match=field):
+            CampaignSpec(scenarios=SPEC.scenarios, **{field: value})
+        payload = SPEC.to_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=field):
+            CampaignSpec.from_dict(payload)
+
+    def test_budget_defaults_and_cells_are_the_requests(self):
+        spec = CampaignSpec(scenarios=("wifi-3mbps/jetson-tx2-gpu",))
+        assert spec.requests() == [
+            SearchRequest(scenario="wifi-3mbps/jetson-tx2-gpu")
+        ]
+        assert CampaignSpec.from_dict({"scenarios": list(spec.scenarios)}) == spec
 
     def test_validate_catches_unknown_names_upfront(self):
         bad = CampaignSpec(scenarios=("wifi-3mbps/jetson-tx2-gpu",),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import re
+import signal
 import threading
 import time
 from pathlib import Path
@@ -140,6 +141,15 @@ class TestCampaignPolicy:
             dict(cell_timeout_s=float("nan")),
             dict(circuit_threshold=float("nan")),
             dict(circuit_cooldown_s=float("nan")),
+            # so do infinities: an infinite deadline wrote a manifest that
+            # is not JSON and failed every cell in setitimer
+            dict(ttl_s=float("inf")),
+            dict(poll_s=float("inf")),
+            dict(backoff_base_s=float("inf")),
+            dict(max_backoff_s=float("inf")),
+            dict(cell_timeout_s=float("inf")),
+            dict(circuit_threshold=float("-inf")),
+            dict(circuit_cooldown_s=float("inf")),
         ],
     )
     def test_invalid_fields_rejected(self, changes):
@@ -176,6 +186,7 @@ class TestCampaignPolicy:
             {"circuit_probes": "3"},
             {"ttl_s": "12"},
             {"backoff_base_s": False},
+            {"cell_timeout_s": float("inf")},
         ],
     )
     def test_from_dict_rejects_what_it_used_to_coerce(self, stored):
@@ -308,6 +319,15 @@ class TestDeadline:
         with deadline(0.5):
             pass
         time.sleep(0.7)  # a leaked itimer would fire here and kill pytest
+
+    def test_a_deadline_the_timer_cannot_hold_restores_the_handler(self):
+        """``setitimer`` overflows on ``1e12`` s; it used to raise after the
+        alarm handler was installed, leaving it in place."""
+        before = signal.getsignal(signal.SIGALRM)
+        with pytest.raises(OverflowError):
+            with deadline(1e12):
+                pass
+        assert signal.getsignal(signal.SIGALRM) is before
 
     def test_fallback_path_interrupts_other_threads(self):
         outcome = {}

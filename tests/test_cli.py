@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -18,7 +19,7 @@ from repro.api.engine import EvaluationEngine
 from repro.api.envelopes import SearchOutcome, SearchRequest, load_outcome
 from repro.api.scenario import SCENARIOS, Scenario
 from repro.api.session import run_search
-from repro.campaign import RunStore
+from repro.campaign import CampaignPolicy, CampaignSpec, RunStore
 from repro.cli import main
 
 #: Tiny-budget flags shared by every command that runs a search.
@@ -520,6 +521,128 @@ def test_retired_checkpoint_flags_are_usage_errors(tmp_path, capsys, command, re
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {' '.join(retired)}" in capsys.readouterr().err
     assert not store_dir.exists()
+
+
+#: Every flag that sets a dataclass field, by command: flag -> (dataclass,
+#: field).  ``repro campaign --scenario`` sets a field without a default.
+BUDGET_FLAG_FIELDS = {
+    "--num-initial": "num_initial",
+    "--num-iterations": "num_iterations",
+    "--pool-size": "candidate_pool_size",
+    "--acquisition": "acquisition",
+    "--batch-size": "batch_size",
+    "--predictor-samples": "predictor_samples_per_type",
+}
+FIELD_FLAGS = {
+    "run": {
+        "--scenario": (SearchRequest, "scenario"),
+        "--strategy": (SearchRequest, "strategy"),
+        "--search-space": (SearchRequest, "search_space"),
+        "--seed": (SearchRequest, "seed"),
+        **{flag: (SearchRequest, name) for flag, name in BUDGET_FLAG_FIELDS.items()},
+    },
+    "campaign": {
+        "--search-space": (CampaignSpec, "search_spaces"),
+        "--strategy": (CampaignSpec, "strategies"),
+        "--seed": (CampaignSpec, "seeds"),
+        **{flag: (CampaignSpec, name) for flag, name in BUDGET_FLAG_FIELDS.items()},
+        "--on-error": (CampaignPolicy, "on_error"),
+        "--ttl": (CampaignPolicy, "ttl_s"),
+        "--poll": (CampaignPolicy, "poll_s"),
+        "--max-attempts": (CampaignPolicy, "max_attempts"),
+        "--backoff": (CampaignPolicy, "backoff_base_s"),
+        "--max-backoff": (CampaignPolicy, "max_backoff_s"),
+        "--cell-timeout": (CampaignPolicy, "cell_timeout_s"),
+        "--circuit-threshold": (CampaignPolicy, "circuit_threshold"),
+        "--circuit-window": (CampaignPolicy, "circuit_window"),
+        "--circuit-cooldown": (CampaignPolicy, "circuit_cooldown_s"),
+        "--circuit-probes": (CampaignPolicy, "circuit_probes"),
+    },
+}
+
+
+def _printed_defaults(command, capsys, monkeypatch):
+    """``flag -> text`` of each ``(default: text)`` that ``--help`` prints."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    printed = {}
+    for entry in re.split(r"\n(?=  -)", capsys.readouterr().out):
+        match = re.match(r"(--[\w-]+).*?\(default: ([^)]*)\)", " ".join(entry.split()))
+        if match:
+            printed[match.group(1)] = match.group(2)
+    return printed
+
+
+def _read_back(text, default):
+    """A printed default as a value of the dataclass default's type."""
+    if isinstance(default, tuple):
+        return tuple(_read_back(item, default[0]) for item in text.split(", "))
+    return type(default)(text)
+
+
+@pytest.mark.parametrize("command", sorted(FIELD_FLAGS))
+def test_help_prints_the_default_of_the_field_each_flag_sets(
+    command, capsys, monkeypatch
+):
+    printed = _printed_defaults(command, capsys, monkeypatch)
+    for flag, (dataclass, name) in FIELD_FLAGS[command].items():
+        default = {f.name: f.default for f in dataclasses.fields(dataclass)}[name]
+        assert _read_back(printed[flag], default) == default, flag
+
+
+def test_absent_flags_build_the_dataclass_defaults(tmp_path, monkeypatch):
+    """``repro run`` and ``repro campaign`` pass only the flags given."""
+    captured = {}
+
+    def fake_run_search(request):
+        captured["request"] = request
+        raise RuntimeError("stop")
+
+    def fake_run_campaign(spec, store, **kwargs):
+        captured.update(spec=spec, policy=kwargs["policy"])
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr("repro.cli.run_search", fake_run_search)
+    monkeypatch.setattr("repro.cli.run_campaign", fake_run_campaign)
+    assert main(["run"]) == 3
+    assert captured["request"] == SearchRequest()
+    scenario = "wifi-3mbps/jetson-tx2-gpu"
+    assert main(["campaign", "--scenario", scenario,
+                 "--store", str(tmp_path / "store")]) == 3
+    assert captured["spec"] == CampaignSpec(scenarios=(scenario,))
+    assert captured["policy"] == CampaignPolicy()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--num-initial", "0"], "num_initial must be positive"),
+        (["--pool-size", "0"], "candidate_pool_size must be positive"),
+        (["--predictor-samples", "5"], "predictor_samples_per_type must be >= 10"),
+        (["--cell-timeout", "inf"], "cell_timeout_s must be a finite number"),
+        (["--on-error", "explode"], "on_error must be 'fail' or 'continue'"),
+    ],
+    ids=["num-initial", "pool-size", "predictor-samples", "cell-timeout", "on-error"],
+)
+def test_campaign_rejects_bad_settings_before_writing_a_manifest(
+    tmp_path, capsys, flags, message
+):
+    """``--cell-timeout inf`` used to write a manifest holding ``Infinity``
+    and fail every cell with an ``OverflowError`` (exit 3)."""
+    store_dir = tmp_path / "store"
+    assert main(["campaign", *SMALL_GRID, "--store", str(store_dir), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not store_dir.exists()
+
+
+def test_run_request_file_with_an_unknown_key_is_a_usage_error(tmp_path, capsys):
+    """A typo'd key used to be dropped, running the default search instead."""
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({"num_initals": 30, "sead": 7}), encoding="utf-8")
+    assert main(["run", "--request", str(path)]) == 2
+    assert ("unknown search request fields ['num_initals', 'sead']"
+            in capsys.readouterr().err)
 
 
 def _repro(args, **env):

@@ -9,18 +9,26 @@ every pre-upgrade store from its requests — these values must never change.
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.api.engine import EvaluationEngine
 from repro.api.envelopes import (
     DEFAULT_BATCH_SIZE,
     SCHEMA_VERSION,
     SearchRequest,
     request_fingerprint,
 )
-from repro.hardware.profiler import MIN_SAMPLES_PER_TYPE
+from repro.hardware.predictors import LayerPerformancePredictor
+from repro.hardware.profiler import (
+    DEFAULT_PROFILING_NOISE_STD,
+    DEFAULT_SAMPLES_PER_TYPE,
+    MIN_SAMPLES_PER_TYPE,
+    LayerProfiler,
+)
 from repro.nn.spaces import DEFAULT_SEARCH_SPACE
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_requests_v1.json"
@@ -215,3 +223,35 @@ def test_profiling_minimum_is_the_profilers():
     ).predictor_samples_per_type == MIN_SAMPLES_PER_TYPE
     with pytest.raises(ValueError, match="predictor_samples_per_type"):
         request.replace(predictor_samples_per_type=MIN_SAMPLES_PER_TYPE - 1)
+
+
+def test_unknown_request_fields_are_rejected_and_named():
+    """A typo'd key used to load silently, so ``repro run --request`` ran
+    ``num_initial=10, seed=0`` for a file asking for 30 and 7."""
+    payload = {"num_initals": 30, "sead": 7}
+    with pytest.raises(
+        ValueError, match=r"unknown search request fields \['num_initals', 'sead'\]"
+    ):
+        SearchRequest.from_dict(payload)
+    payload = dict(SearchRequest(seed=7).to_dict(), num_initals=30)
+    with pytest.raises(ValueError, match="num_initals"):
+        SearchRequest.from_dict(payload)
+    # every key the library writes loads, schema_version included
+    assert SearchRequest.from_dict(SearchRequest(seed=7).to_dict()).seed == 7
+
+
+def test_predictor_training_defaults_are_the_requests():
+    """``train_for_device`` and ``LayerProfiler`` defaulted to 300 samples
+    per family while every request trained on 200."""
+    samples = SearchRequest.predictor_samples_per_type
+    noise = SearchRequest.predictor_noise_std
+    assert (samples, noise) == (DEFAULT_SAMPLES_PER_TYPE, DEFAULT_PROFILING_NOISE_STD)
+    for callable_, noise_name, samples_name in (
+        (EvaluationEngine.predictor_for, "noise_std", "samples_per_type"),
+        (LayerPerformancePredictor.train_for_device, "noise_std", "samples_per_type"),
+        (LayerProfiler.__init__, None, "samples_per_type"),
+    ):
+        parameters = inspect.signature(callable_).parameters
+        assert parameters[samples_name].default == samples
+        if noise_name:
+            assert parameters[noise_name].default == noise

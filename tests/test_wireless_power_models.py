@@ -66,6 +66,20 @@ def test_negative_inputs_rejected():
         RadioPowerModel("x", alpha_w_per_mbps=-0.1, beta_w=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), True, "0.1"], ids=repr)
+def test_coefficients_must_be_finite_numbers(bad):
+    with pytest.raises(ValueError, match="alpha_w_per_mbps"):
+        RadioPowerModel("t", alpha_w_per_mbps=bad, beta_w=0.1)
+    with pytest.raises(ValueError, match="beta_w"):
+        RadioPowerModel("t", alpha_w_per_mbps=0.1, beta_w=bad)
+
+
+def test_coefficients_are_held_as_floats():
+    model = RadioPowerModel("t", alpha_w_per_mbps=1, beta_w=0)
+    assert type(model.alpha_w_per_mbps) is float and type(model.beta_w) is float
+    assert model.to_dict() == {"technology": "t", "alpha_w_per_mbps": 1.0, "beta_w": 0.0}
+
+
 def test_to_dict():
     data = RadioPowerModel.for_technology("3g").to_dict()
     assert data["technology"] == "3g"

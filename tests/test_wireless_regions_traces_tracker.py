@@ -39,9 +39,18 @@ class TestRegions:
     def test_paper_regions_accessor_preserves_order(self):
         assert [r.name for r in paper_regions()] == ["South Korea", "USA", "Afghanistan"]
 
-    def test_region_requires_positive_throughput(self):
-        with pytest.raises(ValueError):
-            Region("nowhere", 0.0)
+    @pytest.mark.parametrize(
+        "uplink", [0.0, -1.0, float("nan"), float("inf"), True, "3.0"], ids=repr
+    )
+    def test_region_requires_positive_throughput(self, uplink):
+        """An infinite region replayed all-infinite uplinks that a serving
+        session then served none of, without an error."""
+        with pytest.raises(ValueError, match="avg_uplink_mbps"):
+            Region("nowhere", uplink)
+
+    def test_region_holds_its_throughput_as_float(self):
+        region = Region("somewhere", 3)
+        assert region.avg_uplink_mbps == 3.0 and type(region.avg_uplink_mbps) is float
 
 
 class TestTraces:
